@@ -22,7 +22,6 @@ from .grouped import (
     GroupedSolution,
     boundary_objective,
     group_counts,
-    group_objective,
     h_function,
     maximize_unimodal,
     optimal_prices_grouped,
@@ -32,20 +31,15 @@ from .grouped import (
     step2_boundaries,
 )
 from .market import (
-    ContractItem,
     CostModel,
     DemandProfile,
-    consumer_utility,
     cost,
-    item_profit,
-    social_surplus,
-    unsatisfied_demand,
     valuation,
     valuation_dsigma,
     valuation_dsigma_dt,
     valuation_dt,
 )
-from .normals import expected_excess, std_normal_cdf, std_normal_pdf, upper_partial_expectation
+from .normals import expected_excess, std_normal_cdf, std_normal_pdf
 from .oracles import (
     ComparisonReport,
     FeasibilityCertificate,

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    planmenu solve      --scenario PATH --out DIR [--threads N] [--seed S]
+    planmenu solve      --scenario PATH --out DIR [--seed S]
     planmenu sweep      --scenario PATH --groups 1,2,3 --out DIR
     planmenu verify     --solution solution.csv --scenario PATH
     planmenu oracle     --scenario PATH --grid-step H [--t-max T]
@@ -24,7 +24,7 @@ from .scenarios import bundled_scenario_names, load_scenario
 
 def _cmd_solve(args):
     scenario = load_scenario(args.scenario)
-    artifacts = runner.run(scenario, args.out, threads=args.threads, seed=args.seed)
+    artifacts = runner.run(scenario, args.out, seed=args.seed)
     print(f"scenario {scenario.name}: profit {artifacts.solution.total_profit:.6f}")
     for row in artifacts.report.baselines:
         print(
@@ -40,7 +40,7 @@ def _cmd_solve(args):
 def _cmd_sweep(args):
     scenario = load_scenario(args.scenario)
     groups = [int(k) for k in args.groups.split(",") if k.strip()]
-    rows = runner.sweep_groups(scenario, groups, args.out, threads=args.threads, seed=args.seed)
+    rows = runner.sweep_groups(scenario, groups, args.out, seed=args.seed)
     for r in rows:
         print(f"K={r['groups']}: profit {r['profit']:.6f} (+{r['uplift_percent']:.1f}% vs fixed)")
     return 0
@@ -96,7 +96,6 @@ def main(argv=None):
     p = sub.add_parser("solve", help="solve a scenario and write artifacts")
     p.add_argument("--scenario", required=True, help=f"path or bundled name ({', '.join(bundled_scenario_names())})")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -104,7 +103,6 @@ def main(argv=None):
     p.add_argument("--scenario", required=True)
     p.add_argument("--groups", required=True, help="comma-separated K values, e.g. 1,2,3,4,5,6")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 

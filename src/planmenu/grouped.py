@@ -346,7 +346,6 @@ def solve_with_restarts(
     n_groups,
     restarts=0,
     seed=None,
-    threads=1,
     t_domain=DEFAULT_T_DOMAIN,
     extra_inits: Optional[List[Sequence[float]]] = None,
 ) -> GroupedSolution:
@@ -364,17 +363,9 @@ def solve_with_restarts(
             u = np.sort(rng.random(n_groups))
             inits.append(np.atleast_1d(market.quantile(u)))
 
-    def solve_one(init):
-        return solve_alternating(
-            profile, cost_model, market, n_groups, t_domain=t_domain, init_boundaries=init
-        )
-
-    if threads and threads > 1 and len(inits) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            solutions = list(pool.map(solve_one, inits))
-    else:
-        solutions = [solve_one(init) for init in inits]
+    solutions = [
+        solve_alternating(profile, cost_model, market, n_groups, t_domain=t_domain, init_boundaries=init)
+        for init in inits
+    ]
     best = max(range(len(solutions)), key=lambda i: (solutions[i].total_profit, -i))
     return solutions[best]

@@ -3,12 +3,13 @@
 - brute_force_ic_ir re-derives every consumer's best choice from raw
   utilities and confirms the menu's assignment wins (or that opting
   out is right for unserved types).
-- grid_oracle_discrete literally enumerates ascending period tuples on
-  a grid, pricing each tuple by the telescoping chain and summing
-  margins — no per-type objective, no pooling.
-- grid_oracle_grouped maximizes over ascending boundary and period
-  tuples on grids by exact dynamic programming over per-boundary
-  profit terms; it returns the same maximum literal enumeration would.
+- grid_oracle_discrete and grid_oracle_grouped maximize over ascending
+  period (and, for groups, boundary) tuples on grids by one shape of
+  exact dynamic program: profit splits into per-stage terms linked
+  only through adjacent stages, so a running maximum per stage returns
+  the same optimum literal enumeration would.  The discrete oracle
+  prices by the telescoping chain from raw valuations and costs — no
+  per-type objective, no pooling.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (inverse-CDF draws from a seeded 64-bit generator).
 - fixed_period_baseline prices a single fixed-period plan, either
@@ -19,7 +20,6 @@
 """
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,99 +129,54 @@ def realized_profit(profile, cost_model, market: DiscreteMarket, periods, prices
 # --- grid oracles -------------------------------------------------------
 
 
-def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid, budget=TUPLE_BUDGET):
-    """Exhaustive search over ascending period tuples on t_grid.
-
-    Prices each candidate tuple by the telescoping chain and sums
-    count-weighted margins directly.  Supports up to four types (the
-    two lowest-type coordinates are vectorized; higher coordinates are
-    explicit loops).  Refuses grids whose ascending-tuple count
-    exceeds the budget.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be strictly ascending")
-    n = t.size
-    n_types = market.n_types
-    if n_types > 4:
-        raise ValueError("grid oracle supports at most four types")
-    n_tuples = comb(n + n_types - 1, n_types)
-    if n_tuples > budget:
-        raise ValueError(f"{n_tuples} ascending tuples exceed the budget {budget:g}")
-
-    V = np.vstack([valuation(profile, sig, t) for sig in market.sigmas])  # (I, n)
-    Ct = cost(cost_model, t)
-    N = market.counts
-
-    best = -np.inf
-    best_idx = None
-
-    if n_types == 1:
-        prof = N[0] * (V[0] - Ct)
-        j = int(np.argmax(prof))
-        return float(prof[j]), t[[j]]
-
-    jj = np.arange(n)
-    lower_tri_mask = jj[:, None] <= jj[None, :]  # j0 <= j1
-
-    def scan_pair(j_hi, price_hi, partial):
-        """Best over (j0 <= j1 <= j_hi) given item above at j_hi, price_hi."""
-        nonlocal best, best_idx
-        m = j_hi + 1
-        pi1 = price_hi + V[1, :m] - V[1, j_hi]
-        col = partial + N[1] * (pi1 - Ct[:m])
-        pi0 = pi1[None, :] + V[0, :m, None] - V[0, None, :m]
-        mat = col[None, :] + N[0] * (pi0 - Ct[:m, None])
-        mat = np.where(lower_tri_mask[:m, :m], mat, -np.inf)
-        j0, j1 = np.unravel_index(int(np.argmax(mat)), mat.shape)
-        if mat[j0, j1] > best:
-            best = float(mat[j0, j1])
-            best_idx = (int(j0), int(j1))
-
-    if n_types == 2:
-        pi1 = V[1]
-        col = N[1] * (pi1 - Ct)
-        pi0 = pi1[None, :] + V[0][:, None] - V[0][None, :]
-        mat = col[None, :] + N[0] * (pi0 - Ct[:, None])
-        mat = np.where(lower_tri_mask, mat, -np.inf)
-        j0, j1 = np.unravel_index(int(np.argmax(mat)), mat.shape)
-        return float(mat[j0, j1]), t[[j0, j1]]
-
-    if n_types == 3:
-        trail = {}
-        for j2 in range(n):
-            price2 = float(V[2, j2])
-            partial = N[2] * (price2 - Ct[j2])
-            before = best
-            scan_pair(j2, price2, partial)
-            if best > before:
-                trail["j2"] = j2
-        j0, j1 = best_idx
-        return float(best), t[[j0, j1, trail["j2"]]]
-
-    # four types
-    trail = {}
-    for j3 in range(n):
-        price3 = float(V[3, j3])
-        part3 = N[3] * (price3 - Ct[j3])
-        for j2 in range(j3 + 1):
-            price2 = price3 + float(V[2, j2] - V[2, j3])
-            partial = part3 + N[2] * (price2 - Ct[j2])
-            before = best
-            scan_pair(j2, price2, partial)
-            if best > before:
-                trail["j2"], trail["j3"] = j2, j3
-    j0, j1 = best_idx
-    return float(best), t[[j0, j1, trail["j2"], trail["j3"]]]
-
-
 def _cummax_with_arg(a, axis):
+    """Running maximum of a along axis, with the index that attains it
+    (the latest such index on ties)."""
     running = np.maximum.accumulate(a, axis=axis)
-    shape = [1, 1]
+    shape = [1] * a.ndim
     shape[axis] = a.shape[axis]
     idx = np.arange(a.shape[axis]).reshape(shape)
     arg = np.maximum.accumulate(np.where(a >= running, idx, -1), axis=axis)
     return running, arg
+
+
+def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid, budget=TUPLE_BUDGET):
+    """Exact grid optimum over ascending period tuples on t_grid.
+
+    With the price chain telescoped from the top type's valuation and
+    S_i the count of types up to i, chain-priced profit is
+
+        sum_i [S_i V_i(t_i) - N_i C(t_i)] - sum_{i<I-1} S_i V_i(t_{i+1}),
+
+    which regroups by period into one term per type,
+    N_i (V_i - C) + S_{i-1} (V_i - V_{i-1}) at t_i.  A stage-by-stage
+    running-max DP over the period grid then yields the exact maximum
+    of literal enumeration.  Returns (profit, periods).
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("t_grid must be strictly ascending")
+    n_types = market.n_types
+    if n_types * t.size > budget:
+        raise ValueError("grid DP exceeds the work budget")
+
+    V = valuation(profile, market.sigmas[:, None], t[None, :])  # (I, n)
+    Ct = cost(cost_model, t)
+    N = market.counts
+    S = np.cumsum(N)
+
+    D = N[0] * (V[0] - Ct)
+    back = []
+    for i in range(1, n_types):
+        M, arg = _cummax_with_arg(D, axis=0)
+        back.append(arg)
+        D = M + N[i] * (V[i] - Ct) + S[i - 1] * (V[i] - V[i - 1])
+
+    j_idx = [int(np.argmax(D))]
+    profit = float(D[j_idx[0]])
+    for arg in reversed(back):
+        j_idx.insert(0, int(arg[j_idx[0]]))
+    return profit, t[j_idx]
 
 
 def grid_oracle_grouped(

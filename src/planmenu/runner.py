@@ -109,7 +109,7 @@ def _comparison_rows(report):
     return rows
 
 
-def run(scenario: Scenario, out_dir, threads=1, seed=None) -> RunArtifacts:
+def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     """Solve a scenario, verify the result, and write artifacts.
 
     The incentive certificate is always written; `ok` reports whether
@@ -132,7 +132,6 @@ def run(scenario: Scenario, out_dir, threads=1, seed=None) -> RunArtifacts:
             scenario.solver.n_groups,
             restarts=scenario.solver.restarts,
             seed=use_seed,
-            threads=threads,
         )
         boundaries = solution.boundaries
         chain_feasibility = None
@@ -197,7 +196,7 @@ def run(scenario: Scenario, out_dir, threads=1, seed=None) -> RunArtifacts:
     )
 
 
-def sweep_groups(scenario: Scenario, group_counts, out_dir, threads=1, seed=None) -> List[dict]:
+def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[dict]:
     """Solve the scenario for each menu size K and tabulate profits.
 
     Each K may warm-start from the previous K's solution (padded with a
@@ -229,7 +228,6 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, threads=1, seed=None
             k,
             restarts=scenario.solver.restarts,
             seed=use_seed,
-            threads=threads,
             extra_inits=extra,
         )
         prev = sol

@@ -319,16 +319,13 @@ def test_more_groups_never_hurt(profile, cost_model):
     assert profits[2] >= profits[1] - 1e-10
 
 
-def test_restarts_deterministic_and_threaded(profile, cost_model):
+def test_restarts_deterministic(profile, cost_model):
     mkt = exponential06()
     a = solve_with_restarts(profile, cost_model, mkt, 2, restarts=3, seed=7)
     b = solve_with_restarts(profile, cost_model, mkt, 2, restarts=3, seed=7)
     assert a.total_profit == b.total_profit
     assert np.array_equal(a.boundaries, b.boundaries)
     assert np.array_equal(a.periods, b.periods)
-    c = solve_with_restarts(profile, cost_model, mkt, 2, restarts=3, seed=7, threads=2)
-    assert c.total_profit == a.total_profit
-    assert np.array_equal(c.boundaries, a.boundaries)
 
 
 def test_restarts_never_lose_to_single_start(profile, cost_model):

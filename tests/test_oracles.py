@@ -5,8 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planmenu.discrete import maximize_concave, solve_discrete
+from planmenu.discrete import maximize_concave, optimal_prices, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import solve_alternating, total_profit_grouped
 from planmenu.market import cost, valuation
@@ -20,6 +22,7 @@ from planmenu.oracles import (
     realized_profit,
     social_metrics,
 )
+from planmenu.scenarios import load_scenario
 
 V_2_1 = 12.833369058824628
 V_6_1 = 11.474583314205567
@@ -147,20 +150,60 @@ def test_grid_oracle_single_type_is_best_grid_point(profile, cost_model):
     assert periods[0] == grid[np.argmax(scan)]
 
 
-def test_grid_oracle_two_types_matches_enumeration(profile, cost_model):
-    market = DiscreteMarket(sigmas=[1.0, 3.0], counts=[2.0, 1.0])
+def enumerate_discrete(profile, cost_model, market, grid):
+    """Literal enumeration: every ascending period tuple on the grid,
+    priced by the telescoping chain down from the top type's valuation,
+    count-weighted margins summed."""
+    V = [valuation(profile, sig, grid) for sig in market.sigmas]
+    C = cost(cost_model, grid)
+    N = market.counts
+    top = market.n_types - 1
+    best = -np.inf
+    for js in itertools.combinations_with_replacement(range(grid.size), market.n_types):
+        price = V[top][js[top]]
+        prof = N[top] * (price - C[js[top]])
+        for i in range(top - 1, -1, -1):
+            price += V[i][js[i]] - V[i][js[i + 1]]
+            prof += N[i] * (price - C[js[i]])
+        best = max(best, prof)
+    return best
+
+
+def chain_profit(profile, cost_model, market, periods):
+    prices = optimal_prices(profile, market, periods)
+    return float(np.dot(market.counts, prices - cost(cost_model, periods)))
+
+
+ENUMERATION_MARKETS = {
+    1: DiscreteMarket(sigmas=[2.5], counts=[1.5]),
+    2: DiscreteMarket(sigmas=[1.0, 3.0], counts=[2.0, 1.0]),
+    3: DiscreteMarket(sigmas=[0.8, 2.2, 4.0], counts=[1.0, 3.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("n_types", [1, 2, 3])
+def test_grid_oracle_matches_enumeration(profile, cost_model, n_types):
+    market = ENUMERATION_MARKETS[n_types]
     grid = np.linspace(0.3, 12.0, 40)
     best, periods = grid_oracle_discrete(profile, cost_model, market, grid)
-    # literal loop over ascending pairs with telescoped prices
-    ref = -np.inf
-    for j0, j1 in itertools.combinations_with_replacement(range(grid.size), 2):
-        t0, t1 = grid[j0], grid[j1]
-        p1 = valuation(profile, 3.0, t1)
-        p0 = p1 + valuation(profile, 1.0, t0) - valuation(profile, 1.0, t1)
-        prof = 2.0 * (p0 - cost(cost_model, t0)) + 1.0 * (p1 - cost(cost_model, t1))
-        ref = max(ref, prof)
-    assert abs(best - ref) < 1e-12
-    assert periods[0] <= periods[1]
+    assert abs(best - enumerate_discrete(profile, cost_model, market, grid)) < 1e-12
+    # the reported periods ascend, sit on the grid and reproduce the profit
+    assert periods.shape == (n_types,)
+    assert np.all(np.diff(periods) >= 0)
+    assert np.all(np.isin(periods, grid))
+    assert abs(chain_profit(profile, cost_model, market, periods) - best) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
+def test_grid_oracle_trails_solver_on_eleven_types(name):
+    sc = load_scenario(name)
+    assert sc.market.n_types == 11
+    sol = solve_discrete(sc.profile, sc.cost_model, sc.market)
+    best, periods = grid_oracle_discrete(sc.profile, sc.cost_model, sc.market, np.arange(1, 601) * 0.05)
+    assert sol.total_profit >= best - 1e-9
+    assert sol.total_profit - best < 0.01 * sol.total_profit
+    assert np.all(np.diff(periods) >= 0)
+    assert abs(chain_profit(sc.profile, sc.cost_model, sc.market, periods) - best) < 1e-9
 
 
 def test_grid_oracle_three_types_agrees_with_solver(profile, cost_model):
@@ -183,12 +226,45 @@ def test_grid_oracle_pools_near_identical_types(profile, cost_model):
 def test_grid_oracle_refuses_oversized_work(profile, cost_model):
     market = DiscreteMarket(sigmas=[1.0, 2.0, 3.0, 4.0], counts=np.ones(4))
     with pytest.raises(ValueError):
-        grid_oracle_discrete(profile, cost_model, market, np.linspace(0.1, 30, 3000))
-    five = DiscreteMarket(sigmas=np.arange(1.0, 6.0), counts=np.ones(5))
-    with pytest.raises(ValueError):
-        grid_oracle_discrete(profile, cost_model, five, np.linspace(0.1, 30, 10))
+        grid_oracle_discrete(profile, cost_model, market, np.linspace(0.1, 30, 3000), budget=10_000)
     with pytest.raises(ValueError):
         grid_oracle_discrete(profile, cost_model, market, [1.0, 1.0, 2.0])
+    # no cap on the number of types: five fit once the work does
+    five = DiscreteMarket(sigmas=np.arange(1.0, 6.0), counts=np.ones(5))
+    grid = np.linspace(0.1, 30, 10)
+    best, periods = grid_oracle_discrete(profile, cost_model, five, grid)
+    assert abs(best - enumerate_discrete(profile, cost_model, five, grid)) < 1e-12
+    assert periods.shape == (5,)
+
+
+def random_markets(max_types):
+    """Discrete markets of 1..max_types types with distinct volatilities."""
+    return st.integers(1, max_types).flatmap(
+        lambda n: st.builds(
+            lambda sigmas, counts: DiscreteMarket(sigmas=np.sort(sigmas), counts=counts),
+            st.lists(st.floats(0.1, 6.0), min_size=n, max_size=n, unique=True),
+            st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n),
+        )
+    )
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(market=random_markets(3))
+def test_grid_oracle_property_matches_enumeration(profile, cost_model, market):
+    grid = np.linspace(0.3, 15.0, 12)
+    best, _ = grid_oracle_discrete(profile, cost_model, market, grid)
+    assert abs(best - enumerate_discrete(profile, cost_model, market, grid)) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(market=random_markets(12))
+def test_grid_oracle_property_never_beats_solver(profile, cost_model, market):
+    sol = solve_discrete(profile, cost_model, market)
+    best, _ = grid_oracle_discrete(profile, cost_model, market, np.arange(1, 121) * 0.25)
+    assert best <= sol.total_profit + 1e-9
 
 
 @pytest.mark.parametrize("n_groups", [2, 3])

@@ -212,8 +212,8 @@ def test_run_seed_override(tmp_path):
 def test_artifacts_byte_deterministic(tmp_path):
     scenario = small_grouped_scenario()
     a, b = tmp_path / "a", tmp_path / "b"
-    runner.run(scenario, a, threads=1)
-    runner.run(scenario, b, threads=2)
+    runner.run(scenario, a)
+    runner.run(scenario, b)
     for name in ("solution.csv", "comparison.csv", "certificate.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
