@@ -7,29 +7,9 @@ truthfully self-selects, for finitely many types and for continuous
 type distributions, and ships independent verification oracles.
 """
 
-from .discrete import (
-    DiscreteSolution,
-    FeasibilityReport,
-    feasibility_check,
-    maximize_concave,
-    optimal_prices,
-    repair_monotone,
-    solve_discrete,
-    type_objective,
-)
+from .discrete import DiscreteSolution, FeasibilityReport, feasibility_check, optimal_prices, solve_discrete
 from .distributions import ContinuousMarket, DiscreteMarket, Theorem3Report
-from .grouped import (
-    GroupedSolution,
-    boundary_objective,
-    group_counts,
-    h_function,
-    maximize_unimodal,
-    optimal_prices_grouped,
-    solve_alternating,
-    solve_with_restarts,
-    step1_periods,
-    step2_boundaries,
-)
+from .grouped import GroupedSolution, solve_with_restarts
 from .market import (
     CostModel,
     DemandProfile,
@@ -39,7 +19,6 @@ from .market import (
     valuation_dsigma_dt,
     valuation_dt,
 )
-from .normals import expected_excess, std_normal_cdf, std_normal_pdf
 from .oracles import (
     ComparisonReport,
     FeasibilityCertificate,

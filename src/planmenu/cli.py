@@ -7,7 +7,8 @@
     planmenu check-dist --scenario PATH
 
 Exit status is 0 only when every verification passes; artifacts are
-still written on failure.
+still written on failure.  A missing or malformed input file prints one
+`planmenu: error: ...` line and exits 2.
 """
 
 import argparse
@@ -123,7 +124,11 @@ def main(argv=None):
     p.set_defaults(func=_cmd_check_dist)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # unreadable or malformed input files
+        print(f"planmenu: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ sum), which is exactly the constrained optimum.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -144,35 +145,48 @@ def repair_monotone(objectives, lo, hi, optimizer=maximize_concave) -> Tuple[np.
 # --- the discrete menu problem -----------------------------------------
 
 
+def period_objective(profile, cost_model, own, below, sigma, sigma_prev, t):
+    """own * (V(sigma, t) - C(t)) + below * (V(sigma, t) - V(sigma_prev, t)).
+
+    The profit terms containing one menu item's period t: `own` consumers
+    buy it, `below` lower consumers draw the information rent, and sigma
+    is the item's marginal type.  Shared by both solvers; the rent term
+    is skipped when below = 0.
+    """
+    v = valuation(profile, sigma, t)
+    out = own * (v - cost(cost_model, t))
+    if below == 0.0:
+        return out
+    return out + below * (v - valuation(profile, sigma_prev, t))
+
+
 def type_objective(profile, cost_model, market, i, t):
     """P_i(t): type i's contribution to total profit at the price optimum.
 
     Vectorizes over t.
     """
-    sig = market.sigmas[i]
-    own = market.counts[i] * (valuation(profile, sig, t) - cost(cost_model, t))
-    if i == 0:
-        return own
-    rent = valuation(profile, sig, t) - valuation(profile, market.sigmas[i - 1], t)
-    return own + market.count_below(i) * rent
+    sig = market.sigmas
+    return period_objective(
+        profile, cost_model, market.counts[i], market.count_below(i), sig[i], sig[max(i - 1, 0)], t
+    )
 
 
-def optimal_prices(profile, market, periods):
-    """Profit-maximizing prices for ascending periods: the top type pays
-    her full valuation; each lower price follows by the binding
-    indifference of the type just below the gap."""
-    periods = np.asarray(periods, dtype=float)
-    n = market.n_types
-    if periods.shape != (n,):
+def optimal_prices(profile, sigmas, periods):
+    """Profit-maximizing prices for ascending periods and their marginal
+    types: the top type pays her full valuation; each lower price adds
+    the valuation drop of the type just below the gap (binding
+    indifference), summed top-down."""
+    sig = np.asarray(sigmas, dtype=float)
+    t = np.asarray(periods, dtype=float)
+    if sig.ndim != 1 or t.shape != sig.shape:
         raise ValueError("need one period per type")
-    if np.any(np.diff(periods) < 0):
+    if np.any(np.diff(t) < 0):
         raise ValueError("periods must be ascending")
-    prices = np.empty(n)
-    prices[-1] = valuation(profile, market.sigmas[-1], periods[-1])
-    for i in range(n - 2, -1, -1):
-        sig = market.sigmas[i]
-        prices[i] = prices[i + 1] + valuation(profile, sig, periods[i]) - valuation(profile, sig, periods[i + 1])
-    return prices
+    # Interleaving +V_i(t_i) and -V_i(t_{i+1}) makes the running sum round
+    # exactly like the recursion p_i = (p_{i+1} + V_i(t_i)) - V_i(t_{i+1}).
+    own, up = valuation(profile, sig[:-1], t[:-1]), valuation(profile, sig[:-1], t[1:])
+    steps = np.stack([own, -up], axis=1)[::-1].ravel()
+    return np.cumsum(np.append(valuation(profile, sig[-1], t[-1]), steps))[::2][::-1]
 
 
 @dataclass
@@ -204,21 +218,19 @@ def feasibility_check(profile, market, periods, prices, tol=1e-9) -> Feasibility
     gap = prices[-1] - valuation(profile, market.sigmas[-1], periods[-1])
     if gap > tol:
         return FeasibilityReport(False, "top_participation", n - 1, float(gap), tol)
-    worst = 0.0
-    for i in range(n - 1):
-        drop_hi = valuation(profile, market.sigmas[i + 1], periods[i]) - valuation(
-            profile, market.sigmas[i + 1], periods[i + 1]
-        )
-        drop_lo = valuation(profile, market.sigmas[i], periods[i]) - valuation(
-            profile, market.sigmas[i], periods[i + 1]
-        )
-        gap = prices[i] - prices[i + 1]
-        if drop_hi - gap > tol:
-            return FeasibilityReport(False, "price_floor", i, float(drop_hi - gap), tol)
-        if gap - drop_lo > tol:
-            return FeasibilityReport(False, "price_ceiling", i, float(gap - drop_lo), tol)
-        worst = max(worst, drop_hi - gap, gap - drop_lo)
-    return FeasibilityReport(True, None, None, float(max(worst, 0.0)), tol)
+    sig = market.sigmas
+    drop_hi = valuation(profile, sig[1:], periods[:-1]) - valuation(profile, sig[1:], periods[1:])
+    drop_lo = valuation(profile, sig[:-1], periods[:-1]) - valuation(profile, sig[:-1], periods[1:])
+    gap = prices[:-1] - prices[1:]
+    floor, ceiling = drop_hi - gap, gap - drop_lo
+    bad = (floor > tol) | (ceiling > tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if floor[i] > tol:
+            return FeasibilityReport(False, "price_floor", i, float(floor[i]), tol)
+        return FeasibilityReport(False, "price_ceiling", i, float(ceiling[i]), tol)
+    worst = max(floor.max(initial=0.0), ceiling.max(initial=0.0))
+    return FeasibilityReport(True, None, None, float(worst), tol)
 
 
 @dataclass
@@ -238,20 +250,29 @@ def solve_discrete(profile, cost_model, market, t_domain=DEFAULT_T_DOMAIN) -> Di
     telescoping price chain.  The period cap is asserted non-binding.
     """
     lo, hi = t_domain
+    sig = market.sigmas
     objectives = [
-        (lambda i: (lambda t: type_objective(profile, cost_model, market, i, t)))(i)
+        partial(
+            period_objective,
+            profile,
+            cost_model,
+            float(market.counts[i]),
+            market.count_below(i),
+            float(sig[i]),
+            float(sig[max(i - 1, 0)]),
+        )
         for i in range(market.n_types)
     ]
     periods, pooled = repair_monotone(objectives, lo, hi, optimizer=maximize_concave)
     if np.any(periods > hi - 1e-6 * (hi - lo)):
         warnings.warn("a period argmax pressed against the search cap; consider widening t_domain", RuntimeWarning)
-    prices = optimal_prices(profile, market, periods)
+    prices = optimal_prices(profile, sig, periods)
     report = feasibility_check(profile, market, periods, prices)
     if not report.passed:
         raise RuntimeError(f"constructed menu failed feasibility: {report}")
     margins = prices - cost(cost_model, periods)
     total = float(np.dot(market.counts, margins))
-    values = np.array([type_objective(profile, cost_model, market, i, periods[i]) for i in range(market.n_types)])
+    values = np.array([f(periods[i]) for i, f in enumerate(objectives)])
     return DiscreteSolution(
         periods=periods,
         prices=prices,

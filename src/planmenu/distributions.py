@@ -120,23 +120,17 @@ class ContinuousMarket:
         return min(max(s, self.sigma_min), self.sigma_max)
 
     def pdf(self, sigma):
-        if np.ndim(sigma) == 0:
-            s = self._check_support_scalar(sigma)
-            if self.kind == "uniform":
-                return 1.0 / (self.sigma_max - self.sigma_min)
-            if self.kind == "exponential":
-                return self.rate * math.exp(-self.rate * s) / self._norm
-            z = (s - self.loc) / self.scale
-            return std_normal_pdf(z) / (self.scale * self._norm)
         sv = self._check_support(sigma)
         if self.kind == "uniform":
-            return np.full_like(sv, 1.0 / (self.sigma_max - self.sigma_min))
+            return np.full_like(sv, 1.0 / (self.sigma_max - self.sigma_min))[()]
         if self.kind == "exponential":
-            return self.rate * np.exp(-self.rate * sv) / self._norm
+            return (self.rate * np.exp(-self.rate * sv) / self._norm)[()]
         z = (sv - self.loc) / self.scale
         return std_normal_pdf(z) / (self.scale * self._norm)
 
     def cdf(self, sigma):
+        """G(sigma).  Scalars skip numpy, several times cheaper than a
+        one-point call: golden-section search evaluates G point by point."""
         if np.ndim(sigma) == 0:
             s = self._check_support_scalar(sigma)
             if self.kind == "uniform":
@@ -156,19 +150,11 @@ class ContinuousMarket:
     def pdf_dsigma(self, sigma):
         """g'(sigma); zero for uniform, -rate*g for exponential,
         -((sigma-loc)/scale^2)*g for the truncated normal."""
-        if np.ndim(sigma) == 0:
-            s = self._check_support_scalar(sigma)
-            if self.kind == "uniform":
-                return 0.0
-            if self.kind == "exponential":
-                return -self.rate * (self.rate * math.exp(-self.rate * s) / self._norm)
-            z = (s - self.loc) / self.scale
-            return -(z / self.scale) * std_normal_pdf(z) / (self.scale * self._norm)
         sv = self._check_support(sigma)
         if self.kind == "uniform":
-            return np.zeros_like(sv)
+            return np.zeros_like(sv)[()]
         if self.kind == "exponential":
-            return -self.rate * (self.rate * np.exp(-self.rate * sv) / self._norm)
+            return (-self.rate * (self.rate * np.exp(-self.rate * sv) / self._norm))[()]
         z = (sv - self.loc) / self.scale
         return -(z / self.scale) * std_normal_pdf(z) / (self.scale * self._norm)
 
@@ -187,7 +173,7 @@ class ContinuousMarket:
             base = np.clip(base, 1e-300, 1.0 - 1e-16)
             out = self.loc + self.scale * std_normal_quantile(base)
         out = np.clip(out, self.sigma_min, self.sigma_max)
-        return out if np.ndim(p) else float(out)
+        return out[()]
 
     def count_between(self, lo, hi):
         """Consumer mass with type in (lo, hi]."""
@@ -208,15 +194,11 @@ class ContinuousMarket:
         At sigma = 0 the G/sigma term vanishes (G(0) = 0 at least
         linearly) and the slack reduces to 2*g(0).
         """
-        if np.ndim(sigma):
-            return np.array([self.theorem3_condition(float(s)) for s in np.asarray(sigma, dtype=float)])
-        s = float(sigma)
-        g = self.pdf(s)
-        if s == 0.0:
-            return 2.0 * g
-        G = self.cdf(s)
-        gp = self.pdf_dsigma(s)
-        return (2.0 * g * g - gp * G) / g - SHAPE_CONSTANT * G / s
+        sv = self._check_support(sigma)
+        g = self.pdf(sv)
+        G = self.cdf(sv)
+        slack = (2.0 * g * g - self.pdf_dsigma(sv) * G) / g - SHAPE_CONSTANT * G / np.where(sv > 0, sv, 1.0)
+        return np.where(sv > 0, slack, 2.0 * g)[()]
 
     def verify_theorem3(self, grid_points=1000, tol=-1e-10):
         """Minimum slack of the shape condition over an equispaced grid.

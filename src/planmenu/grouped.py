@@ -25,7 +25,8 @@ it, searches fall back to a dense grid scan with golden refinement.
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .discrete import (
     PooledBlock,
     golden_section_max,
     maximize_concave,
+    optimal_prices,
+    period_objective,
     repair_monotone,
 )
 from .market import cost, valuation, valuation_dsigma
@@ -47,13 +50,14 @@ MAX_ROUNDS = 200
 def maximize_unimodal(f, lo, hi, rel_arg_tol=1e-10, coarse_grid=None):
     """Golden-section maximum for a unimodal f on [lo, hi].
 
-    With coarse_grid set, f is first scanned on that many equispaced
-    points and golden-section only refines the best bracket — the
-    fallback for objectives without a unimodality certificate.
+    With coarse_grid set, f is first evaluated on that many equispaced
+    points in one array call (so f must broadcast) and golden-section
+    only refines the best bracket — the fallback for objectives without
+    a unimodality certificate.
     """
     if coarse_grid:
         xs = np.linspace(lo, hi, int(coarse_grid))
-        vals = np.array([f(x) for x in xs])
+        vals = f(xs)
         j = int(np.argmax(vals))
         a = xs[max(j - 1, 0)]
         b = xs[min(j + 1, len(xs) - 1)]
@@ -70,44 +74,6 @@ def group_counts(market, boundaries):
         raise ValueError("boundaries must be ascending")
     lows = np.concatenate(([market.sigma_min], b[:-1]))
     return market.count_between(lows, b)
-
-
-def optimal_prices_grouped(profile, boundaries, periods):
-    """Telescoping price chain anchored at the top boundary type."""
-    b = np.asarray(boundaries, dtype=float)
-    t = np.asarray(periods, dtype=float)
-    if b.shape != t.shape:
-        raise ValueError("boundaries and periods must align")
-    k = b.size
-    prices = np.empty(k)
-    prices[-1] = valuation(profile, b[-1], t[-1])
-    for i in range(k - 2, -1, -1):
-        prices[i] = prices[i + 1] + valuation(profile, b[i], t[i]) - valuation(profile, b[i], t[i + 1])
-    return prices
-
-
-def _group_term(profile, cost_model, own_mass, mass_below, sig, sig_prev, t):
-    # P_k(t) with the group masses and boundary types pinned to floats,
-    # so golden-section loops stay on the scalar fast paths.
-    out = own_mass * (valuation(profile, sig, t) - cost(cost_model, t))
-    if mass_below > 0.0 and sig > sig_prev:
-        out = out + mass_below * (valuation(profile, sig, t) - valuation(profile, sig_prev, t))
-    return out
-
-
-def group_objective(profile, cost_model, market, boundaries, k, t):
-    """P_k(t): profit terms containing period t_k, boundaries fixed.
-
-    Same shape as the discrete per-type objective with the group's
-    upper boundary playing the marginal type and G(sigma_{k-1}) the
-    mass enjoying the rent.
-    """
-    b = np.asarray(boundaries, dtype=float)
-    sig = float(b[k])
-    G_lo = float(market.cdf(b[k - 1])) if k > 0 else 0.0
-    own = market.size * (float(market.cdf(sig)) - G_lo)
-    sig_prev = float(b[k - 1]) if k > 0 else sig
-    return _group_term(profile, cost_model, own, market.size * G_lo, sig, sig_prev, t)
 
 
 def _boundary_term(profile, market, t_k, t_next, dcost, sigma):
@@ -143,21 +109,28 @@ def h_function(profile, market, sigma, t_low, t_high):
 
 
 def step1_periods(profile, cost_model, market, boundaries, t_domain=DEFAULT_T_DOMAIN):
-    """Optimal ascending periods for fixed boundaries."""
+    """Optimal ascending periods for fixed boundaries.
+
+    This is the discrete problem with the boundary types as marginal
+    types and the band masses as counts; the rent mass of group k is
+    N*G(sigma_{k-1}).
+    """
     lo, hi = t_domain
     b = np.asarray(boundaries, dtype=float)
     G = np.atleast_1d(np.asarray(market.cdf(b), dtype=float))
-    objectives = []
-    for k in range(b.size):
-        sig = float(b[k])
-        G_lo = float(G[k - 1]) if k > 0 else 0.0
-        own = market.size * (float(G[k]) - G_lo)
-        sig_prev = float(b[k - 1]) if k > 0 else sig
-        objectives.append(
-            (lambda own, below, sig, sig_prev: (lambda t: _group_term(profile, cost_model, own, below, sig, sig_prev, t)))(
-                own, market.size * G_lo, sig, sig_prev
-            )
+    G_lo = np.append(0.0, G[:-1])
+    objectives = [
+        partial(
+            period_objective,
+            profile,
+            cost_model,
+            market.size * (float(G[k]) - float(G_lo[k])),
+            market.size * float(G_lo[k]),
+            float(b[k]),
+            float(b[max(k - 1, 0)]),
         )
+        for k in range(b.size)
+    ]
     return repair_monotone(objectives, lo, hi, optimizer=maximize_concave)
 
 
@@ -169,13 +142,13 @@ def step2_boundaries(profile, cost_model, market, periods, coarse_grid=None):
         return maximize_unimodal(f, a, b, coarse_grid=coarse_grid)
 
     t = np.asarray(periods, dtype=float)
-    costs = [cost(cost_model, float(tk)) for tk in t]
+    costs = cost(cost_model, t)
     objectives = []
     for k in range(t.size):
         if k == t.size - 1:
-            t_k, t_next, dcost = float(t[k]), None, -costs[k]
+            t_k, t_next, dcost = float(t[k]), None, -float(costs[k])
         else:
-            t_k, t_next, dcost = float(t[k]), float(t[k + 1]), costs[k + 1] - costs[k]
+            t_k, t_next, dcost = float(t[k]), float(t[k + 1]), float(costs[k + 1] - costs[k])
         objectives.append(
             (lambda t_k, t_next, dcost: (lambda s: _boundary_term(profile, market, t_k, t_next, dcost, s)))(
                 t_k, t_next, dcost
@@ -187,7 +160,7 @@ def step2_boundaries(profile, cost_model, market, periods, coarse_grid=None):
 def total_profit_grouped(profile, cost_model, market, boundaries, periods):
     """Direct profit: group masses times per-item margins at chain prices."""
     counts = group_counts(market, boundaries)
-    prices = optimal_prices_grouped(profile, boundaries, periods)
+    prices = optimal_prices(profile, boundaries, periods)
     margins = prices - cost(cost_model, np.asarray(periods, dtype=float))
     return float(np.dot(counts, margins))
 
@@ -216,9 +189,6 @@ class GroupedSolution:
     boundary_edge_hits: List[int] = field(default_factory=list)
     theorem3_ok: bool = True
     requested_groups: int = 0
-    # pre-collapse state, for diagnostics
-    raw_boundaries: Optional[np.ndarray] = None
-    raw_periods: Optional[np.ndarray] = None
 
 
 def _collapse_empty_groups(market, boundaries, periods):
@@ -306,11 +276,8 @@ def solve_alternating(
     edge_tol = 1e-9 * (market.sigma_max - market.sigma_min)
     edge_hits = [int(k) for k, s in enumerate(boundaries) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol]
 
-    raw_b, raw_t = boundaries.copy(), np.asarray(periods, dtype=float).copy()
     boundaries, periods = _collapse_empty_groups(market, boundaries, np.asarray(periods, dtype=float))
-    prices = optimal_prices_grouped(profile, boundaries, periods)
-    counts = group_counts(market, boundaries)
-    direct = float(np.dot(counts, prices - cost(cost_model, periods)))
+    direct = total_profit_grouped(profile, cost_model, market, boundaries, periods)
     telescoped = _profit_via_boundary_terms(profile, cost_model, market, boundaries, periods)
     if abs(direct - telescoped) > 1e-8 * max(1.0, abs(direct)):
         raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
@@ -318,8 +285,8 @@ def solve_alternating(
     return GroupedSolution(
         boundaries=boundaries,
         periods=periods,
-        prices=prices,
-        counts=counts,
+        prices=optimal_prices(profile, boundaries, periods),
+        counts=group_counts(market, boundaries),
         total_profit=direct,
         iterations=rounds,
         converged=converged,
@@ -329,8 +296,6 @@ def solve_alternating(
         boundary_edge_hits=edge_hits,
         theorem3_ok=t3.holds,
         requested_groups=n_groups,
-        raw_boundaries=raw_b,
-        raw_periods=raw_t,
     )
 
 

@@ -95,10 +95,6 @@ def _check_sigma_t(sigma, t):
     return sv, tv
 
 
-def _both_scalar(sigma, t):
-    return np.ndim(sigma) == 0 and np.ndim(t) == 0
-
-
 def _check_scalar_sigma_t(sigma, t):
     s = float(sigma)
     tt = float(t)
@@ -129,21 +125,19 @@ def unsatisfied_demand(profile, sigma, t):
     Equals sigma*sqrt(t)*E(a); 0 when sigma = 0 (deterministic demand
     never exceeds the cap since q >= mu).
     """
-    if _both_scalar(sigma, t):
-        s, tt = _check_scalar_sigma_t(sigma, t)
-        if s == 0.0:
-            return 0.0
-        rt = math.sqrt(tt)
-        return s * rt * _excess_scalar(min(rt * profile.excess_cap / s, 1e6))
     sv, tv = _check_sigma_t(sigma, t)
     a = _shortfall_threshold(profile, sv, tv)
-    return np.where(sv > 0, sv * np.sqrt(tv) * expected_excess(a), 0.0)
+    return np.where(sv > 0, sv * np.sqrt(tv) * expected_excess(a), 0.0)[()]
 
 
 def valuation(profile, sigma, t):
     """Per-unit-time value V(sigma, t) a type-sigma consumer places on a
-    period-t plan.  V(0, t) = alpha*mu (the volatility-free limit)."""
-    if _both_scalar(sigma, t):
+    period-t plan.  V(0, t) = alpha*mu (the volatility-free limit).
+
+    Scalars take a plain-math path, several times cheaper than a
+    one-point numpy call: golden-section search evaluates V point by point.
+    """
+    if np.ndim(sigma) == 0 and np.ndim(t) == 0:
         s, tt = _check_scalar_sigma_t(sigma, t)
         if s == 0.0:
             return profile.alpha * profile.mu
@@ -158,15 +152,9 @@ def valuation(profile, sigma, t):
 
 def valuation_dt(profile, sigma, t):
     """dV/dt = alpha*sigma*phi(a)/(2*t^1.5) > 0; 0 in the sigma = 0 limit."""
-    if _both_scalar(sigma, t):
-        s, tt = _check_scalar_sigma_t(sigma, t)
-        if s == 0.0:
-            return 0.0
-        a = min(math.sqrt(tt) * profile.excess_cap / s, 1e6)
-        return profile.alpha * s * (INV_SQRT_2PI * math.exp(-0.5 * a * a)) / (2.0 * tt ** 1.5)
     sv, tv = _check_sigma_t(sigma, t)
     a = _shortfall_threshold(profile, sv, tv)
-    return np.where(sv > 0, profile.alpha * sv * std_normal_pdf(a) / (2.0 * tv ** 1.5), 0.0)
+    return np.where(sv > 0, profile.alpha * sv * std_normal_pdf(a) / (2.0 * tv ** 1.5), 0.0)[()]
 
 
 def valuation_dsigma(profile, sigma, t):
@@ -179,8 +167,7 @@ def valuation_dsigma(profile, sigma, t):
     if np.any(sv == 0):
         warnings.warn("valuation_dsigma at sigma=0: returning one-sided limit 0", RuntimeWarning)
     a = _shortfall_threshold(profile, sv, tv)
-    out = np.where(sv > 0, -profile.alpha * std_normal_pdf(a) / np.sqrt(tv), 0.0)
-    return float(out) if _both_scalar(sigma, t) else out
+    return np.where(sv > 0, -profile.alpha * std_normal_pdf(a) / np.sqrt(tv), 0.0)[()]
 
 
 def valuation_dsigma_dt(profile, sigma, t):
@@ -193,12 +180,15 @@ def valuation_dsigma_dt(profile, sigma, t):
     if np.any(sv == 0):
         raise ValueError("cross partial undefined at sigma=0")
     a = np.minimum(np.sqrt(tv) * profile.excess_cap / sv, 1e6)
-    out = profile.alpha * std_normal_pdf(a) / (2.0 * np.sqrt(tv)) * (1.0 / tv + (profile.excess_cap / sv) ** 2)
-    return float(out) if _both_scalar(sigma, t) else out
+    return (profile.alpha * std_normal_pdf(a) / (2.0 * np.sqrt(tv)) * (1.0 / tv + (profile.excess_cap / sv) ** 2))[()]
 
 
 def cost(model, t):
-    """Provider cost per unit time C(t) = W(t) + c0 of serving a period-t plan."""
+    """Provider cost per unit time C(t) = W(t) + c0 of serving a period-t plan.
+
+    Scalars skip numpy for the linear cost, several times cheaper than a
+    one-point call: golden-section search evaluates C point by point.
+    """
     if np.ndim(t) == 0 and model.w is None:
         tt = float(t)
         if tt < 0 or not math.isfinite(tt):
@@ -208,8 +198,7 @@ def cost(model, t):
     if np.any(tv < 0) or not np.all(np.isfinite(tv)):
         raise ValueError("period t must be finite and nonnegative")
     variable = model.w(tv) if model.w is not None else model.c1 * tv
-    out = np.asarray(variable, dtype=float) + model.c0
-    return float(out) if np.ndim(t) == 0 else out
+    return (np.asarray(variable, dtype=float) + model.c0)[()]
 
 
 def item_profit(model, item):

@@ -1,7 +1,7 @@
 """Standard-normal helpers used throughout the valuation model.
 
 Everything here accepts floats or numpy arrays and broadcasts; scalar
-input gives a Python float back.
+input gives a numpy float64 (a float subclass) back.
 """
 
 import math
@@ -12,9 +12,6 @@ from scipy import special
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Scalars take the plain-math path (C library erfc/exp, ~30x faster
-# than the numpy machinery); arrays go through scipy.special.
-
 
 def _as_float_or_array(x):
     out = np.asarray(x, dtype=float)
@@ -23,36 +20,30 @@ def _as_float_or_array(x):
     return out
 
 
-def _scalar(x):
-    xf = float(x)
-    if not math.isfinite(xf):
-        raise ValueError("non-finite input")
-    return xf
-
-
 def std_normal_pdf(x):
     """phi(x) = exp(-x^2/2)/sqrt(2*pi)."""
-    if np.ndim(x) == 0:
-        xf = _scalar(x)
-        return INV_SQRT_2PI * math.exp(-0.5 * xf * xf)
     xv = _as_float_or_array(x)
-    return INV_SQRT_2PI * np.exp(-0.5 * xv * xv)
+    return (INV_SQRT_2PI * np.exp(-0.5 * xv * xv))[()]
 
 
 def std_normal_cdf(x):
-    """Phi(x), computed via erfc for full-tail accuracy."""
+    """Phi(x), computed via erfc for full-tail accuracy.
+
+    Scalars take math.erfc, several times cheaper than a one-point numpy
+    call: golden-section search reaches this point by point.
+    """
     if np.ndim(x) == 0:
-        return 0.5 * math.erfc(-_scalar(x) / SQRT2)
+        xf = float(x)
+        if not math.isfinite(xf):
+            raise ValueError("non-finite input")
+        return 0.5 * math.erfc(-xf / SQRT2)
     xv = _as_float_or_array(x)
     return 0.5 * special.erfc(-xv / SQRT2)
 
 
 def std_normal_sf(x):
-    """1 - Phi(x) without cancellation in the upper tail."""
-    if np.ndim(x) == 0:
-        return 0.5 * math.erfc(_scalar(x) / SQRT2)
-    xv = _as_float_or_array(x)
-    return 0.5 * special.erfc(xv / SQRT2)
+    """1 - Phi(x) = Phi(-x), without cancellation in the upper tail."""
+    return std_normal_cdf(np.negative(x))
 
 
 def std_normal_quantile(p):
@@ -60,13 +51,7 @@ def std_normal_quantile(p):
     pv = np.asarray(p, dtype=float)
     if np.any((pv <= 0.0) | (pv >= 1.0)) or not np.all(np.isfinite(pv)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    out = special.ndtri(pv)
-    return float(out) if np.ndim(p) == 0 else out
-
-
-def upper_partial_expectation(a):
-    """integral_a^inf x*phi(x) dx, which collapses to phi(a)."""
-    return std_normal_pdf(a)
+    return special.ndtri(pv)[()]
 
 
 def expected_excess(a):
@@ -77,10 +62,6 @@ def expected_excess(a):
     tiny negative once both terms underflow (a ~ 4e2), so the result is
     clamped at 0.
     """
-    if np.ndim(a) == 0:
-        af = _scalar(a)
-        out = INV_SQRT_2PI * math.exp(-0.5 * af * af) - af * (0.5 * math.erfc(af / SQRT2))
-        return out if out > 0.0 else 0.0
     av = _as_float_or_array(a)
     out = INV_SQRT_2PI * np.exp(-0.5 * av * av) - av * (0.5 * special.erfc(av / SQRT2))
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0)[()]

@@ -66,34 +66,15 @@ class RunArtifacts:
 
 
 def _solution_rows(scenario, solution):
-    rows = []
-    cm = scenario.cost_model
+    # one row per item: its marginal type (the discrete type, or the
+    # group's upper boundary) and its head-count or group mass
     if scenario.solver.kind == "discrete":
-        market = scenario.market
-        for i in range(market.n_types):
-            rows.append(
-                (
-                    i + 1,
-                    float(market.sigmas[i]),
-                    float(solution.periods[i]),
-                    float(solution.prices[i]),
-                    float(market.counts[i]),
-                    float(solution.prices[i] - cost(cm, solution.periods[i])),
-                )
-            )
+        sigmas, counts = scenario.market.sigmas, scenario.market.counts
     else:
-        for k in range(len(solution.boundaries)):
-            rows.append(
-                (
-                    k + 1,
-                    float(solution.boundaries[k]),
-                    float(solution.periods[k]),
-                    float(solution.prices[k]),
-                    float(solution.counts[k]),
-                    float(solution.prices[k] - cost(cm, solution.periods[k])),
-                )
-            )
-    return rows
+        sigmas, counts = solution.boundaries, solution.counts
+    margins = solution.prices - cost(scenario.cost_model, solution.periods)
+    columns = (sigmas, solution.periods, solution.prices, counts, margins)
+    return [(k + 1, *(float(x) for x in row)) for k, row in enumerate(zip(*columns))]
 
 
 def _comparison_rows(report):
@@ -246,23 +227,38 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     return rows
 
 
+def _read_solution_csv(csv_path):
+    """(boundaries, periods, prices) columns of a solution.csv; ValueError
+    naming the file when a column is missing, a cell is not a number or
+    there are no rows."""
+    with open(csv_path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if len(rows) < 2:
+        raise ValueError(f"{csv_path}: no solution rows")
+    header = rows[0]
+    columns = []
+    for name in ("sigma_boundary", "period", "price"):
+        if name not in header:
+            raise ValueError(f"{csv_path}: missing column {name!r}")
+        j = header.index(name)
+        try:
+            columns.append(np.array([float(row[j]) for row in rows[1:]]))
+        except (IndexError, ValueError):
+            raise ValueError(f"{csv_path}: column {name!r} has a missing or non-numeric cell") from None
+    return columns
+
+
 def verify_solution_csv(scenario: Scenario, csv_path, tol=1e-9):
     """Re-check a written solution.csv against its scenario.
 
-    Returns (ok, details).  Periods/prices are re-validated with the
-    four-condition check (discrete) and the brute-force IC/IR scan.
+    Returns (ok, details); raises ValueError on a malformed file.
+    Periods/prices are re-validated with the four-condition check
+    (discrete) and the brute-force IC/IR scan.
     """
-    rows = []
-    with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
-    periods = np.array([float(r["period"]) for r in rows])
-    prices = np.array([float(r["price"]) for r in rows])
-    boundaries = np.array([float(r["sigma_boundary"]) for r in rows])
-
+    boundaries, periods, prices = _read_solution_csv(csv_path)
     details = {}
     if isinstance(scenario.market, DiscreteMarket):
-        if len(rows) != scenario.market.n_types:
+        if periods.size != scenario.market.n_types:
             return False, {"error": "row count does not match the market's types"}
         chain_feasibility = feasibility_check(scenario.profile, scenario.market, periods, prices, tol=tol)
         cert = brute_force_ic_ir(scenario.profile, scenario.market, periods, prices, tol=tol)

@@ -76,16 +76,17 @@ def bundled_scenario_names():
 def load_scenario(path_or_name) -> Scenario:
     """Load a scenario JSON from a path, or a bundled one by name."""
     p = Path(path_or_name)
-    if p.exists():
-        raw = json.loads(p.read_text())
-    else:
-        candidate = resources.files("planmenu.data").joinpath(f"{path_or_name}.json")
-        if not candidate.is_file():
+    if not p.exists():
+        p = resources.files("planmenu.data").joinpath(f"{path_or_name}.json")
+        if not p.is_file():
             raise FileNotFoundError(
                 f"no scenario file at {path_or_name!r} and no bundled scenario of that name "
                 f"(bundled: {', '.join(bundled_scenario_names())})"
             )
-        raw = json.loads(candidate.read_text())
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path_or_name}: not valid JSON ({exc})") from None
 
     for key in ("name", "alpha", "mu", "q", "cost", "market", "solver"):
         if key not in raw:
@@ -94,7 +95,10 @@ def load_scenario(path_or_name) -> Scenario:
     kind = solver_cfg.get("kind")
     if kind not in ("discrete", "grouped"):
         raise ValueError(f"solver kind must be 'discrete' or 'grouped', got {kind!r}")
-    market = _build_market(raw["market"])
+    try:
+        market = _build_market(raw["market"])
+    except KeyError as exc:
+        raise ValueError(f"scenario market missing required key {exc.args[0]!r}") from None
     if kind == "discrete" and not isinstance(market, DiscreteMarket):
         raise ValueError("discrete solver needs a discrete market")
     if kind == "grouped" and not isinstance(market, ContinuousMarket):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planmenu.discrete import (
     DEFAULT_T_DOMAIN,
@@ -158,13 +160,13 @@ def test_type_objective_rejects_bad_period(profile, cost_model):
 
 def test_optimal_prices_single_type(profile):
     market = DiscreteMarket(sigmas=[2.0], counts=[1.0])
-    prices = optimal_prices(profile, market, [1.0])
+    prices = optimal_prices(profile, market.sigmas, [1.0])
     assert abs(prices[0] - V_2_1) < 1e-12
 
 
 def test_optimal_prices_two_types_frozen(profile):
     market = DiscreteMarket(sigmas=[1.0, 2.0], counts=[1.0, 1.0])
-    prices = optimal_prices(profile, market, [1.0, 4.0])
+    prices = optimal_prices(profile, market.sigmas, [1.0, 4.0])
     # top type pays her valuation; the lower price telescopes down by the
     # lower type's valuation drop between the two periods
     assert abs(prices[1] - V_2_4) < 1e-12
@@ -173,7 +175,7 @@ def test_optimal_prices_two_types_frozen(profile):
 
 def test_optimal_prices_equal_periods_collapse(profile):
     market = DiscreteMarket(sigmas=[0.5, 1.5, 3.0], counts=[1.0, 1.0, 1.0])
-    prices = optimal_prices(profile, market, [2.0, 2.0, 2.0])
+    prices = optimal_prices(profile, market.sigmas, [2.0, 2.0, 2.0])
     assert abs(prices[0] - prices[1]) < 1e-14
     assert abs(prices[1] - prices[2]) < 1e-14
     assert abs(prices[2] - valuation(profile, 3.0, 2.0)) < 1e-12
@@ -182,9 +184,38 @@ def test_optimal_prices_equal_periods_collapse(profile):
 def test_optimal_prices_rejects_descending(profile):
     market = DiscreteMarket(sigmas=[1.0, 2.0], counts=[1.0, 1.0])
     with pytest.raises(ValueError):
-        optimal_prices(profile, market, [4.0, 1.0])
+        optimal_prices(profile, market.sigmas, [4.0, 1.0])
     with pytest.raises(ValueError):
-        optimal_prices(profile, market, [1.0, 2.0, 3.0])
+        optimal_prices(profile, market.sigmas, [1.0, 2.0, 3.0])
+
+
+def _chain_by_recursion(profile, sigmas, periods):
+    # the literal top-down recursion, one scalar valuation at a time
+    prices = np.empty(len(sigmas))
+    prices[-1] = valuation(profile, sigmas[-1], periods[-1])
+    for i in range(len(sigmas) - 2, -1, -1):
+        drop = valuation(profile, sigmas[i], periods[i]) - valuation(profile, sigmas[i], periods[i + 1])
+        prices[i] = prices[i + 1] + drop
+    return prices
+
+
+@st.composite
+def chain_inputs(draw):
+    n = draw(st.integers(1, 8))
+    sigmas = np.cumsum(draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n)))
+    # periods from a small set, so equal neighbours (pooled items) are common
+    periods = np.sort(draw(st.lists(st.sampled_from([0.3, 1.0, 2.5, 7.0, 40.0]), min_size=n, max_size=n)))
+    return sigmas, periods
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain_inputs())
+def test_optimal_prices_matches_recursion(profile, inputs):
+    sigmas, periods = inputs
+    prices = optimal_prices(profile, sigmas, periods)
+    ref = _chain_by_recursion(profile, sigmas, periods)
+    assert prices.shape == ref.shape
+    assert np.max(np.abs(prices - ref)) <= 1e-12
 
 
 # --- the solver ----------------------------------------------------------

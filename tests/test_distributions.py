@@ -207,6 +207,22 @@ def test_shape_condition_at_zero_is_twice_density():
     assert mkt.theorem3_condition(0.0) >= 2.0 * 0.5
 
 
+@pytest.mark.parametrize("factory", ALL_MARKETS + [lambda: make_market("exponential", 0.5, 4.0, rate=1.2)])
+def test_shape_condition_matches_pointwise_formula(factory):
+    # the one-call slack equals F(sigma) evaluated point by point from the
+    # scalar density, CDF and slope, including the sigma = 0 limit 2 g(0)
+    mkt = factory()
+    grid = np.linspace(mkt.sigma_min, mkt.sigma_max, 61)
+    ref = []
+    for s in grid:
+        g, G, gp = mkt.pdf(float(s)), mkt.cdf(float(s)), mkt.pdf_dsigma(float(s))
+        ref.append(2.0 * g if s == 0.0 else (2.0 * g * g - gp * G) / g - SHAPE_CONSTANT * G / s)
+    vals = mkt.theorem3_condition(grid)
+    assert vals.shape == grid.shape
+    assert np.allclose(vals, ref, rtol=1e-12, atol=1e-14)
+    assert abs(mkt.theorem3_condition(float(grid[0])) - ref[0]) <= 1e-12 * abs(ref[0])
+
+
 def test_shape_condition_holds_on_bundled_families():
     for factory in ALL_MARKETS:
         mkt = factory()

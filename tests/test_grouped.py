@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from planmenu.discrete import solve_discrete, type_objective
+from planmenu.discrete import optimal_prices, period_objective, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import (
     boundary_objective,
     group_counts,
-    group_objective,
     h_function,
     maximize_unimodal,
-    optimal_prices_grouped,
     solve_alternating,
     solve_with_restarts,
     step1_periods,
@@ -86,50 +84,56 @@ def test_group_counts_rejects_unordered():
 
 
 def test_optimal_prices_grouped_single(profile):
-    prices = optimal_prices_grouped(profile, [6.0], [1.0])
+    prices = optimal_prices(profile, [6.0], [1.0])
     assert abs(prices[0] - V_6_1) < 1e-12
 
 
 def test_optimal_prices_grouped_two_frozen(profile):
     # boundaries (3, 6), periods (1, 4): the top boundary type pays her
     # valuation; the lower price follows from boundary-3 indifference
-    prices = optimal_prices_grouped(profile, [3.0, 6.0], [1.0, 4.0])
+    prices = optimal_prices(profile, [3.0, 6.0], [1.0, 4.0])
     assert abs(prices[1] - V_6_4) < 1e-12
     assert abs(prices[0] - (V_6_4 + V_6_4 - V_3_4)) < 1e-12  # V(3,1) = V(6,4)
 
 
 def test_optimal_prices_grouped_equal_periods(profile):
-    prices = optimal_prices_grouped(profile, [2.0, 4.0, 6.0], [3.0, 3.0, 3.0])
+    prices = optimal_prices(profile, [2.0, 4.0, 6.0], [3.0, 3.0, 3.0])
     assert np.max(np.abs(np.diff(prices))) < 1e-14
     with pytest.raises(ValueError):
-        optimal_prices_grouped(profile, [2.0, 6.0], [1.0, 2.0, 3.0])
+        optimal_prices(profile, [2.0, 6.0], [1.0, 2.0, 3.0])
 
 
 # --- per-group and per-boundary objectives --------------------------------
 
 def test_group_objective_bottom_group(profile, cost_model):
+    # the bottom group of boundaries (2, 6) has no rent mass below it
     mkt = uniform06()
     t = 1.3
     own = mkt.cdf(2.0) * (valuation(profile, 2.0, t) - cost(cost_model, t))
-    assert abs(group_objective(profile, cost_model, mkt, [2.0, 6.0], 0, t) - own) < 1e-12
+    assert abs(period_objective(profile, cost_model, mkt.cdf(2.0), 0.0, 2.0, 2.0, t) - own) < 1e-12
 
 
 def test_group_objective_single_group_serves_all(profile, cost_model):
     mkt = uniform06()
     for t in (0.7, 1.0, 5.0):
-        val = group_objective(profile, cost_model, mkt, [6.0], 0, t)
+        val = period_objective(profile, cost_model, mkt.size, 0.0, 6.0, 6.0, t)
         assert abs(val - (valuation(profile, 6.0, t) - cost(cost_model, t))) < 1e-12
 
 
 def test_group_objective_matches_discrete_analog(profile, cost_model):
-    # two-point discretization carrying the same masses and marginal types
-    mkt = uniform06()
-    boundaries = [3.0, 6.0]
-    dm = DiscreteMarket(sigmas=[3.0, 6.0], counts=[0.5, 0.5])
-    for t in (0.5, 1.0, 2.0, 8.0):
-        g = group_objective(profile, cost_model, mkt, boundaries, 1, t)
-        d = type_objective(profile, cost_model, dm, 1, t)
-        assert abs(g - d) < 1e-12
+    # with the boundaries fixed, Step I is the discrete problem whose types
+    # are the boundaries and whose counts are the band masses
+    cases = [
+        (uniform06(), [3.0, 6.0]),
+        (uniform06(), [1.5, 3.0, 6.0]),
+        (uniform06(size=4.0), [0.75, 1.5, 3.0, 4.5]),
+        (exponential06(), [2.0, 5.0]),
+        (truncnorm06(), [2.5, 4.0]),
+    ]
+    for mkt, boundaries in cases:
+        periods, _ = step1_periods(profile, cost_model, mkt, boundaries)
+        dm = DiscreteMarket(sigmas=boundaries, counts=group_counts(mkt, boundaries))
+        assert np.array_equal(periods, solve_discrete(profile, cost_model, dm).periods)
 
 
 def test_boundary_objective_zero_at_bottom(profile, cost_model):

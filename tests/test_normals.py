@@ -18,7 +18,6 @@ from planmenu.normals import (
     std_normal_pdf,
     std_normal_quantile,
     std_normal_sf,
-    upper_partial_expectation,
 )
 
 # quadrature-oracle values
@@ -88,18 +87,13 @@ def test_quantile_round_trip():
         std_normal_quantile(1.0)
 
 
-def test_upper_partial_expectation_is_pdf():
-    xs = np.linspace(-8.0, 8.0, 161)
-    assert np.array_equal(upper_partial_expectation(xs), std_normal_pdf(xs))
-    assert abs(upper_partial_expectation(0.0) - INV_SQRT_2PI) < 1e-16
-    assert upper_partial_expectation(40.0) < 1e-300
-
-
-def test_upper_partial_expectation_quadrature():
+def test_pdf_is_upper_partial_expectation():
+    # integral_a^inf x*phi(x) dx collapses to phi(a)
     for a in (-2.0, 0.0, 1.0, 3.0):
         ref, _ = integrate.quad(lambda x: x * _phi(x), a, 40.0, epsabs=1e-15)
-        assert abs(upper_partial_expectation(a) - ref) < 1e-12
-    assert abs(upper_partial_expectation(1.0) - PHI_1) < 1e-12
+        assert abs(std_normal_pdf(a) - ref) < 1e-12
+    assert abs(std_normal_pdf(1.0) - PHI_1) < 1e-12
+    assert std_normal_pdf(40.0) < 1e-300
 
 
 def test_expected_excess_reference_points():

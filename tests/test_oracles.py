@@ -170,7 +170,7 @@ def enumerate_discrete(profile, cost_model, market, grid):
 
 
 def chain_profit(profile, cost_model, market, periods):
-    prices = optimal_prices(profile, market, periods)
+    prices = optimal_prices(profile, market.sigmas, periods)
     return float(np.dot(market.counts, prices - cost(cost_model, periods)))
 
 

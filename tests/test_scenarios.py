@@ -330,6 +330,54 @@ def test_cli_sweep(tmp_path, capsys):
     assert "K=2" in capsys.readouterr().out
 
 
+HEADER = "group_index,sigma_boundary,period,price,count,item_profit"
+
+
+@pytest.mark.parametrize(
+    "scenario, text, problem",
+    [
+        ("case1_discrete", "group_index,sigma_boundary,price\n1,0.1,12.0\n", "missing column 'period'"),
+        ("case1_discrete", HEADER + "\n1,0.1,two,12.0,1,2.0\n", "non-numeric"),
+        ("uniform_k6", HEADER + "\n", "no solution rows"),
+    ],
+    ids=["no_period_column", "non_numeric_cell", "grouped_header_only"],
+)
+def test_cli_verify_rejects_malformed_csv(tmp_path, capsys, scenario, text, problem):
+    bad = tmp_path / "solution.csv"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=problem):
+        runner.verify_solution_csv(load_scenario(scenario), bad)
+    code = cli.main(["verify", "--solution", str(bad), "--scenario", scenario])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("planmenu: error: ") and str(bad) in err and problem in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"name": "broken", "alpha": 1.0,', "not valid JSON"),
+        (
+            json.dumps({
+                "name": "no_window", "alpha": 1.0, "mu": 13.0, "q": 15.0,
+                "cost": {"c0": 10.0}, "market": {"kind": "uniform", "sigma_max": 6.0},
+                "solver": {"kind": "grouped"},
+            }),
+            "missing required key 'sigma_min'",
+        ),
+    ],
+    ids=["invalid_json", "market_key_missing"],
+)
+def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
+    bad = tmp_path / "broken.json"
+    bad.write_text(text)
+    assert cli.main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("planmenu: error: ") and problem in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
