@@ -8,8 +8,7 @@ one term per boundary,
     Q_K(s) = N * G(s) * (V(s, t_K) - C(t_K)),
 
 so boundaries interact only through the ascending constraint, exactly
-like periods do.  The solver alternates two half-steps to a fixed
-point:
+like periods do.  The solver alternates two half-steps:
 
   Step I   periods given boundaries: per-group concave search plus
            ascending repair (pooling);
@@ -17,10 +16,18 @@ point:
            ascending repair.
 
 Each half-step maximizes the exact same total profit in its own block
-of coordinates, so the profit trace is nondecreasing and convergence
-follows.  Unimodality of Q_k is guaranteed by the market shape
-condition (see distributions.theorem3_condition); if a market fails
-it, searches fall back to a dense grid scan with golden refinement.
+of coordinates, so the profit trace is nondecreasing.  Unimodality of
+Q_k is guaranteed by the market shape condition (see
+distributions.theorem3_condition); if a market fails it, searches fall
+back to a dense grid scan with golden refinement.
+
+Alternation alone converges only linearly.  After a round that pools
+nothing, safeguarded projected-Newton steps on the 2K stationarity
+system dP/d(b, t) = 0 finish the job, holding coordinates on a window
+edge fixed.  The solver converges once the projected first-order (KKT)
+residual is at most KKT_TOL * N and one more round gains no profit;
+a round that pools, or a solve with frozen periods, stops when profit
+stalls.
 """
 
 import warnings
@@ -29,6 +36,7 @@ from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy import linalg
 
 from .discrete import (
     DEFAULT_T_DOMAIN,
@@ -39,12 +47,19 @@ from .discrete import (
     period_objective,
     repair_monotone,
 )
-from .market import cost, valuation, valuation_dsigma
+from .market import cost, valuation, valuation_dsigma, valuation_dt
 
-#: Convergence: stop when one full round improves relative profit by
-#: no more than this.
+#: Convergence: one full round improves relative profit by no more than
+#: this, and (rounds that pool nothing) the projected first-order
+#: residual is at most KKT_TOL times the market size.
 REL_PROFIT_TOL = 1e-10
+KKT_TOL = 1e-10
 MAX_ROUNDS = 200
+#: Newton steps tried after one round before alternation resumes.
+MAX_NEWTON_STEPS = 8
+#: A coordinate this close to its window edge, relative to the window
+#: width, sits on the edge.
+EDGE_RTOL = 1e-9
 
 
 def maximize_unimodal(f, lo, hi, rel_arg_tol=1e-10, coarse_grid=None):
@@ -106,6 +121,156 @@ def h_function(profile, market, sigma, t_low, t_high):
     dv = valuation(profile, sigma, t_low) - valuation(profile, sigma, t_high)
     dvs = valuation_dsigma(profile, sigma, t_low) - valuation_dsigma(profile, sigma, t_high)
     return dv + (G / g) * dvs
+
+
+def _valuation_dsigma(profile, sigma, t):
+    # V_sigma without the sigma = 0 warning: sigma = 0 is only reached at
+    # sigma_min = 0, where G = 0 multiplies the one-sided limit 0
+    pos = np.asarray(sigma) > 0
+    return np.where(pos, valuation_dsigma(profile, np.where(pos, sigma, 1.0), t), 0.0)
+
+
+def _cost_slope(cost_model, t):
+    """C'(t): c1 for the linear cost, a central difference for a custom W."""
+    if cost_model.w is None:
+        return np.full_like(t, cost_model.c1)
+    h = np.minimum(1e-4 * np.maximum(1.0, t), t)
+    return (cost(cost_model, t + h) - cost(cost_model, t - h)) / (2.0 * h)
+
+
+def profit_gradient(profile, cost_model, market, boundaries, periods):
+    """(dP/db, dP/dt) of total profit in closed form.
+
+      dP/dt_k = own_k (V_t(b_k, t_k) - C'(t_k)) + below_k (V_t(b_k, t_k) - V_t(b_{k-1}, t_k))
+      dP/db_k = N g(b_k) (H(b_k) + C(t_{k+1}) - C(t_k))    (H of h_function; k < K)
+      dP/db_K = N (g(b_K) (V(b_K, t_K) - C(t_K)) + G(b_K) V_s(b_K, t_K))
+
+    with own_k = N (G(b_k) - G(b_{k-1})) and below_k = N G(b_{k-1}).
+    The top line is the others' with item K+1 the outside option
+    (V = V_s = C = 0), so all boundaries share one expression; V and V_s
+    at (b_k, t_k) and (b_k, t_{k+1}) come from one stacked call each.
+    Rows of boundaries and periods (shape (..., K)) are evaluated in one
+    batched call; the market sees 1-D arrays only.
+    """
+    b = np.asarray(boundaries, dtype=float)
+    t = np.asarray(periods, dtype=float)
+    K = b.shape[-1]
+    N = market.size
+
+    def on_types(f, s):
+        return np.asarray(f(s.ravel()), dtype=float).reshape(s.shape)
+
+    def with_outside(x):  # item k+1's values at b_k, then the outside option's 0
+        return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+
+    G = on_types(market.cdf, b)
+    g = on_types(market.pdf, b)
+    G_below = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
+    b_below = np.concatenate([b[..., :1], b[..., :-1]], axis=-1)
+    vt = valuation_dt(profile, np.concatenate([b, b_below], axis=-1), np.concatenate([t, t], axis=-1))
+    vt_own, vt_rent = vt[..., :K], vt[..., K:]
+    d_t = N * ((G - G_below) * (vt_own - _cost_slope(cost_model, t)) + G_below * (vt_own - vt_rent))
+
+    pairs = np.concatenate([b, b[..., :-1]], axis=-1), np.concatenate([t, t[..., 1:]], axis=-1)
+    v = valuation(profile, *pairs)
+    vs = _valuation_dsigma(profile, *pairs)
+    C = cost(cost_model, t)
+    wedge = v[..., :K] - with_outside(v[..., K:]) + with_outside(C[..., 1:]) - C
+    d_b = N * (g * wedge + G * (vs[..., :K] - with_outside(vs[..., K:])))
+    return d_b, d_t
+
+
+def _chain_residual(x, grad, lo, hi):
+    """Largest feasible ascent rate of a maximization over x_1 <= ... <= x_n in [lo, hi].
+
+    A run of equal values moves as a whole or splits (a leading part
+    down, a trailing part up); a run on a window edge cannot leave it.
+    For distinct interior values this is max |grad|.
+    """
+    edge = EDGE_RTOL * (hi - lo)
+    worst = 0.0
+    for run in np.split(np.arange(x.size), np.flatnonzero(np.diff(x) > 0) + 1):
+        g = grad[run]
+        if x[run[0]] < hi - edge:
+            worst = max(worst, float(np.cumsum(g[::-1]).max()))
+        if x[run[0]] > lo + edge:
+            worst = max(worst, float(-np.cumsum(g).min()))
+    return worst
+
+
+def _menu_residual(market, t_domain, b, t, d_b, d_t=None):
+    """Projected first-order (KKT) residual of a menu: the largest rate at
+    which a feasible move of the boundaries and, unless d_t is None, the
+    periods raises profit.  0 at an exact optimum."""
+    residual = _chain_residual(b, d_b, market.sigma_min, market.sigma_max)
+    if d_t is not None:
+        residual = max(residual, _chain_residual(t, d_t, *t_domain))
+    return residual
+
+
+def _newton_step(profile, cost_model, market, x, grad, free, lo, hi):
+    """Newton step on the free coordinates of x = (b, t), or None where
+    the Hessian is not negative definite.
+
+    The Hessian is a symmetrized central difference of the gradient, all
+    perturbed points in one batched call; each difference step is
+    1e-6 * max(1, |x|), at most half the distance to the window edge.
+    """
+    K = x.size // 2
+    idx = np.flatnonzero(free)
+    n = idx.size
+    xf = x[idx]
+    h = np.minimum(1e-6 * np.maximum(1.0, np.abs(xf)), 0.5 * np.minimum(xf - lo[idx], hi[idx] - xf))
+    rows = np.tile(x, (2 * n, 1))
+    rows[np.arange(n), idx] += h
+    rows[n + np.arange(n), idx] -= h
+    d_b, d_t = profit_gradient(profile, cost_model, market, rows[:, :K], rows[:, K:])
+    F = np.concatenate([d_b, d_t], axis=1)[:, idx]
+    hess = (F[:n] - F[n:]) / (2.0 * h[:, None])
+    try:
+        factor = linalg.cho_factor(-0.5 * (hess + hess.T))
+    except linalg.LinAlgError:
+        return None
+    return linalg.cho_solve(factor, grad[idx])
+
+
+def _newton_finish(profile, cost_model, market, boundaries, periods, profit, t_domain, trace):
+    """Safeguarded projected-Newton steps from an ascending, unpooled menu.
+
+    Coordinates on a window edge stay fixed.  A step is taken only if the
+    new boundaries and periods stay strictly ascending inside their
+    windows and profit does not fall (up to rounding); each accepted
+    profit joins the trace.  Returns (boundaries, periods, profit,
+    residual, steps), the residual measured at the returned menu.
+    """
+    K = boundaries.size
+    lo = np.repeat([market.sigma_min, t_domain[0]], K)
+    hi = np.repeat([market.sigma_max, t_domain[1]], K)
+    edge = EDGE_RTOL * (hi - lo)
+    tol = KKT_TOL * market.size
+    x = np.concatenate([boundaries, periods])
+    steps = 0
+    while True:
+        d_b, d_t = profit_gradient(profile, cost_model, market, x[:K], x[K:])
+        residual = _menu_residual(market, t_domain, x[:K], x[K:], d_b, d_t)
+        if residual <= tol or steps == MAX_NEWTON_STEPS:
+            break
+        free = (x > lo + edge) & (x < hi - edge)
+        step = _newton_step(profile, cost_model, market, x, np.concatenate([d_b, d_t]), free, lo, hi)
+        if step is None:
+            break
+        trial = x.copy()
+        trial[free] += step
+        b, t = trial[:K], trial[K:]
+        if not (np.all(np.diff(b) > 0) and np.all(np.diff(t) > 0) and np.all((trial >= lo) & (trial <= hi))):
+            break
+        p = _profit_via_boundary_terms(profile, cost_model, market, b, t)
+        if p < profit - 1e-12 * max(1.0, abs(profit)):
+            break
+        x, profit = trial, p
+        trace.append(p)
+        steps += 1
+    return x[:K], x[K:], profit, residual, steps
 
 
 def step1_periods(profile, cost_model, market, boundaries, t_domain=DEFAULT_T_DOMAIN):
@@ -189,6 +354,8 @@ class GroupedSolution:
     boundary_edge_hits: List[int] = field(default_factory=list)
     theorem3_ok: bool = True
     requested_groups: int = 0
+    kkt_residual: float = float("nan")
+    newton_steps: int = 0
 
 
 def _collapse_empty_groups(market, boundaries, periods):
@@ -211,11 +378,16 @@ def solve_alternating(
     max_rounds=MAX_ROUNDS,
     rel_tol=REL_PROFIT_TOL,
 ) -> GroupedSolution:
-    """Alternate period and boundary optimization until profit stalls.
+    """Alternate period and boundary optimization, finishing with Newton steps.
 
     Starts from quantile-equispaced boundaries (or init_boundaries).
-    With frozen_periods given, Step I is skipped and only boundaries
-    move — that is the single-item fixed-period problem when K = 1.
+    After each round that pools nothing, projected-Newton steps drive
+    the first-order residual down; the solve converges once that
+    residual is at most KKT_TOL * market.size, both before and after a
+    round that gains no more than rel_tol in relative profit.  A round
+    that pools stops the solve when profit stalls.  With frozen_periods
+    given, Step I is skipped, only boundaries move (the single-item
+    fixed-period problem when K = 1) and profit stalling alone decides.
     The profit trace is checked nondecreasing at each half-step.
     """
     if n_groups < 1:
@@ -245,14 +417,18 @@ def solve_alternating(
         if np.any(np.diff(frozen) < 0):
             raise ValueError("frozen_periods must be ascending")
 
+    tol = KKT_TOL * market.size
     trace = []
     period_blocks: List[PooledBlock] = []
     boundary_blocks: List[PooledBlock] = []
     periods = None
     profit = -np.inf
+    residual = np.inf  # first-order residual of the menu the next round starts from
+    newton_steps = 0
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
+        start = boundaries, periods
         if frozen_periods is not None:
             periods = frozen.copy()
             period_blocks = []
@@ -267,13 +443,23 @@ def solve_alternating(
         _check_monotone(trace, p2)
         trace.append(p2)
 
-        if profit > -np.inf and p2 - profit <= rel_tol * max(1.0, abs(p2)):
-            profit = max(profit, p2)
+        stalled = p2 - profit <= rel_tol * max(1.0, abs(p2))
+        ascending = np.all(np.diff(boundaries) > 0) and np.all(np.diff(periods) > 0)
+        if frozen_periods is not None or period_blocks or boundary_blocks or not ascending:
+            converged, profit, residual = stalled, p2, np.inf
+        elif stalled and residual <= tol:
+            # the round only confirmed the Newton-finished menu it started from
+            boundaries, periods = start
             converged = True
+        else:
+            boundaries, periods, profit, residual, steps = _newton_finish(
+                profile, cost_model, market, boundaries, periods, p2, t_domain, trace
+            )
+            newton_steps += steps
+        if converged:
             break
-        profit = p2
 
-    edge_tol = 1e-9 * (market.sigma_max - market.sigma_min)
+    edge_tol = EDGE_RTOL * (market.sigma_max - market.sigma_min)
     edge_hits = [int(k) for k, s in enumerate(boundaries) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol]
 
     boundaries, periods = _collapse_empty_groups(market, boundaries, np.asarray(periods, dtype=float))
@@ -281,6 +467,7 @@ def solve_alternating(
     telescoped = _profit_via_boundary_terms(profile, cost_model, market, boundaries, periods)
     if abs(direct - telescoped) > 1e-8 * max(1.0, abs(direct)):
         raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
+    d_b, d_t = profit_gradient(profile, cost_model, market, boundaries, periods)
 
     return GroupedSolution(
         boundaries=boundaries,
@@ -296,6 +483,10 @@ def solve_alternating(
         boundary_edge_hits=edge_hits,
         theorem3_ok=t3.holds,
         requested_groups=n_groups,
+        kkt_residual=_menu_residual(
+            market, t_domain, boundaries, periods, d_b, d_t if frozen_periods is None else None
+        ),
+        newton_steps=newton_steps,
     )
 
 

@@ -38,7 +38,13 @@ def std_normal_cdf(x):
             raise ValueError("non-finite input")
         return 0.5 * math.erfc(-xf / SQRT2)
     xv = _as_float_or_array(x)
-    return 0.5 * special.erfc(-xv / SQRT2)
+    out = 0.5 * special.erfc(-xv / SQRT2)
+    # erfc flushes the subnormal tail below about -37.5 to 0, where
+    # math.erfc still resolves it; exp(log_ndtr) matches math.erfc there
+    tail = xv < -37.5
+    if tail.any():
+        out[tail] = np.exp(special.log_ndtr(xv[tail]))
+    return out
 
 
 def std_normal_sf(x):

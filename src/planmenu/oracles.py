@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import fixed_quad
 from scipy.special import ndtri
 
-from .discrete import DEFAULT_T_DOMAIN, DiscreteSolution, maximize_concave
+from .discrete import DEFAULT_T_DOMAIN, INVPHI, INVPHI2, DiscreteSolution, maximize_concave
 from .distributions import ContinuousMarket, DiscreteMarket
 from .grouped import GroupedSolution, maximize_unimodal
 from .market import cost, valuation
@@ -321,6 +321,46 @@ def _first_best_surplus_rate(profile, cost_model, sigma, t_domain):
     return max(v, 0.0)
 
 
+def _first_best_surplus_rates(profile, cost_model, sigmas, t_domain):
+    """_first_best_surplus_rate for an array of types at once.
+
+    Runs maximize_concave's probe and golden-section brackets (default
+    tolerances) for every type in lockstep: one array evaluation per
+    iteration, and each type updates (and stops) exactly as its own
+    scalar search would.
+    """
+    s = np.asarray(sigmas, dtype=float)
+
+    def f(t):
+        return valuation(profile, s, t) - cost(cost_model, t)
+
+    lo, hi = (float(x) for x in t_domain)
+    f1, f2, f3 = (f(np.full_like(s, lo + w * (hi - lo))) for w in (0.25, 0.5, 0.75))
+    scale = np.maximum(1.0, np.abs([f1, f2, f3]).max(axis=0))
+    if np.any(f2 - 0.5 * (f1 + f3) < -1e-9 * scale):
+        raise ValueError("objective failed the three-point concavity probe")
+    a, b = np.full_like(s, lo), np.full_like(s, hi)
+    h = b - a
+    tol = 1e-10 * (hi - lo)
+    c, d = a + INVPHI2 * h, a + INVPHI * h
+    fc, fd = f(c), f(d)
+    active = h > tol
+    while active.any():
+        left = active & (fc >= fd)  # keep [a, d]; probe a new c
+        right = active & ~(fc >= fd)  # keep [c, b]; probe a new d
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        h = b - a
+        x = np.where(left, a + INVPHI2 * h, a + INVPHI * h)
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        active = h > tol
+    return np.maximum(f(0.5 * (a + b)), 0.0)
+
+
 def social_metrics(profile, cost_model, market, solution, t_domain=DEFAULT_T_DOMAIN) -> SocialReport:
     """Realized vs first-best social surplus (value minus cost; prices
     are transfers and cancel)."""
@@ -351,10 +391,7 @@ def social_metrics(profile, cost_model, market, solution, t_domain=DEFAULT_T_DOM
                 contract += market.size * float(val)
             lo = sig_hi
         val, _ = fixed_quad(
-            lambda s: np.array(
-                [_first_best_surplus_rate(profile, cost_model, float(x), t_domain) for x in np.atleast_1d(s)]
-            )
-            * market.pdf(s),
+            lambda s: _first_best_surplus_rates(profile, cost_model, s, t_domain) * market.pdf(s),
             market.sigma_min,
             market.sigma_max,
             n=96,

@@ -4,6 +4,7 @@ Artifacts per run (all deterministic for a fixed seed):
   solution.csv     group_index, sigma_boundary, period, price, count, item_profit
   comparison.csv   label, profit, uplift_percent  (both baseline readings)
   certificate.json feasibility + incentive checks + convergence record
+                   (grouped: rounds, Newton steps, first-order residual)
   fig8_sweep.csv   (sweep only) groups, profit, uplift_percent
 """
 
@@ -119,6 +120,8 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
         convergence = {
             "iterations": solution.iterations,
             "converged": solution.converged,
+            "kkt_residual": solution.kkt_residual,
+            "newton_steps": solution.newton_steps,
             "profit_trace": list(solution.profit_trace),
         }
 

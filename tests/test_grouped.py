@@ -1,23 +1,32 @@
 """Continuum-market menu solver: boundary terms, alternation, restarts."""
 
+import tempfile
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planmenu.discrete import optimal_prices, period_objective, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import (
+    _profit_via_boundary_terms,
     boundary_objective,
     group_counts,
     h_function,
     maximize_unimodal,
+    profit_gradient,
     solve_alternating,
     solve_with_restarts,
     step1_periods,
     step2_boundaries,
     total_profit_grouped,
 )
-from planmenu.market import cost, valuation
-from planmenu.oracles import fixed_period_baseline
+from planmenu.market import CostModel, DemandProfile, cost, valuation
+from planmenu.oracles import brute_force_ic_ir, fixed_period_baseline
+from planmenu.runner import sweep_groups
+from planmenu.scenarios import Scenario, SolverSpec, load_scenario
 
 # quadrature-oracle values (alpha=1, mu=13, q=15)
 V_6_4 = 12.546641058526790  # equals V(3, 1) by scaling
@@ -29,12 +38,12 @@ def uniform06(size=1.0):
     return make_market("uniform", 0.0, 6.0, size=size)
 
 
-def exponential06():
-    return make_market("exponential", 0.0, 6.0, rate=0.5)
+def exponential06(size=1.0):
+    return make_market("exponential", 0.0, 6.0, size=size, rate=0.5)
 
 
-def truncnorm06():
-    return make_market("truncated_normal", 0.0, 6.0, loc=3.0, scale=1.5)
+def truncnorm06(size=1.0):
+    return make_market("truncated_normal", 0.0, 6.0, size=size, loc=3.0, scale=1.5)
 
 
 ALL_MARKETS = [uniform06, exponential06, truncnorm06]
@@ -271,7 +280,7 @@ def test_alternation_trace_monotone_and_converges(profile, cost_model, factory):
     assert np.all(np.diff(trace) >= -1e-9 * scale)
     assert sol.converged
     assert sol.iterations <= 200
-    assert len(trace) == 2 * sol.iterations
+    assert len(trace) == 2 * sol.iterations + sol.newton_steps
     assert abs(trace[-1] - sol.total_profit) < 1e-8 * max(1.0, abs(sol.total_profit))
 
 
@@ -364,3 +373,144 @@ def test_shape_condition_failure_falls_back_and_solves(profile, cost_model, vall
     assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
     assert np.all(sol.counts > 0)
     assert np.all(np.diff(sol.boundaries) > 0)
+
+
+# --- first-order finish: gradient, residual, Newton steps -------------------
+
+def fd_gradient(profile, cost_model, market, boundaries, periods, rel_step=1e-4):
+    """Fourth-order central differences of the boundary-term profit."""
+    x = np.concatenate([boundaries, periods]).astype(float)
+    k = len(boundaries)
+
+    def profit(y):
+        return _profit_via_boundary_terms(profile, cost_model, market, y[:k], y[k:])
+
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = rel_step * max(1.0, abs(x[i]))
+        near = profit(x + e) - profit(x - e)
+        far = profit(x + 2 * e) - profit(x - 2 * e)
+        grad[i] = (8.0 * near - far) / (12.0 * e[i])
+    return grad
+
+
+#: Profits of the parent revision's profit-stall solver at the quantile
+#: start and at the seeded restart below; the Newton finish must not lose.
+STALL_RULE_PROFITS = {
+    ("uniform_k6", 1): (1.1918885306218623, 1.1918885306233955),
+    ("uniform_k6", 2): (1.2907610981162168, 1.2907610980739859),
+    ("uniform_k6", 3): (1.3171587537573244, 1.3171587537766443),
+    ("uniform_k6", 6): (1.3365625744457927, 1.3365625744209368),
+    ("exponential_k6", 1): (1.6752301493402064, 1.6752301493385313),
+    ("exponential_k6", 2): (1.8090536008852944, 1.8090536008451985),
+    ("exponential_k6", 3): (1.8468439397767633, 1.8468439397430112),
+    ("exponential_k6", 6): (1.875543341687167, 1.875543341703141),
+    ("truncated_normal_k6", 1): (1.3537781669508369, 1.3537781669517663),
+    ("truncated_normal_k6", 2): (1.4066422997747123, 1.4066422997696675),
+    ("truncated_normal_k6", 3): (1.4239445167937934, 1.4239445167548213),
+    ("truncated_normal_k6", 6): (1.4380478278526463, 1.4380478278652207),
+}
+BUNDLED_GROUPED = ("uniform_k6", "exponential_k6", "truncated_normal_k6")
+STARTS = ("quantile", "restart")
+
+
+@lru_cache(maxsize=None)
+def bundled_solve(name, k, start):
+    sc = load_scenario(name)
+    init = None
+    if start == "restart":
+        u = np.sort(np.random.default_rng(20260822).random(k))
+        init = np.atleast_1d(sc.market.quantile(u))
+    return sc, solve_alternating(sc.profile, sc.cost_model, sc.market, k, init_boundaries=init)
+
+
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("name", BUNDLED_GROUPED)
+def test_newton_finish_reaches_first_order_optimum(name, k, start):
+    sc, sol = bundled_solve(name, k, start)
+    assert sol.converged
+    assert sol.iterations <= 20
+    assert sol.boundary_edge_hits == [] and not sol.pooled_period_blocks and not sol.pooled_boundary_blocks
+    # every coordinate is interior, so the residual is max |dP/dx|
+    fd = fd_gradient(sc.profile, sc.cost_model, sc.market, sol.boundaries, sol.periods)
+    assert np.max(np.abs(fd)) <= 1e-9
+    assert sol.kkt_residual <= 1e-9
+    stall_profit = STALL_RULE_PROFITS[name, k][STARTS.index(start)]
+    assert sol.total_profit >= stall_profit - 1e-12 * stall_profit
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+@pytest.mark.parametrize("name", BUNDLED_GROUPED)
+def test_quantile_start_and_restart_reach_same_menu(name, k):
+    _, a = bundled_solve(name, k, "quantile")
+    _, b = bundled_solve(name, k, "restart")
+    assert np.max(np.abs(a.boundaries - b.boundaries)) <= 1e-8
+    assert np.max(np.abs(a.periods - b.periods)) <= 1e-8
+
+
+@pytest.mark.parametrize("w", [None, lambda t: 0.05 * t * t], ids=["linear", "quadratic"])
+def test_profit_gradient_matches_finite_differences(profile, rng, w):
+    cost_model = CostModel(c0=10.0, c1=0.5, w=w)
+    for factory in ALL_MARKETS:
+        mkt = factory(size=3.0)
+        for k in (1, 2, 4):
+            b = np.sort(rng.uniform(0.3, 5.7, size=k))
+            t = np.sort(rng.uniform(0.3, 8.0, size=k))
+            d_b, d_t = profit_gradient(profile, cost_model, mkt, b, t)
+            fd = fd_gradient(profile, cost_model, mkt, b, t)
+            assert np.allclose(np.concatenate([d_b, d_t]), fd, rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_top_boundary_on_window_edge_solves(profile, cost_model, k):
+    # on a narrow window serving every type pays, so the top boundary
+    # stays on sigma_max and is held fixed through the Newton steps
+    mkt = make_market("uniform", 0.0, 2.0)
+    sol = solve_alternating(profile, cost_model, mkt, k)
+    assert sol.boundary_edge_hits == [k - 1]
+    assert 2.0 - sol.boundaries[-1] <= 1e-9 * 2.0
+    assert sol.converged and sol.iterations <= 20
+    assert sol.kkt_residual <= 1e-9
+    d_b, _ = profit_gradient(profile, cost_model, mkt, sol.boundaries, sol.periods)
+    assert d_b[-1] > 0  # profit would still rise past the edge
+
+
+def test_scaling_market_size_scales_profit_only(profile, cost_model):
+    for factory in ALL_MARKETS:
+        small = solve_alternating(profile, cost_model, factory(), 3)
+        large = solve_alternating(profile, cost_model, factory(size=1000.0), 3)
+        assert np.max(np.abs(large.boundaries - small.boundaries)) <= 1e-9
+        assert np.max(np.abs(large.periods - small.periods)) <= 1e-9
+        assert abs(large.total_profit - 1000.0 * small.total_profit) <= 1e-9 * large.total_profit
+
+
+@st.composite
+def random_grouped_scenarios(draw):
+    kind = draw(st.sampled_from(["uniform", "exponential", "truncated_normal"]))
+    lo = draw(st.sampled_from([0.0, 0.5]))
+    hi = lo + draw(st.floats(1.0, 8.0))
+    params = {}
+    if kind == "exponential":
+        params["rate"] = draw(st.floats(0.1, 1.5))
+    elif kind == "truncated_normal":
+        params.update(loc=draw(st.floats(lo, hi)), scale=draw(st.floats(0.5, 3.0)))
+    market = make_market(kind, lo, hi, size=draw(st.sampled_from([1.0, 50.0])), **params)
+    mu = draw(st.floats(5.0, 20.0))
+    profile = DemandProfile(alpha=1.0, mu=mu, q=mu + draw(st.floats(0.5, 5.0)))
+    cost_model = CostModel(c0=draw(st.floats(0.5, 0.95)) * mu, c1=draw(st.floats(0.0, 1.0)))
+    solver = SolverSpec(kind="grouped", n_groups=3, restarts=0, seed=0)
+    return Scenario("random", profile, cost_model, market, solver, baselines=[1.0])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(random_grouped_scenarios())
+def test_random_markets_pass_certificate_and_sweep_rises(scenario):
+    sol = solve_alternating(scenario.profile, scenario.cost_model, scenario.market, 3)
+    assert sol.converged
+    cert = brute_force_ic_ir(scenario.profile, scenario.market, sol.periods, sol.prices, boundaries=sol.boundaries)
+    assert cert.passed
+    with tempfile.TemporaryDirectory() as out:
+        profits = [row["profit"] for row in sweep_groups(scenario, [1, 2, 3], out)]
+    assert all(b >= a - 1e-10 * max(1.0, abs(a)) for a, b in zip(profits, profits[1:]))

@@ -76,6 +76,15 @@ def test_sf_complements_cdf():
     assert std_normal_sf(38.0) > 0.0
 
 
+def test_cdf_array_tail_positive_where_scalar_is():
+    # scipy's erfc flushes the subnormal tail below about -37.5 to 0
+    xs = np.linspace(-38.5, -30.0, 1701)
+    arr = std_normal_cdf(xs)
+    scal = np.array([std_normal_cdf(float(x)) for x in xs])
+    assert np.all(arr[scal > 0.0] > 0.0)
+    assert std_normal_sf(np.array([38.0]))[0] > 0.0
+
+
 def test_quantile_round_trip():
     ps = np.linspace(1e-12, 1.0 - 1e-12, 201)
     xs = std_normal_quantile(ps)

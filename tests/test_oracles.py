@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planmenu.discrete import maximize_concave, optimal_prices, solve_discrete
+from planmenu.discrete import DEFAULT_T_DOMAIN, maximize_concave, optimal_prices, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import solve_alternating, total_profit_grouped
 from planmenu.market import cost, valuation
 from planmenu.oracles import (
+    _first_best_surplus_rate,
+    _first_best_surplus_rates,
     brute_force_ic_ir,
     build_comparison,
     fixed_period_baseline,
@@ -449,6 +451,18 @@ def test_first_best_surplus_never_negative(profile, cost_model):
     )
     rep = social_metrics(profile, expensive, market, sol)
     assert rep.surplus_first_best == 0.0
+
+
+def test_lockstep_first_best_matches_scalar_searches(profile, cost_model):
+    # one golden-section search per type, as the discrete branch runs it;
+    # the lockstep values differ only where the array valuation rounds
+    # differently from the scalar one
+    quadratic = type(cost_model)(c0=10.0, w=lambda t: 0.05 * t * t)
+    sigmas = np.concatenate([np.linspace(0.0, 6.0, 301), [1e-9, 30.0]])
+    for model in (cost_model, quadratic, type(cost_model)(c0=13.5, c1=0.5)):
+        rates = _first_best_surplus_rates(profile, model, sigmas, DEFAULT_T_DOMAIN)
+        ref = [_first_best_surplus_rate(profile, model, float(s), DEFAULT_T_DOMAIN) for s in sigmas]
+        assert np.max(np.abs(rates - ref)) <= 1e-13
 
 
 # --- comparison assembly ---------------------------------------------------------

@@ -195,7 +195,9 @@ def test_run_grouped_scenario(tmp_path):
     assert cert["chain_feasibility"] is None
     assert cert["convergence"]["converged"] is True
     assert cert["convergence"]["iterations"] <= 200
+    assert cert["convergence"]["kkt_residual"] <= 1e-9
     trace = np.array(cert["convergence"]["profit_trace"])
+    assert len(trace) == 2 * cert["convergence"]["iterations"] + cert["convergence"]["newton_steps"]
     assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
     with open(tmp_path / "solution.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
