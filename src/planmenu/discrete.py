@@ -22,7 +22,7 @@ sum), which is exactly the constrained optimum.
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,19 +35,25 @@ INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 #: generous upper end.  Objectives flatten far below the cap; the
 #: solver warns if an argmax presses against it.
 DEFAULT_T_DOMAIN = (1e-4, 600.0)
+#: Golden-section searches stop once the bracket is this fraction of the
+#: starting interval (~50 iterations).
+ARG_RTOL = 1e-10
+#: Roundoff allowance of the concavity probe, relative to max(1, |f|).
+PROBE_RTOL = 1e-9
+#: Roundoff allowance of the menu checks: feasibility here, IC/IR in oracles.
+FEASIBILITY_TOL = 1e-9
 
 
-def golden_section_max(f, lo, hi, rel_arg_tol=1e-10):
+def golden_section_max(f, lo, hi):
     """Maximize a unimodal f on [lo, hi] by golden-section search.
 
-    Returns (argmax, value).  Argument tolerance is relative to the
-    interval width; ~50 iterations for the default.
+    Returns (argmax, value), the argmax to ARG_RTOL of the interval width.
     """
     if not (hi > lo):
         raise ValueError("need lo < hi")
     a, b = float(lo), float(hi)
     h = b - a
-    tol = rel_arg_tol * h
+    tol = ARG_RTOL * h
     c = a + INVPHI2 * h
     d = a + INVPHI * h
     fc = f(c)
@@ -67,7 +73,7 @@ def golden_section_max(f, lo, hi, rel_arg_tol=1e-10):
     return x, f(x)
 
 
-def maximize_concave(f, lo, hi, rel_arg_tol=1e-10, probe_tol=1e-9):
+def maximize_concave(f, lo, hi):
     """Golden-section maximum of a concave f on [lo, hi].
 
     A three-point midpoint-concavity probe guards against misuse: for
@@ -79,9 +85,9 @@ def maximize_concave(f, lo, hi, rel_arg_tol=1e-10, probe_tol=1e-9):
     x3 = lo + 0.75 * (hi - lo)
     f1, f2, f3 = f(x1), f(x2), f(x3)
     scale = max(1.0, abs(f1), abs(f2), abs(f3))
-    if f2 - 0.5 * (f1 + f3) < -probe_tol * scale:
+    if f2 - 0.5 * (f1 + f3) < -PROBE_RTOL * scale:
         raise ValueError("objective failed the three-point concavity probe")
-    return golden_section_max(f, lo, hi, rel_arg_tol=rel_arg_tol)
+    return golden_section_max(f, lo, hi)
 
 
 @dataclass
@@ -160,15 +166,20 @@ def period_objective(profile, cost_model, own, below, sigma, sigma_prev, t):
     return out + below * (v - valuation(profile, sigma_prev, t))
 
 
-def type_objective(profile, cost_model, market, i, t):
-    """P_i(t): type i's contribution to total profit at the price optimum.
+def search_periods(profile, cost_model, sigmas, own, below):
+    """Ascending periods maximizing the summed period objectives of a menu.
 
-    Vectorizes over t.
+    Item i has marginal type sigmas[i], `own[i]` buyers and `below[i]`
+    rent-drawing consumers (floats).  Each objective is searched on
+    DEFAULT_T_DOMAIN and descents are pooled.  Returns (objectives,
+    periods, pooled blocks).
     """
-    sig = market.sigmas
-    return period_objective(
-        profile, cost_model, market.counts[i], market.count_below(i), sig[i], sig[max(i - 1, 0)], t
-    )
+    objectives = [
+        partial(period_objective, profile, cost_model, own[i], below[i], float(sigmas[i]), float(sigmas[max(i - 1, 0)]))
+        for i in range(len(own))
+    ]
+    periods, pooled = repair_monotone(objectives, *DEFAULT_T_DOMAIN)
+    return objectives, periods, pooled
 
 
 def optimal_prices(profile, sigmas, periods):
@@ -197,11 +208,11 @@ class FeasibilityReport:
     condition: Optional[str] = None  # first violated condition, if any
     index: Optional[int] = None  # menu position where it failed
     violation: float = 0.0  # magnitude of the worst violation
-    tol: float = 1e-9
+    tol: float = FEASIBILITY_TOL
 
 
-def feasibility_check(profile, market, periods, prices, tol=1e-9) -> FeasibilityReport:
-    """Check the four menu-feasibility conditions at tolerance tol:
+def feasibility_check(profile, market, periods, prices) -> FeasibilityReport:
+    """Check the four menu-feasibility conditions at tolerance FEASIBILITY_TOL:
 
     (a) periods ascend;
     (b) the top type participates: pi_I <= V(sigma_I, t_I);
@@ -210,6 +221,7 @@ def feasibility_check(profile, market, periods, prices, tol=1e-9) -> Feasibility
     """
     periods = np.asarray(periods, dtype=float)
     prices = np.asarray(prices, dtype=float)
+    tol = FEASIBILITY_TOL
     n = market.n_types
     descent = -np.diff(periods)
     if n > 1 and descent.max() > tol:
@@ -243,29 +255,19 @@ class DiscreteSolution:
     feasibility: Optional[FeasibilityReport] = None
 
 
-def solve_discrete(profile, cost_model, market, t_domain=DEFAULT_T_DOMAIN) -> DiscreteSolution:
+def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
     """Profit-maximizing menu for a discrete market.
 
     Per-type concave search, ascending repair by pooling, then the
     telescoping price chain.  The period cap is asserted non-binding.
     """
-    lo, hi = t_domain
+    lo, hi = DEFAULT_T_DOMAIN
     sig = market.sigmas
-    objectives = [
-        partial(
-            period_objective,
-            profile,
-            cost_model,
-            float(market.counts[i]),
-            market.count_below(i),
-            float(sig[i]),
-            float(sig[max(i - 1, 0)]),
-        )
-        for i in range(market.n_types)
-    ]
-    periods, pooled = repair_monotone(objectives, lo, hi, optimizer=maximize_concave)
+    own = [float(n) for n in market.counts]
+    below = [market.count_below(i) for i in range(market.n_types)]
+    objectives, periods, pooled = search_periods(profile, cost_model, sig, own, below)
     if np.any(periods > hi - 1e-6 * (hi - lo)):
-        warnings.warn("a period argmax pressed against the search cap; consider widening t_domain", RuntimeWarning)
+        warnings.warn("a period argmax pressed against the search cap DEFAULT_T_DOMAIN", RuntimeWarning)
     prices = optimal_prices(profile, sig, periods)
     report = feasibility_check(profile, market, periods, prices)
     if not report.passed:

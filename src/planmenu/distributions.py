@@ -29,6 +29,8 @@ KINDS = ("uniform", "exponential", "truncated_normal")
 
 # 3 - 2*sqrt(2), the constant in the boundary-unimodality condition.
 SHAPE_CONSTANT = 3.0 - 2.0 * np.sqrt(2.0)
+#: Roundoff allowance below zero for the shape condition's slack.
+THEOREM3_TOL = -1e-10
 
 
 @dataclass
@@ -200,21 +202,22 @@ class ContinuousMarket:
         slack = (2.0 * g * g - self.pdf_dsigma(sv) * G) / g - SHAPE_CONSTANT * G / np.where(sv > 0, sv, 1.0)
         return np.where(sv > 0, slack, 2.0 * g)[()]
 
-    def verify_theorem3(self, grid_points=1000, tol=-1e-10):
-        """Minimum slack of the shape condition over an equispaced grid.
+    def verify_theorem3(self, grid_points=1000):
+        """Minimum slack of the shape condition over an equispaced grid;
+        it holds when no slack falls below THEOREM3_TOL.
 
-        Reports are cached per (grid_points, tol) on the market object,
-        which solver restarts and group sweeps hit repeatedly; market
+        Reports are cached per grid_points on the market object, which
+        solver restarts and group sweeps hit repeatedly; market
         parameters never change after construction.
         """
-        key = (int(grid_points), float(tol))
+        key = int(grid_points)
         cache = self.__dict__.setdefault("_theorem3_cache", {})
         if key not in cache:
             grid = np.linspace(self.sigma_min, self.sigma_max, int(grid_points))
             slack = self.theorem3_condition(grid)
             i = int(np.argmin(slack))
             cache[key] = Theorem3Report(
-                holds=bool(slack[i] >= tol),
+                holds=bool(slack[i] >= THEOREM3_TOL),
                 min_slack=float(slack[i]),
                 argmin_sigma=float(grid[i]),
                 grid_points=int(grid_points),

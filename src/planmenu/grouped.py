@@ -25,14 +25,13 @@ Alternation alone converges only linearly.  After a round that pools
 nothing, safeguarded projected-Newton steps on the 2K stationarity
 system dP/d(b, t) = 0 finish the job, holding coordinates on a window
 edge fixed.  The solver converges once the projected first-order (KKT)
-residual is at most KKT_TOL * N and one more round gains no profit;
-a round that pools, or a solve with frozen periods, stops when profit
-stalls.
+residual is at most KKT_TOL * N and one more round gains at most
+REL_PROFIT_TOL in relative profit; a round that pools stops the solve
+when profit stalls.
 """
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -42,10 +41,9 @@ from .discrete import (
     DEFAULT_T_DOMAIN,
     PooledBlock,
     golden_section_max,
-    maximize_concave,
     optimal_prices,
-    period_objective,
     repair_monotone,
+    search_periods,
 )
 from .market import cost, valuation, valuation_dsigma, valuation_dt
 
@@ -62,7 +60,7 @@ MAX_NEWTON_STEPS = 8
 EDGE_RTOL = 1e-9
 
 
-def maximize_unimodal(f, lo, hi, rel_arg_tol=1e-10, coarse_grid=None):
+def maximize_unimodal(f, lo, hi, coarse_grid=None):
     """Golden-section maximum for a unimodal f on [lo, hi].
 
     With coarse_grid set, f is first evaluated on that many equispaced
@@ -78,8 +76,8 @@ def maximize_unimodal(f, lo, hi, rel_arg_tol=1e-10, coarse_grid=None):
         b = xs[min(j + 1, len(xs) - 1)]
         if b <= a:
             return float(xs[j]), float(vals[j])
-        return golden_section_max(f, a, b, rel_arg_tol=rel_arg_tol)
-    return golden_section_max(f, lo, hi, rel_arg_tol=rel_arg_tol)
+        return golden_section_max(f, a, b)
+    return golden_section_max(f, lo, hi)
 
 
 def group_counts(market, boundaries):
@@ -110,19 +108,6 @@ def boundary_objective(profile, cost_model, market, periods, k, sigma):
     return _boundary_term(profile, market, float(t[k]), float(t[k + 1]), dcost, sigma)
 
 
-def h_function(profile, market, sigma, t_low, t_high):
-    """H(sigma) = V(sigma,t_low) - V(sigma,t_high) + (G/g)(V_s(sigma,t_low) - V_s(sigma,t_high)).
-
-    dQ_k/dsigma = N * g(sigma) * (H + C(t_high) - C(t_low)); the shape
-    condition keeps each Q_k single-peaked by controlling H's descent.
-    """
-    g = market.pdf(sigma)
-    G = market.cdf(sigma)
-    dv = valuation(profile, sigma, t_low) - valuation(profile, sigma, t_high)
-    dvs = valuation_dsigma(profile, sigma, t_low) - valuation_dsigma(profile, sigma, t_high)
-    return dv + (G / g) * dvs
-
-
 def _valuation_dsigma(profile, sigma, t):
     # V_sigma without the sigma = 0 warning: sigma = 0 is only reached at
     # sigma_min = 0, where G = 0 multiplies the one-sided limit 0
@@ -142,10 +127,11 @@ def profit_gradient(profile, cost_model, market, boundaries, periods):
     """(dP/db, dP/dt) of total profit in closed form.
 
       dP/dt_k = own_k (V_t(b_k, t_k) - C'(t_k)) + below_k (V_t(b_k, t_k) - V_t(b_{k-1}, t_k))
-      dP/db_k = N g(b_k) (H(b_k) + C(t_{k+1}) - C(t_k))    (H of h_function; k < K)
+      dP/db_k = N g(b_k) (H(b_k) + C(t_{k+1}) - C(t_k))    (k < K)
       dP/db_K = N (g(b_K) (V(b_K, t_K) - C(t_K)) + G(b_K) V_s(b_K, t_K))
 
-    with own_k = N (G(b_k) - G(b_{k-1})) and below_k = N G(b_{k-1}).
+    with own_k = N (G(b_k) - G(b_{k-1})), below_k = N G(b_{k-1}) and
+    H(s) = V(s, t_k) - V(s, t_{k+1}) + (G/g)(s) (V_s(s, t_k) - V_s(s, t_{k+1})).
     The top line is the others' with item K+1 the outside option
     (V = V_s = C = 0), so all boundaries share one expression; V and V_s
     at (b_k, t_k) and (b_k, t_{k+1}) come from one stacked call each.
@@ -198,14 +184,14 @@ def _chain_residual(x, grad, lo, hi):
     return worst
 
 
-def _menu_residual(market, t_domain, b, t, d_b, d_t=None):
+def _menu_residual(market, b, t, d_b, d_t):
     """Projected first-order (KKT) residual of a menu: the largest rate at
-    which a feasible move of the boundaries and, unless d_t is None, the
-    periods raises profit.  0 at an exact optimum."""
-    residual = _chain_residual(b, d_b, market.sigma_min, market.sigma_max)
-    if d_t is not None:
-        residual = max(residual, _chain_residual(t, d_t, *t_domain))
-    return residual
+    which a feasible move of the boundaries and periods raises profit.
+    0 at an exact optimum."""
+    return max(
+        _chain_residual(b, d_b, market.sigma_min, market.sigma_max),
+        _chain_residual(t, d_t, *DEFAULT_T_DOMAIN),
+    )
 
 
 def _newton_step(profile, cost_model, market, x, grad, free, lo, hi):
@@ -234,7 +220,7 @@ def _newton_step(profile, cost_model, market, x, grad, free, lo, hi):
     return linalg.cho_solve(factor, grad[idx])
 
 
-def _newton_finish(profile, cost_model, market, boundaries, periods, profit, t_domain, trace):
+def _newton_finish(profile, cost_model, market, boundaries, periods, profit, trace):
     """Safeguarded projected-Newton steps from an ascending, unpooled menu.
 
     Coordinates on a window edge stay fixed.  A step is taken only if the
@@ -244,15 +230,15 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, t_d
     residual, steps), the residual measured at the returned menu.
     """
     K = boundaries.size
-    lo = np.repeat([market.sigma_min, t_domain[0]], K)
-    hi = np.repeat([market.sigma_max, t_domain[1]], K)
+    lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
+    hi = np.repeat([market.sigma_max, DEFAULT_T_DOMAIN[1]], K)
     edge = EDGE_RTOL * (hi - lo)
     tol = KKT_TOL * market.size
     x = np.concatenate([boundaries, periods])
     steps = 0
     while True:
         d_b, d_t = profit_gradient(profile, cost_model, market, x[:K], x[K:])
-        residual = _menu_residual(market, t_domain, x[:K], x[K:], d_b, d_t)
+        residual = _menu_residual(market, x[:K], x[K:], d_b, d_t)
         if residual <= tol or steps == MAX_NEWTON_STEPS:
             break
         free = (x > lo + edge) & (x < hi - edge)
@@ -273,30 +259,20 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, t_d
     return x[:K], x[K:], profit, residual, steps
 
 
-def step1_periods(profile, cost_model, market, boundaries, t_domain=DEFAULT_T_DOMAIN):
-    """Optimal ascending periods for fixed boundaries.
+def step1_periods(profile, cost_model, market, boundaries):
+    """Optimal ascending periods for fixed boundaries: (periods, pooled blocks).
 
     This is the discrete problem with the boundary types as marginal
     types and the band masses as counts; the rent mass of group k is
     N*G(sigma_{k-1}).
     """
-    lo, hi = t_domain
     b = np.asarray(boundaries, dtype=float)
     G = np.atleast_1d(np.asarray(market.cdf(b), dtype=float))
     G_lo = np.append(0.0, G[:-1])
-    objectives = [
-        partial(
-            period_objective,
-            profile,
-            cost_model,
-            market.size * (float(G[k]) - float(G_lo[k])),
-            market.size * float(G_lo[k]),
-            float(b[k]),
-            float(b[max(k - 1, 0)]),
-        )
-        for k in range(b.size)
-    ]
-    return repair_monotone(objectives, lo, hi, optimizer=maximize_concave)
+    own = [market.size * (float(G[k]) - float(G_lo[k])) for k in range(b.size)]
+    below = [market.size * float(G_lo[k]) for k in range(b.size)]
+    _, periods, pooled = search_periods(profile, cost_model, b, own, below)
+    return periods, pooled
 
 
 def step2_boundaries(profile, cost_model, market, periods, coarse_grid=None):
@@ -372,11 +348,7 @@ def solve_alternating(
     cost_model,
     market,
     n_groups,
-    t_domain=DEFAULT_T_DOMAIN,
     init_boundaries: Optional[Sequence[float]] = None,
-    frozen_periods: Optional[Sequence[float]] = None,
-    max_rounds=MAX_ROUNDS,
-    rel_tol=REL_PROFIT_TOL,
 ) -> GroupedSolution:
     """Alternate period and boundary optimization, finishing with Newton steps.
 
@@ -384,11 +356,10 @@ def solve_alternating(
     After each round that pools nothing, projected-Newton steps drive
     the first-order residual down; the solve converges once that
     residual is at most KKT_TOL * market.size, both before and after a
-    round that gains no more than rel_tol in relative profit.  A round
-    that pools stops the solve when profit stalls.  With frozen_periods
-    given, Step I is skipped, only boundaries move (the single-item
-    fixed-period problem when K = 1) and profit stalling alone decides.
-    The profit trace is checked nondecreasing at each half-step.
+    round that gains no more than REL_PROFIT_TOL in relative profit.  A
+    round that pools stops the solve when profit stalls, and MAX_ROUNDS
+    rounds stop it unconverged.  The profit trace is checked
+    nondecreasing at each half-step.
     """
     if n_groups < 1:
         raise ValueError("need at least one group")
@@ -410,13 +381,6 @@ def solve_alternating(
         boundaries = market.quantile((np.arange(n_groups) + 1.0) / n_groups)
         boundaries = np.atleast_1d(np.asarray(boundaries, dtype=float))
 
-    if frozen_periods is not None:
-        frozen = np.asarray(frozen_periods, dtype=float)
-        if frozen.shape != (n_groups,):
-            raise ValueError("frozen_periods must supply one period per group")
-        if np.any(np.diff(frozen) < 0):
-            raise ValueError("frozen_periods must be ascending")
-
     tol = KKT_TOL * market.size
     trace = []
     period_blocks: List[PooledBlock] = []
@@ -427,13 +391,9 @@ def solve_alternating(
     newton_steps = 0
     converged = False
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         start = boundaries, periods
-        if frozen_periods is not None:
-            periods = frozen.copy()
-            period_blocks = []
-        else:
-            periods, period_blocks = step1_periods(profile, cost_model, market, boundaries, t_domain)
+        periods, period_blocks = step1_periods(profile, cost_model, market, boundaries)
         p1 = _profit_via_boundary_terms(profile, cost_model, market, boundaries, periods)
         _check_monotone(trace, p1)
         trace.append(p1)
@@ -443,9 +403,9 @@ def solve_alternating(
         _check_monotone(trace, p2)
         trace.append(p2)
 
-        stalled = p2 - profit <= rel_tol * max(1.0, abs(p2))
+        stalled = p2 - profit <= REL_PROFIT_TOL * max(1.0, abs(p2))
         ascending = np.all(np.diff(boundaries) > 0) and np.all(np.diff(periods) > 0)
-        if frozen_periods is not None or period_blocks or boundary_blocks or not ascending:
+        if period_blocks or boundary_blocks or not ascending:
             converged, profit, residual = stalled, p2, np.inf
         elif stalled and residual <= tol:
             # the round only confirmed the Newton-finished menu it started from
@@ -453,7 +413,7 @@ def solve_alternating(
             converged = True
         else:
             boundaries, periods, profit, residual, steps = _newton_finish(
-                profile, cost_model, market, boundaries, periods, p2, t_domain, trace
+                profile, cost_model, market, boundaries, periods, p2, trace
             )
             newton_steps += steps
         if converged:
@@ -483,9 +443,7 @@ def solve_alternating(
         boundary_edge_hits=edge_hits,
         theorem3_ok=t3.holds,
         requested_groups=n_groups,
-        kkt_residual=_menu_residual(
-            market, t_domain, boundaries, periods, d_b, d_t if frozen_periods is None else None
-        ),
+        kkt_residual=_menu_residual(market, boundaries, periods, d_b, d_t),
         newton_steps=newton_steps,
     )
 
@@ -502,7 +460,6 @@ def solve_with_restarts(
     n_groups,
     restarts=0,
     seed=None,
-    t_domain=DEFAULT_T_DOMAIN,
     extra_inits: Optional[List[Sequence[float]]] = None,
 ) -> GroupedSolution:
     """Best of the quantile start, any extra starts, and seeded random
@@ -520,7 +477,7 @@ def solve_with_restarts(
             inits.append(np.atleast_1d(market.quantile(u)))
 
     solutions = [
-        solve_alternating(profile, cost_model, market, n_groups, t_domain=t_domain, init_boundaries=init)
+        solve_alternating(profile, cost_model, market, n_groups, init_boundaries=init)
         for init in inits
     ]
     best = max(range(len(solutions)), key=lambda i: (solutions[i].total_profit, -i))

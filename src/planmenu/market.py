@@ -73,24 +73,14 @@ class CostModel:
             raise ValueError("c1 must be nonnegative for the linear cost")
 
 
-@dataclass
-class ContractItem:
-    """One menu entry: a service period and its price (per unit time)."""
-
-    period: float
-    price: float
-
-    def __post_init__(self):
-        if not (self.period > 0):
-            raise ValueError("period must be positive")
-
-
 def _check_sigma_t(sigma, t):
+    # One min and one max per argument: NaN propagates into both and fails
+    # every comparison, and an in-range `initial` lets empty arrays pass.
     sv = np.asarray(sigma, dtype=float)
     tv = np.asarray(t, dtype=float)
-    if np.any(sv < 0) or not np.all(np.isfinite(sv)):
+    if not (sv.min(initial=0.0) >= 0 and sv.max(initial=0.0) < np.inf):
         raise ValueError("sigma must be finite and nonnegative")
-    if np.any(tv <= 0) or not np.all(np.isfinite(tv)):
+    if not (tv.min(initial=1.0) > 0 and tv.max(initial=1.0) < np.inf):
         raise ValueError("period t must be finite and positive")
     return sv, tv
 
@@ -117,17 +107,6 @@ def _shortfall_threshold(profile, sigma, t):
     with np.errstate(divide="ignore"):
         a = np.where(sigma > 0, np.sqrt(t) * profile.excess_cap / np.where(sigma > 0, sigma, 1.0), np.inf)
     return np.minimum(a, 1e6)
-
-
-def unsatisfied_demand(profile, sigma, t):
-    """Expected demand above the cap over one whole period of length t.
-
-    Equals sigma*sqrt(t)*E(a); 0 when sigma = 0 (deterministic demand
-    never exceeds the cap since q >= mu).
-    """
-    sv, tv = _check_sigma_t(sigma, t)
-    a = _shortfall_threshold(profile, sv, tv)
-    return np.where(sv > 0, sv * np.sqrt(tv) * expected_excess(a), 0.0)[()]
 
 
 def valuation(profile, sigma, t):
@@ -195,22 +174,8 @@ def cost(model, t):
             raise ValueError("period t must be finite and nonnegative")
         return model.c0 + model.c1 * tt
     tv = np.asarray(t, dtype=float)
-    if np.any(tv < 0) or not np.all(np.isfinite(tv)):
+    if not (tv.min(initial=0.0) >= 0 and tv.max(initial=0.0) < np.inf):  # as in _check_sigma_t
         raise ValueError("period t must be finite and nonnegative")
     variable = model.w(tv) if model.w is not None else model.c1 * tv
     return (np.asarray(variable, dtype=float) + model.c0)[()]
 
-
-def item_profit(model, item):
-    """Per-subscriber margin pi - C(t) of one menu item."""
-    return item.price - cost(model, item.period)
-
-
-def consumer_utility(profile, sigma, item):
-    """U = V(sigma, t) - pi for one consumer facing one item."""
-    return valuation(profile, sigma, item.period) - item.price
-
-
-def social_surplus(profile, model, sigma, t):
-    """V(sigma, t) - C(t): total value created by serving type sigma at period t."""
-    return valuation(profile, sigma, t) - cost(model, t)

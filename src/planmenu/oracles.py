@@ -26,12 +26,16 @@ import numpy as np
 from scipy.integrate import fixed_quad
 from scipy.special import ndtri
 
-from .discrete import DEFAULT_T_DOMAIN, INVPHI, INVPHI2, DiscreteSolution, maximize_concave
+from .discrete import ARG_RTOL, DEFAULT_T_DOMAIN, FEASIBILITY_TOL, INVPHI, INVPHI2, PROBE_RTOL
+from .discrete import DiscreteSolution, maximize_concave
 from .distributions import ContinuousMarket, DiscreteMarket
 from .grouped import GroupedSolution, maximize_unimodal
 from .market import cost, valuation
 
+#: Largest grid-DP table (cells) the grid oracles accept.
 TUPLE_BUDGET = 1e8
+#: Equispaced types the IC/IR scan checks across a continuous market's window.
+IC_SCAN_POINTS = 500
 
 
 # --- incentive compatibility / participation ---------------------------
@@ -47,23 +51,17 @@ class FeasibilityCertificate:
     n_consumers_checked: int
 
 
-def brute_force_ic_ir(
-    profile,
-    market,
-    periods,
-    prices,
-    boundaries=None,
-    tol=1e-9,
-    n_samples=500,
-) -> FeasibilityCertificate:
+def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> FeasibilityCertificate:
     """Check every consumer prefers her assigned item (IC) and gets
-    nonnegative utility from it (IR), both within tol.
+    nonnegative utility from it (IR), both within FEASIBILITY_TOL.
 
     Discrete markets are checked type by type against their own menu
-    position.  Continuous markets need the group boundaries; n_samples
-    types are scanned across the whole window (plus the boundaries
-    themselves), and types above the top boundary must prefer opting
-    out — no item may tempt them beyond tol.
+    position.  Continuous markets need the group boundaries;
+    IC_SCAN_POINTS types are scanned across the whole window (plus the
+    boundaries themselves), and types above the top boundary must
+    prefer opting out — no item may tempt them beyond the tolerance.
+    The reported pair is the first worst consumer, with her first best
+    other item.
     """
     t = np.asarray(periods, dtype=float)
     p = np.asarray(prices, dtype=float)
@@ -74,56 +72,35 @@ def brute_force_ic_ir(
         if boundaries is None:
             raise ValueError("continuous markets need boundaries for the assignment")
         b = np.asarray(boundaries, dtype=float)
-        sigmas = np.unique(np.concatenate([np.linspace(market.sigma_min, market.sigma_max, n_samples), b]))
+        sigmas = np.unique(np.concatenate([np.linspace(market.sigma_min, market.sigma_max, IC_SCAN_POINTS), b]))
         assigned = np.searchsorted(b, sigmas, side="left")  # == len(b) above the top boundary
 
-    utilities = np.empty((sigmas.size, t.size))
-    for j in range(t.size):
-        utilities[:, j] = valuation(profile, sigmas, t[j]) - p[j]
+    utilities = valuation(profile, sigmas[:, None], t) - p
+    rows = np.arange(sigmas.size)
+    served = assigned < t.size
+    own = np.where(served, utilities[rows, np.minimum(assigned, t.size - 1)], 0.0)
+    # a served consumer's temptation is her best other item over her own;
+    # an unserved one's is her best item over opting out (utility 0)
+    others = np.where(served[:, None] & (np.arange(t.size) == assigned[:, None]), -np.inf, utilities)
+    choice = np.argmax(others, axis=1)
+    temptation = others[rows, choice] - own
 
-    worst_ic = 0.0  # violation magnitudes; 0 when every check is comfortable
-    worst_ir = 0.0
+    # violation magnitudes; 0 when every check is comfortable
+    worst = int(np.argmax(temptation))
+    worst_ic = max(0.0, float(temptation[worst]))
+    worst_ir = max(0.0, float(np.max(-own[served], initial=-np.inf)))
     pair = None
-    for row, (sig, k) in enumerate(zip(sigmas, assigned)):
-        u = utilities[row]
-        if k >= t.size:  # unserved: opting out must be best
-            j = int(np.argmax(u))
-            if u[j] > worst_ic:
-                worst_ic = float(u[j])
-                pair = (float(sig), j, -1)
-            continue
-        if t.size > 1:
-            masked = np.where(np.arange(t.size) == k, -np.inf, u)
-            j = int(np.argmax(masked))
-            temptation = float(masked[j] - u[k])
-            if temptation > worst_ic:
-                worst_ic = temptation
-                pair = (float(sig), j, int(k))
-        worst_ir = max(worst_ir, float(-u[k]))
-    passed = worst_ic <= tol and worst_ir <= tol
+    if temptation[worst] > 0.0:
+        pair = (float(sigmas[worst]), int(choice[worst]), int(assigned[worst]) if served[worst] else -1)
+    passed = worst_ic <= FEASIBILITY_TOL and worst_ir <= FEASIBILITY_TOL
     return FeasibilityCertificate(
         passed=passed,
         worst_ic_violation=float(worst_ic),
         worst_ir_violation=float(worst_ir),
         violating_pair=pair,
-        tol=tol,
+        tol=FEASIBILITY_TOL,
         n_consumers_checked=int(sigmas.size),
     )
-
-
-def realized_profit(profile, cost_model, market: DiscreteMarket, periods, prices):
-    """Profit when every type freely picks its utility-maximizing item
-    (or walks away).  Used to check that no price perturbation beats
-    the telescoping chain."""
-    t = np.asarray(periods, dtype=float)
-    p = np.asarray(prices, dtype=float)
-    total = 0.0
-    for sig, n in zip(market.sigmas, market.counts):
-        u = valuation(profile, sig, t) - p
-        j = int(np.argmax(u))
-        if u[j] >= 0.0:
-            total += n * (p[j] - cost(cost_model, t[j]))
-    return total
 
 
 # --- grid oracles -------------------------------------------------------
@@ -140,7 +117,7 @@ def _cummax_with_arg(a, axis):
     return running, arg
 
 
-def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid, budget=TUPLE_BUDGET):
+def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid):
     """Exact grid optimum over ascending period tuples on t_grid.
 
     With the price chain telescoped from the top type's valuation and
@@ -157,7 +134,7 @@ def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid, bu
     if np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly ascending")
     n_types = market.n_types
-    if n_types * t.size > budget:
+    if n_types * t.size > TUPLE_BUDGET:
         raise ValueError("grid DP exceeds the work budget")
 
     V = valuation(profile, market.sigmas[:, None], t[None, :])  # (I, n)
@@ -179,15 +156,7 @@ def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid, bu
     return profit, t[j_idx]
 
 
-def grid_oracle_grouped(
-    profile,
-    cost_model,
-    market: ContinuousMarket,
-    n_groups,
-    sigma_grid,
-    t_grid,
-    budget=TUPLE_BUDGET,
-):
+def grid_oracle_grouped(profile, cost_model, market: ContinuousMarket, n_groups, sigma_grid, t_grid):
     """Exact grid optimum over ascending boundary AND period tuples.
 
     Profit decomposes into per-boundary terms
@@ -201,7 +170,7 @@ def grid_oracle_grouped(
     tg = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(sg) <= 0) or np.any(np.diff(tg) <= 0):
         raise ValueError("grids must be strictly ascending")
-    if n_groups * sg.size * tg.size > budget:
+    if n_groups * sg.size * tg.size > TUPLE_BUDGET:
         raise ValueError("grid DP exceeds the work budget")
 
     G = market.cdf(sg) * market.size
@@ -316,32 +285,31 @@ class SocialReport:
     ratio: float
 
 
-def _first_best_surplus_rate(profile, cost_model, sigma, t_domain):
-    _, v = maximize_concave(lambda t: valuation(profile, sigma, t) - cost(cost_model, t), *t_domain)
+def _first_best_surplus_rate(profile, cost_model, sigma):
+    _, v = maximize_concave(lambda t: valuation(profile, sigma, t) - cost(cost_model, t), *DEFAULT_T_DOMAIN)
     return max(v, 0.0)
 
 
-def _first_best_surplus_rates(profile, cost_model, sigmas, t_domain):
+def _first_best_surplus_rates(profile, cost_model, sigmas):
     """_first_best_surplus_rate for an array of types at once.
 
-    Runs maximize_concave's probe and golden-section brackets (default
-    tolerances) for every type in lockstep: one array evaluation per
-    iteration, and each type updates (and stops) exactly as its own
-    scalar search would.
+    Runs maximize_concave's probe and golden-section brackets for every
+    type in lockstep: one array evaluation per iteration, and each type
+    updates (and stops) exactly as its own scalar search would.
     """
     s = np.asarray(sigmas, dtype=float)
 
     def f(t):
         return valuation(profile, s, t) - cost(cost_model, t)
 
-    lo, hi = (float(x) for x in t_domain)
+    lo, hi = (float(x) for x in DEFAULT_T_DOMAIN)
     f1, f2, f3 = (f(np.full_like(s, lo + w * (hi - lo))) for w in (0.25, 0.5, 0.75))
     scale = np.maximum(1.0, np.abs([f1, f2, f3]).max(axis=0))
-    if np.any(f2 - 0.5 * (f1 + f3) < -1e-9 * scale):
+    if np.any(f2 - 0.5 * (f1 + f3) < -PROBE_RTOL * scale):
         raise ValueError("objective failed the three-point concavity probe")
     a, b = np.full_like(s, lo), np.full_like(s, hi)
     h = b - a
-    tol = 1e-10 * (hi - lo)
+    tol = ARG_RTOL * (hi - lo)
     c, d = a + INVPHI2 * h, a + INVPHI * h
     fc, fd = f(c), f(d)
     active = h > tol
@@ -361,7 +329,7 @@ def _first_best_surplus_rates(profile, cost_model, sigmas, t_domain):
     return np.maximum(f(0.5 * (a + b)), 0.0)
 
 
-def social_metrics(profile, cost_model, market, solution, t_domain=DEFAULT_T_DOMAIN) -> SocialReport:
+def social_metrics(profile, cost_model, market, solution) -> SocialReport:
     """Realized vs first-best social surplus (value minus cost; prices
     are transfers and cancel)."""
     if isinstance(solution, DiscreteSolution):
@@ -373,7 +341,7 @@ def social_metrics(profile, cost_model, market, solution, t_domain=DEFAULT_T_DOM
         )
         first_best = float(
             sum(
-                n * _first_best_surplus_rate(profile, cost_model, sig, t_domain)
+                n * _first_best_surplus_rate(profile, cost_model, sig)
                 for sig, n in zip(market.sigmas, market.counts)
             )
         )
@@ -391,7 +359,7 @@ def social_metrics(profile, cost_model, market, solution, t_domain=DEFAULT_T_DOM
                 contract += market.size * float(val)
             lo = sig_hi
         val, _ = fixed_quad(
-            lambda s: _first_best_surplus_rates(profile, cost_model, s, t_domain) * market.pdf(s),
+            lambda s: _first_best_surplus_rates(profile, cost_model, s) * market.pdf(s),
             market.sigma_min,
             market.sigma_max,
             n=96,
@@ -420,12 +388,6 @@ class ComparisonReport:
     optimal_profit: float
     baselines: List[BaselineRow] = field(default_factory=list)
     social: Optional[SocialReport] = None
-
-    def uplift_percent(self, period, coverage="full"):
-        for row in self.baselines:
-            if row.period == period:
-                return row.uplift_full_percent if coverage == "full" else row.uplift_optimized_percent
-        raise KeyError(f"no baseline at period {period}")
 
 
 def build_comparison(

@@ -232,8 +232,8 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
 
 def _read_solution_csv(csv_path):
     """(boundaries, periods, prices) columns of a solution.csv; ValueError
-    naming the file when a column is missing, a cell is not a number or
-    there are no rows."""
+    naming the file when a column is missing, a cell is not a finite
+    number, the sigma_boundary values descend or there are no rows."""
     with open(csv_path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
@@ -248,10 +248,14 @@ def _read_solution_csv(csv_path):
             columns.append(np.array([float(row[j]) for row in rows[1:]]))
         except (IndexError, ValueError):
             raise ValueError(f"{csv_path}: column {name!r} has a missing or non-numeric cell") from None
+        if not np.all(np.isfinite(columns[-1])):
+            raise ValueError(f"{csv_path}: column {name!r} has a non-finite cell")
+    if np.any(np.diff(columns[0]) < 0):
+        raise ValueError(f"{csv_path}: sigma_boundary values must ascend")
     return columns
 
 
-def verify_solution_csv(scenario: Scenario, csv_path, tol=1e-9):
+def verify_solution_csv(scenario: Scenario, csv_path):
     """Re-check a written solution.csv against its scenario.
 
     Returns (ok, details); raises ValueError on a malformed file.
@@ -263,14 +267,12 @@ def verify_solution_csv(scenario: Scenario, csv_path, tol=1e-9):
     if isinstance(scenario.market, DiscreteMarket):
         if periods.size != scenario.market.n_types:
             return False, {"error": "row count does not match the market's types"}
-        chain_feasibility = feasibility_check(scenario.profile, scenario.market, periods, prices, tol=tol)
-        cert = brute_force_ic_ir(scenario.profile, scenario.market, periods, prices, tol=tol)
+        chain_feasibility = feasibility_check(scenario.profile, scenario.market, periods, prices)
+        cert = brute_force_ic_ir(scenario.profile, scenario.market, periods, prices)
         details["chain_feasibility"] = asdict(chain_feasibility)
         ok = chain_feasibility.passed and cert.passed
     else:
-        cert = brute_force_ic_ir(
-            scenario.profile, scenario.market, periods, prices, boundaries=boundaries, tol=tol
-        )
+        cert = brute_force_ic_ir(scenario.profile, scenario.market, periods, prices, boundaries=boundaries)
         ok = cert.passed
     details["ic_ir"] = asdict(cert)
     return ok, details

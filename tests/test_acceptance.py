@@ -173,15 +173,15 @@ def test_criterion_07_feasibility_suite(case1, case2, grouped):
     sc1, sol1, _ = case1
     sc2, sol2 = case2
     certs = [
-        brute_force_ic_ir(sc1.profile, sc1.market, sol1.periods, sol1.prices, tol=1e-9),
-        brute_force_ic_ir(sc2.profile, sc2.market, sol2.periods, sol2.prices, tol=1e-9),
+        brute_force_ic_ir(sc1.profile, sc1.market, sol1.periods, sol1.prices),
+        brute_force_ic_ir(sc2.profile, sc2.market, sol2.periods, sol2.prices),
     ]
     for name in GROUPED_SCENARIOS:
         sc, sol = grouped[name]
         certs.append(
             brute_force_ic_ir(
                 sc.profile, sc.market, sol.periods, sol.prices,
-                boundaries=sol.boundaries, tol=1e-9, n_samples=500,
+                boundaries=sol.boundaries,
             )
         )
     worst = max(max(c.worst_ic_violation, c.worst_ir_violation) for c in certs)

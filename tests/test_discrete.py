@@ -11,9 +11,9 @@ from planmenu.discrete import (
     golden_section_max,
     maximize_concave,
     optimal_prices,
+    period_objective,
     repair_monotone,
     solve_discrete,
-    type_objective,
 )
 from planmenu.distributions import DiscreteMarket
 from planmenu.market import CostModel, cost, valuation
@@ -27,6 +27,14 @@ P1_AT_T1 = 2.175228820266085  # type (sigma=2) objective with one sigma=1 type b
 
 def case1_market():
     return DiscreteMarket(sigmas=np.arange(0.1, 6.2, 0.6), counts=np.ones(11))
+
+
+def type_objective(profile, cost_model, market, i, t):
+    """P_i(t): type i's contribution to total profit at the price optimum."""
+    sig = market.sigmas
+    return period_objective(
+        profile, cost_model, market.counts[i], market.count_below(i), sig[i], sig[max(i - 1, 0)], t
+    )
 
 
 # --- scalar maximizers ---------------------------------------------------
@@ -345,6 +353,6 @@ def test_solver_warns_when_period_cap_binds(profile):
     # everywhere, so the argmax presses against the search cap
     falling = CostModel(c0=1.0, w=lambda t: -0.05 * t)
     market = DiscreteMarket(sigmas=[1.0, 2.0], counts=[1.0, 1.0])
-    with pytest.warns(RuntimeWarning):
-        sol = solve_discrete(profile, falling, market, t_domain=(0.01, 50.0))
-    assert np.all(sol.periods > 49.99)
+    with pytest.warns(RuntimeWarning, match="search cap"):
+        sol = solve_discrete(profile, falling, market)
+    assert np.all(sol.periods > DEFAULT_T_DOMAIN[1] - 1e-3)

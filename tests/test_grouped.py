@@ -14,7 +14,6 @@ from planmenu.grouped import (
     _profit_via_boundary_terms,
     boundary_objective,
     group_counts,
-    h_function,
     maximize_unimodal,
     profit_gradient,
     solve_alternating,
@@ -23,7 +22,7 @@ from planmenu.grouped import (
     step2_boundaries,
     total_profit_grouped,
 )
-from planmenu.market import CostModel, DemandProfile, cost, valuation
+from planmenu.market import CostModel, DemandProfile, cost, valuation, valuation_dsigma
 from planmenu.oracles import brute_force_ic_ir, fixed_period_baseline
 from planmenu.runner import sweep_groups
 from planmenu.scenarios import Scenario, SolverSpec, load_scenario
@@ -170,6 +169,19 @@ def test_boundary_objective_rejects_outside_window(profile, cost_model):
         boundary_objective(profile, cost_model, mkt, [1.0, 4.0], 0, 7.0)
 
 
+def h_function(profile, market, sigma, t_low, t_high):
+    """H(sigma) = V(sigma,t_low) - V(sigma,t_high) + (G/g)(V_s(sigma,t_low) - V_s(sigma,t_high)).
+
+    dQ_k/dsigma = N * g(sigma) * (H + C(t_high) - C(t_low)); the shape
+    condition keeps each Q_k single-peaked by controlling H's descent.
+    """
+    g = market.pdf(sigma)
+    G = market.cdf(sigma)
+    dv = valuation(profile, sigma, t_low) - valuation(profile, sigma, t_high)
+    dvs = valuation_dsigma(profile, sigma, t_low) - valuation_dsigma(profile, sigma, t_high)
+    return dv + (G / g) * dvs
+
+
 def test_h_function_identities(profile, cost_model):
     mkt = uniform06()
     # equal periods: H == 0
@@ -302,13 +314,19 @@ def test_solution_menu_is_feasible(profile, cost_model, factory):
         assert abs(own - up) < 1e-9
 
 
-def test_frozen_periods_matches_fixed_period_baseline(profile, cost_model):
-    mkt = uniform06()
-    for t_fixed in (1.0, 2.0):
-        sol = solve_alternating(profile, cost_model, mkt, 1, frozen_periods=[t_fixed])
-        base = fixed_period_baseline(profile, cost_model, mkt, t_fixed, coverage="optimized")
-        assert abs(sol.total_profit - base.profit) < 1e-8
-        assert abs(sol.boundaries[0] - base.marginal_sigma) < 1e-4
+def test_optimized_fixed_period_baseline_matches_grid_scan(profile, cost_model):
+    # the one-item menu at a fixed period serves every type up to the
+    # cutoff s at the price V(s, t): profit N G(s) (V(s, t) - C(t))
+    for mkt in (uniform06(), exponential06(), truncnorm06()):
+        sig = np.linspace(mkt.sigma_min, mkt.sigma_max, 200_001)
+        for t_fixed in (1.0, 2.0):
+            scan = mkt.size * mkt.cdf(sig) * (valuation(profile, sig, t_fixed) - cost(cost_model, t_fixed))
+            j = int(np.argmax(scan))
+            base = fixed_period_baseline(profile, cost_model, mkt, t_fixed, coverage="optimized")
+            assert scan[j] - 1e-10 <= base.profit <= scan[j] + 1e-8
+            assert abs(base.marginal_sigma - sig[j]) < 1e-4
+            assert abs(base.price - valuation(profile, base.marginal_sigma, t_fixed)) < 1e-15
+            assert abs(base.served - mkt.size * mkt.cdf(base.marginal_sigma)) < 1e-15
 
 
 def test_solver_input_validation(profile, cost_model):
@@ -317,10 +335,6 @@ def test_solver_input_validation(profile, cost_model):
         solve_alternating(profile, cost_model, mkt, 0)
     with pytest.raises(ValueError):
         solve_alternating(profile, cost_model, mkt, 2, init_boundaries=[1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        solve_alternating(profile, cost_model, mkt, 2, frozen_periods=[1.0])
-    with pytest.raises(ValueError):
-        solve_alternating(profile, cost_model, mkt, 2, frozen_periods=[3.0, 1.0])
 
 
 def test_more_groups_never_hurt(profile, cost_model):
@@ -366,7 +380,7 @@ def test_fine_discretization_agrees_with_grouped(profile, cost_model):
 
 def test_shape_condition_failure_falls_back_and_solves(profile, cost_model, valley_market):
     with pytest.warns(RuntimeWarning, match="boundary-unimodality"):
-        sol = solve_alternating(profile, cost_model, valley_market, 2, max_rounds=60)
+        sol = solve_alternating(profile, cost_model, valley_market, 2)
     assert not sol.theorem3_ok
     assert sol.total_profit > 0
     trace = np.array(sol.profit_trace)

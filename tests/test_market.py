@@ -12,19 +12,15 @@ import pytest
 from scipy import integrate
 
 from planmenu.market import (
-    ContractItem,
     CostModel,
     DemandProfile,
-    consumer_utility,
     cost,
-    item_profit,
-    social_surplus,
-    unsatisfied_demand,
     valuation,
     valuation_dsigma,
     valuation_dsigma_dt,
     valuation_dt,
 )
+from planmenu.normals import expected_excess
 
 # quadrature-oracle values (alpha=1, mu=13, q=15)
 V_2_1 = 12.833369058824628
@@ -46,6 +42,16 @@ def _quad_valuation(profile, sigma, t):
                               epsabs=1e-13, limit=200)
     tail, _ = integrate.quad(phi, kink, 40.0, epsabs=1e-13, limit=200)
     return profile.alpha * (below + profile.q * t * tail) / t
+
+
+def unsatisfied_demand(profile, sigma, t):
+    """Expected demand above the cap over one whole period of length t:
+    sigma*sqrt(t)*E(a) with a = sqrt(t)*(q - mu)/sigma, and 0 at sigma = 0
+    (deterministic demand never exceeds the cap since q >= mu)."""
+    sigma, t = np.broadcast_arrays(np.asarray(sigma, dtype=float), np.asarray(t, dtype=float))
+    pos = sigma > 0
+    a = np.sqrt(t) * profile.excess_cap / np.where(pos, sigma, 1.0)
+    return np.where(pos, sigma * np.sqrt(t) * expected_excess(a), 0.0)
 
 
 def test_valuation_sigma_zero_is_alpha_mu(profile):
@@ -236,8 +242,6 @@ def test_input_validation(profile):
         DemandProfile(alpha=0.0, mu=13.0, q=15.0)
     with pytest.raises(ValueError):
         CostModel(c0=-1.0, c1=0.5)
-    with pytest.raises(ValueError):
-        ContractItem(period=0.0, price=1.0)
 
 
 def test_cost_linear(cost_model):
@@ -257,19 +261,52 @@ def test_cost_custom_variable_part():
     assert np.allclose(cost(model, np.array([0.0, 2.0])), [10.0, 14.0])
 
 
-def test_item_profit_and_utilities(profile, cost_model):
-    item = ContractItem(period=1.0, price=12.0)
-    assert abs(item_profit(cost_model, item) - 1.5) < 1e-15
-    assert abs(consumer_utility(profile, 2.0, item) - (V_2_1 - 12.0)) < 1e-12
-    assert abs(social_surplus(profile, cost_model, 0.0, 1.0) - 2.5) < 1e-15
-    assert abs(social_surplus(profile, cost_model, 2.0, 1.0) - (V_2_1 - 10.5)) < 1e-12
-
-
 def test_scalar_array_agreement(profile):
     sig = np.linspace(0.0, 8.0, 33)
     t = np.linspace(0.1, 20.0, 33)
-    for f in (unsatisfied_demand, valuation, valuation_dt):
+    for f in (valuation, valuation_dt):
         arr = f(profile, sig, t)
         scal = np.array([f(profile, float(s), float(x)) for s, x in zip(sig, t)])
         assert np.max(np.abs(arr - scal)) < 1e-14
         assert isinstance(f(profile, 1.5, 2.5), float)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "sigma, t, message",
+    [
+        ([1.0, -0.5], [1.0, 1.0], "sigma"),
+        ([1.0, NAN], [1.0, 1.0], "sigma"),
+        ([1.0, INF], [1.0, 1.0], "sigma"),
+        ([-INF, 1.0], [1.0, 1.0], "sigma"),
+        ([1.0, 1.0], [1.0, 0.0], "period"),
+        ([1.0, 1.0], [-1.0, 1.0], "period"),
+        ([1.0, 1.0], [1.0, NAN], "period"),
+        ([1.0, 1.0], [INF, 1.0], "period"),
+        ([1.0, 1.0], [1.0, -INF], "period"),
+    ],
+    ids=["negative_sigma", "nan_sigma", "inf_sigma", "minus_inf_sigma", "zero_period", "negative_period",
+         "nan_period", "inf_period", "minus_inf_period"],
+)
+def test_array_inputs_rejected(profile, sigma, t, message):
+    for f in (valuation, valuation_dt, valuation_dsigma):
+        with pytest.raises(ValueError, match=message):
+            f(profile, np.array(sigma), np.array(t))
+
+
+@pytest.mark.parametrize(
+    "t", [[1.0, -0.5], [NAN, 1.0], [1.0, INF], [-INF, 1.0]], ids=["negative", "nan", "inf", "minus_inf"]
+)
+def test_cost_array_inputs_rejected(cost_model, t):
+    with pytest.raises(ValueError, match="period t must be finite and nonnegative"):
+        cost(cost_model, np.array(t))
+
+
+def test_empty_array_inputs_pass(profile, cost_model):
+    empty = np.array([])
+    assert valuation(profile, empty, empty).shape == (0,)
+    assert valuation_dt(profile, empty, 1.0).shape == (0,)
+    assert cost(cost_model, empty).shape == (0,)
+    assert cost(cost_model, np.array([0.0, 2.0])).tolist() == [10.0, 11.0]

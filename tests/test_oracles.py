@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planmenu.discrete import DEFAULT_T_DOMAIN, maximize_concave, optimal_prices, solve_discrete
+from planmenu.discrete import maximize_concave, optimal_prices, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import solve_alternating, total_profit_grouped
 from planmenu.market import cost, valuation
 from planmenu.oracles import (
+    IC_SCAN_POINTS,
+    TUPLE_BUDGET,
     _first_best_surplus_rate,
     _first_best_surplus_rates,
     brute_force_ic_ir,
@@ -21,7 +23,6 @@ from planmenu.oracles import (
     grid_oracle_discrete,
     grid_oracle_grouped,
     monte_carlo_valuation,
-    realized_profit,
     social_metrics,
 )
 from planmenu.scenarios import load_scenario
@@ -114,6 +115,75 @@ def test_certificate_requires_boundaries_for_continuum(profile):
     market = make_market("uniform", 0.0, 6.0)
     with pytest.raises(ValueError):
         brute_force_ic_ir(profile, market, [1.0], [11.0])
+
+
+def ic_ir_by_loop(profile, market, periods, prices, boundaries=None):
+    """brute_force_ic_ir's certificate numbers, one consumer at a time:
+    (worst IC violation, worst IR violation, violating pair, consumers)."""
+    t = np.asarray(periods, dtype=float)
+    p = np.asarray(prices, dtype=float)
+    if isinstance(market, DiscreteMarket):
+        sigmas = market.sigmas
+        assigned = np.arange(market.n_types)
+    else:
+        b = np.asarray(boundaries, dtype=float)
+        sigmas = np.unique(np.concatenate([np.linspace(market.sigma_min, market.sigma_max, IC_SCAN_POINTS), b]))
+        assigned = np.searchsorted(b, sigmas, side="left")
+    utilities = np.empty((sigmas.size, t.size))
+    for j in range(t.size):
+        utilities[:, j] = valuation(profile, sigmas, t[j]) - p[j]
+    worst_ic = worst_ir = 0.0
+    pair = None
+    for u, sig, k in zip(utilities, sigmas, assigned):
+        if k >= t.size:  # unserved: opting out must be best
+            j = int(np.argmax(u))
+            if u[j] > worst_ic:
+                worst_ic, pair = float(u[j]), (float(sig), j, -1)
+            continue
+        if t.size > 1:
+            masked = np.where(np.arange(t.size) == k, -np.inf, u)
+            j = int(np.argmax(masked))
+            if masked[j] - u[k] > worst_ic:
+                worst_ic, pair = float(masked[j] - u[k]), (float(sig), j, int(k))
+        worst_ir = max(worst_ir, float(-u[k]))
+    return worst_ic, worst_ir, pair, int(sigmas.size)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_certificate_matches_per_consumer_loop(profile, data):
+    # ascending periods at chain prices (binding ties) or priced near the
+    # sigma=3 valuation (violations); discrete markets and exponential continua
+    n = data.draw(st.integers(1, 6))
+    periods = np.sort(data.draw(st.lists(st.floats(0.1, 20.0), min_size=n, max_size=n)))
+    sigmas = np.sort(data.draw(st.lists(st.floats(0.05, 6.0), min_size=n, max_size=n, unique=True)))
+    if data.draw(st.booleans()):
+        prices = optimal_prices(profile, sigmas, periods)
+    else:
+        shifts = data.draw(st.lists(st.floats(-1.5, 0.5), min_size=n, max_size=n))
+        prices = valuation(profile, 3.0, periods) + np.array(shifts)
+    if data.draw(st.booleans()):
+        market, boundaries = DiscreteMarket(sigmas=sigmas, counts=np.ones(n)), None
+    else:
+        market, boundaries = make_market("exponential", 0.0, 6.0, rate=0.3), sigmas
+    cert = brute_force_ic_ir(profile, market, periods, prices, boundaries=boundaries)
+    ref = ic_ir_by_loop(profile, market, periods, prices, boundaries)
+    assert (cert.worst_ic_violation, cert.worst_ir_violation, cert.violating_pair, cert.n_consumers_checked) == ref
+
+
+def realized_profit(profile, cost_model, market, periods, prices):
+    """Profit when every type freely picks its utility-maximizing item
+    (or walks away): checks that no price perturbation beats the
+    telescoping chain."""
+    t = np.asarray(periods, dtype=float)
+    p = np.asarray(prices, dtype=float)
+    total = 0.0
+    for sig, n in zip(market.sigmas, market.counts):
+        u = valuation(profile, sig, t) - p
+        j = int(np.argmax(u))
+        if u[j] >= 0.0:
+            total += n * (p[j] - cost(cost_model, t[j]))
+    return total
 
 
 def test_realized_profit_hand_example(profile, cost_model):
@@ -226,9 +296,14 @@ def test_grid_oracle_pools_near_identical_types(profile, cost_model):
 
 
 def test_grid_oracle_refuses_oversized_work(profile, cost_model):
+    # 10_001 types x 10_001 periods just exceeds the budget; the check
+    # comes before any table is built
+    n = 10_001
+    assert n * n > TUPLE_BUDGET
+    many = DiscreteMarket(sigmas=np.linspace(0.1, 6.0, n), counts=np.ones(n))
+    with pytest.raises(ValueError, match="work budget"):
+        grid_oracle_discrete(profile, cost_model, many, np.linspace(0.1, 30, n))
     market = DiscreteMarket(sigmas=[1.0, 2.0, 3.0, 4.0], counts=np.ones(4))
-    with pytest.raises(ValueError):
-        grid_oracle_discrete(profile, cost_model, market, np.linspace(0.1, 30, 3000), budget=10_000)
     with pytest.raises(ValueError):
         grid_oracle_discrete(profile, cost_model, market, [1.0, 1.0, 2.0])
     # no cap on the number of types: five fit once the work does
@@ -291,11 +366,10 @@ def test_grouped_grid_oracle_matches_literal_enumeration(profile, cost_model, n_
 
 def test_grouped_grid_oracle_validation(profile, cost_model):
     market = make_market("uniform", 0.0, 6.0)
-    with pytest.raises(ValueError):
+    assert 3 * 6000 * 6000 > TUPLE_BUDGET
+    with pytest.raises(ValueError, match="work budget"):
         grid_oracle_grouped(
-            profile, cost_model, market, 3,
-            np.linspace(0.1, 6, 2000), np.linspace(0.1, 30, 2000),
-            budget=1_000_000,
+            profile, cost_model, market, 3, np.linspace(0.1, 6, 6000), np.linspace(0.1, 30, 6000)
         )
     with pytest.raises(ValueError):
         grid_oracle_grouped(
@@ -460,8 +534,8 @@ def test_lockstep_first_best_matches_scalar_searches(profile, cost_model):
     quadratic = type(cost_model)(c0=10.0, w=lambda t: 0.05 * t * t)
     sigmas = np.concatenate([np.linspace(0.0, 6.0, 301), [1e-9, 30.0]])
     for model in (cost_model, quadratic, type(cost_model)(c0=13.5, c1=0.5)):
-        rates = _first_best_surplus_rates(profile, model, sigmas, DEFAULT_T_DOMAIN)
-        ref = [_first_best_surplus_rate(profile, model, float(s), DEFAULT_T_DOMAIN) for s in sigmas]
+        rates = _first_best_surplus_rates(profile, model, sigmas)
+        ref = [_first_best_surplus_rate(profile, model, float(s)) for s in sigmas]
         assert np.max(np.abs(rates - ref)) <= 1e-13
 
 
@@ -482,8 +556,4 @@ def test_build_comparison_arithmetic(profile, cost_model, case1):
         assert abs(row.uplift_full_percent - 100.0 * (sol.total_profit / full.profit - 1.0)) < 1e-9
         assert abs(row.uplift_optimized_percent - 100.0 * (sol.total_profit / opt.profit - 1.0)) < 1e-9
         assert row.uplift_optimized_percent <= row.uplift_full_percent
-    assert report.uplift_percent(1.0) == report.baselines[0].uplift_full_percent
-    assert report.uplift_percent(2.0, "optimized") == report.baselines[1].uplift_optimized_percent
-    with pytest.raises(KeyError):
-        report.uplift_percent(3.0)
     assert report.social is not None and report.social.ratio <= 1.0 + 1e-9

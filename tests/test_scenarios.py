@@ -335,14 +335,26 @@ def test_cli_sweep(tmp_path, capsys):
 HEADER = "group_index,sigma_boundary,period,price,count,item_profit"
 
 
+def solution_text(sigmas, prices):
+    rows = [f"{k + 1},{s:g},{1.0 + k:g},{p},1,0" for k, (s, p) in enumerate(zip(sigmas, prices))]
+    return "\n".join([HEADER] + rows) + "\n"
+
+
 @pytest.mark.parametrize(
     "scenario, text, problem",
     [
         ("case1_discrete", "group_index,sigma_boundary,price\n1,0.1,12.0\n", "missing column 'period'"),
         ("case1_discrete", HEADER + "\n1,0.1,two,12.0,1,2.0\n", "non-numeric"),
         ("uniform_k6", HEADER + "\n", "no solution rows"),
+        # NaN parses as a float and fails every comparison of the checks
+        ("case1_discrete", solution_text(np.arange(0.1, 6.2, 0.6), ["nan"] * 11), "non-finite"),
+        ("uniform_k6", solution_text(np.arange(1.0, 7.0), ["nan"] * 6), "non-finite"),
+        ("uniform_k6", solution_text([1.0, 3.0, 2.0], [11.0, 11.5, 12.0]), "sigma_boundary values must ascend"),
     ],
-    ids=["no_period_column", "non_numeric_cell", "grouped_header_only"],
+    ids=[
+        "no_period_column", "non_numeric_cell", "grouped_header_only", "nan_prices_discrete",
+        "nan_prices_grouped", "descending_boundaries",
+    ],
 )
 def test_cli_verify_rejects_malformed_csv(tmp_path, capsys, scenario, text, problem):
     bad = tmp_path / "solution.csv"
