@@ -16,7 +16,9 @@ The second term is the information rent every lower type extracts when
 type i's item grows more attractive.  Maximizing each P_i alone can
 break the ascending-period requirement; the repair step pools adjacent
 violators onto one shared period (the pooled objective is the block
-sum), which is exactly the constrained optimum.
+sum), which is exactly the constrained optimum.  Every type and every
+pooled block is searched at once, by a safeguarded Newton-bisection on
+the closed-form slope P_i'(t).
 """
 
 import warnings
@@ -26,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .market import cost, valuation
+from .market import cost, valuation, valuation_dt_dtt
 
 INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -38,6 +40,11 @@ DEFAULT_T_DOMAIN = (1e-4, 600.0)
 #: Golden-section searches stop once the bracket is this fraction of the
 #: starting interval (~50 iterations).
 ARG_RTOL = 1e-10
+#: Period searches stop once a Newton step or the sign bracket is
+#: STEP_RTOL of t, or the slope is within SLOPE_RTOL of the sum of its
+#: absolute terms (16 roundings: its floating-point floor).
+STEP_RTOL = 1e-12
+SLOPE_RTOL = 16 * np.finfo(float).eps
 #: Roundoff allowance of the concavity probe, relative to max(1, |f|).
 PROBE_RTOL = 1e-9
 #: Roundoff allowance of the menu checks: feasibility here, IC/IR in oracles.
@@ -73,23 +80,6 @@ def golden_section_max(f, lo, hi):
     return x, f(x)
 
 
-def maximize_concave(f, lo, hi):
-    """Golden-section maximum of a concave f on [lo, hi].
-
-    A three-point midpoint-concavity probe guards against misuse: for
-    equally spaced x1 < x2 < x3, concavity demands
-    f(x2) >= (f(x1) + f(x3)) / 2 up to roundoff.
-    """
-    x1 = lo + 0.25 * (hi - lo)
-    x2 = lo + 0.50 * (hi - lo)
-    x3 = lo + 0.75 * (hi - lo)
-    f1, f2, f3 = f(x1), f(x2), f(x3)
-    scale = max(1.0, abs(f1), abs(f2), abs(f3))
-    if f2 - 0.5 * (f1 + f3) < -PROBE_RTOL * scale:
-        raise ValueError("objective failed the three-point concavity probe")
-    return golden_section_max(f, lo, hi)
-
-
 @dataclass
 class PooledBlock:
     """A run of menu positions forced onto one shared decision value."""
@@ -99,53 +89,34 @@ class PooledBlock:
     value: float  # the shared argmax
 
 
-def repair_monotone(objectives, lo, hi, optimizer=maximize_concave) -> Tuple[np.ndarray, List[PooledBlock]]:
+def repair_monotone(solve_blocks, n, guess=None) -> Tuple[np.ndarray, List[PooledBlock]]:
     """Ascending joint maximizer of sum_i f_i(x_i) s.t. x_1 <= ... <= x_n.
 
-    objectives: list of 1-D callables, each maximized on [lo, hi].
-    Starts from the unconstrained argmaxes; while any strict descent
-    remains, pools the leftmost maximal nonincreasing run containing a
-    strict descent onto the single value maximizing the run's summed
-    objective, then rescans.  Returns the per-index values plus the
-    blocks that ended up pooled.
+    solve_blocks(first, last, guess) maximizes, for each block j, the
+    summed objective of indices first[j]..last[j] (from guess[j] where
+    the solver can use one; guess may be None) and returns one argmax
+    per block.  Starts from the n unconstrained argmaxes; while any
+    strict descent remains, pools every maximal nonincreasing run of
+    blocks that contains one and re-solves all new blocks in one call,
+    each from the midpoint of its run.  Returns the per-index values
+    plus the blocks that ended up pooled.
     """
-    n = len(objectives)
-    blocks = []  # (index list, argmax, value)
-    for i, f in enumerate(objectives):
-        x, fx = optimizer(f, lo, hi)
-        blocks.append(([i], x, fx))
-
-    def leftmost_violating_run():
-        j = 0
-        while j + 1 < len(blocks):
-            if blocks[j][1] > blocks[j + 1][1]:  # strict descent
-                start = j
-                while start > 0 and blocks[start - 1][1] >= blocks[start][1]:
-                    start -= 1
-                stop = j + 1
-                while stop + 1 < len(blocks) and blocks[stop][1] >= blocks[stop + 1][1]:
-                    stop += 1
-                return start, stop
-            j += 1
-        return None
-
-    while True:
-        run = leftmost_violating_run()
-        if run is None:
-            break
-        start, stop = run
-        members = [i for b in blocks[start : stop + 1] for i in b[0]]
-        pooled = [objectives[i] for i in members]
-        x, fx = optimizer(lambda t: sum(f(t) for f in pooled), lo, hi)
-        blocks[start : stop + 1] = [(members, x, fx)]
-
-    out = np.empty(n)
-    pooled_blocks = []
-    for members, x, _ in blocks:
-        out[members] = x
-        if len(members) > 1:
-            pooled_blocks.append(PooledBlock(start=members[0], stop=members[-1], value=x))
-    return out, pooled_blocks
+    first = np.arange(n)
+    last = np.arange(n)
+    x = np.asarray(solve_blocks(first, last, guess), dtype=float)
+    while np.any(x[:-1] > x[1:]):
+        # maximal runs of nonincreasing gaps between adjacent blocks
+        edges = np.diff(np.concatenate(([0], (x[:-1] >= x[1:]).astype(np.int8), [0])))
+        lead, tail = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        strict = np.add.reduceat(x[:-1] > x[1:], lead) > 0  # gaps between runs never descend
+        lead, tail = lead[strict], tail[strict]
+        absorbed = np.cumsum(np.bincount(lead + 1, minlength=x.size + 1) - np.bincount(tail + 1, minlength=x.size + 1))
+        keep = absorbed[: x.size] == 0
+        last[lead] = last[tail]
+        x[lead] = solve_blocks(first[lead], last[lead], 0.5 * (x[lead] + x[tail]))
+        first, last, x = first[keep], last[keep], x[keep]
+    pooled = [PooledBlock(start=int(a), stop=int(b), value=float(v)) for a, b, v in zip(first, last, x) if b > a]
+    return np.repeat(x, last - first + 1), pooled
 
 
 # --- the discrete menu problem -----------------------------------------
@@ -156,30 +127,107 @@ def period_objective(profile, cost_model, own, below, sigma, sigma_prev, t):
 
     The profit terms containing one menu item's period t: `own` consumers
     buy it, `below` lower consumers draw the information rent, and sigma
-    is the item's marginal type.  Shared by both solvers; the rent term
-    is skipped when below = 0.
+    is the item's marginal type.  Shared by both solvers; broadcasts.
     """
     v = valuation(profile, sigma, t)
-    out = own * (v - cost(cost_model, t))
-    if below == 0.0:
-        return out
-    return out + below * (v - valuation(profile, sigma_prev, t))
+    return own * (v - cost(cost_model, t)) + below * (v - valuation(profile, sigma_prev, t))
 
 
-def search_periods(profile, cost_model, sigmas, own, below):
+def _cost_slopes(cost_model, t):
+    """(C'(t), C''(t)): (c1, 0) for the linear cost, central differences
+    of a custom W (of W, not of C = W + c0, whose larger values would
+    round the differences more coarsely)."""
+    if cost_model.w is None:
+        return cost_model.c1, 0.0
+    h = np.minimum(1e-4 * np.maximum(1.0, t), t)
+    down, mid, up = np.asarray(cost_model.w(np.stack([t - h, t, t + h])), dtype=float)
+    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
+
+
+def block_periods(profile, cost_model, sigmas, own, below, first, last, guess=None):
+    """The period maximizing each block's summed period objective on
+    DEFAULT_T_DOMAIN, all blocks in lockstep.
+
+    Item i has marginal type sigmas[i], own[i] buyers and below[i]
+    rent-drawing consumers, its rent measured against sigmas[i-1]; block
+    j pools items first[j]..last[j].  A three-point concavity probe
+    guards every block.  The search is a safeguarded Newton-bisection on
+    the closed-form slope P' (the sum of the members' slopes), split as
+    P' = gain - loss: gain = (own + below) V_t(sigma_i) and
+    loss = own C' + below V_t(sigma_{i-1}).  Each step is Newton's on
+    log(gain / loss) against log t, exact where V_t follows a power of
+    t (from a cold start plain Newton on P' creeps up by a factor of
+    about 1.5 per step), taken if it stays inside the sign bracket; else
+    the step goes to the bracket's geometric midpoint.  A block with
+    P'(lo) <= 0 sits at lo, one with P'(hi) >= 0 at hi.  Each block
+    stops once its step or its bracket is STEP_RTOL of t, or |P'| is
+    within SLOPE_RTOL of gain + loss.  Starts from guess (one period
+    per block), else from sqrt(lo * hi).
+    """
+    lo, hi = DEFAULT_T_DOMAIN
+    sizes = last - first + 1
+    offsets = np.cumsum(sizes) - sizes
+    members = np.arange(sizes.sum()) + np.repeat(first - offsets, sizes)
+    sig = np.stack([sigmas[members], sigmas[np.maximum(members - 1, 0)]])  # own and rent types
+    own, below = own[members], below[members]
+
+    probe = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo)
+    v = valuation(profile, sig, probe[:, None, None])
+    f = own * (v[:, 0] - cost(cost_model, probe)[:, None]) + below * (v[:, 0] - v[:, 1])
+    f = np.add.reduceat(f, offsets, axis=1)
+    if np.any(f[1] - 0.5 * (f[0] + f[2]) < -PROBE_RTOL * np.maximum(1.0, np.abs(f).max(axis=0))):
+        raise ValueError("objective failed the three-point concavity probe")
+
+    def slopes(t):  # gain, loss and their t-derivatives per block, for t of shape (..., blocks)
+        tm = np.repeat(t, sizes, axis=-1)
+        vt, vtt = valuation_dt_dtt(profile, sig, tm[..., None, :])
+        c1, c2 = _cost_slopes(cost_model, tm)
+        terms = (
+            (own + below) * vt[..., 0, :],
+            own * c1 + below * vt[..., 1, :],
+            (own + below) * vtt[..., 0, :],
+            own * c2 + below * vtt[..., 1, :],
+        )
+        if members.size == sizes.size:  # no pooled block
+            return terms
+        return (np.add.reduceat(z, offsets, axis=-1) for z in terms)
+
+    x = np.full(first.size, np.sqrt(lo * hi)) if guess is None else np.clip(guess, lo, hi)
+    a, b = np.full_like(x, lo), np.full_like(x, hi)
+    gain, loss, dgain, dloss = slopes(np.stack([a, b, x]))
+    at_lo = gain[0] <= loss[0]
+    at_hi = ~at_lo & (gain[1] >= loss[1])
+    x = np.where(at_lo, lo, np.where(at_hi, hi, x))
+    gain, loss, dgain, dloss = gain[2], loss[2], dgain[2], dloss[2]
+    active = ~(at_lo | at_hi)
+    while True:
+        g = gain - loss
+        active &= np.abs(g) > SLOPE_RTOL * (gain + loss)
+        rising = active & (g > 0)
+        a = np.where(rising, x, a)
+        b = np.where(active & ~rising, x, b)
+        active &= b - a > STEP_RTOL * x
+        if not active.any():
+            return x
+        with np.errstate(all="ignore"):  # a zero or negative gain or loss gives NaN: bisect
+            newton = x * np.exp(-np.log(gain / loss) / (x * (dgain / gain - dloss / loss)))
+        new = np.where((newton > a) & (newton < b), newton, np.sqrt(a * b))
+        step, x = new - x, np.where(active, new, x)
+        active &= np.abs(step) > STEP_RTOL * x
+        if not active.any():
+            return x
+        gain, loss, dgain, dloss = slopes(x)
+
+
+def search_periods(profile, cost_model, sigmas, own, below, guess=None):
     """Ascending periods maximizing the summed period objectives of a menu.
 
-    Item i has marginal type sigmas[i], `own[i]` buyers and `below[i]`
-    rent-drawing consumers (floats).  Each objective is searched on
-    DEFAULT_T_DOMAIN and descents are pooled.  Returns (objectives,
-    periods, pooled blocks).
+    Item i has marginal type sigmas[i], own[i] buyers and below[i]
+    rent-drawing consumers (float arrays).  All items are searched in
+    lockstep (from guess, one period per item, if given) and descents
+    are pooled.  Returns (periods, pooled blocks).
     """
-    objectives = [
-        partial(period_objective, profile, cost_model, own[i], below[i], float(sigmas[i]), float(sigmas[max(i - 1, 0)]))
-        for i in range(len(own))
-    ]
-    periods, pooled = repair_monotone(objectives, *DEFAULT_T_DOMAIN)
-    return objectives, periods, pooled
+    return repair_monotone(partial(block_periods, profile, cost_model, sigmas, own, below), own.size, guess)
 
 
 def optimal_prices(profile, sigmas, periods):
@@ -218,11 +266,16 @@ def feasibility_check(profile, market, periods, prices) -> FeasibilityReport:
     (b) the top type participates: pi_I <= V(sigma_I, t_I);
     (c/d) each adjacent price gap pi_i - pi_{i+1} lies between the
           valuation drop of the higher type and that of the lower type.
+
+    A non-finite price fails before all four, as "finite_prices".
     """
     periods = np.asarray(periods, dtype=float)
     prices = np.asarray(prices, dtype=float)
     tol = FEASIBILITY_TOL
     n = market.n_types
+    if not np.all(np.isfinite(prices)):
+        i = int(np.argmin(np.isfinite(prices)))
+        return FeasibilityReport(False, "finite_prices", i, float("inf"), tol)
     descent = -np.diff(periods)
     if n > 1 and descent.max() > tol:
         i = int(np.argmax(descent))
@@ -258,14 +311,14 @@ class DiscreteSolution:
 def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
     """Profit-maximizing menu for a discrete market.
 
-    Per-type concave search, ascending repair by pooling, then the
+    Lockstep per-type search, ascending repair by pooling, then the
     telescoping price chain.  The period cap is asserted non-binding.
     """
     lo, hi = DEFAULT_T_DOMAIN
     sig = market.sigmas
-    own = [float(n) for n in market.counts]
-    below = [market.count_below(i) for i in range(market.n_types)]
-    objectives, periods, pooled = search_periods(profile, cost_model, sig, own, below)
+    own = market.counts
+    below = np.array([market.count_below(i) for i in range(market.n_types)])
+    periods, pooled = search_periods(profile, cost_model, sig, own, below)
     if np.any(periods > hi - 1e-6 * (hi - lo)):
         warnings.warn("a period argmax pressed against the search cap DEFAULT_T_DOMAIN", RuntimeWarning)
     prices = optimal_prices(profile, sig, periods)
@@ -274,7 +327,8 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
         raise RuntimeError(f"constructed menu failed feasibility: {report}")
     margins = prices - cost(cost_model, periods)
     total = float(np.dot(market.counts, margins))
-    values = np.array([f(periods[i]) for i, f in enumerate(objectives)])
+    rent_types = sig[np.maximum(np.arange(sig.size) - 1, 0)]
+    values = period_objective(profile, cost_model, own, below, sig, rent_types, periods)
     return DiscreteSolution(
         periods=periods,
         prices=prices,

@@ -19,7 +19,7 @@ slack.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

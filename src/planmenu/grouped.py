@@ -10,10 +10,11 @@ one term per boundary,
 so boundaries interact only through the ascending constraint, exactly
 like periods do.  The solver alternates two half-steps:
 
-  Step I   periods given boundaries: per-group concave search plus
-           ascending repair (pooling);
-  Step II  boundaries given periods: per-boundary unimodal search plus
-           ascending repair.
+  Step I   periods given boundaries: the discrete solver's lockstep
+           Newton-bisection period search, warm-started from the last
+           round's periods, plus ascending repair (pooling);
+  Step II  boundaries given periods: per-boundary golden-section search
+           plus ascending repair.
 
 Each half-step maximizes the exact same total profit in its own block
 of coordinates, so the profit trace is nondecreasing.  Unimodality of
@@ -24,10 +25,11 @@ back to a dense grid scan with golden refinement.
 Alternation alone converges only linearly.  After a round that pools
 nothing, safeguarded projected-Newton steps on the 2K stationarity
 system dP/d(b, t) = 0 finish the job, holding coordinates on a window
-edge fixed.  The solver converges once the projected first-order (KKT)
-residual is at most KKT_TOL * N and one more round gains at most
-REL_PROFIT_TOL in relative profit; a round that pools stops the solve
-when profit stalls.
+edge fixed, and one last step on the final Hessian factor once the
+projected first-order (KKT) residual is at most KKT_TOL * N.  The
+solver converges once that residual holds and one more round gains at
+most REL_PROFIT_TOL in relative profit; a round that pools stops the
+solve when profit stalls.
 """
 
 import warnings
@@ -40,6 +42,7 @@ from scipy import linalg
 from .discrete import (
     DEFAULT_T_DOMAIN,
     PooledBlock,
+    _cost_slopes,
     golden_section_max,
     optimal_prices,
     repair_monotone,
@@ -115,14 +118,6 @@ def _valuation_dsigma(profile, sigma, t):
     return np.where(pos, valuation_dsigma(profile, np.where(pos, sigma, 1.0), t), 0.0)
 
 
-def _cost_slope(cost_model, t):
-    """C'(t): c1 for the linear cost, a central difference for a custom W."""
-    if cost_model.w is None:
-        return np.full_like(t, cost_model.c1)
-    h = np.minimum(1e-4 * np.maximum(1.0, t), t)
-    return (cost(cost_model, t + h) - cost(cost_model, t - h)) / (2.0 * h)
-
-
 def profit_gradient(profile, cost_model, market, boundaries, periods):
     """(dP/db, dP/dt) of total profit in closed form.
 
@@ -155,7 +150,7 @@ def profit_gradient(profile, cost_model, market, boundaries, periods):
     b_below = np.concatenate([b[..., :1], b[..., :-1]], axis=-1)
     vt = valuation_dt(profile, np.concatenate([b, b_below], axis=-1), np.concatenate([t, t], axis=-1))
     vt_own, vt_rent = vt[..., :K], vt[..., K:]
-    d_t = N * ((G - G_below) * (vt_own - _cost_slope(cost_model, t)) + G_below * (vt_own - vt_rent))
+    d_t = N * ((G - G_below) * (vt_own - _cost_slopes(cost_model, t)[0]) + G_below * (vt_own - vt_rent))
 
     pairs = np.concatenate([b, b[..., :-1]], axis=-1), np.concatenate([t, t[..., 1:]], axis=-1)
     v = valuation(profile, *pairs)
@@ -194,12 +189,12 @@ def _menu_residual(market, b, t, d_b, d_t):
     )
 
 
-def _newton_step(profile, cost_model, market, x, grad, free, lo, hi):
-    """Newton step on the free coordinates of x = (b, t), or None where
-    the Hessian is not negative definite.
+def _hessian_factor(profile, cost_model, market, x, free, lo, hi):
+    """Cholesky factor of -H on the free coordinates of x = (b, t), or
+    None where the Hessian H is not negative definite.
 
-    The Hessian is a symmetrized central difference of the gradient, all
-    perturbed points in one batched call; each difference step is
+    H is a symmetrized central difference of the gradient, all perturbed
+    points in one batched call; each difference step is
     1e-6 * max(1, |x|), at most half the distance to the window edge.
     """
     K = x.size // 2
@@ -214,20 +209,22 @@ def _newton_step(profile, cost_model, market, x, grad, free, lo, hi):
     F = np.concatenate([d_b, d_t], axis=1)[:, idx]
     hess = (F[:n] - F[n:]) / (2.0 * h[:, None])
     try:
-        factor = linalg.cho_factor(-0.5 * (hess + hess.T))
+        return linalg.cho_factor(-0.5 * (hess + hess.T))
     except linalg.LinAlgError:
         return None
-    return linalg.cho_solve(factor, grad[idx])
 
 
 def _newton_finish(profile, cost_model, market, boundaries, periods, profit, trace):
     """Safeguarded projected-Newton steps from an ascending, unpooled menu.
 
-    Coordinates on a window edge stay fixed.  A step is taken only if the
-    new boundaries and periods stay strictly ascending inside their
-    windows and profit does not fall (up to rounding); each accepted
-    profit joins the trace.  Returns (boundaries, periods, profit,
-    residual, steps), the residual measured at the returned menu.
+    Coordinates on a window edge stay fixed.  Once the residual is at
+    most KKT_TOL * N, one more (polish) step reuses the last Hessian
+    factor, so where the finish stops inside that tolerance does not
+    hang on the bits it started from.  A step is taken only if the new
+    boundaries and periods stay strictly ascending inside their windows
+    and profit does not fall (up to rounding); each accepted profit
+    joins the trace.  Returns (boundaries, periods, profit, residual,
+    steps), the residual measured at the returned menu.
     """
     K = boundaries.size
     lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
@@ -236,15 +233,23 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
     tol = KKT_TOL * market.size
     x = np.concatenate([boundaries, periods])
     steps = 0
+    factor = None
     while True:
         d_b, d_t = profit_gradient(profile, cost_model, market, x[:K], x[K:])
+        grad = np.concatenate([d_b, d_t])
         residual = _menu_residual(market, x[:K], x[K:], d_b, d_t)
-        if residual <= tol or steps == MAX_NEWTON_STEPS:
+        if residual <= tol:
+            if factor is None:
+                break
+            step, factor = linalg.cho_solve(factor, grad[free]), None
+        elif steps >= MAX_NEWTON_STEPS:
             break
-        free = (x > lo + edge) & (x < hi - edge)
-        step = _newton_step(profile, cost_model, market, x, np.concatenate([d_b, d_t]), free, lo, hi)
-        if step is None:
-            break
+        else:
+            free = (x > lo + edge) & (x < hi - edge)
+            factor = _hessian_factor(profile, cost_model, market, x, free, lo, hi)
+            if factor is None:
+                break
+            step = linalg.cho_solve(factor, grad[free])
         trial = x.copy()
         trial[free] += step
         b, t = trial[:K], trial[K:]
@@ -259,29 +264,24 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
     return x[:K], x[K:], profit, residual, steps
 
 
-def step1_periods(profile, cost_model, market, boundaries):
+def step1_periods(profile, cost_model, market, boundaries, guess=None):
     """Optimal ascending periods for fixed boundaries: (periods, pooled blocks).
 
     This is the discrete problem with the boundary types as marginal
     types and the band masses as counts; the rent mass of group k is
-    N*G(sigma_{k-1}).
+    N*G(sigma_{k-1}).  The search starts from guess (one period per
+    group) if given.
     """
     b = np.asarray(boundaries, dtype=float)
     G = np.atleast_1d(np.asarray(market.cdf(b), dtype=float))
     G_lo = np.append(0.0, G[:-1])
-    own = [market.size * (float(G[k]) - float(G_lo[k])) for k in range(b.size)]
-    below = [market.size * float(G_lo[k]) for k in range(b.size)]
-    _, periods, pooled = search_periods(profile, cost_model, b, own, below)
-    return periods, pooled
+    return search_periods(profile, cost_model, b, market.size * (G - G_lo), market.size * G_lo, guess)
 
 
 def step2_boundaries(profile, cost_model, market, periods, coarse_grid=None):
-    """Optimal ascending boundaries for fixed periods."""
+    """Optimal ascending boundaries for fixed periods: one golden-section
+    search per block of boundaries."""
     lo, hi = market.sigma_min, market.sigma_max
-
-    def optimizer(f, a, b):
-        return maximize_unimodal(f, a, b, coarse_grid=coarse_grid)
-
     t = np.asarray(periods, dtype=float)
     costs = cost(cost_model, t)
     objectives = []
@@ -295,7 +295,16 @@ def step2_boundaries(profile, cost_model, market, periods, coarse_grid=None):
                 t_k, t_next, dcost
             )
         )
-    return repair_monotone(objectives, lo, hi, optimizer=optimizer)
+
+    def solve_blocks(first, last, _guess):
+        argmaxes = []
+        for i, j in zip(first, last):
+            members = objectives[i : j + 1]
+            f = members[0] if i == j else (lambda s: sum(g(s) for g in members))
+            argmaxes.append(maximize_unimodal(f, lo, hi, coarse_grid=coarse_grid)[0])
+        return argmaxes
+
+    return repair_monotone(solve_blocks, t.size)
 
 
 def total_profit_grouped(profile, cost_model, market, boundaries, periods):
@@ -393,7 +402,7 @@ def solve_alternating(
     rounds = 0
     for rounds in range(1, MAX_ROUNDS + 1):
         start = boundaries, periods
-        periods, period_blocks = step1_periods(profile, cost_model, market, boundaries)
+        periods, period_blocks = step1_periods(profile, cost_model, market, boundaries, guess=periods)
         p1 = _profit_via_boundary_terms(profile, cost_model, market, boundaries, periods)
         _check_monotone(trace, p1)
         trace.append(p1)

@@ -131,9 +131,19 @@ def valuation(profile, sigma, t):
 
 def valuation_dt(profile, sigma, t):
     """dV/dt = alpha*sigma*phi(a)/(2*t^1.5) > 0; 0 in the sigma = 0 limit."""
+    return valuation_dt_dtt(profile, sigma, t)[0][()]
+
+
+def valuation_dt_dtt(profile, sigma, t):
+    """(dV/dt, d2V/dt2) from one threshold a and one phi(a).
+
+    dV/dt = alpha*sigma*phi(a)/(2*t^1.5) and d2V/dt2 = -V_t*(a^2 + 3)/(2t)
+    < 0, so V is strictly concave in t; both are 0 in the sigma = 0 limit.
+    """
     sv, tv = _check_sigma_t(sigma, t)
     a = _shortfall_threshold(profile, sv, tv)
-    return np.where(sv > 0, profile.alpha * sv * std_normal_pdf(a) / (2.0 * tv ** 1.5), 0.0)[()]
+    vt = np.where(sv > 0, profile.alpha * sv * std_normal_pdf(a) / (2.0 * tv ** 1.5), 0.0)
+    return vt, -vt * (a * a + 3.0) / (2.0 * tv)
 
 
 def valuation_dsigma(profile, sigma, t):

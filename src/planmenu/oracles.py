@@ -1,4 +1,5 @@
-"""Independent checks for the solvers: nothing here reuses solver logic.
+"""Independent checks for the solvers: no certificate or oracle here
+reuses solver logic.
 
 - brute_force_ic_ir re-derives every consumer's best choice from raw
   utilities and confirms the menu's assignment wins (or that opting
@@ -16,7 +17,8 @@
   covering the whole market (price at the top type's valuation) or
   with a profit-maximizing marginal type.
 - social_metrics compares realized social surplus against the
-  first-best that ignores incentive constraints.
+  first-best that ignores incentive constraints.  It is accounting, not
+  a check: the first-best periods come from the solvers' period search.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +28,7 @@ import numpy as np
 from scipy.integrate import fixed_quad
 from scipy.special import ndtri
 
-from .discrete import ARG_RTOL, DEFAULT_T_DOMAIN, FEASIBILITY_TOL, INVPHI, INVPHI2, PROBE_RTOL
-from .discrete import DiscreteSolution, maximize_concave
+from .discrete import FEASIBILITY_TOL, DiscreteSolution, block_periods
 from .distributions import ContinuousMarket, DiscreteMarket
 from .grouped import GroupedSolution, maximize_unimodal
 from .market import cost, valuation
@@ -60,6 +61,7 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
     IC_SCAN_POINTS types are scanned across the whole window (plus the
     boundaries themselves), and types above the top boundary must
     prefer opting out — no item may tempt them beyond the tolerance.
+    A non-finite price fails both checks with an infinite violation.
     The reported pair is the first worst consumer, with her first best
     other item.
     """
@@ -75,6 +77,8 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
         sigmas = np.unique(np.concatenate([np.linspace(market.sigma_min, market.sigma_max, IC_SCAN_POINTS), b]))
         assigned = np.searchsorted(b, sigmas, side="left")  # == len(b) above the top boundary
 
+    if not np.all(np.isfinite(p)):  # NaN would fail every comparison below silently
+        return FeasibilityCertificate(False, np.inf, np.inf, None, FEASIBILITY_TOL, int(sigmas.size))
     utilities = valuation(profile, sigmas[:, None], t) - p
     rows = np.arange(sigmas.size)
     served = assigned < t.size
@@ -285,48 +289,15 @@ class SocialReport:
     ratio: float
 
 
-def _first_best_surplus_rate(profile, cost_model, sigma):
-    _, v = maximize_concave(lambda t: valuation(profile, sigma, t) - cost(cost_model, t), *DEFAULT_T_DOMAIN)
-    return max(v, 0.0)
-
-
 def _first_best_surplus_rates(profile, cost_model, sigmas):
-    """_first_best_surplus_rate for an array of types at once.
-
-    Runs maximize_concave's probe and golden-section brackets for every
-    type in lockstep: one array evaluation per iteration, and each type
-    updates (and stops) exactly as its own scalar search would.
-    """
-    s = np.asarray(sigmas, dtype=float)
-
-    def f(t):
-        return valuation(profile, s, t) - cost(cost_model, t)
-
-    lo, hi = (float(x) for x in DEFAULT_T_DOMAIN)
-    f1, f2, f3 = (f(np.full_like(s, lo + w * (hi - lo))) for w in (0.25, 0.5, 0.75))
-    scale = np.maximum(1.0, np.abs([f1, f2, f3]).max(axis=0))
-    if np.any(f2 - 0.5 * (f1 + f3) < -PROBE_RTOL * scale):
-        raise ValueError("objective failed the three-point concavity probe")
-    a, b = np.full_like(s, lo), np.full_like(s, hi)
-    h = b - a
-    tol = ARG_RTOL * (hi - lo)
-    c, d = a + INVPHI2 * h, a + INVPHI * h
-    fc, fd = f(c), f(d)
-    active = h > tol
-    while active.any():
-        left = active & (fc >= fd)  # keep [a, d]; probe a new c
-        right = active & ~(fc >= fd)  # keep [c, b]; probe a new d
-        b = np.where(left, d, b)
-        a = np.where(right, c, a)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
-        h = b - a
-        x = np.where(left, a + INVPHI2 * h, a + INVPHI * h)
-        fx = f(x)
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-        active = h > tol
-    return np.maximum(f(0.5 * (a + b)), 0.0)
+    """Each type's first-best surplus rate max_t V(sigma, t) - C(t), floored
+    at 0 (the planner would not serve a type that loses money).  The
+    period comes from the solvers' lockstep search with one buyer per
+    type and no rent."""
+    s = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    items = np.arange(s.size)
+    t = block_periods(profile, cost_model, s, np.ones_like(s), np.zeros_like(s), items, items)
+    return np.maximum(valuation(profile, s, t) - cost(cost_model, t), 0.0)
 
 
 def social_metrics(profile, cost_model, market, solution) -> SocialReport:
@@ -339,12 +310,7 @@ def social_metrics(profile, cost_model, market, solution) -> SocialReport:
                 valuation(profile, market.sigmas, solution.periods) - cost(cost_model, solution.periods),
             )
         )
-        first_best = float(
-            sum(
-                n * _first_best_surplus_rate(profile, cost_model, sig)
-                for sig, n in zip(market.sigmas, market.counts)
-            )
-        )
+        first_best = float(np.dot(market.counts, _first_best_surplus_rates(profile, cost_model, market.sigmas)))
     elif isinstance(solution, GroupedSolution):
         contract = 0.0
         lo = market.sigma_min

@@ -12,18 +12,19 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from .discrete import feasibility_check, solve_discrete
-from .distributions import ContinuousMarket, DiscreteMarket
+from .distributions import DiscreteMarket
 from .grouped import solve_with_restarts
 from .market import cost
 from .oracles import (
     ComparisonReport,
     brute_force_ic_ir,
     build_comparison,
+    fixed_period_baseline,
 )
 from .scenarios import Scenario
 
@@ -193,8 +194,6 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     out.mkdir(parents=True, exist_ok=True)
     use_seed = scenario.solver.seed if seed is None else seed
     baseline_t = scenario.baselines[0] if scenario.baselines else 1.0
-    from .oracles import fixed_period_baseline
-
     base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, baseline_t, coverage="full")
 
     rows = []

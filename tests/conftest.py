@@ -1,6 +1,8 @@
 """Shared fixtures: the default demand profile, cost model, and markets."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,13 @@ def profile():
 @pytest.fixture(scope="session")
 def cost_model():
     return CostModel(c0=10.0, c1=0.5)
+
+
+@pytest.fixture
+def kkt(monkeypatch):
+    """The benchmark's solver-independent first-order residuals (perfbench/kkt.py)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("kkt")
 
 
 @pytest.fixture

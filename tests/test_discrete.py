@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize.elementwise import find_root
 
 from planmenu.discrete import (
     DEFAULT_T_DOMAIN,
+    block_periods,
     feasibility_check,
     golden_section_max,
-    maximize_concave,
     optimal_prices,
     period_objective,
     repair_monotone,
     solve_discrete,
 )
 from planmenu.distributions import DiscreteMarket
-from planmenu.market import CostModel, cost, valuation
+from planmenu.market import CostModel, cost, valuation, valuation_dt
+from planmenu.scenarios import load_scenario
 
 # quadrature-oracle values (alpha=1, mu=13, q=15)
 V_2_1 = 12.833369058824628
@@ -37,7 +39,7 @@ def type_objective(profile, cost_model, market, i, t):
     )
 
 
-# --- scalar maximizers ---------------------------------------------------
+# --- one-dimensional searches --------------------------------------------
 
 def test_golden_section_quadratic():
     x, fx = golden_section_max(lambda t: -(t - 3.0) ** 2, 0.0, 10.0)
@@ -54,38 +56,57 @@ def test_golden_section_monotone_edges():
         golden_section_max(lambda t: t, 1.0, 1.0)
 
 
-def test_maximize_concave_rejects_convex():
-    with pytest.raises(ValueError):
-        maximize_concave(lambda t: (t - 3.0) ** 2, 0.0, 10.0)
-    # linear objectives sit exactly on the probe's equality edge
-    x, _ = maximize_concave(lambda t: 2.0 * t + 1.0, 0.0, 4.0)
-    assert abs(x - 4.0) < 1e-8
+def test_period_search_rejects_convex_objective(profile):
+    # a falling quadratic W makes every P_i convex in t: the three-point
+    # probe refuses the search instead of returning an endpoint
+    convex = CostModel(c0=1.0, w=lambda t: -0.01 * t * t)
+    with pytest.raises(ValueError, match="concavity probe"):
+        solve_discrete(profile, convex, DiscreteMarket(sigmas=[1.0, 2.0], counts=[1.0, 1.0]))
+    # a slope that never turns positive pins the period to the window's
+    # low edge exactly: sigma = 0 has V_t = 0, so P' = -c1
+    one = np.ones(1)
+    items = np.arange(1)
+    t = block_periods(profile, CostModel(c0=10.0, c1=0.5), 0 * one, one, 0 * one, items, items)
+    assert t[0] == DEFAULT_T_DOMAIN[0]
 
 
-def test_maximize_concave_matches_grid(profile, cost_model):
+def test_period_search_matches_grid(profile, cost_model):
     # lowest-volatility type: the profit objective peaks at a short period
     market = DiscreteMarket(sigmas=[0.1], counts=[1.0])
     f = lambda t: type_objective(profile, cost_model, market, 0, t)
-    x, fx = maximize_concave(f, 1e-4, 0.05)
+    x = solve_discrete(profile, cost_model, market).periods[0]
     grid = np.arange(1e-4, 0.05, 1e-5)
     vals = f(grid)
     assert 0.005 < x < 0.03  # interior, far from both ends
     assert abs(x - grid[np.argmax(vals)]) < 2e-5
-    assert fx >= vals.max() - 1e-10
+    assert f(x) >= vals.max() - 1e-10
 
 
 # --- ascending repair ----------------------------------------------------
 
+def golden_blocks(objectives, lo, hi):
+    """Block solver for repair_monotone: golden section on each block's
+    summed objective, as Step II runs it."""
+
+    def solve(first, last, _guess):
+        return [
+            golden_section_max(lambda x: sum(f(x) for f in objectives[i : j + 1]), lo, hi)[0]
+            for i, j in zip(first, last)
+        ]
+
+    return solve
+
+
 def test_repair_monotone_ascending_input_untouched():
     objectives = [lambda x, c=c: -(x - c) ** 2 for c in (1.0, 2.0, 3.0)]
-    out, blocks = repair_monotone(objectives, 0.0, 10.0)
+    out, blocks = repair_monotone(golden_blocks(objectives, 0.0, 10.0), 3)
     assert np.allclose(out, [1.0, 2.0, 3.0], atol=1e-7)
     assert blocks == []
 
 
 def test_repair_monotone_pools_reversed_pair():
     objectives = [lambda x: -(x - 5.0) ** 2, lambda x: -(x - 2.0) ** 2]
-    out, blocks = repair_monotone(objectives, 0.0, 10.0)
+    out, blocks = repair_monotone(golden_blocks(objectives, 0.0, 10.0), 2)
     # pooled objective is the sum, maximized at the midpoint 3.5
     assert np.allclose(out, [3.5, 3.5], atol=1e-7)
     assert len(blocks) == 1
@@ -97,7 +118,7 @@ def test_repair_monotone_cascades():
     # peaks (5, 2, 3): pooling {0,1} at 3.5 re-violates against 3, so the
     # final answer pools all three at the grand mean 10/3
     objectives = [lambda x, c=c: -(x - c) ** 2 for c in (5.0, 2.0, 3.0)]
-    out, blocks = repair_monotone(objectives, 0.0, 10.0)
+    out, blocks = repair_monotone(golden_blocks(objectives, 0.0, 10.0), 3)
     assert np.allclose(out, [10.0 / 3.0] * 3, atol=1e-7)
     assert len(blocks) == 1
     assert (blocks[0].start, blocks[0].stop) == (0, 2)
@@ -122,7 +143,7 @@ def test_repair_monotone_matches_dp(rng):
             (lambda c, k: (lambda x: -k * (x - c) ** 2))(c, k)
             for c, k in zip(peaks, curvs)
         ]
-        out, blocks = repair_monotone(objectives, 0.0, 8.0)
+        out, blocks = repair_monotone(golden_blocks(objectives, 0.0, 8.0), 3)
         assert np.all(np.diff(out) >= -1e-12)
         total = sum(f(float(x)) for f, x in zip(objectives, out))
         dp = _ascending_dp_optimum(objectives, grid)
@@ -271,12 +292,10 @@ def test_solve_case1_periods_distorted_upward(profile, cost_model):
     # menu, except for the bottom type, which is undistorted
     market = case1_market()
     sol = solve_discrete(profile, cost_model, market)
-    efficient = []
-    for sig in market.sigmas:
-        f = lambda t: valuation(profile, sig, t) - cost(cost_model, t)
-        x, _ = maximize_concave(f, *DEFAULT_T_DOMAIN)
-        efficient.append(x)
-    efficient = np.array(efficient)
+    # each type's surplus-efficient period: one buyer, no rent
+    one = np.ones(market.n_types)
+    items = np.arange(market.n_types)
+    efficient = block_periods(profile, cost_model, market.sigmas, one, 0 * one, items, items)
     assert abs(sol.periods[0] - efficient[0]) < 1e-6
     assert np.all(sol.periods >= efficient - 1e-6)
     assert np.any(sol.periods > efficient + 1e-3)
@@ -319,6 +338,18 @@ def test_feasibility_check_flags_each_condition(profile, cost_model):
     assert (rep.passed, rep.condition) == (False, "periods_ascending")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_feasibility_check_fails_non_finite_prices(profile, cost_model, bad):
+    market = case1_market()
+    sol = solve_discrete(profile, cost_model, market)
+    rep = feasibility_check(profile, market, sol.periods, np.full_like(sol.prices, bad))
+    assert (rep.passed, rep.condition, rep.index, rep.violation) == (False, "finite_prices", 0, np.inf)
+    prices = sol.prices.copy()
+    prices[4] = bad
+    rep = feasibility_check(profile, market, sol.periods, prices)
+    assert (rep.passed, rep.condition, rep.index) == (False, "finite_prices", 4)
+
+
 def test_random_feasible_prices_never_beat_chain(profile, cost_model, rng):
     # sample price vectors inside the feasibility sandwich and confirm the
     # telescoping chain tops them all
@@ -356,3 +387,81 @@ def test_solver_warns_when_period_cap_binds(profile):
     with pytest.warns(RuntimeWarning, match="search cap"):
         sol = solve_discrete(profile, falling, market)
     assert np.all(sol.periods > DEFAULT_T_DOMAIN[1] - 1e-3)
+
+
+# --- the lockstep period search against references ----------------------
+
+def _slope_reference(profile, slope_c, sig, sig_prev, own, below):
+    """A block's P'(t) from valuation_dt and the analytic C'."""
+
+    def slope(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        vt, vt_prev = valuation_dt(profile, sig, t), valuation_dt(profile, sig_prev, t)
+        return np.sum(own * (vt - slope_c(t)) + below * (vt - vt_prev), axis=-1)
+
+    return slope
+
+
+@pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "quadratic"])
+def test_block_periods_match_find_root(profile, rng, quadratic):
+    # random markets cut into random blocks of adjacent types; each block's
+    # period is the root of its summed slope, found by scipy's bracketing
+    # root finder one block at a time, or the window edge its slope's sign
+    # points to
+    lo, hi = DEFAULT_T_DOMAIN
+    edges = inside = 0
+    for _ in range(12):
+        n = int(rng.integers(2, 8))
+        sig = np.sort(rng.uniform(0.05, 6.5, n))
+        own = rng.uniform(0.5, 5.0, n)
+        below = np.concatenate(([0.0], np.cumsum(own)[:-1]))
+        c1 = float(rng.uniform(0.05, 1.0))
+        if quadratic:  # W = 0.02 t^2 + c1 t, C' = 0.04 t + c1
+            model = CostModel(c0=10.0, w=lambda t, c1=c1: 0.02 * t * t + c1 * t)
+            slope_c = lambda t, c1=c1: 0.04 * t + c1
+        else:
+            model = CostModel(c0=10.0, c1=c1)
+            slope_c = lambda t, c1=c1: c1
+        cuts = np.flatnonzero(rng.random(n - 1) < 0.5)
+        first = np.concatenate(([0], cuts + 1))
+        last = np.concatenate((cuts, [n - 1]))
+        got = block_periods(profile, model, sig, own, below, first, last)
+        for j, (i, k) in enumerate(zip(first, last)):
+            members = np.arange(i, k + 1)
+            rent = np.maximum(members - 1, 0)
+            slope = _slope_reference(profile, slope_c, sig[members], sig[rent], own[members], below[members])
+            if slope(lo) <= 0 or slope(hi) >= 0:
+                assert got[j] == (lo if slope(lo) <= 0 else hi)
+                edges += 1
+                continue
+            ref = float(find_root(slope, (lo, hi)).x)
+            assert abs(got[j] - ref) <= 1e-12 * ref
+            inside += 1
+    assert inside >= 20
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
+def test_scaling_volatility_scales_periods(name, k):
+    # V(k sigma, k^2 t) = V(sigma, t) and C(k^2 t) = C(t) once c1 becomes
+    # c1 / k^2, so the menu's periods scale by k^2 and its profit stays.
+    # (With c1 = 0 alone every P_i' = own V_t + rent > 0, so every period
+    # would sit on the window's cap and nothing would scale.)
+    sc = load_scenario(name)
+    base = solve_discrete(sc.profile, sc.cost_model, sc.market)
+    scaled_cost = CostModel(c0=sc.cost_model.c0, c1=sc.cost_model.c1 / k**2)
+    scaled_market = DiscreteMarket(sigmas=k * sc.market.sigmas, counts=sc.market.counts)
+    scaled = solve_discrete(sc.profile, scaled_cost, scaled_market)
+    lo, hi = DEFAULT_T_DOMAIN
+    assert 10 * lo < k**2 * base.periods.min() and k**2 * base.periods.max() < 0.1 * hi  # well inside
+    assert np.max(np.abs(scaled.periods / (k**2 * base.periods) - 1.0)) <= 1e-11
+    assert abs(scaled.total_profit - base.total_profit) <= 1e-12 * base.total_profit
+    assert [(b.start, b.stop) for b in scaled.pooled_blocks] == [(b.start, b.stop) for b in base.pooled_blocks]
+
+
+@pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
+def test_discrete_residual_at_float_floor(name, kkt):
+    # the benchmark's solver-independent first-order residual
+    sc = load_scenario(name)
+    sol = solve_discrete(sc.profile, sc.cost_model, sc.market)
+    assert kkt.discrete_residual(sc.profile, sc.cost_model, sc.market, sol.periods, DEFAULT_T_DOMAIN) <= 1e-11

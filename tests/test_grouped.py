@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planmenu.discrete import optimal_prices, period_objective, solve_discrete
+from planmenu.discrete import DEFAULT_T_DOMAIN, optimal_prices, period_objective, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import (
     _profit_via_boundary_terms,
@@ -453,6 +453,16 @@ def test_newton_finish_reaches_first_order_optimum(name, k, start):
     assert sol.kkt_residual <= 1e-9
     stall_profit = STALL_RULE_PROFITS[name, k][STARTS.index(start)]
     assert sol.total_profit >= stall_profit - 1e-12 * stall_profit
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("name", BUNDLED_GROUPED)
+def test_grouped_residual_at_float_floor(name, k, kkt):
+    # the benchmark's solver-independent first-order residual: the polish
+    # step leaves it at the rounding floor, far inside KKT_TOL
+    sc, sol = bundled_solve(name, k, "quantile")
+    residual = kkt.grouped_residual(sc.profile, sc.cost_model, sc.market, sol.boundaries, sol.periods, DEFAULT_T_DOMAIN)
+    assert residual <= 1e-12 * sc.market.size
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy import integrate
 
 from planmenu.market import (
@@ -19,6 +20,7 @@ from planmenu.market import (
     valuation_dsigma,
     valuation_dsigma_dt,
     valuation_dt,
+    valuation_dt_dtt,
 )
 from planmenu.normals import expected_excess
 
@@ -145,6 +147,35 @@ def test_valuation_dt_closed_form_and_fd(profile):
         exact = valuation_dt(profile, sig, t)
         assert abs(fd - exact) < 1e-5 * max(1.0, abs(exact))
     assert valuation_dt(profile, 0.0, 3.0) == 0.0
+
+
+def test_valuation_second_derivative_symbolic(profile):
+    # differentiate the defining formula symbolically: V_t and the closed
+    # form V_tt = -V_t (a^2 + 3) / (2t) the period search relies on
+    s, t, alpha, d, mu = sp.symbols("sigma t alpha d mu", positive=True)
+    x = sp.Symbol("x", real=True)
+    phi = sp.exp(-x**2 / 2) / sp.sqrt(2 * sp.pi)
+    excess = phi - x * sp.erfc(x / sp.sqrt(2)) / 2
+    a = sp.sqrt(t) * d / s
+    v = alpha * (mu - s / sp.sqrt(t) * excess.subs(x, a))
+    vt, vtt = sp.diff(v, t), sp.diff(v, t, 2)
+    assert sp.simplify(vt - alpha * s * phi.subs(x, a) / (2 * t ** sp.Rational(3, 2))) == 0
+    assert sp.simplify(vtt + vt * (a**2 + 3) / (2 * t)) == 0
+
+    # the fused kernel against the symbolic derivatives and valuation_dt
+    subs = {alpha: profile.alpha, d: profile.q - profile.mu, mu: profile.mu}
+    ref = sp.lambdify((s, t), [vt.subs(subs), vtt.subs(subs)], "mpmath")
+    sig = np.array([0.05, 0.5, 2.0, 3.0, 6.0, 30.0])
+    per = np.array([1e-4, 0.8, 1.0, 5.0, 12.0, 600.0])
+    got_t, got_tt = valuation_dt_dtt(profile, sig, per)
+    for k in range(sig.size):
+        ref_t, ref_tt = (float(z) for z in ref(sig[k], per[k]))
+        assert abs(got_t[k] - ref_t) <= 1e-13 * abs(ref_t)
+        assert abs(got_tt[k] - ref_tt) <= 1e-13 * abs(ref_tt)
+    assert np.array_equal(got_t, valuation_dt(profile, sig, per))
+    assert np.all(got_tt < 0)
+    zero_t, zero_tt = valuation_dt_dtt(profile, np.array([0.0]), np.array([3.0]))
+    assert zero_t[0] == 0.0 and zero_tt[0] == 0.0
 
 
 def test_valuation_dsigma_closed_form_and_fd(profile):
@@ -291,7 +322,7 @@ INF, NAN = float("inf"), float("nan")
          "nan_period", "inf_period", "minus_inf_period"],
 )
 def test_array_inputs_rejected(profile, sigma, t, message):
-    for f in (valuation, valuation_dt, valuation_dsigma):
+    for f in (valuation, valuation_dt, valuation_dt_dtt, valuation_dsigma):
         with pytest.raises(ValueError, match=message):
             f(profile, np.array(sigma), np.array(t))
 

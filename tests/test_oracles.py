@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize.elementwise import find_root
 
-from planmenu.discrete import maximize_concave, optimal_prices, solve_discrete
+from planmenu.discrete import DEFAULT_T_DOMAIN, optimal_prices, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import solve_alternating, total_profit_grouped
-from planmenu.market import cost, valuation
+from planmenu.market import cost, valuation, valuation_dt
 from planmenu.oracles import (
     IC_SCAN_POINTS,
     TUPLE_BUDGET,
-    _first_best_surplus_rate,
     _first_best_surplus_rates,
     brute_force_ic_ir,
     build_comparison,
@@ -109,6 +109,20 @@ def test_certificate_flags_tempted_outsider(profile, cost_model):
     # approaches the supremum at the boundary up to the sample spacing
     assert abs(cert.worst_ic_violation - (valuation(profile, sig, 1.0) - price)) < 1e-12
     assert abs(cert.worst_ic_violation - (valuation(profile, 3.0, 1.0) - price)) < 0.01
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_certificate_fails_non_finite_prices(profile, case1, uniform_k2, bad):
+    # NaN fails every comparison, so without an explicit check a NaN price
+    # vector read as a clean pass
+    market, sol = case1
+    for prices in (np.full_like(sol.prices, bad), np.where(np.arange(sol.prices.size) == 3, bad, sol.prices)):
+        cert = brute_force_ic_ir(profile, market, sol.periods, prices)
+        assert not cert.passed
+        assert cert.worst_ic_violation == np.inf and cert.worst_ir_violation == np.inf
+    market, sol = uniform_k2
+    cert = brute_force_ic_ir(profile, market, sol.periods, np.full_like(sol.prices, bad), boundaries=sol.boundaries)
+    assert not cert.passed and cert.worst_ic_violation == np.inf
 
 
 def test_certificate_requires_boundaries_for_continuum(profile):
@@ -511,9 +525,8 @@ def test_first_best_surplus_never_negative(profile, cost_model):
     # planner simply would not serve it)
     expensive = type(cost_model)(c0=13.5, c1=0.5)
     market = DiscreteMarket(sigmas=[5.0], counts=[1.0])
-    f = lambda t: valuation(profile, 5.0, t) - cost(expensive, t)
-    _, best = maximize_concave(f, 1e-4, 600.0)
-    assert best < 0
+    t = np.geomspace(*DEFAULT_T_DOMAIN, 200_001)
+    assert np.max(valuation(profile, 5.0, t) - cost(expensive, t)) < 0
     sol_like = solve_discrete  # only social_metrics matters; build by hand
     from planmenu.discrete import DiscreteSolution
 
@@ -528,14 +541,20 @@ def test_first_best_surplus_never_negative(profile, cost_model):
 
 
 def test_lockstep_first_best_matches_scalar_searches(profile, cost_model):
-    # one golden-section search per type, as the discrete branch runs it;
-    # the lockstep values differ only where the array valuation rounds
-    # differently from the scalar one
+    # reference: scipy's bracketing root finder on V_t = C' for each type,
+    # with the analytic C'; types whose slope has one sign over the whole
+    # window sit on its edge
+    lo, hi = DEFAULT_T_DOMAIN
     quadratic = type(cost_model)(c0=10.0, w=lambda t: 0.05 * t * t)
     sigmas = np.concatenate([np.linspace(0.0, 6.0, 301), [1e-9, 30.0]])
-    for model in (cost_model, quadratic, type(cost_model)(c0=13.5, c1=0.5)):
+    expensive = type(cost_model)(c0=13.5, c1=0.5)
+    for model, slope in ((cost_model, lambda t: 0.5), (quadratic, lambda t: 0.1 * t), (expensive, lambda t: 0.5)):
+        f = lambda t, s: valuation_dt(profile, s, t) - slope(t)
+        t_ref = np.where(f(lo, sigmas) <= 0, lo, hi)
+        inside = (f(lo, sigmas) > 0) & (f(hi, sigmas) < 0)
+        t_ref[inside] = find_root(f, (lo, hi), args=(sigmas[inside],)).x
+        ref = np.maximum(valuation(profile, sigmas, t_ref) - cost(model, t_ref), 0.0)
         rates = _first_best_surplus_rates(profile, model, sigmas)
-        ref = [_first_best_surplus_rate(profile, model, float(s)) for s in sigmas]
         assert np.max(np.abs(rates - ref)) <= 1e-13
 
 

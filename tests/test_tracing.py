@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from planmenu import distributions, market, oracles, runner, scenarios
+from planmenu import distributions, grouped, market, oracles, runner, scenarios
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,6 +47,9 @@ def test_traced_runs_give_layer_metrics(monkeypatch, tmp_path):
     try:
         runner.run(scenarios.load_scenario("case1_discrete"), tmp_path / "case1")
         sc = scenarios.load_scenario("uniform_k6")
+        # discrete periods no longer run golden section; Step II's boundary
+        # searches still do, and the tracer counts them
+        grouped.solve_alternating(sc.profile, sc.cost_model, sc.market, 2)
         oracles.grid_oracle_grouped(
             sc.profile, sc.cost_model, sc.market, 2, np.linspace(0.0, 6.0, 13), np.linspace(0.5, 6.0, 12)
         )
