@@ -144,6 +144,46 @@ def _cost_slopes(cost_model, t):
     return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
 
 
+def _lockstep_root(slopes, newton, midpoint, x, lo, hi):
+    """Where each of a batch of slopes that changes sign once, from
+    positive to negative, on [lo, hi] crosses zero: the maximizer of each
+    single-peaked objective, all in lockstep by safeguarded
+    Newton-bisection ("rtsafe"; Brent 1973).
+
+    slopes(x), for points x of shape (..., n), returns the slope, the sum
+    of its absolute terms and a tuple of what newton needs.
+    newton(x, slope, state) proposes the next point; a proposal outside
+    the sign bracket [a, b] gives way to midpoint(a, b).  The window's
+    ends and the start x are evaluated in one call: an item whose slope
+    is <= 0 at lo sits at lo, one whose slope is >= 0 at hi at hi.  Each
+    item stops once its step or its bracket is STEP_RTOL of x, or
+    |slope| is within SLOPE_RTOL of the sum of its absolute terms.
+    """
+    a, b = np.full_like(x, lo), np.full_like(x, hi)
+    slope, scale, state = slopes(np.stack([a, b, x]))
+    at_lo = slope[0] <= 0
+    at_hi = ~at_lo & (slope[1] >= 0)
+    x = np.where(at_lo, lo, np.where(at_hi, hi, x))
+    slope, scale, state = slope[2], scale[2], tuple(z[2] for z in state)
+    active = ~(at_lo | at_hi)
+    while True:
+        active &= np.abs(slope) > SLOPE_RTOL * scale
+        rising = active & (slope > 0)
+        a = np.where(rising, x, a)
+        b = np.where(active & ~rising, x, b)
+        active &= b - a > STEP_RTOL * x
+        if not active.any():
+            return x
+        with np.errstate(all="ignore"):  # a degenerate proposal is NaN or out of bracket: bisect
+            proposal = newton(x, slope, state)
+        new = np.where((proposal > a) & (proposal < b), proposal, midpoint(a, b))
+        step, x = new - x, np.where(active, new, x)
+        active &= np.abs(step) > STEP_RTOL * x
+        if not active.any():
+            return x
+        slope, scale, state = slopes(x)
+
+
 def block_periods(profile, cost_model, sigmas, own, below, first, last, guess=None):
     """The period maximizing each block's summed period objective on
     DEFAULT_T_DOMAIN, all blocks in lockstep.
@@ -151,18 +191,15 @@ def block_periods(profile, cost_model, sigmas, own, below, first, last, guess=No
     Item i has marginal type sigmas[i], own[i] buyers and below[i]
     rent-drawing consumers, its rent measured against sigmas[i-1]; block
     j pools items first[j]..last[j].  A three-point concavity probe
-    guards every block.  The search is a safeguarded Newton-bisection on
-    the closed-form slope P' (the sum of the members' slopes), split as
+    guards every block.  The search is _lockstep_root on the closed-form
+    slope P' (the sum of the members' slopes), split as
     P' = gain - loss: gain = (own + below) V_t(sigma_i) and
     loss = own C' + below V_t(sigma_{i-1}).  Each step is Newton's on
     log(gain / loss) against log t, exact where V_t follows a power of
     t (from a cold start plain Newton on P' creeps up by a factor of
-    about 1.5 per step), taken if it stays inside the sign bracket; else
-    the step goes to the bracket's geometric midpoint.  A block with
-    P'(lo) <= 0 sits at lo, one with P'(hi) >= 0 at hi.  Each block
-    stops once its step or its bracket is STEP_RTOL of t, or |P'| is
-    within SLOPE_RTOL of gain + loss.  Starts from guess (one period
-    per block), else from sqrt(lo * hi).
+    about 1.5 per step); bisection takes the bracket's geometric
+    midpoint.  Starts from guess (one period per block), else from
+    sqrt(lo * hi).
     """
     lo, hi = DEFAULT_T_DOMAIN
     sizes = last - first + 1
@@ -178,7 +215,7 @@ def block_periods(profile, cost_model, sigmas, own, below, first, last, guess=No
     if np.any(f[1] - 0.5 * (f[0] + f[2]) < -PROBE_RTOL * np.maximum(1.0, np.abs(f).max(axis=0))):
         raise ValueError("objective failed the three-point concavity probe")
 
-    def slopes(t):  # gain, loss and their t-derivatives per block, for t of shape (..., blocks)
+    def slopes(t):  # P', gain + loss and (gain, loss, gain', loss') per block, for t of shape (..., blocks)
         tm = np.repeat(t, sizes, axis=-1)
         vt, vtt = valuation_dt_dtt(profile, sig, tm[..., None, :])
         c1, c2 = _cost_slopes(cost_model, tm)
@@ -188,35 +225,17 @@ def block_periods(profile, cost_model, sigmas, own, below, first, last, guess=No
             (own + below) * vtt[..., 0, :],
             own * c2 + below * vtt[..., 1, :],
         )
-        if members.size == sizes.size:  # no pooled block
-            return terms
-        return (np.add.reduceat(z, offsets, axis=-1) for z in terms)
+        if members.size > sizes.size:  # pooled blocks sum their members
+            terms = tuple(np.add.reduceat(z, offsets, axis=-1) for z in terms)
+        gain, loss = terms[:2]
+        return gain - loss, gain + loss, terms
+
+    def newton(t, _slope, terms):
+        gain, loss, dgain, dloss = terms
+        return t * np.exp(-np.log(gain / loss) / (t * (dgain / gain - dloss / loss)))
 
     x = np.full(first.size, np.sqrt(lo * hi)) if guess is None else np.clip(guess, lo, hi)
-    a, b = np.full_like(x, lo), np.full_like(x, hi)
-    gain, loss, dgain, dloss = slopes(np.stack([a, b, x]))
-    at_lo = gain[0] <= loss[0]
-    at_hi = ~at_lo & (gain[1] >= loss[1])
-    x = np.where(at_lo, lo, np.where(at_hi, hi, x))
-    gain, loss, dgain, dloss = gain[2], loss[2], dgain[2], dloss[2]
-    active = ~(at_lo | at_hi)
-    while True:
-        g = gain - loss
-        active &= np.abs(g) > SLOPE_RTOL * (gain + loss)
-        rising = active & (g > 0)
-        a = np.where(rising, x, a)
-        b = np.where(active & ~rising, x, b)
-        active &= b - a > STEP_RTOL * x
-        if not active.any():
-            return x
-        with np.errstate(all="ignore"):  # a zero or negative gain or loss gives NaN: bisect
-            newton = x * np.exp(-np.log(gain / loss) / (x * (dgain / gain - dloss / loss)))
-        new = np.where((newton > a) & (newton < b), newton, np.sqrt(a * b))
-        step, x = new - x, np.where(active, new, x)
-        active &= np.abs(step) > STEP_RTOL * x
-        if not active.any():
-            return x
-        gain, loss, dgain, dloss = slopes(x)
+    return _lockstep_root(slopes, newton, lambda a, b: np.sqrt(a * b), x, lo, hi)
 
 
 def search_periods(profile, cost_model, sigmas, own, below, guess=None):

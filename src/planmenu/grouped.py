@@ -13,14 +13,16 @@ like periods do.  The solver alternates two half-steps:
   Step I   periods given boundaries: the discrete solver's lockstep
            Newton-bisection period search, warm-started from the last
            round's periods, plus ascending repair (pooling);
-  Step II  boundaries given periods: per-boundary golden-section search
-           plus ascending repair.
+  Step II  boundaries given periods: the same lockstep Newton-bisection
+           on every block's closed-form slope Q', warm-started from the
+           last round's boundaries, plus ascending repair (pooling).
 
 Each half-step maximizes the exact same total profit in its own block
 of coordinates, so the profit trace is nondecreasing.  Unimodality of
 Q_k is guaranteed by the market shape condition (see
-distributions.theorem3_condition); if a market fails it, searches fall
-back to a dense grid scan with golden refinement.
+distributions.theorem3_condition), so Q_k' changes sign once; if a
+market fails it, Step II falls back to a dense grid scan with golden
+refinement of each block's best bracket.
 
 Alternation alone converges only linearly.  After a round that pools
 nothing, safeguarded projected-Newton steps on the 2K stationarity
@@ -34,6 +36,7 @@ solve when profit stalls.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -43,12 +46,13 @@ from .discrete import (
     DEFAULT_T_DOMAIN,
     PooledBlock,
     _cost_slopes,
+    _lockstep_root,
     golden_section_max,
     optimal_prices,
     repair_monotone,
     search_periods,
 )
-from .market import cost, valuation, valuation_dsigma, valuation_dt
+from .market import cost, valuation, valuation_dsigma2, valuation_dt
 
 #: Convergence: one full round improves relative profit by no more than
 #: this, and (rounds that pool nothing) the projected first-order
@@ -61,26 +65,8 @@ MAX_NEWTON_STEPS = 8
 #: A coordinate this close to its window edge, relative to the window
 #: width, sits on the edge.
 EDGE_RTOL = 1e-9
-
-
-def maximize_unimodal(f, lo, hi, coarse_grid=None):
-    """Golden-section maximum for a unimodal f on [lo, hi].
-
-    With coarse_grid set, f is first evaluated on that many equispaced
-    points in one array call (so f must broadcast) and golden-section
-    only refines the best bracket — the fallback for objectives without
-    a unimodality certificate.
-    """
-    if coarse_grid:
-        xs = np.linspace(lo, hi, int(coarse_grid))
-        vals = f(xs)
-        j = int(np.argmax(vals))
-        a = xs[max(j - 1, 0)]
-        b = xs[min(j + 1, len(xs) - 1)]
-        if b <= a:
-            return float(xs[j]), float(vals[j])
-        return golden_section_max(f, a, b)
-    return golden_section_max(f, lo, hi)
+#: Points of the dense boundary scan for markets that fail the shape condition.
+FALLBACK_GRID = 2000
 
 
 def group_counts(market, boundaries):
@@ -92,73 +78,112 @@ def group_counts(market, boundaries):
     return market.count_between(lows, b)
 
 
-def _boundary_term(profile, market, t_k, t_next, dcost, sigma):
-    # Q_k(s) with period-dependent constants pinned to floats; t_next
-    # None marks the top boundary, where dcost = -C(t_K).
-    if t_next is None:
-        wedge = valuation(profile, sigma, t_k) + dcost
-    else:
-        wedge = valuation(profile, sigma, t_k) - valuation(profile, sigma, t_next) + dcost
-    return market.size * market.cdf(sigma) * wedge
-
-
-def boundary_objective(profile, cost_model, market, periods, k, sigma):
-    """Q_k(sigma): profit terms containing boundary k, periods fixed."""
+def _blocks(cost_model, periods, first, last):
+    """Block j pools items first[j]..last[j] on one boundary; its boundary
+    terms telescope to one, N G(s) (V(s, t_first) - V(s, t_next) + C(t_next)
+    - C(t_first)) with t_next = t_{last+1}, or the outside option (V = C = 0)
+    above the top item.  Periods may come in rows (shape (..., K)).
+    Returns (own and next periods stacked on axis -2, next-item mask,
+    cost step)."""
     t = np.asarray(periods, dtype=float)
-    if k == t.size - 1:
-        return _boundary_term(profile, market, float(t[k]), None, -cost(cost_model, float(t[k])), sigma)
-    dcost = cost(cost_model, float(t[k + 1])) - cost(cost_model, float(t[k]))
-    return _boundary_term(profile, market, float(t[k]), float(t[k + 1]), dcost, sigma)
+    C = cost(cost_model, t)
+    above = last < t.shape[-1] - 1
+    nxt = np.minimum(last + 1, t.shape[-1] - 1)
+    return np.stack([t[..., first], t[..., nxt]], axis=-2), above, np.where(above, C[..., nxt], 0.0) - C[..., first]
 
 
-def _valuation_dsigma(profile, sigma, t):
-    # V_sigma without the sigma = 0 warning: sigma = 0 is only reached at
-    # sigma_min = 0, where G = 0 multiplies the one-sided limit 0
-    pos = np.asarray(sigma) > 0
-    return np.where(pos, valuation_dsigma(profile, np.where(pos, sigma, 1.0), t), 0.0)
+def _boundary_terms(profile, market, sigma, blocks):
+    """Each block's boundary term Q_j at sigma_j (see _blocks); sigma of
+    shape (..., n) broadcasts against n blocks."""
+    periods, above, dcost = blocks
+    s = np.asarray(sigma, dtype=float)
+    v = valuation(profile, s[..., None, :], periods)
+    return market.size * market.cdf(s) * (v[..., 0, :] - above * v[..., 1, :] + dcost)
 
 
-def profit_gradient(profile, cost_model, market, boundaries, periods):
-    """(dP/db, dP/dt) of total profit in closed form.
+def menu_profit(profile, cost_model, market, boundaries, periods):
+    """Total profit as the sum of the boundary terms Q_k(b_k)."""
+    items = np.arange(np.size(periods))
+    return float(_boundary_terms(profile, market, boundaries, _blocks(cost_model, periods, items, items)).sum())
+
+
+def _boundary_slopes(profile, market, sigma, blocks):
+    """Each block's boundary term Q = N G w at sigma, its slope
+    Q' = N (g w + G w'), the sum of the slope's absolute terms (its
+    rounding scale), its curvature Q'' = N (g' w + 2 g w' + G w''), and
+    G(sigma); w = V(s, t_first) - V(s, t_next) + C(t_next) - C(t_first) is
+    the block's wedge (see _blocks)."""
+    periods, above, dcost = blocks
+    s = np.asarray(sigma, dtype=float)
+    v, vs, vss = valuation_dsigma2(profile, s[..., None, :], periods)
+    G, g, dg = market.cdf(s), market.pdf(s), market.pdf_dsigma(s)
+    w = v[..., 0, :] - above * v[..., 1, :] + dcost
+    dw = vs[..., 0, :] - above * vs[..., 1, :]
+    ddw = vss[..., 0, :] - above * vss[..., 1, :]
+    scale = g * (np.abs(v[..., 0, :]) + above * np.abs(v[..., 1, :]) + np.abs(dcost))
+    scale += G * (np.abs(vs[..., 0, :]) + above * np.abs(vs[..., 1, :]))
+    N = market.size
+    return N * G * w, N * (g * w + G * dw), N * scale, N * (dg * w + 2.0 * g * dw + G * ddw), G
+
+
+def block_boundaries(profile, cost_model, market, periods, first, last, guess=None):
+    """The boundary maximizing each block's boundary term on the market
+    window, all blocks in lockstep.
+
+    Under the shape condition (Theorem 3) each term is single-peaked, so
+    the search is _lockstep_root on the closed-form slope Q' with plain
+    Newton steps on Q'' and arithmetic bisection (sigma_min may be 0),
+    from guess (one boundary per block) or the window's midpoint.  A
+    market that fails the condition gets a dense-grid scan instead,
+    golden section refining each block's best bracket.
+    """
+    lo, hi = market.sigma_min, market.sigma_max
+    blocks = _blocks(cost_model, periods, first, last)
+    if not market.verify_theorem3().holds:
+        xs = np.linspace(lo, hi, FALLBACK_GRID)
+        best = np.argmax(_boundary_terms(profile, market, xs[:, None], blocks), axis=0)
+        out = []
+        for j, i in enumerate(best):
+            block = tuple(z[..., j : j + 1] for z in blocks)
+            f = lambda s: _boundary_terms(profile, market, np.atleast_1d(s), block)[..., 0]
+            out.append(golden_section_max(f, xs[max(i - 1, 0)], xs[min(i + 1, FALLBACK_GRID - 1)])[0])
+        return np.array(out)
+
+    def slopes(s):
+        _, slope, scale, curvature, _ = _boundary_slopes(profile, market, s, blocks)
+        return slope, scale, (curvature,)
+
+    x = np.full(first.size, 0.5 * (lo + hi)) if guess is None else np.clip(guess, lo, hi)
+    return _lockstep_root(slopes, lambda s, slope, state: s - slope / state[0], lambda a, b: 0.5 * (a + b), x, lo, hi)
+
+
+def _menu_terms(profile, cost_model, market, boundaries, periods):
+    """(Q_k(b_k), dP/db, dP/dt) of a menu: its boundary terms, which sum to
+    total profit, and the closed-form gradient
 
       dP/dt_k = own_k (V_t(b_k, t_k) - C'(t_k)) + below_k (V_t(b_k, t_k) - V_t(b_{k-1}, t_k))
-      dP/db_k = N g(b_k) (H(b_k) + C(t_{k+1}) - C(t_k))    (k < K)
-      dP/db_K = N (g(b_K) (V(b_K, t_K) - C(t_K)) + G(b_K) V_s(b_K, t_K))
+      dP/db_k = Q_k'(b_k)    (see _boundary_slopes)
 
-    with own_k = N (G(b_k) - G(b_{k-1})), below_k = N G(b_{k-1}) and
-    H(s) = V(s, t_k) - V(s, t_{k+1}) + (G/g)(s) (V_s(s, t_k) - V_s(s, t_{k+1})).
-    The top line is the others' with item K+1 the outside option
-    (V = V_s = C = 0), so all boundaries share one expression; V and V_s
-    at (b_k, t_k) and (b_k, t_{k+1}) come from one stacked call each.
+    with own_k = N (G(b_k) - G(b_{k-1})) and below_k = N G(b_{k-1}).
     Rows of boundaries and periods (shape (..., K)) are evaluated in one
-    batched call; the market sees 1-D arrays only.
+    batched call.
     """
     b = np.asarray(boundaries, dtype=float)
     t = np.asarray(periods, dtype=float)
     K = b.shape[-1]
-    N = market.size
-
-    def on_types(f, s):
-        return np.asarray(f(s.ravel()), dtype=float).reshape(s.shape)
-
-    def with_outside(x):  # item k+1's values at b_k, then the outside option's 0
-        return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-
-    G = on_types(market.cdf, b)
-    g = on_types(market.pdf, b)
+    items = np.arange(K)
+    q, d_b, _, _, G = _boundary_slopes(profile, market, b, _blocks(cost_model, t, items, items))
     G_below = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
     b_below = np.concatenate([b[..., :1], b[..., :-1]], axis=-1)
     vt = valuation_dt(profile, np.concatenate([b, b_below], axis=-1), np.concatenate([t, t], axis=-1))
     vt_own, vt_rent = vt[..., :K], vt[..., K:]
-    d_t = N * ((G - G_below) * (vt_own - _cost_slopes(cost_model, t)[0]) + G_below * (vt_own - vt_rent))
+    d_t = market.size * ((G - G_below) * (vt_own - _cost_slopes(cost_model, t)[0]) + G_below * (vt_own - vt_rent))
+    return q, d_b, d_t
 
-    pairs = np.concatenate([b, b[..., :-1]], axis=-1), np.concatenate([t, t[..., 1:]], axis=-1)
-    v = valuation(profile, *pairs)
-    vs = _valuation_dsigma(profile, *pairs)
-    C = cost(cost_model, t)
-    wedge = v[..., :K] - with_outside(v[..., K:]) + with_outside(C[..., 1:]) - C
-    d_b = N * (g * wedge + G * (vs[..., :K] - with_outside(vs[..., K:])))
-    return d_b, d_t
+
+def profit_gradient(profile, cost_model, market, boundaries, periods):
+    """(dP/db, dP/dt) of total profit in closed form (see _menu_terms)."""
+    return _menu_terms(profile, cost_model, market, boundaries, periods)[1:]
 
 
 def _chain_residual(x, grad, lo, hi):
@@ -232,10 +257,10 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
     edge = EDGE_RTOL * (hi - lo)
     tol = KKT_TOL * market.size
     x = np.concatenate([boundaries, periods])
+    _, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
     steps = 0
     factor = None
     while True:
-        d_b, d_t = profit_gradient(profile, cost_model, market, x[:K], x[K:])
         grad = np.concatenate([d_b, d_t])
         residual = _menu_residual(market, x[:K], x[K:], d_b, d_t)
         if residual <= tol:
@@ -255,10 +280,11 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
         b, t = trial[:K], trial[K:]
         if not (np.all(np.diff(b) > 0) and np.all(np.diff(t) > 0) and np.all((trial >= lo) & (trial <= hi))):
             break
-        p = _profit_via_boundary_terms(profile, cost_model, market, b, t)
+        q, trial_d_b, trial_d_t = _menu_terms(profile, cost_model, market, b, t)
+        p = float(q.sum())
         if p < profit - 1e-12 * max(1.0, abs(profit)):
             break
-        x, profit = trial, p
+        x, profit, d_b, d_t = trial, p, trial_d_b, trial_d_t
         trace.append(p)
         steps += 1
     return x[:K], x[K:], profit, residual, steps
@@ -278,50 +304,12 @@ def step1_periods(profile, cost_model, market, boundaries, guess=None):
     return search_periods(profile, cost_model, b, market.size * (G - G_lo), market.size * G_lo, guess)
 
 
-def step2_boundaries(profile, cost_model, market, periods, coarse_grid=None):
-    """Optimal ascending boundaries for fixed periods: one golden-section
-    search per block of boundaries."""
-    lo, hi = market.sigma_min, market.sigma_max
+def step2_boundaries(profile, cost_model, market, periods, guess=None):
+    """Optimal ascending boundaries for fixed periods: (boundaries, pooled
+    blocks), every block searched in lockstep from guess (one boundary
+    per group) if given."""
     t = np.asarray(periods, dtype=float)
-    costs = cost(cost_model, t)
-    objectives = []
-    for k in range(t.size):
-        if k == t.size - 1:
-            t_k, t_next, dcost = float(t[k]), None, -float(costs[k])
-        else:
-            t_k, t_next, dcost = float(t[k]), float(t[k + 1]), float(costs[k + 1] - costs[k])
-        objectives.append(
-            (lambda t_k, t_next, dcost: (lambda s: _boundary_term(profile, market, t_k, t_next, dcost, s)))(
-                t_k, t_next, dcost
-            )
-        )
-
-    def solve_blocks(first, last, _guess):
-        argmaxes = []
-        for i, j in zip(first, last):
-            members = objectives[i : j + 1]
-            f = members[0] if i == j else (lambda s: sum(g(s) for g in members))
-            argmaxes.append(maximize_unimodal(f, lo, hi, coarse_grid=coarse_grid)[0])
-        return argmaxes
-
-    return repair_monotone(solve_blocks, t.size)
-
-
-def total_profit_grouped(profile, cost_model, market, boundaries, periods):
-    """Direct profit: group masses times per-item margins at chain prices."""
-    counts = group_counts(market, boundaries)
-    prices = optimal_prices(profile, boundaries, periods)
-    margins = prices - cost(cost_model, np.asarray(periods, dtype=float))
-    return float(np.dot(counts, margins))
-
-
-def _profit_via_boundary_terms(profile, cost_model, market, boundaries, periods):
-    return float(
-        sum(
-            boundary_objective(profile, cost_model, market, periods, k, boundaries[k])
-            for k in range(len(boundaries))
-        )
-    )
+    return repair_monotone(partial(block_boundaries, profile, cost_model, market, t), t.size, guess)
 
 
 @dataclass
@@ -373,14 +361,12 @@ def solve_alternating(
     if n_groups < 1:
         raise ValueError("need at least one group")
     t3 = market.verify_theorem3()
-    coarse = None
     if not t3.holds:
         warnings.warn(
             f"market fails the boundary-unimodality condition (min slack {t3.min_slack:.3g}); "
             "falling back to dense-grid boundary searches",
             RuntimeWarning,
         )
-        coarse = 2000
 
     if init_boundaries is not None:
         boundaries = np.sort(np.asarray(init_boundaries, dtype=float))
@@ -403,12 +389,12 @@ def solve_alternating(
     for rounds in range(1, MAX_ROUNDS + 1):
         start = boundaries, periods
         periods, period_blocks = step1_periods(profile, cost_model, market, boundaries, guess=periods)
-        p1 = _profit_via_boundary_terms(profile, cost_model, market, boundaries, periods)
+        p1 = menu_profit(profile, cost_model, market, boundaries, periods)
         _check_monotone(trace, p1)
         trace.append(p1)
 
-        boundaries, boundary_blocks = step2_boundaries(profile, cost_model, market, periods, coarse_grid=coarse)
-        p2 = _profit_via_boundary_terms(profile, cost_model, market, boundaries, periods)
+        boundaries, boundary_blocks = step2_boundaries(profile, cost_model, market, periods, guess=boundaries)
+        p2 = menu_profit(profile, cost_model, market, boundaries, periods)
         _check_monotone(trace, p2)
         trace.append(p2)
 
@@ -432,17 +418,19 @@ def solve_alternating(
     edge_hits = [int(k) for k, s in enumerate(boundaries) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol]
 
     boundaries, periods = _collapse_empty_groups(market, boundaries, np.asarray(periods, dtype=float))
-    direct = total_profit_grouped(profile, cost_model, market, boundaries, periods)
-    telescoped = _profit_via_boundary_terms(profile, cost_model, market, boundaries, periods)
-    if abs(direct - telescoped) > 1e-8 * max(1.0, abs(direct)):
+    # accounting identity: group masses times chain-price margins equal the boundary terms
+    prices = optimal_prices(profile, boundaries, periods)
+    counts = group_counts(market, boundaries)
+    direct = float(np.dot(counts, prices - cost(cost_model, periods)))
+    q, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
+    if abs(direct - float(q.sum())) > 1e-8 * max(1.0, abs(direct)):
         raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
-    d_b, d_t = profit_gradient(profile, cost_model, market, boundaries, periods)
 
     return GroupedSolution(
         boundaries=boundaries,
         periods=periods,
-        prices=optimal_prices(profile, boundaries, periods),
-        counts=group_counts(market, boundaries),
+        prices=prices,
+        counts=counts,
         total_profit=direct,
         iterations=rounds,
         converged=converged,
@@ -474,8 +462,9 @@ def solve_with_restarts(
     """Best of the quantile start, any extra starts, and seeded random
     restarts (quantile-transformed uniforms, so restarts respect the
     type distribution).  Deterministic for a fixed seed: candidates are
-    solved independently and the best final profit wins, first-found on
-    ties."""
+    solved independently, and a later start replaces the best so far only
+    if it gains more than REL_PROFIT_TOL in relative profit, so rounding
+    noise never picks the winner."""
     inits: List[Optional[np.ndarray]] = [None]
     if extra_inits:
         inits.extend(np.asarray(b, dtype=float) for b in extra_inits)
@@ -485,9 +474,9 @@ def solve_with_restarts(
             u = np.sort(rng.random(n_groups))
             inits.append(np.atleast_1d(market.quantile(u)))
 
-    solutions = [
-        solve_alternating(profile, cost_model, market, n_groups, init_boundaries=init)
-        for init in inits
-    ]
-    best = max(range(len(solutions)), key=lambda i: (solutions[i].total_profit, -i))
-    return solutions[best]
+    best = None
+    for init in inits:
+        sol = solve_alternating(profile, cost_model, market, n_groups, init_boundaries=init)
+        if best is None or sol.total_profit - best.total_profit > REL_PROFIT_TOL * max(1.0, abs(best.total_profit)):
+            best = sol
+    return best

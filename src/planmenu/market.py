@@ -15,14 +15,13 @@ periods smooth demand (V rises in t), higher volatility hurts (V falls
 in sigma), and V never exceeds alpha*mu.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .normals import INV_SQRT_2PI, SQRT2, expected_excess, std_normal_pdf
+from .normals import _excess, _pdf
 
 
 @dataclass
@@ -85,48 +84,39 @@ def _check_sigma_t(sigma, t):
     return sv, tv
 
 
-def _check_scalar_sigma_t(sigma, t):
-    s = float(sigma)
-    tt = float(t)
-    if s < 0 or not math.isfinite(s):
-        raise ValueError("sigma must be finite and nonnegative")
-    if tt <= 0 or not math.isfinite(tt):
-        raise ValueError("period t must be finite and positive")
-    return s, tt
-
-
-def _excess_scalar(a):
-    # expected excess E[(X-a)^+], clamped at 0 (see normals.expected_excess)
-    out = INV_SQRT_2PI * math.exp(-0.5 * a * a) - a * (0.5 * math.erfc(a / SQRT2))
-    return out if out > 0.0 else 0.0
-
-
 def _shortfall_threshold(profile, sigma, t):
     # a = sqrt(t) * (q - mu) / sigma, with the sigma=0 branch masked to a
-    # huge threshold so downstream tail quantities evaluate to 0.
-    with np.errstate(divide="ignore"):
-        a = np.where(sigma > 0, np.sqrt(t) * profile.excess_cap / np.where(sigma > 0, sigma, 1.0), np.inf)
-    return np.minimum(a, 1e6)
+    # huge threshold so downstream tail quantities evaluate to 0; returns
+    # the sigma > 0 mask too.  a is finite, so the normals' unchecked
+    # kernels take it.
+    pos = sigma > 0
+    a = np.where(pos, np.sqrt(t) * profile.excess_cap / np.where(pos, sigma, 1.0), np.inf)
+    return np.minimum(a, 1e6), pos
 
 
 def valuation(profile, sigma, t):
     """Per-unit-time value V(sigma, t) a type-sigma consumer places on a
-    period-t plan.  V(0, t) = alpha*mu (the volatility-free limit).
-
-    Scalars take a plain-math path, several times cheaper than a
-    one-point numpy call: golden-section search evaluates V point by point.
-    """
-    if np.ndim(sigma) == 0 and np.ndim(t) == 0:
-        s, tt = _check_scalar_sigma_t(sigma, t)
-        if s == 0.0:
-            return profile.alpha * profile.mu
-        rt = math.sqrt(tt)
-        shortfall_rate = s / rt * _excess_scalar(min(rt * profile.excess_cap / s, 1e6))
-        return profile.alpha * (profile.mu - shortfall_rate)
+    period-t plan.  V(0, t) = alpha*mu (the volatility-free limit)."""
     sv, tv = _check_sigma_t(sigma, t)
-    a = _shortfall_threshold(profile, sv, tv)
-    shortfall_rate = np.where(sv > 0, sv / np.sqrt(tv) * expected_excess(a), 0.0)
-    return profile.alpha * (profile.mu - shortfall_rate)
+    a, pos = _shortfall_threshold(profile, sv, tv)
+    shortfall_rate = np.where(pos, sv / np.sqrt(tv) * _excess(a, _pdf(a)), 0.0)
+    return (profile.alpha * (profile.mu - shortfall_rate))[()]
+
+
+def valuation_dsigma2(profile, sigma, t):
+    """(V, dV/dsigma, d2V/dsigma2) from one threshold a, one phi(a) and one E(a).
+
+    dV/dsigma = -alpha*phi(a)/sqrt(t) < 0 and
+    d2V/dsigma2 = -alpha*a^2*phi(a)/(sigma*sqrt(t)); both derivatives are
+    0 in the sigma = 0 limit, where V = alpha*mu.
+    """
+    sv, tv = _check_sigma_t(sigma, t)
+    a, pos = _shortfall_threshold(profile, sv, tv)
+    rt = np.sqrt(tv)
+    phi = _pdf(a)
+    v = profile.alpha * (profile.mu - np.where(pos, sv / rt * _excess(a, phi), 0.0))
+    vs = np.where(pos, -profile.alpha * phi / rt, 0.0)
+    return v, vs, vs * a * a / np.where(pos, sv, 1.0)
 
 
 def valuation_dt(profile, sigma, t):
@@ -141,8 +131,8 @@ def valuation_dt_dtt(profile, sigma, t):
     < 0, so V is strictly concave in t; both are 0 in the sigma = 0 limit.
     """
     sv, tv = _check_sigma_t(sigma, t)
-    a = _shortfall_threshold(profile, sv, tv)
-    vt = np.where(sv > 0, profile.alpha * sv * std_normal_pdf(a) / (2.0 * tv ** 1.5), 0.0)
+    a, pos = _shortfall_threshold(profile, sv, tv)
+    vt = np.where(pos, profile.alpha * sv * _pdf(a) / (2.0 * tv ** 1.5), 0.0)
     return vt, -vt * (a * a + 3.0) / (2.0 * tv)
 
 
@@ -152,40 +142,16 @@ def valuation_dsigma(profile, sigma, t):
     At sigma = 0 the one-sided limit is 0; that value is returned and a
     RuntimeWarning flags the degenerate evaluation.
     """
-    sv, tv = _check_sigma_t(sigma, t)
-    if np.any(sv == 0):
+    vs = valuation_dsigma2(profile, sigma, t)[1]
+    if np.any(np.asarray(sigma) == 0):
         warnings.warn("valuation_dsigma at sigma=0: returning one-sided limit 0", RuntimeWarning)
-    a = _shortfall_threshold(profile, sv, tv)
-    return np.where(sv > 0, -profile.alpha * std_normal_pdf(a) / np.sqrt(tv), 0.0)[()]
-
-
-def valuation_dsigma_dt(profile, sigma, t):
-    """Cross partial d2V/(dsigma dt) = alpha*phi(a)/(2*sqrt(t)) * (1/t + (q-mu)^2/sigma^2).
-
-    Strictly positive: longer periods soften the volatility penalty.
-    Undefined at sigma = 0.
-    """
-    sv, tv = _check_sigma_t(sigma, t)
-    if np.any(sv == 0):
-        raise ValueError("cross partial undefined at sigma=0")
-    a = np.minimum(np.sqrt(tv) * profile.excess_cap / sv, 1e6)
-    return (profile.alpha * std_normal_pdf(a) / (2.0 * np.sqrt(tv)) * (1.0 / tv + (profile.excess_cap / sv) ** 2))[()]
+    return vs[()]
 
 
 def cost(model, t):
-    """Provider cost per unit time C(t) = W(t) + c0 of serving a period-t plan.
-
-    Scalars skip numpy for the linear cost, several times cheaper than a
-    one-point call: golden-section search evaluates C point by point.
-    """
-    if np.ndim(t) == 0 and model.w is None:
-        tt = float(t)
-        if tt < 0 or not math.isfinite(tt):
-            raise ValueError("period t must be finite and nonnegative")
-        return model.c0 + model.c1 * tt
+    """Provider cost per unit time C(t) = W(t) + c0 of serving a period-t plan."""
     tv = np.asarray(t, dtype=float)
     if not (tv.min(initial=0.0) >= 0 and tv.max(initial=0.0) < np.inf):  # as in _check_sigma_t
         raise ValueError("period t must be finite and nonnegative")
     variable = model.w(tv) if model.w is not None else model.c1 * tv
     return (np.asarray(variable, dtype=float) + model.c0)[()]
-

@@ -20,31 +20,31 @@ def _as_float_or_array(x):
     return out
 
 
+# phi and E without the input check, for callers whose input is already
+# finite; E takes phi(a), so one exp serves a caller that needs both.
+def _pdf(x):
+    return INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
+def _excess(a, phi):
+    return np.maximum(phi - a * (0.5 * special.erfc(a / SQRT2)), 0.0)
+
+
 def std_normal_pdf(x):
     """phi(x) = exp(-x^2/2)/sqrt(2*pi)."""
-    xv = _as_float_or_array(x)
-    return (INV_SQRT_2PI * np.exp(-0.5 * xv * xv))[()]
+    return _pdf(_as_float_or_array(x))[()]
 
 
 def std_normal_cdf(x):
-    """Phi(x), computed via erfc for full-tail accuracy.
-
-    Scalars take math.erfc, several times cheaper than a one-point numpy
-    call: golden-section search reaches this point by point.
-    """
-    if np.ndim(x) == 0:
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise ValueError("non-finite input")
-        return 0.5 * math.erfc(-xf / SQRT2)
+    """Phi(x), computed via erfc for full-tail accuracy."""
     xv = _as_float_or_array(x)
-    out = 0.5 * special.erfc(-xv / SQRT2)
-    # erfc flushes the subnormal tail below about -37.5 to 0, where
-    # math.erfc still resolves it; exp(log_ndtr) matches math.erfc there
+    out = np.asarray(0.5 * special.erfc(-xv / SQRT2))
+    # erfc flushes the subnormal tail below about -37.5 to 0; exp(log_ndtr)
+    # still resolves it there
     tail = xv < -37.5
     if tail.any():
         out[tail] = np.exp(special.log_ndtr(xv[tail]))
-    return out
+    return out[()]
 
 
 def std_normal_sf(x):
@@ -69,5 +69,4 @@ def expected_excess(a):
     clamped at 0.
     """
     av = _as_float_or_array(a)
-    out = INV_SQRT_2PI * np.exp(-0.5 * av * av) - av * (0.5 * special.erfc(av / SQRT2))
-    return np.maximum(out, 0.0)[()]
+    return _excess(av, _pdf(av))[()]

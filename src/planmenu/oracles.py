@@ -15,7 +15,8 @@ reuses solver logic.
   period demand (inverse-CDF draws from a seeded 64-bit generator).
 - fixed_period_baseline prices a single fixed-period plan, either
   covering the whole market (price at the top type's valuation) or
-  with a profit-maximizing marginal type.
+  with a profit-maximizing marginal type, found by the grouped solver's
+  boundary search at K = 1.
 - social_metrics compares realized social surplus against the
   first-best that ignores incentive constraints.  It is accounting, not
   a check: the first-best periods come from the solvers' period search.
@@ -30,7 +31,7 @@ from scipy.special import ndtri
 
 from .discrete import FEASIBILITY_TOL, DiscreteSolution, block_periods
 from .distributions import ContinuousMarket, DiscreteMarket
-from .grouped import GroupedSolution, maximize_unimodal
+from .grouped import GroupedSolution, block_boundaries
 from .market import cost, valuation
 
 #: Largest grid-DP table (cells) the grid oracles accept.
@@ -62,8 +63,8 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
     boundaries themselves), and types above the top boundary must
     prefer opting out — no item may tempt them beyond the tolerance.
     A non-finite price fails both checks with an infinite violation.
-    The reported pair is the first worst consumer, with her first best
-    other item.
+    Where the worst temptation exceeds the tolerance, the reported pair
+    is the first worst consumer, with her first best other item.
     """
     t = np.asarray(periods, dtype=float)
     p = np.asarray(prices, dtype=float)
@@ -94,7 +95,7 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
     worst_ic = max(0.0, float(temptation[worst]))
     worst_ir = max(0.0, float(np.max(-own[served], initial=-np.inf)))
     pair = None
-    if temptation[worst] > 0.0:
+    if temptation[worst] > FEASIBILITY_TOL:
         pair = (float(sigmas[worst]), int(choice[worst]), int(assigned[worst]) if served[worst] else -1)
     passed = worst_ic <= FEASIBILITY_TOL and worst_ir <= FEASIBILITY_TOL
     return FeasibilityCertificate(
@@ -265,12 +266,8 @@ def fixed_period_baseline(profile, cost_model, market, t_fixed, coverage="full")
     if coverage == "full":
         sig = market.sigma_max
     else:
-        sig, _ = maximize_unimodal(
-            lambda s: market.size * market.cdf(s) * (valuation(profile, s, t_fixed) - c),
-            market.sigma_min,
-            market.sigma_max,
-            coarse_grid=2000,
-        )
+        one = np.zeros(1, dtype=int)
+        sig = block_boundaries(profile, cost_model, market, [t_fixed], one, one)[0]
     served = market.size * market.cdf(sig)
     return BaselineResult(
         period=float(t_fixed),

@@ -1,7 +1,6 @@
 """Shared fixtures: the default demand profile, cost model, and markets."""
 
 import importlib
-import math
 from pathlib import Path
 
 import numpy as np
@@ -53,32 +52,25 @@ class ValleyMarket(ContinuousMarket):
             1 - self.W1
         ) * (std_normal_cdf(z(self.M2, 6.0)) - std_normal_cdf(z(self.M2, 0.0)))
 
+    def _bumps(self, sigma):
+        s = self._check_support(sigma)
+        return (s - self.M1) / self.S, (s - self.M2) / self.S
+
     def pdf(self, sigma):
-        if np.ndim(sigma):
-            return np.array([self.pdf(float(s)) for s in np.asarray(sigma)])
-        s = self._check_support_scalar(sigma)
-        z1 = (s - self.M1) / self.S
-        z2 = (s - self.M2) / self.S
+        z1, z2 = self._bumps(sigma)
         raw = self.W1 * std_normal_pdf(z1) + (1 - self.W1) * std_normal_pdf(z2)
         return raw / (self.S * self._mix_norm)
 
     def cdf(self, sigma):
-        if np.ndim(sigma):
-            return np.array([self.cdf(float(s)) for s in np.asarray(sigma)])
-        s = self._check_support_scalar(sigma)
-        z = lambda m: (s - m) / self.S
+        z1, z2 = self._bumps(sigma)
         z0 = lambda m: (0.0 - m) / self.S
-        raw = self.W1 * (std_normal_cdf(z(self.M1)) - std_normal_cdf(z0(self.M1))) + (
+        raw = self.W1 * (std_normal_cdf(z1) - std_normal_cdf(z0(self.M1))) + (
             1 - self.W1
-        ) * (std_normal_cdf(z(self.M2)) - std_normal_cdf(z0(self.M2)))
+        ) * (std_normal_cdf(z2) - std_normal_cdf(z0(self.M2)))
         return raw / self._mix_norm
 
     def pdf_dsigma(self, sigma):
-        if np.ndim(sigma):
-            return np.array([self.pdf_dsigma(float(s)) for s in np.asarray(sigma)])
-        s = self._check_support_scalar(sigma)
-        z1 = (s - self.M1) / self.S
-        z2 = (s - self.M2) / self.S
+        z1, z2 = self._bumps(sigma)
         raw = -self.W1 * z1 * std_normal_pdf(z1) - (1 - self.W1) * z2 * std_normal_pdf(z2)
         return raw / (self.S ** 2 * self._mix_norm)
 

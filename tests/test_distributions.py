@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -101,14 +102,36 @@ def test_quantile_inverts_cdf(factory):
     assert abs(mkt.quantile(1.0) - mkt.sigma_max) < 1e-9
 
 
+def mp_density(mkt, sigma):
+    """(g, G, g') of a bundled-family market at 50 digits."""
+    with mpmath.workdps(50):
+        s, lo, hi = (mpmath.mpf(float(x)) for x in (sigma, mkt.sigma_min, mkt.sigma_max))
+        if mkt.kind == "uniform":
+            return 1 / (hi - lo), (s - lo) / (hi - lo), mpmath.mpf(0)
+        if mkt.kind == "exponential":
+            r = mpmath.mpf(mkt.rate)
+            norm = mpmath.exp(-r * lo) - mpmath.exp(-r * hi)
+            g = r * mpmath.exp(-r * s) / norm
+            return g, (mpmath.exp(-r * lo) - mpmath.exp(-r * s)) / norm, -r * g
+        loc, scale = mpmath.mpf(mkt.loc), mpmath.mpf(mkt.scale)
+        z, zlo, zhi = ((x - loc) / scale for x in (s, lo, hi))
+        norm = mpmath.ncdf(zhi) - mpmath.ncdf(zlo)
+        g = mpmath.npdf(z) / (scale * norm)
+        return g, (mpmath.ncdf(z) - mpmath.ncdf(zlo)) / norm, -z / scale * g
+
+
 @pytest.mark.parametrize("factory", ALL_MARKETS)
 def test_scalar_array_agreement(factory):
+    # one evaluation path: float and array input give the same numbers,
+    # within a few roundings of the 50-digit reference
     mkt = factory()
     sig = np.linspace(0.0, 6.0, 25)
-    for f in (mkt.pdf, mkt.cdf, mkt.pdf_dsigma):
+    ref = np.array([[float(z) for z in mp_density(mkt, s)] for s in sig])
+    for col, f in enumerate((mkt.pdf, mkt.cdf, mkt.pdf_dsigma)):
         arr = f(sig)
         scal = np.array([f(float(s)) for s in sig])
-        assert np.max(np.abs(arr - scal)) < 1e-14
+        assert np.array_equal(arr, scal)
+        assert np.all(np.abs(arr - ref[:, col]) <= 1e-14 * np.maximum(1.0, np.abs(ref[:, col])))
         assert isinstance(f(1.3), float)
 
 

@@ -3,24 +3,30 @@
 import tempfile
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize.elementwise import find_root
 
+from planmenu import grouped
 from planmenu.discrete import DEFAULT_T_DOMAIN, optimal_prices, period_objective, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import (
-    _profit_via_boundary_terms,
-    boundary_objective,
+    FALLBACK_GRID,
+    _blocks,
+    _boundary_slopes,
+    _boundary_terms,
+    block_boundaries,
     group_counts,
-    maximize_unimodal,
+    menu_profit,
     profit_gradient,
     solve_alternating,
     solve_with_restarts,
     step1_periods,
     step2_boundaries,
-    total_profit_grouped,
 )
 from planmenu.market import CostModel, DemandProfile, cost, valuation, valuation_dsigma
 from planmenu.oracles import brute_force_ic_ir, fixed_period_baseline
@@ -48,22 +54,91 @@ def truncnorm06(size=1.0):
 ALL_MARKETS = [uniform06, exponential06, truncnorm06]
 
 
-# --- scalar search with coarse-grid fallback ------------------------------
-
-def test_maximize_unimodal_basic():
-    x, fx = maximize_unimodal(lambda s: -(s - 2.0) ** 2, 0.0, 6.0)
-    assert abs(x - 2.0) < 1e-8
-    x, _ = maximize_unimodal(lambda s: -s, 0.0, 6.0)
-    assert abs(x) < 1e-8
+def boundary_objective(profile, cost_model, market, periods, k, sigma):
+    """Q_k(sigma): the profit terms containing boundary k, periods fixed."""
+    item = np.array([k])
+    s = np.asarray(sigma, dtype=float)
+    return _boundary_terms(profile, market, s[..., None], _blocks(cost_model, periods, item, item))[..., 0]
 
 
-def test_maximize_unimodal_coarse_grid_finds_global_peak():
-    # two bumps, the taller one on the right: plain golden-section can
-    # stall on the left bump, the coarse scan cannot
-    f = lambda s: np.exp(-40.0 * (s - 1.0) ** 2) + 1.5 * np.exp(-40.0 * (s - 4.5) ** 2)
-    x, fx = maximize_unimodal(f, 0.0, 6.0, coarse_grid=500)
-    assert abs(x - 4.5) < 1e-6
-    assert abs(fx - 1.5) < 1e-9
+def chain_profit(profile, cost_model, market, boundaries, periods):
+    """Direct profit: group masses times per-item margins at chain prices."""
+    prices = optimal_prices(profile, boundaries, periods)
+    return float(np.dot(group_counts(market, boundaries), prices - cost(cost_model, np.asarray(periods, dtype=float))))
+
+
+# --- lockstep boundary search and the dense-grid fallback ----------------
+
+def test_block_boundaries_match_find_root(profile, rng):
+    # random periods cut into random blocks; each block's boundary is the
+    # root of its slope Q' (the telescoped sum of its members' terms),
+    # found by scipy's bracketing root finder one block at a time, or the
+    # window edge its slope's sign points to
+    inside = 0
+    for factory in ALL_MARKETS:
+        mkt = factory(size=float(rng.uniform(0.5, 3.0)))
+        lo, hi = mkt.sigma_min, mkt.sigma_max
+        for _ in range(8):
+            n = int(rng.integers(1, 7))
+            t = np.sort(rng.uniform(0.1, 12.0, n))
+            model = CostModel(c0=10.0, c1=float(rng.uniform(0.05, 1.0)))
+            cuts = np.flatnonzero(rng.random(n - 1) < 0.5)
+            first = np.concatenate(([0], cuts + 1))
+            last = np.concatenate((cuts, [n - 1]))
+            got = block_boundaries(profile, model, mkt, t, first, last)
+            for j in range(first.size):
+                block = _blocks(model, t, first[j : j + 1], last[j : j + 1])
+                slope = lambda s: _boundary_slopes(profile, mkt, np.reshape(s, (-1, 1)), block)[1].reshape(np.shape(s))
+                if slope(lo) <= 0 or slope(hi) >= 0:
+                    assert got[j] == (lo if slope(lo) <= 0 else hi)
+                    continue
+                ref = float(find_root(slope, (lo, hi)).x)
+                assert abs(got[j] - ref) <= 1e-12 * ref
+                inside += 1
+    assert inside >= 20
+
+
+def test_boundary_curvature_symbolic(profile):
+    # Q(s) = N G(s) (V(s, t1) - V(s, t2) + C(t2) - C(t1)) on a truncated
+    # exponential market, differentiated twice by sympy
+    s, x = sp.Symbol("sigma", positive=True), sp.Symbol("x", real=True)
+    phi = sp.exp(-x**2 / 2) / sp.sqrt(2 * sp.pi)
+    excess = phi - x * sp.erfc(x / sp.sqrt(2)) / 2
+    alpha, mu, d = (sp.nsimplify(z) for z in (profile.alpha, profile.mu, profile.q - profile.mu))
+
+    def v(t):
+        return alpha * (mu - s / sp.sqrt(t) * excess.subs(x, sp.sqrt(t) * d / s))
+
+    rate, size, t1, t2 = sp.Rational(1, 2), 3, sp.Rational(9, 10), sp.Rational(5, 2)
+    G = (1 - sp.exp(-rate * s)) / (1 - sp.exp(-6 * rate))
+    model = CostModel(c0=10.0, c1=0.5)
+    dcost = sp.nsimplify(float(cost(model, 2.5) - cost(model, 0.9)))
+    q = size * G * (v(t1) - v(t2) + dcost)
+    ref = sp.lambdify(s, [q, sp.diff(q, s), sp.diff(q, s, 2)], "mpmath")
+
+    mkt = make_market("exponential", 0.0, 6.0, size=3.0, rate=0.5)
+    item = np.array([0])
+    sig = np.array([0.05, 0.4, 1.5, 3.0, 5.9])
+    got = _boundary_slopes(profile, mkt, sig[:, None], _blocks(model, [0.9, 2.5], item, item))
+    with mpmath.workdps(50):
+        for k, sk in enumerate(sig):
+            for value, want in zip((got[0], got[1], got[3]), ref(mpmath.mpf(sk))):
+                assert abs(value[k, 0] - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+
+def test_boundary_fallback_finds_global_peak(profile, cost_model, valley_market):
+    # the valley density fails the shape condition: the boundary term of
+    # a one-item menu has two peaks, and the dense scan plus golden
+    # refinement lands on the taller one
+    one = np.zeros(1, dtype=int)
+    for t in (0.5, 1.0, 3.0):
+        blocks = _blocks(cost_model, [t], one, one)
+        sig = np.linspace(0.0, 6.0, 200_001)
+        scan = _boundary_terms(profile, valley_market, sig[:, None], blocks)[:, 0]
+        x = block_boundaries(profile, cost_model, valley_market, [t], one, one)[0]
+        best = _boundary_terms(profile, valley_market, np.array([x]), blocks)[0]
+        assert best >= scan.max() - 1e-12
+        assert abs(x - sig[np.argmax(scan)]) <= 6.0 / FALLBACK_GRID
 
 
 # --- group masses and prices ----------------------------------------------
@@ -216,11 +291,12 @@ def test_profit_accounting_identity(profile, cost_model, rng):
             for _ in range(5):
                 b = np.sort(rng.uniform(0.2, 6.0, size=k))
                 t = np.sort(rng.uniform(0.3, 15.0, size=k))
-                direct = total_profit_grouped(profile, cost_model, mkt, b, t)
+                direct = chain_profit(profile, cost_model, mkt, b, t)
                 viaq = sum(
                     boundary_objective(profile, cost_model, mkt, t, j, b[j]) for j in range(k)
                 )
                 assert abs(direct - viaq) < 1e-8 * max(1.0, abs(direct))
+                assert abs(menu_profit(profile, cost_model, mkt, b, t) - viaq) <= 1e-14 * max(1.0, abs(viaq))
 
 
 def test_boundary_objective_single_peaked(profile, cost_model):
@@ -229,9 +305,7 @@ def test_boundary_objective_single_peaked(profile, cost_model):
         mkt = factory()
         sig = np.linspace(0.0, 6.0, 2000)
         for k, periods in ((0, [1.0, 4.0]), (1, [1.0, 4.0]), (0, [2.0])):
-            vals = np.array(
-                [boundary_objective(profile, cost_model, mkt, periods, k, s) for s in sig]
-            )
+            vals = boundary_objective(profile, cost_model, mkt, periods, k, sig)
             j = int(np.argmax(vals))
             d = np.diff(vals)
             assert np.all(d[: max(j - 1, 0)] >= -1e-12)
@@ -246,8 +320,8 @@ def test_step1_improves_and_ascends(profile, cost_model):
     t_start = np.array([2.0, 2.0, 2.0])
     t_new, blocks = step1_periods(profile, cost_model, mkt, b)
     assert np.all(np.diff(t_new) >= -1e-12)
-    before = total_profit_grouped(profile, cost_model, mkt, b, t_start)
-    after = total_profit_grouped(profile, cost_model, mkt, b, t_new)
+    before = menu_profit(profile, cost_model, mkt, b, t_start)
+    after = menu_profit(profile, cost_model, mkt, b, t_new)
     assert after >= before - 1e-12
 
 
@@ -258,8 +332,8 @@ def test_step2_improves_and_ascends(profile, cost_model):
     b_new, blocks = step2_boundaries(profile, cost_model, mkt, t)
     assert np.all(np.diff(b_new) >= -1e-12)
     assert np.all((b_new >= 0.0) & (b_new <= 6.0))
-    before = total_profit_grouped(profile, cost_model, mkt, b_start, t)
-    after = total_profit_grouped(profile, cost_model, mkt, b_new, t)
+    before = menu_profit(profile, cost_model, mkt, b_start, t)
+    after = menu_profit(profile, cost_model, mkt, b_new, t)
     assert after >= before - 1e-12
 
 
@@ -397,7 +471,7 @@ def fd_gradient(profile, cost_model, market, boundaries, periods, rel_step=1e-4)
     k = len(boundaries)
 
     def profit(y):
-        return _profit_via_boundary_terms(profile, cost_model, market, y[:k], y[k:])
+        return menu_profit(profile, cost_model, market, y[:k], y[k:])
 
     grad = np.empty_like(x)
     for i in range(x.size):
@@ -453,6 +527,53 @@ def test_newton_finish_reaches_first_order_optimum(name, k, start):
     assert sol.kkt_residual <= 1e-9
     stall_profit = STALL_RULE_PROFITS[name, k][STARTS.index(start)]
     assert sol.total_profit >= stall_profit - 1e-12 * stall_profit
+
+
+@lru_cache(maxsize=None)
+def counted_restart_solve(name, k):
+    """solve_with_restarts on a bundled market with its own restarts and
+    seed, and the slope-kernel calls each Step II block search made."""
+    sc = load_scenario(name)
+    calls, per_search = [0], []
+    slopes, search = grouped._boundary_slopes, grouped.block_boundaries
+
+    def counted_slopes(*args):
+        calls[0] += 1
+        return slopes(*args)
+
+    def counted_search(*args, **kwargs):
+        calls[0] = 0
+        out = search(*args, **kwargs)
+        per_search.append(calls[0])
+        return out
+
+    grouped._boundary_slopes, grouped.block_boundaries = counted_slopes, counted_search
+    try:
+        sol = solve_with_restarts(
+            sc.profile, sc.cost_model, sc.market, k, restarts=sc.solver.restarts, seed=sc.solver.seed
+        )
+    finally:
+        grouped._boundary_slopes, grouped.block_boundaries = slopes, search
+    return sol, per_search
+
+
+@pytest.mark.parametrize("name", BUNDLED_GROUPED)
+def test_step2_search_takes_few_kernel_calls(name):
+    # the [lo, hi, start] call plus Newton-bisection steps; warm starts
+    # after the first round mostly confirm the root at once
+    counts = [c for k in (1, 2, 3, 6) for c in counted_restart_solve(name, k)[1]]
+    assert counts and max(counts) <= 12
+    assert np.median(counts) <= 6
+
+
+def test_restarts_keep_quantile_start_unless_beaten():
+    # every restart of truncated_normal_k6 reaches the quantile start's
+    # menu up to rounding, so the quantile start's solve is returned whole
+    sol, _ = counted_restart_solve("truncated_normal_k6", 6)
+    _, alone = bundled_solve("truncated_normal_k6", 6, "quantile")
+    assert sol.iterations == alone.iterations
+    assert sol.profit_trace == alone.profit_trace
+    assert np.array_equal(sol.boundaries, alone.boundaries)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
@@ -535,6 +656,12 @@ def test_random_markets_pass_certificate_and_sweep_rises(scenario):
     assert sol.converged
     cert = brute_force_ic_ir(scenario.profile, scenario.market, sol.periods, sol.prices, boundaries=sol.boundaries)
     assert cert.passed
+    # a one-item menu at a fixed period is a restricted K = 1 menu
+    baseline = max(
+        fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, t, coverage="optimized").profit
+        for t in scenario.baselines
+    )
+    assert sol.total_profit >= baseline - 1e-12 * max(1.0, abs(baseline))
     with tempfile.TemporaryDirectory() as out:
         profits = [row["profit"] for row in sweep_groups(scenario, [1, 2, 3], out)]
     assert all(b >= a - 1e-10 * max(1.0, abs(a)) for a, b in zip(profits, profits[1:]))

@@ -7,6 +7,7 @@ D_t ~ Normal(mu*t, sigma^2 * t), independently of the closed form.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -18,11 +19,11 @@ from planmenu.market import (
     cost,
     valuation,
     valuation_dsigma,
-    valuation_dsigma_dt,
+    valuation_dsigma2,
     valuation_dt,
     valuation_dt_dtt,
 )
-from planmenu.normals import expected_excess
+from planmenu.normals import expected_excess, std_normal_pdf
 
 # quadrature-oracle values (alpha=1, mu=13, q=15)
 V_2_1 = 12.833369058824628
@@ -200,6 +201,19 @@ def test_valuation_dsigma_scaling(profile):
     assert abs(valuation_dsigma(profile, 4.0, 4.0) - base / 2.0) < 1e-12
 
 
+def valuation_dsigma_dt(profile, sigma, t):
+    """Cross partial d2V/(dsigma dt) = alpha*phi(a)/(2*sqrt(t)) * (1/t + (q-mu)^2/sigma^2).
+
+    Strictly positive (single crossing): longer periods soften the
+    volatility penalty.  Undefined at sigma = 0.
+    """
+    sv, tv = np.asarray(sigma, dtype=float), np.asarray(t, dtype=float)
+    if np.any(sv == 0):
+        raise ValueError("cross partial undefined at sigma=0")
+    a = np.minimum(np.sqrt(tv) * profile.excess_cap / sv, 1e6)
+    return (profile.alpha * std_normal_pdf(a) / (2.0 * np.sqrt(tv)) * (1.0 / tv + (profile.excess_cap / sv) ** 2))[()]
+
+
 def test_cross_partial_closed_form(profile):
     # at (2, 1): a = 1, d2V = phi(1)/2 * (1 + 4/4) = phi(1)
     assert abs(valuation_dsigma_dt(profile, 2.0, 1.0) - PHI_1) < 1e-12
@@ -292,14 +306,61 @@ def test_cost_custom_variable_part():
     assert np.allclose(cost(model, np.array([0.0, 2.0])), [10.0, 14.0])
 
 
+def mp_valuation(profile, sigma, t):
+    """(V, V_t) at 50 digits from the defining closed form."""
+    with mpmath.workdps(50):
+        s, t = mpmath.mpf(float(sigma)), mpmath.mpf(float(t))
+        alpha, mu, q = (mpmath.mpf(x) for x in (profile.alpha, profile.mu, profile.q))
+        if s == 0:
+            return alpha * mu, mpmath.mpf(0)
+        a = mpmath.sqrt(t) * (q - mu) / s
+        excess = mpmath.npdf(a) - a * mpmath.erfc(a / mpmath.sqrt(2)) / 2
+        return alpha * (mu - s / mpmath.sqrt(t) * excess), alpha * s * mpmath.npdf(a) / (2 * t**1.5)
+
+
 def test_scalar_array_agreement(profile):
-    sig = np.linspace(0.0, 8.0, 33)
-    t = np.linspace(0.1, 20.0, 33)
-    for f in (valuation, valuation_dt):
+    # one evaluation path: float and array input give the same numbers,
+    # within a few roundings of the 50-digit reference, down to small
+    # sigma and far-tail thresholds a (up to about 1e3 here)
+    sig = np.concatenate([[0.0, 1e-3, 0.01, 0.05], np.linspace(0.1, 8.0, 29)])
+    t = np.concatenate([[1e-4, 600.0, 2.0, 0.3], np.linspace(0.1, 20.0, 29)])
+    ref = np.array([[float(z) for z in mp_valuation(profile, s, x)] for s, x in zip(sig, t)])
+    for f, col, rtol in ((valuation, 0, 4e-16), (valuation_dt, 1, 1e-13)):
         arr = f(profile, sig, t)
         scal = np.array([f(profile, float(s), float(x)) for s, x in zip(sig, t)])
-        assert np.max(np.abs(arr - scal)) < 1e-14
+        assert np.array_equal(arr, scal)
+        assert np.all(np.abs(arr - ref[:, col]) <= rtol * np.abs(ref[:, col]))
         assert isinstance(f(profile, 1.5, 2.5), float)
+
+
+def test_fused_sigma_kernel_symbolic(profile):
+    # differentiate the defining formula twice in sigma: V_s = -alpha phi(a)/sqrt(t)
+    # and V_ss = -alpha a^2 phi(a)/(sigma sqrt(t)), which the boundary
+    # search's curvature uses
+    s, t, alpha, d, mu = sp.symbols("sigma t alpha d mu", positive=True)
+    x = sp.Symbol("x", real=True)
+    phi = sp.exp(-x**2 / 2) / sp.sqrt(2 * sp.pi)
+    excess = phi - x * sp.erfc(x / sp.sqrt(2)) / 2
+    a = sp.sqrt(t) * d / s
+    v = alpha * (mu - s / sp.sqrt(t) * excess.subs(x, a))
+    vs, vss = sp.diff(v, s), sp.diff(v, s, 2)
+    assert sp.simplify(vs + alpha * phi.subs(x, a) / sp.sqrt(t)) == 0
+    assert sp.simplify(vss + alpha * a**2 * phi.subs(x, a) / (s * sp.sqrt(t))) == 0
+
+    subs = {alpha: profile.alpha, d: profile.q - profile.mu, mu: profile.mu}
+    ref = sp.lambdify((s, t), [v.subs(subs), vs.subs(subs), vss.subs(subs)], "mpmath")
+    sig = np.array([0.05, 0.5, 2.0, 3.0, 6.0, 30.0])
+    per = np.array([1e-4, 0.8, 1.0, 5.0, 12.0, 600.0])
+    got = valuation_dsigma2(profile, sig, per)
+    assert np.array_equal(got[0], valuation(profile, sig, per))
+    assert np.array_equal(got[1], valuation_dsigma(profile, sig, per))
+    with mpmath.workdps(50):
+        for k in range(sig.size):
+            want = [float(z) for z in ref(mpmath.mpf(sig[k]), mpmath.mpf(per[k]))]
+            for g, w in zip(got, want):
+                assert abs(g[k] - w) <= 1e-13 * abs(w)
+    zero = valuation_dsigma2(profile, np.array([0.0]), np.array([3.0]))
+    assert [z[0] for z in zero] == [13.0, 0.0, 0.0]
 
 
 INF, NAN = float("inf"), float("nan")

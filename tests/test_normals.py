@@ -7,6 +7,7 @@ closed forms under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -24,6 +25,29 @@ from planmenu.normals import (
 CDF_196 = 0.975002104851780
 PHI_1 = 0.241970724519143
 EXCESS_05 = 0.197796557401306
+
+
+def mp_pdf(x):
+    with mpmath.workdps(50):
+        return mpmath.npdf(mpmath.mpf(float(x)))
+
+
+def mp_cdf(x):
+    with mpmath.workdps(50):
+        return mpmath.ncdf(mpmath.mpf(float(x)))
+
+
+def mp_excess(a):
+    """E[(X - a)^+] = phi(a) - a (1 - Phi(a)) at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(float(a))
+        return mpmath.npdf(a) - a * mpmath.erfc(a / mpmath.sqrt(2)) / 2
+
+
+def excess_rtol(a):
+    """Relative error allowed in E(a): erfc's 2e-13 in the far tail,
+    amplified by the cancellation of phi(a) against a sf(a)."""
+    return 2e-13 * (1.0 + np.asarray(a) ** 2)
 
 
 def _phi(x):
@@ -77,12 +101,21 @@ def test_sf_complements_cdf():
 
 
 def test_cdf_array_tail_positive_where_scalar_is():
-    # scipy's erfc flushes the subnormal tail below about -37.5 to 0
-    xs = np.linspace(-38.5, -30.0, 1701)
+    # scipy's erfc flushes the subnormal tail below about -37.5 to 0; the
+    # log_ndtr patch keeps it, for arrays and 0-d input alike, to the
+    # 50-digit reference (1e-12 relative, plus two subnormal steps)
+    xs = np.linspace(-38.5, -30.0, 171)
+    ref = np.array([float(mp_cdf(x)) for x in xs])
     arr = std_normal_cdf(xs)
-    scal = np.array([std_normal_cdf(float(x)) for x in xs])
-    assert np.all(arr[scal > 0.0] > 0.0)
+    assert np.all(arr[ref > 0.0] > 0.0)
+    assert np.all(np.abs(arr - ref) <= 1e-12 * ref + 1e-323)
+    for x in (-37.6, -38.0, -38.4):
+        got = std_normal_cdf(x)
+        assert isinstance(got, float) and got > 0.0
+        assert abs(got - float(mp_cdf(x))) <= 1e-12 * float(mp_cdf(x)) + 1e-323
+    assert std_normal_cdf(np.array(-38.0)) == std_normal_cdf(-38.0)
     assert std_normal_sf(np.array([38.0]))[0] > 0.0
+    assert std_normal_sf(38.0) == std_normal_cdf(-38.0)
 
 
 def test_quantile_round_trip():
@@ -142,9 +175,27 @@ def test_expected_excess_derivative_is_negative_sf():
 
 
 def test_scalar_and_array_paths_agree():
+    # one evaluation path: float and array input give the same numbers,
+    # each within its relative tolerance of the 50-digit reference
     xs = np.linspace(-7.0, 7.0, 57)
-    for f in (std_normal_pdf, std_normal_cdf, std_normal_sf, expected_excess):
+    refs = {
+        std_normal_pdf: (mp_pdf, 1e-15),
+        std_normal_cdf: (mp_cdf, 2e-14),
+        std_normal_sf: (lambda x: mp_cdf(-x), 2e-14),
+        expected_excess: (mp_excess, excess_rtol(xs)),
+    }
+    for f, (mp_f, rtol) in refs.items():
+        ref = np.array([float(mp_f(x)) for x in xs])
         arr = f(xs)
         scal = np.array([f(float(x)) for x in xs])
-        assert np.max(np.abs(arr - scal)) < 1e-15
+        assert np.array_equal(arr, scal)
+        assert np.all(np.abs(arr - ref) <= rtol * np.abs(ref))
         assert isinstance(f(0.3), float)
+
+
+def test_expected_excess_far_tail_against_mpmath():
+    # E(a) ~ phi(a)/a^2 for large a: phi(a) - a sf(a) cancels about a^2
+    # times erfc's own relative error, and nothing more
+    a = np.array([5.0, 10.0, 20.0, 30.0, 37.0])
+    ref = np.array([float(mp_excess(x)) for x in a])
+    assert np.all(np.abs(expected_excess(a) - ref) <= excess_rtol(a) * ref)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
-from planmenu.discrete import DEFAULT_T_DOMAIN, optimal_prices, solve_discrete
+from planmenu.discrete import DEFAULT_T_DOMAIN, FEASIBILITY_TOL, optimal_prices, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
-from planmenu.grouped import solve_alternating, total_profit_grouped
+from planmenu.grouped import group_counts, solve_alternating
 from planmenu.market import cost, valuation, valuation_dt
 from planmenu.oracles import (
     IC_SCAN_POINTS,
@@ -81,6 +81,23 @@ def test_certificate_flags_ic_violation(profile, case1):
     sig, chosen, assigned = cert.violating_pair
     assert abs(sig - market.sigmas[0]) < 1e-12
     assert (chosen, assigned) == (1, 0)
+
+
+def test_certificate_names_pair_only_beyond_tolerance():
+    # the solved menu leaves rounding-level temptations along its binding
+    # chain; they name no pair, so the certificate does not follow last bits
+    sc = load_scenario("case1_discrete")
+    sol = solve_discrete(sc.profile, sc.cost_model, sc.market)
+    cert = brute_force_ic_ir(sc.profile, sc.market, sol.periods, sol.prices)
+    assert cert.passed and cert.violating_pair is None
+    # a price cut of 1e-6 tempts the type just below, which is indifferent
+    # between its own item and the cut one
+    cut = sol.prices.copy()
+    cut[5] -= 1e-6
+    cert = brute_force_ic_ir(sc.profile, sc.market, sol.periods, cut)
+    assert not cert.passed
+    assert abs(cert.worst_ic_violation - 1e-6) <= 1e-9
+    assert cert.violating_pair == (float(sc.market.sigmas[4]), 5, 4)
 
 
 def test_certificate_flags_ir_violation(profile, case1):
@@ -160,6 +177,8 @@ def ic_ir_by_loop(profile, market, periods, prices, boundaries=None):
             if masked[j] - u[k] > worst_ic:
                 worst_ic, pair = float(masked[j] - u[k]), (float(sig), j, int(k))
         worst_ir = max(worst_ir, float(-u[k]))
+    if worst_ic <= FEASIBILITY_TOL:  # rounding-level temptations name no pair
+        pair = None
     return worst_ic, worst_ir, pair, int(sigmas.size)
 
 
@@ -358,6 +377,13 @@ def test_grid_oracle_property_never_beats_solver(profile, cost_model, market):
     assert best <= sol.total_profit + 1e-9
 
 
+def grouped_chain_profit(profile, cost_model, market, boundaries, periods):
+    """Direct profit of a grouped menu: group masses times per-item
+    margins at chain prices."""
+    prices = optimal_prices(profile, boundaries, periods)
+    return float(np.dot(group_counts(market, boundaries), prices - cost(cost_model, np.asarray(periods, dtype=float))))
+
+
 @pytest.mark.parametrize("n_groups", [2, 3])
 def test_grouped_grid_oracle_matches_literal_enumeration(profile, cost_model, n_groups):
     market = make_market("uniform", 0.0, 6.0)
@@ -369,11 +395,11 @@ def test_grouped_grid_oracle_matches_literal_enumeration(profile, cost_model, n_
     ref = -np.inf
     for bs in itertools.combinations_with_replacement(sigma_grid, n_groups):
         for ts in itertools.combinations_with_replacement(t_grid, n_groups):
-            prof = total_profit_grouped(profile, cost_model, market, list(bs), list(ts))
+            prof = grouped_chain_profit(profile, cost_model, market, list(bs), list(ts))
             ref = max(ref, prof)
     assert abs(best - ref) < 1e-12
     # the reported configuration reproduces the reported profit
-    again = total_profit_grouped(profile, cost_model, market, bnd, per)
+    again = grouped_chain_profit(profile, cost_model, market, bnd, per)
     assert abs(again - best) < 1e-9
     assert np.all(np.diff(bnd) >= 0) and np.all(np.diff(per) >= 0)
 

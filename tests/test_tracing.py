@@ -9,6 +9,7 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from planmenu import distributions, grouped, market, oracles, runner, scenarios
 
@@ -39,7 +40,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert distributions.ContinuousMarket.cdf is cdf
 
 
-def test_traced_runs_give_layer_metrics(monkeypatch, tmp_path):
+def test_traced_runs_give_layer_metrics(monkeypatch, tmp_path, valley_market):
     tracing = load_tracing(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
@@ -47,9 +48,11 @@ def test_traced_runs_give_layer_metrics(monkeypatch, tmp_path):
     try:
         runner.run(scenarios.load_scenario("case1_discrete"), tmp_path / "case1")
         sc = scenarios.load_scenario("uniform_k6")
-        # discrete periods no longer run golden section; Step II's boundary
-        # searches still do, and the tracer counts them
         grouped.solve_alternating(sc.profile, sc.cost_model, sc.market, 2)
+        # only the boundary fallback for markets that fail the shape
+        # condition still runs golden section, and the tracer counts it
+        with pytest.warns(RuntimeWarning, match="boundary-unimodality"):
+            grouped.solve_alternating(sc.profile, sc.cost_model, valley_market, 2)
         oracles.grid_oracle_grouped(
             sc.profile, sc.cost_model, sc.market, 2, np.linspace(0.0, 6.0, 13), np.linspace(0.5, 6.0, 12)
         )
