@@ -89,34 +89,47 @@ class PooledBlock:
     value: float  # the shared argmax
 
 
-def repair_monotone(solve_blocks, n, guess=None) -> Tuple[np.ndarray, List[PooledBlock]]:
+def repair_monotone(solve_blocks, shape, guess=None) -> Tuple[np.ndarray, List[PooledBlock]]:
     """Ascending joint maximizer of sum_i f_i(x_i) s.t. x_1 <= ... <= x_n.
 
+    shape is n, or (rows, n) for independent problems solved together:
+    item i of the flattened values belongs to row i // n, and no descent
+    is counted, nor any block pooled, across a row edge.
     solve_blocks(first, last, guess) maximizes, for each block j, the
-    summed objective of indices first[j]..last[j] (from guess[j] where
-    the solver can use one; guess may be None) and returns one argmax
-    per block.  Starts from the n unconstrained argmaxes; while any
+    summed objective of flat indices first[j]..last[j] (from guess[j]
+    where the solver can use one; guess may be None) and returns one
+    argmax per block.  Starts from the unconstrained argmaxes; while any
     strict descent remains, pools every maximal nonincreasing run of
     blocks that contains one and re-solves all new blocks in one call,
-    each from the midpoint of its run.  Returns the per-index values
-    plus the blocks that ended up pooled.
+    each from the midpoint of its run.  Returns the values in `shape`
+    plus the blocks that ended up pooled, in flat indices.
     """
-    first = np.arange(n)
-    last = np.arange(n)
-    x = np.asarray(solve_blocks(first, last, guess), dtype=float)
-    while np.any(x[:-1] > x[1:]):
-        # maximal runs of nonincreasing gaps between adjacent blocks
-        edges = np.diff(np.concatenate(([0], (x[:-1] >= x[1:]).astype(np.int8), [0])))
+    n = shape[-1] if np.ndim(shape) else shape
+    first = np.arange(int(np.prod(shape)))
+    last = first.copy()
+    row = first // n if first.size > n else None  # one row has no edges to mask
+    x = np.asarray(solve_blocks(first, last, None if guess is None else np.ravel(guess)), dtype=float)
+    while True:
+        drop, run = x[:-1] > x[1:], x[:-1] >= x[1:]
+        if row is not None:
+            same = row[:-1] == row[1:]
+            drop &= same
+            run &= same
+        if not drop.any():
+            break
+        # maximal runs of nonincreasing gaps between adjacent blocks of a row
+        edges = np.diff(np.concatenate(([0], run.astype(np.int8), [0])))
         lead, tail = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-        strict = np.add.reduceat(x[:-1] > x[1:], lead) > 0  # gaps between runs never descend
+        strict = np.add.reduceat(drop, lead) > 0  # gaps between runs never descend
         lead, tail = lead[strict], tail[strict]
         absorbed = np.cumsum(np.bincount(lead + 1, minlength=x.size + 1) - np.bincount(tail + 1, minlength=x.size + 1))
         keep = absorbed[: x.size] == 0
         last[lead] = last[tail]
         x[lead] = solve_blocks(first[lead], last[lead], 0.5 * (x[lead] + x[tail]))
         first, last, x = first[keep], last[keep], x[keep]
+        row = None if row is None else row[keep]
     pooled = [PooledBlock(start=int(a), stop=int(b), value=float(v)) for a, b, v in zip(first, last, x) if b > a]
-    return np.repeat(x, last - first + 1), pooled
+    return np.repeat(x, last - first + 1).reshape(shape), pooled
 
 
 # --- the discrete menu problem -----------------------------------------
@@ -242,11 +255,15 @@ def search_periods(profile, cost_model, sigmas, own, below, guess=None):
     """Ascending periods maximizing the summed period objectives of a menu.
 
     Item i has marginal type sigmas[i], own[i] buyers and below[i]
-    rent-drawing consumers (float arrays).  All items are searched in
-    lockstep (from guess, one period per item, if given) and descents
-    are pooled.  Returns (periods, pooled blocks).
+    rent-drawing consumers (float arrays).  Rows of menus (shape (R, n))
+    are independent problems searched together: a row's first item has
+    below = 0, so the rent type block_periods pairs it with is
+    multiplied by an exact zero.  All items are searched in lockstep
+    (from guess, one period per item, if given) and descents are pooled
+    within each row.  Returns (periods, pooled blocks in flat indices).
     """
-    return repair_monotone(partial(block_periods, profile, cost_model, sigmas, own, below), own.size, guess)
+    search = partial(block_periods, profile, cost_model, np.ravel(sigmas), np.ravel(own), np.ravel(below))
+    return repair_monotone(search, own.shape, guess)
 
 
 def optimal_prices(profile, sigmas, periods):

@@ -78,17 +78,20 @@ def group_counts(market, boundaries):
     return market.count_between(lows, b)
 
 
-def _blocks(cost_model, periods, first, last):
+def _blocks(cost_model, periods, first, last, end=None):
     """Block j pools items first[j]..last[j] on one boundary; its boundary
     terms telescope to one, N G(s) (V(s, t_first) - V(s, t_next) + C(t_next)
     - C(t_first)) with t_next = t_{last+1}, or the outside option (V = C = 0)
-    above the top item.  Periods may come in rows (shape (..., K)).
+    above the top item.  Periods may come in rows (shape (..., K)).  end
+    is one past the top item of each block's menu (default K); flat
+    indices into several menus pass the end of each block's own menu.
     Returns (own and next periods stacked on axis -2, next-item mask,
     cost step)."""
     t = np.asarray(periods, dtype=float)
+    end = t.shape[-1] if end is None else end
     C = cost(cost_model, t)
-    above = last < t.shape[-1] - 1
-    nxt = np.minimum(last + 1, t.shape[-1] - 1)
+    above = last + 1 < end
+    nxt = np.minimum(last + 1, end - 1)
     return np.stack([t[..., first], t[..., nxt]], axis=-2), above, np.where(above, C[..., nxt], 0.0) - C[..., first]
 
 
@@ -102,9 +105,12 @@ def _boundary_terms(profile, market, sigma, blocks):
 
 
 def menu_profit(profile, cost_model, market, boundaries, periods):
-    """Total profit as the sum of the boundary terms Q_k(b_k)."""
-    items = np.arange(np.size(periods))
-    return float(_boundary_terms(profile, market, boundaries, _blocks(cost_model, periods, items, items)).sum())
+    """Total profit as the sum of the boundary terms Q_k(b_k); rows of
+    menus (shape (R, K)) give one profit per row."""
+    t = np.atleast_1d(np.asarray(periods, dtype=float))
+    items = np.arange(t.shape[-1])
+    total = _boundary_terms(profile, market, boundaries, _blocks(cost_model, t, items, items)).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _boundary_slopes(profile, market, sigma, blocks):
@@ -128,7 +134,9 @@ def _boundary_slopes(profile, market, sigma, blocks):
 
 def block_boundaries(profile, cost_model, market, periods, first, last, guess=None):
     """The boundary maximizing each block's boundary term on the market
-    window, all blocks in lockstep.
+    window, all blocks in lockstep.  Periods may come in rows (shape
+    (R, K)); first and last then index the flattened periods, and "above
+    the top item" means the top item of the block's own row.
 
     Under the shape condition (Theorem 3) each term is single-peaked, so
     the search is _lockstep_root on the closed-form slope Q' with plain
@@ -138,7 +146,9 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
     golden section refining each block's best bracket.
     """
     lo, hi = market.sigma_min, market.sigma_max
-    blocks = _blocks(cost_model, periods, first, last)
+    t = np.asarray(periods, dtype=float)
+    K = t.shape[-1]
+    blocks = _blocks(cost_model, t.ravel(), first, last, (first // K + 1) * K)
     if not market.verify_theorem3().holds:
         xs = np.linspace(lo, hi, FALLBACK_GRID)
         best = np.argmax(_boundary_terms(profile, market, xs[:, None], blocks), axis=0)
@@ -187,107 +197,147 @@ def profit_gradient(profile, cost_model, market, boundaries, periods):
 
 
 def _chain_residual(x, grad, lo, hi):
-    """Largest feasible ascent rate of a maximization over x_1 <= ... <= x_n in [lo, hi].
+    """Largest feasible ascent rate of a maximization over x_1 <= ... <= x_n
+    in [lo, hi], one per row of x (shape (..., n)).
 
     A run of equal values moves as a whole or splits (a leading part
     down, a trailing part up); a run on a window edge cannot leave it.
     For distinct interior values this is max |grad|.
     """
     edge = EDGE_RTOL * (hi - lo)
-    worst = 0.0
-    for run in np.split(np.arange(x.size), np.flatnonzero(np.diff(x) > 0) + 1):
-        g = grad[run]
-        if x[run[0]] < hi - edge:
-            worst = max(worst, float(np.cumsum(g[::-1]).max()))
-        if x[run[0]] > lo + edge:
-            worst = max(worst, float(-np.cumsum(g).min()))
-    return worst
+    joined = np.diff(x, axis=-1) <= 0  # item i + 1 continues the run of item i
+    # each item's sum of grad from its run's first item (down) and to its
+    # run's last item (up), accumulated in the order of a cumsum
+    down, up = grad.copy(), grad.copy()
+    if joined.any():
+        for i in range(1, x.shape[-1]):
+            down[..., i] = np.where(joined[..., i - 1], down[..., i - 1] + grad[..., i], grad[..., i])
+        for i in range(x.shape[-1] - 2, -1, -1):
+            up[..., i] = np.where(joined[..., i], up[..., i + 1] + grad[..., i], grad[..., i])
+    rates = np.concatenate([np.where(x < hi - edge, up, -np.inf), np.where(x > lo + edge, -down, -np.inf)], axis=-1)
+    return np.fmax.reduce(rates, axis=-1, initial=0.0)
 
 
 def _menu_residual(market, b, t, d_b, d_t):
     """Projected first-order (KKT) residual of a menu: the largest rate at
     which a feasible move of the boundaries and periods raises profit.
-    0 at an exact optimum."""
-    return max(
+    0 at an exact optimum.  Rows of menus give one residual per row."""
+    residual = np.maximum(
         _chain_residual(b, d_b, market.sigma_min, market.sigma_max),
         _chain_residual(t, d_t, *DEFAULT_T_DOMAIN),
     )
+    return float(residual) if residual.ndim == 0 else residual
 
 
-def _hessian_factor(profile, cost_model, market, x, free, lo, hi):
-    """Cholesky factor of -H on the free coordinates of x = (b, t), or
-    None where the Hessian H is not negative definite.
-
-    H is a symmetrized central difference of the gradient, all perturbed
-    points in one batched call; each difference step is
-    1e-6 * max(1, |x|), at most half the distance to the window edge.
+def _probe(profile, cost_model, market, x, lo, hi):
+    """Each row of x = (b, t) with what a Newton step from it needs, all
+    from one batched _menu_terms call: (profit, gradient, free, -H) per
+    row.  free marks the coordinates off the window edges, and -H is the
+    negated Hessian on them, a symmetrized central difference of the
+    gradient; each difference step is 1e-6 * max(1, |x|), at most half
+    the distance to the window edge.
     """
-    K = x.size // 2
-    idx = np.flatnonzero(free)
-    n = idx.size
-    xf = x[idx]
-    h = np.minimum(1e-6 * np.maximum(1.0, np.abs(xf)), 0.5 * np.minimum(xf - lo[idx], hi[idx] - xf))
-    rows = np.tile(x, (2 * n, 1))
-    rows[np.arange(n), idx] += h
-    rows[n + np.arange(n), idx] -= h
-    d_b, d_t = profit_gradient(profile, cost_model, market, rows[:, :K], rows[:, K:])
-    F = np.concatenate([d_b, d_t], axis=1)[:, idx]
-    hess = (F[:n] - F[n:]) / (2.0 * h[:, None])
-    try:
-        return linalg.cho_factor(-0.5 * (hess + hess.T))
-    except linalg.LinAlgError:
-        return None
+    K = x.shape[1] // 2
+    edge = EDGE_RTOL * (hi - lo)
+    free = (x > lo + edge) & (x < hi - edge)
+    idx = [np.flatnonzero(f) for f in free]
+    # each row's menu, then its n up- and its n down-perturbed copies
+    starts = np.cumsum([0] + [2 * i.size + 1 for i in idx])
+    points = np.repeat(x, np.diff(starts), axis=0)
+    steps = []
+    for xr, i, s in zip(x, idx, starts):
+        n, xf = i.size, xr[i]
+        h = np.minimum(1e-6 * np.maximum(1.0, np.abs(xf)), 0.5 * np.minimum(xf - lo[i], hi[i] - xf))
+        points[s + 1 + np.arange(n), i] += h
+        points[s + 1 + n + np.arange(n), i] -= h
+        steps.append(h)
+    q, d_b, d_t = _menu_terms(profile, cost_model, market, points[:, :K], points[:, K:])
+    F = np.concatenate([d_b, d_t], axis=1)
+    neg_hessians = []
+    for i, s, h in zip(idx, starts, steps):
+        n = i.size
+        diff = F[s + 1 : s + 1 + 2 * n, i]
+        hess = (diff[:n] - diff[n:]) / (2.0 * h[:, None])
+        neg_hessians.append(-0.5 * (hess + hess.T))
+    return q[starts[:-1]].sum(axis=1), F[starts[:-1]], free, neg_hessians
 
 
-def _newton_finish(profile, cost_model, market, boundaries, periods, profit, trace):
-    """Safeguarded projected-Newton steps from an ascending, unpooled menu.
+def _newton_finish(profile, cost_model, market, boundaries, periods, profit, traces):
+    """Safeguarded projected-Newton steps from ascending, unpooled menus,
+    one menu per row of boundaries and periods, all rows in lockstep.
 
     Coordinates on a window edge stay fixed.  Once the residual is at
     most KKT_TOL * N, one more (polish) step reuses the last Hessian
     factor, so where the finish stops inside that tolerance does not
-    hang on the bits it started from.  A step is taken only if the new
-    boundaries and periods stay strictly ascending inside their windows
-    and profit does not fall (up to rounding); each accepted profit
-    joins the trace.  Returns (boundaries, periods, profit, residual,
-    steps), the residual measured at the returned menu.
+    hang on the bits it started from.  A step is taken only if -H passes
+    Cholesky, the new boundaries and periods stay strictly ascending
+    inside their windows and profit does not fall (up to rounding); each
+    accepted profit joins the row's trace.  A row stops on its own, on
+    the first of these events.  The trial menus of all rows still
+    stepping are evaluated in one _probe call, which also gives the
+    Hessian for each one's next step.  Returns (boundaries, periods,
+    profit, residual, steps) per row, the residual measured at the
+    returned menu.
     """
-    K = boundaries.size
+    K = boundaries.shape[1]
     lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
     hi = np.repeat([market.sigma_max, DEFAULT_T_DOMAIN[1]], K)
-    edge = EDGE_RTOL * (hi - lo)
     tol = KKT_TOL * market.size
-    x = np.concatenate([boundaries, periods])
-    _, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
-    steps = 0
-    factor = None
+    x = np.concatenate([boundaries, periods], axis=1)
+    profit = np.array(profit, dtype=float)
+    _, grad, free, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
+    rows = len(x)
+    residual = np.empty(rows)
+    steps = np.zeros(rows, dtype=int)
+    last = [None] * rows  # (factor, coordinates) of each row's last Newton step
+    stepping = np.arange(rows)
     while True:
-        grad = np.concatenate([d_b, d_t])
-        residual = _menu_residual(market, x[:K], x[K:], d_b, d_t)
-        if residual <= tol:
-            if factor is None:
-                break
-            step, factor = linalg.cho_solve(factor, grad[free]), None
-        elif steps >= MAX_NEWTON_STEPS:
+        residual[stepping] = _menu_residual(market, x[stepping, :K], x[stepping, K:], grad[stepping, :K], grad[stepping, K:])
+        moving, trials = [], []
+        for r in stepping:
+            if residual[r] <= tol:
+                if last[r] is None:
+                    continue
+                (factor, mask), last[r] = last[r], None  # the polish step
+            elif steps[r] >= MAX_NEWTON_STEPS:
+                continue
+            else:
+                try:
+                    factor = linalg.cho_factor(neg_hessian[r])
+                except linalg.LinAlgError:
+                    continue
+                mask = free[r]
+                last[r] = factor, mask
+            trial = x[r].copy()
+            trial[mask] += linalg.cho_solve(factor, grad[r, mask])
+            if np.all(np.diff(trial[:K]) > 0) and np.all(np.diff(trial[K:]) > 0) and np.all((trial >= lo) & (trial <= hi)):
+                moving.append(r)
+                trials.append(trial)
+        if not moving:
             break
-        else:
-            free = (x > lo + edge) & (x < hi - edge)
-            factor = _hessian_factor(profile, cost_model, market, x, free, lo, hi)
-            if factor is None:
-                break
-            step = linalg.cho_solve(factor, grad[free])
-        trial = x.copy()
-        trial[free] += step
-        b, t = trial[:K], trial[K:]
-        if not (np.all(np.diff(b) > 0) and np.all(np.diff(t) > 0) and np.all((trial >= lo) & (trial <= hi))):
-            break
-        q, trial_d_b, trial_d_t = _menu_terms(profile, cost_model, market, b, t)
-        p = float(q.sum())
-        if p < profit - 1e-12 * max(1.0, abs(profit)):
-            break
-        x, profit, d_b, d_t = trial, p, trial_d_b, trial_d_t
-        trace.append(p)
-        steps += 1
-    return x[:K], x[K:], profit, residual, steps
+        p, trial_grad, trial_free, trial_neg_hessian = _probe(profile, cost_model, market, np.array(trials), lo, hi)
+        stepping = []
+        for i, r in enumerate(moving):
+            if p[i] < profit[r] - 1e-12 * max(1.0, abs(profit[r])):
+                continue
+            x[r], profit[r], grad[r], free[r], neg_hessian[r] = trials[i], p[i], trial_grad[i], trial_free[i], trial_neg_hessian[i]
+            traces[r].append(float(p[i]))
+            steps[r] += 1
+            stepping.append(r)
+        stepping = np.array(stepping, dtype=int)
+    return x[:, :K], x[:, K:], profit, residual, steps
+
+
+def _by_row(values, blocks):
+    """(values, pooled blocks) of a search over rows of K items, the
+    flat-indexed blocks regrouped into one list per row with in-row
+    indices (the one row's list for 1-D values)."""
+    K = values.shape[-1]
+    rows = [[] for _ in range(values.size // K)]
+    for block in blocks:
+        r = block.start // K
+        rows[r].append(PooledBlock(start=block.start - r * K, stop=block.stop - r * K, value=block.value))
+    return values, rows if values.ndim > 1 else rows[0]
 
 
 def step1_periods(profile, cost_model, market, boundaries, guess=None):
@@ -296,20 +346,22 @@ def step1_periods(profile, cost_model, market, boundaries, guess=None):
     This is the discrete problem with the boundary types as marginal
     types and the band masses as counts; the rent mass of group k is
     N*G(sigma_{k-1}).  The search starts from guess (one period per
-    group) if given.
+    group) if given.  Rows of boundaries (shape (R, K)) are searched
+    together, and give one list of pooled blocks per row.
     """
-    b = np.asarray(boundaries, dtype=float)
-    G = np.atleast_1d(np.asarray(market.cdf(b), dtype=float))
-    G_lo = np.append(0.0, G[:-1])
-    return search_periods(profile, cost_model, b, market.size * (G - G_lo), market.size * G_lo, guess)
+    b = np.atleast_1d(np.asarray(boundaries, dtype=float))
+    G = np.asarray(market.cdf(b), dtype=float)
+    G_lo = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
+    return _by_row(*search_periods(profile, cost_model, b, market.size * (G - G_lo), market.size * G_lo, guess))
 
 
 def step2_boundaries(profile, cost_model, market, periods, guess=None):
     """Optimal ascending boundaries for fixed periods: (boundaries, pooled
     blocks), every block searched in lockstep from guess (one boundary
-    per group) if given."""
+    per group) if given.  Rows of periods (shape (R, K)) are searched
+    together, and give one list of pooled blocks per row."""
     t = np.asarray(periods, dtype=float)
-    return repair_monotone(partial(block_boundaries, profile, cost_model, market, t), t.size, guess)
+    return _by_row(*repair_monotone(partial(block_boundaries, profile, cost_model, market, t), t.shape, guess))
 
 
 @dataclass
@@ -340,6 +392,129 @@ def _collapse_empty_groups(market, boundaries, periods):
     return boundaries[keep], periods[keep]
 
 
+def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedSolution]:
+    """Alternate period and boundary optimization from every start at once,
+    finishing with Newton steps; one GroupedSolution per start.
+
+    Each start (init boundaries, or None for quantile-equispaced ones) is
+    one row of a (starts, K) menu array.  Every round runs Step I and
+    Step II on all rows still active in one lockstep search each, and
+    the Newton finish on the rows that take it; a row leaves once it
+    converges.  Rows never mix: each start does exactly the arithmetic
+    it would do alone, so the batch costs about its slowest start.
+    """
+    if n_groups < 1:
+        raise ValueError("need at least one group")
+    t3 = market.verify_theorem3()
+    if not t3.holds:
+        warnings.warn(
+            f"market fails the boundary-unimodality condition (min slack {t3.min_slack:.3g}); "
+            "falling back to dense-grid boundary searches",
+            RuntimeWarning,
+        )
+
+    b = np.empty((len(inits), n_groups))
+    for r, init in enumerate(inits):
+        if init is not None:
+            row = np.sort(np.asarray(init, dtype=float))
+            if row.size != n_groups:
+                raise ValueError("init_boundaries must supply one value per group")
+        else:
+            row = market.quantile((np.arange(n_groups) + 1.0) / n_groups)
+        b[r] = row
+
+    n = len(inits)
+    tol = KKT_TOL * market.size
+    t = np.empty_like(b)
+    traces = [[] for _ in range(n)]
+    period_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
+    boundary_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
+    profit = np.full(n, -np.inf)
+    residual = np.full(n, np.inf)  # first-order residual of the menu each row's next round starts from
+    newton_steps = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    rounds = np.zeros(n, dtype=int)
+    active = np.arange(n)
+    for round_no in range(1, MAX_ROUNDS + 1):
+        start_b = b[active]
+        periods, p_blocks = step1_periods(profile, cost_model, market, start_b, guess=t[active] if round_no > 1 else None)
+        p1 = menu_profit(profile, cost_model, market, start_b, periods)
+        for r, p in zip(active, p1.tolist()):
+            _check_monotone(traces[r], p)
+            traces[r].append(p)
+
+        boundaries, b_blocks = step2_boundaries(profile, cost_model, market, periods, guess=start_b)
+        p2 = menu_profit(profile, cost_model, market, boundaries, periods)
+        for r, p in zip(active, p2.tolist()):
+            _check_monotone(traces[r], p)
+            traces[r].append(p)
+
+        stalled = p2 - profit[active] <= REL_PROFIT_TOL * np.maximum(1.0, np.abs(p2))
+        finish = []
+        for i, r in enumerate(active):
+            period_blocks[r], boundary_blocks[r] = p_blocks[i], b_blocks[i]
+            ascending = np.all(np.diff(boundaries[i]) > 0) and np.all(np.diff(periods[i]) > 0)
+            if p_blocks[i] or b_blocks[i] or not ascending:
+                b[r], t[r] = boundaries[i], periods[i]
+                converged[r], profit[r], residual[r] = stalled[i], p2[i], np.inf
+            elif stalled[i] and residual[r] <= tol:
+                # the round only confirmed the Newton-finished menu it
+                # started from, which b[r], t[r] still hold
+                converged[r] = True
+            else:
+                finish.append(i)
+        if finish:
+            rows = active[finish]
+            b[rows], t[rows], profit[rows], residual[rows], steps = _newton_finish(
+                profile, cost_model, market, boundaries[finish], periods[finish], p2[finish], [traces[r] for r in rows]
+            )
+            newton_steps[rows] += steps
+        rounds[active] = round_no
+        active = active[~converged[active]]
+        if not active.size:
+            break
+
+    edge_tol = EDGE_RTOL * (market.sigma_max - market.sigma_min)
+    edge_hits = [[int(k) for k, s in enumerate(row) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol] for row in b]
+    menus = [_collapse_empty_groups(market, b[r], t[r]) for r in range(n)]
+    # the final terms of all menus of one size in one call
+    terms = [None] * n
+    for size in {bb.size for bb, _ in menus}:
+        rows = [r for r in range(n) if menus[r][0].size == size]
+        q, d_b, d_t = _menu_terms(profile, cost_model, market, np.array([menus[r][0] for r in rows]), np.array([menus[r][1] for r in rows]))
+        for i, r in enumerate(rows):
+            terms[r] = q[i], d_b[i], d_t[i]
+    solutions = []
+    for r, (boundaries, periods) in enumerate(menus):
+        # accounting identity: group masses times chain-price margins equal the boundary terms
+        prices = optimal_prices(profile, boundaries, periods)
+        counts = group_counts(market, boundaries)
+        direct = float(np.dot(counts, prices - cost(cost_model, periods)))
+        q, d_b, d_t = terms[r]
+        if abs(direct - float(q.sum())) > 1e-8 * max(1.0, abs(direct)):
+            raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
+        solutions.append(
+            GroupedSolution(
+                boundaries=boundaries,
+                periods=periods,
+                prices=prices,
+                counts=counts,
+                total_profit=direct,
+                iterations=int(rounds[r]),
+                converged=bool(converged[r]),
+                profit_trace=traces[r],
+                pooled_period_blocks=period_blocks[r],
+                pooled_boundary_blocks=boundary_blocks[r],
+                boundary_edge_hits=edge_hits[r],
+                theorem3_ok=t3.holds,
+                requested_groups=n_groups,
+                kkt_residual=_menu_residual(market, boundaries, periods, d_b, d_t),
+                newton_steps=int(newton_steps[r]),
+            )
+        )
+    return solutions
+
+
 def solve_alternating(
     profile,
     cost_model,
@@ -356,98 +531,30 @@ def solve_alternating(
     round that gains no more than REL_PROFIT_TOL in relative profit.  A
     round that pools stops the solve when profit stalls, and MAX_ROUNDS
     rounds stop it unconverged.  The profit trace is checked
-    nondecreasing at each half-step.
+    nondecreasing at each half-step.  This is the one-start case of the
+    batched solve that solve_with_restarts runs.
     """
-    if n_groups < 1:
-        raise ValueError("need at least one group")
-    t3 = market.verify_theorem3()
-    if not t3.holds:
-        warnings.warn(
-            f"market fails the boundary-unimodality condition (min slack {t3.min_slack:.3g}); "
-            "falling back to dense-grid boundary searches",
-            RuntimeWarning,
-        )
-
-    if init_boundaries is not None:
-        boundaries = np.sort(np.asarray(init_boundaries, dtype=float))
-        if boundaries.size != n_groups:
-            raise ValueError("init_boundaries must supply one value per group")
-    else:
-        boundaries = market.quantile((np.arange(n_groups) + 1.0) / n_groups)
-        boundaries = np.atleast_1d(np.asarray(boundaries, dtype=float))
-
-    tol = KKT_TOL * market.size
-    trace = []
-    period_blocks: List[PooledBlock] = []
-    boundary_blocks: List[PooledBlock] = []
-    periods = None
-    profit = -np.inf
-    residual = np.inf  # first-order residual of the menu the next round starts from
-    newton_steps = 0
-    converged = False
-    rounds = 0
-    for rounds in range(1, MAX_ROUNDS + 1):
-        start = boundaries, periods
-        periods, period_blocks = step1_periods(profile, cost_model, market, boundaries, guess=periods)
-        p1 = menu_profit(profile, cost_model, market, boundaries, periods)
-        _check_monotone(trace, p1)
-        trace.append(p1)
-
-        boundaries, boundary_blocks = step2_boundaries(profile, cost_model, market, periods, guess=boundaries)
-        p2 = menu_profit(profile, cost_model, market, boundaries, periods)
-        _check_monotone(trace, p2)
-        trace.append(p2)
-
-        stalled = p2 - profit <= REL_PROFIT_TOL * max(1.0, abs(p2))
-        ascending = np.all(np.diff(boundaries) > 0) and np.all(np.diff(periods) > 0)
-        if period_blocks or boundary_blocks or not ascending:
-            converged, profit, residual = stalled, p2, np.inf
-        elif stalled and residual <= tol:
-            # the round only confirmed the Newton-finished menu it started from
-            boundaries, periods = start
-            converged = True
-        else:
-            boundaries, periods, profit, residual, steps = _newton_finish(
-                profile, cost_model, market, boundaries, periods, p2, trace
-            )
-            newton_steps += steps
-        if converged:
-            break
-
-    edge_tol = EDGE_RTOL * (market.sigma_max - market.sigma_min)
-    edge_hits = [int(k) for k, s in enumerate(boundaries) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol]
-
-    boundaries, periods = _collapse_empty_groups(market, boundaries, np.asarray(periods, dtype=float))
-    # accounting identity: group masses times chain-price margins equal the boundary terms
-    prices = optimal_prices(profile, boundaries, periods)
-    counts = group_counts(market, boundaries)
-    direct = float(np.dot(counts, prices - cost(cost_model, periods)))
-    q, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
-    if abs(direct - float(q.sum())) > 1e-8 * max(1.0, abs(direct)):
-        raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
-
-    return GroupedSolution(
-        boundaries=boundaries,
-        periods=periods,
-        prices=prices,
-        counts=counts,
-        total_profit=direct,
-        iterations=rounds,
-        converged=converged,
-        profit_trace=trace,
-        pooled_period_blocks=period_blocks,
-        pooled_boundary_blocks=boundary_blocks,
-        boundary_edge_hits=edge_hits,
-        theorem3_ok=t3.holds,
-        requested_groups=n_groups,
-        kkt_residual=_menu_residual(market, boundaries, periods, d_b, d_t),
-        newton_steps=newton_steps,
-    )
+    return _solve_starts(profile, cost_model, market, n_groups, [init_boundaries])[0]
 
 
 def _check_monotone(trace, new):
     if trace and new < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
         raise RuntimeError(f"profit decreased during alternation: {trace[-1]} -> {new}")
+
+
+def _start_inits(market, n_groups, restarts, seed, extra_inits):
+    """The starts of a restart solve, in order: the quantile start (None),
+    any extra starts, then the seeded restarts (quantile-transformed
+    uniforms, so restarts respect the type distribution)."""
+    inits: List[Optional[np.ndarray]] = [None]
+    if extra_inits:
+        inits.extend(np.asarray(b, dtype=float) for b in extra_inits)
+    if restarts:
+        rng = np.random.default_rng(seed)
+        for _ in range(int(restarts)):
+            u = np.sort(rng.random(n_groups))
+            inits.append(np.atleast_1d(market.quantile(u)))
+    return inits
 
 
 def solve_with_restarts(
@@ -461,22 +568,15 @@ def solve_with_restarts(
 ) -> GroupedSolution:
     """Best of the quantile start, any extra starts, and seeded random
     restarts (quantile-transformed uniforms, so restarts respect the
-    type distribution).  Deterministic for a fixed seed: candidates are
-    solved independently, and a later start replaces the best so far only
-    if it gains more than REL_PROFIT_TOL in relative profit, so rounding
-    noise never picks the winner."""
-    inits: List[Optional[np.ndarray]] = [None]
-    if extra_inits:
-        inits.extend(np.asarray(b, dtype=float) for b in extra_inits)
-    if restarts:
-        rng = np.random.default_rng(seed)
-        for _ in range(int(restarts)):
-            u = np.sort(rng.random(n_groups))
-            inits.append(np.atleast_1d(market.quantile(u)))
-
+    type distribution).  All starts are solved together as one batch
+    (see _solve_starts), each exactly as it would be alone, so the solve
+    costs about its slowest start rather than the sum.  Deterministic for
+    a fixed seed: a later start replaces the best so far only if it
+    gains more than REL_PROFIT_TOL in relative profit, so rounding noise
+    never picks the winner."""
+    inits = _start_inits(market, n_groups, restarts, seed, extra_inits)
     best = None
-    for init in inits:
-        sol = solve_alternating(profile, cost_model, market, n_groups, init_boundaries=init)
+    for sol in _solve_starts(profile, cost_model, market, n_groups, inits):
         if best is None or sol.total_profit - best.total_profit > REL_PROFIT_TOL * max(1.0, abs(best.total_profit)):
             best = sol
     return best

@@ -124,6 +124,21 @@ def test_repair_monotone_cascades():
     assert (blocks[0].start, blocks[0].stop) == (0, 2)
 
 
+def test_repair_monotone_never_pools_across_rows():
+    # three rows of three items; rows 1 and 2 each start below the end of
+    # the row before, which is no descent: only each row's own descents
+    # pool, (4, 2) at 3 and (0.5, 0.2) at 0.35
+    peaks = (1.0, 4.0, 2.0, 0.5, 0.2, 6.0, 1.0, 2.0, 3.0)
+    objectives = [lambda x, c=c: -(x - c) ** 2 for c in peaks]
+    out, blocks = repair_monotone(golden_blocks(objectives, 0.0, 10.0), (3, 3))
+    assert out.shape == (3, 3)
+    assert np.allclose(out, [[1.0, 3.0, 3.0], [0.35, 0.35, 6.0], [1.0, 2.0, 3.0]], atol=1e-7)
+    assert [(b.start, b.stop) for b in blocks] == [(1, 2), (3, 4)]  # flat indices
+    for r in range(3):
+        alone, _ = repair_monotone(golden_blocks(objectives[3 * r : 3 * r + 3], 0.0, 10.0), 3)
+        assert np.array_equal(out[r], alone)
+
+
 def _ascending_dp_optimum(objectives, grid):
     # exact maximizer of sum_i f_i(x_i) over ascending grid tuples:
     # M_i(x) = f_i(x) + max_{x' <= x} M_{i-1}(x')

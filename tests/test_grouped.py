@@ -1,5 +1,6 @@
 """Continuum-market menu solver: boundary terms, alternation, restarts."""
 
+import contextlib
 import tempfile
 from functools import lru_cache
 
@@ -500,6 +501,12 @@ STALL_RULE_PROFITS = {
     ("truncated_normal_k6", 6): (1.4380478278526463, 1.4380478278652207),
 }
 BUNDLED_GROUPED = ("uniform_k6", "exponential_k6", "truncated_normal_k6")
+#: Most kernel calls a restart solve may make, as a share of the calls its
+#: starts make when solved one by one.  Starts leave the batch as they
+#: converge, and each start's Newton bursts land in the round that start
+#: reaches them, so the K = 6 markets make 0.47-0.59 of the one-by-one
+#: calls; a solve that ran its starts one by one would make all of them.
+BATCH_CALL_SHARE = 2.0 / 3.0
 STARTS = ("quantile", "restart")
 
 
@@ -574,6 +581,57 @@ def test_restarts_keep_quantile_start_unless_beaten():
     assert sol.iterations == alone.iterations
     assert sol.profit_trace == alone.profit_trace
     assert np.array_equal(sol.boundaries, alone.boundaries)
+
+
+@lru_cache(maxsize=None)
+def batched_and_alone(name, k):
+    """The starts of a bundled market's restart solve (its own restarts
+    and seed), solved as one batch and one by one, with the
+    valuation_dsigma2 calls (every boundary slope and gradient) the one
+    by one solves made."""
+    sc = load_scenario(name)
+    inits = grouped._start_inits(sc.market, k, sc.solver.restarts, sc.solver.seed, None)
+    batch = grouped._solve_starts(sc.profile, sc.cost_model, sc.market, k, inits)
+    with counted_kernel() as calls:
+        alone = [solve_alternating(sc.profile, sc.cost_model, sc.market, k, init_boundaries=b) for b in inits]
+    return batch, alone, calls[0]
+
+
+@contextlib.contextmanager
+def counted_kernel():
+    kernel, calls = grouped.valuation_dsigma2, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    grouped.valuation_dsigma2 = counted
+    try:
+        yield calls
+    finally:
+        grouped.valuation_dsigma2 = kernel
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("name", BUNDLED_GROUPED)
+def test_batched_starts_match_starts_solved_alone(name, k):
+    batch, alone, _ = batched_and_alone(name, k)
+    assert len(batch) == len(alone) == 1 + load_scenario(name).solver.restarts
+    for a, b in zip(batch, alone):
+        assert np.array_equal(a.boundaries, b.boundaries) and np.array_equal(a.periods, b.periods)
+        assert a.total_profit == b.total_profit and a.profit_trace == b.profit_trace
+        assert (a.iterations, a.newton_steps, a.kkt_residual) == (b.iterations, b.newton_steps, b.kkt_residual)
+
+
+@pytest.mark.parametrize("name", BUNDLED_GROUPED)
+def test_restart_solve_shares_kernel_calls_across_starts(name):
+    # a restart solve calls the kernels once per lockstep iteration for
+    # all its starts; starts solved one by one call them once each
+    sc = load_scenario(name)
+    _, _, alone_calls = batched_and_alone(name, 6)
+    with counted_kernel() as calls:
+        solve_with_restarts(sc.profile, sc.cost_model, sc.market, 6, restarts=sc.solver.restarts, seed=sc.solver.seed)
+    assert calls[0] < BATCH_CALL_SHARE * alone_calls
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
