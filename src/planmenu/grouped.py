@@ -266,10 +266,13 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
     """Safeguarded projected-Newton steps from ascending, unpooled menus,
     one menu per row of boundaries and periods, all rows in lockstep.
 
-    Coordinates on a window edge stay fixed.  Once the residual is at
-    most KKT_TOL * N, one more (polish) step reuses the last Hessian
-    factor, so where the finish stops inside that tolerance does not
-    hang on the bits it started from.  A step is taken only if -H passes
+    Coordinates on a window edge stay fixed, so a row whose free
+    coordinates' gradient is at most KKT_TOL * N stops: its residual
+    comes from an edge coordinate that only alternation can move.  Once
+    the residual is at most KKT_TOL * N, one more (polish) step reuses
+    the last Hessian factor, so where the finish stops inside that
+    tolerance does not hang on the bits it started from.  A step is
+    taken only if -H passes
     Cholesky, the new boundaries and periods stay strictly ascending
     inside their windows and profit does not fall (up to rounding); each
     accepted profit joins the row's trace.  A row stops on its own, on
@@ -299,8 +302,8 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
                 if last[r] is None:
                     continue
                 (factor, mask), last[r] = last[r], None  # the polish step
-            elif steps[r] >= MAX_NEWTON_STEPS:
-                continue
+            elif steps[r] >= MAX_NEWTON_STEPS or np.abs(grad[r, free[r]]).max(initial=0.0) <= tol:
+                continue  # out of steps, or only an edge coordinate still gains: alternation moves it
             else:
                 try:
                     factor = linalg.cho_factor(neg_hessian[r])

@@ -653,6 +653,19 @@ def test_quantile_start_and_restart_reach_same_menu(name, k):
     assert np.max(np.abs(a.periods - b.periods)) <= 1e-8
 
 
+def test_newton_finish_leaves_edge_coordinate_to_alternation():
+    # the K = 2 start a sweep pads from the K = 1 menu puts the bottom
+    # period on its window edge; once the free coordinates are stationary
+    # the finish stops rather than spend steps the edge blocks
+    sc = load_scenario("uniform_k6")
+    k1 = solve_with_restarts(sc.profile, sc.cost_model, sc.market, 1, restarts=sc.solver.restarts, seed=sc.solver.seed)
+    sol = solve_alternating(sc.profile, sc.cost_model, sc.market, 2, init_boundaries=np.repeat(k1.boundaries, 2))
+    assert sol.converged and sol.kkt_residual <= 1e-12
+    assert sol.newton_steps <= 14
+    _, alone = bundled_solve("uniform_k6", 2, "quantile")
+    assert abs(sol.total_profit - alone.total_profit) <= 1e-12 * alone.total_profit
+
+
 @pytest.mark.parametrize("w", [None, lambda t: 0.05 * t * t], ids=["linear", "quadratic"])
 def test_profit_gradient_matches_finite_differences(profile, rng, w):
     cost_model = CostModel(c0=10.0, c1=0.5, w=w)
