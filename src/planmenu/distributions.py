@@ -111,11 +111,11 @@ class ContinuousMarket:
     # --- density / CDF -------------------------------------------------
 
     def _check_support(self, sigma):
-        # One min and one max: NaN fails neither comparison and passes
-        # through, as do empty arrays (in-window `initial` values).
+        # One min and one max: NaN propagates into both and fails every
+        # comparison, and in-window `initial` values let empty arrays pass.
         sv = np.asarray(sigma, dtype=float)
         lo, hi = sv.min(initial=self.sigma_min), sv.max(initial=self.sigma_max)
-        if lo < self.sigma_min - self._slack or hi > self.sigma_max + self._slack:
+        if not (lo >= self.sigma_min - self._slack and hi <= self.sigma_max + self._slack):
             raise ValueError("sigma outside the market window")
         return np.clip(sv, self.sigma_min, self.sigma_max)
 

@@ -384,6 +384,16 @@ class GroupedSolution:
     requested_groups: int = 0
     kkt_residual: float = float("nan")
     newton_steps: int = 0
+    #: Final profit and KKT residual of every start of the solve, in start order.
+    start_profits: List[float] = field(default_factory=list)
+    start_kkt_residuals: List[float] = field(default_factory=list)
+
+    @property
+    def distinct_optima(self):
+        """Number of distinct final profits among the starts, profits within
+        REL_PROFIT_TOL (relative) of the next lower one counting as one."""
+        p = np.sort(self.start_profits)
+        return int(p.size > 0) + int(np.sum(np.diff(p) > REL_PROFIT_TOL * np.maximum(1.0, np.abs(p[1:]))))
 
 
 def _collapse_empty_groups(market, boundaries, periods):
@@ -496,6 +506,7 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
         q, d_b, d_t = terms[r]
         if abs(direct - float(q.sum())) > 1e-8 * max(1.0, abs(direct)):
             raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
+        residual = _menu_residual(market, boundaries, periods, d_b, d_t)
         solutions.append(
             GroupedSolution(
                 boundaries=boundaries,
@@ -511,8 +522,10 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
                 boundary_edge_hits=edge_hits[r],
                 theorem3_ok=t3.holds,
                 requested_groups=n_groups,
-                kkt_residual=_menu_residual(market, boundaries, periods, d_b, d_t),
+                kkt_residual=residual,
                 newton_steps=int(newton_steps[r]),
+                start_profits=[direct],
+                start_kkt_residuals=[residual],
             )
         )
     return solutions
@@ -576,10 +589,13 @@ def solve_with_restarts(
     costs about its slowest start rather than the sum.  Deterministic for
     a fixed seed: a later start replaces the best so far only if it
     gains more than REL_PROFIT_TOL in relative profit, so rounding noise
-    never picks the winner."""
-    inits = _start_inits(market, n_groups, restarts, seed, extra_inits)
-    best = None
-    for sol in _solve_starts(profile, cost_model, market, n_groups, inits):
-        if best is None or sol.total_profit - best.total_profit > REL_PROFIT_TOL * max(1.0, abs(best.total_profit)):
+    never picks the winner.  The returned solution records every start's
+    final profit and residual (start_profits, start_kkt_residuals)."""
+    solutions = _solve_starts(profile, cost_model, market, n_groups, _start_inits(market, n_groups, restarts, seed, extra_inits))
+    best = solutions[0]
+    for sol in solutions[1:]:
+        if sol.total_profit - best.total_profit > REL_PROFIT_TOL * max(1.0, abs(best.total_profit)):
             best = sol
+    best.start_profits = [sol.total_profit for sol in solutions]
+    best.start_kkt_residuals = [sol.kkt_residual for sol in solutions]
     return best

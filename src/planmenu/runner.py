@@ -4,7 +4,8 @@ Artifacts per run (all deterministic for a fixed seed):
   solution.csv     group_index, sigma_boundary, period, price, count, item_profit
   comparison.csv   label, profit, uplift_percent  (both baseline readings)
   certificate.json feasibility + incentive checks + convergence record
-                   (grouped: rounds, Newton steps, first-order residual)
+                   (grouped: rounds, Newton steps, first-order residual,
+                   and each start's final profit and residual)
   fig8_sweep.csv   (sweep only) groups, profit, uplift_percent
 """
 
@@ -124,6 +125,9 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
             "kkt_residual": solution.kkt_residual,
             "newton_steps": solution.newton_steps,
             "profit_trace": list(solution.profit_trace),
+            "start_profits": solution.start_profits,
+            "start_kkt_residuals": solution.start_kkt_residuals,
+            "distinct_optima": solution.distinct_optima,
         }
 
     certificate_ic = brute_force_ic_ir(

@@ -184,6 +184,18 @@ def test_support_enforced():
     assert mkt.cdf(6.0 + 1e-13) == 1.0
 
 
+@pytest.mark.parametrize("factory", ALL_MARKETS)
+def test_nan_type_rejected(factory):
+    # NaN fails the window check rather than flowing into densities and
+    # masses; an empty array still passes
+    mkt = factory()
+    for fn in (mkt.cdf, mkt.pdf, mkt.pdf_dsigma):
+        for sigma in (float("nan"), np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="outside the market window"):
+                fn(sigma)
+        assert fn(np.empty(0)).shape == (0,)
+
+
 def test_market_validation():
     with pytest.raises(ValueError):
         make_market("pareto", 0.0, 6.0)

@@ -167,6 +167,11 @@ def test_group_counts_rejects_unordered():
         group_counts(uniform06(), [3.0, 1.0])
 
 
+def test_group_counts_rejects_nan():
+    with pytest.raises(ValueError, match="outside the market window"):
+        group_counts(exponential06(), [np.nan, 6.0])
+
+
 def test_optimal_prices_grouped_single(profile):
     prices = optimal_prices(profile, [6.0], [1.0])
     assert abs(prices[0] - V_6_1) < 1e-12
@@ -634,6 +639,18 @@ def test_restart_solve_shares_kernel_calls_across_starts(name):
     assert calls[0] < BATCH_CALL_SHARE * alone_calls
 
 
+def test_restart_solve_records_every_start():
+    sol, _ = counted_restart_solve("truncated_normal_k6", 6)
+    batch, _, _ = batched_and_alone("truncated_normal_k6", 6)
+    assert sol.start_profits == [s.total_profit for s in batch]
+    assert sol.start_kkt_residuals == [s.kkt_residual for s in batch]
+    assert sol.distinct_optima == 1
+    # profits further apart than REL_PROFIT_TOL count apart
+    sol = grouped.GroupedSolution(*[None] * 7, start_profits=[1.0, 1.0 + 1e-11, 1.0 + 3e-10, 2.0, 1.0 + 1e-10])
+    assert sol.distinct_optima == 3
+    assert grouped.GroupedSolution(*[None] * 7).distinct_optima == 0
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
 @pytest.mark.parametrize("name", BUNDLED_GROUPED)
 def test_grouped_residual_at_float_floor(name, k, kkt):
@@ -700,6 +717,31 @@ def test_scaling_market_size_scales_profit_only(profile, cost_model):
         assert np.max(np.abs(large.boundaries - small.boundaries)) <= 1e-9
         assert np.max(np.abs(large.periods - small.periods)) <= 1e-9
         assert abs(large.total_profit - 1000.0 * small.total_profit) <= 1e-9 * large.total_profit
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", BUNDLED_GROUPED)
+def test_scaling_volatility_scales_periods(name, k):
+    # V(k sigma, k^2 t) = V(sigma, t), and C(k^2 t) = C(t) once c1 becomes
+    # c1 / k^2, so scaling every type and the market window by k scales the
+    # boundaries by k and the periods by k^2 and leaves profit.  (With
+    # c1 = 0 alone every period would sit on the window's cap.)
+    sc = load_scenario(name)
+    m = sc.market
+    base = solve_alternating(sc.profile, sc.cost_model, m, 3)
+    params = {}
+    if m.rate is not None:
+        params["rate"] = m.rate / k
+    if m.loc is not None:
+        params.update(loc=k * m.loc, scale=k * m.scale)
+    scaled_market = make_market(m.kind, k * m.sigma_min, k * m.sigma_max, size=m.size, **params)
+    scaled_cost = CostModel(c0=sc.cost_model.c0, c1=sc.cost_model.c1 / k**2)
+    scaled = solve_alternating(sc.profile, scaled_cost, scaled_market, 3)
+    lo, hi = DEFAULT_T_DOMAIN
+    assert 10 * lo < k**2 * base.periods.min() and k**2 * base.periods.max() < 0.1 * hi  # well inside
+    assert np.max(np.abs(scaled.periods / (k**2 * base.periods) - 1.0)) <= 1e-11
+    assert np.max(np.abs(scaled.boundaries / (k * base.boundaries) - 1.0)) <= 1e-11
+    assert abs(scaled.total_profit - base.total_profit) <= 1e-12 * base.total_profit
 
 
 @st.composite

@@ -199,6 +199,12 @@ def test_run_grouped_scenario(tmp_path):
     trace = np.array(cert["convergence"]["profit_trace"])
     assert len(trace) == 2 * cert["convergence"]["iterations"] + cert["convergence"]["newton_steps"]
     assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
+    # every start (quantile start and two restarts) reaches the one menu
+    conv = cert["convergence"]
+    assert len(conv["start_profits"]) == len(conv["start_kkt_residuals"]) == 3
+    assert conv["distinct_optima"] == 1
+    assert max(conv["start_kkt_residuals"]) <= 1e-9
+    assert conv["start_profits"][0] == cert["profit"]
     with open(tmp_path / "solution.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
