@@ -27,11 +27,20 @@ refinement of each block's best bracket.
 Alternation alone converges only linearly.  After a round that pools
 nothing, safeguarded projected-Newton steps on the 2K stationarity
 system dP/d(b, t) = 0 finish the job, holding coordinates on a window
-edge fixed, and one last step on the final Hessian factor once the
-projected first-order (KKT) residual is at most KKT_TOL * N.  The
-solver converges once that residual holds and one more round gains at
-most REL_PROFIT_TOL in relative profit; a round that pools stops the
-solve when profit stalls.
+edge fixed (and stopping once only such a coordinate still gains), and
+one last step on the final Hessian factor once the projected
+first-order (KKT) residual is at most KKT_TOL * N.  The solver
+converges once that residual holds and one more round gains at most
+REL_PROFIT_TOL in relative profit; a round that pools stops the solve
+when profit stalls.
+
+The profit is not jointly concave, so a solve may run several starts.
+They run as one batch: each start is a row of a (starts, K) menu array,
+Step I, Step II and every Newton step of a round are one lockstep call
+over the rows still active, and a row leaves once it converges.  No
+search, pooling or reduction crosses a row edge, so every start does
+exactly the arithmetic it would do alone, and the batch costs about its
+slowest start.
 """
 
 import warnings
@@ -272,15 +281,14 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
     the residual is at most KKT_TOL * N, one more (polish) step reuses
     the last Hessian factor, so where the finish stops inside that
     tolerance does not hang on the bits it started from.  A step is
-    taken only if -H passes
-    Cholesky, the new boundaries and periods stay strictly ascending
-    inside their windows and profit does not fall (up to rounding); each
-    accepted profit joins the row's trace.  A row stops on its own, on
-    the first of these events.  The trial menus of all rows still
-    stepping are evaluated in one _probe call, which also gives the
-    Hessian for each one's next step.  Returns (boundaries, periods,
-    profit, residual, steps) per row, the residual measured at the
-    returned menu.
+    taken only if -H passes Cholesky, the new boundaries and periods
+    stay strictly ascending inside their windows and profit does not
+    fall (up to rounding); each accepted profit joins the row's trace.
+    A row stops on its own, on the first of these events.  The trial
+    menus of all rows still stepping are evaluated in one _probe call,
+    which also gives the Hessian for each one's next step.  Returns
+    (boundaries, periods, profit, residual, steps) per row, the residual
+    measured at the returned menu.
     """
     K = boundaries.shape[1]
     lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
@@ -292,7 +300,7 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
     rows = len(x)
     residual = np.empty(rows)
     steps = np.zeros(rows, dtype=int)
-    last = [None] * rows  # (factor, coordinates) of each row's last Newton step
+    last = [None] * rows  # (Cholesky factor, free mask) of each row's last Newton step
     stepping = np.arange(rows)
     while True:
         residual[stepping] = _menu_residual(market, x[stepping, :K], x[stepping, K:], grad[stepping, :K], grad[stepping, K:])
@@ -488,22 +496,15 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
             break
 
     edge_tol = EDGE_RTOL * (market.sigma_max - market.sigma_min)
-    edge_hits = [[int(k) for k, s in enumerate(row) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol] for row in b]
-    menus = [_collapse_empty_groups(market, b[r], t[r]) for r in range(n)]
-    # the final terms of all menus of one size in one call
-    terms = [None] * n
-    for size in {bb.size for bb, _ in menus}:
-        rows = [r for r in range(n) if menus[r][0].size == size]
-        q, d_b, d_t = _menu_terms(profile, cost_model, market, np.array([menus[r][0] for r in rows]), np.array([menus[r][1] for r in rows]))
-        for i, r in enumerate(rows):
-            terms[r] = q[i], d_b[i], d_t[i]
     solutions = []
-    for r, (boundaries, periods) in enumerate(menus):
+    for r in range(n):
+        edge_hits = [int(k) for k, s in enumerate(b[r]) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol]
+        boundaries, periods = _collapse_empty_groups(market, b[r], t[r])
         # accounting identity: group masses times chain-price margins equal the boundary terms
         prices = optimal_prices(profile, boundaries, periods)
         counts = group_counts(market, boundaries)
         direct = float(np.dot(counts, prices - cost(cost_model, periods)))
-        q, d_b, d_t = terms[r]
+        q, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
         if abs(direct - float(q.sum())) > 1e-8 * max(1.0, abs(direct)):
             raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
         residual = _menu_residual(market, boundaries, periods, d_b, d_t)
@@ -519,7 +520,7 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
                 profit_trace=traces[r],
                 pooled_period_blocks=period_blocks[r],
                 pooled_boundary_blocks=boundary_blocks[r],
-                boundary_edge_hits=edge_hits[r],
+                boundary_edge_hits=edge_hits,
                 theorem3_ok=t3.holds,
                 requested_groups=n_groups,
                 kkt_residual=residual,

@@ -509,7 +509,7 @@ BUNDLED_GROUPED = ("uniform_k6", "exponential_k6", "truncated_normal_k6")
 #: Most kernel calls a restart solve may make, as a share of the calls its
 #: starts make when solved one by one.  Starts leave the batch as they
 #: converge, and each start's Newton bursts land in the round that start
-#: reaches them, so the K = 6 markets make 0.47-0.59 of the one-by-one
+#: reaches them, so the K = 6 markets make 0.48-0.62 of the one-by-one
 #: calls; a solve that ran its starts one by one would make all of them.
 BATCH_CALL_SHARE = 2.0 / 3.0
 STARTS = ("quantile", "restart")
@@ -544,7 +544,8 @@ def test_newton_finish_reaches_first_order_optimum(name, k, start):
 @lru_cache(maxsize=None)
 def counted_restart_solve(name, k):
     """solve_with_restarts on a bundled market with its own restarts and
-    seed, and the slope-kernel calls each Step II block search made."""
+    seed, and the slope-kernel calls each Step II block search made (one
+    search covers every block of every start still active)."""
     sc = load_scenario(name)
     calls, per_search = [0], []
     slopes, search = grouped._boundary_slopes, grouped.block_boundaries
