@@ -49,7 +49,7 @@ from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .discrete import (
     DEFAULT_T_DOMAIN,
@@ -249,26 +249,26 @@ def _probe(profile, cost_model, market, x, lo, hi):
     K = x.shape[1] // 2
     edge = EDGE_RTOL * (hi - lo)
     free = (x > lo + edge) & (x < hi - edge)
-    idx = [np.flatnonzero(f) for f in free]
+    n = free.sum(axis=1)
+    rows, cols = np.nonzero(free)
+    first = np.cumsum(n) - n  # each row's first free coordinate in rows, cols
     # each row's menu, then its n up- and its n down-perturbed copies
-    starts = np.cumsum([0] + [2 * i.size + 1 for i in idx])
-    points = np.repeat(x, np.diff(starts), axis=0)
-    steps = []
-    for xr, i, s in zip(x, idx, starts):
-        n, xf = i.size, xr[i]
-        h = np.minimum(1e-6 * np.maximum(1.0, np.abs(xf)), 0.5 * np.minimum(xf - lo[i], hi[i] - xf))
-        points[s + 1 + np.arange(n), i] += h
-        points[s + 1 + n + np.arange(n), i] -= h
-        steps.append(h)
+    base = np.cumsum(2 * n + 1) - (2 * n + 1)
+    up = base[rows] + 1 + np.arange(rows.size) - first[rows]
+    down = up + n[rows]
+    xf = x[rows, cols]
+    h = np.minimum(1e-6 * np.maximum(1.0, np.abs(xf)), 0.5 * np.minimum(xf - lo[cols], hi[cols] - xf))
+    points = np.repeat(x, 2 * n + 1, axis=0)
+    points[up, cols] += h
+    points[down, cols] -= h
     q, d_b, d_t = _menu_terms(profile, cost_model, market, points[:, :K], points[:, K:])
     F = np.concatenate([d_b, d_t], axis=1)
+    quotients = (F[up] - F[down]) / (2.0 * h[:, None])  # row j: dF / dx at coordinate cols[j]
     neg_hessians = []
-    for i, s, h in zip(idx, starts, steps):
-        n = i.size
-        diff = F[s + 1 : s + 1 + 2 * n, i]
-        hess = (diff[:n] - diff[n:]) / (2.0 * h[:, None])
+    for a, m in zip(first, n):
+        hess = quotients[a : a + m, cols[a : a + m]]
         neg_hessians.append(-0.5 * (hess + hess.T))
-    return q[starts[:-1]].sum(axis=1), F[starts[:-1]], free, neg_hessians
+    return q[base].sum(axis=1), F[base], free, neg_hessians
 
 
 def _newton_finish(profile, cost_model, market, boundaries, periods, profit, traces):
@@ -313,14 +313,13 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
             elif steps[r] >= MAX_NEWTON_STEPS or np.abs(grad[r, free[r]]).max(initial=0.0) <= tol:
                 continue  # out of steps, or only an edge coordinate still gains: alternation moves it
             else:
-                try:
-                    factor = linalg.cho_factor(neg_hessian[r])
-                except linalg.LinAlgError:
+                factor, info = lapack.dpotrf(neg_hessian[r], lower=0, clean=0)
+                if info:  # -H is not positive definite
                     continue
                 mask = free[r]
                 last[r] = factor, mask
             trial = x[r].copy()
-            trial[mask] += linalg.cho_solve(factor, grad[r, mask])
+            trial[mask] += lapack.dpotrs(factor, grad[r, mask], lower=0)[0]
             if np.all(np.diff(trial[:K]) > 0) and np.all(np.diff(trial[K:]) > 0) and np.all((trial >= lo) & (trial <= hi)):
                 moving.append(r)
                 trials.append(trial)
