@@ -92,7 +92,7 @@ class PooledBlock:
 def repair_monotone(solve_blocks, shape, guess=None) -> Tuple[np.ndarray, List[PooledBlock]]:
     """Ascending joint maximizer of sum_i f_i(x_i) s.t. x_1 <= ... <= x_n.
 
-    shape is n, or (rows, n) for independent problems solved together:
+    shape is n (one row) or (rows, n), independent rows solved together:
     item i of the flattened values belongs to row i // n, and no descent
     is counted, nor any block pooled, across a row edge.
     solve_blocks(first, last, guess) maximizes, for each block j, the
@@ -107,14 +107,11 @@ def repair_monotone(solve_blocks, shape, guess=None) -> Tuple[np.ndarray, List[P
     n = shape[-1] if np.ndim(shape) else shape
     first = np.arange(int(np.prod(shape)))
     last = first.copy()
-    row = first // n if first.size > n else None  # one row has no edges to mask
+    row = first // n
     x = np.asarray(solve_blocks(first, last, None if guess is None else np.ravel(guess)), dtype=float)
     while True:
-        drop, run = x[:-1] > x[1:], x[:-1] >= x[1:]
-        if row is not None:
-            same = row[:-1] == row[1:]
-            drop &= same
-            run &= same
+        same = row[:-1] == row[1:]
+        drop, run = (x[:-1] > x[1:]) & same, (x[:-1] >= x[1:]) & same
         if not drop.any():
             break
         # maximal runs of nonincreasing gaps between adjacent blocks of a row
@@ -126,8 +123,7 @@ def repair_monotone(solve_blocks, shape, guess=None) -> Tuple[np.ndarray, List[P
         keep = absorbed[: x.size] == 0
         last[lead] = last[tail]
         x[lead] = solve_blocks(first[lead], last[lead], 0.5 * (x[lead] + x[tail]))
-        first, last, x = first[keep], last[keep], x[keep]
-        row = None if row is None else row[keep]
+        first, last, x, row = first[keep], last[keep], x[keep], row[keep]
     pooled = [PooledBlock(start=int(a), stop=int(b), value=float(v)) for a, b, v in zip(first, last, x) if b > a]
     return np.repeat(x, last - first + 1).reshape(shape), pooled
 
@@ -353,7 +349,7 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
     lo, hi = DEFAULT_T_DOMAIN
     sig = market.sigmas
     own = market.counts
-    below = np.array([market.count_below(i) for i in range(market.n_types)])
+    below = np.concatenate(([0.0], np.cumsum(own)[:-1]))
     periods, pooled = search_periods(profile, cost_model, sig, own, below)
     if np.any(periods > hi - 1e-6 * (hi - lo)):
         warnings.warn("a period argmax pressed against the search cap DEFAULT_T_DOMAIN", RuntimeWarning)

@@ -63,10 +63,6 @@ class DiscreteMarket:
     def total_count(self):
         return float(self.counts.sum())
 
-    def count_below(self, i):
-        """Total head-count of types strictly lower than type i (0-based)."""
-        return float(self.counts[:i].sum())
-
 
 @dataclass
 class ContinuousMarket:

@@ -242,33 +242,23 @@ def _probe(profile, cost_model, market, x, lo, hi):
     """Each row of x = (b, t) with what a Newton step from it needs, all
     from one batched _menu_terms call: (profit, gradient, free, -H) per
     row.  free marks the coordinates off the window edges, and -H is the
-    negated Hessian on them, a symmetrized central difference of the
-    gradient; each difference step is 1e-6 * max(1, |x|), at most half
-    the distance to the window edge.
+    free block of the symmetrized central differences of the gradient.
+    Every coordinate steps by 1e-6 * max(1, |x|), at most half the
+    distance to the nearer window edge: by 0 on an edge, whose 0/0
+    quotients -H leaves out.
     """
-    K = x.shape[1] // 2
+    K, D = x.shape[1] // 2, x.shape[1]
     edge = EDGE_RTOL * (hi - lo)
     free = (x > lo + edge) & (x < hi - edge)
-    n = free.sum(axis=1)
-    rows, cols = np.nonzero(free)
-    first = np.cumsum(n) - n  # each row's first free coordinate in rows, cols
-    # each row's menu, then its n up- and its n down-perturbed copies
-    base = np.cumsum(2 * n + 1) - (2 * n + 1)
-    up = base[rows] + 1 + np.arange(rows.size) - first[rows]
-    down = up + n[rows]
-    xf = x[rows, cols]
-    h = np.minimum(1e-6 * np.maximum(1.0, np.abs(xf)), 0.5 * np.minimum(xf - lo[cols], hi[cols] - xf))
-    points = np.repeat(x, 2 * n + 1, axis=0)
-    points[up, cols] += h
-    points[down, cols] -= h
-    q, d_b, d_t = _menu_terms(profile, cost_model, market, points[:, :K], points[:, K:])
-    F = np.concatenate([d_b, d_t], axis=1)
-    quotients = (F[up] - F[down]) / (2.0 * h[:, None])  # row j: dF / dx at coordinate cols[j]
-    neg_hessians = []
-    for a, m in zip(first, n):
-        hess = quotients[a : a + m, cols[a : a + m]]
-        neg_hessians.append(-0.5 * (hess + hess.T))
-    return q[base].sum(axis=1), F[base], free, neg_hessians
+    h = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * np.minimum(x - lo, hi - x))
+    steps = np.concatenate([np.zeros((1, D)), np.eye(D), -np.eye(D)])  # the menu, then D up- and D down-shifted copies
+    points = x[:, None, :] + steps * h[:, None, :]
+    q, d_b, d_t = _menu_terms(profile, cost_model, market, points[..., :K], points[..., K:])
+    F = np.concatenate([d_b, d_t], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotients = (F[:, 1 : D + 1] - F[:, D + 1 :]) / (2.0 * h[:, :, None])  # [r, j]: dF / dx_j
+        neg_hessian = -0.5 * (quotients + quotients.transpose(0, 2, 1))
+    return q[:, 0].sum(axis=-1), F[:, 0], free, [m[np.ix_(f, f)] for m, f in zip(neg_hessian, free)]
 
 
 def _newton_finish(profile, cost_model, market, boundaries, periods, profit, traces):
@@ -404,12 +394,12 @@ class GroupedSolution:
 
 
 def _collapse_empty_groups(market, boundaries, periods):
-    """Drop groups whose type band has zero mass (duplicate boundaries)."""
+    """(boundaries, periods, counts) without the groups whose band has no mass."""
     counts = group_counts(market, boundaries)
     keep = counts > 0
     if not np.any(keep):
         keep[-1] = True
-    return boundaries[keep], periods[keep]
+    return boundaries[keep], periods[keep], counts[keep]
 
 
 def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedSolution]:
@@ -433,15 +423,11 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
             RuntimeWarning,
         )
 
-    b = np.empty((len(inits), n_groups))
-    for r, init in enumerate(inits):
-        if init is not None:
-            row = np.sort(np.asarray(init, dtype=float))
-            if row.size != n_groups:
-                raise ValueError("init_boundaries must supply one value per group")
-        else:
-            row = market.quantile((np.arange(n_groups) + 1.0) / n_groups)
-        b[r] = row
+    quantile = market.quantile((np.arange(n_groups) + 1.0) / n_groups)
+    rows = [quantile if init is None else np.sort(np.asarray(init, dtype=float)) for init in inits]
+    if any(row.shape != (n_groups,) for row in rows):
+        raise ValueError("init_boundaries must supply one value per group")
+    b = np.array(rows)
 
     n = len(inits)
     tol = KKT_TOL * market.size
@@ -458,16 +444,11 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
     for round_no in range(1, MAX_ROUNDS + 1):
         start_b = b[active]
         periods, p_blocks = step1_periods(profile, cost_model, market, start_b, guess=t[active] if round_no > 1 else None)
-        p1 = menu_profit(profile, cost_model, market, start_b, periods)
-        for r, p in zip(active, p1.tolist()):
-            _check_monotone(traces[r], p)
-            traces[r].append(p)
+        _extend_traces(traces, active, menu_profit(profile, cost_model, market, start_b, periods))
 
         boundaries, b_blocks = step2_boundaries(profile, cost_model, market, periods, guess=start_b)
         p2 = menu_profit(profile, cost_model, market, boundaries, periods)
-        for r, p in zip(active, p2.tolist()):
-            _check_monotone(traces[r], p)
-            traces[r].append(p)
+        _extend_traces(traces, active, p2)
 
         stalled = p2 - profit[active] <= REL_PROFIT_TOL * np.maximum(1.0, np.abs(p2))
         finish = []
@@ -498,10 +479,9 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
     solutions = []
     for r in range(n):
         edge_hits = [int(k) for k, s in enumerate(b[r]) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol]
-        boundaries, periods = _collapse_empty_groups(market, b[r], t[r])
+        boundaries, periods, counts = _collapse_empty_groups(market, b[r], t[r])
         # accounting identity: group masses times chain-price margins equal the boundary terms
         prices = optimal_prices(profile, boundaries, periods)
-        counts = group_counts(market, boundaries)
         direct = float(np.dot(counts, prices - cost(cost_model, periods)))
         q, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
         if abs(direct - float(q.sum())) > 1e-8 * max(1.0, abs(direct)):
@@ -553,9 +533,12 @@ def solve_alternating(
     return _solve_starts(profile, cost_model, market, n_groups, [init_boundaries])[0]
 
 
-def _check_monotone(trace, new):
-    if trace and new < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
-        raise RuntimeError(f"profit decreased during alternation: {trace[-1]} -> {new}")
+def _extend_traces(traces, rows, profits):
+    """Append each row's profit to its trace, checked nondecreasing."""
+    for trace, new in zip((traces[r] for r in rows), profits.tolist()):
+        if trace and new < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
+            raise RuntimeError(f"profit decreased during alternation: {trace[-1]} -> {new}")
+        trace.append(new)
 
 
 def _start_inits(market, n_groups, restarts, seed, extra_inits):

@@ -299,7 +299,9 @@ def _first_best_surplus_rates(profile, cost_model, sigmas):
 
 def social_metrics(profile, cost_model, market, solution) -> SocialReport:
     """Realized vs first-best social surplus (value minus cost; prices
-    are transfers and cancel)."""
+    are transfers and cancel).  A grouped menu's bands share one
+    Gauss-Legendre rule, band k mapped onto u in [0, 1] by
+    sigma = b_{k-1} + (b_k - b_{k-1}) u."""
     if isinstance(solution, DiscreteSolution):
         contract = float(
             np.dot(
@@ -309,18 +311,15 @@ def social_metrics(profile, cost_model, market, solution) -> SocialReport:
         )
         first_best = float(np.dot(market.counts, _first_best_surplus_rates(profile, cost_model, market.sigmas)))
     elif isinstance(solution, GroupedSolution):
-        contract = 0.0
-        lo = market.sigma_min
-        for sig_hi, t_k in zip(solution.boundaries, solution.periods):
-            if sig_hi > lo:
-                val, _ = fixed_quad(
-                    lambda s: (valuation(profile, s, t_k) - cost(cost_model, t_k)) * market.pdf(s),
-                    lo,
-                    sig_hi,
-                    n=96,
-                )
-                contract += market.size * float(val)
-            lo = sig_hi
+        b, t = solution.boundaries, solution.periods
+        lo = np.concatenate(([market.sigma_min], b[:-1]))[:, None]
+        width = b[:, None] - lo
+
+        def surplus(u):
+            s = lo + width * u
+            return (valuation(profile, s, t[:, None]) - cost(cost_model, t)[:, None]) * market.pdf(s) * width
+
+        contract = float(np.sum(market.size * fixed_quad(surplus, 0.0, 1.0, n=96)[0]))
         val, _ = fixed_quad(
             lambda s: _first_best_surplus_rates(profile, cost_model, s) * market.pdf(s),
             market.sigma_min,

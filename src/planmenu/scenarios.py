@@ -103,16 +103,17 @@ def load_scenario(path_or_name) -> Scenario:
         raise ValueError("discrete solver needs a discrete market")
     if kind == "grouped" and not isinstance(market, ContinuousMarket):
         raise ValueError("grouped solver needs a continuous market")
+    n_groups, restarts, seed = solver_cfg.get("K", 1), solver_cfg.get("restarts", 0), solver_cfg.get("seed")
+    for key, value, least in (("K", n_groups, 1), ("restarts", restarts, 0)):
+        if type(value) is not int or value < least:
+            raise ValueError(f"solver key {key!r} must be an integer >= {least}, got {value!r}")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"solver key 'seed' must be an integer or null, got {seed!r}")
     return Scenario(
         name=str(raw["name"]),
         profile=DemandProfile(alpha=float(raw["alpha"]), mu=float(raw["mu"]), q=float(raw["q"])),
         cost_model=CostModel(c0=float(raw["cost"]["c0"]), c1=float(raw["cost"].get("c1", 0.0))),
         market=market,
-        solver=SolverSpec(
-            kind=kind,
-            n_groups=int(solver_cfg.get("K", 1)),
-            restarts=int(solver_cfg.get("restarts", 0)),
-            seed=solver_cfg.get("seed"),
-        ),
+        solver=SolverSpec(kind=kind, n_groups=n_groups, restarts=restarts, seed=seed),
         baselines=[float(x) for x in raw.get("baselines", [])],
     )

@@ -35,7 +35,7 @@ def type_objective(profile, cost_model, market, i, t):
     """P_i(t): type i's contribution to total profit at the price optimum."""
     sig = market.sigmas
     return period_objective(
-        profile, cost_model, market.counts[i], market.count_below(i), sig[i], sig[max(i - 1, 0)], t
+        profile, cost_model, market.counts[i], market.counts[:i].sum(), sig[i], sig[max(i - 1, 0)], t
     )
 
 

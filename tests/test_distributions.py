@@ -36,9 +36,6 @@ def test_discrete_market_basics():
     mkt = DiscreteMarket(sigmas=[0.5, 1.5, 3.0], counts=[2.0, 1.0, 4.0])
     assert mkt.n_types == 3
     assert mkt.total_count == 7.0
-    assert mkt.count_below(0) == 0.0
-    assert mkt.count_below(1) == 2.0
-    assert mkt.count_below(2) == 3.0
 
 
 def test_discrete_market_validation():

@@ -29,7 +29,7 @@ from planmenu.grouped import (
     step1_periods,
     step2_boundaries,
 )
-from planmenu.market import CostModel, DemandProfile, cost, valuation, valuation_dsigma
+from planmenu.market import CostModel, DemandProfile, cost, valuation, valuation_dsigma, valuation_dt_dtt
 from planmenu.oracles import brute_force_ic_ir, fixed_period_baseline
 from planmenu.runner import sweep_groups
 from planmenu.scenarios import Scenario, SolverSpec, load_scenario
@@ -469,6 +469,19 @@ def test_shape_condition_failure_falls_back_and_solves(profile, cost_model, vall
     assert np.all(np.diff(sol.boundaries) > 0)
 
 
+def test_empty_group_is_dropped():
+    # at K = 3 the bottom boundary ends on sigma_min, so the bottom
+    # group's band has no mass; the solution drops it and serves two items
+    profile = DemandProfile(alpha=1.0, mu=7.0, q=10.0)
+    mkt = make_market("uniform", 0.5, 8.5)
+    sol = solve_alternating(profile, CostModel(c0=6.4, c1=0.05), mkt, 3)
+    assert sol.boundaries.size == sol.periods.size == sol.prices.size == sol.counts.size == 2
+    assert sol.requested_groups == 3
+    assert np.all(sol.counts > 0)
+    assert sol.converged
+    assert brute_force_ic_ir(profile, mkt, sol.periods, sol.prices, sol.boundaries).passed
+
+
 # --- first-order finish: gradient, residual, Newton steps -------------------
 
 def fd_gradient(profile, cost_model, market, boundaries, periods, rel_step=1e-4):
@@ -695,6 +708,50 @@ def test_profit_gradient_matches_finite_differences(profile, rng, w):
             d_b, d_t = profit_gradient(profile, cost_model, mkt, b, t)
             fd = fd_gradient(profile, cost_model, mkt, b, t)
             assert np.allclose(np.concatenate([d_b, d_t]), fd, rtol=1e-7, atol=1e-9)
+
+
+def closed_form_hessian(profile, cost_model, market, b, t, dc, ddc):
+    """Hessian of total profit in x = (b, t), given C'(t) = dc and
+    C''(t) = ddc.  Q_k'' is the curvature _boundary_slopes returns, and
+    V_sigma_t = V_t (1 + a^2) / sigma with a = sqrt(t) (q - mu) / sigma."""
+    K, N = b.size, market.size
+    items = np.arange(K)
+    G, g = market.cdf(b), market.pdf(b)
+    G_lo = np.concatenate(([0.0], G[:-1]))
+    vt, vtt = valuation_dt_dtt(profile, b, t)  # at (b_k, t_k)
+    vt_lo, vtt_lo = valuation_dt_dtt(profile, b[:-1], t[1:])  # at (b_{k-1}, t_k)
+    vst = lambda s, tt, v: v * (1.0 + tt * (profile.excess_cap / s) ** 2) / s
+    H = np.zeros((2 * K, 2 * K))
+    H[items, items] = _boundary_slopes(profile, market, b, _blocks(cost_model, t, items, items))[3]
+    H[K + items, K + items] = N * ((G - G_lo) * (vtt - ddc) + G_lo * (vtt - np.concatenate(([0.0], vtt_lo))))
+    H[items, K + items] = N * (g * (vt - dc) + G * vst(b, t, vt))
+    H[items[:-1], K + items[1:]] = -N * (g[:-1] * (vt_lo - dc[1:]) + G[:-1] * vst(b[:-1], t[1:], vt_lo))
+    return H + np.triu(H, 1).T
+
+
+@pytest.mark.parametrize(
+    "w, dc, ddc, tol",
+    [(None, lambda t: np.full_like(t, 0.5), lambda t: np.zeros_like(t), 1e-7),
+     (lambda t: 0.05 * t * t, lambda t: 0.1 * t, lambda t: np.full_like(t, 0.1), 1e-5)],
+    ids=["linear", "quadratic"],
+)
+def test_probe_hessian_matches_closed_form(profile, rng, w, dc, ddc, tol):
+    # _probe's -H is a central difference of the gradient (and, for a
+    # custom W, of a central-difference C'); rows of random ascending
+    # menus go through one batched call
+    cost_model = CostModel(c0=10.0, c1=0.5, w=w)
+    for factory in ALL_MARKETS:
+        mkt = factory(size=3.0)
+        for k in (1, 2, 4, 6):
+            b = np.sort(rng.uniform(0.3, 5.7, size=(3, k)), axis=1)
+            t = np.sort(rng.uniform(0.5, 12.0, size=(3, k)), axis=1)
+            lo = np.repeat([mkt.sigma_min, DEFAULT_T_DOMAIN[0]], k)
+            hi = np.repeat([mkt.sigma_max, DEFAULT_T_DOMAIN[1]], k)
+            _, _, free, neg_hessians = grouped._probe(profile, cost_model, mkt, np.concatenate([b, t], axis=1), lo, hi)
+            assert free.all()
+            for r in range(3):
+                H = closed_form_hessian(profile, cost_model, mkt, b[r], t[r], dc(t[r]), ddc(t[r]))
+                assert np.abs(H + neg_hessians[r]).max() <= tol * np.abs(H).max()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

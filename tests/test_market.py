@@ -151,28 +151,33 @@ def test_valuation_dt_closed_form_and_fd(profile):
 
 
 def test_valuation_second_derivative_symbolic(profile):
-    # differentiate the defining formula symbolically: V_t and the closed
-    # form V_tt = -V_t (a^2 + 3) / (2t) the period search relies on
+    # differentiate the defining formula symbolically: V_t, the closed
+    # form V_tt = -V_t (a^2 + 3) / (2t) the period search relies on, and
+    # the cross partial V_sigma_t = V_t (1 + a^2) / sigma
     s, t, alpha, d, mu = sp.symbols("sigma t alpha d mu", positive=True)
     x = sp.Symbol("x", real=True)
     phi = sp.exp(-x**2 / 2) / sp.sqrt(2 * sp.pi)
     excess = phi - x * sp.erfc(x / sp.sqrt(2)) / 2
     a = sp.sqrt(t) * d / s
     v = alpha * (mu - s / sp.sqrt(t) * excess.subs(x, a))
-    vt, vtt = sp.diff(v, t), sp.diff(v, t, 2)
+    vt, vtt, vst = sp.diff(v, t), sp.diff(v, t, 2), sp.diff(v, s, t)
     assert sp.simplify(vt - alpha * s * phi.subs(x, a) / (2 * t ** sp.Rational(3, 2))) == 0
     assert sp.simplify(vtt + vt * (a**2 + 3) / (2 * t)) == 0
+    assert sp.simplify(vst - vt * (1 + a**2) / s) == 0
 
-    # the fused kernel against the symbolic derivatives and valuation_dt
+    # the fused kernel and the cross-partial helper against the symbolic
+    # derivatives, the kernel also against valuation_dt
     subs = {alpha: profile.alpha, d: profile.q - profile.mu, mu: profile.mu}
-    ref = sp.lambdify((s, t), [vt.subs(subs), vtt.subs(subs)], "mpmath")
+    ref = sp.lambdify((s, t), [vt.subs(subs), vtt.subs(subs), vst.subs(subs)], "mpmath")
     sig = np.array([0.05, 0.5, 2.0, 3.0, 6.0, 30.0])
     per = np.array([1e-4, 0.8, 1.0, 5.0, 12.0, 600.0])
     got_t, got_tt = valuation_dt_dtt(profile, sig, per)
+    got_st = valuation_dsigma_dt(profile, sig, per)
     for k in range(sig.size):
-        ref_t, ref_tt = (float(z) for z in ref(sig[k], per[k]))
+        ref_t, ref_tt, ref_st = (float(z) for z in ref(sig[k], per[k]))
         assert abs(got_t[k] - ref_t) <= 1e-13 * abs(ref_t)
         assert abs(got_tt[k] - ref_tt) <= 1e-13 * abs(ref_tt)
+        assert abs(got_st[k] - ref_st) <= 1e-13 * abs(ref_st)
     assert np.array_equal(got_t, valuation_dt(profile, sig, per))
     assert np.all(got_tt < 0)
     zero_t, zero_tt = valuation_dt_dtt(profile, np.array([0.0]), np.array([3.0]))

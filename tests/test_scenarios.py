@@ -218,12 +218,28 @@ def test_run_seed_override(tmp_path):
 
 
 def test_artifacts_byte_deterministic(tmp_path):
-    scenario = small_grouped_scenario()
-    a, b = tmp_path / "a", tmp_path / "b"
-    runner.run(scenario, a)
-    runner.run(scenario, b)
-    for name in ("solution.csv", "comparison.csv", "certificate.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    # a small grouped solve, the bundled mountain market, a discrete
+    # market that pools (every other type is rare), and a group sweep
+    pooling = Scenario(
+        name="alternating_counts",
+        profile=DemandProfile(alpha=1.0, mu=13.0, q=15.0),
+        cost_model=CostModel(c0=10.0, c1=0.5),
+        market=DiscreteMarket(sigmas=np.linspace(0.5, 6.0, 5), counts=[5.0, 1.0, 5.0, 1.0, 5.0]),
+        solver=SolverSpec(kind="discrete"),
+        baselines=[1.0],
+    )
+    for scenario in (small_grouped_scenario(), load_scenario("case2_mountain"), pooling):
+        a, b = tmp_path / scenario.name / "a", tmp_path / scenario.name / "b"
+        artifacts = runner.run(scenario, a)
+        runner.run(scenario, b)
+        for name in ("solution.csv", "comparison.csv", "certificate.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert len(artifacts.solution.pooled_blocks) == 2
+    sweep = load_scenario("uniform_k6")
+    a, b = tmp_path / "sweep" / "a", tmp_path / "sweep" / "b"
+    runner.sweep_groups(sweep, [1, 2, 3], a)
+    runner.sweep_groups(sweep, [1, 2, 3], b)
+    assert (a / "fig8_sweep.csv").read_bytes() == (b / "fig8_sweep.csv").read_bytes()
 
 
 def test_verify_solution_csv_roundtrip(case1_run, tmp_path):
@@ -374,6 +390,15 @@ def test_cli_verify_rejects_malformed_csv(tmp_path, capsys, scenario, text, prob
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def grouped_json(**solver):
+    """A small grouped scenario file's text, with solver keys overridden."""
+    return json.dumps({
+        "name": "bad_solver", "alpha": 1.0, "mu": 13.0, "q": 15.0, "cost": {"c0": 10.0, "c1": 0.5},
+        "market": {"kind": "uniform", "sigma_min": 0.0, "sigma_max": 6.0},
+        "solver": {"kind": "grouped", "K": 2, **solver},
+    })
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [
@@ -386,8 +411,13 @@ def test_cli_verify_rejects_malformed_csv(tmp_path, capsys, scenario, text, prob
             }),
             "missing required key 'sigma_min'",
         ),
+        (grouped_json(K=2.7), "solver key 'K' must be an integer >= 1, got 2.7"),
+        (grouped_json(K="two"), "solver key 'K' must be an integer >= 1, got 'two'"),
+        (grouped_json(restarts=-3), "solver key 'restarts' must be an integer >= 0, got -3"),
+        (grouped_json(seed="abc"), "solver key 'seed' must be an integer or null, got 'abc'"),
+        (grouped_json(seed=1.5), "solver key 'seed' must be an integer or null, got 1.5"),
     ],
-    ids=["invalid_json", "market_key_missing"],
+    ids=["invalid_json", "market_key_missing", "K_fraction", "K_string", "restarts_negative", "seed_string", "seed_fraction"],
 )
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
     bad = tmp_path / "broken.json"
