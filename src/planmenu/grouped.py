@@ -21,8 +21,8 @@ Each half-step maximizes the exact same total profit in its own block
 of coordinates, so the profit trace is nondecreasing.  Unimodality of
 Q_k is guaranteed by the market shape condition (see
 distributions.theorem3_condition), so Q_k' changes sign once; if a
-market fails it, Step II falls back to a dense grid scan with golden
-refinement of each block's best bracket.
+market fails it, a dense grid scan first narrows each block's search to
+the bracket around its best grid point.
 
 Alternation alone converges only linearly.  After a round that pools
 nothing, safeguarded projected-Newton steps on the 2K stationarity
@@ -56,7 +56,6 @@ from .discrete import (
     PooledBlock,
     _cost_slopes,
     _lockstep_root,
-    golden_section_max,
     optimal_prices,
     repair_monotone,
     search_periods,
@@ -147,32 +146,29 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
     (R, K)); first and last then index the flattened periods, and "above
     the top item" means the top item of the block's own row.
 
+    The search is _lockstep_root on the closed-form slope Q' with plain
+    Newton steps on Q'' and arithmetic bisection (sigma_min may be 0).
     Under the shape condition (Theorem 3) each term is single-peaked, so
-    the search is _lockstep_root on the closed-form slope Q' with plain
-    Newton steps on Q'' and arithmetic bisection (sigma_min may be 0),
-    from guess (one boundary per block) or the window's midpoint.  A
-    market that fails the condition gets a dense-grid scan instead,
-    golden section refining each block's best bracket.
+    it searches the whole window from guess (one boundary per block) or
+    the window's midpoint.  A market that fails the condition first
+    scans a dense grid: each block then starts from its best grid point
+    and searches only between that point's two neighbours.
     """
     lo, hi = market.sigma_min, market.sigma_max
     t = np.asarray(periods, dtype=float)
     K = t.shape[-1]
     blocks = _blocks(cost_model, t.ravel(), first, last, (first // K + 1) * K)
-    if not market.verify_theorem3().holds:
+    if market.verify_theorem3().holds:
+        x = np.full(first.size, 0.5 * (lo + hi)) if guess is None else np.clip(guess, lo, hi)
+    else:
         xs = np.linspace(lo, hi, FALLBACK_GRID)
         best = np.argmax(_boundary_terms(profile, market, xs[:, None], blocks), axis=0)
-        out = []
-        for j, i in enumerate(best):
-            block = tuple(z[..., j : j + 1] for z in blocks)
-            f = lambda s: _boundary_terms(profile, market, np.atleast_1d(s), block)[..., 0]
-            out.append(golden_section_max(f, xs[max(i - 1, 0)], xs[min(i + 1, FALLBACK_GRID - 1)])[0])
-        return np.array(out)
+        x, lo, hi = xs[best], xs[np.maximum(best - 1, 0)], xs[np.minimum(best + 1, FALLBACK_GRID - 1)]
 
     def slopes(s):
         _, slope, scale, curvature, _ = _boundary_slopes(profile, market, s, blocks)
         return slope, scale, (curvature,)
 
-    x = np.full(first.size, 0.5 * (lo + hi)) if guess is None else np.clip(guess, lo, hi)
     return _lockstep_root(slopes, lambda s, slope, state: s - slope / state[0], lambda a, b: 0.5 * (a + b), x, lo, hi)
 
 
@@ -198,11 +194,6 @@ def _menu_terms(profile, cost_model, market, boundaries, periods):
     vt_own, vt_rent = vt[..., :K], vt[..., K:]
     d_t = market.size * ((G - G_below) * (vt_own - _cost_slopes(cost_model, t)[0]) + G_below * (vt_own - vt_rent))
     return q, d_b, d_t
-
-
-def profit_gradient(profile, cost_model, market, boundaries, periods):
-    """(dP/db, dP/dt) of total profit in closed form (see _menu_terms)."""
-    return _menu_terms(profile, cost_model, market, boundaries, periods)[1:]
 
 
 def _chain_residual(x, grad, lo, hi):
@@ -261,7 +252,7 @@ def _probe(profile, cost_model, market, x, lo, hi):
     return q[:, 0].sum(axis=-1), F[:, 0], free, [m[np.ix_(f, f)] for m, f in zip(neg_hessian, free)]
 
 
-def _newton_finish(profile, cost_model, market, boundaries, periods, profit, traces):
+def _newton_finish(profile, cost_model, market, boundaries, periods, traces):
     """Safeguarded projected-Newton steps from ascending, unpooled menus,
     one menu per row of boundaries and periods, all rows in lockstep.
 
@@ -285,8 +276,7 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, profit, tra
     hi = np.repeat([market.sigma_max, DEFAULT_T_DOMAIN[1]], K)
     tol = KKT_TOL * market.size
     x = np.concatenate([boundaries, periods], axis=1)
-    profit = np.array(profit, dtype=float)
-    _, grad, free, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
+    profit, grad, free, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
     rows = len(x)
     residual = np.empty(rows)
     steps = np.zeros(rows, dtype=int)
@@ -467,7 +457,7 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
         if finish:
             rows = active[finish]
             b[rows], t[rows], profit[rows], residual[rows], steps = _newton_finish(
-                profile, cost_model, market, boundaries[finish], periods[finish], p2[finish], [traces[r] for r in rows]
+                profile, cost_model, market, boundaries[finish], periods[finish], [traces[r] for r in rows]
             )
             newton_steps[rows] += steps
         rounds[active] = round_no

@@ -22,6 +22,7 @@ name (without .json) anywhere a path is accepted.
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
@@ -50,18 +51,50 @@ class Scenario:
     baselines: List[float] = field(default_factory=list)
 
 
+_REQUIRED = object()
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a scenario value must be: (description, test, conversion).
+_TEXT = ("a string", lambda v: isinstance(v, str), str)
+_NUMBER = ("a number", _is_number, float)
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), lambda v: [float(x) for x in v])
+_OBJECT = ("a JSON object", lambda v: isinstance(v, dict), dict)
+_GROUPS = ("an integer >= 1", lambda v: type(v) is int and v >= 1, int)
+_RESTARTS = ("an integer >= 0", lambda v: type(v) is int and v >= 0, int)
+_SEED = ("an integer or null", lambda v: v is None or type(v) is int, lambda v: v)
+
+
+def _read(cfg, key, kind, where="scenario", default=_REQUIRED):
+    """cfg[key] converted by kind, or default if the key is absent.  A
+    missing required key, or a value kind's test rejects, is a ValueError
+    naming the key."""
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} missing required key {key!r}")
+        return default
+    what, ok, convert = kind
+    if not ok(cfg[key]):
+        raise ValueError(f"{where} key {key!r} must be {what}, got {cfg[key]!r}")
+    return convert(cfg[key])
+
+
 def _build_market(cfg):
-    kind = cfg.get("kind")
+    get = partial(_read, cfg, where="scenario market")
+    kind = get("kind", _TEXT, default=None)
     if kind == "discrete":
-        return DiscreteMarket(sigmas=np.asarray(cfg["sigmas"], dtype=float), counts=np.asarray(cfg["counts"], dtype=float))
+        return DiscreteMarket(sigmas=get("sigmas", _NUMBERS), counts=get("counts", _NUMBERS))
     return ContinuousMarket(
         kind=kind,
-        sigma_min=float(cfg["sigma_min"]),
-        sigma_max=float(cfg["sigma_max"]),
-        size=float(cfg.get("N", 1.0)),
-        rate=float(cfg["lambda"]) if "lambda" in cfg else None,
-        loc=float(cfg["M"]) if "M" in cfg else None,
-        scale=float(cfg["W"]) if "W" in cfg else None,
+        sigma_min=get("sigma_min", _NUMBER),
+        sigma_max=get("sigma_max", _NUMBER),
+        size=get("N", _NUMBER, default=1.0),
+        rate=get("lambda", _NUMBER, default=None),
+        loc=get("M", _NUMBER, default=None),
+        scale=get("W", _NUMBER, default=None),
     )
 
 
@@ -88,32 +121,29 @@ def load_scenario(path_or_name) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path_or_name}: not valid JSON ({exc})") from None
 
-    for key in ("name", "alpha", "mu", "q", "cost", "market", "solver"):
-        if key not in raw:
-            raise ValueError(f"scenario missing required key {key!r}")
-    solver_cfg = raw["solver"]
-    kind = solver_cfg.get("kind")
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path_or_name}: a scenario must be a JSON object")
+    get = partial(_read, raw)
+    solver = partial(_read, get("solver", _OBJECT), where="solver")
+    kind = solver("kind", _TEXT, default=None)
     if kind not in ("discrete", "grouped"):
         raise ValueError(f"solver kind must be 'discrete' or 'grouped', got {kind!r}")
-    try:
-        market = _build_market(raw["market"])
-    except KeyError as exc:
-        raise ValueError(f"scenario market missing required key {exc.args[0]!r}") from None
+    market = _build_market(get("market", _OBJECT))
     if kind == "discrete" and not isinstance(market, DiscreteMarket):
         raise ValueError("discrete solver needs a discrete market")
     if kind == "grouped" and not isinstance(market, ContinuousMarket):
         raise ValueError("grouped solver needs a continuous market")
-    n_groups, restarts, seed = solver_cfg.get("K", 1), solver_cfg.get("restarts", 0), solver_cfg.get("seed")
-    for key, value, least in (("K", n_groups, 1), ("restarts", restarts, 0)):
-        if type(value) is not int or value < least:
-            raise ValueError(f"solver key {key!r} must be an integer >= {least}, got {value!r}")
-    if seed is not None and type(seed) is not int:
-        raise ValueError(f"solver key 'seed' must be an integer or null, got {seed!r}")
+    cost_cfg = partial(_read, get("cost", _OBJECT), where="scenario cost")
     return Scenario(
-        name=str(raw["name"]),
-        profile=DemandProfile(alpha=float(raw["alpha"]), mu=float(raw["mu"]), q=float(raw["q"])),
-        cost_model=CostModel(c0=float(raw["cost"]["c0"]), c1=float(raw["cost"].get("c1", 0.0))),
+        name=get("name", _TEXT),
+        profile=DemandProfile(alpha=get("alpha", _NUMBER), mu=get("mu", _NUMBER), q=get("q", _NUMBER)),
+        cost_model=CostModel(c0=cost_cfg("c0", _NUMBER), c1=cost_cfg("c1", _NUMBER, default=0.0)),
         market=market,
-        solver=SolverSpec(kind=kind, n_groups=n_groups, restarts=restarts, seed=seed),
-        baselines=[float(x) for x in raw.get("baselines", [])],
+        solver=SolverSpec(
+            kind=kind,
+            n_groups=solver("K", _GROUPS, default=1),
+            restarts=solver("restarts", _RESTARTS, default=0),
+            seed=solver("seed", _SEED, default=None),
+        ),
+        baselines=get("baselines", _NUMBERS, default=[]),
     )

@@ -8,6 +8,7 @@ from scipy.optimize.elementwise import find_root
 
 from planmenu.discrete import (
     DEFAULT_T_DOMAIN,
+    _lockstep_root,
     block_periods,
     feasibility_check,
     golden_section_max,
@@ -54,6 +55,31 @@ def test_golden_section_monotone_edges():
     assert abs(x) < 1e-8
     with pytest.raises(ValueError):
         golden_section_max(lambda t: t, 1.0, 1.0)
+
+
+def test_lockstep_root_takes_one_bracket_per_item():
+    # slopes c - x^3 (roots at cbrt(c)), each item in its own window: two
+    # roots inside, one slope already <= 0 at its lo and one still >= 0 at
+    # its hi; the first root lies outside the second item's window
+    c = np.array([8.0, 1.0, 0.001, 1000.0])
+    lo, hi = np.array([0.5, 0.9, 0.5, 1.0]), np.array([5.0, 1.5, 2.0, 4.0])
+    start = np.array([4.5, 1.5, 1.0, 2.0])
+
+    def slopes(x):
+        return c - x**3, np.abs(c) + np.abs(x**3), (-3.0 * x * x,)
+
+    def newton(x, slope, state):
+        return x - slope / state[0]
+
+    def mid(a, b):
+        return 0.5 * (a + b)
+
+    got = _lockstep_root(slopes, newton, mid, start, lo, hi)
+    assert abs(got[0] - 2.0) <= 1e-12 * 2.0 and abs(got[1] - 1.0) <= 1e-12
+    assert got[2] == lo[2] and got[3] == hi[3]
+    for i in range(c.size):  # every item as if searched alone in its own window
+        alone = lambda x, i=i: (c[i] - x**3, abs(c[i]) + np.abs(x**3), (-3.0 * x * x,))
+        assert _lockstep_root(alone, newton, mid, start[i : i + 1], lo[i], hi[i])[0] == got[i]
 
 
 def test_period_search_rejects_convex_objective(profile):
@@ -455,23 +481,42 @@ def test_block_periods_match_find_root(profile, rng, quadratic):
     assert inside >= 20
 
 
+def scaled_solves(profile, cost_model, market, k):
+    """The menus of a market and of its twin with every type times k.
+
+    V(k sigma, k^2 t) = V(sigma, t) and C(k^2 t) = C(t) once c1 becomes
+    c1 / k^2, so the twin's periods are k^2 times the market's and its
+    profit is the same.  (With c1 = 0 alone every P_i' = own V_t + rent
+    > 0, so every period would sit on the window's cap and nothing would
+    scale.)
+    """
+    base = solve_discrete(profile, cost_model, market)
+    scaled_cost = CostModel(c0=cost_model.c0, c1=cost_model.c1 / k**2)
+    scaled = solve_discrete(profile, scaled_cost, DiscreteMarket(sigmas=k * market.sigmas, counts=market.counts))
+    lo, hi = DEFAULT_T_DOMAIN
+    assert 10 * lo < k**2 * base.periods.min() and k**2 * base.periods.max() < 0.1 * hi  # well inside
+    assert abs(scaled.total_profit - base.total_profit) <= 1e-12 * base.total_profit
+    return base, scaled
+
+
 @pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
 @pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
 def test_scaling_volatility_scales_periods(name, k):
-    # V(k sigma, k^2 t) = V(sigma, t) and C(k^2 t) = C(t) once c1 becomes
-    # c1 / k^2, so the menu's periods scale by k^2 and its profit stays.
-    # (With c1 = 0 alone every P_i' = own V_t + rent > 0, so every period
-    # would sit on the window's cap and nothing would scale.)
     sc = load_scenario(name)
-    base = solve_discrete(sc.profile, sc.cost_model, sc.market)
-    scaled_cost = CostModel(c0=sc.cost_model.c0, c1=sc.cost_model.c1 / k**2)
-    scaled_market = DiscreteMarket(sigmas=k * sc.market.sigmas, counts=sc.market.counts)
-    scaled = solve_discrete(sc.profile, scaled_cost, scaled_market)
-    lo, hi = DEFAULT_T_DOMAIN
-    assert 10 * lo < k**2 * base.periods.min() and k**2 * base.periods.max() < 0.1 * hi  # well inside
+    base, scaled = scaled_solves(sc.profile, sc.cost_model, sc.market, k)
     assert np.max(np.abs(scaled.periods / (k**2 * base.periods) - 1.0)) <= 1e-11
-    assert abs(scaled.total_profit - base.total_profit) <= 1e-12 * base.total_profit
     assert [(b.start, b.stop) for b in scaled.pooled_blocks] == [(b.start, b.stop) for b in base.pooled_blocks]
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
+def test_scaling_volatility_keeps_pooled_blocks(profile, cost_model, k):
+    # thin types between heavy ones pool with the heavy type above them
+    # (neither bundled discrete market pools); scaling keeps the blocks
+    market = DiscreteMarket(sigmas=np.linspace(0.5, 6.0, 5), counts=np.array([5.0, 1.0, 5.0, 1.0, 5.0]))
+    base, scaled = scaled_solves(profile, cost_model, market, k)
+    for sol in (base, scaled):
+        assert [(b.start, b.stop) for b in sol.pooled_blocks] == [(1, 2), (3, 4)]
+    assert np.max(np.abs(scaled.periods / (k**2 * base.periods) - 1.0)) <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])

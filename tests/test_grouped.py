@@ -17,13 +17,14 @@ from planmenu.discrete import DEFAULT_T_DOMAIN, optimal_prices, period_objective
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import (
     FALLBACK_GRID,
+    KKT_TOL,
     _blocks,
     _boundary_slopes,
     _boundary_terms,
+    _menu_terms,
     block_boundaries,
     group_counts,
     menu_profit,
-    profit_gradient,
     solve_alternating,
     solve_with_restarts,
     step1_periods,
@@ -129,8 +130,8 @@ def test_boundary_curvature_symbolic(profile):
 
 def test_boundary_fallback_finds_global_peak(profile, cost_model, valley_market):
     # the valley density fails the shape condition: the boundary term of
-    # a one-item menu has two peaks, and the dense scan plus golden
-    # refinement lands on the taller one
+    # a one-item menu has two peaks, and the dense scan plus the lockstep
+    # search in the best grid point's bracket lands on the taller one
     one = np.zeros(1, dtype=int)
     for t in (0.5, 1.0, 3.0):
         blocks = _blocks(cost_model, [t], one, one)
@@ -469,6 +470,21 @@ def test_shape_condition_failure_falls_back_and_solves(profile, cost_model, vall
     assert np.all(np.diff(sol.boundaries) > 0)
 
 
+#: Valley-market profits at K = 1..4 (2 restarts, seed 1) as golden-section
+#: refinement of each block's best grid bracket found them; the lockstep
+#: search in the same brackets must keep them.
+VALLEY_PROFITS = [1.8429303708073757, 1.892995236774517, 1.9103895912561897, 1.9183981937575456]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_valley_restart_profits_pinned(profile, cost_model, valley_market, k):
+    with pytest.warns(RuntimeWarning, match="boundary-unimodality"):
+        sol = solve_with_restarts(profile, cost_model, valley_market, k, restarts=2, seed=1)
+    want = VALLEY_PROFITS[k - 1]
+    assert abs(sol.total_profit - want) <= 1e-12 * want
+    assert sol.converged and sol.kkt_residual <= KKT_TOL * valley_market.size
+
+
 def test_empty_group_is_dropped():
     # at K = 3 the bottom boundary ends on sigma_min, so the bottom
     # group's band has no mass; the solution drops it and serves two items
@@ -705,7 +721,7 @@ def test_profit_gradient_matches_finite_differences(profile, rng, w):
         for k in (1, 2, 4):
             b = np.sort(rng.uniform(0.3, 5.7, size=k))
             t = np.sort(rng.uniform(0.3, 8.0, size=k))
-            d_b, d_t = profit_gradient(profile, cost_model, mkt, b, t)
+            d_b, d_t = _menu_terms(profile, cost_model, mkt, b, t)[1:]
             fd = fd_gradient(profile, cost_model, mkt, b, t)
             assert np.allclose(np.concatenate([d_b, d_t]), fd, rtol=1e-7, atol=1e-9)
 
@@ -764,7 +780,7 @@ def test_top_boundary_on_window_edge_solves(profile, cost_model, k):
     assert 2.0 - sol.boundaries[-1] <= 1e-9 * 2.0
     assert sol.converged and sol.iterations <= 20
     assert sol.kkt_residual <= 1e-9
-    d_b, _ = profit_gradient(profile, cost_model, mkt, sol.boundaries, sol.periods)
+    d_b, _ = _menu_terms(profile, cost_model, mkt, sol.boundaries, sol.periods)[1:]
     assert d_b[-1] > 0  # profit would still rise past the edge
 
 

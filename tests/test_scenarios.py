@@ -399,6 +399,11 @@ def grouped_json(**solver):
     })
 
 
+def scenario_json(**keys):
+    """A small grouped scenario file's text, with top-level keys overridden."""
+    return json.dumps({**json.loads(grouped_json()), **keys})
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [
@@ -416,8 +421,20 @@ def grouped_json(**solver):
         (grouped_json(restarts=-3), "solver key 'restarts' must be an integer >= 0, got -3"),
         (grouped_json(seed="abc"), "solver key 'seed' must be an integer or null, got 'abc'"),
         (grouped_json(seed=1.5), "solver key 'seed' must be an integer or null, got 1.5"),
+        (scenario_json(alpha=None), "scenario key 'alpha' must be a number, got None"),
+        (scenario_json(alpha="abc"), "scenario key 'alpha' must be a number, got 'abc'"),
+        (scenario_json(cost=[1]), "scenario key 'cost' must be a JSON object, got [1]"),
+        (scenario_json(baselines=[None]), "scenario key 'baselines' must be a list of numbers, got [None]"),
+        (
+            scenario_json(market={"kind": "uniform", "sigma_min": 0.0, "sigma_max": 6.0, "N": "x"}),
+            "scenario market key 'N' must be a number, got 'x'",
+        ),
+        ('["solver"]', "a scenario must be a JSON object"),
     ],
-    ids=["invalid_json", "market_key_missing", "K_fraction", "K_string", "restarts_negative", "seed_string", "seed_fraction"],
+    ids=[
+        "invalid_json", "market_key_missing", "K_fraction", "K_string", "restarts_negative", "seed_string",
+        "seed_fraction", "alpha_null", "alpha_string", "cost_list", "baseline_null", "market_N_string", "not_object",
+    ],
 )
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
     bad = tmp_path / "broken.json"

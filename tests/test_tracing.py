@@ -9,9 +9,8 @@ import importlib
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from planmenu import distributions, grouped, market, oracles, runner, scenarios
+from planmenu import discrete, distributions, grouped, market, oracles, runner, scenarios
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,7 +39,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert distributions.ContinuousMarket.cdf is cdf
 
 
-def test_traced_runs_give_layer_metrics(monkeypatch, tmp_path, valley_market):
+def test_traced_runs_give_layer_metrics(monkeypatch, tmp_path):
     tracing = load_tracing(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
@@ -49,10 +48,9 @@ def test_traced_runs_give_layer_metrics(monkeypatch, tmp_path, valley_market):
         runner.run(scenarios.load_scenario("case1_discrete"), tmp_path / "case1")
         sc = scenarios.load_scenario("uniform_k6")
         grouped.solve_alternating(sc.profile, sc.cost_model, sc.market, 2)
-        # only the boundary fallback for markets that fail the shape
-        # condition still runs golden section, and the tracer counts it
-        with pytest.warns(RuntimeWarning, match="boundary-unimodality"):
-            grouped.solve_alternating(sc.profile, sc.cost_model, valley_market, 2)
+        # no solver runs golden section any more, but the tracer still
+        # wraps and counts it
+        discrete.golden_section_max(lambda x: -((x - 1.0) ** 2), 0.0, 3.0)
         oracles.grid_oracle_grouped(
             sc.profile, sc.cost_model, sc.market, 2, np.linspace(0.0, 6.0, 13), np.linspace(0.5, 6.0, 12)
         )
