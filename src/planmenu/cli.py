@@ -1,10 +1,10 @@
 """Command-line front end.
 
     planmenu solve      --scenario PATH --out DIR [--seed S]
-    planmenu sweep      --scenario PATH --groups 1,2,3 --out DIR
+    planmenu sweep      --scenario PATH --groups 1,2,3 --out DIR [--seed S]
     planmenu verify     --solution solution.csv --scenario PATH
     planmenu oracle     --scenario PATH --grid-step H [--t-max T]
-    planmenu check-dist --scenario PATH
+    planmenu check-dist --scenario PATH [--grid-points N]
 
 Exit status is 0 only when every verification passes; artifacts are
 still written on failure.  A missing or malformed input file prints one
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import runner
 from .distributions import ContinuousMarket, DiscreteMarket
-from .oracles import grid_oracle_discrete, grid_oracle_grouped
+from .oracles import TUPLE_BUDGET, grid_oracle_discrete, grid_oracle_grouped
 from .scenarios import bundled_scenario_names, load_scenario
 
 
@@ -57,15 +57,24 @@ def _cmd_verify(args):
 
 def _cmd_oracle(args):
     scenario = load_scenario(args.scenario)
-    h = args.grid_step
-    t_grid = np.arange(h, args.t_max + 0.5 * h, h)
-    if isinstance(scenario.market, DiscreteMarket):
-        profit, periods = grid_oracle_discrete(scenario.profile, scenario.cost_model, scenario.market, t_grid)
+    m = scenario.market
+    h, t_max = args.grid_step, args.t_max
+    if not (0 < h <= t_max < np.inf):
+        raise ValueError("need a finite grid step and t-max with 0 < grid step <= t-max")
+    n_t = np.ceil(t_max / h - 0.5)  # counted in floats, so a tiny step is refused before np.arange allocates
+    if isinstance(m, DiscreteMarket):
+        cells = m.n_types * n_t
+    else:
+        n_sigma = np.rint((m.sigma_max - m.sigma_min) / h) + 1
+        cells = scenario.solver.n_groups * n_sigma * n_t
+    if cells > TUPLE_BUDGET:
+        raise ValueError(f"grid DP of {cells:.3g} cells exceeds the work budget ({TUPLE_BUDGET:.0e})")
+    t_grid = np.arange(h, t_max + 0.5 * h, h)
+    if isinstance(m, DiscreteMarket):
+        profit, periods = grid_oracle_discrete(scenario.profile, scenario.cost_model, m, t_grid)
         print(f"grid optimum {profit:.8f} at periods {np.round(periods, 6).tolist()}")
     else:
-        m: ContinuousMarket = scenario.market
-        n_sigma = int(round((m.sigma_max - m.sigma_min) / h)) + 1
-        sigma_grid = np.linspace(m.sigma_min, m.sigma_max, n_sigma)
+        sigma_grid = np.linspace(m.sigma_min, m.sigma_max, int(n_sigma))
         profit, bounds, periods = grid_oracle_grouped(
             scenario.profile, scenario.cost_model, m, scenario.solver.n_groups, sigma_grid, t_grid
         )

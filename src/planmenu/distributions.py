@@ -115,35 +115,30 @@ class ContinuousMarket:
             raise ValueError("sigma outside the market window")
         return np.clip(sv, self.sigma_min, self.sigma_max)
 
-    def pdf(self, sigma):
+    def density(self, sigma):
+        """(G, g, g') at sigma from one family dispatch: the CDF, the
+        density and its slope (zero for uniform, -rate*g for exponential,
+        -((sigma-loc)/scale^2)*g for the truncated normal)."""
         sv = self._check_support(sigma)
         if self.kind == "uniform":
-            return np.full_like(sv, 1.0 / (self.sigma_max - self.sigma_min))[()]
+            G = (sv - self.sigma_min) / (self.sigma_max - self.sigma_min)
+            return G[()], np.full_like(sv, 1.0 / (self.sigma_max - self.sigma_min))[()], np.zeros_like(sv)[()]
         if self.kind == "exponential":
-            return (self.rate * np.exp(-self.rate * sv) / self._norm)[()]
+            e = np.exp(-self.rate * sv)
+            g = self.rate * e / self._norm
+            return ((self._exp_lo - e) / self._norm)[()], g[()], (-self.rate * g)[()]
         z = (sv - self.loc) / self.scale
-        return std_normal_pdf(z) / (self.scale * self._norm)
+        phi = std_normal_pdf(z)
+        scaled = self.scale * self._norm
+        return (std_normal_cdf(z) - self._cdf_lo) / self._norm, phi / scaled, -(z / self.scale) * phi / scaled
+
+    def pdf(self, sigma):
+        """g(sigma)."""
+        return self.density(sigma)[1]
 
     def cdf(self, sigma):
         """G(sigma)."""
-        sv = self._check_support(sigma)
-        if self.kind == "uniform":
-            return ((sv - self.sigma_min) / (self.sigma_max - self.sigma_min))[()]
-        if self.kind == "exponential":
-            return ((self._exp_lo - np.exp(-self.rate * sv)) / self._norm)[()]
-        z = (sv - self.loc) / self.scale
-        return (std_normal_cdf(z) - self._cdf_lo) / self._norm
-
-    def pdf_dsigma(self, sigma):
-        """g'(sigma); zero for uniform, -rate*g for exponential,
-        -((sigma-loc)/scale^2)*g for the truncated normal."""
-        sv = self._check_support(sigma)
-        if self.kind == "uniform":
-            return np.zeros_like(sv)[()]
-        if self.kind == "exponential":
-            return (-self.rate * (self.rate * np.exp(-self.rate * sv) / self._norm))[()]
-        z = (sv - self.loc) / self.scale
-        return -(z / self.scale) * std_normal_pdf(z) / (self.scale * self._norm)
+        return self.density(sigma)[0]
 
     def quantile(self, p):
         """G^{-1}(p) on [0, 1]."""
@@ -181,10 +176,9 @@ class ContinuousMarket:
         At sigma = 0 the G/sigma term vanishes (G(0) = 0 at least
         linearly) and the slack reduces to 2*g(0).
         """
-        sv = self._check_support(sigma)
-        g = self.pdf(sv)
-        G = self.cdf(sv)
-        slack = (2.0 * g * g - self.pdf_dsigma(sv) * G) / g - SHAPE_CONSTANT * G / np.where(sv > 0, sv, 1.0)
+        G, g, dg = self.density(sigma)
+        sv = np.asarray(sigma, dtype=float)
+        slack = (2.0 * g * g - dg * G) / g - SHAPE_CONSTANT * G / np.where(sv > 0, sv, 1.0)
         return np.where(sv > 0, slack, 2.0 * g)[()]
 
     def verify_theorem3(self, grid_points=1000):
@@ -196,6 +190,8 @@ class ContinuousMarket:
         parameters never change after construction.
         """
         key = int(grid_points)
+        if key < 2:
+            raise ValueError("the shape-condition grid needs at least 2 points")
         cache = self.__dict__.setdefault("_theorem3_cache", {})
         if key not in cache:
             grid = np.linspace(self.sigma_min, self.sigma_max, int(grid_points))

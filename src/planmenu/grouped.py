@@ -60,7 +60,7 @@ from .discrete import (
     repair_monotone,
     search_periods,
 )
-from .market import cost, valuation, valuation_dsigma2, valuation_dt
+from .market import cost, valuation_dsigma2
 
 #: Convergence: one full round improves relative profit by no more than
 #: this, and (rounds that pool nothing) the projected first-order
@@ -103,41 +103,34 @@ def _blocks(cost_model, periods, first, last, end=None):
     return np.stack([t[..., first], t[..., nxt]], axis=-2), above, np.where(above, C[..., nxt], 0.0) - C[..., first]
 
 
-def _boundary_terms(profile, market, sigma, blocks):
-    """Each block's boundary term Q_j at sigma_j (see _blocks); sigma of
-    shape (..., n) broadcasts against n blocks."""
-    periods, above, dcost = blocks
-    s = np.asarray(sigma, dtype=float)
-    v = valuation(profile, s[..., None, :], periods)
-    return market.size * market.cdf(s) * (v[..., 0, :] - above * v[..., 1, :] + dcost)
-
-
 def menu_profit(profile, cost_model, market, boundaries, periods):
     """Total profit as the sum of the boundary terms Q_k(b_k); rows of
     menus (shape (R, K)) give one profit per row."""
     t = np.atleast_1d(np.asarray(periods, dtype=float))
     items = np.arange(t.shape[-1])
-    total = _boundary_terms(profile, market, boundaries, _blocks(cost_model, t, items, items)).sum(axis=-1)
+    total = _boundary_slopes(profile, market, boundaries, _blocks(cost_model, t, items, items))[0].sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
 def _boundary_slopes(profile, market, sigma, blocks):
     """Each block's boundary term Q = N G w at sigma, its slope
     Q' = N (g w + G w'), the sum of the slope's absolute terms (its
-    rounding scale), its curvature Q'' = N (g' w + 2 g w' + G w''), and
-    G(sigma); w = V(s, t_first) - V(s, t_next) + C(t_next) - C(t_first) is
-    the block's wedge (see _blocks)."""
+    rounding scale), its curvature Q'' = N (g' w + 2 g w' + G w''),
+    G(sigma), and V_t at the block's own and next points (stacked on axis
+    -2); w = V(s, t_first) - V(s, t_next) + C(t_next) - C(t_first) is the
+    block's wedge (see _blocks).  sigma of shape (..., n) broadcasts
+    against n blocks."""
     periods, above, dcost = blocks
     s = np.asarray(sigma, dtype=float)
-    v, vs, vss = valuation_dsigma2(profile, s[..., None, :], periods)
-    G, g, dg = market.cdf(s), market.pdf(s), market.pdf_dsigma(s)
+    v, vs, vss, vt = valuation_dsigma2(profile, s[..., None, :], periods)
+    G, g, dg = market.density(s)
     w = v[..., 0, :] - above * v[..., 1, :] + dcost
     dw = vs[..., 0, :] - above * vs[..., 1, :]
     ddw = vss[..., 0, :] - above * vss[..., 1, :]
     scale = g * (np.abs(v[..., 0, :]) + above * np.abs(v[..., 1, :]) + np.abs(dcost))
     scale += G * (np.abs(vs[..., 0, :]) + above * np.abs(vs[..., 1, :]))
     N = market.size
-    return N * G * w, N * (g * w + G * dw), N * scale, N * (dg * w + 2.0 * g * dw + G * ddw), G
+    return N * G * w, N * (g * w + G * dw), N * scale, N * (dg * w + 2.0 * g * dw + G * ddw), G, vt
 
 
 def block_boundaries(profile, cost_model, market, periods, first, last, guess=None):
@@ -162,11 +155,11 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
         x = np.full(first.size, 0.5 * (lo + hi)) if guess is None else np.clip(guess, lo, hi)
     else:
         xs = np.linspace(lo, hi, FALLBACK_GRID)
-        best = np.argmax(_boundary_terms(profile, market, xs[:, None], blocks), axis=0)
+        best = np.argmax(_boundary_slopes(profile, market, xs[:, None], blocks)[0], axis=0)
         x, lo, hi = xs[best], xs[np.maximum(best - 1, 0)], xs[np.minimum(best + 1, FALLBACK_GRID - 1)]
 
     def slopes(s):
-        _, slope, scale, curvature, _ = _boundary_slopes(profile, market, s, blocks)
+        _, slope, scale, curvature, _, _ = _boundary_slopes(profile, market, s, blocks)
         return slope, scale, (curvature,)
 
     return _lockstep_root(slopes, lambda s, slope, state: s - slope / state[0], lambda a, b: 0.5 * (a + b), x, lo, hi)
@@ -181,17 +174,16 @@ def _menu_terms(profile, cost_model, market, boundaries, periods):
 
     with own_k = N (G(b_k) - G(b_{k-1})) and below_k = N G(b_{k-1}).
     Rows of boundaries and periods (shape (..., K)) are evaluated in one
-    batched call.
+    batched call.  V_t(b_k, t_k) is boundary k's own-item point and
+    V_t(b_{k-1}, t_k) boundary k-1's next-item point; item 0, whose rent
+    mass is 0, takes its own.
     """
-    b = np.asarray(boundaries, dtype=float)
     t = np.asarray(periods, dtype=float)
-    K = b.shape[-1]
-    items = np.arange(K)
-    q, d_b, _, _, G = _boundary_slopes(profile, market, b, _blocks(cost_model, t, items, items))
+    items = np.arange(t.shape[-1])
+    q, d_b, _, _, G, vt = _boundary_slopes(profile, market, boundaries, _blocks(cost_model, t, items, items))
     G_below = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
-    b_below = np.concatenate([b[..., :1], b[..., :-1]], axis=-1)
-    vt = valuation_dt(profile, np.concatenate([b, b_below], axis=-1), np.concatenate([t, t], axis=-1))
-    vt_own, vt_rent = vt[..., :K], vt[..., K:]
+    vt_own = vt[..., 0, :]
+    vt_rent = np.concatenate([vt_own[..., :1], vt[..., 1, :-1]], axis=-1)
     d_t = market.size * ((G - G_below) * (vt_own - _cost_slopes(cost_model, t)[0]) + G_below * (vt_own - vt_rent))
     return q, d_b, d_t
 

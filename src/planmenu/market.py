@@ -72,51 +72,47 @@ class CostModel:
             raise ValueError("c1 must be nonnegative for the linear cost")
 
 
-def _check_sigma_t(sigma, t):
-    # One min and one max per argument: NaN propagates into both and fails
-    # every comparison, and an in-range `initial` lets empty arrays pass.
+def _threshold(profile, sigma, t):
+    # (sigma, t, a, sigma > 0), the inputs checked by one min and one max
+    # each: NaN fails every comparison, and an in-range `initial` lets empty
+    # arrays pass.  a = sqrt(t) * (q - mu) / sigma is capped to a finite
+    # 1e6 (sigma = 0 included, where tail quantities then evaluate to 0),
+    # so the normals' unchecked kernels take it.
     sv = np.asarray(sigma, dtype=float)
     tv = np.asarray(t, dtype=float)
     if not (sv.min(initial=0.0) >= 0 and sv.max(initial=0.0) < np.inf):
         raise ValueError("sigma must be finite and nonnegative")
     if not (tv.min(initial=1.0) > 0 and tv.max(initial=1.0) < np.inf):
         raise ValueError("period t must be finite and positive")
-    return sv, tv
-
-
-def _shortfall_threshold(profile, sigma, t):
-    # a = sqrt(t) * (q - mu) / sigma, with the sigma=0 branch masked to a
-    # huge threshold so downstream tail quantities evaluate to 0; returns
-    # the sigma > 0 mask too.  a is finite, so the normals' unchecked
-    # kernels take it.
-    pos = sigma > 0
-    a = np.where(pos, np.sqrt(t) * profile.excess_cap / np.where(pos, sigma, 1.0), np.inf)
-    return np.minimum(a, 1e6), pos
+    pos = sv > 0
+    a = np.where(pos, np.sqrt(tv) * profile.excess_cap / np.where(pos, sv, 1.0), np.inf)
+    return sv, tv, np.minimum(a, 1e6), pos
 
 
 def valuation(profile, sigma, t):
     """Per-unit-time value V(sigma, t) a type-sigma consumer places on a
     period-t plan.  V(0, t) = alpha*mu (the volatility-free limit)."""
-    sv, tv = _check_sigma_t(sigma, t)
-    a, pos = _shortfall_threshold(profile, sv, tv)
+    sv, tv, a, pos = _threshold(profile, sigma, t)
     shortfall_rate = np.where(pos, sv / np.sqrt(tv) * _excess(a, _pdf(a)), 0.0)
     return (profile.alpha * (profile.mu - shortfall_rate))[()]
 
 
 def valuation_dsigma2(profile, sigma, t):
-    """(V, dV/dsigma, d2V/dsigma2) from one threshold a, one phi(a) and one E(a).
+    """(V, dV/dsigma, d2V/dsigma2, dV/dt) from one threshold a, one phi(a)
+    and one E(a).
 
-    dV/dsigma = -alpha*phi(a)/sqrt(t) < 0 and
-    d2V/dsigma2 = -alpha*a^2*phi(a)/(sigma*sqrt(t)); both derivatives are
-    0 in the sigma = 0 limit, where V = alpha*mu.
+    dV/dsigma = -alpha*phi(a)/sqrt(t) < 0,
+    d2V/dsigma2 = -alpha*a^2*phi(a)/(sigma*sqrt(t)) and
+    dV/dt = alpha*sigma*phi(a)/(2*t^1.5), bit for bit as valuation_dt;
+    the derivatives are 0 in the sigma = 0 limit, where V = alpha*mu.
     """
-    sv, tv = _check_sigma_t(sigma, t)
-    a, pos = _shortfall_threshold(profile, sv, tv)
+    sv, tv, a, pos = _threshold(profile, sigma, t)
     rt = np.sqrt(tv)
     phi = _pdf(a)
     v = profile.alpha * (profile.mu - np.where(pos, sv / rt * _excess(a, phi), 0.0))
     vs = np.where(pos, -profile.alpha * phi / rt, 0.0)
-    return v, vs, vs * a * a / np.where(pos, sv, 1.0)
+    vt = np.where(pos, profile.alpha * sv * phi / (2.0 * tv ** 1.5), 0.0)
+    return v, vs, vs * a * a / np.where(pos, sv, 1.0), vt
 
 
 def valuation_dt(profile, sigma, t):
@@ -130,8 +126,7 @@ def valuation_dt_dtt(profile, sigma, t):
     dV/dt = alpha*sigma*phi(a)/(2*t^1.5) and d2V/dt2 = -V_t*(a^2 + 3)/(2t)
     < 0, so V is strictly concave in t; both are 0 in the sigma = 0 limit.
     """
-    sv, tv = _check_sigma_t(sigma, t)
-    a, pos = _shortfall_threshold(profile, sv, tv)
+    sv, tv, a, pos = _threshold(profile, sigma, t)
     vt = np.where(pos, profile.alpha * sv * _pdf(a) / (2.0 * tv ** 1.5), 0.0)
     return vt, -vt * (a * a + 3.0) / (2.0 * tv)
 
@@ -151,7 +146,7 @@ def valuation_dsigma(profile, sigma, t):
 def cost(model, t):
     """Provider cost per unit time C(t) = W(t) + c0 of serving a period-t plan."""
     tv = np.asarray(t, dtype=float)
-    if not (tv.min(initial=0.0) >= 0 and tv.max(initial=0.0) < np.inf):  # as in _check_sigma_t
+    if not (tv.min(initial=0.0) >= 0 and tv.max(initial=0.0) < np.inf):  # as in _threshold
         raise ValueError("period t must be finite and nonnegative")
     variable = model.w(tv) if model.w is not None else model.c1 * tv
     return (np.asarray(variable, dtype=float) + model.c0)[()]

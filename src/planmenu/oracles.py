@@ -1,5 +1,7 @@
-"""Independent checks for the solvers: no certificate or oracle here
-reuses solver logic.
+"""Checks and baselines for the solvers.  The IC/IR certificate, the
+grid oracles and the Monte Carlo check reuse no solver logic; the
+fixed-period baseline's cutoff and the social first-best do, as their
+bullets below say.
 
 - brute_force_ic_ir re-derives every consumer's best choice from raw
   utilities and confirms the menu's assignment wins (or that opting

@@ -194,6 +194,9 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     """
     if scenario.solver.kind != "grouped":
         raise ValueError("group sweeps need a grouped scenario")
+    ks = sorted(int(k) for k in group_counts)
+    if not ks or len(set(ks)) < len(ks):
+        raise ValueError("group counts must be a nonempty list of distinct K")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     use_seed = scenario.solver.seed if seed is None else seed
@@ -202,7 +205,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
 
     rows = []
     prev = None
-    for k in sorted(int(k) for k in group_counts):
+    for k in ks:
         extra = []
         if prev is not None and prev.boundaries.size:
             pad = k - prev.boundaries.size

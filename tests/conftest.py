@@ -52,27 +52,17 @@ class ValleyMarket(ContinuousMarket):
             1 - self.W1
         ) * (std_normal_cdf(z(self.M2, 6.0)) - std_normal_cdf(z(self.M2, 0.0)))
 
-    def _bumps(self, sigma):
+    def density(self, sigma):
         s = self._check_support(sigma)
-        return (s - self.M1) / self.S, (s - self.M2) / self.S
-
-    def pdf(self, sigma):
-        z1, z2 = self._bumps(sigma)
-        raw = self.W1 * std_normal_pdf(z1) + (1 - self.W1) * std_normal_pdf(z2)
-        return raw / (self.S * self._mix_norm)
-
-    def cdf(self, sigma):
-        z1, z2 = self._bumps(sigma)
+        z1, z2 = (s - self.M1) / self.S, (s - self.M2) / self.S
+        phi1, phi2 = std_normal_pdf(z1), std_normal_pdf(z2)
         z0 = lambda m: (0.0 - m) / self.S
-        raw = self.W1 * (std_normal_cdf(z1) - std_normal_cdf(z0(self.M1))) + (
+        cdf_raw = self.W1 * (std_normal_cdf(z1) - std_normal_cdf(z0(self.M1))) + (
             1 - self.W1
         ) * (std_normal_cdf(z2) - std_normal_cdf(z0(self.M2)))
-        return raw / self._mix_norm
-
-    def pdf_dsigma(self, sigma):
-        z1, z2 = self._bumps(sigma)
-        raw = -self.W1 * z1 * std_normal_pdf(z1) - (1 - self.W1) * z2 * std_normal_pdf(z2)
-        return raw / (self.S ** 2 * self._mix_norm)
+        pdf_raw = self.W1 * phi1 + (1 - self.W1) * phi2
+        slope_raw = -self.W1 * z1 * phi1 - (1 - self.W1) * z2 * phi2
+        return cdf_raw / self._mix_norm, pdf_raw / (self.S * self._mix_norm), slope_raw / (self.S ** 2 * self._mix_norm)
 
     def quantile(self, p):
         if np.ndim(p):

@@ -80,12 +80,12 @@ def test_cdf_matches_integrated_pdf(factory):
 
 
 @pytest.mark.parametrize("factory", ALL_MARKETS)
-def test_pdf_dsigma_finite_differences(factory):
+def test_density_slope_finite_differences(factory):
     mkt = factory()
     h = 1e-6
     for s in (0.5, 1.7, 3.0, 5.2):
         fd = (mkt.pdf(s + h) - mkt.pdf(s - h)) / (2 * h)
-        exact = mkt.pdf_dsigma(s)
+        exact = mkt.density(s)[2]
         assert abs(fd - exact) < 1e-6 * max(1.0, abs(exact))
 
 
@@ -124,7 +124,7 @@ def test_scalar_array_agreement(factory):
     mkt = factory()
     sig = np.linspace(0.0, 6.0, 25)
     ref = np.array([[float(z) for z in mp_density(mkt, s)] for s in sig])
-    for col, f in enumerate((mkt.pdf, mkt.cdf, mkt.pdf_dsigma)):
+    for col, f in enumerate((mkt.pdf, mkt.cdf, lambda x: mkt.density(x)[2])):
         arr = f(sig)
         scal = np.array([f(float(s)) for s in sig])
         assert np.array_equal(arr, scal)
@@ -136,7 +136,7 @@ def test_uniform_closed_forms():
     mkt = _uniform06()
     assert mkt.pdf(2.0) == 1.0 / 6.0
     assert mkt.cdf(3.0) == 0.5
-    assert mkt.pdf_dsigma(4.0) == 0.0
+    assert mkt.density(4.0)[2] == 0.0
     assert mkt.quantile(0.25) == 1.5
 
 
@@ -145,7 +145,7 @@ def test_exponential_closed_forms():
     norm = 1.0 - math.exp(-3.0)
     assert abs(mkt.pdf(2.0) - 0.5 * math.exp(-1.0) / norm) < 1e-15
     assert abs(mkt.cdf(2.0) - (1.0 - math.exp(-1.0)) / norm) < 1e-15
-    assert abs(mkt.pdf_dsigma(2.0) + 0.5 * mkt.pdf(2.0)) < 1e-15
+    assert abs(mkt.density(2.0)[2] + 0.5 * mkt.pdf(2.0)) < 1e-15
 
 
 def test_truncated_normal_symmetry():
@@ -153,8 +153,8 @@ def test_truncated_normal_symmetry():
     # loc centered in the window: median at loc, density symmetric
     assert abs(mkt.cdf(3.0) - 0.5) < 1e-12
     assert abs(mkt.pdf(2.0) - mkt.pdf(4.0)) < 1e-15
-    assert abs(mkt.pdf_dsigma(3.0)) < 1e-15
-    assert mkt.pdf_dsigma(2.0) > 0 > mkt.pdf_dsigma(4.0)
+    assert abs(mkt.density(3.0)[2]) < 1e-15
+    assert mkt.density(2.0)[2] > 0 > mkt.density(4.0)[2]
 
 
 def test_count_between():
@@ -186,7 +186,7 @@ def test_nan_type_rejected(factory):
     # NaN fails the window check rather than flowing into densities and
     # masses; an empty array still passes
     mkt = factory()
-    for fn in (mkt.cdf, mkt.pdf, mkt.pdf_dsigma):
+    for fn in (mkt.cdf, mkt.pdf, lambda x: mkt.density(x)[2]):
         for sigma in (float("nan"), np.array([1.0, np.nan])):
             with pytest.raises(ValueError, match="outside the market window"):
                 fn(sigma)
@@ -247,7 +247,7 @@ def test_shape_condition_matches_pointwise_formula(factory):
     grid = np.linspace(mkt.sigma_min, mkt.sigma_max, 61)
     ref = []
     for s in grid:
-        g, G, gp = mkt.pdf(float(s)), mkt.cdf(float(s)), mkt.pdf_dsigma(float(s))
+        G, g, gp = mkt.density(float(s))
         ref.append(2.0 * g if s == 0.0 else (2.0 * g * g - gp * G) / g - SHAPE_CONSTANT * G / s)
     vals = mkt.theorem3_condition(grid)
     assert vals.shape == grid.shape
@@ -298,7 +298,7 @@ def test_shape_condition_fails_for_valley_density(valley_market):
     h = 1e-6
     for s in (0.5, 3.1, 5.0):
         fd = (valley_market.pdf(s + h) - valley_market.pdf(s - h)) / (2 * h)
-        assert abs(fd - valley_market.pdf_dsigma(s)) < 1e-5 * max(1.0, abs(fd))
+        assert abs(fd - valley_market.density(s)[2]) < 1e-5 * max(1.0, abs(fd))
         ref, _ = integrate.quad(valley_market.pdf, 0.0, s, epsabs=1e-10, limit=200)
         assert abs(valley_market.cdf(s) - ref) < 1e-8
 

@@ -20,7 +20,6 @@ from planmenu.grouped import (
     KKT_TOL,
     _blocks,
     _boundary_slopes,
-    _boundary_terms,
     _menu_terms,
     block_boundaries,
     group_counts,
@@ -57,10 +56,16 @@ ALL_MARKETS = [uniform06, exponential06, truncnorm06]
 
 
 def boundary_objective(profile, cost_model, market, periods, k, sigma):
-    """Q_k(sigma): the profit terms containing boundary k, periods fixed."""
-    item = np.array([k])
+    """Q_k(sigma): the profit terms containing boundary k, periods fixed,
+    N G(s) (V(s, t_k) - V(s, t_{k+1}) + C(t_{k+1}) - C(t_k)), with
+    V = C = 0 for the outside option above the top item."""
+    t = np.asarray(periods, dtype=float)
     s = np.asarray(sigma, dtype=float)
-    return _boundary_terms(profile, market, s[..., None], _blocks(cost_model, periods, item, item))[..., 0]
+    if k + 1 < t.size:
+        wedge = valuation(profile, s, t[k]) - valuation(profile, s, t[k + 1]) + cost(cost_model, t[k + 1]) - cost(cost_model, t[k])
+    else:
+        wedge = valuation(profile, s, t[k]) - cost(cost_model, t[k])
+    return market.size * market.cdf(s) * wedge
 
 
 def chain_profit(profile, cost_model, market, boundaries, periods):
@@ -134,11 +139,10 @@ def test_boundary_fallback_finds_global_peak(profile, cost_model, valley_market)
     # search in the best grid point's bracket lands on the taller one
     one = np.zeros(1, dtype=int)
     for t in (0.5, 1.0, 3.0):
-        blocks = _blocks(cost_model, [t], one, one)
         sig = np.linspace(0.0, 6.0, 200_001)
-        scan = _boundary_terms(profile, valley_market, sig[:, None], blocks)[:, 0]
+        scan = boundary_objective(profile, cost_model, valley_market, [t], 0, sig)
         x = block_boundaries(profile, cost_model, valley_market, [t], one, one)[0]
-        best = _boundary_terms(profile, valley_market, np.array([x]), blocks)[0]
+        best = boundary_objective(profile, cost_model, valley_market, [t], 0, x)
         assert best >= scan.max() - 1e-12
         assert abs(x - sig[np.argmax(scan)]) <= 6.0 / FALLBACK_GRID
 
@@ -724,6 +728,30 @@ def test_profit_gradient_matches_finite_differences(profile, rng, w):
             d_b, d_t = _menu_terms(profile, cost_model, mkt, b, t)[1:]
             fd = fd_gradient(profile, cost_model, mkt, b, t)
             assert np.allclose(np.concatenate([d_b, d_t]), fd, rtol=1e-7, atol=1e-9)
+
+
+def test_menu_terms_evaluate_each_point_once(profile, cost_model, rng, monkeypatch):
+    # one gradient evaluation of rows of menus: one valuation kernel call
+    # (V, V_sigma, V_sigma_sigma and V_t together) and one density call
+    # behind one window check
+    mkt = truncnorm06(size=3.0)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("valuation", "valuation_dt", "valuation_dt_dtt", "valuation_dsigma", "valuation_dsigma2"):
+        if hasattr(grouped, name):
+            monkeypatch.setattr(grouped, name, counted(name, getattr(grouped, name)))
+    monkeypatch.setattr(mkt, "_check_support", counted("_check_support", mkt._check_support))
+    b = np.sort(rng.uniform(0.3, 5.7, size=(4, 3)), axis=1)
+    t = np.sort(rng.uniform(0.5, 12.0, size=(4, 3)), axis=1)
+    _menu_terms(profile, cost_model, mkt, b, t)
+    assert sorted(calls) == ["_check_support", "valuation_dsigma2"]
 
 
 def closed_form_hessian(profile, cost_model, market, b, t, dc, ddc):

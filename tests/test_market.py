@@ -341,31 +341,34 @@ def test_scalar_array_agreement(profile):
 def test_fused_sigma_kernel_symbolic(profile):
     # differentiate the defining formula twice in sigma: V_s = -alpha phi(a)/sqrt(t)
     # and V_ss = -alpha a^2 phi(a)/(sigma sqrt(t)), which the boundary
-    # search's curvature uses
+    # search's curvature uses; and once in t, V_t = alpha sigma phi(a)/(2 t^1.5),
+    # which the period gradient uses
     s, t, alpha, d, mu = sp.symbols("sigma t alpha d mu", positive=True)
     x = sp.Symbol("x", real=True)
     phi = sp.exp(-x**2 / 2) / sp.sqrt(2 * sp.pi)
     excess = phi - x * sp.erfc(x / sp.sqrt(2)) / 2
     a = sp.sqrt(t) * d / s
     v = alpha * (mu - s / sp.sqrt(t) * excess.subs(x, a))
-    vs, vss = sp.diff(v, s), sp.diff(v, s, 2)
+    vs, vss, vt = sp.diff(v, s), sp.diff(v, s, 2), sp.diff(v, t)
     assert sp.simplify(vs + alpha * phi.subs(x, a) / sp.sqrt(t)) == 0
     assert sp.simplify(vss + alpha * a**2 * phi.subs(x, a) / (s * sp.sqrt(t))) == 0
+    assert sp.simplify(vt - alpha * s * phi.subs(x, a) / (2 * t ** sp.Rational(3, 2))) == 0
 
     subs = {alpha: profile.alpha, d: profile.q - profile.mu, mu: profile.mu}
-    ref = sp.lambdify((s, t), [v.subs(subs), vs.subs(subs), vss.subs(subs)], "mpmath")
+    ref = sp.lambdify((s, t), [v.subs(subs), vs.subs(subs), vss.subs(subs), vt.subs(subs)], "mpmath")
     sig = np.array([0.05, 0.5, 2.0, 3.0, 6.0, 30.0])
     per = np.array([1e-4, 0.8, 1.0, 5.0, 12.0, 600.0])
     got = valuation_dsigma2(profile, sig, per)
     assert np.array_equal(got[0], valuation(profile, sig, per))
     assert np.array_equal(got[1], valuation_dsigma(profile, sig, per))
+    assert np.array_equal(got[3], valuation_dt(profile, sig, per))
     with mpmath.workdps(50):
         for k in range(sig.size):
             want = [float(z) for z in ref(mpmath.mpf(sig[k]), mpmath.mpf(per[k]))]
             for g, w in zip(got, want):
                 assert abs(g[k] - w) <= 1e-13 * abs(w)
     zero = valuation_dsigma2(profile, np.array([0.0]), np.array([3.0]))
-    assert [z[0] for z in zero] == [13.0, 0.0, 0.0]
+    assert [z[0] for z in zero] == [13.0, 0.0, 0.0, 0.0]
 
 
 INF, NAN = float("inf"), float("nan")

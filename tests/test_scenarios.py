@@ -445,6 +445,35 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["oracle", "--scenario", "uniform_k6", "--grid-step", "0"], "0 < grid step <= t-max"),
+        (["oracle", "--scenario", "case1_discrete", "--grid-step", "0"], "0 < grid step <= t-max"),
+        (["oracle", "--scenario", "uniform_k6", "--grid-step", "-0.1"], "0 < grid step <= t-max"),
+        (["oracle", "--scenario", "case1_discrete", "--grid-step", "0.5", "--t-max", "0"], "0 < grid step <= t-max"),
+        (["oracle", "--scenario", "uniform_k6", "--grid-step", "nan"], "0 < grid step <= t-max"),
+        (["oracle", "--scenario", "uniform_k6", "--grid-step", "0.001"], "exceeds the work budget"),
+        (["check-dist", "--scenario", "uniform_k6", "--grid-points", "0"], "at least 2 points"),
+        (["check-dist", "--scenario", "uniform_k6", "--grid-points", "1"], "at least 2 points"),
+        (["sweep", "--scenario", "uniform_k6", "--groups", ","], "nonempty list of distinct K"),
+        (["sweep", "--scenario", "uniform_k6", "--groups", "2,2"], "nonempty list of distinct K"),
+    ],
+    ids=[
+        "step_zero", "step_zero_discrete", "step_negative", "t_max_zero", "step_nan", "grid_over_budget",
+        "grid_points_zero", "grid_points_one", "groups_empty", "groups_repeated",
+    ],
+)
+def test_cli_rejects_malformed_option(tmp_path, capsys, argv, problem):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("planmenu: error: ") and problem in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
