@@ -32,6 +32,8 @@ KINDS = ("uniform", "exponential", "truncated_normal")
 SHAPE_CONSTANT = 3.0 - 2.0 * np.sqrt(2.0)
 #: Roundoff allowance below zero for the shape condition's slack.
 THEOREM3_TOL = -1e-10
+#: Most grid points the shape-condition check accepts.
+THEOREM3_MAX_POINTS = 10**6
 
 
 @dataclass
@@ -190,8 +192,8 @@ class ContinuousMarket:
         parameters never change after construction.
         """
         key = int(grid_points)
-        if key < 2:
-            raise ValueError("the shape-condition grid needs at least 2 points")
+        if not 2 <= key <= THEOREM3_MAX_POINTS:  # refused before np.linspace allocates the grid
+            raise ValueError(f"the shape-condition grid needs at least 2 points and at most {THEOREM3_MAX_POINTS}, got {key}")
         cache = self.__dict__.setdefault("_theorem3_cache", {})
         if key not in cache:
             grid = np.linspace(self.sigma_min, self.sigma_max, int(grid_points))

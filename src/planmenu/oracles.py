@@ -7,12 +7,13 @@ bullets below say.
   utilities and confirms the menu's assignment wins (or that opting
   out is right for unserved types).
 - grid_oracle_discrete and grid_oracle_grouped maximize over ascending
-  period (and, for groups, boundary) tuples on grids by one shape of
-  exact dynamic program: profit splits into per-stage terms linked
-  only through adjacent stages, so a running maximum per stage returns
-  the same optimum literal enumeration would.  The discrete oracle
-  prices by the telescoping chain from raw valuations and costs — no
-  per-type objective, no pooling.
+  period (and, for groups, boundary) tuples on grids by one exact
+  dynamic program: profit splits into per-stage terms linked only
+  through adjacent stages, so two running maxima per stage return the
+  same optimum literal enumeration would.  The discrete oracle is the
+  grouped one with stage i pinned to type i at mass S_i, the count of
+  types up to i; both price by the telescoping chain from raw
+  valuations and costs — no per-type objective, no pooling.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (inverse-CDF draws from a seeded 64-bit generator).
 - fixed_period_baseline prices a single fixed-period plan, either
@@ -117,11 +118,47 @@ def _cummax_with_arg(a, axis):
     """Running maximum of a along axis, with the index that attains it
     (the latest such index on ties)."""
     running = np.maximum.accumulate(a, axis=axis)
-    shape = [1] * a.ndim
-    shape[axis] = a.shape[axis]
-    idx = np.arange(a.shape[axis]).reshape(shape)
-    arg = np.maximum.accumulate(np.where(a >= running, idx, -1), axis=axis)
-    return running, arg
+    idx = np.indices(a.shape, sparse=True)[axis]
+    return running, np.maximum.accumulate(np.where(a >= running, idx, -1), axis=axis)
+
+
+def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
+    """Exact maximum over ascending stage tuples (s_k, t_k) of
+    sum_k [psi_k(s_k, t_k) - psi_k(s_k, t_{k+1})], the last stage keeping
+    its own psi, with psi_k(s, t) = mass_k(s) * (V(sigmas_k[s], t) - C(t)).
+
+    sigmas and mass hold one type row per stage, or one row all stages
+    share.  Two running maxima per stage,
+    D_k = psi_k + cummax_s[cummax_t D_{k-1} - psi_{k-1}], yield the
+    maximum literal enumeration would.  Returns (profit, the types and
+    the periods of a maximizing tuple).
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if n_stages < 1 or sigmas.shape[1] == 0 or t.size == 0:
+        raise ValueError("grid DP needs at least one stage and nonempty grids")
+    if np.any(np.diff(sigmas, axis=1) <= 0) or np.any(np.diff(t) <= 0):
+        raise ValueError("grids must be strictly ascending")
+    if n_stages * sigmas.shape[1] * t.size > TUPLE_BUDGET:
+        raise ValueError("grid DP exceeds the work budget")
+
+    rows = np.broadcast_to(sigmas, (n_stages, sigmas.shape[1]))
+    psi = mass[:, :, None] * (valuation(profile, sigmas[:, :, None], t) - cost(cost_model, t))
+    psi = np.broadcast_to(psi, (n_stages,) + psi.shape[1:])
+
+    D = psi[0]
+    back = []
+    for k in range(1, n_stages):
+        M, arg_t = _cummax_with_arg(D, axis=1)
+        inner, arg_s = _cummax_with_arg(M - psi[k - 1], axis=0)
+        back.append((arg_t, arg_s))
+        D = psi[k] + inner
+
+    s_k, j_k = np.unravel_index(int(np.argmax(D)), D.shape)
+    s_idx, j_idx = [int(s_k)], [int(j_k)]
+    for arg_t, arg_s in reversed(back):
+        s_idx.insert(0, int(arg_s[s_idx[0], j_idx[0]]))
+        j_idx.insert(0, int(arg_t[s_idx[0], j_idx[0]]))
+    return float(D[s_k, j_k]), rows[np.arange(n_stages), s_idx], t[j_idx]
 
 
 def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid):
@@ -132,76 +169,23 @@ def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid):
 
         sum_i [S_i V_i(t_i) - N_i C(t_i)] - sum_{i<I-1} S_i V_i(t_{i+1}),
 
-    which regroups by period into one term per type,
-    N_i (V_i - C) + S_{i-1} (V_i - V_{i-1}) at t_i.  A stage-by-stage
-    running-max DP over the period grid then yields the exact maximum
-    of literal enumeration.  Returns (profit, periods).
+    the grouped profit with stage i pinned to type i and mass S_i
+    (the C terms telescope to N_i C(t_i)).  Returns (profit, periods).
     """
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be strictly ascending")
-    n_types = market.n_types
-    if n_types * t.size > TUPLE_BUDGET:
-        raise ValueError("grid DP exceeds the work budget")
-
-    V = valuation(profile, market.sigmas[:, None], t[None, :])  # (I, n)
-    Ct = cost(cost_model, t)
-    N = market.counts
-    S = np.cumsum(N)
-
-    D = N[0] * (V[0] - Ct)
-    back = []
-    for i in range(1, n_types):
-        M, arg = _cummax_with_arg(D, axis=0)
-        back.append(arg)
-        D = M + N[i] * (V[i] - Ct) + S[i - 1] * (V[i] - V[i - 1])
-
-    j_idx = [int(np.argmax(D))]
-    profit = float(D[j_idx[0]])
-    for arg in reversed(back):
-        j_idx.insert(0, int(arg[j_idx[0]]))
-    return profit, t[j_idx]
+    S = np.cumsum(market.counts)
+    profit, _, periods = _grid_dp(profile, cost_model, market.sigmas[:, None], S[:, None], market.n_types, t_grid)
+    return profit, periods
 
 
 def grid_oracle_grouped(profile, cost_model, market: ContinuousMarket, n_groups, sigma_grid, t_grid):
     """Exact grid optimum over ascending boundary AND period tuples.
 
     Profit decomposes into per-boundary terms
-    psi(s, t_k) - psi(s, t_{k+1}) (with psi = N*G*(V - C) and the last
-    group keeping its own psi), so a K-stage dynamic program over the
-    (boundary, period) table — two running maxima per stage — yields
-    the exact maximum of literal enumeration.  Returns
-    (profit, boundaries, periods).
+    psi(s, t_k) - psi(s, t_{k+1}) with psi = N*G*(V - C), the last
+    group keeping its own psi.  Returns (profit, boundaries, periods).
     """
-    sg = np.asarray(sigma_grid, dtype=float)
-    tg = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(sg) <= 0) or np.any(np.diff(tg) <= 0):
-        raise ValueError("grids must be strictly ascending")
-    if n_groups * sg.size * tg.size > TUPLE_BUDGET:
-        raise ValueError("grid DP exceeds the work budget")
-
-    G = market.cdf(sg) * market.size
-    Vt = valuation(profile, sg[:, None], tg[None, :])
-    psi = G[:, None] * (Vt - cost(cost_model, tg)[None, :])
-
-    D = psi.copy()
-    back = []
-    for _ in range(1, n_groups):
-        M, argj = _cummax_with_arg(D, axis=1)
-        inner, args = _cummax_with_arg(M - psi, axis=0)
-        back.append((argj, args))
-        D = psi + inner
-
-    s_k, j_k = np.unravel_index(int(np.argmax(D)), D.shape)
-    profit = float(D[s_k, j_k])
-    s_idx = [int(s_k)]
-    j_idx = [int(j_k)]
-    for argj, args in reversed(back):
-        s_prev = int(args[s_idx[0], j_idx[0]])
-        j_prev = int(argj[s_prev, j_idx[0]])
-        s_idx.insert(0, s_prev)
-        j_idx.insert(0, j_prev)
-    return profit, sg[s_idx], tg[j_idx]
+    sg = np.asarray(sigma_grid, dtype=float)[None, :]
+    return _grid_dp(profile, cost_model, sg, market.cdf(sg) * market.size, n_groups, t_grid)
 
 
 # --- Monte Carlo check of the valuation formula -------------------------
@@ -252,32 +236,22 @@ def fixed_period_baseline(profile, cost_model, market, t_fixed, coverage="full")
     """
     c = cost(cost_model, t_fixed)
     if isinstance(market, DiscreteMarket):
-        margins = valuation(profile, market.sigmas, t_fixed) - c
-        served = np.cumsum(market.counts)
-        profits = served * margins
+        counts = np.cumsum(market.counts)
+        profits = counts * (valuation(profile, market.sigmas, t_fixed) - c)
         j = market.n_types - 1 if coverage == "full" else int(np.argmax(profits))
-        sig = float(market.sigmas[j])
-        return BaselineResult(
-            period=float(t_fixed),
-            coverage=coverage,
-            price=float(valuation(profile, sig, t_fixed)),
-            marginal_sigma=sig,
-            served=float(served[j]),
-            profit=float(profits[j]),
-        )
-    if coverage == "full":
-        sig = market.sigma_max
+        sig, served = market.sigmas[j], counts[j]
     else:
         one = np.zeros(1, dtype=int)
-        sig = block_boundaries(profile, cost_model, market, [t_fixed], one, one)[0]
-    served = market.size * market.cdf(sig)
+        sig = market.sigma_max if coverage == "full" else block_boundaries(profile, cost_model, market, [t_fixed], one, one)[0]
+        served = market.size * market.cdf(sig)
+    price = valuation(profile, sig, t_fixed)
     return BaselineResult(
         period=float(t_fixed),
         coverage=coverage,
-        price=float(valuation(profile, sig, t_fixed)),
+        price=float(price),
         marginal_sigma=float(sig),
         served=float(served),
-        profit=float(served * (valuation(profile, sig, t_fixed) - c)),
+        profit=float(served * (price - c)),
     )
 
 

@@ -21,6 +21,7 @@ name (without .json) anywhere a path is accepted.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
@@ -55,7 +56,8 @@ _REQUIRED = object()
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json reads NaN and Infinity; the bound also refuses an integer too large for a float
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 # What a scenario value must be: (description, test, conversion).

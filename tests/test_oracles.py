@@ -337,8 +337,10 @@ def test_grid_oracle_refuses_oversized_work(profile, cost_model):
     with pytest.raises(ValueError, match="work budget"):
         grid_oracle_discrete(profile, cost_model, many, np.linspace(0.1, 30, n))
     market = DiscreteMarket(sigmas=[1.0, 2.0, 3.0, 4.0], counts=np.ones(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly ascending"):
         grid_oracle_discrete(profile, cost_model, market, [1.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="at least one stage and nonempty grids"):
+        grid_oracle_discrete(profile, cost_model, market, [])
     # no cap on the number of types: five fit once the work does
     five = DiscreteMarket(sigmas=np.arange(1.0, 6.0), counts=np.ones(5))
     grid = np.linspace(0.1, 30, 10)
@@ -384,9 +386,21 @@ def grouped_chain_profit(profile, cost_model, market, boundaries, periods):
     return float(np.dot(group_counts(market, boundaries), prices - cost(cost_model, np.asarray(periods, dtype=float))))
 
 
-@pytest.mark.parametrize("n_groups", [2, 3])
-def test_grouped_grid_oracle_matches_literal_enumeration(profile, cost_model, n_groups):
-    market = make_market("uniform", 0.0, 6.0)
+# the exponential market's mass N*G(s) is neither linear in s nor of size 1
+GRID_UNIFORM = make_market("uniform", 0.0, 6.0)
+GRID_EXPONENTIAL = make_market("exponential", 0.0, 6.0, size=2.5, rate=0.4)
+
+
+@pytest.mark.parametrize(
+    "n_groups, market",
+    [
+        pytest.param(2, GRID_UNIFORM, id="2"),
+        pytest.param(3, GRID_UNIFORM, id="3"),
+        pytest.param(2, GRID_EXPONENTIAL, id="2-exponential"),
+        pytest.param(3, GRID_EXPONENTIAL, id="3-exponential"),
+    ],
+)
+def test_grouped_grid_oracle_matches_literal_enumeration(profile, cost_model, n_groups, market):
     sigma_grid = np.linspace(0.5, 6.0, 7)
     t_grid = np.linspace(0.5, 12.0, 6)
     best, bnd, per = grid_oracle_grouped(
@@ -411,10 +425,15 @@ def test_grouped_grid_oracle_validation(profile, cost_model):
         grid_oracle_grouped(
             profile, cost_model, market, 3, np.linspace(0.1, 6, 6000), np.linspace(0.1, 30, 6000)
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly ascending"):
         grid_oracle_grouped(
             profile, cost_model, market, 2, np.array([1.0, 1.0]), np.array([1.0, 2.0])
         )
+    # no stages or an empty grid: one error, even where the work product is <= 0
+    sigma_grid, t_grid = np.linspace(0.5, 6.0, 4), np.linspace(0.5, 12.0, 3)
+    for n_groups, sg, tg in [(0, sigma_grid, t_grid), (-1, sigma_grid, t_grid), (2, [], t_grid), (2, sigma_grid, [])]:
+        with pytest.raises(ValueError, match="at least one stage and nonempty grids"):
+            grid_oracle_grouped(profile, cost_model, market, n_groups, sg, tg)
 
 
 # --- Monte Carlo cross-check ------------------------------------------------

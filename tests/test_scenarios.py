@@ -316,7 +316,7 @@ def test_cli_oracle_discrete(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     code = cli.main(["oracle", "--scenario", str(p), "--grid-step", "0.05"])
     assert code == 0
-    assert "grid optimum" in capsys.readouterr().out
+    assert capsys.readouterr().out == "grid optimum 4.40802328 at periods [0.35, 1.45]\n"
 
 
 def test_cli_oracle_grouped(tmp_path, capsys):
@@ -331,7 +331,7 @@ def test_cli_oracle_grouped(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     code = cli.main(["oracle", "--scenario", str(p), "--grid-step", "0.1", "--t-max", "20"])
     assert code == 0
-    assert "grid optimum" in capsys.readouterr().out
+    assert capsys.readouterr().out == "grid optimum 1.29061962 at boundaries [1.7, 5.3] periods [0.6, 1.9]\n"
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -404,6 +404,20 @@ def scenario_json(**keys):
     return json.dumps({**json.loads(grouped_json()), **keys})
 
 
+INF = float("inf")
+
+
+def market_json(**keys):
+    """A small grouped scenario file's text, with market keys overridden."""
+    return scenario_json(market={"kind": "uniform", "sigma_min": 0.0, "sigma_max": 6.0, **keys})
+
+
+def discrete_json(**keys):
+    """A small discrete scenario file's text, with market keys overridden."""
+    market = {"kind": "discrete", "sigmas": [1.0, 2.0, 3.0], "counts": [1, 1, 1], **keys}
+    return scenario_json(market=market, solver={"kind": "discrete"})
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [
@@ -430,10 +444,31 @@ def scenario_json(**keys):
             "scenario market key 'N' must be a number, got 'x'",
         ),
         ('["solver"]', "a scenario must be a JSON object"),
+        # json reads NaN and Infinity as floats
+        (
+            discrete_json(counts=[1, INF, 1]),
+            "scenario market key 'counts' must be a list of numbers, got [1, inf, 1]",
+        ),
+        (market_json(N=INF), "scenario market key 'N' must be a number, got inf"),
+        (market_json(sigma_max=INF), "scenario market key 'sigma_max' must be a number, got inf"),
+        (
+            market_json(kind="exponential", **{"lambda": INF}),
+            "scenario market key 'lambda' must be a number, got inf",
+        ),
+        (scenario_json(alpha=INF), "scenario key 'alpha' must be a number, got inf"),
+        (scenario_json(mu=-INF), "scenario key 'mu' must be a number, got -inf"),
+        (scenario_json(q=float("nan")), "scenario key 'q' must be a number, got nan"),
+        (scenario_json(cost={"c0": INF}), "scenario cost key 'c0' must be a number, got inf"),
+        (scenario_json(cost={"c0": 10.0, "c1": INF}), "scenario cost key 'c1' must be a number, got inf"),
+        (scenario_json(baselines=[1, INF]), "scenario key 'baselines' must be a list of numbers, got [1, inf]"),
+        # an integer past the float range would overflow float()
+        (scenario_json(alpha=10**400), "scenario key 'alpha' must be a number, got 1000"),
     ],
     ids=[
         "invalid_json", "market_key_missing", "K_fraction", "K_string", "restarts_negative", "seed_string",
         "seed_fraction", "alpha_null", "alpha_string", "cost_list", "baseline_null", "market_N_string", "not_object",
+        "counts_infinite", "market_N_infinite", "sigma_max_infinite", "lambda_infinite", "alpha_infinite",
+        "mu_negative_infinite", "q_nan", "c0_infinite", "c1_infinite", "baseline_infinite", "alpha_huge_integer",
     ],
 )
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
@@ -456,12 +491,14 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
         (["oracle", "--scenario", "uniform_k6", "--grid-step", "0.001"], "exceeds the work budget"),
         (["check-dist", "--scenario", "uniform_k6", "--grid-points", "0"], "at least 2 points"),
         (["check-dist", "--scenario", "uniform_k6", "--grid-points", "1"], "at least 2 points"),
+        # refused before any allocation
+        (["check-dist", "--scenario", "uniform_k6", "--grid-points", str(10**12)], "at most 1000000, got 1000000000000"),
         (["sweep", "--scenario", "uniform_k6", "--groups", ","], "nonempty list of distinct K"),
         (["sweep", "--scenario", "uniform_k6", "--groups", "2,2"], "nonempty list of distinct K"),
     ],
     ids=[
         "step_zero", "step_zero_discrete", "step_negative", "t_max_zero", "step_nan", "grid_over_budget",
-        "grid_points_zero", "grid_points_one", "groups_empty", "groups_repeated",
+        "grid_points_zero", "grid_points_one", "grid_points_huge", "groups_empty", "groups_repeated",
     ],
 )
 def test_cli_rejects_malformed_option(tmp_path, capsys, argv, problem):
