@@ -50,12 +50,14 @@ class DiscreteMarket:
             raise ValueError("sigmas must be a nonempty 1-D array")
         if self.sigmas.shape != self.counts.shape:
             raise ValueError("sigmas and counts must align")
+        if not np.all(np.isfinite(self.sigmas)):
+            raise ValueError("sigmas must be finite")
         if np.any(np.diff(self.sigmas) <= 0):
             raise ValueError("types must be strictly ascending")
         if np.any(self.sigmas < 0):
             raise ValueError("types must be nonnegative")
-        if np.any(self.counts <= 0):
-            raise ValueError("counts must be positive")
+        if not np.all((self.counts > 0) & (self.counts < np.inf)):
+            raise ValueError("counts must be finite and positive")
 
     @property
     def n_types(self):
@@ -88,18 +90,18 @@ class ContinuousMarket:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if not (0 <= self.sigma_min < self.sigma_max):
-            raise ValueError("need 0 <= sigma_min < sigma_max")
-        if not (self.size > 0):
-            raise ValueError("market size must be positive")
+        if not (0 <= self.sigma_min < self.sigma_max < np.inf):
+            raise ValueError("need 0 <= sigma_min < sigma_max, both finite")
+        if not (0 < self.size < np.inf):
+            raise ValueError("market size must be finite and positive")
         if self.kind == "exponential":
-            if self.rate is None or not (self.rate > 0):
-                raise ValueError("exponential market needs rate > 0")
+            if self.rate is None or not (0 < self.rate < np.inf):
+                raise ValueError("exponential market needs a finite rate > 0")
             self._exp_lo = math.exp(-self.rate * self.sigma_min)
             self._norm = self._exp_lo - math.exp(-self.rate * self.sigma_max)
         elif self.kind == "truncated_normal":
-            if self.loc is None or self.scale is None or not (self.scale > 0):
-                raise ValueError("truncated_normal market needs loc and scale > 0")
+            if self.loc is None or self.scale is None or not (np.isfinite(self.loc) and 0 < self.scale < np.inf):
+                raise ValueError("truncated_normal market needs a finite loc and a finite scale > 0")
             self._cdf_lo = float(std_normal_cdf((self.sigma_min - self.loc) / self.scale))
             self._norm = float(std_normal_cdf((self.sigma_max - self.loc) / self.scale)) - self._cdf_lo
         if self._norm <= 0:

@@ -38,12 +38,13 @@ class DemandProfile:
     q: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        if not (self.mu > 0):
-            raise ValueError("mu must be positive")
-        if not (self.q >= self.mu):
-            raise ValueError("cap q must be at least the mean rate mu")
+        # NaN fails every comparison, so each chain also refuses non-finite values
+        if not (0 < self.alpha < np.inf):
+            raise ValueError("alpha must be finite and positive")
+        if not (0 < self.mu < np.inf):
+            raise ValueError("mu must be finite and positive")
+        if not (self.mu <= self.q < np.inf):
+            raise ValueError("cap q must be finite and at least the mean rate mu")
 
     @property
     def excess_cap(self):
@@ -66,10 +67,10 @@ class CostModel:
     w: Optional[Callable] = None
 
     def __post_init__(self):
-        if not (self.c0 >= 0):
-            raise ValueError("c0 must be nonnegative")
-        if self.w is None and not (self.c1 >= 0):
-            raise ValueError("c1 must be nonnegative for the linear cost")
+        if not (0 <= self.c0 < np.inf):
+            raise ValueError("c0 must be finite and nonnegative")
+        if not np.isfinite(self.c1) or (self.w is None and self.c1 < 0):
+            raise ValueError("c1 must be finite, and nonnegative for the linear cost")
 
 
 def _threshold(profile, sigma, t):

@@ -10,10 +10,11 @@ bullets below say.
   period (and, for groups, boundary) tuples on grids by one exact
   dynamic program: profit splits into per-stage terms linked only
   through adjacent stages, so two running maxima per stage return the
-  same optimum literal enumeration would.  The discrete oracle is the
-  grouped one with stage i pinned to type i at mass S_i, the count of
-  types up to i; both price by the telescoping chain from raw
-  valuations and costs — no per-type objective, no pooling.
+  same optimum literal enumeration would; only those tables are kept,
+  and the backtrack recomputes the argmax along the optimal path.  The
+  discrete oracle is the grouped one with stage i pinned to type i at
+  mass S_i, the count of types up to i; both price by the telescoping
+  chain from raw valuations and costs — no per-type objective, no pooling.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (inverse-CDF draws from a seeded 64-bit generator).
 - fixed_period_baseline prices a single fixed-period plan, either
@@ -21,16 +22,17 @@ bullets below say.
   with a profit-maximizing marginal type, found by the grouped solver's
   boundary search at K = 1.
 - social_metrics compares realized social surplus against the
-  first-best that ignores incentive constraints.  It is accounting, not
-  a check: the first-best periods come from the solvers' period search.
+  first-best that ignores incentive constraints, by a 96-point
+  Gauss-Legendre rule built once at import (scipy.special.roots_legendre).
+  It is accounting, not a check: the first-best periods come from the
+  solvers' period search.
 """
 
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import fixed_quad
-from scipy.special import ndtri
+from scipy.special import ndtri, roots_legendre
 
 from .discrete import FEASIBILITY_TOL, DiscreteSolution, block_periods
 from .distributions import ContinuousMarket, DiscreteMarket
@@ -41,6 +43,8 @@ from .market import cost, valuation
 TUPLE_BUDGET = 1e8
 #: Equispaced types the IC/IR scan checks across a continuous market's window.
 IC_SCAN_POINTS = 500
+# the 96-point Gauss-Legendre rule on [-1, 1] the social-surplus integrals share
+_GL_NODES, _GL_WEIGHTS = roots_legendre(96)
 
 
 # --- incentive compatibility / participation ---------------------------
@@ -114,14 +118,6 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
 # --- grid oracles -------------------------------------------------------
 
 
-def _cummax_with_arg(a, axis):
-    """Running maximum of a along axis, with the index that attains it
-    (the latest such index on ties)."""
-    running = np.maximum.accumulate(a, axis=axis)
-    idx = np.indices(a.shape, sparse=True)[axis]
-    return running, np.maximum.accumulate(np.where(a >= running, idx, -1), axis=axis)
-
-
 def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     """Exact maximum over ascending stage tuples (s_k, t_k) of
     sum_k [psi_k(s_k, t_k) - psi_k(s_k, t_{k+1})], the last stage keeping
@@ -130,8 +126,8 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     sigmas and mass hold one type row per stage, or one row all stages
     share.  Two running maxima per stage,
     D_k = psi_k + cummax_s[cummax_t D_{k-1} - psi_{k-1}], yield the
-    maximum literal enumeration would.  Returns (profit, the types and
-    the periods of a maximizing tuple).
+    maximum literal enumeration would; ties go to the latest index.
+    Returns (profit, the types and the periods of a maximizing tuple).
     """
     t = np.asarray(t_grid, dtype=float)
     if n_stages < 1 or sigmas.shape[1] == 0 or t.size == 0:
@@ -145,20 +141,18 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     psi = mass[:, :, None] * (valuation(profile, sigmas[:, :, None], t) - cost(cost_model, t))
     psi = np.broadcast_to(psi, (n_stages,) + psi.shape[1:])
 
-    D = psi[0]
-    back = []
+    D = [psi[0]]
     for k in range(1, n_stages):
-        M, arg_t = _cummax_with_arg(D, axis=1)
-        inner, arg_s = _cummax_with_arg(M - psi[k - 1], axis=0)
-        back.append((arg_t, arg_s))
-        D = psi[k] + inner
+        D.append(psi[k] + np.maximum.accumulate(np.maximum.accumulate(D[-1], axis=1) - psi[k - 1], axis=0))
 
-    s_k, j_k = np.unravel_index(int(np.argmax(D)), D.shape)
-    s_idx, j_idx = [int(s_k)], [int(j_k)]
-    for arg_t, arg_s in reversed(back):
-        s_idx.insert(0, int(arg_s[s_idx[0], j_idx[0]]))
-        j_idx.insert(0, int(arg_t[s_idx[0], j_idx[0]]))
-    return float(D[s_k, j_k]), rows[np.arange(n_stages), s_idx], t[j_idx]
+    s, j = map(int, np.unravel_index(int(np.argmax(D[-1])), D[-1].shape))
+    profit, s_idx, j_idx = float(D[-1][s, j]), [s], [j]
+    for k in range(n_stages - 1, 0, -1):  # the latest type, then period, attaining stage k-1's running maxima
+        s -= int(np.argmax((D[k - 1][: s + 1, : j + 1].max(axis=1) - psi[k - 1][: s + 1, j])[::-1]))
+        j -= int(np.argmax(D[k - 1][s, : j + 1][::-1]))
+        s_idx.insert(0, s)
+        j_idx.insert(0, j)
+    return profit, rows[np.arange(n_stages), s_idx], t[j_idx]
 
 
 def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid):
@@ -273,6 +267,12 @@ def _first_best_surplus_rates(profile, cost_model, sigmas):
     return np.maximum(valuation(profile, s, t) - cost(cost_model, t), 0.0)
 
 
+def _gauss_legendre(f, a, b):
+    """Integral of f over [a, b], along its last axis, in scipy.integrate.fixed_quad's arithmetic."""
+    y = (b - a) * (_GL_NODES + 1) / 2.0 + a
+    return (b - a) / 2.0 * np.sum(_GL_WEIGHTS * f(y), axis=-1)
+
+
 def social_metrics(profile, cost_model, market, solution) -> SocialReport:
     """Realized vs first-best social surplus (value minus cost; prices
     are transfers and cancel).  A grouped menu's bands share one
@@ -295,14 +295,11 @@ def social_metrics(profile, cost_model, market, solution) -> SocialReport:
             s = lo + width * u
             return (valuation(profile, s, t[:, None]) - cost(cost_model, t)[:, None]) * market.pdf(s) * width
 
-        contract = float(np.sum(market.size * fixed_quad(surplus, 0.0, 1.0, n=96)[0]))
-        val, _ = fixed_quad(
-            lambda s: _first_best_surplus_rates(profile, cost_model, s) * market.pdf(s),
-            market.sigma_min,
-            market.sigma_max,
-            n=96,
-        )
-        first_best = market.size * float(val)
+        def first_best_surplus(s):
+            return _first_best_surplus_rates(profile, cost_model, s) * market.pdf(s)
+
+        contract = float(np.sum(market.size * _gauss_legendre(surplus, 0.0, 1.0)))
+        first_best = market.size * float(_gauss_legendre(first_best_surplus, market.sigma_min, market.sigma_max))
     else:
         raise TypeError("unknown solution type")
     return SocialReport(

@@ -53,6 +53,25 @@ def test_discrete_market_validation():
         DiscreteMarket(sigmas=[], counts=[])
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: DiscreteMarket(sigmas=[1.0, 2.0], counts=[1.0, math.inf]), "counts"),
+        (lambda: DiscreteMarket(sigmas=[1.0, math.nan], counts=[1.0, 1.0]), "sigmas"),
+        (lambda: DiscreteMarket(sigmas=[1.0, math.inf], counts=[1.0, 1.0]), "sigmas"),
+        (lambda: make_market("uniform", 0.0, 6.0, size=math.inf), "size"),
+        (lambda: make_market("uniform", 0.0, math.inf), "sigma_max"),
+        (lambda: make_market("exponential", 0.0, 6.0, rate=math.inf), "rate"),
+        (lambda: make_market("truncated_normal", 0.0, 6.0, loc=math.inf, scale=1.0), "loc"),
+        (lambda: make_market("truncated_normal", 0.0, 6.0, loc=3.0, scale=math.inf), "scale"),
+    ],
+    ids=["counts_inf", "sigmas_nan", "sigmas_inf", "size_inf", "sigma_max_inf", "rate_inf", "loc_inf", "scale_inf"],
+)
+def test_market_constructors_refuse_non_finite(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 # --- continuous markets: density/CDF consistency ------------------------
 
 @pytest.mark.parametrize("factory", ALL_MARKETS)

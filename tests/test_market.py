@@ -294,6 +294,21 @@ def test_input_validation(profile):
         CostModel(c0=-1.0, c1=0.5)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: DemandProfile(alpha=math.inf, mu=13.0, q=15.0), "alpha"),
+        (lambda: DemandProfile(alpha=1.0, mu=13.0, q=math.inf), "cap q"),
+        (lambda: CostModel(c0=math.inf, c1=0.5), "c0"),
+        (lambda: CostModel(c0=10.0, c1=math.inf), "c1"),
+    ],
+    ids=["alpha_inf", "q_inf", "c0_inf", "c1_inf"],
+)
+def test_constructors_refuse_non_finite(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_cost_linear(cost_model):
     assert cost(cost_model, 1.0) == 10.5
     assert cost(cost_model, 2.0) == 11.0

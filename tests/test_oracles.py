@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import fixed_quad
 from scipy.optimize.elementwise import find_root
 
 from planmenu.discrete import DEFAULT_T_DOMAIN, FEASIBILITY_TOL, optimal_prices, solve_discrete
@@ -418,6 +419,21 @@ def test_grouped_grid_oracle_matches_literal_enumeration(profile, cost_model, n_
     assert np.all(np.diff(bnd) >= 0) and np.all(np.diff(per) >= 0)
 
 
+@pytest.mark.parametrize("n_groups", [3, 8])
+def test_grouped_grid_oracle_ties_take_latest_index(profile, cost_model, n_groups):
+    # sigma = 0 carries no mass, so its row of psi is all zeros and ties
+    # every period; a group beyond the two that pay ties with that row and
+    # with repeating its upper neighbour, and the DP keeps the latest index:
+    # the repeat, never (0, t_grid[0])
+    market = make_market("exponential", 0.0, 6.0, rate=0.5)
+    sigma_grid, t_grid = np.linspace(0.0, 6.0, 4), np.arange(1.0, 4.5)
+    two, _, _ = grid_oracle_grouped(profile, cost_model, market, 2, sigma_grid, t_grid)
+    best, bnd, per = grid_oracle_grouped(profile, cost_model, market, n_groups, sigma_grid, t_grid)
+    assert best == two
+    assert bnd.tolist() == [2.0] + [4.0] * (n_groups - 1)
+    assert per.tolist() == [1.0] + [2.0] * (n_groups - 1)
+
+
 def test_grouped_grid_oracle_validation(profile, cost_model):
     market = make_market("uniform", 0.0, 6.0)
     assert 3 * 6000 * 6000 > TUPLE_BUDGET
@@ -563,6 +579,31 @@ def test_social_quadrature_matches_riemann(profile, cost_model, uniform_k2):
         total += float(np.sum(f) * (s[1] - s[0]))
         lo = sig_hi
     assert abs(rep.surplus_contract - total) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])
+def test_social_quadrature_bit_identical_to_fixed_quad(name):
+    # the package builds its 96-point rule from scipy.special; both floats
+    # must be the ones scipy.integrate.fixed_quad gives, bit for bit
+    sc = load_scenario(name)
+    profile, model, market = sc.profile, sc.cost_model, sc.market
+    sol = solve_alternating(profile, model, market, sc.solver.n_groups)
+    rep = social_metrics(profile, model, market, sol)
+    b, t = sol.boundaries, sol.periods
+    lo = np.concatenate(([market.sigma_min], b[:-1]))[:, None]
+    width = b[:, None] - lo
+
+    def surplus(u):
+        s = lo + width * u
+        return (valuation(profile, s, t[:, None]) - cost(model, t)[:, None]) * market.pdf(s) * width
+
+    def first_best(s):
+        return _first_best_surplus_rates(profile, model, s) * market.pdf(s)
+
+    contract = float(np.sum(market.size * fixed_quad(surplus, 0.0, 1.0, n=96)[0]))
+    best = market.size * float(fixed_quad(first_best, market.sigma_min, market.sigma_max, n=96)[0])
+    assert rep.surplus_contract.hex() == contract.hex()
+    assert rep.surplus_first_best.hex() == best.hex()
 
 
 def test_first_best_surplus_never_negative(profile, cost_model):

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import planmenu
 from planmenu import cli, runner
 from planmenu.distributions import ContinuousMarket, DiscreteMarket
 from planmenu.market import CostModel, DemandProfile
@@ -514,3 +518,14 @@ def test_cli_rejects_malformed_option(tmp_path, capsys, argv, problem):
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # every planmenu command is a fresh process, so its imports are part of
+    # its wall time; the package needs only scipy.special and scipy.linalg
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft", "scipy.stats", "scipy.interpolate"]
+    src = str(Path(planmenu.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys, planmenu.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
