@@ -26,13 +26,14 @@ the bracket around its best grid point.
 
 Alternation alone converges only linearly.  After a round that pools
 nothing, safeguarded projected-Newton steps on the 2K stationarity
-system dP/d(b, t) = 0 finish the job, holding coordinates on a window
-edge fixed (and stopping once only such a coordinate still gains), and
-one last step on the final Hessian factor once the projected
-first-order (KKT) residual is at most KKT_TOL * N.  The solver
-converges once that residual holds and one more round gains at most
-REL_PROFIT_TOL in relative profit; a round that pools stops the solve
-when profit stalls.
+system dP/d(b, t) = 0 finish the job: a coordinate on a window edge
+moves only if its gradient points into the window, a step is projected
+on the window and halved until it keeps the menu ascending and profit
+from falling, and one last step on the final Hessian factor follows
+once the projected first-order (KKT) residual is at most KKT_TOL * N.
+The solver converges once that residual holds and one more round
+gains at most REL_PROFIT_TOL in relative profit; a round that pools
+stops the solve when profit stalls.
 
 The profit is not jointly concave, so a solve may run several starts.
 They run as one batch: each start is a row of a (starts, K) menu array,
@@ -43,6 +44,7 @@ exactly the arithmetic it would do alone, and the batch costs about its
 slowest start.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -68,13 +70,21 @@ from .market import cost, valuation_dsigma2
 REL_PROFIT_TOL = 1e-10
 KKT_TOL = 1e-10
 MAX_ROUNDS = 200
-#: Newton steps tried after one round before alternation resumes.
-MAX_NEWTON_STEPS = 8
+#: Newton trials (probed steps, taken or not) one start may spend over a solve.
+MAX_NEWTON_STEPS = 64
 #: A coordinate this close to its window edge, relative to the window
 #: width, sits on the edge.
 EDGE_RTOL = 1e-9
 #: Points of the dense boundary scan for markets that fail the shape condition.
 FALLBACK_GRID = 2000
+
+
+def _whole(name, value, least):
+    """value as an int; a ValueError naming it unless it is an integer
+    (not a bool) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def group_counts(market, boundaries):
@@ -224,44 +234,63 @@ def _menu_residual(market, b, t, d_b, d_t):
 def _probe(profile, cost_model, market, x, lo, hi):
     """Each row of x = (b, t) with what a Newton step from it needs, all
     from one batched _menu_terms call: (profit, gradient, free, -H) per
-    row.  free marks the coordinates off the window edges, and -H is the
-    free block of the symmetrized central differences of the gradient.
-    Every coordinate steps by 1e-6 * max(1, |x|), at most half the
-    distance to the nearer window edge: by 0 on an edge, whose 0/0
-    quotients -H leaves out.
+    row.  free marks the coordinates a step may move: those off the
+    window edges, and those on an edge whose gradient points into the
+    window.  -H is the free block of the symmetrized differences of the
+    gradient: central ones for a coordinate off the edges, stepping by
+    1e-6 * max(1, |x|), at most half the distance to the nearer edge, and
+    one-sided ones into the window, by 1e-6 * max(1, |x|), for a
+    coordinate on an edge (its copy shifted out of the window stays at
+    x).  A row with no coordinate on an edge takes only central ones.
     """
     K, D = x.shape[1] // 2, x.shape[1]
     edge = EDGE_RTOL * (hi - lo)
-    free = (x > lo + edge) & (x < hi - edge)
+    low, high = x <= lo + edge, x >= hi - edge
     h = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * np.minimum(x - lo, hi - x))
-    steps = np.concatenate([np.zeros((1, D)), np.eye(D), -np.eye(D)])  # the menu, then D up- and D down-shifted copies
-    points = x[:, None, :] + steps * h[:, None, :]
+    up = down = h  # shift of each coordinate's up- and down-shifted copy
+    if np.any(low | high):
+        inward = 1e-6 * np.maximum(1.0, np.abs(x))
+        up = np.where(low, inward, np.where(high, 0.0, h))
+        down = np.where(high, inward, np.where(low, 0.0, h))
+    eye = np.eye(D)
+    # the menu, then D up- and D down-shifted copies
+    points = np.concatenate([x[:, None, :], x[:, None, :] + eye * up[:, None, :], x[:, None, :] - eye * down[:, None, :]], axis=1)
     q, d_b, d_t = _menu_terms(profile, cost_model, market, points[..., :K], points[..., K:])
     F = np.concatenate([d_b, d_t], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotients = (F[:, 1 : D + 1] - F[:, D + 1 :]) / (2.0 * h[:, :, None])  # [r, j]: dF / dx_j
-        neg_hessian = -0.5 * (quotients + quotients.transpose(0, 2, 1))
-    return q[:, 0].sum(axis=-1), F[:, 0], free, [m[np.ix_(f, f)] for m, f in zip(neg_hessian, free)]
+    quotients = (F[:, 1 : D + 1] - F[:, D + 1 :]) / (up + down)[:, :, None]  # [r, j]: dF / dx_j
+    neg_hessian = -0.5 * (quotients + quotients.transpose(0, 2, 1))
+    grad = F[:, 0]
+    free = ~(low | high) | (low & (grad > 0)) | (high & (grad < 0))
+    return q[:, 0].sum(axis=-1), grad, free, [m[np.ix_(f, f)] for m, f in zip(neg_hessian, free)]
 
 
-def _newton_finish(profile, cost_model, market, boundaries, periods, traces):
+def _ascending(x):
+    """Whether x = (b, t) is strictly ascending in b and in t."""
+    return bool((np.diff(x.reshape(2, -1)) > 0).all())
+
+
+def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spent):
     """Safeguarded projected-Newton steps from ascending, unpooled menus,
     one menu per row of boundaries and periods, all rows in lockstep.
 
-    Coordinates on a window edge stay fixed, so a row whose free
-    coordinates' gradient is at most KKT_TOL * N stops: its residual
-    comes from an edge coordinate that only alternation can move.  Once
-    the residual is at most KKT_TOL * N, one more (polish) step reuses
-    the last Hessian factor, so where the finish stops inside that
-    tolerance does not hang on the bits it started from.  A step is
-    taken only if -H passes Cholesky, the new boundaries and periods
-    stay strictly ascending inside their windows and profit does not
-    fall (up to rounding); each accepted profit joins the row's trace.
-    A row stops on its own, on the first of these events.  The trial
-    menus of all rows still stepping are evaluated in one _probe call,
-    which also gives the Hessian for each one's next step.  Returns
-    (boundaries, periods, profit, residual, steps) per row, the residual
-    measured at the returned menu.
+    A step moves the free coordinates (see _probe) by the Newton step
+    (-H)^-1 g of their block, once -H passes Cholesky.  The trial menu
+    is the step projected on the window and halved until the menu stays
+    strictly ascending; a trial that loses more than rounding in profit
+    is halved again at the row's next trial.  A full step that stays
+    inside and keeps profit is taken as it is.  Once the residual is at
+    most KKT_TOL * N, one more (polish) step reuses the last Hessian
+    factor, with no halving, so where the finish stops inside that
+    tolerance does not hang on the bits it started from.  A row stops
+    on its own when its residual is met and polished, -H fails
+    Cholesky, its trial would not change the menu, or it has spent
+    MAX_NEWTON_STEPS trials over the solve (spent holds each row's count
+    and is updated in place).  The trial menus of all rows still
+    stepping are evaluated in one _probe call, which also gives the
+    Hessian for each one's next step.  Each row's trace gets the profit
+    of the menu it starts from, checked nondecreasing, then each
+    accepted one.  Returns (boundaries, periods, profit, residual, steps)
+    per row, the residual measured at the returned menu.
     """
     K = boundaries.shape[1]
     lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
@@ -270,37 +299,52 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces):
     x = np.concatenate([boundaries, periods], axis=1)
     profit, grad, free, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
     rows = len(x)
+    _extend_traces(traces, range(rows), profit)
     residual = np.empty(rows)
     steps = np.zeros(rows, dtype=int)
     last = [None] * rows  # (Cholesky factor, free mask) of each row's last Newton step
-    stepping = np.arange(rows)
+    pending = []  # (row, full Newton step, share of it to try, polish?) of each row's next trial
+    stepping = np.arange(rows)  # rows at a new menu
     while True:
         residual[stepping] = _menu_residual(market, x[stepping, :K], x[stepping, K:], grad[stepping, :K], grad[stepping, K:])
-        moving, trials = [], []
         for r in stepping:
-            if residual[r] <= tol:
+            polish = residual[r] <= tol
+            if polish:
                 if last[r] is None:
                     continue
-                (factor, mask), last[r] = last[r], None  # the polish step
-            elif steps[r] >= MAX_NEWTON_STEPS or np.abs(grad[r, free[r]]).max(initial=0.0) <= tol:
-                continue  # out of steps, or only an edge coordinate still gains: alternation moves it
+                (factor, mask), last[r] = last[r], None
             else:
                 factor, info = lapack.dpotrf(neg_hessian[r], lower=0, clean=0)
                 if info:  # -H is not positive definite
                     continue
                 mask = free[r]
                 last[r] = factor, mask
-            trial = x[r].copy()
-            trial[mask] += lapack.dpotrs(factor, grad[r, mask], lower=0)[0]
-            if np.all(np.diff(trial[:K]) > 0) and np.all(np.diff(trial[K:]) > 0) and np.all((trial >= lo) & (trial <= hi)):
-                moving.append(r)
+            step = np.zeros_like(x[r])
+            step[mask] = lapack.dpotrs(factor, grad[r, mask], lower=0)[0]
+            pending.append((r, step, 1.0, polish))
+        moving, trials = [], []
+        for r, step, share, polish in pending:
+            if spent[r] >= MAX_NEWTON_STEPS:
+                continue
+            trial = np.clip(x[r] + share * step, lo, hi)
+            ascending = _ascending(trial)
+            while not (ascending or polish):
+                share *= 0.5
+                trial = np.clip(x[r] + share * step, lo, hi)
+                ascending = _ascending(trial)
+            # a polish step is taken whole; a step that halves or projects to nothing ends the row
+            if ascending and (trial != x[r]).any():
+                moving.append((r, step, share, polish))
                 trials.append(trial)
         if not moving:
             break
         p, trial_grad, trial_free, trial_neg_hessian = _probe(profile, cost_model, market, np.array(trials), lo, hi)
-        stepping = []
-        for i, r in enumerate(moving):
+        pending, stepping = [], []
+        for i, (r, step, share, polish) in enumerate(moving):
+            spent[r] += 1
             if p[i] < profit[r] - 1e-12 * max(1.0, abs(profit[r])):
+                if not polish:
+                    pending.append((r, step, 0.5 * share, polish))
                 continue
             x[r], profit[r], grad[r], free[r], neg_hessian[r] = trials[i], p[i], trial_grad[i], trial_free[i], trial_neg_hessian[i]
             traces[r].append(float(p[i]))
@@ -395,8 +439,6 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
     converges.  Rows never mix: each start does exactly the arithmetic
     it would do alone, so the batch costs about its slowest start.
     """
-    if n_groups < 1:
-        raise ValueError("need at least one group")
     t3 = market.verify_theorem3()
     if not t3.holds:
         warnings.warn(
@@ -420,6 +462,7 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
     profit = np.full(n, -np.inf)
     residual = np.full(n, np.inf)  # first-order residual of the menu each row's next round starts from
     newton_steps = np.zeros(n, dtype=int)
+    trials = np.zeros(n, dtype=int)  # Newton trials each row has spent
     converged = np.zeros(n, dtype=bool)
     rounds = np.zeros(n, dtype=int)
     active = np.arange(n)
@@ -429,28 +472,35 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
         _extend_traces(traces, active, menu_profit(profile, cost_model, market, start_b, periods))
 
         boundaries, b_blocks = step2_boundaries(profile, cost_model, market, periods, guess=start_b)
-        p2 = menu_profit(profile, cost_model, market, boundaries, periods)
-        _extend_traces(traces, active, p2)
-
-        stalled = p2 - profit[active] <= REL_PROFIT_TOL * np.maximum(1.0, np.abs(p2))
-        finish = []
+        pooled = np.array([bool(pb or bb) for pb, bb in zip(p_blocks, b_blocks)])
+        ascending = np.all(np.diff(boundaries, axis=1) > 0, axis=1) & np.all(np.diff(periods, axis=1) > 0, axis=1)
         for i, r in enumerate(active):
             period_blocks[r], boundary_blocks[r] = p_blocks[i], b_blocks[i]
-            ascending = np.all(np.diff(boundaries[i]) > 0) and np.all(np.diff(periods[i]) > 0)
-            if p_blocks[i] or b_blocks[i] or not ascending:
-                b[r], t[r] = boundaries[i], periods[i]
-                converged[r], profit[r], residual[r] = stalled[i], p2[i], np.inf
-            elif stalled[i] and residual[r] <= tol:
-                # the round only confirmed the Newton-finished menu it
-                # started from, which b[r], t[r] still hold
-                converged[r] = True
-            else:
-                finish.append(i)
-        if finish:
+        # a row that pooled or broke ascent ends the solve once profit
+        # stalls, and one whose round started from a Newton-finished menu
+        # has confirmed it if profit stalls: those rows are judged by
+        # their profit, and the finish takes the rest's from its first probe
+        settle = pooled | ~ascending
+        judged = settle | (residual[active] <= tol)
+        p2 = np.full(active.size, np.nan)
+        if judged.any():
+            p2[judged] = menu_profit(profile, cost_model, market, boundaries[judged], periods[judged])
+        stalled = p2 - profit[active] <= REL_PROFIT_TOL * np.maximum(1.0, np.abs(p2))
+        rows = active[settle]
+        b[rows], t[rows] = boundaries[settle], periods[settle]
+        converged[rows], profit[rows], residual[rows] = stalled[settle], p2[settle], np.inf
+        # a confirmed row keeps the menu it started from in b[r], t[r]
+        done = settle | (judged & stalled)
+        converged[active[done & ~settle]] = True
+        _extend_traces(traces, active[done], p2[done])
+        if not done.all():
+            finish = ~done
             rows = active[finish]
+            spent = trials[rows]
             b[rows], t[rows], profit[rows], residual[rows], steps = _newton_finish(
-                profile, cost_model, market, boundaries[finish], periods[finish], [traces[r] for r in rows]
+                profile, cost_model, market, boundaries[finish], periods[finish], [traces[r] for r in rows], spent
             )
+            trials[rows] = spent
             newton_steps[rows] += steps
         rounds[active] = round_no
         active = active[~converged[active]]
@@ -504,7 +554,10 @@ def solve_alternating(
 
     Starts from quantile-equispaced boundaries (or init_boundaries).
     After each round that pools nothing, projected-Newton steps drive
-    the first-order residual down; the solve converges once that
+    the first-order residual down, shortened where a full step would
+    leave the window, break ascent or lose profit, and moving a
+    coordinate off a window edge where its gradient points inward (see
+    _newton_finish); the solve converges once that
     residual is at most KKT_TOL * market.size, both before and after a
     round that gains no more than REL_PROFIT_TOL in relative profit.  A
     round that pools stops the solve when profit stalls, and MAX_ROUNDS
@@ -512,7 +565,7 @@ def solve_alternating(
     nondecreasing at each half-step.  This is the one-start case of the
     batched solve that solve_with_restarts runs.
     """
-    return _solve_starts(profile, cost_model, market, n_groups, [init_boundaries])[0]
+    return _solve_starts(profile, cost_model, market, _whole("n_groups", n_groups, 1), [init_boundaries])[0]
 
 
 def _extend_traces(traces, rows, profits):
@@ -532,7 +585,7 @@ def _start_inits(market, n_groups, restarts, seed, extra_inits):
         inits.extend(np.asarray(b, dtype=float) for b in extra_inits)
     if restarts:
         rng = np.random.default_rng(seed)
-        for _ in range(int(restarts)):
+        for _ in range(restarts):
             u = np.sort(rng.random(n_groups))
             inits.append(np.atleast_1d(market.quantile(u)))
     return inits
@@ -556,6 +609,7 @@ def solve_with_restarts(
     gains more than REL_PROFIT_TOL in relative profit, so rounding noise
     never picks the winner.  The returned solution records every start's
     final profit and residual (start_profits, start_kkt_residuals)."""
+    n_groups, restarts = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0)
     solutions = _solve_starts(profile, cost_model, market, n_groups, _start_inits(market, n_groups, restarts, seed, extra_inits))
     best = solutions[0]
     for sol in solutions[1:]:

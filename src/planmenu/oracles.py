@@ -228,6 +228,8 @@ def fixed_period_baseline(profile, cost_model, market, t_fixed, coverage="full")
     coverage="optimized": choose the marginal served type to maximize
     profit (a stronger baseline; uplifts against it are conservative).
     """
+    if coverage not in ("full", "optimized"):
+        raise ValueError(f"coverage must be 'full' or 'optimized', got {coverage!r}")
     c = cost(cost_model, t_fixed)
     if isinstance(market, DiscreteMarket):
         counts = np.cumsum(market.counts)

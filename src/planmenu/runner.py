@@ -19,7 +19,7 @@ import numpy as np
 
 from .discrete import feasibility_check, solve_discrete
 from .distributions import DiscreteMarket
-from .grouped import solve_with_restarts
+from .grouped import _whole, solve_with_restarts
 from .market import cost
 from .oracles import (
     ComparisonReport,
@@ -194,7 +194,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     """
     if scenario.solver.kind != "grouped":
         raise ValueError("group sweeps need a grouped scenario")
-    ks = sorted(int(k) for k in group_counts)
+    ks = sorted(_whole("group_counts entry", k, 1) for k in group_counts)
     if not ks or len(set(ks)) < len(ks):
         raise ValueError("group counts must be a nonempty list of distinct K")
     out = Path(out_dir)

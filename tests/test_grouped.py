@@ -422,6 +422,24 @@ def test_solver_input_validation(profile, cost_model):
         solve_alternating(profile, cost_model, mkt, 2, init_boundaries=[1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda sc, out: solve_with_restarts(sc.profile, sc.cost_model, sc.market, 2, restarts=-2), "restarts"),
+        (lambda sc, out: solve_with_restarts(sc.profile, sc.cost_model, sc.market, 2, restarts=1.7), "restarts"),
+        (lambda sc, out: solve_with_restarts(sc.profile, sc.cost_model, sc.market, 2.5), "n_groups"),
+        (lambda sc, out: sweep_groups(sc, [1.5, 2], out), "group_counts"),
+        (lambda sc, out: fixed_period_baseline(sc.profile, sc.cost_model, sc.market, 1.0, coverage="bogus"), "coverage"),
+    ],
+    ids=["negative_restarts", "fractional_restarts", "fractional_groups", "fractional_sweep_groups", "unknown_coverage"],
+)
+def test_library_refuses_inputs_the_loader_refuses(call, name, tmp_path):
+    # the scenario loader refuses these values by key; the library
+    # functions name the argument instead of running something else
+    with pytest.raises(ValueError, match=name):
+        call(load_scenario("uniform_k6"), tmp_path)
+
+
 def test_more_groups_never_hurt(profile, cost_model):
     mkt = uniform06()
     profits = [
@@ -704,17 +722,72 @@ def test_quantile_start_and_restart_reach_same_menu(name, k):
     assert np.max(np.abs(a.periods - b.periods)) <= 1e-8
 
 
-def test_newton_finish_leaves_edge_coordinate_to_alternation():
+def test_newton_finish_releases_edge_coordinate():
     # the K = 2 start a sweep pads from the K = 1 menu puts the bottom
-    # period on its window edge; once the free coordinates are stationary
-    # the finish stops rather than spend steps the edge blocks
+    # period on its window edge with a gradient pointing inward; the
+    # finish moves it off the edge instead of leaving it to alternation
     sc = load_scenario("uniform_k6")
     k1 = solve_with_restarts(sc.profile, sc.cost_model, sc.market, 1, restarts=sc.solver.restarts, seed=sc.solver.seed)
     sol = solve_alternating(sc.profile, sc.cost_model, sc.market, 2, init_boundaries=np.repeat(k1.boundaries, 2))
     assert sol.converged and sol.kkt_residual <= 1e-12
-    assert sol.newton_steps <= 14
+    assert sol.iterations <= 3
     _, alone = bundled_solve("uniform_k6", 2, "quantile")
     assert abs(sol.total_profit - alone.total_profit) <= 1e-12 * alone.total_profit
+
+
+@pytest.mark.parametrize("name", ["exponential_k6", "truncated_normal_k6"])
+def test_shortened_newton_step_saves_a_round(name, monkeypatch):
+    # the quantile start's first full Newton step would push a period
+    # below 0; the finish halves it and converges in the first round
+    # (confirmed by the second), and every trial menu it probes stays
+    # ascending inside the window
+    sc = load_scenario(name)
+    probed, probe = [], grouped._probe
+
+    def recorded(profile, cost_model, market, x, lo, hi):
+        probed.append((x.copy(), lo, hi))
+        return probe(profile, cost_model, market, x, lo, hi)
+
+    monkeypatch.setattr(grouped, "_probe", recorded)
+    sol = solve_alternating(sc.profile, sc.cost_model, sc.market, 2)
+    assert sol.converged and sol.iterations == 2
+    assert probed
+    for x, lo, hi in probed:
+        assert np.all((x >= lo) & (x <= hi))
+        assert np.all(np.diff(x[:, :2]) > 0) and np.all(np.diff(x[:, 2:]) > 0)
+
+
+#: float.hex of the uniform_k6_K2 benchmark solve (K = 2, one restart) at
+#: three restart seeds, recorded before the finish learned to shorten
+#: steps: (boundaries, periods, profit, every start's profit).  Starts
+#: that converge by full interior Newton steps return them bit for bit.
+UNIFORM_K2_MENU = (
+    ["0x1.b7cf83398fe5dp+0", "0x1.50432131b9096p+2"],
+    ["0x1.304b75676247cp-1", "0x1.e6c204fdb2f08p+0"],
+    "0x1.4a6f51bf86f09p+0",
+)
+UNIFORM_K2_START_PROFITS = {
+    20260822: ["0x1.4a6f51bf86f09p+0", "0x1.4a6f51bf86f06p+0"],
+    20260823: ["0x1.4a6f51bf86f09p+0", "0x1.4a6f51bf86f05p+0"],
+    20260824: ["0x1.4a6f51bf86f09p+0", "0x1.4a6f51bf86f08p+0"],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(UNIFORM_K2_START_PROFITS))
+def test_full_step_starts_unchanged_bit_for_bit(seed):
+    sc = load_scenario("uniform_k6")
+    sol = solve_with_restarts(sc.profile, sc.cost_model, sc.market, 2, restarts=1, seed=seed)
+    got = ([v.hex() for v in sol.boundaries], [v.hex() for v in sol.periods], sol.total_profit.hex())
+    assert got == UNIFORM_K2_MENU
+    assert [p.hex() for p in sol.start_profits] == UNIFORM_K2_START_PROFITS[seed]
+
+
+@pytest.mark.parametrize("name", ["uniform_k6", "truncated_normal_k6"])
+def test_restart_starts_converge_in_few_rounds(name):
+    # shortened steps and released edge coordinates end every start of
+    # the bundled K = 6 restart solve within a few rounds
+    batch, _, _ = batched_and_alone(name, 6)
+    assert all(sol.converged and sol.iterations <= 4 for sol in batch)
 
 
 @pytest.mark.parametrize("w", [None, lambda t: 0.05 * t * t], ids=["linear", "quadratic"])
