@@ -515,10 +515,14 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
         # accounting identity: group masses times chain-price margins equal the boundary terms
         prices = optimal_prices(profile, boundaries, periods)
         direct = float(np.dot(counts, prices - cost(cost_model, periods)))
-        q, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
-        if abs(direct - float(q.sum())) > 1e-8 * max(1.0, abs(direct)):
+        if np.isfinite(residual[r]) and counts.size == n_groups:
+            # the Newton finish's last probe evaluated this very menu
+            terms, kkt = profit[r], residual[r]
+        else:
+            q, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
+            terms, kkt = q.sum(), _menu_residual(market, boundaries, periods, d_b, d_t)
+        if abs(direct - float(terms)) > 1e-8 * max(1.0, abs(direct)):
             raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
-        residual = _menu_residual(market, boundaries, periods, d_b, d_t)
         solutions.append(
             GroupedSolution(
                 boundaries=boundaries,
@@ -534,10 +538,10 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
                 boundary_edge_hits=edge_hits,
                 theorem3_ok=t3.holds,
                 requested_groups=n_groups,
-                kkt_residual=residual,
+                kkt_residual=float(kkt),
                 newton_steps=int(newton_steps[r]),
                 start_profits=[direct],
-                start_kkt_residuals=[residual],
+                start_kkt_residuals=[float(kkt)],
             )
         )
     return solutions
