@@ -241,17 +241,15 @@ def _probe(profile, cost_model, market, x, lo, hi):
     1e-6 * max(1, |x|), at most half the distance to the nearer edge, and
     one-sided ones into the window, by 1e-6 * max(1, |x|), for a
     coordinate on an edge (its copy shifted out of the window stays at
-    x).  A row with no coordinate on an edge takes only central ones.
+    x, so no extra point is evaluated).
     """
     K, D = x.shape[1] // 2, x.shape[1]
     edge = EDGE_RTOL * (hi - lo)
     low, high = x <= lo + edge, x >= hi - edge
-    h = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * np.minimum(x - lo, hi - x))
-    up = down = h  # shift of each coordinate's up- and down-shifted copy
-    if np.any(low | high):
-        inward = 1e-6 * np.maximum(1.0, np.abs(x))
-        up = np.where(low, inward, np.where(high, 0.0, h))
-        down = np.where(high, inward, np.where(low, 0.0, h))
+    step = 1e-6 * np.maximum(1.0, np.abs(x))
+    h = np.minimum(step, 0.5 * np.minimum(x - lo, hi - x))
+    # shift of each coordinate's up- and down-shifted copy
+    up, down = np.where(low, step, np.where(high, 0.0, h)), np.where(high, step, np.where(low, 0.0, h))
     eye = np.eye(D)
     # the menu, then D up- and D down-shifted copies
     points = np.concatenate([x[:, None, :], x[:, None, :] + eye * up[:, None, :], x[:, None, :] - eye * down[:, None, :]], axis=1)
