@@ -738,9 +738,9 @@ def test_newton_finish_releases_edge_coordinate():
 @pytest.mark.parametrize("name", ["exponential_k6", "truncated_normal_k6"])
 def test_shortened_newton_step_saves_a_round(name, monkeypatch):
     # the quantile start's first full Newton step would push a period
-    # below 0; the finish halves it and converges in the first round
-    # (confirmed by the second), and every trial menu it probes stays
-    # ascending inside the window
+    # below 0; the finish projects it on the window and converges in the
+    # first round (confirmed by the second), and every trial menu it
+    # probes stays ascending inside the window
     sc = load_scenario(name)
     probed, probe = [], grouped._probe
 
