@@ -23,14 +23,19 @@ from .oracles import TUPLE_BUDGET, grid_oracle_discrete, grid_oracle_grouped
 from .scenarios import bundled_scenario_names, load_scenario
 
 
+def _percent(uplift):
+    """An uplift with its own sign, or n/a where it is NaN."""
+    return "n/a" if np.isnan(uplift) else f"{uplift:+.1f}%"
+
+
 def _cmd_solve(args):
     scenario = load_scenario(args.scenario)
     artifacts = runner.run(scenario, args.out, seed=args.seed)
     print(f"scenario {scenario.name}: profit {artifacts.solution.total_profit:.6f}")
     for row in artifacts.report.baselines:
         print(
-            f"  vs fixed t={row.period:g}: +{row.uplift_full_percent:.1f}% "
-            f"(full coverage), +{row.uplift_optimized_percent:.1f}% (optimized cutoff)"
+            f"  vs fixed t={row.period:g}: {_percent(row.uplift_full_percent)} "
+            f"(full coverage), {_percent(row.uplift_optimized_percent)} (optimized cutoff)"
         )
     if artifacts.report.social is not None:
         print(f"  social surplus ratio {100 * artifacts.report.social.ratio:.1f}%")
@@ -43,7 +48,7 @@ def _cmd_sweep(args):
     groups = [int(k) for k in args.groups.split(",") if k.strip()]
     rows = runner.sweep_groups(scenario, groups, args.out, seed=args.seed)
     for r in rows:
-        print(f"K={r['groups']}: profit {r['profit']:.6f} (+{r['uplift_percent']:.1f}% vs fixed)")
+        print(f"K={r['groups']}: profit {r['profit']:.6f} ({_percent(r['uplift_percent'])} vs fixed)")
     return 0
 
 

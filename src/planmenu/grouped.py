@@ -29,8 +29,9 @@ nothing, safeguarded projected-Newton steps on the 2K stationarity
 system dP/d(b, t) = 0 finish the job: a coordinate on a window edge
 moves only if its gradient points into the window, a step is projected
 on the window and halved until it keeps the menu ascending and profit
-from falling, and one last step on the final Hessian factor follows
-once the projected first-order (KKT) residual is at most KKT_TOL * N.
+from falling.  Every step solves with the Hessian of the menu it starts
+from, and the last one is the step taken once the projected
+first-order (KKT) residual is at most KKT_TOL * N.
 The solver converges once that residual holds and one more round
 gains at most REL_PROFIT_TOL in relative profit; a round that pools
 stops the solve when profit stalls.
@@ -233,15 +234,17 @@ def _menu_residual(market, b, t, d_b, d_t):
 
 def _probe(profile, cost_model, market, x, lo, hi):
     """Each row of x = (b, t) with what a Newton step from it needs, all
-    from one batched _menu_terms call: (profit, gradient, free, -H) per
-    row.  free marks the coordinates a step may move: those off the
-    window edges, and those on an edge whose gradient points into the
-    window.  -H is the free block of the symmetrized differences of the
-    gradient: central ones for a coordinate off the edges, stepping by
-    1e-6 * max(1, |x|), at most half the distance to the nearer edge, and
-    one-sided ones into the window, by 1e-6 * max(1, |x|), for a
-    coordinate on an edge (its copy shifted out of the window stays at
-    x, so no extra point is evaluated).
+    from one batched _menu_terms call: (profit, gradient, free, residual,
+    -H) per row.  free marks the coordinates a step may move: those off
+    the window edges, and those on an edge whose gradient points into the
+    window.  The residual is the largest |gradient| over them, which on a
+    strictly ascending menu is its projected first-order residual (see
+    _menu_residual).  -H is the symmetrized differences of the gradient,
+    over all 2K coordinates: central ones for a coordinate off the edges,
+    stepping by 1e-6 * max(1, |x|), at most half the distance to the
+    nearer edge, and one-sided ones into the window, by
+    1e-6 * max(1, |x|), for a coordinate on an edge (its copy shifted out
+    of the window stays at x, so no extra point is evaluated).
     """
     K, D = x.shape[1] // 2, x.shape[1]
     edge = EDGE_RTOL * (hi - lo)
@@ -256,10 +259,10 @@ def _probe(profile, cost_model, market, x, lo, hi):
     q, d_b, d_t = _menu_terms(profile, cost_model, market, points[..., :K], points[..., K:])
     F = np.concatenate([d_b, d_t], axis=-1)
     quotients = (F[:, 1 : D + 1] - F[:, D + 1 :]) / (up + down)[:, :, None]  # [r, j]: dF / dx_j
-    neg_hessian = -0.5 * (quotients + quotients.transpose(0, 2, 1))
     grad = F[:, 0]
     free = ~(low | high) | (low & (grad > 0)) | (high & (grad < 0))
-    return q[:, 0].sum(axis=-1), grad, free, [m[np.ix_(f, f)] for m, f in zip(neg_hessian, free)]
+    residual = np.max(np.abs(grad), axis=1, where=free, initial=0.0)
+    return q[:, 0].sum(axis=-1), grad, free, residual, -0.5 * (quotients + quotients.transpose(0, 2, 1))
 
 
 def _ascending(x):
@@ -271,84 +274,76 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
     """Safeguarded projected-Newton steps from ascending, unpooled menus,
     one menu per row of boundaries and periods, all rows in lockstep.
 
-    A step moves the free coordinates (see _probe) by the Newton step
-    (-H)^-1 g of their block, once -H passes Cholesky.  The trial menu
-    is the step projected on the window and halved until the menu stays
-    strictly ascending; a trial that loses more than rounding in profit
-    is halved again at the row's next trial.  A full step that stays
-    inside and keeps profit is taken as it is.  Once the residual is at
-    most KKT_TOL * N, one more (polish) step reuses the last Hessian
-    factor, with no halving, so where the finish stops inside that
-    tolerance does not hang on the bits it started from.  A row stops
-    on its own when its residual is met and polished, -H fails
+    Every step moves the free coordinates (see _probe) of the current
+    menu by the Newton step (-H)^-1 g of their block of the current -H,
+    once that block passes Cholesky.  The trial menu is the step
+    projected on the window and halved until the menu stays strictly
+    ascending; a trial that loses more than rounding in profit is halved
+    again at the row's next trial.  A full step that stays inside and
+    keeps profit is taken as it is.  A row stops on its own at a menu
+    whose residual is at most KKT_TOL * N, unless a step from outside
+    that tolerance led there: then one more step follows, so where the
+    finish stops inside the tolerance does not hang on the bits it
+    started from.  It also stops when no coordinate is free, -H fails
     Cholesky, its trial would not change the menu, or it has spent
     MAX_NEWTON_STEPS trials over the solve (spent holds each row's count
     and is updated in place).  The trial menus of all rows still
-    stepping are evaluated in one _probe call, which also gives the
-    Hessian for each one's next step.  Each row's trace gets the profit
-    of the menu it starts from, checked nondecreasing, then each
-    accepted one.  Returns (boundaries, periods, profit, residual, steps)
-    per row, the residual measured at the returned menu.
+    stepping are evaluated in one _probe call, which also gives each
+    one's residual and its next step's Hessian.  Each row's trace gets
+    the profit of the menu it starts from, checked nondecreasing, then
+    each accepted one.  Returns (boundaries, periods, profit, residual,
+    steps) per row, the residual measured at the returned menu.
     """
     K = boundaries.shape[1]
     lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
     hi = np.repeat([market.sigma_max, DEFAULT_T_DOMAIN[1]], K)
     tol = KKT_TOL * market.size
     x = np.concatenate([boundaries, periods], axis=1)
-    profit, grad, free, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
+    profit, grad, free, residual, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
     rows = len(x)
     _extend_traces(traces, range(rows), profit)
-    residual = np.empty(rows)
     steps = np.zeros(rows, dtype=int)
-    last = [None] * rows  # (Cholesky factor, free mask) of each row's last Newton step
-    pending = []  # (row, full Newton step, share of it to try, polish?) of each row's next trial
-    stepping = np.arange(rows)  # rows at a new menu
+    met = np.ones(rows, dtype=bool)  # whether each row's last step started within the tolerance; true before its first
+    pending = []  # (row, full Newton step, share of it to try) of each row's next trial
+    stepping = range(rows)  # rows at a new menu
     while True:
-        residual[stepping] = _menu_residual(market, x[stepping, :K], x[stepping, K:], grad[stepping, :K], grad[stepping, K:])
         for r in stepping:
-            polish = residual[r] <= tol
-            if polish:
-                if last[r] is None:
-                    continue
-                (factor, mask), last[r] = last[r], None
-            else:
-                factor, info = lapack.dpotrf(neg_hessian[r], lower=0, clean=0)
-                if info:  # -H is not positive definite
-                    continue
-                mask = free[r]
-                last[r] = factor, mask
+            f = free[r]
+            was_met, met[r] = met[r], residual[r] <= tol
+            if (was_met and met[r]) or not f.any():
+                continue
+            factor, info = lapack.dpotrf(neg_hessian[r][np.ix_(f, f)], lower=0, clean=0)
+            if info:  # -H is not positive definite
+                continue
             step = np.zeros_like(x[r])
-            step[mask] = lapack.dpotrs(factor, grad[r, mask], lower=0)[0]
-            pending.append((r, step, 1.0, polish))
+            step[f] = lapack.dpotrs(factor, grad[r, f], lower=0)[0]
+            pending.append((r, step, 1.0))
         moving, trials = [], []
-        for r, step, share, polish in pending:
+        for r, step, share in pending:
             if spent[r] >= MAX_NEWTON_STEPS:
                 continue
             trial = np.clip(x[r] + share * step, lo, hi)
-            ascending = _ascending(trial)
-            while not (ascending or polish):
+            while not _ascending(trial):
                 share *= 0.5
                 trial = np.clip(x[r] + share * step, lo, hi)
-                ascending = _ascending(trial)
-            # a polish step is taken whole; a step that halves or projects to nothing ends the row
-            if ascending and (trial != x[r]).any():
-                moving.append((r, step, share, polish))
+            # a step that halves or projects to nothing ends the row
+            if (trial != x[r]).any():
+                moving.append((r, step, share))
                 trials.append(trial)
         if not moving:
             break
-        p, trial_grad, trial_free, trial_neg_hessian = _probe(profile, cost_model, market, np.array(trials), lo, hi)
+        p, trial_grad, trial_free, trial_residual, trial_neg_hessian = _probe(profile, cost_model, market, np.array(trials), lo, hi)
         pending, stepping = [], []
-        for i, (r, step, share, polish) in enumerate(moving):
+        for i, (r, step, share) in enumerate(moving):
             spent[r] += 1
             if p[i] < profit[r] - 1e-12 * max(1.0, abs(profit[r])):
-                if not polish:
-                    pending.append((r, step, 0.5 * share, polish))
+                pending.append((r, step, 0.5 * share))
                 continue
-            x[r], profit[r], grad[r], free[r], neg_hessian[r] = trials[i], p[i], trial_grad[i], trial_free[i], trial_neg_hessian[i]
+            x[r], profit[r], grad[r], free[r], residual[r] = trials[i], p[i], trial_grad[i], trial_free[i], trial_residual[i]
+            neg_hessian[r] = trial_neg_hessian[i]
             traces[r].append(float(p[i]))
             steps[r] += 1
             stepping.append(r)
-        stepping = np.array(stepping, dtype=int)
     return x[:, :K], x[:, K:], profit, residual, steps
 
 

@@ -327,6 +327,13 @@ class ComparisonReport:
     social: Optional[SocialReport] = None
 
 
+def uplift_percent(profit, baseline_profit):
+    """Percent by which profit beats a baseline's profit; NaN unless the
+    baseline earns a positive profit, against which no percent is
+    meaningful."""
+    return 100.0 * (profit / baseline_profit - 1.0) if baseline_profit > 0 else float("nan")
+
+
 def build_comparison(
     profile, cost_model, market, solution, baseline_periods: Sequence[float] = (1.0,)
 ) -> ComparisonReport:
@@ -339,8 +346,8 @@ def build_comparison(
                 period=float(t_fixed),
                 profit_full=full.profit,
                 profit_optimized=opt.profit,
-                uplift_full_percent=100.0 * (solution.total_profit / full.profit - 1.0),
-                uplift_optimized_percent=100.0 * (solution.total_profit / opt.profit - 1.0),
+                uplift_full_percent=uplift_percent(solution.total_profit, full.profit),
+                uplift_optimized_percent=uplift_percent(solution.total_profit, opt.profit),
             )
         )
     report.social = social_metrics(profile, cost_model, market, solution)

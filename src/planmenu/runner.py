@@ -2,7 +2,8 @@
 
 Artifacts per run (all deterministic for a fixed seed):
   solution.csv     group_index, sigma_boundary, period, price, count, item_profit
-  comparison.csv   label, profit, uplift_percent  (both baseline readings)
+  comparison.csv   label, profit, uplift_percent  (both baseline readings;
+                   nan against a baseline with no positive profit)
   certificate.json feasibility + incentive checks + convergence record
                    (grouped: rounds, Newton steps, first-order residual,
                    and each start's final profit and residual)
@@ -26,6 +27,7 @@ from .oracles import (
     brute_force_ic_ir,
     build_comparison,
     fixed_period_baseline,
+    uplift_percent,
 )
 from .scenarios import Scenario
 
@@ -207,10 +209,8 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     prev = None
     for k in ks:
         extra = []
-        if prev is not None and prev.boundaries.size:
-            pad = k - prev.boundaries.size
-            if pad >= 0:
-                extra.append(np.concatenate([prev.boundaries, np.full(pad, prev.boundaries[-1])]))
+        if prev is not None:
+            extra.append(np.concatenate([prev.boundaries, np.full(k - prev.boundaries.size, prev.boundaries[-1])]))
         sol = solve_with_restarts(
             scenario.profile,
             scenario.cost_model,
@@ -225,7 +225,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
             {
                 "groups": k,
                 "profit": sol.total_profit,
-                "uplift_percent": 100.0 * (sol.total_profit / base.profit - 1.0),
+                "uplift_percent": uplift_percent(sol.total_profit, base.profit),
             }
         )
     _write_csv(

@@ -3,6 +3,7 @@
 import contextlib
 import tempfile
 from functools import lru_cache
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -758,18 +759,19 @@ def test_shortened_newton_step_saves_a_round(name, monkeypatch):
 
 
 #: float.hex of the uniform_k6_K2 benchmark solve (K = 2, one restart) at
-#: three restart seeds, recorded before the finish learned to shorten
-#: steps: (boundaries, periods, profit, every start's profit).  Starts
-#: that converge by full interior Newton steps return them bit for bit.
+#: three restart seeds, recorded once every Newton step, the last one
+#: included, solves with the Hessian of the menu it starts from:
+#: (boundaries, periods, profit, every start's profit).  Starts that
+#: converge by full interior Newton steps return them bit for bit.
 UNIFORM_K2_MENU = (
-    ["0x1.b7cf83398fe5dp+0", "0x1.50432131b9096p+2"],
-    ["0x1.304b75676247cp-1", "0x1.e6c204fdb2f08p+0"],
-    "0x1.4a6f51bf86f09p+0",
+    ["0x1.b7cf83398fe61p+0", "0x1.50432131b9096p+2"],
+    ["0x1.304b75676247ep-1", "0x1.e6c204fdb2f0ap+0"],
+    "0x1.4a6f51bf86f07p+0",
 )
 UNIFORM_K2_START_PROFITS = {
-    20260822: ["0x1.4a6f51bf86f09p+0", "0x1.4a6f51bf86f06p+0"],
-    20260823: ["0x1.4a6f51bf86f09p+0", "0x1.4a6f51bf86f05p+0"],
-    20260824: ["0x1.4a6f51bf86f09p+0", "0x1.4a6f51bf86f08p+0"],
+    20260822: ["0x1.4a6f51bf86f07p+0", "0x1.4a6f51bf86f06p+0"],
+    20260823: ["0x1.4a6f51bf86f07p+0", "0x1.4a6f51bf86f05p+0"],
+    20260824: ["0x1.4a6f51bf86f07p+0", "0x1.4a6f51bf86f08p+0"],
 }
 
 
@@ -864,11 +866,81 @@ def test_probe_hessian_matches_closed_form(profile, rng, w, dc, ddc, tol):
             t = np.sort(rng.uniform(0.5, 12.0, size=(3, k)), axis=1)
             lo = np.repeat([mkt.sigma_min, DEFAULT_T_DOMAIN[0]], k)
             hi = np.repeat([mkt.sigma_max, DEFAULT_T_DOMAIN[1]], k)
-            _, _, free, neg_hessians = grouped._probe(profile, cost_model, mkt, np.concatenate([b, t], axis=1), lo, hi)
+            _, _, free, _, neg_hessians = grouped._probe(profile, cost_model, mkt, np.concatenate([b, t], axis=1), lo, hi)
             assert free.all()
             for r in range(3):
                 H = closed_form_hessian(profile, cost_model, mkt, b[r], t[r], dc(t[r]), ddc(t[r]))
                 assert np.abs(H + neg_hessians[r]).max() <= tol * np.abs(H).max()
+
+
+def test_probe_residual_is_menu_residual_bit_for_bit(rng, monkeypatch):
+    # on strictly ascending menus the largest |gradient| over the
+    # coordinates a step may move is the projected first-order residual,
+    # also with coordinates on each window edge, within EDGE_RTOL of it
+    # or just at that distance, and gradients into and out of the window
+    mkt, K, R = uniform06(), 3, 400
+    lo = np.repeat([mkt.sigma_min, DEFAULT_T_DOMAIN[0]], K)
+    hi = np.repeat([mkt.sigma_max, DEFAULT_T_DOMAIN[1]], K)
+    edge = grouped.EDGE_RTOL * (hi - lo)
+    near = 0.5 * edge
+    x = np.concatenate(
+        [np.sort(rng.uniform(lo[:K], hi[:K], size=(R, K)), axis=1),
+         np.sort(np.exp(rng.uniform(*np.log(DEFAULT_T_DOMAIN), size=(R, K))), axis=1)],
+        axis=1,
+    )
+    for j in (0, K):  # the bottom and top boundary, the bottom and top period
+        x[0::3, j], x[1::3, j], x[2::6, j] = lo[j], lo[j] + near[j], lo[j] + edge[j]
+        x[0::4, j + K - 1], x[1::4, j + K - 1], x[2::8, j + K - 1] = hi[j], hi[j] - near[j], hi[j] - edge[j]
+    assert np.all(np.diff(x[:, :K]) > 0) and np.all(np.diff(x[:, K:]) > 0)
+    grad = rng.standard_normal((R, 2 * K)) * 10.0 ** rng.uniform(-16.0, 0.0, size=(R, 2 * K))
+
+    def menu_terms(profile, cost_model, market, b, t):
+        # every point of a row's probe gets the row's gradient
+        F = np.broadcast_to(grad[:, None, :], b.shape[:-1] + (2 * K,))
+        return np.zeros_like(b), F[..., :K], F[..., K:]
+
+    monkeypatch.setattr(grouped, "_menu_terms", menu_terms)
+    _, g, _, residual, _ = grouped._probe(None, None, mkt, x, lo, hi)
+    low, high = x <= lo + edge, x >= hi - edge
+    for hits in (low & (g > 0), low & (g < 0), high & (g > 0), high & (g < 0)):
+        assert hits.sum() >= 10
+    expected = grouped._menu_residual(mkt, x[:, :K], x[:, K:], g[:, :K], g[:, K:])
+    assert residual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("c0, c1, b, t", [(20.0, 0.0, 1.5, 10.0), (100.0, 1000.0, 3.0, 0.001), (20.0, 0.0, 1.0, 0.1)])
+def test_newton_finish_stops_with_every_coordinate_on_an_edge(profile, c0, c1, b, t):
+    # serving loses money, and one Newton step lands on the empty menu:
+    # the boundary on sigma_min and the period on its floor, both
+    # gradients pointing out of the window, so no coordinate is free
+    mkt = make_market("uniform", 0.5, 6.0)
+    boundaries, periods, profit, residual, steps = grouped._newton_finish(
+        profile, CostModel(c0=c0, c1=c1), mkt, np.array([[b]]), np.array([[t]]), [[]], np.zeros(1, dtype=int)
+    )
+    assert (boundaries[0, 0], periods[0, 0]) == (mkt.sigma_min, DEFAULT_T_DOMAIN[0])
+    assert profit[0] == 0.0 and residual[0] == 0.0 and steps[0] == 1
+
+
+@pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_newton_step_factors_its_own_hessian(name, k, monkeypatch):
+    # every Newton step, the last one included, solves with a factor of
+    # the -H probed at the menu it starts from: one dpotrs per dpotrf
+    calls = {"dpotrf": 0, "dpotrs": 0}
+    lapack = grouped.lapack
+
+    def counted(routine):
+        def call(*args, **kwargs):
+            calls[routine] += 1
+            return getattr(lapack, routine)(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(grouped, "lapack", SimpleNamespace(dpotrf=counted("dpotrf"), dpotrs=counted("dpotrs")))
+    sc = load_scenario(name)
+    sol = solve_alternating(sc.profile, sc.cost_model, sc.market, k)
+    assert sol.converged and sol.newton_steps > 0
+    assert calls["dpotrf"] == calls["dpotrs"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -302,6 +302,47 @@ def test_cli_solve_and_verify(tmp_path, capsys):
     assert "verification PASS" in capsys.readouterr().out
 
 
+def costly_scenario(tmp_path, name):
+    """A bundled scenario's file with a fixed cost of 100 per plan, above
+    what any type values any period at (mu = 13)."""
+    cfg = json.loads((Path(planmenu.__file__).parent / "data" / f"{name}.json").read_text())
+    cfg["cost"]["c0"] = 100.0
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def uplift_cells(csv_path):
+    with open(csv_path, newline="") as fh:
+        return [row["uplift_percent"] for row in csv.DictReader(fh) if row["label"].startswith("fixed_")]
+
+
+def test_uplift_against_baseline_serving_nobody_is_nan(tmp_path, capsys):
+    # the optimized-cutoff baseline serves nobody (profit 0) and the
+    # full-coverage one loses money: no percent uplift over either
+    path = costly_scenario(tmp_path, "uniform_k6")
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert uplift_cells(tmp_path / "run" / "comparison.csv") == ["nan"] * 4
+    assert "vs fixed t=1: n/a (full coverage), n/a (optimized cutoff)" in capsys.readouterr().out
+    assert cli.main(["sweep", "--scenario", str(path), "--groups", "1,2", "--out", str(tmp_path / "sweep")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("(n/a vs fixed)") == 2 and "+-" not in out
+
+
+def test_uplift_against_losing_baseline_is_nan(tmp_path, capsys):
+    # every menu loses money: a loss of 975 against a baseline's loss of
+    # 87.5 is no uplift of 1014.5%, and the CLI prints no "+-" sign
+    path = costly_scenario(tmp_path, "case1_discrete")
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert uplift_cells(tmp_path / "run" / "comparison.csv") == ["nan"] * 4
+    out = capsys.readouterr().out
+    assert out.count("n/a") == 4 and "+-" not in out
+
+
+def test_cli_prints_uplift_with_its_own_sign(capsys):
+    assert [cli._percent(x) for x in (37.25, 0.0, -0.5, float("nan"))] == ["+37.2%", "+0.0%", "-0.5%", "n/a"]
+
+
 def test_cli_check_dist(capsys):
     code = cli.main(["check-dist", "--scenario", "uniform_k6"])
     assert code == 0
