@@ -97,6 +97,17 @@ def group_counts(market, boundaries):
     return market.count_between(lows, b)
 
 
+def split_heaviest_group(market, boundaries):
+    """The ascending boundaries with one more: the heaviest group's band
+    split at its mass midpoint, G^-1 of the mean of the band's two CDF
+    ends.  Every given boundary stays, so the two halves priced at the
+    group's one period make the given menu again."""
+    b = np.asarray(boundaries, dtype=float)
+    j = int(np.argmax(group_counts(market, b)))
+    G = market.cdf(np.array([market.sigma_min if j == 0 else b[j - 1], b[j]]))
+    return np.sort(np.append(b, market.quantile(0.5 * (G[0] + G[1]))))
+
+
 def _blocks(cost_model, periods, first, last, end=None):
     """Block j pools items first[j]..last[j] on one boundary; its boundary
     terms telescope to one, N G(s) (V(s, t_first) - V(s, t_next) + C(t_next)

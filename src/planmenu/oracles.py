@@ -19,8 +19,9 @@ bullets below say.
   period demand (inverse-CDF draws from a seeded 64-bit generator).
 - fixed_period_baseline prices a single fixed-period plan, either
   covering the whole market (price at the top type's valuation) or
-  with a profit-maximizing marginal type, found by the grouped solver's
-  boundary search at K = 1.
+  with a profit-maximizing marginal type (or no one, where no cutoff
+  earns a positive profit), found by the grouped solver's boundary
+  search at K = 1; an array of periods is evaluated in one call.
 - social_metrics compares realized social surplus against the
   first-best that ignores incentive constraints, by a 96-point
   Gauss-Legendre rule built once at import (scipy.special.roots_legendre).
@@ -221,33 +222,53 @@ class BaselineResult:
 
 
 def fixed_period_baseline(profile, cost_model, market, t_fixed, coverage="full") -> BaselineResult:
-    """Best single-item menu at a frozen period.
+    """Best single-item menu at a frozen period, or at each of an array of
+    periods at once (every field but coverage then an array).
 
     coverage="full": price at the top type's valuation so the whole
     market participates (the incumbent's one-size-fits-all plan).
     coverage="optimized": choose the marginal served type to maximize
-    profit (a stronger baseline; uplifts against it are conservative).
+    profit (a stronger baseline; uplifts against it are conservative):
+    the best prefix of a discrete market's types, all from one valuation
+    call, or the grouped boundary search at K = 1, one lockstep search
+    over every period.  Where no cutoff earns a positive profit the
+    provider serves no one: served and profit are 0, and marginal_sigma
+    and price are NaN.
     """
     if coverage not in ("full", "optimized"):
         raise ValueError(f"coverage must be 'full' or 'optimized', got {coverage!r}")
-    c = cost(cost_model, t_fixed)
+    t = np.asarray(t_fixed, dtype=float)
+    periods = t.ravel()
+    c = cost(cost_model, periods)
     if isinstance(market, DiscreteMarket):
         counts = np.cumsum(market.counts)
-        profits = counts * (valuation(profile, market.sigmas, t_fixed) - c)
-        j = market.n_types - 1 if coverage == "full" else int(np.argmax(profits))
+        profits = counts[:, None] * (valuation(profile, market.sigmas[:, None], periods) - c)
+        j = np.full(periods.size, market.n_types - 1) if coverage == "full" else np.argmax(profits, axis=0)
         sig, served = market.sigmas[j], counts[j]
     else:
-        one = np.zeros(1, dtype=int)
-        sig = market.sigma_max if coverage == "full" else block_boundaries(profile, cost_model, market, [t_fixed], one, one)[0]
+        sig = np.full(periods.size, market.sigma_max)
+        if coverage == "optimized":
+            items = np.arange(periods.size)
+            sig = block_boundaries(profile, cost_model, market, periods[:, None], items, items)
         served = market.size * market.cdf(sig)
-    price = valuation(profile, sig, t_fixed)
+    price = valuation(profile, sig, periods)
+    profit = served * (price - c)
+    if coverage == "optimized":
+        nobody = ~(profit > 0)
+        sig, price = np.where(nobody, np.nan, sig), np.where(nobody, np.nan, price)
+        served, profit = np.where(nobody, 0.0, served), np.where(nobody, 0.0, profit)
+
+    def shaped(x):  # a Python float for a single period
+        x = np.reshape(x, t.shape)
+        return float(x) if x.ndim == 0 else x
+
     return BaselineResult(
-        period=float(t_fixed),
+        period=shaped(periods),
         coverage=coverage,
-        price=float(price),
-        marginal_sigma=float(sig),
-        served=float(served),
-        profit=float(served * (price - c)),
+        price=shaped(price),
+        marginal_sigma=shaped(sig),
+        served=shaped(served),
+        profit=shaped(profit),
     )
 
 
@@ -337,17 +358,21 @@ def uplift_percent(profit, baseline_profit):
 def build_comparison(
     profile, cost_model, market, solution, baseline_periods: Sequence[float] = (1.0,)
 ) -> ComparisonReport:
+    """The solution's profit against both baselines at each of
+    baseline_periods (one batched fixed_period_baseline call per
+    coverage), and its social surplus."""
     report = ComparisonReport(optimal_profit=float(solution.total_profit))
-    for t_fixed in baseline_periods:
-        full = fixed_period_baseline(profile, cost_model, market, t_fixed, coverage="full")
-        opt = fixed_period_baseline(profile, cost_model, market, t_fixed, coverage="optimized")
+    periods = np.asarray(baseline_periods, dtype=float)
+    full = fixed_period_baseline(profile, cost_model, market, periods, coverage="full").profit.tolist()
+    opt = fixed_period_baseline(profile, cost_model, market, periods, coverage="optimized").profit.tolist()
+    for t_fixed, profit_full, profit_optimized in zip(periods.tolist(), full, opt):
         report.baselines.append(
             BaselineRow(
-                period=float(t_fixed),
-                profit_full=full.profit,
-                profit_optimized=opt.profit,
-                uplift_full_percent=uplift_percent(solution.total_profit, full.profit),
-                uplift_optimized_percent=uplift_percent(solution.total_profit, opt.profit),
+                period=t_fixed,
+                profit_full=profit_full,
+                profit_optimized=profit_optimized,
+                uplift_full_percent=uplift_percent(solution.total_profit, profit_full),
+                uplift_optimized_percent=uplift_percent(solution.total_profit, profit_optimized),
             )
         )
     report.social = social_metrics(profile, cost_model, market, solution)

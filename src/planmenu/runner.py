@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrete import feasibility_check, solve_discrete
 from .distributions import DiscreteMarket
-from .grouped import _whole, solve_with_restarts
+from .grouped import _whole, solve_with_restarts, split_heaviest_group
 from .market import cost
 from .oracles import (
     ComparisonReport,
@@ -190,9 +190,12 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
 def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[dict]:
     """Solve the scenario for each menu size K and tabulate profits.
 
-    Each K may warm-start from the previous K's solution (padded with a
-    duplicate of its top item) alongside the quantile start and random
-    restarts, so profit is nondecreasing in K by construction.
+    Each K after the first also starts from the previous K's solution,
+    its heaviest group split at the group's mass midpoint once per added
+    group (see split_heaviest_group), alongside the quantile start and
+    random restarts.  That start keeps every previous boundary, so it
+    contains the previous menu and profit is nondecreasing in K by
+    construction.
     """
     if scenario.solver.kind != "grouped":
         raise ValueError("group sweeps need a grouped scenario")
@@ -210,7 +213,10 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     for k in ks:
         extra = []
         if prev is not None:
-            extra.append(np.concatenate([prev.boundaries, np.full(k - prev.boundaries.size, prev.boundaries[-1])]))
+            warm = prev.boundaries
+            for _ in range(k - warm.size):
+                warm = split_heaviest_group(scenario.market, warm)
+            extra.append(warm)
         sol = solve_with_restarts(
             scenario.profile,
             scenario.cost_model,

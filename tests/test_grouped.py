@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
-from planmenu import grouped
+from planmenu import grouped, runner
 from planmenu.discrete import DEFAULT_T_DOMAIN, optimal_prices, period_objective, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import (
     FALLBACK_GRID,
     KKT_TOL,
+    REL_PROFIT_TOL,
     _blocks,
     _boundary_slopes,
     _menu_terms,
@@ -27,6 +28,7 @@ from planmenu.grouped import (
     menu_profit,
     solve_alternating,
     solve_with_restarts,
+    split_heaviest_group,
     step1_periods,
     step2_boundaries,
 )
@@ -724,9 +726,9 @@ def test_quantile_start_and_restart_reach_same_menu(name, k):
 
 
 def test_newton_finish_releases_edge_coordinate():
-    # the K = 2 start a sweep pads from the K = 1 menu puts the bottom
-    # period on its window edge with a gradient pointing inward; the
-    # finish moves it off the edge instead of leaving it to alternation
+    # the K = 1 menu padded with a copy of its top boundary puts the
+    # bottom period on its window edge with a gradient pointing inward;
+    # the finish moves it off the edge instead of leaving it to alternation
     sc = load_scenario("uniform_k6")
     k1 = solve_with_restarts(sc.profile, sc.cost_model, sc.market, 1, restarts=sc.solver.restarts, seed=sc.solver.seed)
     sol = solve_alternating(sc.profile, sc.cost_model, sc.market, 2, init_boundaries=np.repeat(k1.boundaries, 2))
@@ -734,6 +736,58 @@ def test_newton_finish_releases_edge_coordinate():
     assert sol.iterations <= 3
     _, alone = bundled_solve("uniform_k6", 2, "quantile")
     assert abs(sol.total_profit - alone.total_profit) <= 1e-12 * alone.total_profit
+
+
+def test_split_heaviest_group_halves_its_mass():
+    # uniform on [0, 6]: (1, 4] is the heaviest band and splits at its
+    # middle; then the top band (4, 6] outweighs each half
+    mkt = uniform06()
+    once = split_heaviest_group(mkt, [1.0, 4.0, 6.0])
+    np.testing.assert_allclose(once, [1.0, 2.5, 4.0, 6.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(split_heaviest_group(mkt, once), [1.0, 2.5, 4.0, 5.0, 6.0], rtol=0, atol=1e-12)
+    # on a skewed market the halves carry equal mass, not equal width
+    for mkt in (exponential06(), truncnorm06()):
+        b = split_heaviest_group(mkt, [1.0, 6.0])
+        assert b.size == 3 and b[0] == 1.0 and b[2] == 6.0
+        counts = group_counts(mkt, b)
+        assert abs(counts[1] - counts[2]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, ks",
+    [(name, (1, 2, 3, 4, 5, 6)) for name in BUNDLED_GROUPED] + [("uniform_k6", (1, 4)), ("exponential_k6", (2, 6))],
+    ids=lambda v: "K" + ",".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_sweep_warm_start_does_useful_work(name, ks, monkeypatch, tmp_path):
+    # each K's warm start (start 1, after the quantile start) is the
+    # previous menu with its heaviest group split once per added group:
+    # it keeps the previous boundaries and reaches the best start's
+    # profit in as few rounds and Newton steps as the other starts
+    sc = load_scenario(name)
+    calls = []  # [inits, each start's solution, the returned solution] of each solve
+    solve_starts, solve = grouped._solve_starts, runner.solve_with_restarts
+
+    def tap_starts(*args):
+        calls.append([args[-1], solve_starts(*args)])
+        return calls[-1][1]
+
+    def tap_solve(*args, **kwargs):
+        best = solve(*args, **kwargs)
+        calls[-1].append(best)
+        return best
+
+    monkeypatch.setattr(grouped, "_solve_starts", tap_starts)
+    monkeypatch.setattr(runner, "solve_with_restarts", tap_solve)
+    sweep_groups(sc, ks, tmp_path)
+    assert len(calls) == len(ks)
+    for k, (_, _, prev), (inits, starts, best) in zip(ks[1:], calls, calls[1:]):
+        warm, start = inits[1], starts[1]
+        expected = prev.boundaries
+        for _ in range(k - prev.boundaries.size):
+            expected = split_heaviest_group(sc.market, expected)
+        assert np.array_equal(warm, expected) and np.all(np.isin(prev.boundaries, warm))
+        assert best.total_profit - start.total_profit <= REL_PROFIT_TOL * max(1.0, abs(best.total_profit))
+        assert start.iterations <= 3 and start.newton_steps <= 10
 
 
 @pytest.mark.parametrize("name", ["exponential_k6", "truncated_normal_k6"])

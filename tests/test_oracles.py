@@ -1,7 +1,10 @@
 """Independent verification tools: brute-force IC/IR, grid oracles,
 Monte Carlo valuation, baselines, and welfare accounting."""
 
+import csv
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import fixed_quad
 from scipy.optimize.elementwise import find_root
 
+from planmenu import runner
 from planmenu.discrete import DEFAULT_T_DOMAIN, FEASIBILITY_TOL, optimal_prices, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import group_counts, solve_alternating
@@ -539,11 +543,51 @@ def test_discrete_baselines(profile, cost_model, case1):
 
 
 def test_baseline_rejects_bad_period(profile, cost_model):
-    market = make_market("uniform", 0.0, 6.0)
-    with pytest.raises(ValueError):
-        fixed_period_baseline(profile, cost_model, market, 0.0)
-    with pytest.raises(ValueError):
-        fixed_period_baseline(profile, cost_model, market, -1.0)
+    for market, coverage in itertools.product((make_market("uniform", 0.0, 6.0), case1_market()), ("full", "optimized")):
+        for bad in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-1.0, 2.0])):
+            with pytest.raises(ValueError):
+                fixed_period_baseline(profile, cost_model, market, bad, coverage)
+
+
+BASELINE_FIELDS = ("period", "price", "marginal_sigma", "served", "profit")
+
+
+@pytest.mark.parametrize("coverage", ["full", "optimized"])
+@pytest.mark.parametrize(
+    "name", ["case1_discrete", "case2_mountain", "uniform_k6", "exponential_k6", "truncated_normal_k6"]
+)
+def test_baseline_over_array_of_periods_is_each_period_bit_for_bit(name, coverage):
+    # one call over every period does each period's arithmetic alone; a
+    # scalar call returns Python floats
+    sc = load_scenario(name)
+    periods = (0.5, 1.0, 2.0, 3.0)
+    batch = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, np.array(periods), coverage)
+    for i, t in enumerate(periods):
+        one = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, t, coverage)
+        assert one.coverage == batch.coverage == coverage
+        for f in BASELINE_FIELDS:
+            assert type(getattr(one, f)) is float
+            assert getattr(batch, f)[i] == getattr(one, f)
+
+
+@pytest.mark.parametrize("name", ["case1_discrete", "uniform_k6"])
+def test_optimized_baseline_serves_no_one_when_every_cutoff_loses(name, tmp_path):
+    # at c0 = 100 every served prefix loses money: the provider serves no
+    # one and earns +0, never a loss or -0, and comparison.csv writes 0
+    sc = load_scenario(name)
+    sc = dataclasses.replace(
+        sc,
+        cost_model=dataclasses.replace(sc.cost_model, c0=100.0),
+        solver=dataclasses.replace(sc.solver, n_groups=1, restarts=0),
+    )
+    for t in sc.baselines:
+        base = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, t, "optimized")
+        assert base.served == 0.0 and base.profit == 0.0 and math.copysign(1.0, base.profit) == 1.0
+        assert math.isnan(base.marginal_sigma) and math.isnan(base.price)
+    with open(runner.run(sc, tmp_path).paths["comparison"], newline="") as fh:
+        rows = {r["label"]: r for r in csv.DictReader(fh)}
+    for t in sc.baselines:
+        assert rows[f"fixed_t={t:g}_optimized_cutoff"]["profit"] == "0"
 
 
 # --- welfare -------------------------------------------------------------------
@@ -656,8 +700,8 @@ def test_build_comparison_arithmetic(profile, cost_model, case1):
     for row in report.baselines:
         full = fixed_period_baseline(profile, cost_model, market, row.period, "full")
         opt = fixed_period_baseline(profile, cost_model, market, row.period, "optimized")
-        assert abs(row.profit_full - full.profit) < 1e-12
-        assert abs(row.profit_optimized - opt.profit) < 1e-12
+        assert row.profit_full == full.profit
+        assert row.profit_optimized == opt.profit
         assert abs(row.uplift_full_percent - 100.0 * (sol.total_profit / full.profit - 1.0)) < 1e-9
         assert abs(row.uplift_optimized_percent - 100.0 * (sol.total_profit / opt.profit - 1.0)) < 1e-9
         assert row.uplift_optimized_percent <= row.uplift_full_percent
