@@ -10,11 +10,15 @@ bullets below say.
   period (and, for groups, boundary) tuples on grids by one exact
   dynamic program: profit splits into per-stage terms linked only
   through adjacent stages, so two running maxima per stage return the
-  same optimum literal enumeration would; only those tables are kept,
-  and the backtrack recomputes the argmax along the optimal path.  The
-  discrete oracle is the grouped one with stage i pinned to type i at
-  mass S_i, the count of types up to i; both price by the telescoping
-  chain from raw valuations and costs — no per-type objective, no pooling.
+  same optimum literal enumeration would.  The per-stage terms are
+  valued in chunks of type rows, and the running-maximum tables are one
+  preallocated array, each stage computed in place into its slice (the
+  running maximum over types taken row by row); only those tables are
+  kept, and the backtrack recomputes the argmax along the optimal
+  path.  The discrete oracle is the grouped one with stage i pinned to
+  type i at mass S_i, the count of types up to i; both price by the
+  telescoping chain from raw valuations and costs — no per-type
+  objective, no pooling.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (inverse-CDF draws from a seeded 64-bit generator).
 - fixed_period_baseline prices a single fixed-period plan, either
@@ -37,11 +41,16 @@ from scipy.special import ndtri, roots_legendre
 
 from .discrete import FEASIBILITY_TOL, DiscreteSolution, block_periods
 from .distributions import ContinuousMarket, DiscreteMarket
-from .grouped import GroupedSolution, block_boundaries
+from .grouped import GroupedSolution, _whole, block_boundaries
 from .market import cost, valuation
 
-#: Largest grid-DP table (cells) the grid oracles accept.
+#: Largest grid-DP table (cells) the grid oracles accept.  The DP holds
+#: psi and one table per stage after the first, 8 bytes a cell, so the
+#: budget bounds its memory: at most 0.8 GB for a grouped oracle, and
+#: twice that for a discrete one, whose stages each carry their own psi.
 TUPLE_BUDGET = 1e8
+# cells of psi valued at once: the valuation's five temporaries of a chunk then fit in cache
+_PSI_CHUNK_CELLS = 2**14
 #: Equispaced types the IC/IR scan checks across a continuous market's window.
 IC_SCAN_POINTS = 500
 # the 96-point Gauss-Legendre rule on [-1, 1] the social-surplus integrals share
@@ -125,9 +134,14 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     its own psi, with psi_k(s, t) = mass_k(s) * (V(sigmas_k[s], t) - C(t)).
 
     sigmas and mass hold one type row per stage, or one row all stages
-    share.  Two running maxima per stage,
+    share; psi is valued _PSI_CHUNK_CELLS cells at a time over their
+    flattened rows.  Two running maxima per stage,
     D_k = psi_k + cummax_s[cummax_t D_{k-1} - psi_{k-1}], yield the
-    maximum literal enumeration would; ties go to the latest index.
+    maximum literal enumeration would; ties go to the latest index.  The
+    tables D_1..D_{K-1} are one preallocated array, each computed in
+    place into its slice, with the running maximum over s taken row by
+    row; max is exact and each sum sees the same operands, so every
+    table is bit for bit the expression's.
     Returns (profit, the types and the periods of a maximizing tuple).
     """
     t = np.asarray(t_grid, dtype=float)
@@ -139,12 +153,22 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
         raise ValueError("grid DP exceeds the work budget")
 
     rows = np.broadcast_to(sigmas, (n_stages, sigmas.shape[1]))
-    psi = mass[:, :, None] * (valuation(profile, sigmas[:, :, None], t) - cost(cost_model, t))
+    psi = np.empty(sigmas.shape + t.shape)
+    flat_s, flat_m, flat_psi = sigmas.reshape(-1, 1), mass.reshape(-1, 1), psi.reshape(-1, t.size)
+    c, step = cost(cost_model, t), max(1, _PSI_CHUNK_CELLS // t.size)
+    for i in range(0, flat_s.shape[0], step):
+        chunk = slice(i, i + step)
+        np.multiply(flat_m[chunk], valuation(profile, flat_s[chunk], t) - c, out=flat_psi[chunk])
     psi = np.broadcast_to(psi, (n_stages,) + psi.shape[1:])
 
-    D = [psi[0]]
-    for k in range(1, n_stages):
-        D.append(psi[k] + np.maximum.accumulate(np.maximum.accumulate(D[-1], axis=1) - psi[k - 1], axis=0))
+    D = [psi[0], *np.empty((n_stages - 1,) + psi.shape[1:])]
+    for k in range(1, n_stages):  # D_k in place, its running max over s row by row
+        T = D[k]
+        np.maximum.accumulate(D[k - 1], axis=1, out=T)
+        T -= psi[k - 1]
+        for i in range(1, T.shape[0]):
+            np.maximum(T[i - 1], T[i], out=T[i])
+        T += psi[k]
 
     s, j = map(int, np.unravel_index(int(np.argmax(D[-1])), D[-1].shape))
     profit, s_idx, j_idx = float(D[-1][s, j]), [s], [j]
@@ -177,8 +201,10 @@ def grid_oracle_grouped(profile, cost_model, market: ContinuousMarket, n_groups,
 
     Profit decomposes into per-boundary terms
     psi(s, t_k) - psi(s, t_{k+1}) with psi = N*G*(V - C), the last
-    group keeping its own psi.  Returns (profit, boundaries, periods).
+    group keeping its own psi.  n_groups must be an integer >= 1.
+    Returns (profit, boundaries, periods).
     """
+    n_groups = _whole("n_groups", n_groups, 1)
     sg = np.asarray(sigma_grid, dtype=float)[None, :]
     return _grid_dp(profile, cost_model, sg, market.cdf(sg) * market.size, n_groups, t_grid)
 

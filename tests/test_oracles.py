@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,11 +450,105 @@ def test_grouped_grid_oracle_validation(profile, cost_model):
         grid_oracle_grouped(
             profile, cost_model, market, 2, np.array([1.0, 1.0]), np.array([1.0, 2.0])
         )
-    # no stages or an empty grid: one error, even where the work product is <= 0
+    # an empty grid: one error, even where the work product is 0
     sigma_grid, t_grid = np.linspace(0.5, 6.0, 4), np.linspace(0.5, 12.0, 3)
-    for n_groups, sg, tg in [(0, sigma_grid, t_grid), (-1, sigma_grid, t_grid), (2, [], t_grid), (2, sigma_grid, [])]:
+    for sg, tg in [([], t_grid), (sigma_grid, [])]:
         with pytest.raises(ValueError, match="at least one stage and nonempty grids"):
-            grid_oracle_grouped(profile, cost_model, market, n_groups, sg, tg)
+            grid_oracle_grouped(profile, cost_model, market, 2, sg, tg)
+    # a group count that is not a whole number >= 1 is named, as the solvers name it
+    for n_groups in [2.5, 2.0, True, 0, -1]:
+        with pytest.raises(ValueError, match="n_groups must be an integer >= 1"):
+            grid_oracle_grouped(profile, cost_model, market, n_groups, sigma_grid, t_grid)
+
+
+def reference_grid_dp(profile, cost_model, sigmas, mass, n_stages, t):
+    """The grid DP as the recursion D_k = psi_k + cummax_s(cummax_t D_{k-1}
+    - psi_{k-1}), each stage a fresh array and psi valued in one call,
+    with the backtrack that takes the latest index on ties."""
+    psi = mass[:, :, None] * (valuation(profile, sigmas[:, :, None], t) - cost(cost_model, t))
+    psi = np.broadcast_to(psi, (n_stages,) + psi.shape[1:])
+    D = [psi[0]]
+    for k in range(1, n_stages):
+        D.append(psi[k] + np.maximum.accumulate(np.maximum.accumulate(D[-1], axis=1) - psi[k - 1], axis=0))
+    s, j = map(int, np.unravel_index(int(np.argmax(D[-1])), D[-1].shape))
+    profit, s_idx, j_idx = float(D[-1][s, j]), [s], [j]
+    for k in range(n_stages - 1, 0, -1):
+        s -= int(np.argmax((D[k - 1][: s + 1, : j + 1].max(axis=1) - psi[k - 1][: s + 1, j])[::-1]))
+        j -= int(np.argmax(D[k - 1][s, : j + 1][::-1]))
+        s_idx.insert(0, s)
+        j_idx.insert(0, j)
+    return profit, np.broadcast_to(sigmas, (n_stages, sigmas.shape[1]))[np.arange(n_stages), s_idx], t[j_idx]
+
+
+ORACLE_STEP = 0.05
+ORACLE_T_GRID = np.arange(1, 601) * ORACLE_STEP
+# more types than one chunk of psi holds on ORACLE_T_GRID: 200 rows span eight
+MANY_TYPES = DiscreteMarket(sigmas=np.linspace(0.2, 6.0, 200), counts=np.linspace(0.5, 3.0, 200))
+
+
+def bundled_sigma_grid(market):
+    return np.linspace(market.sigma_min, market.sigma_max, int(round((market.sigma_max - market.sigma_min) / ORACLE_STEP)) + 1)
+
+
+def assert_discrete_oracle_is_reference(profile, cost_model, market, t_grid):
+    best, periods = grid_oracle_discrete(profile, cost_model, market, t_grid)
+    ref = reference_grid_dp(profile, cost_model, market.sigmas[:, None], np.cumsum(market.counts)[:, None], market.n_types, t_grid)
+    assert best == ref[0]
+    assert periods.tolist() == ref[2].tolist()
+
+
+@pytest.mark.parametrize("n_groups", [1, 2, 6])
+@pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])
+def test_grouped_grid_oracle_is_reference_dp_bit_for_bit(name, n_groups):
+    sc = load_scenario(name)
+    sg = bundled_sigma_grid(sc.market)
+    got = grid_oracle_grouped(sc.profile, sc.cost_model, sc.market, n_groups, sg, ORACLE_T_GRID)
+    mass = sc.market.cdf(sg[None, :]) * sc.market.size
+    ref = reference_grid_dp(sc.profile, sc.cost_model, sg[None, :], mass, n_groups, ORACLE_T_GRID)
+    assert got[0] == ref[0]
+    assert [x.tolist() for x in got[1:]] == [x.tolist() for x in ref[1:]]
+
+
+@pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
+def test_discrete_grid_oracle_is_reference_dp_bit_for_bit(name):
+    sc = load_scenario(name)
+    assert_discrete_oracle_is_reference(sc.profile, sc.cost_model, sc.market, ORACLE_T_GRID)
+
+
+def test_discrete_grid_oracle_over_many_chunks_is_reference_dp_bit_for_bit(profile, cost_model):
+    assert_discrete_oracle_is_reference(profile, cost_model, MANY_TYPES, ORACLE_T_GRID)
+
+
+@PROPERTY_SETTINGS
+@given(market=random_markets(12))
+def test_grid_oracle_property_is_reference_dp_bit_for_bit(profile, cost_model, market):
+    assert_discrete_oracle_is_reference(profile, cost_model, market, np.arange(1, 121) * 0.25)
+
+
+def traced_peak_bytes(oracle, *args):
+    oracle(*args)  # a first call, so lazily built state is not counted
+    tracemalloc.start()
+    try:
+        oracle(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_groups, tables", [(1, 2.5), (2, 2.5), (6, 7)])
+def test_grouped_grid_oracle_memory_is_its_tables(n_groups, tables):
+    # the DP holds psi and n_groups - 1 stage tables; psi's valuation
+    # temporaries come one chunk at a time, not as grid-sized arrays
+    sc = load_scenario("uniform_k6")
+    sg = bundled_sigma_grid(sc.market)
+    peak = traced_peak_bytes(grid_oracle_grouped, sc.profile, sc.cost_model, sc.market, n_groups, sg, ORACLE_T_GRID)
+    assert peak <= tables * sg.size * ORACLE_T_GRID.size * 8
+
+
+def test_discrete_grid_oracle_memory_is_its_tables(profile, cost_model):
+    # the DP holds one psi row and one stage table row per type
+    peak = traced_peak_bytes(grid_oracle_discrete, profile, cost_model, MANY_TYPES, ORACLE_T_GRID)
+    assert peak <= 2.5 * MANY_TYPES.n_types * ORACLE_T_GRID.size * 8
 
 
 # --- Monte Carlo cross-check ------------------------------------------------
