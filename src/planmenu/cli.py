@@ -38,7 +38,8 @@ def _cmd_solve(args):
             f"(full coverage), {_percent(row.uplift_optimized_percent)} (optimized cutoff)"
         )
     if artifacts.report.social is not None:
-        print(f"  social surplus ratio {100 * artifacts.report.social.ratio:.1f}%")
+        ratio = 100 * artifacts.report.social.ratio  # NaN where the first-best has no surplus
+        print(f"  social surplus ratio {'n/a' if np.isnan(ratio) else f'{ratio:.1f}%'}")
     print(f"  artifacts in {args.out} ({'PASS' if artifacts.ok else 'FAIL'})")
     return 0 if artifacts.ok else 2
 

@@ -19,6 +19,11 @@ violators onto one shared period (the pooled objective is the block
 sum), which is exactly the constrained optimum.  Every type and every
 pooled block is searched at once, by a safeguarded Newton-bisection on
 the closed-form slope P_i'(t).
+
+solve_discrete searches two rows in that one lockstep: the menu, and
+the social first-best (one buyer per type and no rent, so each type's
+period maximizes V(sigma_i, t) - C(t)), which the welfare accounting in
+oracles.social_metrics reads off the solution.
 """
 
 import warnings
@@ -28,7 +33,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .market import cost, valuation, valuation_dt_dtt
+from .market import _dt_dtt, _types, cost, valuation
 
 INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -137,9 +142,11 @@ def period_objective(profile, cost_model, own, below, sigma, sigma_prev, t):
     The profit terms containing one menu item's period t: `own` consumers
     buy it, `below` lower consumers draw the information rent, and sigma
     is the item's marginal type.  Shared by both solvers; broadcasts.
+    Both valuations come from one call.
     """
-    v = valuation(profile, sigma, t)
-    return own * (v - cost(cost_model, t)) + below * (v - valuation(profile, sigma_prev, t))
+    sigma, sigma_prev, t = np.broadcast_arrays(sigma, sigma_prev, t)
+    v, v_prev = valuation(profile, np.stack([sigma, sigma_prev]), t)
+    return own * (v - cost(cost_model, t)) + below * (v - v_prev)
 
 
 def _cost_slopes(cost_model, t):
@@ -179,8 +186,8 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi):
     while True:
         active &= np.abs(slope) > SLOPE_RTOL * scale
         rising = active & (slope > 0)
-        a = np.where(rising, x, a)
-        b = np.where(active & ~rising, x, b)
+        np.copyto(a, x, where=rising)
+        np.copyto(b, x, where=active & ~rising)
         active &= b - a > STEP_RTOL * x
         if not active.any():
             return x
@@ -209,14 +216,17 @@ def block_periods(profile, cost_model, sigmas, own, below, first, last, guess=No
     t (from a cold start plain Newton on P' creeps up by a factor of
     about 1.5 per step); bisection takes the bracket's geometric
     midpoint.  Starts from guess (one period per block), else from
-    sqrt(lo * hi).
+    sqrt(lo * hi).  The (own, rent) types are checked and prepared once
+    per call, not once per step.
     """
     lo, hi = DEFAULT_T_DOMAIN
     sizes = last - first + 1
     offsets = np.cumsum(sizes) - sizes
+    pooled = sizes.size < sizes.sum()
     members = np.arange(sizes.sum()) + np.repeat(first - offsets, sizes)
     sig = np.stack([sigmas[members], sigmas[np.maximum(members - 1, 0)]])  # own and rent types
     own, below = own[members], below[members]
+    types, weight = _types(sig), own + below  # weight: everyone whose value moves with V(sigma_i, t)
 
     probe = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo)
     v = valuation(profile, sig, probe[:, None, None])
@@ -226,16 +236,16 @@ def block_periods(profile, cost_model, sigmas, own, below, first, last, guess=No
         raise ValueError("objective failed the three-point concavity probe")
 
     def slopes(t):  # P', gain + loss and (gain, loss, gain', loss') per block, for t of shape (..., blocks)
-        tm = np.repeat(t, sizes, axis=-1)
-        vt, vtt = valuation_dt_dtt(profile, sig, tm[..., None, :])
+        tm = np.repeat(t, sizes, axis=-1) if pooled else t
+        vt, vtt = _dt_dtt(profile, types, tm[..., None, :])
         c1, c2 = _cost_slopes(cost_model, tm)
         terms = (
-            (own + below) * vt[..., 0, :],
+            weight * vt[..., 0, :],
             own * c1 + below * vt[..., 1, :],
-            (own + below) * vtt[..., 0, :],
+            weight * vtt[..., 0, :],
             own * c2 + below * vtt[..., 1, :],
         )
-        if members.size > sizes.size:  # pooled blocks sum their members
+        if pooled:  # pooled blocks sum their members
             terms = tuple(np.add.reduceat(z, offsets, axis=-1) for z in terms)
         gain, loss = terms[:2]
         return gain - loss, gain + loss, terms
@@ -274,11 +284,14 @@ def optimal_prices(profile, sigmas, periods):
         raise ValueError("need one period per type")
     if np.any(np.diff(t) < 0):
         raise ValueError("periods must be ascending")
-    # Interleaving +V_i(t_i) and -V_i(t_{i+1}) makes the running sum round
-    # exactly like the recursion p_i = (p_{i+1} + V_i(t_i)) - V_i(t_{i+1}).
-    own, up = valuation(profile, sig[:-1], t[:-1]), valuation(profile, sig[:-1], t[1:])
+    # One valuation call: V_i(t_i), then V_i(t_{i+1}), below the top, and the
+    # top type's V(t_top) last.  Interleaving +V_i(t_i) and -V_i(t_{i+1})
+    # makes the running sum round exactly like the recursion
+    # p_i = (p_{i+1} + V_i(t_i)) - V_i(t_{i+1}).
+    v = valuation(profile, np.concatenate((sig[:-1], sig[:-1], sig[-1:])), np.concatenate((t[:-1], t[1:], t[-1:])))
+    own, up = v[:-1].reshape(2, -1)
     steps = np.stack([own, -up], axis=1)[::-1].ravel()
-    return np.cumsum(np.append(valuation(profile, sig[-1], t[-1]), steps))[::2][::-1]
+    return np.cumsum(np.append(v[-1], steps))[::2][::-1]
 
 
 @dataclass
@@ -300,7 +313,8 @@ def feasibility_check(profile, market, periods, prices) -> FeasibilityReport:
     (c/d) each adjacent price gap pi_i - pi_{i+1} lies between the
           valuation drop of the higher type and that of the lower type.
 
-    A non-finite price fails before all four, as "finite_prices".
+    A non-finite price fails before all four, as "finite_prices".  Every
+    valuation (b)-(d) read comes from one call.
     """
     periods = np.asarray(periods, dtype=float)
     prices = np.asarray(prices, dtype=float)
@@ -313,12 +327,19 @@ def feasibility_check(profile, market, periods, prices) -> FeasibilityReport:
     if n > 1 and descent.max() > tol:
         i = int(np.argmax(descent))
         return FeasibilityReport(False, "periods_ascending", i, float(descent[i]), tol)
-    gap = prices[-1] - valuation(profile, market.sigmas[-1], periods[-1])
+    # the top type at its own period, then the higher and the lower type of
+    # each adjacent pair at the pair's lower and upper period
+    sig, t = market.sigmas, periods
+    v = valuation(
+        profile,
+        np.concatenate((sig[-1:], sig[1:], sig[1:], sig[:-1], sig[:-1])),
+        np.concatenate((t[-1:], t[:-1], t[1:], t[:-1], t[1:])),
+    )
+    gap = prices[-1] - v[0]
     if gap > tol:
         return FeasibilityReport(False, "top_participation", n - 1, float(gap), tol)
-    sig = market.sigmas
-    drop_hi = valuation(profile, sig[1:], periods[:-1]) - valuation(profile, sig[1:], periods[1:])
-    drop_lo = valuation(profile, sig[:-1], periods[:-1]) - valuation(profile, sig[:-1], periods[1:])
+    hi_lower, hi_upper, lo_lower, lo_upper = v[1:].reshape(4, -1)
+    drop_hi, drop_lo = hi_lower - hi_upper, lo_lower - lo_upper
     gap = prices[:-1] - prices[1:]
     floor, ceiling = drop_hi - gap, gap - drop_lo
     bad = (floor > tol) | (ceiling > tol)
@@ -337,6 +358,7 @@ class DiscreteSolution:
     prices: np.ndarray
     total_profit: float
     objective_values: np.ndarray  # P_i at the chosen periods
+    first_best_periods: np.ndarray  # each type's period in the social first-best
     pooled_blocks: List[PooledBlock] = field(default_factory=list)
     feasibility: Optional[FeasibilityReport] = None
 
@@ -346,12 +368,28 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
 
     Lockstep per-type search, ascending repair by pooling, then the
     telescoping price chain.  The period cap is asserted non-binding.
+    The search carries a second row, the social first-best (own = 1,
+    below = 0: each type's own V - C, no rent), whose periods ascend
+    strictly (V_sigma_t > 0) where each type's V - C has one interior
+    maximum, so it never pools: each of its items is exactly the lone
+    search block_periods makes for it, and every pooled block is the
+    menu's.  A first-best row that pools anyway raises RuntimeError, and
+    the three-point concavity probe guards that row as well as the
+    menu's, so its ValueError can come from the first-best alone.
     """
     lo, hi = DEFAULT_T_DOMAIN
     sig = market.sigmas
     own = market.counts
     below = np.concatenate(([0.0], np.cumsum(own)[:-1]))
-    periods, pooled = search_periods(profile, cost_model, sig, own, below)
+    (periods, first_best), pooled = search_periods(
+        profile,
+        cost_model,
+        np.stack([sig, sig]),
+        np.stack([own, np.ones(sig.size)]),  # the first-best row: one buyer per type
+        np.stack([below, np.zeros(sig.size)]),  # and no rent
+    )
+    if any(block.start >= sig.size for block in pooled):
+        raise RuntimeError("the first-best periods descended and were pooled: some type's V - C has no unique maximum")
     if np.any(periods > hi - 1e-6 * (hi - lo)):
         warnings.warn("a period argmax pressed against the search cap DEFAULT_T_DOMAIN", RuntimeWarning)
     prices = optimal_prices(profile, sig, periods)
@@ -367,6 +405,7 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
         prices=prices,
         total_profit=total,
         objective_values=values,
+        first_best_periods=first_best,
         pooled_blocks=pooled,
         feasibility=report,
     )

@@ -73,27 +73,37 @@ class CostModel:
             raise ValueError("c1 must be finite, and nonnegative for the linear cost")
 
 
-def _threshold(profile, sigma, t):
-    # (sigma, t, a, sigma > 0), the inputs checked by one min and one max
-    # each: NaN fails every comparison, and an in-range `initial` lets empty
-    # arrays pass.  a = sqrt(t) * (q - mu) / sigma is capped to a finite
-    # 1e6 (sigma = 0 included, where tail quantities then evaluate to 0),
-    # so the normals' unchecked kernels take it.
+# The threshold in two halves, so that a period search checks and prepares
+# its types once and then evaluates them at every period it tries:
+# _types checks sigma and returns (sigma, sigma > 0, the safe divisor);
+# _threshold checks t and returns (t, a).  Each public kernel composes the
+# two, so every public call still checks both, by one min and one max
+# each: NaN fails every comparison, and an in-range `initial` lets empty
+# arrays pass.  a = sqrt(t) * (q - mu) / sigma is capped to a finite 1e6
+# (sigma = 0 included, where tail quantities then evaluate to 0), so the
+# normals' unchecked kernels take it.
+def _types(sigma):
     sv = np.asarray(sigma, dtype=float)
-    tv = np.asarray(t, dtype=float)
     if not (sv.min(initial=0.0) >= 0 and sv.max(initial=0.0) < np.inf):
         raise ValueError("sigma must be finite and nonnegative")
+    pos = sv > 0
+    return sv, pos, np.where(pos, sv, 1.0)
+
+
+def _threshold(profile, types, t):
+    tv = np.asarray(t, dtype=float)
     if not (tv.min(initial=1.0) > 0 and tv.max(initial=1.0) < np.inf):
         raise ValueError("period t must be finite and positive")
-    pos = sv > 0
-    a = np.where(pos, np.sqrt(tv) * profile.excess_cap / np.where(pos, sv, 1.0), np.inf)
-    return sv, tv, np.minimum(a, 1e6), pos
+    _, pos, divisor = types
+    return tv, np.minimum(np.where(pos, np.sqrt(tv) * profile.excess_cap / divisor, np.inf), 1e6)
 
 
 def valuation(profile, sigma, t):
     """Per-unit-time value V(sigma, t) a type-sigma consumer places on a
     period-t plan.  V(0, t) = alpha*mu (the volatility-free limit)."""
-    sv, tv, a, pos = _threshold(profile, sigma, t)
+    types = _types(sigma)
+    sv, pos, _ = types
+    tv, a = _threshold(profile, types, t)
     shortfall_rate = np.where(pos, sv / np.sqrt(tv) * _excess(a, _pdf(a)), 0.0)
     return (profile.alpha * (profile.mu - shortfall_rate))[()]
 
@@ -107,13 +117,15 @@ def valuation_dsigma2(profile, sigma, t):
     dV/dt = alpha*sigma*phi(a)/(2*t^1.5), bit for bit as valuation_dt;
     the derivatives are 0 in the sigma = 0 limit, where V = alpha*mu.
     """
-    sv, tv, a, pos = _threshold(profile, sigma, t)
+    types = _types(sigma)
+    sv, pos, divisor = types
+    tv, a = _threshold(profile, types, t)
     rt = np.sqrt(tv)
     phi = _pdf(a)
     v = profile.alpha * (profile.mu - np.where(pos, sv / rt * _excess(a, phi), 0.0))
     vs = np.where(pos, -profile.alpha * phi / rt, 0.0)
     vt = np.where(pos, profile.alpha * sv * phi / (2.0 * tv ** 1.5), 0.0)
-    return v, vs, vs * a * a / np.where(pos, sv, 1.0), vt
+    return v, vs, vs * a * a / divisor, vt
 
 
 def valuation_dt(profile, sigma, t):
@@ -127,7 +139,13 @@ def valuation_dt_dtt(profile, sigma, t):
     dV/dt = alpha*sigma*phi(a)/(2*t^1.5) and d2V/dt2 = -V_t*(a^2 + 3)/(2t)
     < 0, so V is strictly concave in t; both are 0 in the sigma = 0 limit.
     """
-    sv, tv, a, pos = _threshold(profile, sigma, t)
+    return _dt_dtt(profile, _types(sigma), t)
+
+
+def _dt_dtt(profile, types, t):
+    # valuation_dt_dtt of types that _types already checked and prepared
+    sv, pos, _ = types
+    tv, a = _threshold(profile, types, t)
     vt = np.where(pos, profile.alpha * sv * _pdf(a) / (2.0 * tv ** 1.5), 0.0)
     return vt, -vt * (a * a + 3.0) / (2.0 * tv)
 

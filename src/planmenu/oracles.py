@@ -27,10 +27,12 @@ bullets below say.
   earns a positive profit), found by the grouped solver's boundary
   search at K = 1; an array of periods is evaluated in one call.
 - social_metrics compares realized social surplus against the
-  first-best that ignores incentive constraints, by a 96-point
+  first-best that ignores incentive constraints.  It is accounting, not
+  a check: the first-best periods come from the solvers' period search.
+  A discrete solution carries them (solve_discrete searches them in
+  the menu's own lockstep), so both surpluses there take one valuation
+  call; a grouped menu's surpluses are integrals by a 96-point
   Gauss-Legendre rule built once at import (scipy.special.roots_legendre).
-  It is accounting, not a check: the first-best periods come from the
-  solvers' period search.
 """
 
 from dataclasses import dataclass, field
@@ -266,18 +268,21 @@ def fixed_period_baseline(profile, cost_model, market, t_fixed, coverage="full")
     t = np.asarray(t_fixed, dtype=float)
     periods = t.ravel()
     c = cost(cost_model, periods)
-    if isinstance(market, DiscreteMarket):
+    if isinstance(market, DiscreteMarket):  # every prefix's price is in one valuation matrix
         counts = np.cumsum(market.counts)
-        profits = counts[:, None] * (valuation(profile, market.sigmas[:, None], periods) - c)
-        j = np.full(periods.size, market.n_types - 1) if coverage == "full" else np.argmax(profits, axis=0)
-        sig, served = market.sigmas[j], counts[j]
+        v = valuation(profile, market.sigmas[:, None], periods)
+        if coverage == "full":
+            j = np.full(periods.size, market.n_types - 1)
+        else:
+            j = np.argmax(counts[:, None] * (v - c), axis=0)
+        sig, served, price = market.sigmas[j], counts[j], v[j, np.arange(periods.size)]
     else:
         sig = np.full(periods.size, market.sigma_max)
         if coverage == "optimized":
             items = np.arange(periods.size)
             sig = block_boundaries(profile, cost_model, market, periods[:, None], items, items)
         served = market.size * market.cdf(sig)
-    price = valuation(profile, sig, periods)
+        price = valuation(profile, sig, periods)
     profit = served * (price - c)
     if coverage == "optimized":
         nobody = ~(profit > 0)
@@ -309,7 +314,8 @@ def _first_best_surplus_rates(profile, cost_model, sigmas):
     """Each type's first-best surplus rate max_t V(sigma, t) - C(t), floored
     at 0 (the planner would not serve a type that loses money).  The
     period comes from the solvers' lockstep search with one buyer per
-    type and no rent."""
+    type and no rent: the row solve_discrete searches beside its menu,
+    searched here on its own for the grouped integrand's nodes."""
     s = np.atleast_1d(np.asarray(sigmas, dtype=float))
     items = np.arange(s.size)
     t = block_periods(profile, cost_model, s, np.ones_like(s), np.zeros_like(s), items, items)
@@ -324,17 +330,16 @@ def _gauss_legendre(f, a, b):
 
 def social_metrics(profile, cost_model, market, solution) -> SocialReport:
     """Realized vs first-best social surplus (value minus cost; prices
-    are transfers and cancel).  A grouped menu's bands share one
-    Gauss-Legendre rule, band k mapped onto u in [0, 1] by
-    sigma = b_{k-1} + (b_k - b_{k-1}) u."""
+    are transfers and cancel).  A discrete solution comes with its
+    first-best periods, so its types are valued at both its own and
+    those periods in one call, the first-best rates floored at 0.  A
+    grouped menu's bands share one Gauss-Legendre rule, band k mapped
+    onto u in [0, 1] by sigma = b_{k-1} + (b_k - b_{k-1}) u."""
     if isinstance(solution, DiscreteSolution):
-        contract = float(
-            np.dot(
-                market.counts,
-                valuation(profile, market.sigmas, solution.periods) - cost(cost_model, solution.periods),
-            )
-        )
-        first_best = float(np.dot(market.counts, _first_best_surplus_rates(profile, cost_model, market.sigmas)))
+        t = np.stack([solution.periods, solution.first_best_periods])
+        rates = valuation(profile, market.sigmas, t) - cost(cost_model, t)
+        contract = float(np.dot(market.counts, rates[0]))
+        first_best = float(np.dot(market.counts, np.maximum(rates[1], 0.0)))
     elif isinstance(solution, GroupedSolution):
         b, t = solution.boundaries, solution.periods
         lo = np.concatenate(([market.sigma_min], b[:-1]))[:, None]

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
+from planmenu import discrete
 from planmenu.discrete import (
     DEFAULT_T_DOMAIN,
+    FEASIBILITY_TOL,
+    FeasibilityReport,
     _lockstep_root,
     block_periods,
     feasibility_check,
@@ -19,6 +22,7 @@ from planmenu.discrete import (
 )
 from planmenu.distributions import DiscreteMarket
 from planmenu.market import CostModel, cost, valuation, valuation_dt
+from planmenu.oracles import fixed_period_baseline
 from planmenu.scenarios import load_scenario
 
 # quadrature-oracle values (alpha=1, mu=13, q=15)
@@ -525,3 +529,197 @@ def test_discrete_residual_at_float_floor(name, kkt):
     sc = load_scenario(name)
     sol = solve_discrete(sc.profile, sc.cost_model, sc.market)
     assert kkt.discrete_residual(sc.profile, sc.cost_model, sc.market, sol.periods, DEFAULT_T_DOMAIN) <= 1e-11
+
+
+# --- the first-best row of the menu's search -------------------------------
+
+
+@st.composite
+def near_duplicate_markets(draw):
+    """Discrete markets of up to 12 types in clusters: each drawn
+    volatility may bring a twin 1e-12 to 1e-6 relative above it."""
+    base = draw(st.lists(st.floats(0.1, 6.0), min_size=1, max_size=6, unique=True))
+    twins = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), min_size=len(base), max_size=len(base)))
+    sigmas = np.unique(np.concatenate([base, [s * (1.0 + g) for s, g in zip(base, twins) if g]]))
+    counts = draw(st.lists(st.floats(0.1, 5.0), min_size=sigmas.size, max_size=sigmas.size))
+    return DiscreteMarket(sigmas=sigmas, counts=counts)
+
+
+def seeded_ladders():
+    """Seeded discrete markets of 3 to 80 ascending types with uneven counts."""
+    rng = np.random.default_rng(20)
+    for n in (3, 7, 20, 80):
+        yield DiscreteMarket(sigmas=np.sort(rng.uniform(0.05, 6.5, n)), counts=rng.integers(1, 40, n).astype(float))
+
+
+def assert_first_best_row_is_the_lone_search(profile, cost_model, market):
+    """solve_discrete's first-best periods are, bit for bit, the lone
+    search with one buyer per type and no rent, and no pooled block of
+    the two-row search lands in the first-best row."""
+    searched = []
+
+    def tap(*args, **kwargs):
+        searched.append(repair(*args, **kwargs))
+        return searched[-1]
+
+    repair = discrete.repair_monotone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrete, "repair_monotone", tap)
+        sol = solve_discrete(profile, cost_model, market)
+    n, items = market.n_types, np.arange(market.n_types)
+    alone = block_periods(profile, cost_model, market.sigmas, np.ones(n), np.zeros(n), items, items)
+    assert (sol.first_best_periods == alone).all()
+    [(rows, pooled)] = searched
+    assert rows.shape == (2, n) and (rows[0] == sol.periods).all() and (rows[1] == alone).all()
+    assert all(block.stop < n for block in pooled)
+    assert [(b.start, b.stop, b.value) for b in sol.pooled_blocks] == [(b.start, b.stop, b.value) for b in pooled]
+
+
+@pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
+def test_first_best_row_of_bundled_markets(name):
+    sc = load_scenario(name)
+    assert_first_best_row_is_the_lone_search(sc.profile, sc.cost_model, sc.market)
+
+
+@pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "quadratic"])
+def test_first_best_row_of_seeded_ladders(profile, quadratic):
+    model = CostModel(c0=10.0, w=lambda t: 0.05 * t * t) if quadratic else CostModel(c0=10.0, c1=0.5)
+    for market in seeded_ladders():
+        assert_first_best_row_is_the_lone_search(profile, model, market)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(market=near_duplicate_markets())
+def test_first_best_row_of_near_duplicate_markets(profile, cost_model, market):
+    assert_first_best_row_is_the_lone_search(profile, cost_model, market)
+
+
+def test_first_best_row_that_pools_raises(monkeypatch):
+    # a pooled block in row 1 would silently change first_best_periods and
+    # report flat indices >= n in pooled_blocks: the solve refuses it
+    sc = load_scenario("case1_discrete")
+    n, search = sc.market.n_types, discrete.search_periods
+
+    def pooling_first_best(*args):
+        rows, pooled = search(*args)
+        return rows, pooled + [discrete.PooledBlock(n, n + 1, float(rows[1, 0]))]
+
+    monkeypatch.setattr(discrete, "search_periods", pooling_first_best)
+    with pytest.raises(RuntimeError, match="first-best periods descended"):
+        solve_discrete(sc.profile, sc.cost_model, sc.market)
+
+
+# --- one valuation call per check, against the per-call formulations --------
+
+
+def prices_per_call(profile, sigmas, periods):
+    """optimal_prices from three valuation calls."""
+    sig, t = np.asarray(sigmas, dtype=float), np.asarray(periods, dtype=float)
+    own, up = valuation(profile, sig[:-1], t[:-1]), valuation(profile, sig[:-1], t[1:])
+    steps = np.stack([own, -up], axis=1)[::-1].ravel()
+    return np.cumsum(np.append(valuation(profile, sig[-1], t[-1]), steps))[::2][::-1]
+
+
+def feasibility_per_call(profile, market, periods, prices):
+    """feasibility_check's report from five valuation calls."""
+    periods, prices = np.asarray(periods, dtype=float), np.asarray(prices, dtype=float)
+    tol, n, sig = FEASIBILITY_TOL, market.n_types, market.sigmas
+    if not np.all(np.isfinite(prices)):
+        return FeasibilityReport(False, "finite_prices", int(np.argmin(np.isfinite(prices))), float("inf"), tol)
+    descent = -np.diff(periods)
+    if n > 1 and descent.max() > tol:
+        i = int(np.argmax(descent))
+        return FeasibilityReport(False, "periods_ascending", i, float(descent[i]), tol)
+    gap = prices[-1] - valuation(profile, sig[-1], periods[-1])
+    if gap > tol:
+        return FeasibilityReport(False, "top_participation", n - 1, float(gap), tol)
+    drop_hi = valuation(profile, sig[1:], periods[:-1]) - valuation(profile, sig[1:], periods[1:])
+    drop_lo = valuation(profile, sig[:-1], periods[:-1]) - valuation(profile, sig[:-1], periods[1:])
+    gap = prices[:-1] - prices[1:]
+    floor, ceiling = drop_hi - gap, gap - drop_lo
+    bad = (floor > tol) | (ceiling > tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if floor[i] > tol:
+            return FeasibilityReport(False, "price_floor", i, float(floor[i]), tol)
+        return FeasibilityReport(False, "price_ceiling", i, float(ceiling[i]), tol)
+    return FeasibilityReport(True, None, None, float(max(floor.max(initial=0.0), ceiling.max(initial=0.0))), tol)
+
+
+def discrete_baseline_per_call(profile, cost_model, market, periods, coverage):
+    """(price, marginal_sigma, served, profit) of the discrete
+    fixed_period_baseline, its price from a second valuation call."""
+    c = cost(cost_model, periods)
+    counts = np.cumsum(market.counts)
+    profits = counts[:, None] * (valuation(profile, market.sigmas[:, None], periods) - c)
+    j = np.full(periods.size, market.n_types - 1) if coverage == "full" else np.argmax(profits, axis=0)
+    sig, served = market.sigmas[j], counts[j]
+    price = valuation(profile, sig, periods)
+    profit = served * (price - c)
+    if coverage == "optimized":
+        nobody = ~(profit > 0)
+        sig, price = np.where(nobody, np.nan, sig), np.where(nobody, np.nan, price)
+        served, profit = np.where(nobody, 0.0, served), np.where(nobody, 0.0, profit)
+    return price, sig, served, profit
+
+
+def period_objective_per_call(profile, cost_model, own, below, sigma, sigma_prev, t):
+    v = valuation(profile, sigma, t)
+    return own * (v - cost(cost_model, t)) + below * (v - valuation(profile, sigma_prev, t))
+
+
+def feasibility_cases(profile, market, sol, scale):
+    """(periods, prices) that pass, and that fail each condition: a NaN
+    price, descending periods, the top type priced out, and the first
+    price gap widened past its ceiling or narrowed past its floor (the
+    chain's gap sits on its ceiling, the wedge above its floor)."""
+    t, p = sol.periods, sol.prices
+    first, last = np.arange(p.size) == 0, np.arange(p.size) == p.size - 1
+    yield t, p
+    yield t, np.where(np.arange(p.size) == p.size // 2, np.nan, p)
+    yield t, p + np.where(last, scale, 0.0)
+    if p.size > 1:
+        yield t[::-1].copy(), p
+        yield t, p + np.where(first, scale, 0.0)
+        sig = market.sigmas
+        wedge = (valuation(profile, sig[0], t[0]) - valuation(profile, sig[0], t[1])) - (
+            valuation(profile, sig[1], t[0]) - valuation(profile, sig[1], t[1])
+        )
+        yield t, p - np.where(first, wedge + scale, 0.0)
+
+
+def assert_merged_calls_match_per_call(profile, cost_model, market, scale=1e-3):
+    sol = solve_discrete(profile, cost_model, market)
+    sig, periods = market.sigmas, sol.periods
+    assert (optimal_prices(profile, sig, periods) == prices_per_call(profile, sig, periods)).all()
+    own, below = market.counts, np.concatenate(([0.0], np.cumsum(market.counts)[:-1]))
+    rent = sig[np.maximum(np.arange(sig.size) - 1, 0)]
+    got = period_objective(profile, cost_model, own, below, sig, rent, periods)
+    assert (got == period_objective_per_call(profile, cost_model, own, below, sig, rent, periods)).all()
+    conditions = set()
+    for t, p in feasibility_cases(profile, market, sol, scale):
+        ref = feasibility_per_call(profile, market, t, p)
+        assert feasibility_check(profile, market, t, p) == ref
+        conditions.add(ref.condition)
+    t = np.geomspace(0.05, 50.0, 9)
+    for coverage in ("full", "optimized"):
+        got = fixed_period_baseline(profile, cost_model, market, t, coverage)
+        ref = discrete_baseline_per_call(profile, cost_model, market, t, coverage)
+        for x, y in zip((got.price, got.marginal_sigma, got.served, got.profit), ref):
+            assert np.array_equal(x, y, equal_nan=True)
+    return conditions
+
+
+@pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
+def test_merged_valuation_calls_of_bundled_markets(name):
+    sc = load_scenario(name)
+    conditions = assert_merged_calls_match_per_call(sc.profile, sc.cost_model, sc.market)
+    assert conditions == {None, "finite_prices", "top_participation", "periods_ascending", "price_ceiling", "price_floor"}
+    expensive = CostModel(c0=12.9, c1=0.5)  # serves only some types at some periods: NaN baseline rows
+    assert_merged_calls_match_per_call(sc.profile, expensive, sc.market)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(market=near_duplicate_markets(), scale=st.sampled_from([1e-8, 1e-3, 1.0]))
+def test_merged_valuation_calls_of_near_duplicate_markets(profile, cost_model, market, scale):
+    assert_merged_calls_match_per_call(profile, cost_model, market, scale)

@@ -15,7 +15,7 @@ from scipy.integrate import fixed_quad
 from scipy.optimize.elementwise import find_root
 
 from planmenu import runner
-from planmenu.discrete import DEFAULT_T_DOMAIN, FEASIBILITY_TOL, optimal_prices, solve_discrete
+from planmenu.discrete import DEFAULT_T_DOMAIN, FEASIBILITY_TOL, block_periods, optimal_prices, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import group_counts, solve_alternating
 from planmenu.market import cost, valuation, valuation_dt
@@ -755,11 +755,13 @@ def test_first_best_surplus_never_negative(profile, cost_model):
     sol_like = solve_discrete  # only social_metrics matters; build by hand
     from planmenu.discrete import DiscreteSolution
 
+    items, one = np.arange(1), np.ones(1)
     sol = DiscreteSolution(
         periods=np.array([1.0]),
         prices=np.array([11.0]),
         total_profit=0.0,
         objective_values=np.array([0.0]),
+        first_best_periods=block_periods(profile, expensive, market.sigmas, one, 0 * one, items, items),
     )
     rep = social_metrics(profile, expensive, market, sol)
     assert rep.surplus_first_best == 0.0

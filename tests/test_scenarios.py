@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import planmenu
-from planmenu import cli, runner
+from planmenu import cli, discrete, grouped, market, oracles, runner
 from planmenu.distributions import ContinuousMarket, DiscreteMarket
 from planmenu.market import CostModel, DemandProfile
 from planmenu.oracles import fixed_period_baseline
@@ -246,6 +247,32 @@ def test_artifacts_byte_deterministic(tmp_path):
     assert (a / "fig8_sweep.csv").read_bytes() == (b / "fig8_sweep.csv").read_bytes()
 
 
+def test_case1_run_makes_one_period_search(tmp_path, monkeypatch):
+    # the menu and the social first-best share one lockstep search, and
+    # each check values all its points in one valuation call
+    calls, kernel, root = Counter(), market.valuation, discrete._lockstep_root
+
+    def counted_valuation(*args):
+        calls["valuation"] += 1
+        return kernel(*args)
+
+    def counted_root(slopes, *args):
+        def counted_slopes(x):
+            calls["slope"] += 1
+            return slopes(x)
+
+        calls["search"] += 1
+        return root(counted_slopes, *args)
+
+    for module in (market, discrete, grouped, oracles, runner):
+        if getattr(module, "valuation", None) is kernel:
+            monkeypatch.setattr(module, "valuation", counted_valuation)
+    monkeypatch.setattr(discrete, "_lockstep_root", counted_root)
+    assert runner.run(load_scenario("case1_discrete"), tmp_path).ok
+    assert calls["search"] == 1
+    assert 0 < calls["valuation"] <= 10 and 0 < calls["slope"] <= 10
+
+
 def test_verify_solution_csv_roundtrip(case1_run, tmp_path):
     scenario, artifacts = case1_run
     ok, details = runner.verify_solution_csv(scenario, artifacts.paths["solution"])
@@ -336,7 +363,16 @@ def test_uplift_against_losing_baseline_is_nan(tmp_path, capsys):
     assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
     assert uplift_cells(tmp_path / "run" / "comparison.csv") == ["nan"] * 4
     out = capsys.readouterr().out
-    assert out.count("n/a") == 4 and "+-" not in out
+    assert out.count("n/a") == 5 and "+-" not in out  # four uplift cells and the social ratio
+
+
+def test_social_ratio_without_first_best_surplus_prints_na(tmp_path, capsys):
+    # no type is worth serving at c0 = 100, so both surpluses are at most 0
+    # and the first-best is exactly 0: the ratio is NaN, printed as n/a
+    path = costly_scenario(tmp_path, "case1_discrete")
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "  social surplus ratio n/a\n" in out and "nan" not in out
 
 
 def test_cli_prints_uplift_with_its_own_sign(capsys):
