@@ -52,7 +52,6 @@ from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .discrete import (
     DEFAULT_T_DOMAIN,
@@ -286,8 +285,9 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
     one menu per row of boundaries and periods, all rows in lockstep.
 
     Every step moves the free coordinates (see _probe) of the current
-    menu by the Newton step (-H)^-1 g of their block of the current -H,
-    once that block passes Cholesky.  The trial menu is the step
+    menu by the Newton step (-H)^-1 g of their block of the current -H
+    (np.linalg.solve), once that block passes Cholesky
+    (np.linalg.cholesky).  The trial menu is the step
     projected on the window and halved until the menu stays strictly
     ascending; a trial that loses more than rounding in profit is halved
     again at the row's next trial.  A full step that stays inside and
@@ -323,11 +323,13 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
             was_met, met[r] = met[r], residual[r] <= tol
             if (was_met and met[r]) or not f.any():
                 continue
-            factor, info = lapack.dpotrf(neg_hessian[r][np.ix_(f, f)], lower=0, clean=0)
-            if info:  # -H is not positive definite
+            block = neg_hessian[r][np.ix_(f, f)]
+            try:
+                np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:  # -H is not positive definite
                 continue
             step = np.zeros_like(x[r])
-            step[f] = lapack.dpotrs(factor, grad[r, f], lower=0)[0]
+            step[f] = np.linalg.solve(block, grad[r, f])
             pending.append((r, step, 1.0))
         moving, trials = [], []
         for r, step, share in pending:

@@ -101,10 +101,16 @@ def _threshold(profile, types, t):
 def valuation(profile, sigma, t):
     """Per-unit-time value V(sigma, t) a type-sigma consumer places on a
     period-t plan.  V(0, t) = alpha*mu (the volatility-free limit)."""
+    return _valuation(profile, sigma, t, _excess)
+
+
+def _valuation(profile, sigma, t, excess):
+    # V with E(a) from the kernel `excess`: normals._excess for every
+    # caller but the grid oracles' tables, which take normals._excess_table
     types = _types(sigma)
     sv, pos, _ = types
     tv, a = _threshold(profile, types, t)
-    shortfall_rate = np.where(pos, sv / np.sqrt(tv) * _excess(a, _pdf(a)), 0.0)
+    shortfall_rate = np.where(pos, sv / np.sqrt(tv) * excess(a, _pdf(a)), 0.0)
     return (profile.alpha * (profile.mu - shortfall_rate))[()]
 
 

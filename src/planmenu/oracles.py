@@ -11,7 +11,8 @@ bullets below say.
   dynamic program: profit splits into per-stage terms linked only
   through adjacent stages, so two running maxima per stage return the
   same optimum literal enumeration would.  The per-stage terms are
-  valued in chunks of type rows, and the running-maximum tables are one
+  valued in chunks of type rows, with E(a) from the vectorized table
+  kernel (normals._excess_table), and the running-maximum tables are one
   preallocated array, each stage computed in place into its slice (the
   running maximum over types taken row by row); only those tables are
   kept, and the backtrack recomputes the argmax along the optimal
@@ -20,7 +21,7 @@ bullets below say.
   telescoping chain from raw valuations and costs — no per-type
   objective, no pooling.
 - monte_carlo_valuation estimates the valuation integral by simulating
-  period demand (inverse-CDF draws from a seeded 64-bit generator).
+  period demand (standard-normal draws from a seeded 64-bit generator).
 - fixed_period_baseline prices a single fixed-period plan, either
   covering the whole market (price at the top type's valuation) or
   with a profit-maximizing marginal type (or no one, where no cutoff
@@ -32,31 +33,63 @@ bullets below say.
   A discrete solution carries them (solve_discrete searches them in
   the menu's own lockstep), so both surpluses there take one valuation
   call; a grouped menu's surpluses are integrals by a 96-point
-  Gauss-Legendre rule built once at import (scipy.special.roots_legendre).
+  Gauss-Legendre rule built once at import by Newton's method on the
+  Legendre recurrence (_legendre_rule), summed in the arithmetic of
+  scipy.integrate.fixed_quad.
 """
 
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri, roots_legendre
 
 from .discrete import FEASIBILITY_TOL, DiscreteSolution, block_periods
 from .distributions import ContinuousMarket, DiscreteMarket
 from .grouped import GroupedSolution, _whole, block_boundaries
-from .market import cost, valuation
+from .market import _valuation, cost, valuation
+from .normals import _excess_table
 
 #: Largest grid-DP table (cells) the grid oracles accept.  The DP holds
 #: psi and one table per stage after the first, 8 bytes a cell, so the
 #: budget bounds its memory: at most 0.8 GB for a grouped oracle, and
 #: twice that for a discrete one, whose stages each carry their own psi.
 TUPLE_BUDGET = 1e8
-# cells of psi valued at once: the valuation's five temporaries of a chunk then fit in cache
+# cells of psi valued at once: the six chunk-sized arrays the valuation and its table kernel hold then fit in cache
 _PSI_CHUNK_CELLS = 2**14
 #: Equispaced types the IC/IR scan checks across a continuous market's window.
 IC_SCAN_POINTS = 500
+
+
+def _legendre(n, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _legendre_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], n even, nodes ascending.
+
+    Newton's method on P_n from the estimates cos(pi (i - 1/4) / (n + 1/2)),
+    i = 1..n/2, finds the positive roots, stopping once no step reaches
+    1e-15; the weights are 2 / ((1 - x^2) P_n'(x)^2) there, and the
+    negative half mirrors the positive one exactly.
+    """
+    x = np.cos(np.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
+    while True:
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
 # the 96-point Gauss-Legendre rule on [-1, 1] the social-surplus integrals share
-_GL_NODES, _GL_WEIGHTS = roots_legendre(96)
+_GL_NODES, _GL_WEIGHTS = _legendre_rule(96)
 
 
 # --- incentive compatibility / participation ---------------------------
@@ -94,7 +127,10 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
         if boundaries is None:
             raise ValueError("continuous markets need boundaries for the assignment")
         b = np.asarray(boundaries, dtype=float)
-        sigmas = np.unique(np.concatenate([np.linspace(market.sigma_min, market.sigma_max, IC_SCAN_POINTS), b]))
+        # np.unique's sort and mask, without the numpy.ma import (12-15 ms
+        # of a cold start) that np.unique makes on its first call
+        sigmas = np.sort(np.concatenate([np.linspace(market.sigma_min, market.sigma_max, IC_SCAN_POINTS), b]))
+        sigmas = sigmas[np.concatenate(([True], sigmas[1:] != sigmas[:-1]))]
         assigned = np.searchsorted(b, sigmas, side="left")  # == len(b) above the top boundary
 
     if not np.all(np.isfinite(p)):  # NaN would fail every comparison below silently
@@ -137,7 +173,7 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
 
     sigmas and mass hold one type row per stage, or one row all stages
     share; psi is valued _PSI_CHUNK_CELLS cells at a time over their
-    flattened rows.  Two running maxima per stage,
+    flattened rows, its E(a) by the table kernel normals._excess_table.  Two running maxima per stage,
     D_k = psi_k + cummax_s[cummax_t D_{k-1} - psi_{k-1}], yield the
     maximum literal enumeration would; ties go to the latest index.  The
     tables D_1..D_{K-1} are one preallocated array, each computed in
@@ -160,7 +196,7 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     c, step = cost(cost_model, t), max(1, _PSI_CHUNK_CELLS // t.size)
     for i in range(0, flat_s.shape[0], step):
         chunk = slice(i, i + step)
-        np.multiply(flat_m[chunk], valuation(profile, flat_s[chunk], t) - c, out=flat_psi[chunk])
+        np.multiply(flat_m[chunk], _valuation(profile, flat_s[chunk], t, _excess_table) - c, out=flat_psi[chunk])
     psi = np.broadcast_to(psi, (n_stages,) + psi.shape[1:])
 
     D = [psi[0], *np.empty((n_stages - 1,) + psi.shape[1:])]
@@ -218,14 +254,14 @@ def monte_carlo_valuation(profile, sigma, t, n_samples=1_000_000, seed=0):
     """Simulate period demand and average the unmet excess.
 
     Demand over a period of length t is normal with mean mu*t and sd
-    sigma*sqrt(t); draws come from inverse-CDF transforms of a seeded
-    64-bit uniform stream.  Returns (estimate, standard_error) of the
+    sigma*sqrt(t); the standard-normal draws come from a seeded 64-bit
+    generator (numpy's default_rng).  Returns (estimate, standard_error) of the
     per-unit-time valuation.
     """
     if sigma < 0 or t <= 0:
         raise ValueError("need sigma >= 0 and t > 0")
     rng = np.random.default_rng(seed)
-    z = ndtri(rng.random(int(n_samples)))
+    z = rng.standard_normal(int(n_samples))
     demand = profile.mu * t + sigma * np.sqrt(t) * z
     unmet = np.maximum(demand - profile.q * t, 0.0)
     estimate = profile.alpha * (profile.mu - unmet.mean() / t)

@@ -3,7 +3,6 @@
 import contextlib
 import tempfile
 from functools import lru_cache
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -813,19 +812,20 @@ def test_shortened_newton_step_saves_a_round(name, monkeypatch):
 
 
 #: float.hex of the uniform_k6_K2 benchmark solve (K = 2, one restart) at
-#: three restart seeds, recorded once every Newton step, the last one
-#: included, solves with the Hessian of the menu it starts from:
+#: three restart seeds, recorded with every Newton step, the last one
+#: included, solved by np.linalg.solve with the Hessian of the menu it
+#: starts from, and E(a) by math.erfc:
 #: (boundaries, periods, profit, every start's profit).  Starts that
 #: converge by full interior Newton steps return them bit for bit.
 UNIFORM_K2_MENU = (
-    ["0x1.b7cf83398fe61p+0", "0x1.50432131b9096p+2"],
-    ["0x1.304b75676247ep-1", "0x1.e6c204fdb2f0ap+0"],
+    ["0x1.b7cf83398fe4cp+0", "0x1.50432131b909ap+2"],
+    ["0x1.304b756762472p-1", "0x1.e6c204fdb2f08p+0"],
     "0x1.4a6f51bf86f07p+0",
 )
 UNIFORM_K2_START_PROFITS = {
-    20260822: ["0x1.4a6f51bf86f07p+0", "0x1.4a6f51bf86f06p+0"],
+    20260822: ["0x1.4a6f51bf86f07p+0", "0x1.4a6f51bf86efdp+0"],
     20260823: ["0x1.4a6f51bf86f07p+0", "0x1.4a6f51bf86f05p+0"],
-    20260824: ["0x1.4a6f51bf86f07p+0", "0x1.4a6f51bf86f08p+0"],
+    20260824: ["0x1.4a6f51bf86f07p+0", "0x1.4a6f51bf86f09p+0"],
 }
 
 
@@ -978,23 +978,26 @@ def test_newton_finish_stops_with_every_coordinate_on_an_edge(profile, c0, c1, b
 @pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_every_newton_step_factors_its_own_hessian(name, k, monkeypatch):
-    # every Newton step, the last one included, solves with a factor of
-    # the -H probed at the menu it starts from: one dpotrs per dpotrf
-    calls = {"dpotrf": 0, "dpotrs": 0}
-    lapack = grouped.lapack
+    # every Newton step, the last one included, solves with the -H probed
+    # at the menu it starts from, once it passes Cholesky: one solve per
+    # factorization
+    calls = {"cholesky": 0, "solve": 0}
 
     def counted(routine):
+        original = getattr(np.linalg, routine)
+
         def call(*args, **kwargs):
             calls[routine] += 1
-            return getattr(lapack, routine)(*args, **kwargs)
+            return original(*args, **kwargs)
 
         return call
 
-    monkeypatch.setattr(grouped, "lapack", SimpleNamespace(dpotrf=counted("dpotrf"), dpotrs=counted("dpotrs")))
+    for routine in calls:
+        monkeypatch.setattr(np.linalg, routine, counted(routine))
     sc = load_scenario(name)
     sol = solve_alternating(sc.profile, sc.cost_model, sc.market, k)
     assert sol.converged and sol.newton_steps > 0
-    assert calls["dpotrf"] == calls["dpotrs"]
+    assert calls["cholesky"] == calls["solve"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -10,10 +10,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from planmenu.normals import (
     INV_SQRT_2PI,
+    _excess,
+    _excess_table,
+    _pdf,
     expected_excess,
     std_normal_cdf,
     std_normal_pdf,
@@ -42,6 +45,13 @@ def mp_excess(a):
     with mpmath.workdps(50):
         a = mpmath.mpf(float(a))
         return mpmath.npdf(a) - a * mpmath.erfc(a / mpmath.sqrt(2)) / 2
+
+
+def mp_excess_ratio(a):
+    """E(a) / phi(a) = 1 - a (1 - Phi(a)) / phi(a) at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(float(a))
+        return 1 - a * (mpmath.erfc(a / mpmath.sqrt(2)) / 2) / mpmath.npdf(a)
 
 
 def excess_rtol(a):
@@ -101,8 +111,8 @@ def test_sf_complements_cdf():
 
 
 def test_cdf_array_tail_positive_where_scalar_is():
-    # scipy's erfc flushes the subnormal tail below about -37.5 to 0; the
-    # log_ndtr patch keeps it, for arrays and 0-d input alike, to the
+    # erfc's result turns subnormal below about -37.5; the Mills-ratio
+    # series keeps the tail, for arrays and 0-d input alike, to the
     # 50-digit reference (1e-12 relative, plus two subnormal steps)
     xs = np.linspace(-38.5, -30.0, 171)
     ref = np.array([float(mp_cdf(x)) for x in xs])
@@ -199,3 +209,59 @@ def test_expected_excess_far_tail_against_mpmath():
     a = np.array([5.0, 10.0, 20.0, 30.0, 37.0])
     ref = np.array([float(mp_excess(x)) for x in a])
     assert np.all(np.abs(expected_excess(a) - ref) <= excess_rtol(a) * ref)
+
+
+#: The kernels' arguments: a >= 0 (the cap is at least the mean rate),
+#: capped at 1e6 by market._threshold.
+KERNEL_A = np.concatenate([np.linspace(0.0, 8.0, 801), np.linspace(8.0, 40.0, 321)[1:], [1e6]])
+
+
+def test_elementwise_excess_against_mpmath():
+    # math.erfc element by element: within erfc's error, amplified by the
+    # cancellation of phi(a) against a sf(a), of the 50-digit E(a), plus
+    # two hundred steps where E(a) is subnormal (a > 37.5)
+    a = KERNEL_A[:-1]
+    ref = np.array([float(mp_excess(x)) for x in a])
+    assert np.all(np.abs(_excess(a, _pdf(a)) - ref) <= excess_rtol(a) * ref + 1e-321)
+    assert _excess(np.array([1e6]), _pdf(np.array([1e6])))[0] == float(mp_excess(1e6)) == 0.0
+
+
+def test_table_excess_against_mpmath():
+    # phi(a) t^2 g(2t - 1) has no cancellation: its own error, as a share
+    # of phi(a), is a few ulps wherever E(a) is a normal float.  E(a)
+    # itself is within 4e-15 relative up to a = 8; beyond, phi's exp adds
+    # about a^2/2 ulps, and two steps where E(a) is subnormal
+    a = KERNEL_A[:-1]
+    phi = _pdf(a)
+    got = _excess_table(a, phi)
+    assert np.array_equal(phi, _pdf(a))  # Horner in place leaves its inputs alone
+    ref = np.array([float(mp_excess(x)) for x in a])
+    normal = ref >= np.finfo(float).tiny
+    ratio = np.array([float(mp_excess_ratio(x)) for x in a[normal]])
+    assert np.all(np.abs(got[normal] / phi[normal] - ratio) <= 2e-15 * ratio)
+    near = a <= 8.0
+    assert np.all(np.abs(got[near] - ref[near]) <= 4e-15 * ref[near])
+    assert np.all(np.abs(got - ref) <= (4e-15 + 1e-16 * a * a) * ref + 1e-323)
+    # and where both terms underflow, at the threshold's cap
+    cap = np.array([1e6])
+    assert _excess_table(cap, _pdf(cap))[0] == float(mp_excess(1e6)) == 0.0
+
+
+def test_cdf_tail_series_against_mpmath():
+    # below -37.5 the Mills-ratio series, folded into one exp, holds
+    # 1e-13 relative down to the last subnormal, well inside the 1e-12
+    # that test_cdf_array_tail_positive_where_scalar_is allows
+    xs = np.linspace(-38.6, -37.5, 221)[:-1]
+    ref = np.array([float(mp_cdf(x)) for x in xs])
+    got = std_normal_cdf(xs)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref + 1e-323)
+    assert np.all(got[ref > 0.0] > 0.0)
+    assert std_normal_cdf(np.array([-1e300, -40.0])).tolist() == [0.0, 0.0]
+
+
+def test_quantile_against_ndtri():
+    ps = np.concatenate([np.geomspace(1e-300, 1e-3, 301), np.linspace(1e-3, 1.0 - 1e-3, 999), 1.0 - np.geomspace(1e-3, 1e-16, 101)])
+    got = std_normal_quantile(ps)
+    assert np.allclose(got, special.ndtri(ps), rtol=2e-15, atol=0.0)
+    assert got.shape == ps.shape and isinstance(std_normal_quantile(0.25), float)
+    assert std_normal_quantile(np.array([[0.25]])).shape == (1, 1)

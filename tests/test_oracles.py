@@ -11,15 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import fixed_quad
+from scipy.integrate import _quadrature, fixed_quad
 from scipy.optimize.elementwise import find_root
+from scipy.special import roots_legendre
 
 from planmenu import runner
 from planmenu.discrete import DEFAULT_T_DOMAIN, FEASIBILITY_TOL, block_periods, optimal_prices, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import group_counts, solve_alternating
-from planmenu.market import cost, valuation, valuation_dt
+from planmenu.market import _valuation, cost, valuation, valuation_dt
+from planmenu.normals import _excess_table
 from planmenu.oracles import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     IC_SCAN_POINTS,
     TUPLE_BUDGET,
     _first_best_surplus_rates,
@@ -463,9 +467,10 @@ def test_grouped_grid_oracle_validation(profile, cost_model):
 
 def reference_grid_dp(profile, cost_model, sigmas, mass, n_stages, t):
     """The grid DP as the recursion D_k = psi_k + cummax_s(cummax_t D_{k-1}
-    - psi_{k-1}), each stage a fresh array and psi valued in one call,
-    with the backtrack that takes the latest index on ties."""
-    psi = mass[:, :, None] * (valuation(profile, sigmas[:, :, None], t) - cost(cost_model, t))
+    - psi_{k-1}), each stage a fresh array and psi valued in one call
+    (by the table kernel, as the oracles value it), with the backtrack
+    that takes the latest index on ties."""
+    psi = mass[:, :, None] * (_valuation(profile, sigmas[:, :, None], t, _excess_table) - cost(cost_model, t))
     psi = np.broadcast_to(psi, (n_stages,) + psi.shape[1:])
     D = [psi[0]]
     for k in range(1, n_stages):
@@ -721,9 +726,11 @@ def test_social_quadrature_matches_riemann(profile, cost_model, uniform_k2):
 
 
 @pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])
-def test_social_quadrature_bit_identical_to_fixed_quad(name):
-    # the package builds its 96-point rule from scipy.special; both floats
-    # must be the ones scipy.integrate.fixed_quad gives, bit for bit
+def test_social_quadrature_bit_identical_to_fixed_quad(name, monkeypatch):
+    # both floats must be the ones scipy.integrate.fixed_quad gives, bit
+    # for bit, when it runs on the package's own 96-point rule (put in its
+    # rule cache)
+    monkeypatch.setitem(_quadrature._cached_roots_legendre.cache, 96, (_GL_NODES, _GL_WEIGHTS))
     sc = load_scenario(name)
     profile, model, market = sc.profile, sc.cost_model, sc.market
     sol = solve_alternating(profile, model, market, sc.solver.n_groups)
@@ -743,6 +750,37 @@ def test_social_quadrature_bit_identical_to_fixed_quad(name):
     best = market.size * float(fixed_quad(first_best, market.sigma_min, market.sigma_max, n=96)[0])
     assert rep.surplus_contract.hex() == contract.hex()
     assert rep.surplus_first_best.hex() == best.hex()
+
+
+def test_gauss_legendre_rule_matches_roots_legendre_and_is_exact():
+    # the 96-point rule from Newton on the Legendre recurrence: scipy's
+    # nodes to an ulp and its weights to its own error (up to ~1e-12 at
+    # the ends), and it integrates every polynomial of degree <= 191
+    nodes, weights = roots_legendre(96)
+    assert np.all(np.diff(_GL_NODES) > 0) and np.array_equal(_GL_NODES, -_GL_NODES[::-1])
+    assert np.max(np.abs(_GL_NODES - nodes)) <= 2.3e-16
+    assert np.allclose(_GL_WEIGHTS, weights, rtol=2e-12, atol=0.0)
+    P = np.polynomial.legendre.legvander(_GL_NODES, 192)  # P_0 .. P_192 at the nodes
+    integrals = P.T @ _GL_WEIGHTS
+    assert abs(integrals[0] - 2.0) <= 1e-15
+    assert np.max(np.abs(integrals[1:192])) <= 1e-15
+    monomials = np.vander(_GL_NODES, 192, increasing=True).T @ _GL_WEIGHTS
+    exact = np.where(np.arange(192) % 2 == 0, 2.0 / (np.arange(192) + 1.0), 0.0)
+    assert np.max(np.abs(monomials - exact)) <= 2e-15
+    # and no more: P_96^2, of degree 192, vanishes at every node
+    assert abs(P[:, 96] ** 2 @ _GL_WEIGHTS) <= 1e-15 < 2.0 / 193.0
+
+
+@pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6", "case1_discrete", "case2_mountain"])
+def test_table_kernel_valuation_matches_valuation_on_oracle_grids(name):
+    # the grid oracles' psi takes E(a) from the table kernel; on every
+    # bundled oracle grid its V is valuation's to 4e-15 relative
+    sc = load_scenario(name)
+    market = sc.market
+    sigmas = market.sigmas if isinstance(market, DiscreteMarket) else bundled_sigma_grid(market)
+    got = _valuation(sc.profile, sigmas[:, None], ORACLE_T_GRID, _excess_table)
+    ref = valuation(sc.profile, sigmas[:, None], ORACLE_T_GRID)
+    assert np.all(np.abs(got - ref) <= 4e-15 * np.abs(ref))
 
 
 def test_first_best_surplus_never_negative(profile, cost_model):

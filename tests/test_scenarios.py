@@ -597,12 +597,24 @@ def test_cli_rejects_unknown_command():
         cli.main(["frobnicate"])
 
 
-def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded(tmp_path):
     # every planmenu command is a fresh process, so its imports are part of
-    # its wall time; the package needs only scipy.special and scipy.linalg
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft", "scipy.stats", "scipy.interpolate"]
+    # its wall time; the package loads no scipy module at all, neither to
+    # import nor to solve (a discrete and a grouped scenario, in one process)
     src = str(Path(planmenu.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, planmenu.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    script = f"""
+import contextlib, io, sys
+import planmenu.cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+print(scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in ("case1_discrete", "uniform_k6"):
+        assert planmenu.cli.main(["solve", "--scenario", name, "--out", {str(tmp_path)!r} + "/" + name]) == 0
+print(scipy_modules())
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["[]", "[]"]
