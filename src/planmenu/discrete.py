@@ -170,11 +170,11 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi):
     of its absolute terms and a tuple of what newton needs.
     newton(x, slope, state) proposes the next point; a proposal outside
     the sign bracket [a, b] gives way to midpoint(a, b).  The window's
-    ends lo, hi (scalars, or arrays like x for one window per item) and
-    the start x are evaluated in one call: an item whose slope is <= 0
-    at lo sits at lo, one whose slope is >= 0 at hi at hi.  Each item
-    stops once its step or its bracket is STEP_RTOL of x, or |slope| is
-    within SLOPE_RTOL of the sum of its absolute terms.
+    ends lo, hi (scalars shared by every item) and the start x are
+    evaluated in one call: an item whose slope is <= 0 at lo sits at
+    lo, one whose slope is >= 0 at hi at hi.  Each item stops once its
+    step or its bracket is STEP_RTOL of x, or |slope| is within
+    SLOPE_RTOL of the sum of its absolute terms.
     """
     a, b = np.full_like(x, lo), np.full_like(x, hi)
     slope, scale, state = slopes(np.stack([a, b, x]))

@@ -8,14 +8,21 @@ truncated normal), always renormalized so the CDF G spans exactly
 
 `theorem3_condition` evaluates the slack of the shape condition
 
-    F(sigma) = (2 g^2 - g' G) / g - (3 - 2*sqrt(2)) * G / sigma  >=  0
+    F(sigma) = (2 g^2 - g' G) / g - c * G / sigma  >=  0,   c = 3 - 2*sqrt(2),
 
 under which each group's profit contribution is unimodal in its
 boundary, so its slope changes sign once and the grouped solver's
-Newton-bisection on that slope finds the maximum.
-All three bundled families satisfy it on their windows for sensible
-parameters; `verify_theorem3` checks a grid and reports the minimum
-slack.
+Newton-bisection on that slope finds the maximum.  All three families
+satisfy it on every window, with F >= (1 - c) g: their densities are
+log-concave, so h = -g'/g is nondecreasing (Bagnoli & Bergstrom 2005,
+Economic Theory 26): g(s) <= g(sigma) exp(h (sigma - s)) for s <= sigma,
+h = h(sigma).  Integrated over [sigma_min, sigma], within [0, sigma],
+that gives G <= g (e^y - 1) / h, y = sigma h.  In F = 2 g - G (c / sigma - h)
+the subtracted term is then negative for y > c, at most
+c e^c g < (1 + c) g for 0 <= y <= c, and at most
+(1 - e^-u)(1 + c / u) g <= (1 + c) g for y = -u < 0.
+`verify_theorem3` checks a grid and reports the minimum slack over the
+points where it is defined (not where g underflows to 0).
 """
 
 import math
@@ -104,9 +111,12 @@ class ContinuousMarket:
                 raise ValueError("truncated_normal market needs a finite loc and a finite scale > 0")
             self._cdf_lo = float(std_normal_cdf((self.sigma_min - self.loc) / self.scale))
             self._norm = float(std_normal_cdf((self.sigma_max - self.loc) / self.scale)) - self._cdf_lo
-        if self._norm <= 0:
-            raise ValueError("window carries no probability mass")
+        if not self._norm >= np.finfo(float).tiny:
+            raise ValueError(f"window carries no representable probability mass ({self._norm:.3g})")
         self._slack = 1e-12 * max(1.0, abs(float(self.sigma_max)))
+        with np.errstate(all="ignore"):  # overflow and 0 * inf are what this check refuses
+            if not np.isfinite(self.density(np.array([self.sigma_min, self.sigma_max]))[1:]).all():
+                raise ValueError("density is not finite at the window ends")
 
     # --- density / CDF -------------------------------------------------
 
@@ -152,7 +162,8 @@ class ContinuousMarket:
         if self.kind == "uniform":
             out = self.sigma_min + pv * (self.sigma_max - self.sigma_min)
         elif self.kind == "exponential":
-            out = -np.log(np.exp(-self.rate * self.sigma_min) - pv * self._norm) / self.rate
+            with np.errstate(divide="ignore"):  # log(0) where exp(-rate*sigma_max) underflows; clipped below
+                out = -np.log(np.exp(-self.rate * self.sigma_min) - pv * self._norm) / self.rate
         else:
             zlo = (self.sigma_min - self.loc) / self.scale
             base = std_normal_cdf(zlo) + pv * self._norm
@@ -178,16 +189,17 @@ class ContinuousMarket:
         boundary objectives are unimodal at this sigma.
 
         At sigma = 0 the G/sigma term vanishes (G(0) = 0 at least
-        linearly) and the slack reduces to 2*g(0).
-        """
+        linearly) and the slack reduces to 2*g(0); elsewhere it is NaN
+        where g underflows to 0."""
         G, g, dg = self.density(sigma)
         sv = np.asarray(sigma, dtype=float)
-        slack = (2.0 * g * g - dg * G) / g - SHAPE_CONSTANT * G / np.where(sv > 0, sv, 1.0)
-        return np.where(sv > 0, slack, 2.0 * g)[()]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slack = (2.0 * g * g - dg * G) / g - SHAPE_CONSTANT * G / np.where(sv > 0, sv, 1.0)
+        return np.where(sv > 0, np.where(g > 0, slack, np.nan), 2.0 * g)[()]
 
     def verify_theorem3(self, grid_points=1000):
-        """Minimum slack of the shape condition over an equispaced grid;
-        it holds when no slack falls below THEOREM3_TOL.
+        """Minimum slack of the shape condition over an equispaced grid's
+        points where it is defined; it holds when none is below THEOREM3_TOL.
 
         Reports are cached per grid_points on the market object, which
         solver restarts and group sweeps hit repeatedly; market
@@ -200,9 +212,9 @@ class ContinuousMarket:
         if key not in cache:
             grid = np.linspace(self.sigma_min, self.sigma_max, int(grid_points))
             slack = self.theorem3_condition(grid)
-            i = int(np.argmin(slack))
+            i = int(np.argmin(np.where(np.isnan(slack), np.inf, slack)))
             cache[key] = Theorem3Report(
-                holds=bool(slack[i] >= THEOREM3_TOL),
+                holds=not slack[i] < THEOREM3_TOL,
                 min_slack=float(slack[i]),
                 argmin_sigma=float(grid[i]),
                 grid_points=int(grid_points),
@@ -219,7 +231,7 @@ class Theorem3Report:
 
 
 def make_market(kind, sigma_min, sigma_max, size=1.0, **params) -> ContinuousMarket:
-    """Convenience constructor mapping scenario-file keys to fields."""
+    """A ContinuousMarket by field names, rate, loc and scale as keywords."""
     return ContinuousMarket(
         kind=kind,
         sigma_min=sigma_min,

@@ -20,9 +20,8 @@ like periods do.  The solver alternates two half-steps:
 Each half-step maximizes the exact same total profit in its own block
 of coordinates, so the profit trace is nondecreasing.  Unimodality of
 Q_k is guaranteed by the market shape condition (see
-distributions.theorem3_condition), so Q_k' changes sign once; if a
-market fails it, a dense grid scan first narrows each block's search to
-the bracket around its best grid point.
+distributions.theorem3_condition), so Q_k' changes sign once; every
+density family satisfies it, and Step II refuses a market that fails it.
 
 Alternation alone converges only linearly.  After a round that pools
 nothing, safeguarded projected-Newton steps on the 2K stationarity
@@ -46,7 +45,6 @@ slowest start.
 """
 
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Sequence
@@ -75,8 +73,6 @@ MAX_NEWTON_STEPS = 64
 #: A coordinate this close to its window edge, relative to the window
 #: width, sits on the edge.
 EDGE_RTOL = 1e-9
-#: Points of the dense boundary scan for markets that fail the shape condition.
-FALLBACK_GRID = 2000
 
 
 def _whole(name, value, least):
@@ -164,20 +160,17 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
     Newton steps on Q'' and arithmetic bisection (sigma_min may be 0).
     Under the shape condition (Theorem 3) each term is single-peaked, so
     it searches the whole window from guess (one boundary per block) or
-    the window's midpoint.  A market that fails the condition first
-    scans a dense grid: each block then starts from its best grid point
-    and searches only between that point's two neighbours.
+    the window's midpoint.  A market that fails the condition is refused
+    with a ValueError naming its minimum slack.
     """
+    report = market.verify_theorem3()
+    if not report.holds:
+        raise ValueError(f"market fails the boundary-unimodality condition: min slack {report.min_slack:.6g}")
     lo, hi = market.sigma_min, market.sigma_max
     t = np.asarray(periods, dtype=float)
     K = t.shape[-1]
     blocks = _blocks(cost_model, t.ravel(), first, last, (first // K + 1) * K)
-    if market.verify_theorem3().holds:
-        x = np.full(first.size, 0.5 * (lo + hi)) if guess is None else np.clip(guess, lo, hi)
-    else:
-        xs = np.linspace(lo, hi, FALLBACK_GRID)
-        best = np.argmax(_boundary_slopes(profile, market, xs[:, None], blocks)[0], axis=0)
-        x, lo, hi = xs[best], xs[np.maximum(best - 1, 0)], xs[np.minimum(best + 1, FALLBACK_GRID - 1)]
+    x = np.full(first.size, 0.5 * (lo + hi)) if guess is None else np.clip(guess, lo, hi)
 
     def slopes(s):
         _, slope, scale, curvature, _, _ = _boundary_slopes(profile, market, s, blocks)
@@ -409,7 +402,6 @@ class GroupedSolution:
     pooled_period_blocks: List[PooledBlock] = field(default_factory=list)
     pooled_boundary_blocks: List[PooledBlock] = field(default_factory=list)
     boundary_edge_hits: List[int] = field(default_factory=list)
-    theorem3_ok: bool = True
     requested_groups: int = 0
     kkt_residual: float = float("nan")
     newton_steps: int = 0
@@ -445,14 +437,6 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
     converges.  Rows never mix: each start does exactly the arithmetic
     it would do alone, so the batch costs about its slowest start.
     """
-    t3 = market.verify_theorem3()
-    if not t3.holds:
-        warnings.warn(
-            f"market fails the boundary-unimodality condition (min slack {t3.min_slack:.3g}); "
-            "falling back to dense-grid boundary searches",
-            RuntimeWarning,
-        )
-
     quantile = market.quantile((np.arange(n_groups) + 1.0) / n_groups)
     rows = [quantile if init is None else np.sort(np.asarray(init, dtype=float)) for init in inits]
     if any(row.shape != (n_groups,) for row in rows):
@@ -542,7 +526,6 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
                 pooled_period_blocks=period_blocks[r],
                 pooled_boundary_blocks=boundary_blocks[r],
                 boundary_edge_hits=edge_hits,
-                theorem3_ok=t3.holds,
                 requested_groups=n_groups,
                 kkt_residual=float(kkt),
                 newton_steps=int(newton_steps[r]),

@@ -58,8 +58,8 @@ class CostModel:
 
     c0 is a fixed per-subscriber overhead; W is the variable cost of
     carrying the plan for a period of length t, convex nondecreasing
-    with W(0) = 0.  Default is linear, W(t) = c1 * t.  A custom `w`
-    callable must broadcast over numpy arrays.
+    with W(0) = 0.  Default is linear, W(t) = c1 * t; a custom `w`
+    callable, which must broadcast over numpy arrays, replaces it (c1 stays 0).
     """
 
     c0: float
@@ -69,8 +69,10 @@ class CostModel:
     def __post_init__(self):
         if not (0 <= self.c0 < np.inf):
             raise ValueError("c0 must be finite and nonnegative")
-        if not np.isfinite(self.c1) or (self.w is None and self.c1 < 0):
-            raise ValueError("c1 must be finite, and nonnegative for the linear cost")
+        if self.w is not None and self.c1 != 0:
+            raise ValueError("c1 applies to the linear cost only; a custom w carries its own linear term")
+        if not (0 <= self.c1 < np.inf):
+            raise ValueError("c1 must be finite and nonnegative")
 
 
 # The threshold in two halves, so that a period search checks and prepares

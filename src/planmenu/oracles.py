@@ -32,10 +32,10 @@ bullets below say.
   a check: the first-best periods come from the solvers' period search.
   A discrete solution carries them (solve_discrete searches them in
   the menu's own lockstep), so both surpluses there take one valuation
-  call; a grouped menu's surpluses are integrals by a 96-point
-  Gauss-Legendre rule built once at import by Newton's method on the
-  Legendre recurrence (_legendre_rule), summed in the arithmetic of
-  scipy.integrate.fixed_quad.
+  call; a grouped menu's surpluses are integrals, band by band, by a
+  96-point Gauss-Legendre rule built once at import by Newton's method
+  on the Legendre recurrence (_legendre_rule), summed in the arithmetic
+  of scipy.integrate.fixed_quad.
 """
 
 from dataclasses import dataclass, field
@@ -358,19 +358,15 @@ def _first_best_surplus_rates(profile, cost_model, sigmas):
     return np.maximum(valuation(profile, s, t) - cost(cost_model, t), 0.0)
 
 
-def _gauss_legendre(f, a, b):
-    """Integral of f over [a, b], along its last axis, in scipy.integrate.fixed_quad's arithmetic."""
-    y = (b - a) * (_GL_NODES + 1) / 2.0 + a
-    return (b - a) / 2.0 * np.sum(_GL_WEIGHTS * f(y), axis=-1)
-
-
 def social_metrics(profile, cost_model, market, solution) -> SocialReport:
     """Realized vs first-best social surplus (value minus cost; prices
     are transfers and cancel).  A discrete solution comes with its
     first-best periods, so its types are valued at both its own and
     those periods in one call, the first-best rates floored at 0.  A
     grouped menu's bands share one Gauss-Legendre rule, band k mapped
-    onto u in [0, 1] by sigma = b_{k-1} + (b_k - b_{k-1}) u."""
+    onto u in [0, 1] by sigma = b_{k-1} + (b_k - b_{k-1}) u, and the
+    first-best also takes the unserved band [b_K, sigma_max]: on the
+    same nodes the contract's integrand never exceeds the first-best's."""
     if isinstance(solution, DiscreteSolution):
         t = np.stack([solution.periods, solution.first_best_periods])
         rates = valuation(profile, market.sigmas, t) - cost(cost_model, t)
@@ -378,18 +374,18 @@ def social_metrics(profile, cost_model, market, solution) -> SocialReport:
         first_best = float(np.dot(market.counts, np.maximum(rates[1], 0.0)))
     elif isinstance(solution, GroupedSolution):
         b, t = solution.boundaries, solution.periods
-        lo = np.concatenate(([market.sigma_min], b[:-1]))[:, None]
-        width = b[:, None] - lo
-
-        def surplus(u):
-            s = lo + width * u
-            return (valuation(profile, s, t[:, None]) - cost(cost_model, t)[:, None]) * market.pdf(s) * width
-
-        def first_best_surplus(s):
-            return _first_best_surplus_rates(profile, cost_model, s) * market.pdf(s)
-
-        contract = float(np.sum(market.size * _gauss_legendre(surplus, 0.0, 1.0)))
-        first_best = market.size * float(_gauss_legendre(first_best_surplus, market.sigma_min, market.sigma_max))
+        lo = np.concatenate(([market.sigma_min], b))[:, None]
+        width = np.append(b, market.sigma_max)[:, None] - lo  # the K bands, then the unserved one
+        s = lo + width * ((_GL_NODES + 1) / 2.0)
+        rates = np.vstack([
+            valuation(profile, s[:-1], t[:, None]) - cost(cost_model, t)[:, None],  # the contract's K bands
+            _first_best_surplus_rates(profile, cost_model, s.ravel()).reshape(s.shape),  # the first-best's K + 1
+        ])
+        g = market.pdf(s)
+        integrand = rates * np.vstack([g[:-1], g]) * np.vstack([width[:-1], width])
+        # scipy.integrate.fixed_quad's arithmetic on [0, 1], band by band
+        per_band = market.size * (0.5 * np.sum(_GL_WEIGHTS * integrand, axis=-1))
+        contract, first_best = float(np.sum(per_band[: b.size])), float(np.sum(per_band[b.size :]))
     else:
         raise TypeError("unknown solution type")
     return SocialReport(

@@ -38,7 +38,7 @@ class ValleyMarket(ContinuousMarket):
     """Two-bump normal mixture on [0, 6].
 
     The built-in families all satisfy the boundary-unimodality shape
-    condition, so tests of the failure path need a density with a valley:
+    condition, so tests of its refusal need a density with a valley:
     mass piles up under the first bump, then the density collapses and
     rises again, which drives the condition negative on the rising flank.
     """
@@ -46,11 +46,12 @@ class ValleyMarket(ContinuousMarket):
     W1, M1, M2, S = 0.7, 0.5, 5.5, 0.3
 
     def __post_init__(self):
-        super().__post_init__()
+        # the mixture's mass first: the base class checks the density at the window ends
         z = lambda m, s: (s - m) / self.S
         self._mix_norm = self.W1 * (std_normal_cdf(z(self.M1, 6.0)) - std_normal_cdf(z(self.M1, 0.0))) + (
             1 - self.W1
         ) * (std_normal_cdf(z(self.M2, 6.0)) - std_normal_cdf(z(self.M2, 0.0)))
+        super().__post_init__()
 
     def density(self, sigma):
         s = self._check_support(sigma)

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from planmenu.distributions import (
@@ -232,6 +234,21 @@ def test_market_validation():
         make_market("truncated_normal", 50.0, 51.0, loc=0.0, scale=1.0)
 
 
+def test_market_refuses_window_without_representable_mass():
+    # a mass of 1.1e-322 is subnormal: the density there is NaN at one
+    # end and inf at the other
+    with pytest.raises(ValueError, match="no representable probability mass"):
+        make_market(
+            "truncated_normal", 0.0008500924234097232, 0.024961482377190522,
+            loc=0.42271125469901566, scale=0.010361583498001061,
+        )
+    # a full mass, but the density's slope is inf * 0 at the window ends
+    with pytest.raises(ValueError, match="density is not finite at the window ends"):
+        make_market("truncated_normal", 0.0, 1.0, loc=0.5, scale=1e-300)
+    with pytest.raises(ValueError, match="density is not finite at the window ends"):
+        make_market("uniform", 0.0, 1e-320)
+
+
 # --- shape condition -----------------------------------------------------
 
 def test_shape_constant_value():
@@ -301,6 +318,70 @@ def test_shape_condition_holds_for_top_heavy_normal():
     report = mkt.verify_theorem3(grid_points=1000)
     assert report.holds
     assert report.min_slack >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "factory",
+    ALL_MARKETS
+    + [
+        lambda: make_market("truncated_normal", 0.0, 6.0, loc=5.8, scale=0.2),
+        lambda: make_market("truncated_normal", 2.0, 9.0, loc=-4.0, scale=1.5),
+        lambda: make_market("exponential", 0.5, 40.0, rate=3.0),
+    ],
+)
+def test_shape_slack_is_at_least_its_proven_share_of_the_density(factory):
+    # log-concavity gives F >= (2*sqrt(2) - 2) g (see the module docstring);
+    # the uniform family attains (2 - SHAPE_CONSTANT) g.  Points where g^2
+    # is subnormal are left out: the computed slack loses its 2 g^2 term there
+    mkt = factory()
+    grid = np.linspace(mkt.sigma_min, mkt.sigma_max, 1001)
+    g = mkt.pdf(grid)
+    kept = g * g >= np.finfo(float).tiny
+    grid, g = grid[kept], g[kept]
+    assert grid.size > 800
+    assert np.all(mkt.theorem3_condition(grid) >= (2.0 * math.sqrt(2.0) - 2.0) * g * (1.0 - 1e-12))
+
+
+@st.composite
+def family_markets(draw):
+    """Any family on any window, over wide parameter ranges: windows from
+    1e-3 to 1e3 wide, rates up to 1e4 and scales down to 1e-3, so the
+    density underflows to 0 over most of many windows."""
+    kind = draw(st.sampled_from(["uniform", "exponential", "truncated_normal"]))
+    lo = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(st.floats(-4.0, 3.0))
+    hi = lo + 10.0 ** draw(st.floats(-3.0, 3.0))
+    params = {}
+    if kind == "exponential":
+        params["rate"] = 10.0 ** draw(st.floats(-4.0, 4.0))
+    elif kind == "truncated_normal":
+        params["loc"] = draw(st.floats(-2.0, 2.0)) * 10.0 ** draw(st.floats(-2.0, 3.0))
+        params["scale"] = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return kind, lo, hi, params
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(family_markets())
+def test_shape_condition_holds_for_every_family(market):
+    kind, lo, hi, params = market
+    try:
+        mkt = make_market(kind, lo, hi, **params)
+    except ValueError as exc:  # a window the constructor refuses
+        assert "probability mass" in str(exc) or "not finite" in str(exc)
+        return
+    assert mkt.verify_theorem3().holds
+
+
+def test_shape_condition_judged_where_defined():
+    # g underflows to 0 above sigma = 1.28, where the slack is 0/0: the
+    # check judges the 12 grid points below, where it holds
+    mkt = make_market("exponential", 0.0, 106.9, rate=582.6)
+    grid = np.linspace(mkt.sigma_min, mkt.sigma_max, 1000)
+    slack = mkt.theorem3_condition(grid)
+    assert not np.isnan(slack[:12]).any() and np.isnan(slack[12:]).all()
+    report = mkt.verify_theorem3()
+    assert report.holds
+    assert report.min_slack == np.min(slack[:12]) > 0
+    assert report.argmin_sigma == grid[np.argmin(slack[:12])]
 
 
 def test_shape_condition_fails_for_valley_density(valley_market):

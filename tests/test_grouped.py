@@ -16,7 +16,6 @@ from planmenu import grouped, runner
 from planmenu.discrete import DEFAULT_T_DOMAIN, optimal_prices, period_objective, solve_discrete
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import (
-    FALLBACK_GRID,
     KKT_TOL,
     REL_PROFIT_TOL,
     _blocks,
@@ -76,7 +75,7 @@ def chain_profit(profile, cost_model, market, boundaries, periods):
     return float(np.dot(group_counts(market, boundaries), prices - cost(cost_model, np.asarray(periods, dtype=float))))
 
 
-# --- lockstep boundary search and the dense-grid fallback ----------------
+# --- lockstep boundary search -----------------------------------------------
 
 def test_block_boundaries_match_find_root(profile, rng):
     # random periods cut into random blocks; each block's boundary is the
@@ -135,18 +134,17 @@ def test_boundary_curvature_symbolic(profile):
                 assert abs(value[k, 0] - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
 
-def test_boundary_fallback_finds_global_peak(profile, cost_model, valley_market):
-    # the valley density fails the shape condition: the boundary term of
-    # a one-item menu has two peaks, and the dense scan plus the lockstep
-    # search in the best grid point's bracket lands on the taller one
-    one = np.zeros(1, dtype=int)
-    for t in (0.5, 1.0, 3.0):
-        sig = np.linspace(0.0, 6.0, 200_001)
-        scan = boundary_objective(profile, cost_model, valley_market, [t], 0, sig)
-        x = block_boundaries(profile, cost_model, valley_market, [t], one, one)[0]
-        best = boundary_objective(profile, cost_model, valley_market, [t], 0, x)
-        assert best >= scan.max() - 1e-12
-        assert abs(x - sig[np.argmax(scan)]) <= 6.0 / FALLBACK_GRID
+def test_shape_condition_failure_is_refused(profile, cost_model, valley_market):
+    # the valley density fails the shape condition: Step II and the
+    # optimized-cutoff baseline, both the boundary search, refuse it and
+    # name the minimum slack
+    refusal = "boundary-unimodality condition: min slack -"
+    with pytest.raises(ValueError, match=refusal):
+        solve_with_restarts(profile, cost_model, valley_market, 2, restarts=2, seed=1)
+    with pytest.raises(ValueError, match=refusal):
+        solve_alternating(profile, cost_model, valley_market, 1)
+    with pytest.raises(ValueError, match=refusal):
+        fixed_period_baseline(profile, cost_model, valley_market, [1.0, 2.0], coverage="optimized")
 
 
 # --- group masses and prices ----------------------------------------------
@@ -483,32 +481,6 @@ def test_fine_discretization_agrees_with_grouped(profile, cost_model):
     assert -0.005 < rel < 0.02
 
 
-def test_shape_condition_failure_falls_back_and_solves(profile, cost_model, valley_market):
-    with pytest.warns(RuntimeWarning, match="boundary-unimodality"):
-        sol = solve_alternating(profile, cost_model, valley_market, 2)
-    assert not sol.theorem3_ok
-    assert sol.total_profit > 0
-    trace = np.array(sol.profit_trace)
-    assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
-    assert np.all(sol.counts > 0)
-    assert np.all(np.diff(sol.boundaries) > 0)
-
-
-#: Valley-market profits at K = 1..4 (2 restarts, seed 1) as golden-section
-#: refinement of each block's best grid bracket found them; the lockstep
-#: search in the same brackets must keep them.
-VALLEY_PROFITS = [1.8429303708073757, 1.892995236774517, 1.9103895912561897, 1.9183981937575456]
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_valley_restart_profits_pinned(profile, cost_model, valley_market, k):
-    with pytest.warns(RuntimeWarning, match="boundary-unimodality"):
-        sol = solve_with_restarts(profile, cost_model, valley_market, k, restarts=2, seed=1)
-    want = VALLEY_PROFITS[k - 1]
-    assert abs(sol.total_profit - want) <= 1e-12 * want
-    assert sol.converged and sol.kkt_residual <= KKT_TOL * valley_market.size
-
-
 def test_empty_group_is_dropped():
     # at K = 3 the bottom boundary ends on sigma_min, so the bottom
     # group's band has no mass; the solution drops it and serves two items
@@ -520,6 +492,18 @@ def test_empty_group_is_dropped():
     assert np.all(sol.counts > 0)
     assert sol.converged
     assert brute_force_ic_ir(profile, mkt, sol.periods, sol.prices, sol.boundaries).passed
+
+
+def test_confirming_round_keeps_the_served_menu():
+    # the round after a Newton finish confirms the finished menu by its
+    # profit; stopping on the finish's residual alone returns the empty
+    # menu (profit 0) for this market at K = 1
+    profile = DemandProfile(alpha=1.0, mu=7.316916215921598, q=9.021113086458632)
+    mkt = make_market("uniform", 0.0, 6.810334108612219)
+    sol = solve_alternating(profile, CostModel(c0=6.55705058374758, c1=0.5097908098684232), mkt, 1)
+    assert sol.total_profit == 0.06551781562784512
+    assert sol.counts.size == 1 and sol.counts[0] > 0
+    assert sol.converged
 
 
 # --- first-order finish: gradient, residual, Newton steps -------------------
@@ -846,9 +830,12 @@ def test_restart_starts_converge_in_few_rounds(name):
     assert all(sol.converged and sol.iterations <= 4 for sol in batch)
 
 
-@pytest.mark.parametrize("w", [None, lambda t: 0.05 * t * t], ids=["linear", "quadratic"])
-def test_profit_gradient_matches_finite_differences(profile, rng, w):
-    cost_model = CostModel(c0=10.0, c1=0.5, w=w)
+@pytest.mark.parametrize(
+    "cost_model",
+    [CostModel(c0=10.0, c1=0.5), CostModel(c0=10.0, w=lambda t: 0.05 * t * t)],
+    ids=["linear", "quadratic"],
+)
+def test_profit_gradient_matches_finite_differences(profile, rng, cost_model):
     for factory in ALL_MARKETS:
         mkt = factory(size=3.0)
         for k in (1, 2, 4):
@@ -903,16 +890,15 @@ def closed_form_hessian(profile, cost_model, market, b, t, dc, ddc):
 
 
 @pytest.mark.parametrize(
-    "w, dc, ddc, tol",
-    [(None, lambda t: np.full_like(t, 0.5), lambda t: np.zeros_like(t), 1e-7),
-     (lambda t: 0.05 * t * t, lambda t: 0.1 * t, lambda t: np.full_like(t, 0.1), 1e-5)],
+    "cost_model, dc, ddc, tol",
+    [(CostModel(c0=10.0, c1=0.5), lambda t: np.full_like(t, 0.5), lambda t: np.zeros_like(t), 1e-7),
+     (CostModel(c0=10.0, w=lambda t: 0.05 * t * t), lambda t: 0.1 * t, lambda t: np.full_like(t, 0.1), 1e-5)],
     ids=["linear", "quadratic"],
 )
-def test_probe_hessian_matches_closed_form(profile, rng, w, dc, ddc, tol):
+def test_probe_hessian_matches_closed_form(profile, rng, cost_model, dc, ddc, tol):
     # _probe's -H is a central difference of the gradient (and, for a
     # custom W, of a central-difference C'); rows of random ascending
     # menus go through one batched call
-    cost_model = CostModel(c0=10.0, c1=0.5, w=w)
     for factory in ALL_MARKETS:
         mkt = factory(size=3.0)
         for k in (1, 2, 4, 6):

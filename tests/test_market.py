@@ -326,6 +326,14 @@ def test_cost_custom_variable_part():
     assert np.allclose(cost(model, np.array([0.0, 2.0])), [10.0, 14.0])
 
 
+def test_cost_model_refuses_c1_beside_a_custom_w():
+    # a custom w replaces the linear cost, so a c1 beside it would do nothing
+    for c1 in (0.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="c1 applies to the linear cost only"):
+            CostModel(c0=10.0, c1=c1, w=lambda t: t ** 2)
+    assert cost(CostModel(c0=10.0, c1=0.0, w=lambda t: t ** 2), 3.0) == 19.0
+
+
 def mp_valuation(profile, sigma, t):
     """(V, V_t) at 50 digits from the defining closed form."""
     with mpmath.workdps(50):

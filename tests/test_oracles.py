@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import _quadrature, fixed_quad
+from scipy.integrate import _quadrature, fixed_quad, quad
 from scipy.optimize.elementwise import find_root
 from scipy.special import roots_legendre
 
@@ -729,7 +729,7 @@ def test_social_quadrature_matches_riemann(profile, cost_model, uniform_k2):
 def test_social_quadrature_bit_identical_to_fixed_quad(name, monkeypatch):
     # both floats must be the ones scipy.integrate.fixed_quad gives, bit
     # for bit, when it runs on the package's own 96-point rule (put in its
-    # rule cache)
+    # rule cache) over each band
     monkeypatch.setitem(_quadrature._cached_roots_legendre.cache, 96, (_GL_NODES, _GL_WEIGHTS))
     sc = load_scenario(name)
     profile, model, market = sc.profile, sc.cost_model, sc.market
@@ -738,18 +738,37 @@ def test_social_quadrature_bit_identical_to_fixed_quad(name, monkeypatch):
     b, t = sol.boundaries, sol.periods
     lo = np.concatenate(([market.sigma_min], b[:-1]))[:, None]
     width = b[:, None] - lo
+    # the first-best's bands: the menu's, then the unserved one above them
+    top = np.array([[b[-1]]])
+    all_lo, all_width = np.vstack([lo, top]), np.vstack([width, market.sigma_max - top])
 
     def surplus(u):
         s = lo + width * u
         return (valuation(profile, s, t[:, None]) - cost(model, t)[:, None]) * market.pdf(s) * width
 
-    def first_best(s):
-        return _first_best_surplus_rates(profile, model, s) * market.pdf(s)
+    def first_best(u):
+        s = all_lo + all_width * u
+        return _first_best_surplus_rates(profile, model, s.ravel()).reshape(s.shape) * market.pdf(s) * all_width
 
     contract = float(np.sum(market.size * fixed_quad(surplus, 0.0, 1.0, n=96)[0]))
-    best = market.size * float(fixed_quad(first_best, market.sigma_min, market.sigma_max, n=96)[0])
+    best = float(np.sum(market.size * fixed_quad(first_best, 0.0, 1.0, n=96)[0]))
     assert rep.surplus_contract.hex() == contract.hex()
     assert rep.surplus_first_best.hex() == best.hex()
+
+
+@pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])
+def test_social_first_best_matches_adaptive_quad(name):
+    # integrated band by band on the contract's nodes, the first-best
+    # surplus agrees with adaptive quadrature broken at the boundaries
+    # (over the whole window on one 96-point rule it was off by up to 7.7e-9)
+    sc = load_scenario(name)
+    profile, model, market = sc.profile, sc.cost_model, sc.market
+    sol = solve_alternating(profile, model, market, sc.solver.n_groups)
+    rep = social_metrics(profile, model, market, sol)
+    rate = lambda s: float(_first_best_surplus_rates(profile, model, s)[0] * market.pdf(s))
+    ref = quad(rate, market.sigma_min, market.sigma_max, points=sol.boundaries, limit=500, epsabs=0.0, epsrel=1e-12)[0]
+    assert abs(rep.surplus_first_best / (market.size * ref) - 1.0) <= 2e-10
+    assert rep.surplus_contract < rep.surplus_first_best
 
 
 def test_gauss_legendre_rule_matches_roots_legendre_and_is_exact():

@@ -385,6 +385,45 @@ def test_cli_check_dist(capsys):
     assert "HOLDS" in capsys.readouterr().out
 
 
+def market_scenario(tmp_path, name, solver=None, **market):
+    """A bundled scenario's file with its market keys (and solver keys) replaced."""
+    cfg = json.loads((Path(planmenu.__file__).parent / "data" / f"{name}.json").read_text())
+    cfg["market"].update(market)
+    cfg["solver"].update(solver or {})
+    path = tmp_path / f"{name}_changed.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_cli_refuses_window_without_representable_mass(tmp_path, capsys):
+    # the window's mass is 1.1e-322, subnormal, and the density NaN at its low end
+    path = market_scenario(
+        tmp_path, "truncated_normal_k6",
+        sigma_min=0.0008500924234097232, sigma_max=0.024961482377190522,
+        M=0.42271125469901566, W=0.010361583498001061,
+    )
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("planmenu: error: window carries no representable probability mass")
+
+
+def test_cli_market_whose_density_underflows(tmp_path, capsys):
+    # g underflows to 0 on most of the window: the shape condition holds
+    # where it is defined, the solve takes the lockstep boundary search,
+    # and the first-best surplus, integrated on the contract's nodes,
+    # stays above the contract's
+    path = market_scenario(tmp_path, "exponential_k6", solver={"K": 2}, sigma_max=106.9, **{"lambda": 582.6})
+    assert cli.main(["check-dist", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("-> HOLDS\n")
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "profit 2.999889\n" in out and "(PASS)" in out
+    with open(tmp_path / "run" / "comparison.csv", newline="") as fh:
+        ratio = float({r["label"]: r for r in csv.DictReader(fh)}["social_surplus_ratio_percent"]["profit"])
+    assert 99.998 < ratio <= 100.0
+
+
 def test_cli_oracle_discrete(tmp_path, capsys):
     cfg = {
         "name": "tiny",
