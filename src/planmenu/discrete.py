@@ -360,14 +360,14 @@ class DiscreteSolution:
     objective_values: np.ndarray  # P_i at the chosen periods
     first_best_periods: np.ndarray  # each type's period in the social first-best
     pooled_blocks: List[PooledBlock] = field(default_factory=list)
-    feasibility: Optional[FeasibilityReport] = None
 
 
 def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
     """Profit-maximizing menu for a discrete market.
 
     Lockstep per-type search, ascending repair by pooling, then the
-    telescoping price chain.  The period cap is asserted non-binding.
+    telescoping price chain.  The period cap is asserted non-binding;
+    the menu itself is judged by runner.certify, not here.
     The search carries a second row, the social first-best (own = 1,
     below = 0: each type's own V - C, no rent), whose periods ascend
     strictly (V_sigma_t > 0) where each type's V - C has one interior
@@ -393,9 +393,6 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
     if np.any(periods > hi - 1e-6 * (hi - lo)):
         warnings.warn("a period argmax pressed against the search cap DEFAULT_T_DOMAIN", RuntimeWarning)
     prices = optimal_prices(profile, sig, periods)
-    report = feasibility_check(profile, market, periods, prices)
-    if not report.passed:
-        raise RuntimeError(f"constructed menu failed feasibility: {report}")
     margins = prices - cost(cost_model, periods)
     total = float(np.dot(market.counts, margins))
     rent_types = sig[np.maximum(np.arange(sig.size) - 1, 0)]
@@ -407,5 +404,4 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
         objective_values=values,
         first_best_periods=first_best,
         pooled_blocks=pooled,
-        feasibility=report,
     )

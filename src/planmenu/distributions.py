@@ -8,7 +8,7 @@ truncated normal), always renormalized so the CDF G spans exactly
 
 `theorem3_condition` evaluates the slack of the shape condition
 
-    F(sigma) = (2 g^2 - g' G) / g - c * G / sigma  >=  0,   c = 3 - 2*sqrt(2),
+    F(sigma) = 2 g - (g' / g) G - c * G / sigma  >=  0,   c = 3 - 2*sqrt(2),
 
 under which each group's profit contribution is unimodal in its
 boundary, so its slope changes sign once and the grouped solver's
@@ -163,10 +163,9 @@ class ContinuousMarket:
             out = self.sigma_min + pv * (self.sigma_max - self.sigma_min)
         elif self.kind == "exponential":
             with np.errstate(divide="ignore"):  # log(0) where exp(-rate*sigma_max) underflows; clipped below
-                out = -np.log(np.exp(-self.rate * self.sigma_min) - pv * self._norm) / self.rate
+                out = -np.log(self._exp_lo - pv * self._norm) / self.rate
         else:
-            zlo = (self.sigma_min - self.loc) / self.scale
-            base = std_normal_cdf(zlo) + pv * self._norm
+            base = self._cdf_lo + pv * self._norm
             base = np.clip(base, 1e-300, 1.0 - 1e-16)
             out = self.loc + self.scale * std_normal_quantile(base)
         out = np.clip(out, self.sigma_min, self.sigma_max)
@@ -190,11 +189,12 @@ class ContinuousMarket:
 
         At sigma = 0 the G/sigma term vanishes (G(0) = 0 at least
         linearly) and the slack reduces to 2*g(0); elsewhere it is NaN
-        where g underflows to 0."""
+        where g underflows to 0.  g' enters through the ratio g'/g, so no
+        term underflows before g does (2*g^2 would, below g = 1.5e-154)."""
         G, g, dg = self.density(sigma)
         sv = np.asarray(sigma, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            slack = (2.0 * g * g - dg * G) / g - SHAPE_CONSTANT * G / np.where(sv > 0, sv, 1.0)
+            slack = 2.0 * g - (dg / g) * G - SHAPE_CONSTANT * G / np.where(sv > 0, sv, 1.0)
         return np.where(sv > 0, np.where(g > 0, slack, np.nan), 2.0 * g)[()]
 
     def verify_theorem3(self, grid_points=1000):

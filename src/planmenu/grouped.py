@@ -161,7 +161,9 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
     Under the shape condition (Theorem 3) each term is single-peaked, so
     it searches the whole window from guess (one boundary per block) or
     the window's midpoint.  A market that fails the condition is refused
-    with a ValueError naming its minimum slack.
+    with a ValueError naming its minimum slack.  A point with no
+    representable mass below it, where G and g underflow and the slope
+    and its scale are both exactly 0, counts as below the peak.
     """
     report = market.verify_theorem3()
     if not report.holds:
@@ -174,7 +176,7 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
 
     def slopes(s):
         _, slope, scale, curvature, _, _ = _boundary_slopes(profile, market, s, blocks)
-        return slope, scale, (curvature,)
+        return np.where(scale > 0, slope, 1.0), scale, (curvature,)
 
     return _lockstep_root(slopes, lambda s, slope, state: s - slope / state[0], lambda a, b: 0.5 * (a + b), x, lo, hi)
 

@@ -138,20 +138,16 @@ def valuation_dsigma2(profile, sigma, t):
 
 def valuation_dt(profile, sigma, t):
     """dV/dt = alpha*sigma*phi(a)/(2*t^1.5) > 0; 0 in the sigma = 0 limit."""
-    return valuation_dt_dtt(profile, sigma, t)[0][()]
+    return _dt_dtt(profile, _types(sigma), t)[0][()]
 
 
-def valuation_dt_dtt(profile, sigma, t):
-    """(dV/dt, d2V/dt2) from one threshold a and one phi(a).
+def _dt_dtt(profile, types, t):
+    """(dV/dt, d2V/dt2) of types that _types already checked and prepared,
+    from one threshold a and one phi(a).
 
     dV/dt = alpha*sigma*phi(a)/(2*t^1.5) and d2V/dt2 = -V_t*(a^2 + 3)/(2t)
     < 0, so V is strictly concave in t; both are 0 in the sigma = 0 limit.
     """
-    return _dt_dtt(profile, _types(sigma), t)
-
-
-def _dt_dtt(profile, types, t):
-    # valuation_dt_dtt of types that _types already checked and prepared
     sv, pos, _ = types
     tv, a = _threshold(profile, types, t)
     vt = np.where(pos, profile.alpha * sv * _pdf(a) / (2.0 * tv ** 1.5), 0.0)

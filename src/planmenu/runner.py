@@ -96,10 +96,10 @@ def _comparison_rows(report):
 
 
 def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
-    """Solve a scenario, verify the result, and write artifacts.
+    """Solve a scenario, certify the menu, and write artifacts.
 
-    The incentive certificate is always written; `ok` reports whether
-    every check passed (the CLI turns that into the exit code).
+    Artifacts are always written; `ok` is `certify`'s verdict and the
+    solve's convergence (the CLI turns that into the exit code).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -108,7 +108,6 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     if scenario.solver.kind == "discrete":
         solution = solve_discrete(scenario.profile, scenario.cost_model, scenario.market)
         boundaries = None
-        chain_feasibility = solution.feasibility
         convergence = {"iterations": 1, "converged": True, "profit_trace": [solution.total_profit]}
     else:
         solution = solve_with_restarts(
@@ -120,7 +119,6 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
             seed=use_seed,
         )
         boundaries = solution.boundaries
-        chain_feasibility = None
         convergence = {
             "iterations": solution.iterations,
             "converged": solution.converged,
@@ -132,13 +130,7 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
             "distinct_optima": solution.distinct_optima,
         }
 
-    certificate_ic = brute_force_ic_ir(
-        scenario.profile,
-        scenario.market,
-        solution.periods,
-        solution.prices,
-        boundaries=boundaries,
-    )
+    passed, ic_ir, chain_feasibility = certify(scenario, solution.periods, solution.prices, boundaries)
     report = build_comparison(
         scenario.profile,
         scenario.cost_model,
@@ -147,17 +139,14 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
         baseline_periods=scenario.baselines or (1.0,),
     )
 
-    ok = certificate_ic.passed and convergence["converged"]
-    if chain_feasibility is not None:
-        ok = ok and chain_feasibility.passed
-
+    ok = passed and convergence["converged"]
     certificate = {
         "scenario": scenario.name,
         "solver": scenario.solver.kind,
         "seed": use_seed,
         "profit": solution.total_profit,
-        "ic_ir": asdict(certificate_ic),
-        "chain_feasibility": asdict(chain_feasibility) if chain_feasibility is not None else None,
+        "ic_ir": ic_ir,
+        "chain_feasibility": chain_feasibility,
         "convergence": convergence,
         "passed": ok,
     }
@@ -267,24 +256,29 @@ def _read_solution_csv(csv_path):
     return columns
 
 
+def certify(scenario: Scenario, periods, prices, boundaries=None):
+    """The one pass-or-fail verdict on a menu, for `run` and
+    `verify_solution_csv`: the brute-force IC/IR scan for every market
+    (with its group boundaries for a continuous one) and the
+    four-condition chain check for a discrete one.  Returns (passed,
+    ic_ir, chain_feasibility), the reports as the dicts certificate.json
+    carries, chain_feasibility None for a continuous market."""
+    ic_ir = brute_force_ic_ir(scenario.profile, scenario.market, periods, prices, boundaries=boundaries)
+    if not isinstance(scenario.market, DiscreteMarket):
+        return ic_ir.passed, asdict(ic_ir), None
+    chain = feasibility_check(scenario.profile, scenario.market, periods, prices)
+    return ic_ir.passed and chain.passed, asdict(ic_ir), asdict(chain)
+
+
 def verify_solution_csv(scenario: Scenario, csv_path):
     """Re-check a written solution.csv against its scenario.
 
-    Returns (ok, details); raises ValueError on a malformed file.
-    Periods/prices are re-validated with the four-condition check
-    (discrete) and the brute-force IC/IR scan.
+    Returns (ok, details); raises ValueError on a malformed file.  The
+    periods and prices are judged by `certify`, and details holds its
+    chain_feasibility and ic_ir reports.
     """
     boundaries, periods, prices = _read_solution_csv(csv_path)
-    details = {}
-    if isinstance(scenario.market, DiscreteMarket):
-        if periods.size != scenario.market.n_types:
-            return False, {"error": "row count does not match the market's types"}
-        chain_feasibility = feasibility_check(scenario.profile, scenario.market, periods, prices)
-        cert = brute_force_ic_ir(scenario.profile, scenario.market, periods, prices)
-        details["chain_feasibility"] = asdict(chain_feasibility)
-        ok = chain_feasibility.passed and cert.passed
-    else:
-        cert = brute_force_ic_ir(scenario.profile, scenario.market, periods, prices, boundaries=boundaries)
-        ok = cert.passed
-    details["ic_ir"] = asdict(cert)
-    return ok, details
+    if isinstance(scenario.market, DiscreteMarket) and periods.size != scenario.market.n_types:
+        return False, {"error": "row count does not match the market's types"}
+    ok, ic_ir, chain_feasibility = certify(scenario, periods, prices, boundaries)
+    return ok, {"chain_feasibility": chain_feasibility, "ic_ir": ic_ir}

@@ -309,7 +309,7 @@ def test_solve_case1_menu_structure(profile, cost_model):
     sol = solve_discrete(profile, cost_model, market)
     n = market.n_types
 
-    assert sol.feasibility is not None and sol.feasibility.passed
+    assert feasibility_check(profile, market, sol.periods, sol.prices).passed
     assert np.all(np.diff(sol.periods) >= 0)
     assert np.all(np.diff(sol.prices) >= 0)  # longer periods sell for more
 
@@ -553,9 +553,10 @@ def seeded_ladders():
 
 
 def assert_first_best_row_is_the_lone_search(profile, cost_model, market):
-    """solve_discrete's first-best periods are, bit for bit, the lone
-    search with one buyer per type and no rent, and no pooled block of
-    the two-row search lands in the first-best row."""
+    """solve_discrete's menu passes the chain check, its first-best
+    periods are, bit for bit, the lone search with one buyer per type and
+    no rent, and no pooled block of the two-row search lands in the
+    first-best row."""
     searched = []
 
     def tap(*args, **kwargs):
@@ -566,6 +567,7 @@ def assert_first_best_row_is_the_lone_search(profile, cost_model, market):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrete, "repair_monotone", tap)
         sol = solve_discrete(profile, cost_model, market)
+    assert feasibility_check(profile, market, sol.periods, sol.prices).passed
     n, items = market.n_types, np.arange(market.n_types)
     alone = block_periods(profile, cost_model, market.sigmas, np.ones(n), np.zeros(n), items, items)
     assert (sol.first_best_periods == alone).all()
@@ -690,6 +692,7 @@ def feasibility_cases(profile, market, sol, scale):
 
 def assert_merged_calls_match_per_call(profile, cost_model, market, scale=1e-3):
     sol = solve_discrete(profile, cost_model, market)
+    assert feasibility_check(profile, market, sol.periods, sol.prices).passed
     sig, periods = market.sigmas, sol.periods
     assert (optimal_prices(profile, sig, periods) == prices_per_call(profile, sig, periods)).all()
     own, below = market.counts, np.concatenate(([0.0], np.cumsum(market.counts)[:-1]))

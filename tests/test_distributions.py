@@ -120,6 +120,17 @@ def test_quantile_inverts_cdf(factory):
     assert abs(mkt.quantile(1.0) - mkt.sigma_max) < 1e-9
 
 
+def test_steep_exponential_quantile_reaches_the_window_top():
+    # rate * (sigma_max - sigma_min) = 60, so the window's mass rounds to
+    # exp(-rate * sigma_min) and p = 1 leaves exactly 0 under the log; an
+    # exp(-rate * sigma_min) recomputed an ulp larger left a negative number
+    mkt = make_market("exponential", 0.12, 6.12, rate=10.0)
+    assert mkt.quantile(1.0) == mkt.sigma_max
+    sig = mkt.quantile(np.linspace(0.0, 1.0, 101))
+    assert np.all(np.diff(sig) >= 0) and sig[-1] == mkt.sigma_max
+    assert abs(sig[0] - mkt.sigma_min) < 1e-12
+
+
 def mp_density(mkt, sigma):
     """(g, G, g') of a bundled-family market at 50 digits."""
     with mpmath.workdps(50):
@@ -331,13 +342,12 @@ def test_shape_condition_holds_for_top_heavy_normal():
 )
 def test_shape_slack_is_at_least_its_proven_share_of_the_density(factory):
     # log-concavity gives F >= (2*sqrt(2) - 2) g (see the module docstring);
-    # the uniform family attains (2 - SHAPE_CONSTANT) g.  Points where g^2
-    # is subnormal are left out: the computed slack loses its 2 g^2 term there
+    # the uniform family attains (2 - SHAPE_CONSTANT) g.  Every point where
+    # g > 0 counts, also where g^2 would be subnormal (g < 1.5e-154)
     mkt = factory()
     grid = np.linspace(mkt.sigma_min, mkt.sigma_max, 1001)
     g = mkt.pdf(grid)
-    kept = g * g >= np.finfo(float).tiny
-    grid, g = grid[kept], g[kept]
+    grid, g = grid[g > 0], g[g > 0]
     assert grid.size > 800
     assert np.all(mkt.theorem3_condition(grid) >= (2.0 * math.sqrt(2.0) - 2.0) * g * (1.0 - 1e-12))
 

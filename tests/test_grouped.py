@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
@@ -30,8 +30,8 @@ from planmenu.grouped import (
     step1_periods,
     step2_boundaries,
 )
-from planmenu.market import CostModel, DemandProfile, cost, valuation, valuation_dsigma, valuation_dt_dtt
-from planmenu.oracles import brute_force_ic_ir, fixed_period_baseline
+from planmenu.market import CostModel, DemandProfile, _dt_dtt, _types, cost, valuation, valuation_dsigma
+from planmenu.oracles import brute_force_ic_ir, fixed_period_baseline, grid_oracle_grouped
 from planmenu.runner import sweep_groups
 from planmenu.scenarios import Scenario, SolverSpec, load_scenario
 
@@ -54,6 +54,12 @@ def truncnorm06(size=1.0):
 
 
 ALL_MARKETS = [uniform06, exponential06, truncnorm06]
+
+# G and g underflow to 0 below sigma = 1.14: the boundary slope and its
+# rounding scale are both exactly 0 there
+NO_MASS_AT_FLOOR = make_market("truncated_normal", 0.0, 6.0, loc=5.0, scale=0.1)
+# rate * (sigma_max - sigma_min) = 60: the window's mass rounds to exp(-rate * sigma_min)
+STEEP_EXPONENTIAL = make_market("exponential", 0.12, 6.12, rate=10.0)
 
 
 def boundary_objective(profile, cost_model, market, periods, k, sigma):
@@ -145,6 +151,36 @@ def test_shape_condition_failure_is_refused(profile, cost_model, valley_market):
         solve_alternating(profile, cost_model, valley_market, 1)
     with pytest.raises(ValueError, match=refusal):
         fixed_period_baseline(profile, cost_model, valley_market, [1.0, 2.0], coverage="optimized")
+
+
+def test_boundary_search_climbs_out_of_a_massless_floor(profile, cost_model):
+    # a point with no representable mass below it counts as below the
+    # peak: from every guess, sigma_min included, the search ends on the
+    # peak of Q, not on sigma_min, where Q' is exactly 0
+    items = np.array([0])
+    sigma = np.linspace(4.5, 6.0, 15001)
+    peak = sigma[np.argmax(boundary_objective(profile, cost_model, NO_MASS_AT_FLOOR, [1.5], 0, sigma))]
+    for guess in [None] + [np.array([s]) for s in (0.0, 1.0, 5.0, 6.0)]:
+        got = block_boundaries(profile, cost_model, NO_MASS_AT_FLOOR, np.array([1.5]), items, items, guess)
+        assert abs(got[0] - peak) <= 1e-4
+
+
+def test_market_without_mass_at_its_floor_solves(profile, cost_model):
+    # K = 1, 2 and 3 converge and pass their certificates, K = 1 just
+    # above the grid optimum, and the optimized baselines are positive
+    solved = []
+    for k in (1, 2, 3):
+        sol = solve_with_restarts(profile, cost_model, NO_MASS_AT_FLOOR, k, restarts=2, seed=1)
+        assert sol.converged
+        assert brute_force_ic_ir(profile, NO_MASS_AT_FLOOR, sol.periods, sol.prices, sol.boundaries).passed
+        solved.append(sol.total_profit)
+    assert np.allclose(solved, [1.3489465, 1.3505497, 1.3510483], rtol=0, atol=1e-7)
+    grid, _, _ = grid_oracle_grouped(
+        profile, cost_model, NO_MASS_AT_FLOOR, 1, np.linspace(0.0, 6.0, 601), np.arange(1, 1501) * 0.02
+    )
+    assert solved[0] - 1e-4 < grid <= solved[0]
+    base = fixed_period_baseline(profile, cost_model, NO_MASS_AT_FLOOR, [1.0, 2.0], coverage="optimized").profit
+    assert np.allclose(base, [1.2493, 1.3010], rtol=0, atol=1e-4)
 
 
 # --- group masses and prices ----------------------------------------------
@@ -860,7 +896,7 @@ def test_menu_terms_evaluate_each_point_once(profile, cost_model, rng, monkeypat
 
         return wrapper
 
-    for name in ("valuation", "valuation_dt", "valuation_dt_dtt", "valuation_dsigma", "valuation_dsigma2"):
+    for name in ("valuation", "valuation_dt", "valuation_dsigma", "valuation_dsigma2"):
         if hasattr(grouped, name):
             monkeypatch.setattr(grouped, name, counted(name, getattr(grouped, name)))
     monkeypatch.setattr(mkt, "_check_support", counted("_check_support", mkt._check_support))
@@ -878,8 +914,8 @@ def closed_form_hessian(profile, cost_model, market, b, t, dc, ddc):
     items = np.arange(K)
     G, g = market.cdf(b), market.pdf(b)
     G_lo = np.concatenate(([0.0], G[:-1]))
-    vt, vtt = valuation_dt_dtt(profile, b, t)  # at (b_k, t_k)
-    vt_lo, vtt_lo = valuation_dt_dtt(profile, b[:-1], t[1:])  # at (b_{k-1}, t_k)
+    vt, vtt = _dt_dtt(profile, _types(b), t)  # at (b_k, t_k)
+    vt_lo, vtt_lo = _dt_dtt(profile, _types(b[:-1]), t[1:])  # at (b_{k-1}, t_k)
     vst = lambda s, tt, v: v * (1.0 + tt * (profile.excess_cap / s) ** 2) / s
     H = np.zeros((2 * K, 2 * K))
     H[items, items] = _boundary_slopes(profile, market, b, _blocks(cost_model, t, items, items))[3]
@@ -1041,9 +1077,9 @@ def random_grouped_scenarios(draw):
     hi = lo + draw(st.floats(1.0, 8.0))
     params = {}
     if kind == "exponential":
-        params["rate"] = draw(st.floats(0.1, 1.5))
+        params["rate"] = draw(st.floats(0.1, 30.0))
     elif kind == "truncated_normal":
-        params.update(loc=draw(st.floats(lo, hi)), scale=draw(st.floats(0.5, 3.0)))
+        params.update(loc=draw(st.floats(lo, hi)), scale=draw(st.floats(0.1, 3.0)))
     market = make_market(kind, lo, hi, size=draw(st.sampled_from([1.0, 50.0])), **params)
     mu = draw(st.floats(5.0, 20.0))
     profile = DemandProfile(alpha=1.0, mu=mu, q=mu + draw(st.floats(0.5, 5.0)))
@@ -1052,8 +1088,18 @@ def random_grouped_scenarios(draw):
     return Scenario("random", profile, cost_model, market, solver, baselines=[1.0])
 
 
+def bundled_economics_scenario(market):
+    """A K = 3 grouped scenario on market with the bundled scenarios'
+    economics (alpha = 1, mu = 13, q = 15, c0 = 10, c1 = 0.5)."""
+    solver = SolverSpec(kind="grouped", n_groups=3, restarts=0, seed=0)
+    profile, cost_model = DemandProfile(alpha=1.0, mu=13.0, q=15.0), CostModel(c0=10.0, c1=0.5)
+    return Scenario("example", profile, cost_model, market, solver, baselines=[1.0])
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(random_grouped_scenarios())
+@example(bundled_economics_scenario(NO_MASS_AT_FLOOR))
+@example(bundled_economics_scenario(STEEP_EXPONENTIAL))
 def test_random_markets_pass_certificate_and_sweep_rises(scenario):
     sol = solve_alternating(scenario.profile, scenario.cost_model, scenario.market, 3)
     assert sol.converged

@@ -16,12 +16,13 @@ from scipy import integrate
 from planmenu.market import (
     CostModel,
     DemandProfile,
+    _dt_dtt,
+    _types,
     cost,
     valuation,
     valuation_dsigma,
     valuation_dsigma2,
     valuation_dt,
-    valuation_dt_dtt,
 )
 from planmenu.normals import expected_excess, std_normal_pdf
 
@@ -171,7 +172,7 @@ def test_valuation_second_derivative_symbolic(profile):
     ref = sp.lambdify((s, t), [vt.subs(subs), vtt.subs(subs), vst.subs(subs)], "mpmath")
     sig = np.array([0.05, 0.5, 2.0, 3.0, 6.0, 30.0])
     per = np.array([1e-4, 0.8, 1.0, 5.0, 12.0, 600.0])
-    got_t, got_tt = valuation_dt_dtt(profile, sig, per)
+    got_t, got_tt = _dt_dtt(profile, _types(sig), per)
     got_st = valuation_dsigma_dt(profile, sig, per)
     for k in range(sig.size):
         ref_t, ref_tt, ref_st = (float(z) for z in ref(sig[k], per[k]))
@@ -180,7 +181,7 @@ def test_valuation_second_derivative_symbolic(profile):
         assert abs(got_st[k] - ref_st) <= 1e-13 * abs(ref_st)
     assert np.array_equal(got_t, valuation_dt(profile, sig, per))
     assert np.all(got_tt < 0)
-    zero_t, zero_tt = valuation_dt_dtt(profile, np.array([0.0]), np.array([3.0]))
+    zero_t, zero_tt = _dt_dtt(profile, _types(np.array([0.0])), np.array([3.0]))
     assert zero_t[0] == 0.0 and zero_tt[0] == 0.0
 
 
@@ -414,7 +415,7 @@ INF, NAN = float("inf"), float("nan")
          "nan_period", "inf_period", "minus_inf_period"],
 )
 def test_array_inputs_rejected(profile, sigma, t, message):
-    for f in (valuation, valuation_dt, valuation_dt_dtt, valuation_dsigma):
+    for f in (valuation, valuation_dt, valuation_dsigma):
         with pytest.raises(ValueError, match=message):
             f(profile, np.array(sigma), np.array(t))
 

@@ -16,7 +16,14 @@ from scipy.optimize.elementwise import find_root
 from scipy.special import roots_legendre
 
 from planmenu import runner
-from planmenu.discrete import DEFAULT_T_DOMAIN, FEASIBILITY_TOL, block_periods, optimal_prices, solve_discrete
+from planmenu.discrete import (
+    DEFAULT_T_DOMAIN,
+    FEASIBILITY_TOL,
+    block_periods,
+    feasibility_check,
+    optimal_prices,
+    solve_discrete,
+)
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import group_counts, solve_alternating
 from planmenu.market import _valuation, cost, valuation, valuation_dt
@@ -385,6 +392,7 @@ def test_grid_oracle_property_matches_enumeration(profile, cost_model, market):
 @given(market=random_markets(12))
 def test_grid_oracle_property_never_beats_solver(profile, cost_model, market):
     sol = solve_discrete(profile, cost_model, market)
+    assert feasibility_check(profile, market, sol.periods, sol.prices).passed
     best, _ = grid_oracle_discrete(profile, cost_model, market, np.arange(1, 121) * 0.25)
     assert best <= sol.total_profit + 1e-9
 

@@ -214,6 +214,10 @@ def test_run_grouped_scenario(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert cert["seed"] == 11
+    # verify reads back the certificate's two reports, the chain check's as None
+    ok, details = runner.verify_solution_csv(scenario, tmp_path / "solution.csv")
+    assert ok and list(details) == ["chain_feasibility", "ic_ir"]
+    assert details["chain_feasibility"] is None and details["ic_ir"]["passed"] is True
 
 
 def test_run_seed_override(tmp_path):
@@ -277,7 +281,8 @@ def test_verify_solution_csv_roundtrip(case1_run, tmp_path):
     scenario, artifacts = case1_run
     ok, details = runner.verify_solution_csv(scenario, artifacts.paths["solution"])
     assert ok
-    assert details["ic_ir"]["passed"] is True
+    assert list(details) == ["chain_feasibility", "ic_ir"]
+    assert details["ic_ir"]["passed"] is True and details["chain_feasibility"]["passed"] is True
 
     # corrupt one price and the verification must fail
     lines = artifacts.paths["solution"].read_text().splitlines()
@@ -422,6 +427,45 @@ def test_cli_market_whose_density_underflows(tmp_path, capsys):
     with open(tmp_path / "run" / "comparison.csv", newline="") as fh:
         ratio = float({r["label"]: r for r in csv.DictReader(fh)}["social_surplus_ratio_percent"]["profit"])
     assert 99.998 < ratio <= 100.0
+
+
+@pytest.mark.parametrize(
+    "name, market, profit",
+    [
+        # G and g are 0 near sigma_min: Step II sat a boundary there and the solve raised
+        ("truncated_normal_k6", {"M": 5.0, "W": 0.1}, "1.350550"),
+        # quantile(1) was NaN, and the window check refused the quantile start
+        ("exponential_k6", {"sigma_min": 0.12, "sigma_max": 6.12, "lambda": 10.0}, "2.900649"),
+    ],
+    ids=["no_mass_at_floor", "steep_exponential"],
+)
+def test_cli_solves_markets_with_tails_beyond_the_floats(tmp_path, capsys, name, market, profit):
+    path = market_scenario(tmp_path, name, solver={"K": 2}, **market)
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert f"profit {profit}\n" in out and "(PASS)" in out
+    with open(tmp_path / "run" / "comparison.csv", newline="") as fh:
+        rows = {r["label"]: float(r["profit"]) for r in csv.DictReader(fh)}
+    for t in (1, 2):
+        assert 0 < rows[f"fixed_t={t}_optimized_cutoff"] < rows["optimal"]
+
+
+def test_cli_writes_failing_discrete_menu_as_fail(tmp_path, capsys, monkeypatch):
+    # a menu that breaks the chain check (the top price above the top
+    # type's valuation) is certified, written and reported as FAIL, not
+    # raised from the solver; verify reads back the same verdict
+    prices = discrete.optimal_prices
+    monkeypatch.setattr(discrete, "optimal_prices", lambda *args: prices(*args) + 0.01)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--scenario", "case1_discrete", "--out", str(out)]) == 2
+    assert capsys.readouterr().out.endswith("(FAIL)\n")
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["passed"] is False and cert["ic_ir"]["passed"] is False
+    assert cert["chain_feasibility"]["condition"] == "top_participation"
+    assert (out / "solution.csv").is_file() and (out / "comparison.csv").is_file()
+    ok, details = runner.verify_solution_csv(load_scenario("case1_discrete"), out / "solution.csv")
+    assert not ok and list(details) == ["chain_feasibility", "ic_ir"]
+    assert details["chain_feasibility"]["condition"] == "top_participation"
 
 
 def test_cli_oracle_discrete(tmp_path, capsys):
