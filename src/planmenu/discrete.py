@@ -50,6 +50,8 @@ ARG_RTOL = 1e-10
 #: absolute terms (16 roundings: its floating-point floor).
 STEP_RTOL = 1e-12
 SLOPE_RTOL = 16 * np.finfo(float).eps
+#: Newton steps on the interpolating cubic per _hermite_root call.
+HERMITE_STEPS = 6
 #: Roundoff allowance of the concavity probe, relative to max(1, |f|).
 PROBE_RTOL = 1e-9
 #: Roundoff allowance of the menu checks: feasibility here, IC/IR in oracles.
@@ -160,7 +162,27 @@ def _cost_slopes(cost_model, t):
     return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
 
 
-def _lockstep_root(slopes, newton, midpoint, x, lo, hi):
+def _hermite_root(a, b, fa, fb, da, db):
+    """A root in (a, b) of the cubic that matches the slope f and its
+    derivative d at both ends of a sign bracket (fa > 0 > fb), for each
+    item: HERMITE_STEPS Newton steps on the cubic from the secant point,
+    each kept inside the cubic's own sign bracket."""
+    span = b - a
+    c0, c1 = fa, span * da
+    c2 = 3.0 * (fb - fa) - 2.0 * c1 - span * db
+    c3 = 2.0 * (fa - fb) + c1 + span * db
+    below, above = np.zeros_like(a), np.ones_like(a)
+    u = fa / (fa - fb)
+    for _ in range(HERMITE_STEPS):
+        p = ((c3 * u + c2) * u + c1) * u + c0
+        np.copyto(below, u, where=p > 0)
+        np.copyto(above, u, where=p <= 0)
+        u_next = u - p / ((3.0 * c3 * u + 2.0 * c2) * u + c1)
+        u = np.where((u_next > below) & (u_next < above), u_next, 0.5 * (below + above))
+    return a + u * span
+
+
+def _lockstep_root(slopes, newton, midpoint, x, lo, hi, cubic=False):
     """Where each of a batch of slopes that changes sign once, from
     positive to negative, on [lo, hi] crosses zero: the maximizer of each
     single-peaked objective, all in lockstep by safeguarded
@@ -175,27 +197,58 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi):
     lo, one whose slope is >= 0 at hi at hi.  Each item stops once its
     step or its bracket is STEP_RTOL of x, or |slope| is within
     SLOPE_RTOL of the sum of its absolute terms.
+
+    With cubic=True, state[0] is the slope's derivative, and two rules
+    save evaluations on a search that starts far from its root.  A step
+    whose Newton proposal leaves the bracket, or that follows a step
+    across the root to a larger |slope|, goes to the root of the cubic
+    that matches slope and derivative at both bracket ends
+    (_hermite_root) instead, if that lies inside.  And an item stops
+    without evaluating a Newton point once the step that reached it,
+    cubed and over the previous Newton step squared (the next step at
+    quadratic convergence), is within STEP_RTOL of x.
     """
     a, b = np.full_like(x, lo), np.full_like(x, hi)
     slope, scale, state = slopes(np.stack([a, b, x]))
     at_lo = slope[0] <= 0
     at_hi = ~at_lo & (slope[1] >= 0)
     x = np.where(at_lo, lo, np.where(at_hi, hi, x))
+    if cubic:  # slope and derivative at both bracket ends, and the last point's slope and Newton step
+        fa, fb, da, db = (np.array(z) for z in (slope[0], slope[1], state[0][0], state[0][1]))
+        last_slope, last_step = slope[2], np.full_like(x, np.nan)
     slope, scale, state = slope[2], scale[2], tuple(z[2] for z in state)
     active = ~(at_lo | at_hi)
     while True:
         active &= np.abs(slope) > SLOPE_RTOL * scale
         rising = active & (slope > 0)
+        falling = active & ~rising
         np.copyto(a, x, where=rising)
-        np.copyto(b, x, where=active & ~rising)
+        np.copyto(b, x, where=falling)
         active &= b - a > STEP_RTOL * x
         if not active.any():
             return x
         with np.errstate(all="ignore"):  # a degenerate proposal is NaN or out of bracket: bisect
             proposal = newton(x, slope, state)
-        new = np.where((proposal > a) & (proposal < b), proposal, midpoint(a, b))
+        inside = (proposal > a) & (proposal < b)
+        new = np.where(inside, proposal, midpoint(a, b))
+        if cubic:
+            for f, d, where in ((fa, da, rising), (fb, db, falling)):
+                np.copyto(f, slope, where=where)
+                np.copyto(d, state[0], where=where)
+            overshot = ((slope > 0) != (last_slope > 0)) & (np.abs(slope) > np.abs(last_slope))
+            cubic_step = active & (~inside | overshot)
+            if cubic_step.any():
+                with np.errstate(all="ignore"):
+                    root = _hermite_root(a, b, fa, fb, da, db)
+                cubic_step &= (root > a) & (root < b)
+                new = np.where(cubic_step, root, new)
+            newton_step = inside & ~cubic_step
         step, x = new - x, np.where(active, new, x)
         active &= np.abs(step) > STEP_RTOL * x
+        if cubic:
+            size = np.abs(step)
+            active &= ~(newton_step & (size < last_step) & (size**3 <= STEP_RTOL * x * last_step**2))
+            last_slope, last_step = slope, np.where(newton_step, size, np.nan)
         if not active.any():
             return x
         slope, scale, state = slopes(x)

@@ -14,8 +14,10 @@ like periods do.  The solver alternates two half-steps:
            Newton-bisection period search, warm-started from the last
            round's periods, plus ascending repair (pooling);
   Step II  boundaries given periods: the same lockstep Newton-bisection
-           on every block's closed-form slope Q', warm-started from the
-           last round's boundaries, plus ascending repair (pooling).
+           on every block's closed-form slope Q', with cubic
+           interpolation where a Newton step leaves the bracket or
+           overshoots, warm-started from the last round's boundaries,
+           plus ascending repair (pooling).
 
 Each half-step maximizes the exact same total profit in its own block
 of coordinates, so the profit trace is nondecreasing.  Unimodality of
@@ -31,20 +33,25 @@ on the window and halved until it keeps the menu ascending and profit
 from falling.  Every step solves with the Hessian of the menu it starts
 from, and the last one is the step taken once the projected
 first-order (KKT) residual is at most KKT_TOL * N.
-The solver converges once that residual holds and one more round
-gains at most REL_PROFIT_TOL in relative profit; a round that pools
-stops the solve when profit stalls.
+A start converges once its finish ends within that residual on a menu
+whose every group has mass.  A finished menu with an empty group
+converges once one more round gains at most REL_PROFIT_TOL in relative
+profit, and a round that pools stops the solve when profit stalls.
 
-The profit is not jointly concave, so a solve may run several starts.
-They run as one batch: each start is a row of a (starts, K) menu array,
-Step I, Step II and every Newton step of a round are one lockstep call
-over the rows still active, and a row leaves once it converges.  No
-search, pooling or reduction crosses a row edge, so every start does
-exactly the arithmetic it would do alone, and the batch costs about its
-slowest start.
+The profit is not jointly concave, so a solve may run several starts:
+the quantile start and seeded restarts, whose uniforms come from the
+standard library's Mersenne Twister (random.Random(seed)), so drawing
+them loads neither numpy.random nor the hashing modules it imports.
+The starts run as one batch: each start is a row of a (starts, K)
+menu array, Step I, Step II and every Newton step of a round are one
+lockstep call over the rows still active, and a row leaves once it
+converges.  No search, pooling or reduction crosses a row edge, so
+every start does exactly the arithmetic it would do alone, and the
+batch costs about its slowest start.
 """
 
 import numbers
+import random
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Sequence
@@ -84,11 +91,12 @@ def _whole(name, value, least):
 
 
 def group_counts(market, boundaries):
-    """Consumer mass per group for ascending upper boundaries."""
+    """Consumer mass per group for ascending upper boundaries; rows of
+    boundaries (shape (R, K)) give one row of masses each."""
     b = np.asarray(boundaries, dtype=float)
     if np.any(np.diff(b) < 0):
         raise ValueError("boundaries must be ascending")
-    lows = np.concatenate(([market.sigma_min], b[:-1]))
+    lows = np.concatenate([np.full_like(b[..., :1], market.sigma_min), b[..., :-1]], axis=-1)
     return market.count_between(lows, b)
 
 
@@ -156,8 +164,15 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
     (R, K)); first and last then index the flattened periods, and "above
     the top item" means the top item of the block's own row.
 
-    The search is _lockstep_root on the closed-form slope Q' with plain
-    Newton steps on Q'' and arithmetic bisection (sigma_min may be 0).
+    The search is _lockstep_root on the closed-form slope Q' with Newton
+    steps on Q'', its cubic rules (a step that would leave the bracket or
+    that follows an overshoot goes to the root of the cubic through both
+    bracket ends, and an item stops once quadratic convergence puts its
+    next step within tolerance) and arithmetic bisection (sigma_min may
+    be 0).  The cubic rules matter near sigma_min = 0, where V is flat
+    to every order in sigma (its sigma-derivatives carry phi(a) with
+    a ~ 1/sigma): Q'' there says little about where Q' turns, so a
+    Newton step from a start near the floor can land far past the root.
     Under the shape condition (Theorem 3) each term is single-peaked, so
     it searches the whole window from guess (one boundary per block) or
     the window's midpoint.  A market that fails the condition is refused
@@ -178,7 +193,9 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
         _, slope, scale, curvature, _, _ = _boundary_slopes(profile, market, s, blocks)
         return np.where(scale > 0, slope, 1.0), scale, (curvature,)
 
-    return _lockstep_root(slopes, lambda s, slope, state: s - slope / state[0], lambda a, b: 0.5 * (a + b), x, lo, hi)
+    return _lockstep_root(
+        slopes, lambda s, slope, state: s - slope / state[0], lambda a, b: 0.5 * (a + b), x, lo, hi, cubic=True
+    )
 
 
 def _menu_terms(profile, cost_model, market, boundaries, periods):
@@ -470,8 +487,9 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
             period_blocks[r], boundary_blocks[r] = p_blocks[i], b_blocks[i]
         # a row that pooled or broke ascent ends the solve once profit
         # stalls, and one whose round started from a Newton-finished menu
-        # has confirmed it if profit stalls: those rows are judged by
-        # their profit, and the finish takes the rest's from its first probe
+        # with an empty group has confirmed it if profit stalls: those
+        # rows are judged by their profit, and the finish takes the rest's
+        # from its first probe
         settle = pooled | ~ascending
         judged = settle | (residual[active] <= tol)
         p2 = np.full(active.size, np.nan)
@@ -494,6 +512,10 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
             )
             trials[rows] = spent
             newton_steps[rows] += steps
+            # a finish that ends within tolerance with every group served
+            # has converged; one that leaves a group empty is confirmed by
+            # the next round's profit
+            converged[rows] = (residual[rows] <= tol) & np.all(group_counts(market, b[rows]) > 0, axis=1)
         rounds[active] = round_no
         active = active[~converged[active]]
         if not active.size:
@@ -552,9 +574,10 @@ def solve_alternating(
     the first-order residual down, shortened where a full step would
     leave the window, break ascent or lose profit, and moving a
     coordinate off a window edge where its gradient points inward (see
-    _newton_finish); the solve converges once that
-    residual is at most KKT_TOL * market.size, both before and after a
-    round that gains no more than REL_PROFIT_TOL in relative profit.  A
+    _newton_finish); the solve converges once the finish ends with that
+    residual at most KKT_TOL * market.size on a menu whose every group
+    has mass.  A finished menu with an empty group converges once one
+    more round gains no more than REL_PROFIT_TOL in relative profit.  A
     round that pools stops the solve when profit stalls, and MAX_ROUNDS
     rounds stop it unconverged.  The profit trace is checked
     nondecreasing at each half-step.  This is the one-start case of the
@@ -574,14 +597,19 @@ def _extend_traces(traces, rows, profits):
 def _start_inits(market, n_groups, restarts, seed, extra_inits):
     """The starts of a restart solve, in order: the quantile start (None),
     any extra starts, then the seeded restarts (quantile-transformed
-    uniforms, so restarts respect the type distribution)."""
+    uniforms, so restarts respect the type distribution).  Each restart
+    takes its K sorted uniforms in turn from one random.Random(seed), so
+    a seed gives the same starts on every call and None seeds from OS
+    entropy; any other seed than None or an integer >= 0 is a ValueError
+    (random.Random would take -1 as 1 and hash a float or a string)."""
+    seed = None if seed is None else _whole("seed", seed, 0)
     inits: List[Optional[np.ndarray]] = [None]
     if extra_inits:
         inits.extend(np.asarray(b, dtype=float) for b in extra_inits)
     if restarts:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         for _ in range(restarts):
-            u = np.sort(rng.random(n_groups))
+            u = np.sort([rng.random() for _ in range(n_groups)])
             inits.append(np.atleast_1d(market.quantile(u)))
     return inits
 
@@ -596,14 +624,16 @@ def solve_with_restarts(
     extra_inits: Optional[List[Sequence[float]]] = None,
 ) -> GroupedSolution:
     """Best of the quantile start, any extra starts, and seeded random
-    restarts (quantile-transformed uniforms, so restarts respect the
-    type distribution).  All starts are solved together as one batch
-    (see _solve_starts), each exactly as it would be alone, so the solve
-    costs about its slowest start rather than the sum.  Deterministic for
-    a fixed seed: a later start replaces the best so far only if it
-    gains more than REL_PROFIT_TOL in relative profit, so rounding noise
-    never picks the winner.  The returned solution records every start's
-    final profit and residual (start_profits, start_kkt_residuals)."""
+    restarts (quantile-transformed uniforms from random.Random(seed), so
+    restarts respect the type distribution; see _start_inits).  All
+    starts are solved together as one batch (see _solve_starts), each
+    exactly as it would be alone, so the solve costs about its slowest
+    start rather than the sum.  Deterministic for a fixed seed (an
+    integer >= 0, or None for OS entropy): a later start replaces the
+    best so far only if it gains more than REL_PROFIT_TOL in relative
+    profit, so rounding noise never picks the winner.  The returned
+    solution records every start's final profit and residual
+    (start_profits, start_kkt_residuals)."""
     n_groups, restarts = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0)
     solutions = _solve_starts(profile, cost_model, market, n_groups, _start_inits(market, n_groups, restarts, seed, extra_inits))
     best = solutions[0]

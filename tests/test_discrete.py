@@ -86,6 +86,30 @@ def test_lockstep_root_takes_one_bracket_per_item():
         assert _lockstep_root(alone, newton, mid, start[i : i + 1], lo[i], hi[i])[0] == got[i]
 
 
+@pytest.mark.parametrize("start", [0.1, 0.2, 0.3, 2.5])
+def test_lockstep_root_cubic_rules_cross_a_flat_floor(start):
+    # the slope 1 - 50 exp(-1/(2 x^2)) is flat to every order at 0, like a
+    # boundary slope near sigma_min = 0, so a Newton step from near the
+    # floor lands far past the root: the cubic rules find the same root
+    # in fewer slope calls
+    root = 1.0 / np.sqrt(2.0 * np.log(50.0))
+    found, calls = [], []
+    for cubic in (False, True):
+        count = [0]
+
+        def slopes(x):
+            count[0] += 1
+            e = 50.0 * np.exp(-0.5 / (x * x))
+            return 1.0 - e, 1.0 + e, (-e / x**3,)
+
+        newton, mid = (lambda x, s, st: x - s / st[0]), (lambda a, b: 0.5 * (a + b))
+        x = _lockstep_root(slopes, newton, mid, np.array([start]), 0.05, 3.0, cubic)
+        found.append(x[0])
+        calls.append(count[0])
+    assert all(abs(x - root) <= 1e-12 * root for x in found)
+    assert calls[1] < calls[0]
+
+
 def test_period_search_rejects_convex_objective(profile):
     # a falling quadratic W makes every P_i convex in t: the three-point
     # probe refuses the search instead of returning an endpoint

@@ -675,6 +675,14 @@ def test_cli_rejects_malformed_option(tmp_path, capsys, argv, problem):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--groups", "1,2"]], ids=["solve", "sweep"])
+def test_cli_refuses_negative_seed(tmp_path, capsys, command):
+    argv = command + ["--scenario", "uniform_k6", "--seed", "-1", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "planmenu: error: seed must be an integer >= 0, got -1\n"
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
@@ -683,21 +691,25 @@ def test_cli_rejects_unknown_command():
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded(tmp_path):
     # every planmenu command is a fresh process, so its imports are part of
     # its wall time; the package loads no scipy module at all, neither to
-    # import nor to solve (a discrete and a grouped scenario, in one process)
+    # import nor to solve (a discrete and a grouped scenario and a sweep,
+    # in one process), and seeded restarts load neither numpy's generator
+    # nor the secrets and hashlib modules it brings in
     src = str(Path(planmenu.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = f"""
 import contextlib, io, sys
 import planmenu.cli
 
-def scipy_modules():
-    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+def heavy_modules():
+    return [m for m in sys.modules if m.split(".")[0] in ("scipy", "secrets", "hashlib") or m.startswith("numpy.random")]
 
-print(scipy_modules())
+print(heavy_modules())
+out = {str(tmp_path)!r}
 with contextlib.redirect_stdout(io.StringIO()):
     for name in ("case1_discrete", "uniform_k6"):
-        assert planmenu.cli.main(["solve", "--scenario", name, "--out", {str(tmp_path)!r} + "/" + name]) == 0
-print(scipy_modules())
+        assert planmenu.cli.main(["solve", "--scenario", name, "--out", out + "/" + name]) == 0
+    assert planmenu.cli.main(["sweep", "--scenario", "uniform_k6", "--groups", "1,2", "--out", out + "/sweep"]) == 0
+print(heavy_modules())
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.splitlines() == ["[]", "[]"]
