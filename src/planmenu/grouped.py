@@ -37,17 +37,19 @@ A start converges once its finish ends within that residual on a menu
 whose every group has mass.  A finished menu with an empty group
 converges once one more round gains at most REL_PROFIT_TOL in relative
 profit, and a round that pools stops the solve when profit stalls.
+MAX_ROUNDS rounds stop a start unconverged.
 
 The profit is not jointly concave, so a solve may run several starts:
-the quantile start and seeded restarts, whose uniforms come from the
-standard library's Mersenne Twister (random.Random(seed)), so drawing
-them loads neither numpy.random nor the hashing modules it imports.
-The starts run as one batch: each start is a row of a (starts, K)
-menu array, Step I, Step II and every Newton step of a round are one
-lockstep call over the rows still active, and a row leaves once it
-converges.  No search, pooling or reduction crosses a row edge, so
-every start does exactly the arithmetic it would do alone, and the
-batch costs about its slowest start.
+the quantile start, extra starts such as a sweep's previous menu, and
+seeded restarts, whose uniforms come from the standard library's
+Mersenne Twister (random.Random(seed)), so drawing them loads neither
+numpy.random nor the hashing modules it imports.  _start_inits makes
+and checks every start, as one row of a (starts, K) menu array.  The
+starts run as one batch: Step I, Step II and every Newton step of a
+round are one lockstep call over the rows still active, and a row
+leaves once it converges.  No search, pooling or reduction crosses a
+row edge, so every start does exactly the arithmetic it would do alone,
+and the batch costs about its slowest start.
 """
 
 import numbers
@@ -445,24 +447,19 @@ def _collapse_empty_groups(market, boundaries, periods):
     return boundaries[keep], periods[keep], counts[keep]
 
 
-def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedSolution]:
-    """Alternate period and boundary optimization from every start at once,
-    finishing with Newton steps; one GroupedSolution per start.
+def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
+    """Alternate period and boundary optimization from every row of starts
+    (shape (starts, K), made by _start_inits) at once, finishing with
+    Newton steps; one GroupedSolution per row.
 
-    Each start (init boundaries, or None for quantile-equispaced ones) is
-    one row of a (starts, K) menu array.  Every round runs Step I and
-    Step II on all rows still active in one lockstep search each, and
-    the Newton finish on the rows that take it; a row leaves once it
-    converges.  Rows never mix: each start does exactly the arithmetic
-    it would do alone, so the batch costs about its slowest start.
+    Every round runs Step I and Step II on all rows still active in one
+    lockstep search each, and the Newton finish on the rows that take
+    it; a row leaves once it converges.  Rows never mix: each start does
+    exactly the arithmetic it would do alone, so the batch costs about
+    its slowest start.
     """
-    quantile = market.quantile((np.arange(n_groups) + 1.0) / n_groups)
-    rows = [quantile if init is None else np.sort(np.asarray(init, dtype=float)) for init in inits]
-    if any(row.shape != (n_groups,) for row in rows):
-        raise ValueError("init_boundaries must supply one value per group")
-    b = np.array(rows)
-
-    n = len(inits)
+    b = np.array(starts, dtype=float)
+    n, n_groups = b.shape
     tol = KKT_TOL * market.size
     t = np.empty_like(b)
     traces = [[] for _ in range(n)]
@@ -560,30 +557,9 @@ def _solve_starts(profile, cost_model, market, n_groups, inits) -> List[GroupedS
     return solutions
 
 
-def solve_alternating(
-    profile,
-    cost_model,
-    market,
-    n_groups,
-    init_boundaries: Optional[Sequence[float]] = None,
-) -> GroupedSolution:
-    """Alternate period and boundary optimization, finishing with Newton steps.
-
-    Starts from quantile-equispaced boundaries (or init_boundaries).
-    After each round that pools nothing, projected-Newton steps drive
-    the first-order residual down, shortened where a full step would
-    leave the window, break ascent or lose profit, and moving a
-    coordinate off a window edge where its gradient points inward (see
-    _newton_finish); the solve converges once the finish ends with that
-    residual at most KKT_TOL * market.size on a menu whose every group
-    has mass.  A finished menu with an empty group converges once one
-    more round gains no more than REL_PROFIT_TOL in relative profit.  A
-    round that pools stops the solve when profit stalls, and MAX_ROUNDS
-    rounds stop it unconverged.  The profit trace is checked
-    nondecreasing at each half-step.  This is the one-start case of the
-    batched solve that solve_with_restarts runs.
-    """
-    return _solve_starts(profile, cost_model, market, _whole("n_groups", n_groups, 1), [init_boundaries])[0]
+def solve_alternating(profile, cost_model, market, n_groups) -> GroupedSolution:
+    """The one-start solve: _solve_starts from the quantile start alone."""
+    return _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, 0, None, None))[0]
 
 
 def _extend_traces(traces, rows, profits):
@@ -595,23 +571,38 @@ def _extend_traces(traces, rows, profits):
 
 
 def _start_inits(market, n_groups, restarts, seed, extra_inits):
-    """The starts of a restart solve, in order: the quantile start (None),
-    any extra starts, then the seeded restarts (quantile-transformed
-    uniforms, so restarts respect the type distribution).  Each restart
-    takes its K sorted uniforms in turn from one random.Random(seed), so
-    a seed gives the same starts on every call and None seeds from OS
-    entropy; any other seed than None or an integer >= 0 is a ValueError
-    (random.Random would take -1 as 1 and hash a float or a string)."""
+    """Every start of a grouped solve, as one (starts, K) array whose rows
+    are, in order:
+
+      the quantile start, boundaries at the quantiles k / K;
+      each extra start, sorted; one with fewer than K boundaries gets its
+        heaviest group split (split_heaviest_group) until it has K, so it
+        keeps every boundary it was given, and one with more is a
+        ValueError naming it;
+      the seeded restarts, quantile-transformed uniforms, so restarts
+        respect the type distribution.  Each takes its K sorted uniforms
+        in turn from one random.Random(seed), so a seed gives the same
+        starts on every call and None seeds from OS entropy.
+
+    n_groups must be an integer >= 1, restarts one >= 0 and seed None or
+    an integer >= 0 (random.Random would take -1 as 1 and hash a float
+    or a string); anything else is a ValueError naming it."""
+    K, restarts = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0)
     seed = None if seed is None else _whole("seed", seed, 0)
-    inits: List[Optional[np.ndarray]] = [None]
-    if extra_inits:
-        inits.extend(np.asarray(b, dtype=float) for b in extra_inits)
+    rows = [market.quantile((np.arange(K) + 1.0) / K)]
+    for extra in extra_inits or ():
+        b = np.asarray(extra, dtype=float)
+        if b.ndim != 1 or not 0 < b.size <= K:
+            raise ValueError(f"extra start {b.tolist()} must hold 1 to n_groups = {K} boundaries")
+        b = np.sort(b)
+        while b.size < K:
+            b = split_heaviest_group(market, b)
+        rows.append(b)
     if restarts:
         rng = random.Random(seed)
         for _ in range(restarts):
-            u = np.sort([rng.random() for _ in range(n_groups)])
-            inits.append(np.atleast_1d(market.quantile(u)))
-    return inits
+            rows.append(market.quantile(np.sort([rng.random() for _ in range(K)])))
+    return np.array(rows)
 
 
 def solve_with_restarts(
@@ -623,19 +614,16 @@ def solve_with_restarts(
     seed=None,
     extra_inits: Optional[List[Sequence[float]]] = None,
 ) -> GroupedSolution:
-    """Best of the quantile start, any extra starts, and seeded random
-    restarts (quantile-transformed uniforms from random.Random(seed), so
-    restarts respect the type distribution; see _start_inits).  All
-    starts are solved together as one batch (see _solve_starts), each
-    exactly as it would be alone, so the solve costs about its slowest
-    start rather than the sum.  Deterministic for a fixed seed (an
-    integer >= 0, or None for OS entropy): a later start replaces the
-    best so far only if it gains more than REL_PROFIT_TOL in relative
-    profit, so rounding noise never picks the winner.  The returned
-    solution records every start's final profit and residual
-    (start_profits, start_kkt_residuals)."""
-    n_groups, restarts = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0)
-    solutions = _solve_starts(profile, cost_model, market, n_groups, _start_inits(market, n_groups, restarts, seed, extra_inits))
+    """Best of the starts _start_inits makes: the quantile start, any
+    extra starts, then the seeded restarts.  All starts are solved
+    together as one batch (see _solve_starts), each exactly as it would
+    be alone, so the solve costs about its slowest start rather than the
+    sum.  Deterministic for a fixed seed: a later start replaces the best
+    so far only if it gains more than REL_PROFIT_TOL in relative profit,
+    so rounding noise never picks the winner.  The returned solution
+    records every start's final profit and residual (start_profits,
+    start_kkt_residuals)."""
+    solutions = _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, restarts, seed, extra_inits))
     best = solutions[0]
     for sol in solutions[1:]:
         if sol.total_profit - best.total_profit > REL_PROFIT_TOL * max(1.0, abs(best.total_profit)):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrete import feasibility_check, solve_discrete
 from .distributions import DiscreteMarket
-from .grouped import _whole, solve_with_restarts, split_heaviest_group
+from .grouped import _whole, solve_with_restarts
 from .market import cost
 from .oracles import (
     ComparisonReport,
@@ -98,11 +98,11 @@ def _comparison_rows(report):
 def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     """Solve a scenario, certify the menu, and write artifacts.
 
-    Artifacts are always written; `ok` is `certify`'s verdict and the
-    solve's convergence (the CLI turns that into the exit code).
+    Artifacts are always written once the solve returns, and out_dir is
+    made only then, so a refused input leaves nothing behind; `ok` is
+    `certify`'s verdict and the solve's convergence (the CLI turns that
+    into the exit code).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     use_seed = scenario.solver.seed if seed is None else seed
 
     if scenario.solver.kind == "discrete":
@@ -151,6 +151,8 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
         "passed": ok,
     }
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "solution": out / "solution.csv",
         "comparison": out / "comparison.csv",
@@ -179,20 +181,18 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
 def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[dict]:
     """Solve the scenario for each menu size K and tabulate profits.
 
-    Each K after the first also starts from the previous K's solution,
-    its heaviest group split at the group's mass midpoint once per added
-    group (see split_heaviest_group), alongside the quantile start and
-    random restarts.  That start keeps every previous boundary, so it
-    contains the previous menu and profit is nondecreasing in K by
-    construction.
+    Each K after the first also starts from the previous K's menu, as
+    an extra start that _start_inits splits up to K groups (see
+    split_heaviest_group), alongside the quantile start and random
+    restarts.  That start keeps every previous boundary, so it contains
+    the previous menu and profit is nondecreasing in K by construction.
+    out_dir is made only once every K is solved.
     """
     if scenario.solver.kind != "grouped":
         raise ValueError("group sweeps need a grouped scenario")
     ks = sorted(_whole("group_counts entry", k, 1) for k in group_counts)
     if not ks or len(set(ks)) < len(ks):
         raise ValueError("group counts must be a nonempty list of distinct K")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     use_seed = scenario.solver.seed if seed is None else seed
     baseline_t = scenario.baselines[0] if scenario.baselines else 1.0
     base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, baseline_t, coverage="full")
@@ -200,12 +200,6 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     rows = []
     prev = None
     for k in ks:
-        extra = []
-        if prev is not None:
-            warm = prev.boundaries
-            for _ in range(k - warm.size):
-                warm = split_heaviest_group(scenario.market, warm)
-            extra.append(warm)
         sol = solve_with_restarts(
             scenario.profile,
             scenario.cost_model,
@@ -213,7 +207,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
             k,
             restarts=scenario.solver.restarts,
             seed=use_seed,
-            extra_inits=extra,
+            extra_inits=None if prev is None else [prev.boundaries],
         )
         prev = sol
         rows.append(
@@ -223,6 +217,8 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
                 "uplift_percent": uplift_percent(sol.total_profit, base.profit),
             }
         )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "fig8_sweep.csv",
         ("groups", "profit", "uplift_percent"),

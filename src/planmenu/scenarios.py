@@ -67,7 +67,7 @@ _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_n
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict), dict)
 _GROUPS = ("an integer >= 1", lambda v: type(v) is int and v >= 1, int)
 _RESTARTS = ("an integer >= 0", lambda v: type(v) is int and v >= 0, int)
-_SEED = ("an integer or null", lambda v: v is None or type(v) is int, lambda v: v)
+_SEED = ("an integer >= 0 or null", lambda v: v is None or type(v) is int and v >= 0, lambda v: v)
 
 
 def _read(cfg, key, kind, where="scenario", default=_REQUIRED):

@@ -455,7 +455,7 @@ def test_solver_input_validation(profile, cost_model):
     with pytest.raises(ValueError):
         solve_alternating(profile, cost_model, mkt, 0)
     with pytest.raises(ValueError):
-        solve_alternating(profile, cost_model, mkt, 2, init_boundaries=[1.0, 2.0, 3.0])
+        solve_with_restarts(profile, cost_model, mkt, 2, extra_inits=[[1.0, 2.0, 3.0]])
 
 
 @pytest.mark.parametrize(
@@ -497,7 +497,7 @@ def test_restarts_deterministic(profile, cost_model):
 def test_same_seed_draws_the_same_restart_starts():
     mkt = exponential06()
     first, again = (grouped._start_inits(mkt, 3, 4, 7, None) for _ in range(2))
-    assert first[0] is None and len(first) == 5
+    assert np.array_equal(first[0], mkt.quantile(np.arange(1, 4) / 3)) and len(first) == 5
     for a, b in zip(first[1:], again[1:]):
         assert np.array_equal(a, b)
         assert np.all(np.diff(a) >= 0) and mkt.sigma_min <= a[0] and a[-1] <= mkt.sigma_max
@@ -506,6 +506,27 @@ def test_same_seed_draws_the_same_restart_starts():
     # no seed: fresh entropy each call
     fresh = [grouped._start_inits(mkt, 3, 4, None, None)[1] for _ in range(2)]
     assert not np.array_equal(*fresh)
+
+
+def test_start_inits_makes_every_start_row():
+    # one (starts, K) array: the quantile start, each extra start sorted
+    # and split up to K, then the seeded restarts
+    mkt = exponential06()
+    rows = grouped._start_inits(mkt, 3, 2, 7, [[2.0], [5.0, 1.0, 3.0]])
+    assert isinstance(rows, np.ndarray) and rows.dtype == float and rows.shape == (5, 3)
+    assert np.array_equal(rows[0], mkt.quantile(np.arange(1, 4) / 3))
+    # a one-boundary start comes back split twice, its boundary kept
+    assert np.array_equal(rows[1], split_heaviest_group(mkt, split_heaviest_group(mkt, [2.0])))
+    assert 2.0 in rows[1] and np.all(np.diff(rows[1]) > 0)
+    assert np.array_equal(rows[2], [1.0, 3.0, 5.0])
+    for restart in rows[3:]:
+        assert np.all(np.diff(restart) >= 0) and mkt.sigma_min <= restart[0] and restart[-1] <= mkt.sigma_max
+    assert np.array_equal(rows[3:], grouped._start_inits(mkt, 3, 2, 7, None)[1:])
+    # a start with more boundaries than groups, or none, is refused by name
+    with pytest.raises(ValueError, match=r"extra start \[1\.0, 2\.0, 3\.0, 4\.0\] must hold 1 to n_groups = 3"):
+        grouped._start_inits(mkt, 3, 0, None, [[1.0, 2.0, 3.0, 4.0]])
+    with pytest.raises(ValueError, match=r"extra start \[\] must hold 1 to n_groups = 3"):
+        grouped._start_inits(mkt, 3, 0, None, [[]])
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"], ids=["negative", "float", "bool", "string"])
@@ -615,11 +636,11 @@ STARTS = ("quantile", "restart")
 
 @lru_cache(maxsize=None)
 def bundled_solve(name, k, start):
+    """A bundled market's solve from one start: the quantile start (row 0
+    of _start_inits) or the restart that seed 20260822 draws (row 1)."""
     sc = load_scenario(name)
-    init = None
-    if start == "restart":
-        init = grouped._start_inits(sc.market, k, 1, 20260822, None)[1]
-    return sc, solve_alternating(sc.profile, sc.cost_model, sc.market, k, init_boundaries=init)
+    row = grouped._start_inits(sc.market, k, 1, 20260822, None)[STARTS.index(start)]
+    return sc, grouped._solve_starts(sc.profile, sc.cost_model, sc.market, row[None])[0]
 
 
 @pytest.mark.parametrize("start", STARTS)
@@ -693,10 +714,10 @@ def batched_and_alone(name, k):
     valuation_dsigma2 calls (every boundary slope and gradient) the one
     by one solves made."""
     sc = load_scenario(name)
-    inits = grouped._start_inits(sc.market, k, sc.solver.restarts, sc.solver.seed, None)
-    batch = grouped._solve_starts(sc.profile, sc.cost_model, sc.market, k, inits)
+    starts = grouped._start_inits(sc.market, k, sc.solver.restarts, sc.solver.seed, None)
+    batch = grouped._solve_starts(sc.profile, sc.cost_model, sc.market, starts)
     with counted_kernel() as calls:
-        alone = [solve_alternating(sc.profile, sc.cost_model, sc.market, k, init_boundaries=b) for b in inits]
+        alone = [grouped._solve_starts(sc.profile, sc.cost_model, sc.market, row[None])[0] for row in starts]
     return batch, alone, calls[0]
 
 
@@ -774,7 +795,7 @@ def test_newton_finish_releases_edge_coordinate():
     # the finish moves it off the edge instead of leaving it to alternation
     sc = load_scenario("uniform_k6")
     k1 = solve_with_restarts(sc.profile, sc.cost_model, sc.market, 1, restarts=sc.solver.restarts, seed=sc.solver.seed)
-    sol = solve_alternating(sc.profile, sc.cost_model, sc.market, 2, init_boundaries=np.repeat(k1.boundaries, 2))
+    sol = grouped._solve_starts(sc.profile, sc.cost_model, sc.market, np.repeat(k1.boundaries, 2)[None])[0]
     assert sol.converged and sol.kkt_residual <= 1e-12
     assert sol.iterations <= 3
     _, alone = bundled_solve("uniform_k6", 2, "quantile")
@@ -802,12 +823,12 @@ def test_split_heaviest_group_halves_its_mass():
     ids=lambda v: "K" + ",".join(map(str, v)) if isinstance(v, tuple) else v,
 )
 def test_sweep_warm_start_does_useful_work(name, ks, monkeypatch, tmp_path):
-    # each K's warm start (start 1, after the quantile start) is the
-    # previous menu with its heaviest group split once per added group:
-    # it keeps the previous boundaries and reaches the best start's
-    # profit in as few rounds and Newton steps as the other starts
+    # each K's warm start (row 1 of the start array, after the quantile
+    # start) is the previous menu with its heaviest group split once per
+    # added group: it keeps the previous boundaries and reaches the best
+    # start's profit in as few rounds and Newton steps as the other starts
     sc = load_scenario(name)
-    calls = []  # [inits, each start's solution, the returned solution] of each solve
+    calls = []  # [start rows, each start's solution, the returned solution] of each solve
     solve_starts, solve = grouped._solve_starts, runner.solve_with_restarts
 
     def tap_starts(*args):
@@ -823,8 +844,9 @@ def test_sweep_warm_start_does_useful_work(name, ks, monkeypatch, tmp_path):
     monkeypatch.setattr(runner, "solve_with_restarts", tap_solve)
     sweep_groups(sc, ks, tmp_path)
     assert len(calls) == len(ks)
-    for k, (_, _, prev), (inits, starts, best) in zip(ks[1:], calls, calls[1:]):
-        warm, start = inits[1], starts[1]
+    for k, (_, _, prev), (rows, starts, best) in zip(ks[1:], calls, calls[1:]):
+        assert rows.shape == (2 + sc.solver.restarts, k)
+        warm, start = rows[1], starts[1]
         expected = prev.boundaries
         for _ in range(k - prev.boundaries.size):
             expected = split_heaviest_group(sc.market, expected)

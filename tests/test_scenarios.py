@@ -597,8 +597,9 @@ def discrete_json(**keys):
         (grouped_json(K=2.7), "solver key 'K' must be an integer >= 1, got 2.7"),
         (grouped_json(K="two"), "solver key 'K' must be an integer >= 1, got 'two'"),
         (grouped_json(restarts=-3), "solver key 'restarts' must be an integer >= 0, got -3"),
-        (grouped_json(seed="abc"), "solver key 'seed' must be an integer or null, got 'abc'"),
-        (grouped_json(seed=1.5), "solver key 'seed' must be an integer or null, got 1.5"),
+        (grouped_json(seed="abc"), "solver key 'seed' must be an integer >= 0 or null, got 'abc'"),
+        (grouped_json(seed=1.5), "solver key 'seed' must be an integer >= 0 or null, got 1.5"),
+        (grouped_json(seed=-1), "solver key 'seed' must be an integer >= 0 or null, got -1"),
         (scenario_json(alpha=None), "scenario key 'alpha' must be a number, got None"),
         (scenario_json(alpha="abc"), "scenario key 'alpha' must be a number, got 'abc'"),
         (scenario_json(cost=[1]), "scenario key 'cost' must be a JSON object, got [1]"),
@@ -630,8 +631,8 @@ def discrete_json(**keys):
     ],
     ids=[
         "invalid_json", "market_key_missing", "K_fraction", "K_string", "restarts_negative", "seed_string",
-        "seed_fraction", "alpha_null", "alpha_string", "cost_list", "baseline_null", "market_N_string", "not_object",
-        "counts_infinite", "market_N_infinite", "sigma_max_infinite", "lambda_infinite", "alpha_infinite",
+        "seed_fraction", "seed_negative", "alpha_null", "alpha_string", "cost_list", "baseline_null",
+        "market_N_string", "not_object", "counts_infinite", "market_N_infinite", "sigma_max_infinite", "lambda_infinite", "alpha_infinite",
         "mu_negative_infinite", "q_nan", "c0_infinite", "c1_infinite", "baseline_infinite", "alpha_huge_integer",
     ],
 )
@@ -681,6 +682,7 @@ def test_cli_refuses_negative_seed(tmp_path, capsys, command):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err == "planmenu: error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_unknown_command():
