@@ -6,9 +6,11 @@
     planmenu oracle     --scenario PATH --grid-step H [--t-max T]
     planmenu check-dist --scenario PATH [--grid-points N]
 
-Exit status is 0 only when every verification passes; artifacts are
-still written on failure.  A missing or malformed input file prints one
-`planmenu: error: ...` line and exits 2.
+--seed replaces a grouped scenario's restart seed, an integer >= 0; a
+discrete scenario has no restarts and refuses it.  Exit status is 0
+only when every verification passes (for sweep: when every K's solve
+converged); artifacts are still written on failure.  A missing or
+malformed input file prints one `planmenu: error: ...` line and exits 2.
 """
 
 import argparse
@@ -49,8 +51,9 @@ def _cmd_sweep(args):
     groups = [int(k) for k in args.groups.split(",") if k.strip()]
     rows = runner.sweep_groups(scenario, groups, args.out, seed=args.seed)
     for r in rows:
-        print(f"K={r['groups']}: profit {r['profit']:.6f} ({_percent(r['uplift_percent'])} vs fixed)")
-    return 0
+        unconverged = "" if r["converged"] else " NOT CONVERGED"
+        print(f"K={r['groups']}: profit {r['profit']:.6f} ({_percent(r['uplift_percent'])} vs fixed){unconverged}")
+    return 0 if all(r["converged"] for r in rows) else 2
 
 
 def _cmd_verify(args):

@@ -559,7 +559,7 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
 
 def solve_alternating(profile, cost_model, market, n_groups) -> GroupedSolution:
     """The one-start solve: _solve_starts from the quantile start alone."""
-    return _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, 0, None, None))[0]
+    return _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, 0, 0, None))[0]
 
 
 def _extend_traces(traces, rows, profits):
@@ -582,13 +582,12 @@ def _start_inits(market, n_groups, restarts, seed, extra_inits):
       the seeded restarts, quantile-transformed uniforms, so restarts
         respect the type distribution.  Each takes its K sorted uniforms
         in turn from one random.Random(seed), so a seed gives the same
-        starts on every call and None seeds from OS entropy.
+        starts on every call.
 
-    n_groups must be an integer >= 1, restarts one >= 0 and seed None or
-    an integer >= 0 (random.Random would take -1 as 1 and hash a float
-    or a string); anything else is a ValueError naming it."""
-    K, restarts = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0)
-    seed = None if seed is None else _whole("seed", seed, 0)
+    n_groups must be an integer >= 1, and restarts and seed integers >= 0
+    (random.Random would draw a fresh seed for None, take -1 as 1 and
+    hash a float or a string); anything else is a ValueError naming it."""
+    K, restarts, seed = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0), _whole("seed", seed, 0)
     rows = [market.quantile((np.arange(K) + 1.0) / K)]
     for extra in extra_inits or ():
         b = np.asarray(extra, dtype=float)
@@ -611,18 +610,18 @@ def solve_with_restarts(
     market,
     n_groups,
     restarts=0,
-    seed=None,
+    seed=0,
     extra_inits: Optional[List[Sequence[float]]] = None,
 ) -> GroupedSolution:
     """Best of the starts _start_inits makes: the quantile start, any
     extra starts, then the seeded restarts.  All starts are solved
     together as one batch (see _solve_starts), each exactly as it would
     be alone, so the solve costs about its slowest start rather than the
-    sum.  Deterministic for a fixed seed: a later start replaces the best
-    so far only if it gains more than REL_PROFIT_TOL in relative profit,
-    so rounding noise never picks the winner.  The returned solution
-    records every start's final profit and residual (start_profits,
-    start_kkt_residuals)."""
+    sum.  Deterministic, as the seed is always an integer (0 by default):
+    a later start replaces the best so far only if it gains more than
+    REL_PROFIT_TOL in relative profit, so rounding noise never picks the
+    winner.  The returned solution records every start's final profit and
+    residual (start_profits, start_kkt_residuals)."""
     solutions = _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, restarts, seed, extra_inits))
     best = solutions[0]
     for sol in solutions[1:]:

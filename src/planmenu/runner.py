@@ -73,7 +73,7 @@ class RunArtifacts:
 def _solution_rows(scenario, solution):
     # one row per item: its marginal type (the discrete type, or the
     # group's upper boundary) and its head-count or group mass
-    if scenario.solver.kind == "discrete":
+    if isinstance(scenario.market, DiscreteMarket):
         sigmas, counts = scenario.market.sigmas, scenario.market.counts
     else:
         sigmas, counts = solution.boundaries, solution.counts
@@ -95,17 +95,27 @@ def _comparison_rows(report):
     return rows
 
 
+def _restart_seed(scenario, seed):
+    """The seed a grouped solve draws its restarts from: seed, or the
+    scenario's own when seed is None.  A discrete scenario has no solver
+    settings, so it takes None and any seed is a ValueError."""
+    if scenario.solver is None and seed is not None:
+        raise ValueError(f"seed applies to grouped scenarios only, and {scenario.name} is discrete (got {seed!r})")
+    return scenario.solver.seed if seed is None and scenario.solver else seed
+
+
 def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     """Solve a scenario, certify the menu, and write artifacts.
 
-    Artifacts are always written once the solve returns, and out_dir is
-    made only then, so a refused input leaves nothing behind; `ok` is
-    `certify`'s verdict and the solve's convergence (the CLI turns that
-    into the exit code).
+    The market's type picks the solver.  seed, when not None, replaces a
+    grouped scenario's restart seed; a discrete scenario refuses one
+    before it solves.  Artifacts are always written once the solve
+    returns, and out_dir is made only then, so a refused input leaves
+    nothing behind; `ok` is `certify`'s verdict and the solve's
+    convergence (the CLI turns that into the exit code).
     """
-    use_seed = scenario.solver.seed if seed is None else seed
-
-    if scenario.solver.kind == "discrete":
+    use_seed = _restart_seed(scenario, seed)
+    if isinstance(scenario.market, DiscreteMarket):
         solution = solve_discrete(scenario.profile, scenario.cost_model, scenario.market)
         boundaries = None
         convergence = {"iterations": 1, "converged": True, "profit_trace": [solution.total_profit]}
@@ -142,7 +152,7 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     ok = passed and convergence["converged"]
     certificate = {
         "scenario": scenario.name,
-        "solver": scenario.solver.kind,
+        "solver": "discrete" if isinstance(scenario.market, DiscreteMarket) else "grouped",
         "seed": use_seed,
         "profit": solution.total_profit,
         "ic_ir": ic_ir,
@@ -186,14 +196,16 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     split_heaviest_group), alongside the quantile start and random
     restarts.  That start keeps every previous boundary, so it contains
     the previous menu and profit is nondecreasing in K by construction.
-    out_dir is made only once every K is solved.
+    seed, when not None, replaces the scenario's restart seed.  Each row
+    also records whether its K's solve converged.  out_dir is made only
+    once every K is solved.
     """
-    if scenario.solver.kind != "grouped":
+    if isinstance(scenario.market, DiscreteMarket):
         raise ValueError("group sweeps need a grouped scenario")
     ks = sorted(_whole("group_counts entry", k, 1) for k in group_counts)
     if not ks or len(set(ks)) < len(ks):
         raise ValueError("group counts must be a nonempty list of distinct K")
-    use_seed = scenario.solver.seed if seed is None else seed
+    use_seed = _restart_seed(scenario, seed)
     baseline_t = scenario.baselines[0] if scenario.baselines else 1.0
     base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, baseline_t, coverage="full")
 
@@ -215,6 +227,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
                 "groups": k,
                 "profit": sol.total_profit,
                 "uplift_percent": uplift_percent(sol.total_profit, base.profit),
+                "converged": sol.converged,
             }
         )
     out = Path(out_dir)

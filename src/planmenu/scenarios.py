@@ -16,6 +16,15 @@ Schema (keys in parentheses optional):
       "baselines": [1, 2]
     }
 
+The market's kind sets which keys it reads: "lambda" only for
+"exponential", "M" and "W" only for "truncated_normal", and for
+"discrete" only "sigmas" and "counts".  The market's type picks the
+solver, and solver "kind" must name it: "discrete" for a discrete
+market, "grouped" for a continuous one.  The other solver keys are for
+grouped scenarios only: "K" (default 1), "restarts" (default 0) and
+"seed" (default 0), each an integer.  A key that nothing reads, such
+as a misspelt one, is refused with an error that names it.
+
 Bundled scenarios live in planmenu/data and are addressable by bare
 name (without .json) anywhere a path is accepted.
 """
@@ -23,7 +32,6 @@ name (without .json) anywhere a path is accepted.
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
@@ -36,10 +44,11 @@ from .market import CostModel, DemandProfile
 
 @dataclass
 class SolverSpec:
-    kind: str
+    """The grouped solver's settings; a discrete market has none."""
+
     n_groups: int = 1
     restarts: int = 0
-    seed: Optional[int] = None
+    seed: int = 0
 
 
 @dataclass
@@ -48,7 +57,7 @@ class Scenario:
     profile: DemandProfile
     cost_model: CostModel
     market: object  # DiscreteMarket or ContinuousMarket
-    solver: SolverSpec
+    solver: Optional[SolverSpec]  # None for a discrete market
     baselines: List[float] = field(default_factory=list)
 
 
@@ -66,26 +75,37 @@ _NUMBER = ("a number", _is_number, float)
 _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)), lambda v: [float(x) for x in v])
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict), dict)
 _GROUPS = ("an integer >= 1", lambda v: type(v) is int and v >= 1, int)
-_RESTARTS = ("an integer >= 0", lambda v: type(v) is int and v >= 0, int)
-_SEED = ("an integer >= 0 or null", lambda v: v is None or type(v) is int and v >= 0, lambda v: v)
+_COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0, int)
 
 
-def _read(cfg, key, kind, where="scenario", default=_REQUIRED):
-    """cfg[key] converted by kind, or default if the key is absent.  A
-    missing required key, or a value kind's test rejects, is a ValueError
-    naming the key."""
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ValueError(f"{where} missing required key {key!r}")
-        return default
-    what, ok, convert = kind
-    if not ok(cfg[key]):
-        raise ValueError(f"{where} key {key!r} must be {what}, got {cfg[key]!r}")
-    return convert(cfg[key])
+class _Keys:
+    """The keys of one JSON object of a scenario file that are not yet
+    read; where names the object in errors."""
+
+    def __init__(self, cfg, where):
+        self.cfg, self.where = dict(cfg), where
+
+    def __call__(self, key, kind, default=_REQUIRED):
+        """cfg[key] converted by kind, or default if the key is absent; the
+        key counts as read.  A missing required key, or a value kind's
+        test rejects, is a ValueError naming the key."""
+        value = self.cfg.pop(key, _REQUIRED)
+        if value is _REQUIRED:
+            if default is _REQUIRED:
+                raise ValueError(f"{self.where} missing required key {key!r}")
+            return default
+        what, ok, convert = kind
+        if not ok(value):
+            raise ValueError(f"{self.where} key {key!r} must be {what}, got {value!r}")
+        return convert(value)
+
+    def done(self):
+        """A ValueError naming the object's first key that no call read."""
+        if self.cfg:
+            raise ValueError(f"{self.where} key {next(iter(self.cfg))!r} is not used by this scenario")
 
 
-def _build_market(cfg):
-    get = partial(_read, cfg, where="scenario market")
+def _build_market(get):
     kind = get("kind", _TEXT, default=None)
     if kind == "discrete":
         return DiscreteMarket(sigmas=get("sigmas", _NUMBERS), counts=get("counts", _NUMBERS))
@@ -94,9 +114,9 @@ def _build_market(cfg):
         sigma_min=get("sigma_min", _NUMBER),
         sigma_max=get("sigma_max", _NUMBER),
         size=get("N", _NUMBER, default=1.0),
-        rate=get("lambda", _NUMBER, default=None),
-        loc=get("M", _NUMBER, default=None),
-        scale=get("W", _NUMBER, default=None),
+        rate=get("lambda", _NUMBER, default=None) if kind == "exponential" else None,
+        loc=get("M", _NUMBER, default=None) if kind == "truncated_normal" else None,
+        scale=get("W", _NUMBER, default=None) if kind == "truncated_normal" else None,
     )
 
 
@@ -125,27 +145,28 @@ def load_scenario(path_or_name) -> Scenario:
 
     if not isinstance(raw, dict):
         raise ValueError(f"{path_or_name}: a scenario must be a JSON object")
-    get = partial(_read, raw)
-    solver = partial(_read, get("solver", _OBJECT), where="solver")
+    get = _Keys(raw, "scenario")
+    solver = _Keys(get("solver", _OBJECT), "solver")
     kind = solver("kind", _TEXT, default=None)
     if kind not in ("discrete", "grouped"):
-        raise ValueError(f"solver kind must be 'discrete' or 'grouped', got {kind!r}")
-    market = _build_market(get("market", _OBJECT))
-    if kind == "discrete" and not isinstance(market, DiscreteMarket):
-        raise ValueError("discrete solver needs a discrete market")
-    if kind == "grouped" and not isinstance(market, ContinuousMarket):
-        raise ValueError("grouped solver needs a continuous market")
-    cost_cfg = partial(_read, get("cost", _OBJECT), where="scenario cost")
-    return Scenario(
+        raise ValueError(f"solver key 'kind' must be 'discrete' or 'grouped', got {kind!r}")
+    market_keys = _Keys(get("market", _OBJECT), "scenario market")
+    market = _build_market(market_keys)
+    if (kind == "discrete") != isinstance(market, DiscreteMarket):
+        raise ValueError(f"{kind} solver needs a {'discrete' if kind == 'discrete' else 'continuous'} market")
+    cost = _Keys(get("cost", _OBJECT), "scenario cost")
+    scenario = Scenario(
         name=get("name", _TEXT),
         profile=DemandProfile(alpha=get("alpha", _NUMBER), mu=get("mu", _NUMBER), q=get("q", _NUMBER)),
-        cost_model=CostModel(c0=cost_cfg("c0", _NUMBER), c1=cost_cfg("c1", _NUMBER, default=0.0)),
+        cost_model=CostModel(c0=cost("c0", _NUMBER), c1=cost("c1", _NUMBER, default=0.0)),
         market=market,
-        solver=SolverSpec(
-            kind=kind,
+        solver=None if kind == "discrete" else SolverSpec(
             n_groups=solver("K", _GROUPS, default=1),
-            restarts=solver("restarts", _RESTARTS, default=0),
-            seed=solver("seed", _SEED, default=None),
+            restarts=solver("restarts", _COUNT, default=0),
+            seed=solver("seed", _COUNT, default=0),
         ),
         baselines=get("baselines", _NUMBERS, default=[]),
     )
+    for keys in (get, market_keys, cost, solver):
+        keys.done()
+    return scenario

@@ -503,9 +503,9 @@ def test_same_seed_draws_the_same_restart_starts():
         assert np.all(np.diff(a) >= 0) and mkt.sigma_min <= a[0] and a[-1] <= mkt.sigma_max
     other = grouped._start_inits(mkt, 3, 4, 8, None)
     assert not any(np.array_equal(a, b) for a, b in zip(first[1:], other[1:]))
-    # no seed: fresh entropy each call
-    fresh = [grouped._start_inits(mkt, 3, 4, None, None)[1] for _ in range(2)]
-    assert not np.array_equal(*fresh)
+    # the seed is always an integer, so no call draws a fresh one
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got None"):
+        grouped._start_inits(mkt, 3, 4, None, None)
 
 
 def test_start_inits_makes_every_start_row():
@@ -524,9 +524,9 @@ def test_start_inits_makes_every_start_row():
     assert np.array_equal(rows[3:], grouped._start_inits(mkt, 3, 2, 7, None)[1:])
     # a start with more boundaries than groups, or none, is refused by name
     with pytest.raises(ValueError, match=r"extra start \[1\.0, 2\.0, 3\.0, 4\.0\] must hold 1 to n_groups = 3"):
-        grouped._start_inits(mkt, 3, 0, None, [[1.0, 2.0, 3.0, 4.0]])
+        grouped._start_inits(mkt, 3, 0, 0, [[1.0, 2.0, 3.0, 4.0]])
     with pytest.raises(ValueError, match=r"extra start \[\] must hold 1 to n_groups = 3"):
-        grouped._start_inits(mkt, 3, 0, None, [[]])
+        grouped._start_inits(mkt, 3, 0, 0, [[]])
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"], ids=["negative", "float", "bool", "string"])
@@ -1131,14 +1131,14 @@ def random_grouped_scenarios(draw):
     mu = draw(st.floats(5.0, 20.0))
     profile = DemandProfile(alpha=1.0, mu=mu, q=mu + draw(st.floats(0.5, 5.0)))
     cost_model = CostModel(c0=draw(st.floats(0.5, 0.95)) * mu, c1=draw(st.floats(0.0, 1.0)))
-    solver = SolverSpec(kind="grouped", n_groups=3, restarts=0, seed=0)
+    solver = SolverSpec(n_groups=3, restarts=0, seed=0)
     return Scenario("random", profile, cost_model, market, solver, baselines=[1.0])
 
 
 def bundled_economics_scenario(market):
     """A K = 3 grouped scenario on market with the bundled scenarios'
     economics (alpha = 1, mu = 13, q = 15, c0 = 10, c1 = 0.5)."""
-    solver = SolverSpec(kind="grouped", n_groups=3, restarts=0, seed=0)
+    solver = SolverSpec(n_groups=3, restarts=0, seed=0)
     profile, cost_model = DemandProfile(alpha=1.0, mu=13.0, q=15.0), CostModel(c0=10.0, c1=0.5)
     return Scenario("example", profile, cost_model, market, solver, baselines=[1.0])
 

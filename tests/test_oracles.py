@@ -686,7 +686,7 @@ def test_optimized_baseline_serves_no_one_when_every_cutoff_loses(name, tmp_path
     sc = dataclasses.replace(
         sc,
         cost_model=dataclasses.replace(sc.cost_model, c0=100.0),
-        solver=dataclasses.replace(sc.solver, n_groups=1, restarts=0),
+        solver=sc.solver and dataclasses.replace(sc.solver, n_groups=1, restarts=0),  # None for a discrete market
     )
     for t in sc.baselines:
         base = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, t, "optimized")

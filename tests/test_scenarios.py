@@ -38,7 +38,7 @@ def small_grouped_scenario(n_groups=2, restarts=2, seed=11):
         profile=DemandProfile(alpha=1.0, mu=13.0, q=15.0),
         cost_model=CostModel(c0=10.0, c1=0.5),
         market=ContinuousMarket(kind="uniform", sigma_min=0.0, sigma_max=6.0),
-        solver=SolverSpec(kind="grouped", n_groups=n_groups, restarts=restarts, seed=seed),
+        solver=SolverSpec(n_groups=n_groups, restarts=restarts, seed=seed),
         baselines=[1.0],
     )
 
@@ -60,7 +60,7 @@ def test_bundled_names():
 def test_load_case1():
     sc = load_scenario("case1_discrete")
     assert sc.name == "case1_discrete"
-    assert sc.solver.kind == "discrete"
+    assert sc.solver is None
     assert isinstance(sc.market, DiscreteMarket)
     assert sc.market.n_types == 11
     assert np.allclose(sc.market.sigmas, np.arange(0.1, 6.2, 0.6))
@@ -83,11 +83,10 @@ def test_load_case2_counts():
 ])
 def test_load_grouped_bundles(name, kind, param):
     sc = load_scenario(name)
-    assert sc.solver.kind == "grouped"
+    assert isinstance(sc.market, ContinuousMarket)
     assert sc.solver.n_groups == 6
     assert sc.solver.restarts >= 1
-    assert sc.solver.seed is not None
-    assert isinstance(sc.market, ContinuousMarket)
+    assert sc.solver.seed == 20260822
     assert sc.market.kind == kind
     assert (sc.market.sigma_min, sc.market.sigma_max) == (0.0, 6.0)
     if param:
@@ -134,7 +133,7 @@ def test_load_errors(tmp_path):
     bad_solver = dict(base, solver={"kind": "simplex"})
     p = tmp_path / "bad_solver.json"
     p.write_text(json.dumps(bad_solver))
-    with pytest.raises(ValueError, match="solver kind"):
+    with pytest.raises(ValueError, match="solver key 'kind' must be 'discrete' or 'grouped', got 'simplex'"):
         load_scenario(p)
 
     mismatch = dict(base, market={"kind": "discrete", "sigmas": [1.0], "counts": [1.0]})
@@ -234,7 +233,7 @@ def test_artifacts_byte_deterministic(tmp_path):
         profile=DemandProfile(alpha=1.0, mu=13.0, q=15.0),
         cost_model=CostModel(c0=10.0, c1=0.5),
         market=DiscreteMarket(sigmas=np.linspace(0.5, 6.0, 5), counts=[5.0, 1.0, 5.0, 1.0, 5.0]),
-        solver=SolverSpec(kind="discrete"),
+        solver=None,
         baselines=[1.0],
     )
     for scenario in (small_grouped_scenario(), load_scenario("case2_mountain"), pooling):
@@ -249,6 +248,22 @@ def test_artifacts_byte_deterministic(tmp_path):
     runner.sweep_groups(sweep, [1, 2, 3], a)
     runner.sweep_groups(sweep, [1, 2, 3], b)
     assert (a / "fig8_sweep.csv").read_bytes() == (b / "fig8_sweep.csv").read_bytes()
+
+
+def test_solve_without_seed_is_reproducible(tmp_path, capsys):
+    # a grouped scenario with no seed draws its restarts from seed 0, so
+    # two runs write the same bytes as a run with "seed": 0
+    cfg = json.loads((Path(planmenu.__file__).parent / "data" / "uniform_k6.json").read_text())
+    del cfg["solver"]["seed"]
+    cfg["solver"]["K"] = 3
+    runs = []
+    for label, solver in (("a", {}), ("b", {}), ("seed_0", {"seed": 0})):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(dict(cfg, solver=dict(cfg["solver"], **solver))))
+        assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / label)]) == 0
+        runs.append([(tmp_path / label / name).read_bytes() for name in ("solution.csv", "comparison.csv", "certificate.json")])
+    assert runs[0] == runs[1] == runs[2]
+    assert json.loads(runs[0][2])["seed"] == 0
 
 
 def test_case1_run_makes_one_period_search(tmp_path, monkeypatch):
@@ -518,6 +533,20 @@ def test_cli_sweep(tmp_path, capsys):
     assert "K=2" in capsys.readouterr().out
 
 
+def test_cli_sweep_fails_on_an_unconverged_k(tmp_path, capsys, monkeypatch):
+    # one round and a zero residual tolerance: K = 1's Newton finish
+    # still lands on a residual of exactly 0, K = 6 stops unconverged;
+    # like solve, the sweep still writes its table and exits 2
+    monkeypatch.setattr(grouped, "MAX_ROUNDS", 1)
+    monkeypatch.setattr(grouped, "KKT_TOL", 0.0)
+    out = tmp_path / "sweep_out"
+    assert cli.main(["sweep", "--scenario", "uniform_k6", "--groups", "1,6", "--out", str(out)]) == 2
+    k1, k6 = capsys.readouterr().out.splitlines()
+    assert k1.startswith("K=1: ") and "NOT CONVERGED" not in k1
+    assert k6.startswith("K=6: ") and k6.endswith(" NOT CONVERGED")
+    assert (out / "fig8_sweep.csv").read_text().splitlines()[0] == "groups,profit,uplift_percent"
+
+
 HEADER = "group_index,sigma_boundary,period,price,count,item_profit"
 
 
@@ -576,10 +605,10 @@ def market_json(**keys):
     return scenario_json(market={"kind": "uniform", "sigma_min": 0.0, "sigma_max": 6.0, **keys})
 
 
-def discrete_json(**keys):
-    """A small discrete scenario file's text, with market keys overridden."""
+def discrete_json(solver=None, **keys):
+    """A small discrete scenario file's text, with market keys (and solver keys) overridden."""
     market = {"kind": "discrete", "sigmas": [1.0, 2.0, 3.0], "counts": [1, 1, 1], **keys}
-    return scenario_json(market=market, solver={"kind": "discrete"})
+    return scenario_json(market=market, solver={"kind": "discrete", **(solver or {})})
 
 
 @pytest.mark.parametrize(
@@ -597,9 +626,22 @@ def discrete_json(**keys):
         (grouped_json(K=2.7), "solver key 'K' must be an integer >= 1, got 2.7"),
         (grouped_json(K="two"), "solver key 'K' must be an integer >= 1, got 'two'"),
         (grouped_json(restarts=-3), "solver key 'restarts' must be an integer >= 0, got -3"),
-        (grouped_json(seed="abc"), "solver key 'seed' must be an integer >= 0 or null, got 'abc'"),
-        (grouped_json(seed=1.5), "solver key 'seed' must be an integer >= 0 or null, got 1.5"),
-        (grouped_json(seed=-1), "solver key 'seed' must be an integer >= 0 or null, got -1"),
+        (grouped_json(seed="abc"), "solver key 'seed' must be an integer >= 0, got 'abc'"),
+        (grouped_json(seed=1.5), "solver key 'seed' must be an integer >= 0, got 1.5"),
+        (grouped_json(seed=-1), "solver key 'seed' must be an integer >= 0, got -1"),
+        (grouped_json(seed=None), "solver key 'seed' must be an integer >= 0, got None"),
+        # a discrete market gives every type its own item: no solver settings
+        (discrete_json(solver={"K": 2}), "solver key 'K' is not used by this scenario"),
+        (discrete_json(solver={"restarts": 1}), "solver key 'restarts' is not used by this scenario"),
+        (discrete_json(solver={"seed": 0}), "solver key 'seed' is not used by this scenario"),
+        # keys that nothing reads: a typo, another family's parameter
+        (grouped_json(Seed=5), "solver key 'Seed' is not used by this scenario"),
+        (market_json(**{"lambda": 0.5}), "scenario market key 'lambda' is not used by this scenario"),
+        (market_json(M=3.0), "scenario market key 'M' is not used by this scenario"),
+        (market_json(kind="exponential", W=1.5, **{"lambda": 0.5}), "scenario market key 'W' is not used by this scenario"),
+        (discrete_json(N=1.0), "scenario market key 'N' is not used by this scenario"),
+        (scenario_json(cost={"c0": 10.0, "c2": 0.5}), "scenario cost key 'c2' is not used by this scenario"),
+        (scenario_json(baseline=[1]), "scenario key 'baseline' is not used by this scenario"),
         (scenario_json(alpha=None), "scenario key 'alpha' must be a number, got None"),
         (scenario_json(alpha="abc"), "scenario key 'alpha' must be a number, got 'abc'"),
         (scenario_json(cost=[1]), "scenario key 'cost' must be a JSON object, got [1]"),
@@ -631,7 +673,9 @@ def discrete_json(**keys):
     ],
     ids=[
         "invalid_json", "market_key_missing", "K_fraction", "K_string", "restarts_negative", "seed_string",
-        "seed_fraction", "seed_negative", "alpha_null", "alpha_string", "cost_list", "baseline_null",
+        "seed_fraction", "seed_negative", "seed_null", "discrete_K", "discrete_restarts", "discrete_seed",
+        "solver_typo", "uniform_lambda", "uniform_M", "exponential_W", "discrete_N", "cost_typo", "top_level_typo",
+        "alpha_null", "alpha_string", "cost_list", "baseline_null",
         "market_N_string", "not_object", "counts_infinite", "market_N_infinite", "sigma_max_infinite", "lambda_infinite", "alpha_infinite",
         "mu_negative_infinite", "q_nan", "c0_infinite", "c1_infinite", "baseline_infinite", "alpha_huge_integer",
     ],
@@ -643,6 +687,7 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
     err = capsys.readouterr().err
     assert err.startswith("planmenu: error: ") and problem in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -682,6 +727,16 @@ def test_cli_refuses_negative_seed(tmp_path, capsys, command):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err == "planmenu: error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["5", "-1"])
+def test_cli_refuses_seed_for_discrete_scenario(tmp_path, capsys, seed):
+    # a discrete market has no restarts, so a seed would be an option that does nothing
+    argv = ["solve", "--scenario", "case1_discrete", "--seed", seed, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"planmenu: error: seed applies to grouped scenarios only, and case1_discrete is discrete (got {seed})\n"
     assert not (tmp_path / "out").exists()
 
 
