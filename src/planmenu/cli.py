@@ -39,17 +39,18 @@ def _cmd_solve(args):
             f"  vs fixed t={row.period:g}: {_percent(row.uplift_full_percent)} "
             f"(full coverage), {_percent(row.uplift_optimized_percent)} (optimized cutoff)"
         )
-    if artifacts.report.social is not None:
-        ratio = 100 * artifacts.report.social.ratio  # NaN where the first-best has no surplus
-        print(f"  social surplus ratio {'n/a' if np.isnan(ratio) else f'{ratio:.1f}%'}")
+    ratio = 100 * artifacts.report.social.ratio  # NaN where the first-best has no surplus
+    print(f"  social surplus ratio {'n/a' if np.isnan(ratio) else f'{ratio:.1f}%'}")
     print(f"  artifacts in {args.out} ({'PASS' if artifacts.ok else 'FAIL'})")
     return 0 if artifacts.ok else 2
 
 
 def _cmd_sweep(args):
     scenario = load_scenario(args.scenario)
-    groups = [int(k) for k in args.groups.split(",") if k.strip()]
-    rows = runner.sweep_groups(scenario, groups, args.out, seed=args.seed)
+    entries = [k.strip() for k in args.groups.split(",") if k.strip()]
+    if not all(k.isdecimal() and int(k) >= 1 for k in entries):
+        raise ValueError(f"--groups takes comma-separated integers >= 1, got {args.groups!r}")
+    rows = runner.sweep_groups(scenario, [int(k) for k in entries], args.out, seed=args.seed)
     for r in rows:
         unconverged = "" if r["converged"] else " NOT CONVERGED"
         print(f"K={r['groups']}: profit {r['profit']:.6f} ({_percent(r['uplift_percent'])} vs fixed){unconverged}")

@@ -143,7 +143,8 @@ def period_objective(profile, cost_model, own, below, sigma, sigma_prev, t):
 
     The profit terms containing one menu item's period t: `own` consumers
     buy it, `below` lower consumers draw the information rent, and sigma
-    is the item's marginal type.  Shared by both solvers; broadcasts.
+    is the item's marginal type.  solve_discrete values its menu's
+    objective_values with it; broadcasts.
     Both valuations come from one call.
     """
     sigma, sigma_prev, t = np.broadcast_arrays(sigma, sigma_prev, t)

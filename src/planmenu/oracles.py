@@ -38,8 +38,8 @@ bullets below say.
   of scipy.integrate.fixed_quad.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -407,8 +407,8 @@ class BaselineRow:
 @dataclass
 class ComparisonReport:
     optimal_profit: float
-    baselines: List[BaselineRow] = field(default_factory=list)
-    social: Optional[SocialReport] = None
+    baselines: List[BaselineRow]
+    social: SocialReport
 
 
 def uplift_percent(profit, baseline_profit):
@@ -418,25 +418,19 @@ def uplift_percent(profit, baseline_profit):
     return 100.0 * (profit / baseline_profit - 1.0) if baseline_profit > 0 else float("nan")
 
 
-def build_comparison(
-    profile, cost_model, market, solution, baseline_periods: Sequence[float] = (1.0,)
-) -> ComparisonReport:
-    """The solution's profit against both baselines at each of
-    baseline_periods (one batched fixed_period_baseline call per
-    coverage), and its social surplus."""
-    report = ComparisonReport(optimal_profit=float(solution.total_profit))
+def build_comparison(profile, cost_model, market, solution, baseline_periods) -> ComparisonReport:
+    """The solution's profit against both fixed-period baselines at each
+    of baseline_periods, a nonempty sequence of periods > 0 (one batched
+    fixed_period_baseline call per coverage), and its social surplus."""
+    profit = solution.total_profit
     periods = np.asarray(baseline_periods, dtype=float)
     full = fixed_period_baseline(profile, cost_model, market, periods, coverage="full").profit.tolist()
     opt = fixed_period_baseline(profile, cost_model, market, periods, coverage="optimized").profit.tolist()
-    for t_fixed, profit_full, profit_optimized in zip(periods.tolist(), full, opt):
-        report.baselines.append(
-            BaselineRow(
-                period=t_fixed,
-                profit_full=profit_full,
-                profit_optimized=profit_optimized,
-                uplift_full_percent=uplift_percent(solution.total_profit, profit_full),
-                uplift_optimized_percent=uplift_percent(solution.total_profit, profit_optimized),
-            )
-        )
-    report.social = social_metrics(profile, cost_model, market, solution)
-    return report
+    return ComparisonReport(
+        optimal_profit=float(profit),
+        baselines=[
+            BaselineRow(t_fixed, f, o, uplift_percent(profit, f), uplift_percent(profit, o))
+            for t_fixed, f, o in zip(periods.tolist(), full, opt)
+        ],
+        social=social_metrics(profile, cost_model, market, solution),
+    )

@@ -51,10 +51,6 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj
@@ -88,20 +84,20 @@ def _comparison_rows(report):
         label = f"fixed_t={row.period:g}"
         rows.append((label + "_full_coverage", row.profit_full, row.uplift_full_percent))
         rows.append((label + "_optimized_cutoff", row.profit_optimized, row.uplift_optimized_percent))
-    if report.social is not None:
-        rows.append(("social_surplus_contract", report.social.surplus_contract, ""))
-        rows.append(("social_surplus_first_best", report.social.surplus_first_best, ""))
-        rows.append(("social_surplus_ratio_percent", 100.0 * report.social.ratio, ""))
+    rows.append(("social_surplus_contract", report.social.surplus_contract, ""))
+    rows.append(("social_surplus_first_best", report.social.surplus_first_best, ""))
+    rows.append(("social_surplus_ratio_percent", 100.0 * report.social.ratio, ""))
     return rows
 
 
 def _restart_seed(scenario, seed):
-    """The seed a grouped solve draws its restarts from: seed, or the
-    scenario's own when seed is None.  A discrete scenario has no solver
+    """The seed a grouped solve draws its restarts from, as a plain int:
+    seed, or the scenario's own when seed is None; a seed that is not an
+    integer >= 0 is a ValueError.  A discrete scenario has no solver
     settings, so it takes None and any seed is a ValueError."""
     if scenario.solver is None and seed is not None:
         raise ValueError(f"seed applies to grouped scenarios only, and {scenario.name} is discrete (got {seed!r})")
-    return scenario.solver.seed if seed is None and scenario.solver else seed
+    return None if scenario.solver is None else _whole("seed", scenario.solver.seed if seed is None else seed, 0)
 
 
 def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
@@ -141,13 +137,7 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
         }
 
     passed, ic_ir, chain_feasibility = certify(scenario, solution.periods, solution.prices, boundaries)
-    report = build_comparison(
-        scenario.profile,
-        scenario.cost_model,
-        scenario.market,
-        solution,
-        baseline_periods=scenario.baselines or (1.0,),
-    )
+    report = build_comparison(scenario.profile, scenario.cost_model, scenario.market, solution, scenario.baselines)
 
     ok = passed and convergence["converged"]
     certificate = {
@@ -196,9 +186,10 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     split_heaviest_group), alongside the quantile start and random
     restarts.  That start keeps every previous boundary, so it contains
     the previous menu and profit is nondecreasing in K by construction.
-    seed, when not None, replaces the scenario's restart seed.  Each row
-    also records whether its K's solve converged.  out_dir is made only
-    once every K is solved.
+    seed, when not None, replaces the scenario's restart seed.  Each row's
+    uplift is against the full-coverage plan at the scenario's first
+    baseline period, and the row also records whether its K's solve
+    converged.  out_dir is made only once every K is solved.
     """
     if isinstance(scenario.market, DiscreteMarket):
         raise ValueError("group sweeps need a grouped scenario")
@@ -206,8 +197,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     if not ks or len(set(ks)) < len(ks):
         raise ValueError("group counts must be a nonempty list of distinct K")
     use_seed = _restart_seed(scenario, seed)
-    baseline_t = scenario.baselines[0] if scenario.baselines else 1.0
-    base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, baseline_t, coverage="full")
+    base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, scenario.baselines[0], coverage="full")
 
     rows = []
     prev = None

@@ -13,7 +13,7 @@ Schema (keys in parentheses optional):
                  ... discrete:   "sigmas", "counts"},
       "solver": {"kind": "discrete" | "grouped", ("K"), ("restarts"),
                  ("seed")},
-      "baselines": [1, 2]
+      ("baselines": [1, 2])
     }
 
 The market's kind sets which keys it reads: "lambda" only for
@@ -22,8 +22,10 @@ The market's kind sets which keys it reads: "lambda" only for
 solver, and solver "kind" must name it: "discrete" for a discrete
 market, "grouped" for a continuous one.  The other solver keys are for
 grouped scenarios only: "K" (default 1), "restarts" (default 0) and
-"seed" (default 0), each an integer.  A key that nothing reads, such
-as a misspelt one, is refused with an error that names it.
+"seed" (default 0), each an integer.  "baselines" lists the periods of
+the fixed-period plans the menu is compared against (default [1]), each
+> 0.  A key that nothing reads, such as a misspelt one, is refused with
+an error that names it.
 
 Bundled scenarios live in planmenu/data and are addressable by bare
 name (without .json) anywhere a path is accepted.
@@ -31,7 +33,7 @@ name (without .json) anywhere a path is accepted.
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
@@ -46,9 +48,9 @@ from .market import CostModel, DemandProfile
 class SolverSpec:
     """The grouped solver's settings; a discrete market has none."""
 
-    n_groups: int = 1
-    restarts: int = 0
-    seed: int = 0
+    n_groups: int
+    restarts: int
+    seed: int
 
 
 @dataclass
@@ -58,7 +60,7 @@ class Scenario:
     cost_model: CostModel
     market: object  # DiscreteMarket or ContinuousMarket
     solver: Optional[SolverSpec]  # None for a discrete market
-    baselines: List[float] = field(default_factory=list)
+    baselines: List[float]
 
 
 _REQUIRED = object()
@@ -155,6 +157,9 @@ def load_scenario(path_or_name) -> Scenario:
     if (kind == "discrete") != isinstance(market, DiscreteMarket):
         raise ValueError(f"{kind} solver needs a {'discrete' if kind == 'discrete' else 'continuous'} market")
     cost = _Keys(get("cost", _OBJECT), "scenario cost")
+    baselines = get("baselines", _NUMBERS, default=[1.0])
+    if not baselines or min(baselines) <= 0:
+        raise ValueError(f"scenario key 'baselines' must be a nonempty list of periods > 0, got {baselines!r}")
     scenario = Scenario(
         name=get("name", _TEXT),
         profile=DemandProfile(alpha=get("alpha", _NUMBER), mu=get("mu", _NUMBER), q=get("q", _NUMBER)),
@@ -165,7 +170,7 @@ def load_scenario(path_or_name) -> Scenario:
             restarts=solver("restarts", _COUNT, default=0),
             seed=solver("seed", _COUNT, default=0),
         ),
-        baselines=get("baselines", _NUMBERS, default=[]),
+        baselines=baselines,
     )
     for keys in (get, market_keys, cost, solver):
         keys.done()

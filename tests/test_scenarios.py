@@ -225,6 +225,29 @@ def test_run_seed_override(tmp_path):
     assert artifacts.certificate["seed"] == 123
 
 
+def nested_values(obj):
+    """obj and every value nested in its dicts, lists and tuples."""
+    yield obj
+    children = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else ()
+    for value in children:
+        yield from nested_values(value)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_certificate_holds_plain_values(tmp_path, name):
+    # the certificate is built from plain Python values (a tuple where a
+    # report holds one), so json.dump needs no numpy conversions; a numpy
+    # integer seed is written as the integer it equals
+    seed = np.int64(7) if name == "uniform_k6" else None
+    artifacts = runner.run(load_scenario(name), tmp_path, seed=seed)
+    plain = (dict, list, str, int, float, bool, type(None))
+    assert {type(v) for v in nested_values(artifacts.certificate)} <= set(plain) | {tuple}
+    text = (tmp_path / "certificate.json").read_text()
+    assert {type(v) for v in nested_values(json.loads(text))} <= set(plain)
+    if seed is not None:
+        assert type(artifacts.certificate["seed"]) is int and '\n  "seed": 7,\n' in text
+
+
 def test_artifacts_byte_deterministic(tmp_path):
     # a small grouped solve, the bundled mountain market, a discrete
     # market that pools (every other type is rare), and a group sweep
@@ -668,6 +691,10 @@ def discrete_json(solver=None, **keys):
         (scenario_json(cost={"c0": INF}), "scenario cost key 'c0' must be a number, got inf"),
         (scenario_json(cost={"c0": 10.0, "c1": INF}), "scenario cost key 'c1' must be a number, got inf"),
         (scenario_json(baselines=[1, INF]), "scenario key 'baselines' must be a list of numbers, got [1, inf]"),
+        # a comparison needs at least one fixed-period plan, and a period > 0
+        (scenario_json(baselines=[]), "scenario key 'baselines' must be a nonempty list of periods > 0, got []"),
+        (scenario_json(baselines=[0]), "scenario key 'baselines' must be a nonempty list of periods > 0, got [0.0]"),
+        (scenario_json(baselines=[-1.5]), "scenario key 'baselines' must be a nonempty list of periods > 0, got [-1.5]"),
         # an integer past the float range would overflow float()
         (scenario_json(alpha=10**400), "scenario key 'alpha' must be a number, got 1000"),
     ],
@@ -677,7 +704,8 @@ def discrete_json(solver=None, **keys):
         "solver_typo", "uniform_lambda", "uniform_M", "exponential_W", "discrete_N", "cost_typo", "top_level_typo",
         "alpha_null", "alpha_string", "cost_list", "baseline_null",
         "market_N_string", "not_object", "counts_infinite", "market_N_infinite", "sigma_max_infinite", "lambda_infinite", "alpha_infinite",
-        "mu_negative_infinite", "q_nan", "c0_infinite", "c1_infinite", "baseline_infinite", "alpha_huge_integer",
+        "mu_negative_infinite", "q_nan", "c0_infinite", "c1_infinite", "baseline_infinite", "baselines_empty",
+        "baselines_zero", "baselines_negative", "alpha_huge_integer",
     ],
 )
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
@@ -687,6 +715,15 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
     err = capsys.readouterr().err
     assert err.startswith("planmenu: error: ") and problem in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_refuses_baselines_at_load(tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    bad.write_text(scenario_json(baselines=[0]))
+    assert cli.main(["sweep", "--scenario", str(bad), "--groups", "1,2", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "planmenu: error: scenario key 'baselines' must be a nonempty list of periods > 0, got [0.0]\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -705,10 +742,13 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
         (["check-dist", "--scenario", "uniform_k6", "--grid-points", str(10**12)], "at most 1000000, got 1000000000000"),
         (["sweep", "--scenario", "uniform_k6", "--groups", ","], "nonempty list of distinct K"),
         (["sweep", "--scenario", "uniform_k6", "--groups", "2,2"], "nonempty list of distinct K"),
+        (["sweep", "--scenario", "uniform_k6", "--groups", "1,a"], "--groups takes comma-separated integers >= 1, got '1,a'"),
+        (["sweep", "--scenario", "uniform_k6", "--groups", "0,2"], "--groups takes comma-separated integers >= 1, got '0,2'"),
     ],
     ids=[
         "step_zero", "step_zero_discrete", "step_negative", "t_max_zero", "step_nan", "grid_over_budget",
         "grid_points_zero", "grid_points_one", "grid_points_huge", "groups_empty", "groups_repeated",
+        "groups_not_integer", "groups_zero",
     ],
 )
 def test_cli_rejects_malformed_option(tmp_path, capsys, argv, problem):
