@@ -4,7 +4,10 @@ Two flavors.  DiscreteMarket lists the types and their head-counts
 outright.  ContinuousMarket carries a density g on [sigma_min,
 sigma_max] from one of three families (uniform, truncated exponential,
 truncated normal), always renormalized so the CDF G spans exactly
-[0, 1] over the window.
+[0, 1] over the window, and a total mass size (a scenario's N).  It
+is built one way: make_market is the same constructor, and each family
+takes only the parameters it reads (rate for the exponential, loc and
+scale for the truncated normal), refusing the others by name.
 
 `theorem3_condition` evaluates the slack of the shape condition
 
@@ -26,6 +29,7 @@ points where it is defined (not where g underflows to 0).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,10 +83,13 @@ class DiscreteMarket:
 class ContinuousMarket:
     """A continuum of types on [sigma_min, sigma_max] with total mass `size`.
 
-    kind selects the density family:
+    kind selects the density family and the parameters it reads:
       - "uniform":            g constant on the window
       - "exponential":        g proportional to exp(-rate*sigma), truncated
       - "truncated_normal":   g proportional to phi((sigma-loc)/scale), truncated
+    A parameter the family does not read (a rate on a uniform market, a
+    loc or scale on an exponential one) is a ValueError naming it and the
+    kind, and so is a missing or non-finite one it reads.
     """
 
     kind: str
@@ -101,6 +108,9 @@ class ContinuousMarket:
             raise ValueError("need 0 <= sigma_min < sigma_max, both finite")
         if not (0 < self.size < np.inf):
             raise ValueError("market size must be finite and positive")
+        for param, family in (("rate", "exponential"), ("loc", "truncated_normal"), ("scale", "truncated_normal")):
+            if self.kind != family and getattr(self, param) is not None:
+                raise ValueError(f"a {self.kind} market takes no {param}, got {getattr(self, param)!r}")
         if self.kind == "exponential":
             if self.rate is None or not (0 < self.rate < np.inf):
                 raise ValueError("exponential market needs a finite rate > 0")
@@ -171,12 +181,6 @@ class ContinuousMarket:
         out = np.clip(out, self.sigma_min, self.sigma_max)
         return out[()]
 
-    def count_between(self, lo, hi):
-        """Consumer mass with type in (lo, hi]."""
-        if np.any(np.asarray(hi) < np.asarray(lo)):
-            raise ValueError("need lo <= hi")
-        return self.size * (self.cdf(hi) - self.cdf(lo))
-
     @property
     def total_count(self):
         return float(self.size)
@@ -201,23 +205,27 @@ class ContinuousMarket:
         """Minimum slack of the shape condition over an equispaced grid's
         points where it is defined; it holds when none is below THEOREM3_TOL.
 
-        Reports are cached per grid_points on the market object, which
-        solver restarts and group sweeps hit repeatedly; market
-        parameters never change after construction.
+        grid_points must be an integer from 2 to THEOREM3_MAX_POINTS;
+        anything else is a ValueError.  Reports are cached per grid_points
+        on the market object, which solver restarts and group sweeps hit
+        repeatedly; market parameters never change after construction.
         """
+        # refused before np.linspace allocates the grid; int() would floor a float (a bool is below 2)
+        if not (isinstance(grid_points, numbers.Integral) and 2 <= grid_points <= THEOREM3_MAX_POINTS):
+            raise ValueError(
+                f"the shape-condition grid needs an integer, at least 2 points and at most {THEOREM3_MAX_POINTS}, got {grid_points!r}"
+            )
         key = int(grid_points)
-        if not 2 <= key <= THEOREM3_MAX_POINTS:  # refused before np.linspace allocates the grid
-            raise ValueError(f"the shape-condition grid needs at least 2 points and at most {THEOREM3_MAX_POINTS}, got {key}")
         cache = self.__dict__.setdefault("_theorem3_cache", {})
         if key not in cache:
-            grid = np.linspace(self.sigma_min, self.sigma_max, int(grid_points))
+            grid = np.linspace(self.sigma_min, self.sigma_max, key)
             slack = self.theorem3_condition(grid)
             i = int(np.argmin(np.where(np.isnan(slack), np.inf, slack)))
             cache[key] = Theorem3Report(
                 holds=not slack[i] < THEOREM3_TOL,
                 min_slack=float(slack[i]),
                 argmin_sigma=float(grid[i]),
-                grid_points=int(grid_points),
+                grid_points=key,
             )
         return cache[key]
 
@@ -230,14 +238,5 @@ class Theorem3Report:
     grid_points: int
 
 
-def make_market(kind, sigma_min, sigma_max, size=1.0, **params) -> ContinuousMarket:
-    """A ContinuousMarket by field names, rate, loc and scale as keywords."""
-    return ContinuousMarket(
-        kind=kind,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        size=size,
-        rate=params.get("rate"),
-        loc=params.get("loc"),
-        scale=params.get("scale"),
-    )
+#: The market constructor under the name the examples use.
+make_market = ContinuousMarket

@@ -82,6 +82,10 @@ MAX_NEWTON_STEPS = 64
 #: A coordinate this close to its window edge, relative to the window
 #: width, sits on the edge.
 EDGE_RTOL = 1e-9
+#: Most values one unit of work may hold: a grid oracle's DP table
+#: (cells, 8 bytes each), or the coordinates of the menus one Newton
+#: probe of a grouped solve's starts values (see _start_inits).
+TUPLE_BUDGET = 1e8
 
 
 def _whole(name, value, least):
@@ -93,13 +97,14 @@ def _whole(name, value, least):
 
 
 def group_counts(market, boundaries):
-    """Consumer mass per group for ascending upper boundaries; rows of
-    boundaries (shape (R, K)) give one row of masses each."""
+    """Consumer mass per group for ascending upper boundaries, the
+    differences of one market.cdf call on [sigma_min, b_1, ..., b_K];
+    rows of boundaries (shape (R, K)) give one row of masses each."""
     b = np.asarray(boundaries, dtype=float)
     if np.any(np.diff(b) < 0):
         raise ValueError("boundaries must be ascending")
-    lows = np.concatenate([np.full_like(b[..., :1], market.sigma_min), b[..., :-1]], axis=-1)
-    return market.count_between(lows, b)
+    G = market.cdf(np.concatenate([np.full_like(b[..., :1], market.sigma_min), b], axis=-1))
+    return market.size * np.diff(G)
 
 
 def split_heaviest_group(market, boundaries):
@@ -586,8 +591,13 @@ def _start_inits(market, n_groups, restarts, seed, extra_inits):
 
     n_groups must be an integer >= 1, and restarts and seed integers >= 0
     (random.Random would draw a fresh seed for None, take -1 as 1 and
-    hash a float or a string); anything else is a ValueError naming it."""
+    hash a float or a string); anything else is a ValueError naming it.
+    So is a solve whose Newton probe, (starts) x (4K + 1) x 2K values,
+    would exceed TUPLE_BUDGET: it is refused before any row is made."""
     K, restarts, seed = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0), _whole("seed", seed, 0)
+    # a Newton probe values each start's menu and its 4K shifted copies at 2K coordinates
+    if (1 + len(extra_inits or ()) + restarts) * (4 * K + 1) * 2 * K > TUPLE_BUDGET:
+        raise ValueError(f"n_groups = {K} with restarts = {restarts} exceeds the work budget ({TUPLE_BUDGET:.0e} values per Newton probe)")
     rows = [market.quantile((np.arange(K) + 1.0) / K)]
     for extra in extra_inits or ():
         b = np.asarray(extra, dtype=float)

@@ -1,7 +1,9 @@
 """Checks and baselines for the solvers.  The IC/IR certificate, the
 grid oracles and the Monte Carlo check reuse no solver logic; the
 fixed-period baseline's cutoff and the social first-best do, as their
-bullets below say.
+bullets below say.  Each function that takes a market switches on its
+type (DiscreteMarket or not), never on a solution's class, so the
+module imports no solver's solution type.
 
 - brute_force_ic_ir re-derives every consumer's best choice from raw
   utilities and confirms the menu's assignment wins (or that opting
@@ -30,12 +32,12 @@ bullets below say.
 - social_metrics compares realized social surplus against the
   first-best that ignores incentive constraints.  It is accounting, not
   a check: the first-best periods come from the solvers' period search.
-  A discrete solution carries them (solve_discrete searches them in
-  the menu's own lockstep), so both surpluses there take one valuation
-  call; a grouped menu's surpluses are integrals, band by band, by a
-  96-point Gauss-Legendre rule built once at import by Newton's method
-  on the Legendre recurrence (_legendre_rule), summed in the arithmetic
-  of scipy.integrate.fixed_quad.
+  A discrete market's solution carries them (solve_discrete searches
+  them in the menu's own lockstep), so both surpluses there take one
+  valuation call; a grouped menu's surpluses are integrals, band by
+  band, by a 96-point Gauss-Legendre rule built once at import by
+  Newton's method on the Legendre recurrence (_legendre_rule), summed
+  in the arithmetic of scipy.integrate.fixed_quad.
 """
 
 from dataclasses import dataclass
@@ -43,17 +45,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .discrete import FEASIBILITY_TOL, DiscreteSolution, block_periods
+from .discrete import FEASIBILITY_TOL, block_periods
 from .distributions import ContinuousMarket, DiscreteMarket
-from .grouped import GroupedSolution, _whole, block_boundaries
+from .grouped import TUPLE_BUDGET, _whole, block_boundaries
 from .market import _valuation, cost, valuation
 from .normals import _excess_table
 
-#: Largest grid-DP table (cells) the grid oracles accept.  The DP holds
-#: psi and one table per stage after the first, 8 bytes a cell, so the
-#: budget bounds its memory: at most 0.8 GB for a grouped oracle, and
-#: twice that for a discrete one, whose stages each carry their own psi.
-TUPLE_BUDGET = 1e8
+# The grid DP holds psi and one table per stage after the first, so
+# TUPLE_BUDGET (shared with the grouped solver) bounds it to 0.8 GB for a
+# grouped oracle, and twice that for a discrete one, whose stages each
+# carry their own psi.
 # cells of psi valued at once: the six chunk-sized arrays the valuation and its table kernel hold then fit in cache
 _PSI_CHUNK_CELLS = 2**14
 #: Equispaced types the IC/IR scan checks across a continuous market's window.
@@ -360,19 +361,20 @@ def _first_best_surplus_rates(profile, cost_model, sigmas):
 
 def social_metrics(profile, cost_model, market, solution) -> SocialReport:
     """Realized vs first-best social surplus (value minus cost; prices
-    are transfers and cancel).  A discrete solution comes with its
-    first-best periods, so its types are valued at both its own and
-    those periods in one call, the first-best rates floored at 0.  A
-    grouped menu's bands share one Gauss-Legendre rule, band k mapped
-    onto u in [0, 1] by sigma = b_{k-1} + (b_k - b_{k-1}) u, and the
-    first-best also takes the unserved band [b_K, sigma_max]: on the
-    same nodes the contract's integrand never exceeds the first-best's."""
-    if isinstance(solution, DiscreteSolution):
+    are transfers and cancel); the market's type says which solution it
+    is.  A discrete market's solution comes with its first-best periods,
+    so its types are valued at both its own and those periods in one
+    call, the first-best rates floored at 0.  A grouped menu's bands
+    share one Gauss-Legendre rule, band k mapped onto u in [0, 1] by
+    sigma = b_{k-1} + (b_k - b_{k-1}) u, and the first-best also takes
+    the unserved band [b_K, sigma_max]: on the same nodes the
+    contract's integrand never exceeds the first-best's."""
+    if isinstance(market, DiscreteMarket):
         t = np.stack([solution.periods, solution.first_best_periods])
         rates = valuation(profile, market.sigmas, t) - cost(cost_model, t)
         contract = float(np.dot(market.counts, rates[0]))
         first_best = float(np.dot(market.counts, np.maximum(rates[1], 0.0)))
-    elif isinstance(solution, GroupedSolution):
+    else:
         b, t = solution.boundaries, solution.periods
         lo = np.concatenate(([market.sigma_min], b))[:, None]
         width = np.append(b, market.sigma_max)[:, None] - lo  # the K bands, then the unserved one
@@ -386,8 +388,6 @@ def social_metrics(profile, cost_model, market, solution) -> SocialReport:
         # scipy.integrate.fixed_quad's arithmetic on [0, 1], band by band
         per_band = market.size * (0.5 * np.sum(_GL_WEIGHTS * integrand, axis=-1))
         contract, first_best = float(np.sum(per_band[: b.size])), float(np.sum(per_band[b.size :]))
-    else:
-        raise TypeError("unknown solution type")
     return SocialReport(
         surplus_contract=contract,
         surplus_first_best=first_best,

@@ -189,18 +189,6 @@ def test_truncated_normal_symmetry():
     assert mkt.density(2.0)[2] > 0 > mkt.density(4.0)[2]
 
 
-def test_count_between():
-    mkt = ContinuousMarket(kind="uniform", sigma_min=0.0, sigma_max=6.0, size=3.0)
-    assert abs(mkt.count_between(0.0, 2.0) - 1.0) < 1e-12
-    assert abs(mkt.count_between(1.0, 1.0)) < 1e-15
-    # additivity
-    total = mkt.count_between(0.0, 2.5) + mkt.count_between(2.5, 6.0)
-    assert abs(total - 3.0) < 1e-12
-    assert mkt.total_count == 3.0
-    with pytest.raises(ValueError):
-        mkt.count_between(2.0, 1.0)
-
-
 def test_support_enforced():
     mkt = _uniform06()
     with pytest.raises(ValueError):
@@ -243,6 +231,29 @@ def test_market_validation():
     with pytest.raises(ValueError):
         # window so deep in the tail it carries no double-precision mass
         make_market("truncated_normal", 50.0, 51.0, loc=0.0, scale=1.0)
+
+
+def test_make_market_is_the_constructor():
+    # a keyword the constructor does not take is refused, not dropped
+    assert make_market is ContinuousMarket
+    with pytest.raises(TypeError, match="'N'"):
+        make_market("uniform", 0.0, 6.0, N=50)
+
+
+@pytest.mark.parametrize(
+    "build, param, kind",
+    [
+        (lambda: make_market("uniform", 0.0, 6.0, rate=3.0), "rate", "uniform"),
+        (lambda: make_market("uniform", 0.0, 6.0, loc=3.0, scale=1.5), "loc", "uniform"),
+        (lambda: make_market("exponential", 0.0, 6.0, rate=0.5, loc=1.0), "loc", "exponential"),
+        (lambda: make_market("exponential", 0.0, 6.0, rate=0.5, scale=1.0), "scale", "exponential"),
+        (lambda: make_market("truncated_normal", 0.0, 6.0, rate=0.5, loc=3.0, scale=1.5), "rate", "truncated_normal"),
+    ],
+    ids=["uniform_rate", "uniform_loc", "exponential_loc", "exponential_scale", "truncated_normal_rate"],
+)
+def test_family_refuses_parameters_it_never_reads(build, param, kind):
+    with pytest.raises(ValueError, match=f"a {kind} market takes no {param}, got"):
+        build()
 
 
 def test_market_refuses_window_without_representable_mass():
@@ -319,6 +330,15 @@ def test_shape_condition_report_is_cached():
     assert r1 is r2
     r3 = mkt.verify_theorem3(grid_points=800)
     assert r3 is not r1
+
+
+@pytest.mark.parametrize("points", [2.9, 1000.0, True, "1000", None], ids=["fraction", "whole_float", "bool", "string", "none"])
+def test_shape_condition_grid_size_must_be_an_integer(points):
+    # int() would have run 2.9 as a 2-point grid
+    with pytest.raises(ValueError, match=f"needs an integer, at least 2 points and at most 1000000, got {points!r}"):
+        _uniform06().verify_theorem3(grid_points=points)
+    report = _uniform06().verify_theorem3(grid_points=np.int64(500))
+    assert type(report.grid_points) is int and report.grid_points == 500
 
 
 def test_shape_condition_holds_for_top_heavy_normal():

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
@@ -193,6 +193,21 @@ def test_group_counts_uniform():
     assert np.allclose(counts, [1.0, 0.0], atol=1e-12)
     mkt3 = uniform06(size=3.0)
     assert np.allclose(group_counts(mkt3, [3.0, 6.0]), [1.5, 1.5], atol=1e-12)
+
+
+def test_group_counts_band_masses():
+    # each group's band (b_{k-1}, b_k] holds size times its CDF difference
+    mkt = make_market("uniform", 0.0, 6.0, size=3.0)
+    assert abs(group_counts(mkt, [2.0])[0] - 1.0) < 1e-12
+    # a repeated boundary makes a zero-width band, and the masses add up to size
+    counts = group_counts(mkt, [1.0, 1.0, 2.5, 6.0])
+    assert counts[1] == 0.0
+    assert abs(counts.sum() - 3.0) < 1e-12 and mkt.total_count == 3.0
+    # rows of boundaries give one row of masses each
+    rows = group_counts(mkt, [[2.0, 6.0], [1.0, 1.0]])
+    assert rows.shape == (2, 2) and np.allclose(rows, [[1.0, 2.0], [0.5, 0.0]], atol=1e-12)
+    with pytest.raises(ValueError, match="boundaries must be ascending"):
+        group_counts(mkt, [2.0, 1.0])
 
 
 def test_group_counts_exponential():
@@ -456,6 +471,28 @@ def test_solver_input_validation(profile, cost_model):
         solve_alternating(profile, cost_model, mkt, 0)
     with pytest.raises(ValueError):
         solve_with_restarts(profile, cost_model, mkt, 2, extra_inits=[[1.0, 2.0, 3.0]])
+
+
+def test_solve_size_is_bounded_before_anything_is_allocated(profile, cost_model):
+    # one Newton probe holds (starts) x (4K + 1) x 2K values; a solve whose
+    # probe would exceed the oracles' work budget is refused by name before
+    # a start row is made (np.arange(10**9) alone would take 7.45 GiB)
+    mkt = uniform06()
+    budget = r"exceeds the work budget \(1e\+08 values per Newton probe\)"
+    with pytest.raises(ValueError, match="n_groups = 1 with restarts = 1000000000 " + budget):
+        solve_with_restarts(profile, cost_model, mkt, 1, restarts=10**9)
+    with pytest.raises(ValueError, match="n_groups = 1000000000 with restarts = 0 " + budget):
+        solve_with_restarts(profile, cost_model, mkt, 10**9)
+    # the bound is the probe's: 3535 groups alone fit, 3536 do not, nor 3535 with an extra start
+    assert 8 * 3535**2 + 2 * 3535 <= grouped.TUPLE_BUDGET < 8 * 3536**2 + 2 * 3536
+    assert grouped._start_inits(mkt, 3535, 0, 0, None).shape == (1, 3535)
+    with pytest.raises(ValueError, match="n_groups = 3536 with restarts = 0"):
+        grouped._start_inits(mkt, 3536, 0, 0, None)
+    with pytest.raises(ValueError, match="n_groups = 3535 with restarts = 0"):
+        grouped._start_inits(mkt, 3535, 0, 0, [[1.0]])
+    # bundled sizes run as before: K = 6 with 4 restarts, and K = 24
+    assert grouped._start_inits(mkt, 6, 4, 0, None).shape == (5, 6)
+    assert solve_alternating(profile, cost_model, mkt, 24).boundaries.size == 24
 
 
 @pytest.mark.parametrize(
@@ -1029,6 +1066,33 @@ def test_probe_residual_is_menu_residual_bit_for_bit(rng, monkeypatch):
         assert hits.sum() >= 10
     expected = grouped._menu_residual(mkt, x[:, :K], x[:, K:], g[:, :K], g[:, K:])
     assert residual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def pooled_chains(draw):
+    """Rows of ascending chains in [0, 5] with runs of equal values, values
+    on both edges and within EDGE_RTOL of them, and a gradient per value."""
+    n, rows = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    levels = st.sampled_from([0.0, 1e-10, 1.0, 2.5, 4.0, 5.0 - 1e-10, 5.0])
+    x = np.array([sorted(draw(st.lists(levels, min_size=n, max_size=n))) for _ in range(rows)])
+    grad = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    return x, grad
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pooled_chains())
+@example((np.array([[1.0, 1.0, 1.0, 2.5], [0.0, 0.0, 5.0, 5.0]]), np.array([[-1.0, 2.0, -0.5, 0.25], [0.5, -1.0, 1.0, -0.75]])))
+def test_chain_residual_matches_independent_run_by_run_residual(kkt, chain):
+    # a run of equal values moves as a whole or splits, and a run on an edge
+    # cannot leave it: each row's residual is the one perfbench/kkt.py finds
+    # walking the chain run by run
+    x, grad = chain
+    lo, hi = 0.0, 5.0
+    got = grouped._chain_residual(x, grad, lo, hi)
+    assert got.shape == (len(x),)
+    for r in range(len(x)):
+        expected = kkt.chain_residual(x[r], grad[r], lo, hi, grouped.EDGE_RTOL * (hi - lo))
+        assert abs(got[r] - expected) <= 1e-12 * np.abs(grad[r]).sum()
 
 
 @pytest.mark.parametrize("c0, c1, b, t", [(20.0, 0.0, 1.5, 10.0), (100.0, 1000.0, 3.0, 0.001), (20.0, 0.0, 1.0, 0.1)])

@@ -332,6 +332,27 @@ def test_verify_solution_csv_roundtrip(case1_run, tmp_path):
     assert not ok
 
 
+def test_cli_verify_fails_a_discrete_solution_with_the_wrong_row_count(case1_run, tmp_path, capsys):
+    # one row short of the market's 11 types: no certificate is computed
+    scenario, artifacts = case1_run
+    lines = artifacts.paths["solution"].read_text().splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines[:-1]) + "\n")
+    code = cli.main(["verify", "--solution", str(short), "--scenario", "case1_discrete"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out[: out.rindex("}") + 1]) == {"error": "row count does not match the market's types"}
+    assert out.endswith("verification FAIL\n")
+
+
+def test_json_safe_writes_non_finite_floats_as_text():
+    # json.dump would write the bare tokens Infinity and NaN, which are not JSON
+    nested = {"a": [1.5, (float("inf"), [float("nan"), -float("inf")])], "b": {"c": (2, "x", None)}}
+    safe = runner._json_safe(nested)
+    assert safe == {"a": [1.5, ["inf", ["nan", "-inf"]]], "b": {"c": [2, "x", None]}}
+    assert json.loads(json.dumps(safe, allow_nan=False)) == safe
+
+
 def test_sweep_groups(tmp_path):
     scenario = small_grouped_scenario(restarts=1)
     rows = runner.sweep_groups(scenario, [1, 2, 3], tmp_path)
@@ -426,6 +447,11 @@ def test_cli_check_dist(capsys):
     code = cli.main(["check-dist", "--scenario", "uniform_k6"])
     assert code == 0
     assert "HOLDS" in capsys.readouterr().out
+
+
+def test_cli_check_dist_on_a_discrete_market(capsys):
+    assert cli.main(["check-dist", "--scenario", "case1_discrete"]) == 0
+    assert capsys.readouterr().out == "discrete market: no density shape condition to check\n"
 
 
 def market_scenario(tmp_path, name, solver=None, **market):
@@ -697,6 +723,8 @@ def discrete_json(solver=None, **keys):
         (scenario_json(baselines=[-1.5]), "scenario key 'baselines' must be a nonempty list of periods > 0, got [-1.5]"),
         # an integer past the float range would overflow float()
         (scenario_json(alpha=10**400), "scenario key 'alpha' must be a number, got 1000"),
+        # refused by the solver before it allocates its start array (7.45 GiB)
+        (grouped_json(K=10**9), "n_groups = 1000000000 with restarts = 0 exceeds the work budget (1e+08 values per Newton probe)"),
     ],
     ids=[
         "invalid_json", "market_key_missing", "K_fraction", "K_string", "restarts_negative", "seed_string",
@@ -705,7 +733,7 @@ def discrete_json(solver=None, **keys):
         "alpha_null", "alpha_string", "cost_list", "baseline_null",
         "market_N_string", "not_object", "counts_infinite", "market_N_infinite", "sigma_max_infinite", "lambda_infinite", "alpha_infinite",
         "mu_negative_infinite", "q_nan", "c0_infinite", "c1_infinite", "baseline_infinite", "baselines_empty",
-        "baselines_zero", "baselines_negative", "alpha_huge_integer",
+        "baselines_zero", "baselines_negative", "alpha_huge_integer", "K_over_budget",
     ],
 )
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
@@ -744,11 +772,15 @@ def test_cli_sweep_refuses_baselines_at_load(tmp_path, capsys):
         (["sweep", "--scenario", "uniform_k6", "--groups", "2,2"], "nonempty list of distinct K"),
         (["sweep", "--scenario", "uniform_k6", "--groups", "1,a"], "--groups takes comma-separated integers >= 1, got '1,a'"),
         (["sweep", "--scenario", "uniform_k6", "--groups", "0,2"], "--groups takes comma-separated integers >= 1, got '0,2'"),
+        (
+            ["sweep", "--scenario", "uniform_k6", "--groups", "1,1000000000"],
+            "n_groups = 1000000000 with restarts = 4 exceeds the work budget (1e+08 values per Newton probe)",
+        ),
     ],
     ids=[
         "step_zero", "step_zero_discrete", "step_negative", "t_max_zero", "step_nan", "grid_over_budget",
         "grid_points_zero", "grid_points_one", "grid_points_huge", "groups_empty", "groups_repeated",
-        "groups_not_integer", "groups_zero",
+        "groups_not_integer", "groups_zero", "groups_over_budget",
     ],
 )
 def test_cli_rejects_malformed_option(tmp_path, capsys, argv, problem):
