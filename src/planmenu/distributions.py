@@ -181,10 +181,6 @@ class ContinuousMarket:
         out = np.clip(out, self.sigma_min, self.sigma_max)
         return out[()]
 
-    @property
-    def total_count(self):
-        return float(self.size)
-
     # --- boundary-unimodality condition --------------------------------
 
     def theorem3_condition(self, sigma):

@@ -1,14 +1,18 @@
 """Menu design for a continuum of types: group, price, iterate.
 
 With continuously distributed volatility the provider offers K items;
-item k serves the type band (sigma_{k-1}, sigma_k].  Profit splits into
-one term per boundary,
+item k serves the type band (sigma_{k-1}, sigma_k].  Profit is the
+market size N times one consumer's expected margin, and that splits
+into one term per boundary,
 
-    Q_k(s) = N * G(s) * (V(s, t_k) - V(s, t_{k+1}) + C(t_{k+1}) - C(t_k)),
-    Q_K(s) = N * G(s) * (V(s, t_K) - C(t_K)),
+    Q_k(s) = G(s) * (V(s, t_k) - V(s, t_{k+1}) + C(t_{k+1}) - C(t_k)),
+    Q_K(s) = G(s) * (V(s, t_K) - C(t_K)),
 
 so boundaries interact only through the ascending constraint, exactly
-like periods do.  The solver alternates two half-steps:
+like periods do.  N enters neither the terms nor IC and IR, so the
+whole search runs per unit mass, and N scales the counts, profits and
+residuals of each finished menu once, at the end.  The solver
+alternates two half-steps:
 
   Step I   periods given boundaries: the discrete solver's lockstep
            Newton-bisection period search, warm-started from the last
@@ -32,7 +36,7 @@ moves only if its gradient points into the window, a step is projected
 on the window and halved until it keeps the menu ascending and profit
 from falling.  Every step solves with the Hessian of the menu it starts
 from, and the last one is the step taken once the projected
-first-order (KKT) residual is at most KKT_TOL * N.
+first-order (KKT) residual is at most KKT_TOL.
 A start converges once its finish ends within that residual on a menu
 whose every group has mass.  A finished menu with an empty group
 converges once one more round gains at most REL_PROFIT_TOL in relative
@@ -73,7 +77,7 @@ from .market import cost, valuation_dsigma2
 
 #: Convergence: one full round improves relative profit by no more than
 #: this, and (rounds that pool nothing) the projected first-order
-#: residual is at most KKT_TOL times the market size.
+#: residual per unit mass is at most KKT_TOL.
 REL_PROFIT_TOL = 1e-10
 KKT_TOL = 1e-10
 MAX_ROUNDS = 200
@@ -97,14 +101,14 @@ def _whole(name, value, least):
 
 
 def group_counts(market, boundaries):
-    """Consumer mass per group for ascending upper boundaries, the
+    """Probability mass per group for ascending upper boundaries, the
     differences of one market.cdf call on [sigma_min, b_1, ..., b_K];
     rows of boundaries (shape (R, K)) give one row of masses each."""
     b = np.asarray(boundaries, dtype=float)
     if np.any(np.diff(b) < 0):
         raise ValueError("boundaries must be ascending")
     G = market.cdf(np.concatenate([np.full_like(b[..., :1], market.sigma_min), b], axis=-1))
-    return market.size * np.diff(G)
+    return np.diff(G)
 
 
 def split_heaviest_group(market, boundaries):
@@ -120,7 +124,7 @@ def split_heaviest_group(market, boundaries):
 
 def _blocks(cost_model, periods, first, last, end=None):
     """Block j pools items first[j]..last[j] on one boundary; its boundary
-    terms telescope to one, N G(s) (V(s, t_first) - V(s, t_next) + C(t_next)
+    terms telescope to one, G(s) (V(s, t_first) - V(s, t_next) + C(t_next)
     - C(t_first)) with t_next = t_{last+1}, or the outside option (V = C = 0)
     above the top item.  Periods may come in rows (shape (..., K)).  end
     is one past the top item of each block's menu (default K); flat
@@ -136,8 +140,8 @@ def _blocks(cost_model, periods, first, last, end=None):
 
 
 def menu_profit(profile, cost_model, market, boundaries, periods):
-    """Total profit as the sum of the boundary terms Q_k(b_k); rows of
-    menus (shape (R, K)) give one profit per row."""
+    """Profit per unit mass as the sum of the boundary terms Q_k(b_k); rows
+    of menus (shape (R, K)) give one profit per row."""
     t = np.atleast_1d(np.asarray(periods, dtype=float))
     items = np.arange(t.shape[-1])
     total = _boundary_slopes(profile, market, boundaries, _blocks(cost_model, t, items, items))[0].sum(axis=-1)
@@ -145,9 +149,9 @@ def menu_profit(profile, cost_model, market, boundaries, periods):
 
 
 def _boundary_slopes(profile, market, sigma, blocks):
-    """Each block's boundary term Q = N G w at sigma, its slope
-    Q' = N (g w + G w'), the sum of the slope's absolute terms (its
-    rounding scale), its curvature Q'' = N (g' w + 2 g w' + G w''),
+    """Each block's boundary term Q = G w at sigma, its slope
+    Q' = g w + G w', the sum of the slope's absolute terms (its
+    rounding scale), its curvature Q'' = g' w + 2 g w' + G w'',
     G(sigma), and V_t at the block's own and next points (stacked on axis
     -2); w = V(s, t_first) - V(s, t_next) + C(t_next) - C(t_first) is the
     block's wedge (see _blocks).  sigma of shape (..., n) broadcasts
@@ -161,8 +165,7 @@ def _boundary_slopes(profile, market, sigma, blocks):
     ddw = vss[..., 0, :] - above * vss[..., 1, :]
     scale = g * (np.abs(v[..., 0, :]) + above * np.abs(v[..., 1, :]) + np.abs(dcost))
     scale += G * (np.abs(vs[..., 0, :]) + above * np.abs(vs[..., 1, :]))
-    N = market.size
-    return N * G * w, N * (g * w + G * dw), N * scale, N * (dg * w + 2.0 * g * dw + G * ddw), G, vt
+    return G * w, g * w + G * dw, scale, dg * w + 2.0 * g * dw + G * ddw, G, vt
 
 
 def block_boundaries(profile, cost_model, market, periods, first, last, guess=None):
@@ -212,7 +215,8 @@ def _menu_terms(profile, cost_model, market, boundaries, periods):
       dP/dt_k = own_k (V_t(b_k, t_k) - C'(t_k)) + below_k (V_t(b_k, t_k) - V_t(b_{k-1}, t_k))
       dP/db_k = Q_k'(b_k)    (see _boundary_slopes)
 
-    with own_k = N (G(b_k) - G(b_{k-1})) and below_k = N G(b_{k-1}).
+    with own_k = G(b_k) - G(b_{k-1}) and below_k = G(b_{k-1}), all per
+    unit mass.
     Rows of boundaries and periods (shape (..., K)) are evaluated in one
     batched call.  V_t(b_k, t_k) is boundary k's own-item point and
     V_t(b_{k-1}, t_k) boundary k-1's next-item point; item 0, whose rent
@@ -224,7 +228,7 @@ def _menu_terms(profile, cost_model, market, boundaries, periods):
     G_below = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
     vt_own = vt[..., 0, :]
     vt_rent = np.concatenate([vt_own[..., :1], vt[..., 1, :-1]], axis=-1)
-    d_t = market.size * ((G - G_below) * (vt_own - _cost_slopes(cost_model, t)[0]) + G_below * (vt_own - vt_rent))
+    d_t = (G - G_below) * (vt_own - _cost_slopes(cost_model, t)[0]) + G_below * (vt_own - vt_rent)
     return q, d_b, d_t
 
 
@@ -310,11 +314,11 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
     projected on the window and halved until the menu stays strictly
     ascending; a trial that loses more than rounding in profit is halved
     again at the row's next trial.  A full step that stays inside and
-    keeps profit is taken as it is.  A row stops on its own at a menu
-    whose residual is at most KKT_TOL * N, unless a step from outside
-    that tolerance led there: then one more step follows, so where the
-    finish stops inside the tolerance does not hang on the bits it
-    started from.  It also stops when no coordinate is free, -H fails
+    keeps profit is taken as it is.  Profits and residuals are per unit
+    mass.  A row stops on its own at a menu whose residual is at most
+    KKT_TOL, unless a step from outside that tolerance led there: then
+    one more step follows, so where the finish stops inside the
+    tolerance does not hang on the bits it started from.  It also stops when no coordinate is free, -H fails
     Cholesky, its trial would not change the menu, or it has spent
     MAX_NEWTON_STEPS trials over the solve (spent holds each row's count
     and is updated in place).  The trial menus of all rows still
@@ -327,7 +331,6 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
     K = boundaries.shape[1]
     lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
     hi = np.repeat([market.sigma_max, DEFAULT_T_DOMAIN[1]], K)
-    tol = KKT_TOL * market.size
     x = np.concatenate([boundaries, periods], axis=1)
     profit, grad, free, residual, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
     rows = len(x)
@@ -339,7 +342,7 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
     while True:
         for r in stepping:
             f = free[r]
-            was_met, met[r] = met[r], residual[r] <= tol
+            was_met, met[r] = met[r], residual[r] <= KKT_TOL
             if (was_met and met[r]) or not f.any():
                 continue
             block = neg_hessian[r][np.ix_(f, f)]
@@ -394,16 +397,16 @@ def _by_row(values, blocks):
 def step1_periods(profile, cost_model, market, boundaries, guess=None):
     """Optimal ascending periods for fixed boundaries: (periods, pooled blocks).
 
-    This is the discrete problem with the boundary types as marginal
-    types and the band masses as counts; the rent mass of group k is
-    N*G(sigma_{k-1}).  The search starts from guess (one period per
-    group) if given.  Rows of boundaries (shape (R, K)) are searched
+    This is the discrete problem per unit mass, with the boundary types
+    as marginal types and the band probabilities as counts; the rent
+    mass of group k is G(sigma_{k-1}).  The search starts from guess
+    (one period per group) if given.  Rows of boundaries (shape (R, K)) are searched
     together, and give one list of pooled blocks per row.
     """
     b = np.atleast_1d(np.asarray(boundaries, dtype=float))
     G = np.asarray(market.cdf(b), dtype=float)
     G_lo = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
-    return _by_row(*search_periods(profile, cost_model, b, market.size * (G - G_lo), market.size * G_lo, guess))
+    return _by_row(*search_periods(profile, cost_model, b, G - G_lo, G_lo, guess))
 
 
 def step2_boundaries(profile, cost_model, market, periods, guess=None):
@@ -437,19 +440,19 @@ class GroupedSolution:
 
     @property
     def distinct_optima(self):
-        """Number of distinct final profits among the starts, profits within
-        REL_PROFIT_TOL (relative) of the next lower one counting as one."""
+        """Number of distinct final profits among the starts, a profit within
+        REL_PROFIT_TOL of itself above the next lower one counting as one."""
         p = np.sort(self.start_profits)
-        return int(p.size > 0) + int(np.sum(np.diff(p) > REL_PROFIT_TOL * np.maximum(1.0, np.abs(p[1:]))))
+        return int(p.size > 0) + int(np.sum(np.diff(p) > REL_PROFIT_TOL * np.abs(p[1:])))
 
 
 def _collapse_empty_groups(market, boundaries, periods):
-    """(boundaries, periods, counts) without the groups whose band has no mass."""
-    counts = group_counts(market, boundaries)
-    keep = counts > 0
-    if not np.any(keep):
-        keep[-1] = True
-    return boundaries[keep], periods[keep], counts[keep]
+    """(boundaries, periods, band probabilities) without the groups whose
+    band has no mass; a menu that serves no one keeps its top group."""
+    mass = group_counts(market, boundaries)
+    keep = mass > 0
+    keep[-1] |= not keep.any()
+    return boundaries[keep], periods[keep], mass[keep]
 
 
 def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
@@ -461,11 +464,11 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     lockstep search each, and the Newton finish on the rows that take
     it; a row leaves once it converges.  Rows never mix: each start does
     exactly the arithmetic it would do alone, so the batch costs about
-    its slowest start.
+    its slowest start.  The search runs per unit mass; each solution's
+    counts, profits and residuals are then scaled by the market size.
     """
     b = np.array(starts, dtype=float)
     n, n_groups = b.shape
-    tol = KKT_TOL * market.size
     t = np.empty_like(b)
     traces = [[] for _ in range(n)]
     period_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
@@ -493,7 +496,7 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
         # rows are judged by their profit, and the finish takes the rest's
         # from its first probe
         settle = pooled | ~ascending
-        judged = settle | (residual[active] <= tol)
+        judged = settle | (residual[active] <= KKT_TOL)
         p2 = np.full(active.size, np.nan)
         if judged.any():
             p2[judged] = menu_profit(profile, cost_model, market, boundaries[judged], periods[judged])
@@ -517,21 +520,22 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
             # a finish that ends within tolerance with every group served
             # has converged; one that leaves a group empty is confirmed by
             # the next round's profit
-            converged[rows] = (residual[rows] <= tol) & np.all(group_counts(market, b[rows]) > 0, axis=1)
+            converged[rows] = (residual[rows] <= KKT_TOL) & np.all(group_counts(market, b[rows]) > 0, axis=1)
         rounds[active] = round_no
         active = active[~converged[active]]
         if not active.size:
             break
 
     edge_tol = EDGE_RTOL * (market.sigma_max - market.sigma_min)
+    N = market.size
     solutions = []
     for r in range(n):
         edge_hits = [int(k) for k, s in enumerate(b[r]) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol]
-        boundaries, periods, counts = _collapse_empty_groups(market, b[r], t[r])
+        boundaries, periods, mass = _collapse_empty_groups(market, b[r], t[r])
         # accounting identity: group masses times chain-price margins equal the boundary terms
         prices = optimal_prices(profile, boundaries, periods)
-        direct = float(np.dot(counts, prices - cost(cost_model, periods)))
-        if np.isfinite(residual[r]) and counts.size == n_groups:
+        direct = float(np.dot(mass, prices - cost(cost_model, periods)))
+        if np.isfinite(residual[r]) and mass.size == n_groups:
             # the Newton finish's last probe evaluated this very menu
             terms, kkt = profit[r], residual[r]
         else:
@@ -544,19 +548,19 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
                 boundaries=boundaries,
                 periods=periods,
                 prices=prices,
-                counts=counts,
-                total_profit=direct,
+                counts=N * mass,
+                total_profit=N * direct,
                 iterations=int(rounds[r]),
                 converged=bool(converged[r]),
-                profit_trace=traces[r],
+                profit_trace=[N * p for p in traces[r]],
                 pooled_period_blocks=period_blocks[r],
                 pooled_boundary_blocks=boundary_blocks[r],
                 boundary_edge_hits=edge_hits,
                 requested_groups=n_groups,
-                kkt_residual=float(kkt),
+                kkt_residual=N * float(kkt),
                 newton_steps=int(newton_steps[r]),
-                start_profits=[direct],
-                start_kkt_residuals=[float(kkt)],
+                start_profits=[N * direct],
+                start_kkt_residuals=[N * float(kkt)],
             )
         )
     return solutions
@@ -573,6 +577,15 @@ def _extend_traces(traces, rows, profits):
         if trace and new < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
             raise RuntimeError(f"profit decreased during alternation: {trace[-1]} -> {new}")
         trace.append(new)
+
+
+def _check_solve_size(K, restarts, extra):
+    """A ValueError naming K and restarts if the Newton probe of a K-group
+    solve from the quantile start, extra extra starts and the restarts,
+    (starts) x (4K + 1) x 2K values, would exceed TUPLE_BUDGET."""
+    # a Newton probe values each start's menu and its 4K shifted copies at 2K coordinates
+    if (1 + extra + restarts) * (4 * K + 1) * 2 * K > TUPLE_BUDGET:
+        raise ValueError(f"n_groups = {K} with restarts = {restarts} exceeds the work budget ({TUPLE_BUDGET:.0e} values per Newton probe)")
 
 
 def _start_inits(market, n_groups, restarts, seed, extra_inits):
@@ -592,12 +605,10 @@ def _start_inits(market, n_groups, restarts, seed, extra_inits):
     n_groups must be an integer >= 1, and restarts and seed integers >= 0
     (random.Random would draw a fresh seed for None, take -1 as 1 and
     hash a float or a string); anything else is a ValueError naming it.
-    So is a solve whose Newton probe, (starts) x (4K + 1) x 2K values,
-    would exceed TUPLE_BUDGET: it is refused before any row is made."""
+    So is a solve too large for the work budget (see _check_solve_size):
+    it is refused before any row is made."""
     K, restarts, seed = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0), _whole("seed", seed, 0)
-    # a Newton probe values each start's menu and its 4K shifted copies at 2K coordinates
-    if (1 + len(extra_inits or ()) + restarts) * (4 * K + 1) * 2 * K > TUPLE_BUDGET:
-        raise ValueError(f"n_groups = {K} with restarts = {restarts} exceeds the work budget ({TUPLE_BUDGET:.0e} values per Newton probe)")
+    _check_solve_size(K, restarts, len(extra_inits or ()))
     rows = [market.quantile((np.arange(K) + 1.0) / K)]
     for extra in extra_inits or ():
         b = np.asarray(extra, dtype=float)
@@ -607,10 +618,9 @@ def _start_inits(market, n_groups, restarts, seed, extra_inits):
         while b.size < K:
             b = split_heaviest_group(market, b)
         rows.append(b)
-    if restarts:
-        rng = random.Random(seed)
-        for _ in range(restarts):
-            rows.append(market.quantile(np.sort([rng.random() for _ in range(K)])))
+    rng = random.Random(seed)
+    for _ in range(restarts):
+        rows.append(market.quantile(np.sort([rng.random() for _ in range(K)])))
     return np.array(rows)
 
 
@@ -629,13 +639,14 @@ def solve_with_restarts(
     be alone, so the solve costs about its slowest start rather than the
     sum.  Deterministic, as the seed is always an integer (0 by default):
     a later start replaces the best so far only if it gains more than
-    REL_PROFIT_TOL in relative profit, so rounding noise never picks the
-    winner.  The returned solution records every start's final profit and
-    residual (start_profits, start_kkt_residuals)."""
+    REL_PROFIT_TOL of the best's profit, so neither rounding noise nor
+    the market size picks the winner.  The returned solution records
+    every start's final profit and residual (start_profits,
+    start_kkt_residuals)."""
     solutions = _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, restarts, seed, extra_inits))
     best = solutions[0]
     for sol in solutions[1:]:
-        if sol.total_profit - best.total_profit > REL_PROFIT_TOL * max(1.0, abs(best.total_profit)):
+        if sol.total_profit - best.total_profit > REL_PROFIT_TOL * abs(best.total_profit):
             best = sol
     best.start_profits = [sol.total_profit for sol in solutions]
     best.start_kkt_residuals = [sol.kkt_residual for sol in solutions]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrete import feasibility_check, solve_discrete
 from .distributions import DiscreteMarket
-from .grouped import _whole, solve_with_restarts
+from .grouped import _check_solve_size, _whole, solve_with_restarts
 from .market import cost
 from .oracles import (
     ComparisonReport,
@@ -189,7 +189,9 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     seed, when not None, replaces the scenario's restart seed.  Each row's
     uplift is against the full-coverage plan at the scenario's first
     baseline period, and the row also records whether its K's solve
-    converged.  out_dir is made only once every K is solved.
+    converged.  Every K's solve size is checked before the first solve
+    (see grouped._check_solve_size), and out_dir is made only once every K is
+    solved.
     """
     if isinstance(scenario.market, DiscreteMarket):
         raise ValueError("group sweeps need a grouped scenario")
@@ -197,6 +199,8 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     if not ks or len(set(ks)) < len(ks):
         raise ValueError("group counts must be a nonempty list of distinct K")
     use_seed = _restart_seed(scenario, seed)
+    # the largest K has the largest solve, with the previous menu as an extra start unless it is the only K
+    _check_solve_size(ks[-1], scenario.solver.restarts, int(len(ks) > 1))
     base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, scenario.baselines[0], coverage="full")
 
     rows = []

@@ -24,7 +24,9 @@ market, "grouped" for a continuous one.  The other solver keys are for
 grouped scenarios only: "K" (default 1), "restarts" (default 0) and
 "seed" (default 0), each an integer.  "baselines" lists the periods of
 the fixed-period plans the menu is compared against (default [1]), each
-> 0.  A key that nothing reads, such as a misspelt one, is refused with
+> 0.  A continuous market's "N" (default 1) must leave N times a
+consumer's largest money figure, alpha*mu + C(t) at the longest period,
+finite.  A key that nothing reads, such as a misspelt one, is refused with
 an error that names it.
 
 Bundled scenarios live in planmenu/data and are addressable by bare
@@ -40,8 +42,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from .discrete import DEFAULT_T_DOMAIN
 from .distributions import ContinuousMarket, DiscreteMarket
-from .market import CostModel, DemandProfile
+from .market import CostModel, DemandProfile, cost
 
 
 @dataclass
@@ -156,14 +159,14 @@ def load_scenario(path_or_name) -> Scenario:
     market = _build_market(market_keys)
     if (kind == "discrete") != isinstance(market, DiscreteMarket):
         raise ValueError(f"{kind} solver needs a {'discrete' if kind == 'discrete' else 'continuous'} market")
-    cost = _Keys(get("cost", _OBJECT), "scenario cost")
+    cost_keys = _Keys(get("cost", _OBJECT), "scenario cost")
     baselines = get("baselines", _NUMBERS, default=[1.0])
     if not baselines or min(baselines) <= 0:
         raise ValueError(f"scenario key 'baselines' must be a nonempty list of periods > 0, got {baselines!r}")
     scenario = Scenario(
         name=get("name", _TEXT),
         profile=DemandProfile(alpha=get("alpha", _NUMBER), mu=get("mu", _NUMBER), q=get("q", _NUMBER)),
-        cost_model=CostModel(c0=cost("c0", _NUMBER), c1=cost("c1", _NUMBER, default=0.0)),
+        cost_model=CostModel(c0=cost_keys("c0", _NUMBER), c1=cost_keys("c1", _NUMBER, default=0.0)),
         market=market,
         solver=None if kind == "discrete" else SolverSpec(
             n_groups=solver("K", _GROUPS, default=1),
@@ -172,6 +175,10 @@ def load_scenario(path_or_name) -> Scenario:
         ),
         baselines=baselines,
     )
-    for keys in (get, market_keys, cost, solver):
+    for keys in (get, market_keys, cost_keys, solver):
         keys.done()
+    # a continuous market's money figures are N times one consumer's, at most alpha*mu + C(t) on the period window
+    per_consumer = scenario.profile.alpha * scenario.profile.mu + float(cost(scenario.cost_model, DEFAULT_T_DOMAIN[1]))
+    if isinstance(market, ContinuousMarket) and not np.isfinite(market.size * per_consumer):
+        raise ValueError(f"scenario market key 'N' = {market.size!r} is too large: N times a consumer's largest money figure ({per_consumer:.6g}) overflows")
     return scenario

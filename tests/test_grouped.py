@@ -1,6 +1,7 @@
 """Continuum-market menu solver: boundary terms, alternation, restarts."""
 
 import contextlib
+import dataclasses
 import tempfile
 from functools import lru_cache
 
@@ -63,20 +64,21 @@ STEEP_EXPONENTIAL = make_market("exponential", 0.12, 6.12, rate=10.0)
 
 
 def boundary_objective(profile, cost_model, market, periods, k, sigma):
-    """Q_k(sigma): the profit terms containing boundary k, periods fixed,
-    N G(s) (V(s, t_k) - V(s, t_{k+1}) + C(t_{k+1}) - C(t_k)), with
-    V = C = 0 for the outside option above the top item."""
+    """Q_k(sigma): the profit terms per unit mass containing boundary k,
+    periods fixed, G(s) (V(s, t_k) - V(s, t_{k+1}) + C(t_{k+1}) - C(t_k)),
+    with V = C = 0 for the outside option above the top item."""
     t = np.asarray(periods, dtype=float)
     s = np.asarray(sigma, dtype=float)
     if k + 1 < t.size:
         wedge = valuation(profile, s, t[k]) - valuation(profile, s, t[k + 1]) + cost(cost_model, t[k + 1]) - cost(cost_model, t[k])
     else:
         wedge = valuation(profile, s, t[k]) - cost(cost_model, t[k])
-    return market.size * market.cdf(s) * wedge
+    return market.cdf(s) * wedge
 
 
 def chain_profit(profile, cost_model, market, boundaries, periods):
-    """Direct profit: group masses times per-item margins at chain prices."""
+    """Direct profit per unit mass: group probabilities times per-item
+    margins at chain prices."""
     prices = optimal_prices(profile, boundaries, periods)
     return float(np.dot(group_counts(market, boundaries), prices - cost(cost_model, np.asarray(periods, dtype=float))))
 
@@ -113,8 +115,9 @@ def test_block_boundaries_match_find_root(profile, rng):
 
 
 def test_boundary_curvature_symbolic(profile):
-    # Q(s) = N G(s) (V(s, t1) - V(s, t2) + C(t2) - C(t1)) on a truncated
-    # exponential market, differentiated twice by sympy
+    # Q(s) = G(s) (V(s, t1) - V(s, t2) + C(t2) - C(t1)) on a truncated
+    # exponential market of size 3, differentiated twice by sympy; the
+    # terms are per unit mass, so the size does not enter them
     s, x = sp.Symbol("sigma", positive=True), sp.Symbol("x", real=True)
     phi = sp.exp(-x**2 / 2) / sp.sqrt(2 * sp.pi)
     excess = phi - x * sp.erfc(x / sp.sqrt(2)) / 2
@@ -123,11 +126,11 @@ def test_boundary_curvature_symbolic(profile):
     def v(t):
         return alpha * (mu - s / sp.sqrt(t) * excess.subs(x, sp.sqrt(t) * d / s))
 
-    rate, size, t1, t2 = sp.Rational(1, 2), 3, sp.Rational(9, 10), sp.Rational(5, 2)
+    rate, t1, t2 = sp.Rational(1, 2), sp.Rational(9, 10), sp.Rational(5, 2)
     G = (1 - sp.exp(-rate * s)) / (1 - sp.exp(-6 * rate))
     model = CostModel(c0=10.0, c1=0.5)
     dcost = sp.nsimplify(float(cost(model, 2.5) - cost(model, 0.9)))
-    q = size * G * (v(t1) - v(t2) + dcost)
+    q = G * (v(t1) - v(t2) + dcost)
     ref = sp.lambdify(s, [q, sp.diff(q, s), sp.diff(q, s, 2)], "mpmath")
 
     mkt = make_market("exponential", 0.0, 6.0, size=3.0, rate=0.5)
@@ -191,21 +194,23 @@ def test_group_counts_uniform():
     assert np.allclose(counts, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     counts = group_counts(mkt, [6.0, 6.0])
     assert np.allclose(counts, [1.0, 0.0], atol=1e-12)
+    # probabilities, whatever the market size
     mkt3 = uniform06(size=3.0)
-    assert np.allclose(group_counts(mkt3, [3.0, 6.0]), [1.5, 1.5], atol=1e-12)
+    assert np.allclose(group_counts(mkt3, [3.0, 6.0]), [0.5, 0.5], atol=1e-12)
 
 
 def test_group_counts_band_masses():
-    # each group's band (b_{k-1}, b_k] holds size times its CDF difference
+    # each group's band (b_{k-1}, b_k] holds its CDF difference of the
+    # probability mass, whatever the market size
     mkt = make_market("uniform", 0.0, 6.0, size=3.0)
-    assert abs(group_counts(mkt, [2.0])[0] - 1.0) < 1e-12
-    # a repeated boundary makes a zero-width band, and the masses add up to size
+    assert abs(group_counts(mkt, [2.0])[0] - 1.0 / 3.0) < 1e-12
+    # a repeated boundary makes a zero-width band, and the masses add up to 1
     counts = group_counts(mkt, [1.0, 1.0, 2.5, 6.0])
     assert counts[1] == 0.0
-    assert abs(counts.sum() - 3.0) < 1e-12 and mkt.total_count == 3.0
+    assert abs(counts.sum() - 1.0) < 1e-12 and mkt.size == 3.0
     # rows of boundaries give one row of masses each
     rows = group_counts(mkt, [[2.0, 6.0], [1.0, 1.0]])
-    assert rows.shape == (2, 2) and np.allclose(rows, [[1.0, 2.0], [0.5, 0.0]], atol=1e-12)
+    assert rows.shape == (2, 2) and np.allclose(rows, [[1.0 / 3.0, 2.0 / 3.0], [1.0 / 6.0, 0.0]], atol=1e-12)
     with pytest.raises(ValueError, match="boundaries must be ascending"):
         group_counts(mkt, [2.0, 1.0])
 
@@ -324,7 +329,7 @@ def test_h_function_identities(profile, cost_model):
     # equal periods: H == 0
     for s in (0.5, 3.0, 5.5):
         assert abs(h_function(profile, mkt, s, 2.0, 2.0)) < 1e-15
-    # dQ_k/dsigma = N * g(sigma) * (H + C(t_high) - C(t_low))
+    # dQ_k/dsigma = g(sigma) * (H + C(t_high) - C(t_low))
     t_low, t_high = 1.0, 4.0
     dcost = cost(cost_model, t_high) - cost(cost_model, t_low)
     h = 1e-6
@@ -333,7 +338,7 @@ def test_h_function_identities(profile, cost_model):
             boundary_objective(profile, cost_model, mkt, [t_low, t_high], 0, s + h)
             - boundary_objective(profile, cost_model, mkt, [t_low, t_high], 0, s - h)
         ) / (2 * h)
-        exact = mkt.size * mkt.pdf(s) * (h_function(profile, mkt, s, t_low, t_high) + dcost)
+        exact = mkt.pdf(s) * (h_function(profile, mkt, s, t_low, t_high) + dcost)
         assert abs(fd - exact) < 1e-6 * max(1.0, abs(exact))
 
 
@@ -672,12 +677,14 @@ STARTS = ("quantile", "restart")
 
 
 @lru_cache(maxsize=None)
-def bundled_solve(name, k, start):
+def bundled_solve(name, k, start, size=None):
     """A bundled market's solve from one start: the quantile start (row 0
-    of _start_inits) or the restart that seed 20260822 draws (row 1)."""
+    of _start_inits) or the restart that seed 20260822 draws (row 1), on
+    the market as bundled or, given a size, on the market of that size."""
     sc = load_scenario(name)
-    row = grouped._start_inits(sc.market, k, 1, 20260822, None)[STARTS.index(start)]
-    return sc, grouped._solve_starts(sc.profile, sc.cost_model, sc.market, row[None])[0]
+    market = sc.market if size is None else dataclasses.replace(sc.market, size=size)
+    row = grouped._start_inits(market, k, 1, 20260822, None)[STARTS.index(start)]
+    return sc, grouped._solve_starts(sc.profile, sc.cost_model, market, row[None])[0]
 
 
 @pytest.mark.parametrize("start", STARTS)
@@ -815,6 +822,38 @@ def test_grouped_residual_at_float_floor(name, k, kkt):
     sc, sol = bundled_solve(name, k, "quantile")
     residual = kkt.grouped_residual(sc.profile, sc.cost_model, sc.market, sol.boundaries, sol.periods, DEFAULT_T_DOMAIN)
     assert residual <= 1e-12 * sc.market.size
+
+
+@pytest.mark.parametrize("size", [1e-300, 3.0, 48.25587193941592, 1e300])
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("name", BUNDLED_GROUPED)
+def test_market_size_only_scales_the_solve(name, k, size):
+    # IC, IR and the menu do not see the market size: the bundled markets
+    # (N = 1) at another size give the same menu and search bit for bit,
+    # and N times their counts, profits and residual
+    _, one = bundled_solve(name, k, "quantile")
+    _, sol = bundled_solve(name, k, "quantile", size)
+    for field in ("boundaries", "periods", "prices"):
+        assert np.array_equal(getattr(sol, field), getattr(one, field)), field
+    same = ("iterations", "converged", "newton_steps", "pooled_period_blocks", "pooled_boundary_blocks", "boundary_edge_hits")
+    assert [getattr(sol, f) for f in same] == [getattr(one, f) for f in same]
+    assert np.array_equal(sol.counts, size * one.counts)
+    assert sol.total_profit == size * one.total_profit and sol.kkt_residual == size * one.kkt_residual
+    assert sol.profit_trace == [size * p for p in one.profit_trace]
+
+
+def test_restart_pick_does_not_depend_on_market_size():
+    # a restart beats the quantile start by 7.9% per consumer on this
+    # market; the best start is chosen at every market size
+    market = make_market("truncated_normal", 0.5, 8.25, loc=4.0, scale=2.5)
+    profile, cost_model = DemandProfile(alpha=1.0, mu=5.8, q=8.0), CostModel(c0=4.4, c1=0.6)
+    one = solve_with_restarts(profile, cost_model, market, 3, restarts=8, seed=0)
+    assert one.total_profit > 1.07 * one.start_profits[0]
+    for size in (1e-300, 3.0, 1e300):
+        sol = solve_with_restarts(profile, cost_model, dataclasses.replace(market, size=size), 3, restarts=8, seed=0)
+        assert np.array_equal(sol.boundaries, one.boundaries) and np.array_equal(sol.periods, one.periods)
+        assert sol.start_profits == [size * p for p in one.start_profits]
+        assert sol.distinct_optima == one.distinct_optima == 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
@@ -991,10 +1030,10 @@ def test_menu_terms_evaluate_each_point_once(profile, cost_model, rng, monkeypat
 
 
 def closed_form_hessian(profile, cost_model, market, b, t, dc, ddc):
-    """Hessian of total profit in x = (b, t), given C'(t) = dc and
+    """Hessian of profit per unit mass in x = (b, t), given C'(t) = dc and
     C''(t) = ddc.  Q_k'' is the curvature _boundary_slopes returns, and
     V_sigma_t = V_t (1 + a^2) / sigma with a = sqrt(t) (q - mu) / sigma."""
-    K, N = b.size, market.size
+    K = b.size
     items = np.arange(K)
     G, g = market.cdf(b), market.pdf(b)
     G_lo = np.concatenate(([0.0], G[:-1]))
@@ -1003,9 +1042,9 @@ def closed_form_hessian(profile, cost_model, market, b, t, dc, ddc):
     vst = lambda s, tt, v: v * (1.0 + tt * (profile.excess_cap / s) ** 2) / s
     H = np.zeros((2 * K, 2 * K))
     H[items, items] = _boundary_slopes(profile, market, b, _blocks(cost_model, t, items, items))[3]
-    H[K + items, K + items] = N * ((G - G_lo) * (vtt - ddc) + G_lo * (vtt - np.concatenate(([0.0], vtt_lo))))
-    H[items, K + items] = N * (g * (vt - dc) + G * vst(b, t, vt))
-    H[items[:-1], K + items[1:]] = -N * (g[:-1] * (vt_lo - dc[1:]) + G[:-1] * vst(b[:-1], t[1:], vt_lo))
+    H[K + items, K + items] = (G - G_lo) * (vtt - ddc) + G_lo * (vtt - np.concatenate(([0.0], vtt_lo)))
+    H[items, K + items] = g * (vt - dc) + G * vst(b, t, vt)
+    H[items[:-1], K + items[1:]] = -(g[:-1] * (vt_lo - dc[1:]) + G[:-1] * vst(b[:-1], t[1:], vt_lo))
     return H + np.triu(H, 1).T
 
 

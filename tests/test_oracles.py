@@ -25,7 +25,7 @@ from planmenu.discrete import (
     solve_discrete,
 )
 from planmenu.distributions import DiscreteMarket, make_market
-from planmenu.grouped import group_counts, solve_alternating
+from planmenu.grouped import solve_alternating
 from planmenu.market import _valuation, cost, valuation, valuation_dt
 from planmenu.normals import _excess_table
 from planmenu.oracles import (
@@ -398,10 +398,11 @@ def test_grid_oracle_property_never_beats_solver(profile, cost_model, market):
 
 
 def grouped_chain_profit(profile, cost_model, market, boundaries, periods):
-    """Direct profit of a grouped menu: group masses times per-item
-    margins at chain prices."""
+    """Direct profit of a grouped menu: group masses, N times the CDF
+    differences, times per-item margins at chain prices."""
     prices = optimal_prices(profile, boundaries, periods)
-    return float(np.dot(group_counts(market, boundaries), prices - cost(cost_model, np.asarray(periods, dtype=float))))
+    masses = market.size * np.diff(market.cdf(np.concatenate(([market.sigma_min], boundaries))))
+    return float(np.dot(masses, prices - cost(cost_model, np.asarray(periods, dtype=float))))
 
 
 # the exponential market's mass N*G(s) is neither linear in s nor of size 1

@@ -755,6 +755,26 @@ def test_cli_sweep_refuses_baselines_at_load(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])
+def test_cli_market_size_near_the_float_limit(tmp_path, capsys, name):
+    # N times a consumer's money figures overflows: every command that
+    # loads the scenario refuses it by name and writes nothing; at
+    # N = 1e300 the solve runs without a warning
+    cfg = json.loads((Path(planmenu.__file__).parent / "data" / f"{name}.json").read_text())
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({**cfg, "market": {**cfg["market"], "N": 1.7e308}}))
+    for command in (["solve"], ["sweep", "--groups", "1,2"], ["oracle", "--grid-step", "0.5"]):
+        out = ["--out", str(tmp_path / "out")] if command[0] != "oracle" else []
+        assert cli.main(command + ["--scenario", str(huge)] + out) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("planmenu: error: scenario market key 'N' = 1.7e+308 ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps({**cfg, "market": {**cfg["market"], "N": 1e300}}))
+    assert cli.main(["solve", "--scenario", str(large), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv, problem",
     [
@@ -783,14 +803,18 @@ def test_cli_sweep_refuses_baselines_at_load(tmp_path, capsys):
         "groups_not_integer", "groups_zero", "groups_over_budget",
     ],
 )
-def test_cli_rejects_malformed_option(tmp_path, capsys, argv, problem):
+def test_cli_rejects_malformed_option(tmp_path, capsys, monkeypatch, argv, problem):
     if argv[0] == "sweep":
         argv = argv + ["--out", str(tmp_path / "out")]
+    solves, solve_starts = [], grouped._solve_starts
+    monkeypatch.setattr(grouped, "_solve_starts", lambda *args: solves.append(args) or solve_starts(*args))
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("planmenu: error: ") and problem in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    # refused before any solve, also a sweep whose later K is too large
+    assert solves == []
 
 
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--groups", "1,2"]], ids=["solve", "sweep"])
