@@ -29,22 +29,24 @@ Q_k is guaranteed by the market shape condition (see
 distributions.theorem3_condition), so Q_k' changes sign once; every
 density family satisfies it, and Step II refuses a market that fails it.
 
-Alternation alone converges only linearly.  After a round that pools
-nothing, safeguarded projected-Newton steps on the 2K stationarity
-system dP/d(b, t) = 0 finish the job: a coordinate on a window edge
-moves only if its gradient points into the window, a step is projected
-on the window and halved until it keeps the menu ascending and profit
-from falling.  Every step solves with the Hessian of the menu it starts
-from, and the last one is the step taken once the projected
-first-order (KKT) residual is at most KKT_TOL.
+Alternation alone converges only linearly.  After a round that ends on
+a strictly ascending menu (so pools nothing), safeguarded
+projected-Newton steps on the 2K stationarity system dP/d(b, t) = 0
+finish the job: a coordinate on a window edge moves only if its
+gradient points into the window, a step is projected on the window and
+halved until it keeps the menu ascending and profit from falling.
+Every step solves with the Hessian of the menu it starts from, and the
+last one is the step taken once the projected first-order (KKT)
+residual, _menu_residual, is at most KKT_TOL.
 A start converges once its finish ends within that residual on a menu
 whose every group has mass.  A finished menu with an empty group
 converges once one more round gains at most REL_PROFIT_TOL in relative
-profit, and a round that pools stops the solve when profit stalls.
+profit, and a round that ends on a menu not strictly ascending (every
+round that pools does) stops the solve when profit stalls.
 MAX_ROUNDS rounds stop a start unconverged.
 
 The profit is not jointly concave, so a solve may run several starts:
-the quantile start, extra starts such as a sweep's previous menu, and
+the quantile start, one warm start such as a sweep's previous menu, and
 seeded restarts, whose uniforms come from the standard library's
 Mersenne Twister (random.Random(seed)), so drawing them loads neither
 numpy.random nor the hashing modules it imports.  _start_inits makes
@@ -60,7 +62,7 @@ import numbers
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -117,9 +119,9 @@ def split_heaviest_group(market, boundaries):
     ends.  Every given boundary stays, so the two halves priced at the
     group's one period make the given menu again."""
     b = np.asarray(boundaries, dtype=float)
-    j = int(np.argmax(group_counts(market, b)))
-    G = market.cdf(np.array([market.sigma_min if j == 0 else b[j - 1], b[j]]))
-    return np.sort(np.append(b, market.quantile(0.5 * (G[0] + G[1]))))
+    G = market.cdf(np.concatenate([[market.sigma_min], b]))
+    j = int(np.argmax(np.diff(G)))
+    return np.sort(np.append(b, market.quantile(0.5 * (G[j] + G[j + 1]))))
 
 
 def _blocks(cost_model, periods, first, last, end=None):
@@ -140,11 +142,9 @@ def _blocks(cost_model, periods, first, last, end=None):
 
 
 def menu_profit(profile, cost_model, market, boundaries, periods):
-    """Profit per unit mass as the sum of the boundary terms Q_k(b_k); rows
-    of menus (shape (R, K)) give one profit per row."""
-    t = np.atleast_1d(np.asarray(periods, dtype=float))
-    items = np.arange(t.shape[-1])
-    total = _boundary_slopes(profile, market, boundaries, _blocks(cost_model, t, items, items))[0].sum(axis=-1)
+    """Profit per unit mass, the sum of the boundary terms Q_k(b_k) of
+    _menu_terms; rows of menus (shape (R, K)) give one profit per row."""
+    total = _menu_terms(profile, cost_model, market, boundaries, periods)[0].sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -241,11 +241,12 @@ def _chain_residual(x, grad, lo, hi):
     For distinct interior values this is max |grad|.
     """
     edge = EDGE_RTOL * (hi - lo)
-    joined = np.diff(x, axis=-1) <= 0  # item i + 1 continues the run of item i
+    joined = x[..., 1:] <= x[..., :-1]  # item i + 1 continues the run of item i
     # each item's sum of grad from its run's first item (down) and to its
     # run's last item (up), accumulated in the order of a cumsum
-    down, up = grad.copy(), grad.copy()
+    down = up = grad
     if joined.any():
+        down, up = grad.copy(), grad.copy()
         for i in range(1, x.shape[-1]):
             down[..., i] = np.where(joined[..., i - 1], down[..., i - 1] + grad[..., i], grad[..., i])
         for i in range(x.shape[-1] - 2, -1, -1):
@@ -270,12 +271,12 @@ def _probe(profile, cost_model, market, x, lo, hi):
     from one batched _menu_terms call: (profit, gradient, free, residual,
     -H) per row.  free marks the coordinates a step may move: those off
     the window edges, and those on an edge whose gradient points into the
-    window.  The residual is the largest |gradient| over them, which on a
-    strictly ascending menu is its projected first-order residual (see
-    _menu_residual).  -H is the symmetrized differences of the gradient,
-    over all 2K coordinates: central ones for a coordinate off the edges,
-    stepping by 1e-6 * max(1, |x|), at most half the distance to the
-    nearer edge, and one-sided ones into the window, by
+    window.  The residual is _menu_residual of the gradient, and on a
+    strictly ascending menu free marks exactly the coordinates whose
+    |gradient| it counts.  -H is the symmetrized differences of the
+    gradient, over all 2K coordinates: central ones for a coordinate off
+    the edges, stepping by 1e-6 * max(1, |x|), at most half the distance
+    to the nearer edge, and one-sided ones into the window, by
     1e-6 * max(1, |x|), for a coordinate on an edge (its copy shifted out
     of the window stays at x, so no extra point is evaluated).
     """
@@ -294,13 +295,14 @@ def _probe(profile, cost_model, market, x, lo, hi):
     quotients = (F[:, 1 : D + 1] - F[:, D + 1 :]) / (up + down)[:, :, None]  # [r, j]: dF / dx_j
     grad = F[:, 0]
     free = ~(low | high) | (low & (grad > 0)) | (high & (grad < 0))
-    residual = np.max(np.abs(grad), axis=1, where=free, initial=0.0)
+    residual = _menu_residual(market, x[:, :K], x[:, K:], grad[:, :K], grad[:, K:])
     return q[:, 0].sum(axis=-1), grad, free, residual, -0.5 * (quotients + quotients.transpose(0, 2, 1))
 
 
-def _ascending(x):
-    """Whether x = (b, t) is strictly ascending in b and in t."""
-    return bool((np.diff(x.reshape(2, -1)) > 0).all())
+def _ascending(boundaries, periods):
+    """Whether each menu, one per row of boundaries and periods, is
+    strictly ascending in b and in t."""
+    return np.all(boundaries[..., 1:] > boundaries[..., :-1], axis=-1) & np.all(periods[..., 1:] > periods[..., :-1], axis=-1)
 
 
 def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spent):
@@ -358,7 +360,7 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
             if spent[r] >= MAX_NEWTON_STEPS:
                 continue
             trial = np.clip(x[r] + share * step, lo, hi)
-            while not _ascending(trial):
+            while not _ascending(trial[:K], trial[K:]):
                 share *= 0.5
                 trial = np.clip(x[r] + share * step, lo, hi)
             # a step that halves or projects to nothing ends the row
@@ -486,16 +488,14 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
         _extend_traces(traces, active, menu_profit(profile, cost_model, market, start_b, periods))
 
         boundaries, b_blocks = step2_boundaries(profile, cost_model, market, periods, guess=start_b)
-        pooled = np.array([bool(pb or bb) for pb, bb in zip(p_blocks, b_blocks)])
-        ascending = np.all(np.diff(boundaries, axis=1) > 0, axis=1) & np.all(np.diff(periods, axis=1) > 0, axis=1)
         for i, r in enumerate(active):
             period_blocks[r], boundary_blocks[r] = p_blocks[i], b_blocks[i]
-        # a row that pooled or broke ascent ends the solve once profit
-        # stalls, and one whose round started from a Newton-finished menu
-        # with an empty group has confirmed it if profit stalls: those
-        # rows are judged by their profit, and the finish takes the rest's
-        # from its first probe
-        settle = pooled | ~ascending
+        # a row that broke strict ascent (every pooled block does) ends
+        # the solve once profit stalls, and one whose round started from a
+        # Newton-finished menu with an empty group has confirmed it if
+        # profit stalls: those rows are judged by their profit, and the
+        # finish takes the rest's from its first probe
+        settle = ~_ascending(boundaries, periods)
         judged = settle | (residual[active] <= KKT_TOL)
         p2 = np.full(active.size, np.nan)
         if judged.any():
@@ -579,24 +579,26 @@ def _extend_traces(traces, rows, profits):
         trace.append(new)
 
 
-def _check_solve_size(K, restarts, extra):
+def _check_solve_size(K, restarts, warm):
     """A ValueError naming K and restarts if the Newton probe of a K-group
-    solve from the quantile start, extra extra starts and the restarts,
-    (starts) x (4K + 1) x 2K values, would exceed TUPLE_BUDGET."""
+    solve from the quantile start, a warm start if warm (a bool) is true
+    and the restarts, (starts) x (4K + 1) x 2K values, would exceed
+    TUPLE_BUDGET."""
     # a Newton probe values each start's menu and its 4K shifted copies at 2K coordinates
-    if (1 + extra + restarts) * (4 * K + 1) * 2 * K > TUPLE_BUDGET:
+    if (1 + warm + restarts) * (4 * K + 1) * 2 * K > TUPLE_BUDGET:
         raise ValueError(f"n_groups = {K} with restarts = {restarts} exceeds the work budget ({TUPLE_BUDGET:.0e} values per Newton probe)")
 
 
-def _start_inits(market, n_groups, restarts, seed, extra_inits):
+def _start_inits(market, n_groups, restarts, seed, warm):
     """Every start of a grouped solve, as one (starts, K) array whose rows
     are, in order:
 
       the quantile start, boundaries at the quantiles k / K;
-      each extra start, sorted; one with fewer than K boundaries gets its
-        heaviest group split (split_heaviest_group) until it has K, so it
-        keeps every boundary it was given, and one with more is a
-        ValueError naming it;
+      the warm start, the boundaries of one menu such as a sweep's
+        previous one, if warm is not None, sorted; with fewer than K
+        boundaries its heaviest group is split (split_heaviest_group)
+        until it has K, so it keeps every boundary it was given, and one
+        with none or more than K is a ValueError naming it;
       the seeded restarts, quantile-transformed uniforms, so restarts
         respect the type distribution.  Each takes its K sorted uniforms
         in turn from one random.Random(seed), so a seed gives the same
@@ -608,12 +610,12 @@ def _start_inits(market, n_groups, restarts, seed, extra_inits):
     So is a solve too large for the work budget (see _check_solve_size):
     it is refused before any row is made."""
     K, restarts, seed = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0), _whole("seed", seed, 0)
-    _check_solve_size(K, restarts, len(extra_inits or ()))
+    _check_solve_size(K, restarts, warm is not None)
     rows = [market.quantile((np.arange(K) + 1.0) / K)]
-    for extra in extra_inits or ():
-        b = np.asarray(extra, dtype=float)
+    if warm is not None:
+        b = np.asarray(warm, dtype=float)
         if b.ndim != 1 or not 0 < b.size <= K:
-            raise ValueError(f"extra start {b.tolist()} must hold 1 to n_groups = {K} boundaries")
+            raise ValueError(f"warm start {b.tolist()} must hold 1 to n_groups = {K} boundaries")
         b = np.sort(b)
         while b.size < K:
             b = split_heaviest_group(market, b)
@@ -624,26 +626,18 @@ def _start_inits(market, n_groups, restarts, seed, extra_inits):
     return np.array(rows)
 
 
-def solve_with_restarts(
-    profile,
-    cost_model,
-    market,
-    n_groups,
-    restarts=0,
-    seed=0,
-    extra_inits: Optional[List[Sequence[float]]] = None,
-) -> GroupedSolution:
-    """Best of the starts _start_inits makes: the quantile start, any
-    extra starts, then the seeded restarts.  All starts are solved
-    together as one batch (see _solve_starts), each exactly as it would
-    be alone, so the solve costs about its slowest start rather than the
-    sum.  Deterministic, as the seed is always an integer (0 by default):
-    a later start replaces the best so far only if it gains more than
-    REL_PROFIT_TOL of the best's profit, so neither rounding noise nor
-    the market size picks the winner.  The returned solution records
-    every start's final profit and residual (start_profits,
-    start_kkt_residuals)."""
-    solutions = _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, restarts, seed, extra_inits))
+def solve_with_restarts(profile, cost_model, market, n_groups, restarts=0, seed=0, warm=None) -> GroupedSolution:
+    """Best of the starts _start_inits makes: the quantile start, the warm
+    start (the boundaries of one menu) if given, then the seeded
+    restarts.  All starts are solved together as one batch (see
+    _solve_starts), each exactly as it would be alone, so the solve costs
+    about its slowest start rather than the sum.  Deterministic, as the
+    seed is always an integer (0 by default): a later start replaces the
+    best so far only if it gains more than REL_PROFIT_TOL of the best's
+    profit, so neither rounding noise nor the market size picks the
+    winner.  The returned solution records every start's final profit
+    and residual (start_profits, start_kkt_residuals)."""
+    solutions = _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, restarts, seed, warm))
     best = solutions[0]
     for sol in solutions[1:]:
         if sol.total_profit - best.total_profit > REL_PROFIT_TOL * abs(best.total_profit):

@@ -182,7 +182,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     """Solve the scenario for each menu size K and tabulate profits.
 
     Each K after the first also starts from the previous K's menu, as
-    an extra start that _start_inits splits up to K groups (see
+    the warm start that _start_inits splits up to K groups (see
     split_heaviest_group), alongside the quantile start and random
     restarts.  That start keeps every previous boundary, so it contains
     the previous menu and profit is nondecreasing in K by construction.
@@ -199,8 +199,8 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     if not ks or len(set(ks)) < len(ks):
         raise ValueError("group counts must be a nonempty list of distinct K")
     use_seed = _restart_seed(scenario, seed)
-    # the largest K has the largest solve, with the previous menu as an extra start unless it is the only K
-    _check_solve_size(ks[-1], scenario.solver.restarts, int(len(ks) > 1))
+    # the largest K has the largest solve, with the previous menu as a warm start unless it is the only K
+    _check_solve_size(ks[-1], scenario.solver.restarts, len(ks) > 1)
     base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, scenario.baselines[0], coverage="full")
 
     rows = []
@@ -213,7 +213,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
             k,
             restarts=scenario.solver.restarts,
             seed=use_seed,
-            extra_inits=None if prev is None else [prev.boundaries],
+            warm=None if prev is None else prev.boundaries,
         )
         prev = sol
         rows.append(

@@ -24,27 +24,27 @@ market, "grouped" for a continuous one.  The other solver keys are for
 grouped scenarios only: "K" (default 1), "restarts" (default 0) and
 "seed" (default 0), each an integer.  "baselines" lists the periods of
 the fixed-period plans the menu is compared against (default [1]), each
-> 0.  A continuous market's "N" (default 1) must leave N times a
-consumer's largest money figure, alpha*mu + C(t) at the longest period,
-finite.  A key that nothing reads, such as a misspelt one, is refused with
-an error that names it.
+> 0.  A consumer's largest money figure, alpha*mu + C(t) at the longest
+period, must be finite, and so must the market's mass times it: the
+mass is a continuous market's "N" (default 1) or the sum of a discrete
+market's "counts".  A key that nothing reads, such as a misspelt one,
+is refused with an error that names it.
 
 Bundled scenarios live in planmenu/data and are addressable by bare
 name (without .json) anywhere a path is accepted.
 """
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
 
-import numpy as np
-
 from .discrete import DEFAULT_T_DOMAIN
 from .distributions import ContinuousMarket, DiscreteMarket
-from .market import CostModel, DemandProfile, cost
+from .market import CostModel, DemandProfile
 
 
 @dataclass
@@ -177,8 +177,15 @@ def load_scenario(path_or_name) -> Scenario:
     )
     for keys in (get, market_keys, cost_keys, solver):
         keys.done()
-    # a continuous market's money figures are N times one consumer's, at most alpha*mu + C(t) on the period window
-    per_consumer = scenario.profile.alpha * scenario.profile.mu + float(cost(scenario.cost_model, DEFAULT_T_DOMAIN[1]))
-    if isinstance(market, ContinuousMarket) and not np.isfinite(market.size * per_consumer):
-        raise ValueError(f"scenario market key 'N' = {market.size!r} is too large: N times a consumer's largest money figure ({per_consumer:.6g}) overflows")
+    # money figures are the market's mass times one consumer's, at most
+    # alpha*mu + C(t) on the period window; Python floats overflow to inf
+    # without a warning, and the loader's cost is linear
+    per_consumer = scenario.profile.alpha * scenario.profile.mu + scenario.cost_model.c0 + scenario.cost_model.c1 * DEFAULT_T_DOMAIN[1]
+    if not math.isfinite(per_consumer):
+        raise ValueError(f"scenario keys 'alpha', 'mu' and 'cost' give a consumer a largest money figure, alpha*mu + C({DEFAULT_T_DOMAIN[1]:g}) = {per_consumer!r}, that is not finite")
+    discrete = isinstance(market, DiscreteMarket)
+    mass = sum(market.counts.tolist()) if discrete else market.size
+    if not math.isfinite(mass * per_consumer):
+        key = f"'counts' (total {mass!r})" if discrete else f"'N' = {mass!r}"
+        raise ValueError(f"scenario market key {key} is too large: the market's mass times a consumer's largest money figure ({per_consumer:.6g}) overflows")
     return scenario

@@ -475,7 +475,7 @@ def test_solver_input_validation(profile, cost_model):
     with pytest.raises(ValueError):
         solve_alternating(profile, cost_model, mkt, 0)
     with pytest.raises(ValueError):
-        solve_with_restarts(profile, cost_model, mkt, 2, extra_inits=[[1.0, 2.0, 3.0]])
+        solve_with_restarts(profile, cost_model, mkt, 2, warm=[1.0, 2.0, 3.0])
 
 
 def test_solve_size_is_bounded_before_anything_is_allocated(profile, cost_model):
@@ -488,13 +488,13 @@ def test_solve_size_is_bounded_before_anything_is_allocated(profile, cost_model)
         solve_with_restarts(profile, cost_model, mkt, 1, restarts=10**9)
     with pytest.raises(ValueError, match="n_groups = 1000000000 with restarts = 0 " + budget):
         solve_with_restarts(profile, cost_model, mkt, 10**9)
-    # the bound is the probe's: 3535 groups alone fit, 3536 do not, nor 3535 with an extra start
+    # the bound is the probe's: 3535 groups alone fit, 3536 do not, nor 3535 with a warm start
     assert 8 * 3535**2 + 2 * 3535 <= grouped.TUPLE_BUDGET < 8 * 3536**2 + 2 * 3536
     assert grouped._start_inits(mkt, 3535, 0, 0, None).shape == (1, 3535)
     with pytest.raises(ValueError, match="n_groups = 3536 with restarts = 0"):
         grouped._start_inits(mkt, 3536, 0, 0, None)
     with pytest.raises(ValueError, match="n_groups = 3535 with restarts = 0"):
-        grouped._start_inits(mkt, 3535, 0, 0, [[1.0]])
+        grouped._start_inits(mkt, 3535, 0, 0, [1.0])
     # bundled sizes run as before: K = 6 with 4 restarts, and K = 24
     assert grouped._start_inits(mkt, 6, 4, 0, None).shape == (5, 6)
     assert solve_alternating(profile, cost_model, mkt, 24).boundaries.size == 24
@@ -551,24 +551,26 @@ def test_same_seed_draws_the_same_restart_starts():
 
 
 def test_start_inits_makes_every_start_row():
-    # one (starts, K) array: the quantile start, each extra start sorted
+    # one (starts, K) array: the quantile start, the warm start sorted
     # and split up to K, then the seeded restarts
     mkt = exponential06()
-    rows = grouped._start_inits(mkt, 3, 2, 7, [[2.0], [5.0, 1.0, 3.0]])
-    assert isinstance(rows, np.ndarray) and rows.dtype == float and rows.shape == (5, 3)
+    rows = grouped._start_inits(mkt, 3, 2, 7, [2.0])
+    assert isinstance(rows, np.ndarray) and rows.dtype == float and rows.shape == (4, 3)
     assert np.array_equal(rows[0], mkt.quantile(np.arange(1, 4) / 3))
     # a one-boundary start comes back split twice, its boundary kept
     assert np.array_equal(rows[1], split_heaviest_group(mkt, split_heaviest_group(mkt, [2.0])))
     assert 2.0 in rows[1] and np.all(np.diff(rows[1]) > 0)
-    assert np.array_equal(rows[2], [1.0, 3.0, 5.0])
-    for restart in rows[3:]:
+    assert np.array_equal(grouped._start_inits(mkt, 3, 0, 0, [5.0, 1.0, 3.0])[1], [1.0, 3.0, 5.0])
+    for restart in rows[2:]:
         assert np.all(np.diff(restart) >= 0) and mkt.sigma_min <= restart[0] and restart[-1] <= mkt.sigma_max
-    assert np.array_equal(rows[3:], grouped._start_inits(mkt, 3, 2, 7, None)[1:])
-    # a start with more boundaries than groups, or none, is refused by name
-    with pytest.raises(ValueError, match=r"extra start \[1\.0, 2\.0, 3\.0, 4\.0\] must hold 1 to n_groups = 3"):
-        grouped._start_inits(mkt, 3, 0, 0, [[1.0, 2.0, 3.0, 4.0]])
-    with pytest.raises(ValueError, match=r"extra start \[\] must hold 1 to n_groups = 3"):
-        grouped._start_inits(mkt, 3, 0, 0, [[]])
+    assert np.array_equal(rows[2:], grouped._start_inits(mkt, 3, 2, 7, None)[1:])
+    # a start with more boundaries than groups, none, or more than one menu is refused by name
+    with pytest.raises(ValueError, match=r"warm start \[1\.0, 2\.0, 3\.0, 4\.0\] must hold 1 to n_groups = 3"):
+        grouped._start_inits(mkt, 3, 0, 0, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"warm start \[\] must hold 1 to n_groups = 3"):
+        grouped._start_inits(mkt, 3, 0, 0, [])
+    with pytest.raises(ValueError, match=r"warm start \[\[1\.0\], \[2\.0\]\] must hold 1 to n_groups = 3"):
+        grouped._start_inits(mkt, 3, 0, 0, [[1.0], [2.0]])
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"], ids=["negative", "float", "bool", "string"])
@@ -582,7 +584,7 @@ def test_restarts_never_lose_to_single_start(profile, cost_model):
     mkt = truncnorm06()
     plain = solve_alternating(profile, cost_model, mkt, 3)
     multi = solve_with_restarts(
-        profile, cost_model, mkt, 3, restarts=2, seed=11, extra_inits=[[1.0, 2.0, 3.0]]
+        profile, cost_model, mkt, 3, restarts=2, seed=11, warm=[1.0, 2.0, 3.0]
     )
     assert multi.total_profit >= plain.total_profit - 1e-12
 
@@ -1073,10 +1075,11 @@ def test_probe_hessian_matches_closed_form(profile, rng, cost_model, dc, ddc, to
 
 
 def test_probe_residual_is_menu_residual_bit_for_bit(rng, monkeypatch):
-    # on strictly ascending menus the largest |gradient| over the
-    # coordinates a step may move is the projected first-order residual,
-    # also with coordinates on each window edge, within EDGE_RTOL of it
-    # or just at that distance, and gradients into and out of the window
+    # _probe's residual is _menu_residual of its gradient, and on strictly
+    # ascending menus the coordinates a step may move (free) are exactly
+    # those whose |gradient| it counts: it is the largest |gradient| over
+    # them, also with coordinates on each window edge, within EDGE_RTOL of
+    # it or just at that distance, and gradients into and out of the window
     mkt, K, R = uniform06(), 3, 400
     lo = np.repeat([mkt.sigma_min, DEFAULT_T_DOMAIN[0]], K)
     hi = np.repeat([mkt.sigma_max, DEFAULT_T_DOMAIN[1]], K)
@@ -1099,12 +1102,13 @@ def test_probe_residual_is_menu_residual_bit_for_bit(rng, monkeypatch):
         return np.zeros_like(b), F[..., :K], F[..., K:]
 
     monkeypatch.setattr(grouped, "_menu_terms", menu_terms)
-    _, g, _, residual, _ = grouped._probe(None, None, mkt, x, lo, hi)
+    _, g, free, residual, _ = grouped._probe(None, None, mkt, x, lo, hi)
     low, high = x <= lo + edge, x >= hi - edge
     for hits in (low & (g > 0), low & (g < 0), high & (g > 0), high & (g < 0)):
         assert hits.sum() >= 10
     expected = grouped._menu_residual(mkt, x[:, :K], x[:, K:], g[:, :K], g[:, K:])
     assert residual.tobytes() == expected.tobytes()
+    assert residual.tobytes() == np.max(np.abs(g), axis=1, where=free, initial=0.0).tobytes()
 
 
 @st.composite

@@ -1,0 +1,90 @@
+"""An arbitrary-precision replay of the bundled runs.
+
+Each bundled scenario is solved in process by runner.run.  Its menu's
+prices, masses and profit are then recomputed at 40 digits from the
+scenario file and the run's periods (and boundaries) alone, with the
+replay code below using only mpmath and the standard library, so it
+shares no kernel with planmenu's normals, market or distributions:
+
+  V(s, t) = alpha (mu - s / sqrt(t) E(a)),  a = sqrt(t) (q - mu) / s,
+  E(a) = phi(a) - a Phi(-a),  V(0, t) = alpha mu;
+  G per family on [sigma_min, sigma_max];
+  the chain prices telescoped from the top item, p_K = V(s_K, t_K) and
+  p_k = p_{k+1} + V(s_k, t_k) - V(s_k, t_{k+1}), where s_k is item k's
+  marginal type (a discrete type, or a group's upper boundary);
+  masses N (G(b_k) - G(b_{k-1})) or the discrete counts, and profit
+  sum_k mass_k (p_k - C(t_k)).
+"""
+
+import json
+from pathlib import Path
+
+import mpmath
+import pytest
+
+import planmenu
+from planmenu import runner
+from planmenu.scenarios import load_scenario
+
+DIGITS = 40
+RTOL = 1e-12
+DATA = Path(planmenu.__file__).parent / "data"
+BUNDLED = sorted(p.stem for p in DATA.glob("*.json"))
+
+
+def replay_valuation(cfg, s, t):
+    alpha, mu, q = (mpmath.mpf(cfg[key]) for key in ("alpha", "mu", "q"))
+    if s == 0:
+        return alpha * mu
+    a = mpmath.sqrt(t) * (q - mu) / s
+    return alpha * (mu - s / mpmath.sqrt(t) * (mpmath.npdf(a) - a * mpmath.ncdf(-a)))
+
+
+def replay_cdf(market, s):
+    lo, hi = mpmath.mpf(market["sigma_min"]), mpmath.mpf(market["sigma_max"])
+    if market["kind"] == "uniform":
+        return (s - lo) / (hi - lo)
+    if market["kind"] == "exponential":
+        rate = mpmath.mpf(market["lambda"])
+        return (mpmath.exp(-rate * lo) - mpmath.exp(-rate * s)) / (mpmath.exp(-rate * lo) - mpmath.exp(-rate * hi))
+    Phi = lambda x: mpmath.ncdf((x - mpmath.mpf(market["M"])) / mpmath.mpf(market["W"]))
+    return (Phi(s) - Phi(lo)) / (Phi(hi) - Phi(lo))
+
+
+def replay(cfg, periods, boundaries=None):
+    """(prices, masses, profit) of the menu at DIGITS digits."""
+    market = cfg["market"]
+    t = [mpmath.mpf(x) for x in periods]
+    if boundaries is None:
+        types = [mpmath.mpf(x) for x in market["sigmas"]]
+        masses = [mpmath.mpf(x) for x in market["counts"]]
+    else:
+        types = [mpmath.mpf(x) for x in boundaries]
+        G = [replay_cdf(market, s) for s in [mpmath.mpf(market["sigma_min"])] + types]
+        masses = [mpmath.mpf(market.get("N", 1.0)) * (upper - lower) for lower, upper in zip(G, G[1:])]
+    prices = [replay_valuation(cfg, types[-1], t[-1])]
+    for k in range(len(t) - 2, -1, -1):
+        prices.insert(0, prices[0] + replay_valuation(cfg, types[k], t[k]) - replay_valuation(cfg, types[k], t[k + 1]))
+    c0, c1 = mpmath.mpf(cfg["cost"]["c0"]), mpmath.mpf(cfg["cost"].get("c1", 0.0))
+    profit = mpmath.fsum(n * (p - (c0 + c1 * tk)) for n, p, tk in zip(masses, prices, t))
+    return prices, masses, profit
+
+
+def assert_close(name, computed, exact):
+    for i, (x, ref) in enumerate(zip(computed, exact)):
+        assert abs(mpmath.mpf(float(x)) - ref) <= RTOL * abs(ref), (name, i, float(x), ref)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_run_replays_in_arbitrary_precision(name, tmp_path):
+    cfg = json.loads((DATA / f"{name}.json").read_text())
+    sol = runner.run(load_scenario(name), tmp_path).solution
+    grouped = cfg["market"]["kind"] != "discrete"
+    with mpmath.workdps(DIGITS):
+        prices, masses, profit = replay(cfg, sol.periods, sol.boundaries if grouped else None)
+        assert len(prices) == len(sol.prices)
+        assert_close("prices", sol.prices, prices)
+        assert_close("profit", [sol.total_profit], [profit])
+        if grouped:
+            assert len(masses) == len(sol.counts)
+            assert_close("counts", sol.counts, masses)

@@ -776,6 +776,31 @@ def test_cli_market_size_near_the_float_limit(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize(
+    "name, edit, problem",
+    [
+        ("case1_discrete", lambda cfg: {**cfg, "market": {**cfg["market"], "counts": [1e308] * len(cfg["market"]["counts"])}},
+         "scenario market key 'counts' (total inf) is too large"),
+        ("case1_discrete", lambda cfg: {**cfg, "cost": {**cfg["cost"], "c1": 1e306}},
+         "scenario keys 'alpha', 'mu' and 'cost' give a consumer a largest money figure"),
+        ("uniform_k6", lambda cfg: {**cfg, "cost": {**cfg["cost"], "c1": 1e306}},
+         "scenario keys 'alpha', 'mu' and 'cost' give a consumer a largest money figure"),
+    ],
+    ids=["discrete_counts", "discrete_cost", "continuous_cost"],
+)
+def test_cli_money_figures_overflow_on_every_market(tmp_path, capsys, name, edit, problem):
+    # one money rule for both market kinds: a consumer's largest money
+    # figure must be finite, and so must the market's mass (N, or the sum
+    # of the counts) times it; the error names the keys at fault
+    cfg = json.loads((Path(planmenu.__file__).parent / "data" / f"{name}.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(cfg)))
+    assert cli.main(["solve", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("planmenu: error: " + problem) and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv, problem",
     [
         (["oracle", "--scenario", "uniform_k6", "--grid-step", "0"], "0 < grid step <= t-max"),
