@@ -6,7 +6,8 @@
     planmenu oracle     --scenario PATH --grid-step H [--t-max T]
     planmenu check-dist --scenario PATH [--grid-points N]
 
---seed replaces a grouped scenario's restart seed, an integer >= 0; a
+PATH is a scenario file or a bundled scenario's name.  --seed replaces
+a grouped scenario's restart seed, an integer >= 0; a
 discrete scenario has no restarts and refuses it.  Exit status is 0
 only when every verification passes (for sweep: when every K's solve
 converged); artifacts are still written on failure.  A missing or
@@ -30,8 +31,7 @@ def _percent(uplift):
     return "n/a" if np.isnan(uplift) else f"{uplift:+.1f}%"
 
 
-def _cmd_solve(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_solve(scenario, args):
     artifacts = runner.run(scenario, args.out, seed=args.seed)
     print(f"scenario {scenario.name}: profit {artifacts.solution.total_profit:.6f}")
     for row in artifacts.report.baselines:
@@ -45,8 +45,7 @@ def _cmd_solve(args):
     return 0 if artifacts.ok else 2
 
 
-def _cmd_sweep(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_sweep(scenario, args):
     entries = [k.strip() for k in args.groups.split(",") if k.strip()]
     if not all(k.isdecimal() and int(k) >= 1 for k in entries):
         raise ValueError(f"--groups takes comma-separated integers >= 1, got {args.groups!r}")
@@ -57,16 +56,14 @@ def _cmd_sweep(args):
     return 0 if all(r["converged"] for r in rows) else 2
 
 
-def _cmd_verify(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_verify(scenario, args):
     ok, details = runner.verify_solution_csv(scenario, args.solution)
     print(json.dumps(details, indent=2, default=str))
     print("verification PASS" if ok else "verification FAIL")
     return 0 if ok else 2
 
 
-def _cmd_oracle(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_oracle(scenario, args):
     m = scenario.market
     h, t_max = args.grid_step, args.t_max
     if not (0 < h <= t_max < np.inf):
@@ -95,8 +92,7 @@ def _cmd_oracle(args):
     return 0
 
 
-def _cmd_check_dist(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_check_dist(scenario, args):
     if not isinstance(scenario.market, ContinuousMarket):
         print("discrete market: no density shape condition to check")
         return 0
@@ -113,38 +109,35 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="planmenu", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve a scenario and write artifacts")
-    p.add_argument("--scenario", required=True, help=f"path or bundled name ({', '.join(bundled_scenario_names())})")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    shared = argparse.ArgumentParser(add_help=False)  # every command reads a scenario
+    shared.add_argument("--scenario", required=True, help=f"path or bundled name ({', '.join(bundled_scenario_names())})")
+    solving = argparse.ArgumentParser(add_help=False)  # the commands that solve and write artifacts
+    solving.add_argument("--out", required=True)
+    solving.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("solve", parents=[shared, solving], help="solve a scenario and write artifacts")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("sweep", help="profit vs number of menu items")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("sweep", parents=[shared, solving], help="profit vs number of menu items")
     p.add_argument("--groups", required=True, help="comma-separated K values, e.g. 1,2,3,4,5,6")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="re-check a written solution.csv")
+    p = sub.add_parser("verify", parents=[shared], help="re-check a written solution.csv")
     p.add_argument("--solution", required=True)
-    p.add_argument("--scenario", required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="grid search the scenario independently")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("oracle", parents=[shared], help="grid search the scenario independently")
     p.add_argument("--grid-step", type=float, required=True)
     p.add_argument("--t-max", type=float, default=30.0)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("check-dist", help="check the market's density shape condition")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("check-dist", parents=[shared], help="check the market's density shape condition")
     p.add_argument("--grid-points", type=int, default=1000)
     p.set_defaults(func=_cmd_check_dist)
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_scenario(args.scenario), args)
     except (ValueError, OSError) as exc:  # unreadable or malformed input files
         print(f"planmenu: error: {exc}", file=sys.stderr)
         return 2

@@ -204,7 +204,10 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi, cubic=False):
     whose Newton proposal leaves the bracket, or that follows a step
     across the root to a larger |slope|, goes to the root of the cubic
     that matches slope and derivative at both bracket ends
-    (_hermite_root) instead, if that lies inside.  And an item stops
+    (_hermite_root) instead, if that lies inside; a cubic step not under
+    half the step before last gives way to midpoint(a, b), so cubic
+    roots that keep landing just inside a wide bracket's far end cannot
+    creep across it (Brent's safeguard).  And an item stops
     without evaluating a Newton point once the step that reached it,
     cubed and over the previous Newton step squared (the next step at
     quadratic convergence), is within STEP_RTOL of x.
@@ -217,6 +220,7 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi, cubic=False):
     if cubic:  # slope and derivative at both bracket ends, and the last point's slope and Newton step
         fa, fb, da, db = (np.array(z) for z in (slope[0], slope[1], state[0][0], state[0][1]))
         last_slope, last_step = slope[2], np.full_like(x, np.nan)
+        moved = (np.inf, np.inf)  # sizes of the step before last and of the last step
     slope, scale, state = slope[2], scale[2], tuple(z[2] for z in state)
     active = ~(at_lo | at_hi)
     while True:
@@ -242,7 +246,8 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi, cubic=False):
                 with np.errstate(all="ignore"):
                     root = _hermite_root(a, b, fa, fb, da, db)
                 cubic_step &= (root > a) & (root < b)
-                new = np.where(cubic_step, root, new)
+                slow = cubic_step & (np.abs(root - x) >= 0.5 * moved[0])
+                new = np.where(cubic_step, np.where(slow, midpoint(a, b), root), new)
             newton_step = inside & ~cubic_step
         step, x = new - x, np.where(active, new, x)
         active &= np.abs(step) > STEP_RTOL * x
@@ -250,6 +255,7 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi, cubic=False):
             size = np.abs(step)
             active &= ~(newton_step & (size < last_step) & (size**3 <= STEP_RTOL * x * last_step**2))
             last_slope, last_step = slope, np.where(newton_step, size, np.nan)
+            moved = (moved[1], size)
         if not active.any():
             return x
         slope, scale, state = slopes(x)

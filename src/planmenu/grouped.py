@@ -144,8 +144,7 @@ def _blocks(cost_model, periods, first, last, end=None):
 def menu_profit(profile, cost_model, market, boundaries, periods):
     """Profit per unit mass, the sum of the boundary terms Q_k(b_k) of
     _menu_terms; rows of menus (shape (R, K)) give one profit per row."""
-    total = _menu_terms(profile, cost_model, market, boundaries, periods)[0].sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return _menu_terms(profile, cost_model, market, boundaries, periods)[0].sum(axis=-1)
 
 
 def _boundary_slopes(profile, market, sigma, blocks):
@@ -259,11 +258,10 @@ def _menu_residual(market, b, t, d_b, d_t):
     """Projected first-order (KKT) residual of a menu: the largest rate at
     which a feasible move of the boundaries and periods raises profit.
     0 at an exact optimum.  Rows of menus give one residual per row."""
-    residual = np.maximum(
+    return np.maximum(
         _chain_residual(b, d_b, market.sigma_min, market.sigma_max),
         _chain_residual(t, d_t, *DEFAULT_T_DOMAIN),
     )
-    return float(residual) if residual.ndim == 0 else residual
 
 
 def _probe(profile, cost_model, market, x, lo, hi):
@@ -323,12 +321,13 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
     tolerance does not hang on the bits it started from.  It also stops when no coordinate is free, -H fails
     Cholesky, its trial would not change the menu, or it has spent
     MAX_NEWTON_STEPS trials over the solve (spent holds each row's count
-    and is updated in place).  The trial menus of all rows still
+    so far).  The trial menus of all rows still
     stepping are evaluated in one _probe call, which also gives each
     one's residual and its next step's Hessian.  Each row's trace gets
     the profit of the menu it starts from, checked nondecreasing, then
     each accepted one.  Returns (boundaries, periods, profit, residual,
-    steps) per row, the residual measured at the returned menu.
+    steps, trials spent) per row, the residual measured at the returned
+    menu.
     """
     K = boundaries.shape[1]
     lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
@@ -337,7 +336,7 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
     profit, grad, free, residual, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
     rows = len(x)
     _extend_traces(traces, range(rows), profit)
-    steps = np.zeros(rows, dtype=int)
+    steps, spent = np.zeros(rows, dtype=int), np.array(spent)
     met = np.ones(rows, dtype=bool)  # whether each row's last step started within the tolerance; true before its first
     pending = []  # (row, full Newton step, share of it to try) of each row's next trial
     stepping = range(rows)  # rows at a new menu
@@ -381,7 +380,7 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
             traces[r].append(float(p[i]))
             steps[r] += 1
             stepping.append(r)
-    return x[:, :K], x[:, K:], profit, residual, steps
+    return x[:, :K], x[:, K:], profit, residual, steps, spent
 
 
 def _by_row(values, blocks):
@@ -503,19 +502,18 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
         stalled = p2 - profit[active] <= REL_PROFIT_TOL * np.maximum(1.0, np.abs(p2))
         rows = active[settle]
         b[rows], t[rows] = boundaries[settle], periods[settle]
-        converged[rows], profit[rows], residual[rows] = stalled[settle], p2[settle], np.inf
-        # a confirmed row keeps the menu it started from in b[r], t[r]
+        profit[rows], residual[rows] = p2[settle], np.inf
+        # a confirmed row keeps the menu it started from in b[r], t[r];
+        # a row that is done but not settled has stalled
         done = settle | (judged & stalled)
-        converged[active[done & ~settle]] = True
+        converged[active[done]] = stalled[done]
         _extend_traces(traces, active[done], p2[done])
         if not done.all():
             finish = ~done
             rows = active[finish]
-            spent = trials[rows]
-            b[rows], t[rows], profit[rows], residual[rows], steps = _newton_finish(
-                profile, cost_model, market, boundaries[finish], periods[finish], [traces[r] for r in rows], spent
+            b[rows], t[rows], profit[rows], residual[rows], steps, trials[rows] = _newton_finish(
+                profile, cost_model, market, boundaries[finish], periods[finish], [traces[r] for r in rows], trials[rows]
             )
-            trials[rows] = spent
             newton_steps[rows] += steps
             # a finish that ends within tolerance with every group served
             # has converged; one that leaves a group empty is confirmed by

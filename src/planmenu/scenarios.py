@@ -24,7 +24,8 @@ market, "grouped" for a continuous one.  The other solver keys are for
 grouped scenarios only: "K" (default 1), "restarts" (default 0) and
 "seed" (default 0), each an integer.  "baselines" lists the periods of
 the fixed-period plans the menu is compared against (default [1]), each
-> 0.  A consumer's largest money figure, alpha*mu + C(t) at the longest
+> 0 and inside the plan window [1e-4, 600] that every menu period
+keeps to.  A consumer's largest money figure, alpha*mu + C(t) at the longest
 period, must be finite, and so must the market's mass times it: the
 mass is a continuous market's "N" (default 1) or the sum of a discrete
 market's "counts".  A key that nothing reads, such as a misspelt one,
@@ -163,6 +164,8 @@ def load_scenario(path_or_name) -> Scenario:
     baselines = get("baselines", _NUMBERS, default=[1.0])
     if not baselines or min(baselines) <= 0:
         raise ValueError(f"scenario key 'baselines' must be a nonempty list of periods > 0, got {baselines!r}")
+    if not DEFAULT_T_DOMAIN[0] <= min(baselines) <= max(baselines) <= DEFAULT_T_DOMAIN[1]:
+        raise ValueError(f"scenario key 'baselines' must list periods in the plan window [{DEFAULT_T_DOMAIN[0]:g}, {DEFAULT_T_DOMAIN[1]:g}], got {baselines!r}")
     scenario = Scenario(
         name=get("name", _TEXT),
         profile=DemandProfile(alpha=get("alpha", _NUMBER), mu=get("mu", _NUMBER), q=get("q", _NUMBER)),

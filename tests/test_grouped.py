@@ -743,6 +743,28 @@ def test_step2_search_takes_few_kernel_calls(name):
     assert np.median(counts) <= 6
 
 
+def test_step2_search_ends_on_a_wide_window(profile, cost_model, monkeypatch):
+    # on a window reaching 1e10, cubic steps from the far end of each
+    # bracket land just inside it and creep down by about 0.26% a step;
+    # a cubic step that does not halve the step before last bisects
+    # instead, so the search takes dozens of slope calls, not thousands
+    market = make_market("truncated_normal", 0.0, 1e10, loc=3.0, scale=1.5)
+    periods = np.array([1e-4, 0.37315, 0.85423, 1.26625, 1.69314, 2.26247])
+    guess = np.array([0.0, 1.08149, 2.12655, 3.07268, 3.93902, 4.74056])
+    slopes, calls = grouped._boundary_slopes, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > 100:
+            raise AssertionError("Step II search took more than 100 slope calls")
+        return slopes(*args)
+
+    monkeypatch.setattr(grouped, "_boundary_slopes", counted)
+    blocks = np.arange(periods.size)
+    boundaries = block_boundaries(profile, cost_model, market, periods, blocks, blocks, guess)
+    assert np.all(np.diff(boundaries) > 0) and boundaries[-1] < 5.0
+
+
 def test_restarts_keep_quantile_start_unless_beaten():
     # every restart of truncated_normal_k6 reaches the quantile start's
     # menu up to rounding, so the quantile start's solve is returned whole
@@ -1144,11 +1166,11 @@ def test_newton_finish_stops_with_every_coordinate_on_an_edge(profile, c0, c1, b
     # the boundary on sigma_min and the period on its floor, both
     # gradients pointing out of the window, so no coordinate is free
     mkt = make_market("uniform", 0.5, 6.0)
-    boundaries, periods, profit, residual, steps = grouped._newton_finish(
+    boundaries, periods, profit, residual, steps, spent = grouped._newton_finish(
         profile, CostModel(c0=c0, c1=c1), mkt, np.array([[b]]), np.array([[t]]), [[]], np.zeros(1, dtype=int)
     )
     assert (boundaries[0, 0], periods[0, 0]) == (mkt.sigma_min, DEFAULT_T_DOMAIN[0])
-    assert profit[0] == 0.0 and residual[0] == 0.0 and steps[0] == 1
+    assert profit[0] == 0.0 and residual[0] == 0.0 and steps[0] == 1 and spent[0] == 1
 
 
 @pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])

@@ -14,9 +14,18 @@ shares no kernel with planmenu's normals, market or distributions:
   marginal type (a discrete type, or a group's upper boundary);
   masses N (G(b_k) - G(b_{k-1})) or the discrete counts, and profit
   sum_k mass_k (p_k - C(t_k)).
+
+The IC/IR verdict is replayed the same way: each consumer of the menu
+(every discrete type, or each group boundary and 51 equispaced types
+across the window, a type above the top boundary opting out) values
+every item and opting out at 40 digits, and neither her best
+alternative's gain over her own choice nor her shortfall below zero
+utility may exceed the feasibility tolerance.
 """
 
 import json
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
@@ -24,6 +33,7 @@ import pytest
 
 import planmenu
 from planmenu import runner
+from planmenu.discrete import FEASIBILITY_TOL
 from planmenu.scenarios import load_scenario
 
 DIGITS = 40
@@ -75,10 +85,40 @@ def assert_close(name, computed, exact):
         assert abs(mpmath.mpf(float(x)) - ref) <= RTOL * abs(ref), (name, i, float(x), ref)
 
 
+def replay_incentives(cfg, periods, prices, boundaries=None):
+    """(worst temptation, worst IR shortfall) over the menu's consumers
+    at DIGITS digits; a consumer's temptation is her best other choice,
+    items and opting out (utility 0), over her own."""
+    market = cfg["market"]
+    t, p = [mpmath.mpf(x) for x in periods], [mpmath.mpf(x) for x in prices]
+    if boundaries is None:
+        consumers = [(mpmath.mpf(s), k) for k, s in enumerate(market["sigmas"])]
+    else:
+        b = [mpmath.mpf(x) for x in boundaries]
+        lo, hi = mpmath.mpf(market["sigma_min"]), mpmath.mpf(market["sigma_max"])
+        types = b + [lo + i * (hi - lo) / 50 for i in range(51)]
+        # served by the first group whose upper boundary she does not pass
+        consumers = [(s, next((k for k, upper in enumerate(b) if s <= upper), len(b))) for s in types]
+    temptation = shortfall = mpmath.mpf(-1)
+    for s, own in consumers:
+        utilities = [replay_valuation(cfg, s, tk) - pk for tk, pk in zip(t, p)] + [mpmath.mpf(0)]
+        mine = utilities[own]
+        temptation = max(temptation, max(u - mine for j, u in enumerate(utilities) if j != own))
+        if own < len(t):
+            shortfall = max(shortfall, -mine)
+    return temptation, shortfall
+
+
+@lru_cache(maxsize=None)
+def bundled_solution(name):
+    with tempfile.TemporaryDirectory() as out:
+        return runner.run(load_scenario(name), out).solution
+
+
 @pytest.mark.parametrize("name", BUNDLED)
-def test_bundled_run_replays_in_arbitrary_precision(name, tmp_path):
+def test_bundled_run_replays_in_arbitrary_precision(name):
     cfg = json.loads((DATA / f"{name}.json").read_text())
-    sol = runner.run(load_scenario(name), tmp_path).solution
+    sol = bundled_solution(name)
     grouped = cfg["market"]["kind"] != "discrete"
     with mpmath.workdps(DIGITS):
         prices, masses, profit = replay(cfg, sol.periods, sol.boundaries if grouped else None)
@@ -88,3 +128,14 @@ def test_bundled_run_replays_in_arbitrary_precision(name, tmp_path):
         if grouped:
             assert len(masses) == len(sol.counts)
             assert_close("counts", sol.counts, masses)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_menu_is_incentive_compatible_in_arbitrary_precision(name):
+    cfg = json.loads((DATA / f"{name}.json").read_text())
+    sol = bundled_solution(name)
+    grouped = cfg["market"]["kind"] != "discrete"
+    with mpmath.workdps(DIGITS):
+        temptation, shortfall = replay_incentives(cfg, sol.periods, sol.prices, sol.boundaries if grouped else None)
+    assert temptation <= FEASIBILITY_TOL, float(temptation)
+    assert shortfall <= FEASIBILITY_TOL, float(shortfall)

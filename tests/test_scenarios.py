@@ -721,6 +721,14 @@ def discrete_json(solver=None, **keys):
         (scenario_json(baselines=[]), "scenario key 'baselines' must be a nonempty list of periods > 0, got []"),
         (scenario_json(baselines=[0]), "scenario key 'baselines' must be a nonempty list of periods > 0, got [0.0]"),
         (scenario_json(baselines=[-1.5]), "scenario key 'baselines' must be a nonempty list of periods > 0, got [-1.5]"),
+        # a fixed-period plan keeps to the menu's period window: far outside
+        # it its valuation divides by zero or overflows
+        (scenario_json(baselines=[1, 1e-300]), "scenario key 'baselines' must list periods in the plan window [0.0001, 600], got [1.0, 1e-300]"),
+        (scenario_json(baselines=[1e300]), "scenario key 'baselines' must list periods in the plan window [0.0001, 600], got [1e+300]"),
+        (
+            json.dumps({**json.loads(discrete_json()), "baselines": [1e308]}),
+            "scenario key 'baselines' must list periods in the plan window [0.0001, 600], got [1e+308]",
+        ),
         # an integer past the float range would overflow float()
         (scenario_json(alpha=10**400), "scenario key 'alpha' must be a number, got 1000"),
         # refused by the solver before it allocates its start array (7.45 GiB)
@@ -733,7 +741,8 @@ def discrete_json(solver=None, **keys):
         "alpha_null", "alpha_string", "cost_list", "baseline_null",
         "market_N_string", "not_object", "counts_infinite", "market_N_infinite", "sigma_max_infinite", "lambda_infinite", "alpha_infinite",
         "mu_negative_infinite", "q_nan", "c0_infinite", "c1_infinite", "baseline_infinite", "baselines_empty",
-        "baselines_zero", "baselines_negative", "alpha_huge_integer", "K_over_budget",
+        "baselines_zero", "baselines_negative", "baselines_tiny", "baselines_huge", "discrete_baselines_huge",
+        "alpha_huge_integer", "K_over_budget",
     ],
 )
 def test_cli_rejects_malformed_scenario(tmp_path, capsys, text, problem):
@@ -798,6 +807,17 @@ def test_cli_money_figures_overflow_on_every_market(tmp_path, capsys, name, edit
     err = capsys.readouterr().err
     assert err.startswith("planmenu: error: " + problem) and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify", "oracle", "check-dist"])
+def test_cli_help_names_every_bundled_scenario(capsys, command):
+    # --scenario is one option shared by every command, so each command's
+    # help lists the names it accepts without a path
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert all(name in help_text for name in bundled_scenario_names()), help_text
 
 
 @pytest.mark.parametrize(
