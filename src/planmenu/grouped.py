@@ -38,12 +38,15 @@ halved until it keeps the menu ascending and profit from falling.
 Every step solves with the Hessian of the menu it starts from, and the
 last one is the step taken once the projected first-order (KKT)
 residual, _menu_residual, is at most KKT_TOL.
-A start converges once its finish ends within that residual on a menu
-whose every group has mass.  A finished menu with an empty group
-converges once one more round gains at most REL_PROFIT_TOL in relative
-profit, and a round that ends on a menu not strictly ascending (every
-round that pools does) stops the solve when profit stalls.
-MAX_ROUNDS rounds stop a start unconverged.
+Each round either settles, as it ends on a menu not strictly ascending
+(every round that pools does), and stops its start once it gains at
+most REL_PROFIT_TOL in relative profit; or takes the Newton finish, and
+stops its start once the finish ends within KKT_TOL.  MAX_ROUNDS rounds
+stop a start in any case.  Whatever stopped it, a solution is converged
+exactly when the residual of the menu it returns is at most KKT_TOL per
+unit mass, the residual certificate.json reports.  A best menu that
+serves fewer than K groups is re-solved from its own boundaries (see
+solve_with_restarts).
 
 The profit is not jointly concave, so a solve may run several starts:
 the quantile start, one warm start such as a sweep's previous menu, and
@@ -53,7 +56,7 @@ numpy.random nor the hashing modules it imports.  _start_inits makes
 and checks every start, as one row of a (starts, K) menu array.  The
 starts run as one batch: Step I, Step II and every Newton step of a
 round are one lockstep call over the rows still active, and a row
-leaves once it converges.  No search, pooling or reduction crosses a
+leaves once it stops.  No search, pooling or reduction crosses a
 row edge, so every start does exactly the arithmetic it would do alone,
 and the batch costs about its slowest start.
 """
@@ -61,7 +64,7 @@ and the batch costs about its slowest start.
 import numbers
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import List
 
 import numpy as np
@@ -77,9 +80,10 @@ from .discrete import (
 )
 from .market import cost, valuation_dsigma2
 
-#: Convergence: one full round improves relative profit by no more than
-#: this, and (rounds that pool nothing) the projected first-order
-#: residual per unit mass is at most KKT_TOL.
+#: A settled round stops its start once it improves relative profit by no
+#: more than REL_PROFIT_TOL, which is also the gain a later start needs to
+#: replace the best one; a solution is converged once the projected
+#: first-order residual per unit mass of its menu is at most KKT_TOL.
 REL_PROFIT_TOL = 1e-10
 KKT_TOL = 1e-10
 MAX_ROUNDS = 200
@@ -435,7 +439,8 @@ class GroupedSolution:
     requested_groups: int = 0
     kkt_residual: float = float("nan")
     newton_steps: int = 0
-    #: Final profit and KKT residual of every start of the solve, in start order.
+    #: Final profit and KKT residual of every start of the solve, in start
+    #: order, then of each re-solve of a short stop (see solve_with_restarts).
     start_profits: List[float] = field(default_factory=list)
     start_kkt_residuals: List[float] = field(default_factory=list)
 
@@ -462,8 +467,10 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     Newton steps; one GroupedSolution per row.
 
     Every round runs Step I and Step II on all rows still active in one
-    lockstep search each, and the Newton finish on the rows that take
-    it; a row leaves once it converges.  Rows never mix: each start does
+    lockstep search each, and the Newton finish on the rows that do not
+    settle; a row leaves once it stops (see the module docstring).  Each
+    solution's converged is its returned menu's residual within KKT_TOL,
+    however the row stopped.  Rows never mix: each start does
     exactly the arithmetic it would do alone, so the batch costs about
     its slowest start.  The search runs per unit mass; each solution's
     counts, profits and residuals are then scaled by the market size.
@@ -475,10 +482,10 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     period_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
     boundary_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
     profit = np.full(n, -np.inf)
-    residual = np.full(n, np.inf)  # first-order residual of the menu each row's next round starts from
+    residual = np.full(n, np.inf)  # first-order residual of each row's Newton-finished menu; inf once a round settles
     newton_steps = np.zeros(n, dtype=int)
     trials = np.zeros(n, dtype=int)  # Newton trials each row has spent
-    converged = np.zeros(n, dtype=bool)
+    stopped = np.zeros(n, dtype=bool)
     rounds = np.zeros(n, dtype=int)
     active = np.arange(n)
     for round_no in range(1, MAX_ROUNDS + 1):
@@ -489,38 +496,26 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
         boundaries, b_blocks = step2_boundaries(profile, cost_model, market, periods, guess=start_b)
         for i, r in enumerate(active):
             period_blocks[r], boundary_blocks[r] = p_blocks[i], b_blocks[i]
-        # a row that broke strict ascent (every pooled block does) ends
-        # the solve once profit stalls, and one whose round started from a
-        # Newton-finished menu with an empty group has confirmed it if
-        # profit stalls: those rows are judged by their profit, and the
-        # finish takes the rest's from its first probe
+        # a round that breaks strict ascent (every pooled block does)
+        # settles, and stops its row once profit stalls; every other round
+        # takes the Newton finish, and stops its row once the finish ends
+        # within KKT_TOL
         settle = ~_ascending(boundaries, periods)
-        judged = settle | (residual[active] <= KKT_TOL)
-        p2 = np.full(active.size, np.nan)
-        if judged.any():
-            p2[judged] = menu_profit(profile, cost_model, market, boundaries[judged], periods[judged])
-        stalled = p2 - profit[active] <= REL_PROFIT_TOL * np.maximum(1.0, np.abs(p2))
-        rows = active[settle]
-        b[rows], t[rows] = boundaries[settle], periods[settle]
-        profit[rows], residual[rows] = p2[settle], np.inf
-        # a confirmed row keeps the menu it started from in b[r], t[r];
-        # a row that is done but not settled has stalled
-        done = settle | (judged & stalled)
-        converged[active[done]] = stalled[done]
-        _extend_traces(traces, active[done], p2[done])
-        if not done.all():
-            finish = ~done
-            rows = active[finish]
+        if settle.any():
+            rows = active[settle]
+            p2 = menu_profit(profile, cost_model, market, boundaries[settle], periods[settle])
+            stopped[rows] = p2 - profit[rows] <= REL_PROFIT_TOL * np.maximum(1.0, np.abs(p2))
+            b[rows], t[rows], profit[rows], residual[rows] = boundaries[settle], periods[settle], p2, np.inf
+            _extend_traces(traces, rows, p2)
+        if not settle.all():
+            rows = active[~settle]
             b[rows], t[rows], profit[rows], residual[rows], steps, trials[rows] = _newton_finish(
-                profile, cost_model, market, boundaries[finish], periods[finish], [traces[r] for r in rows], trials[rows]
+                profile, cost_model, market, boundaries[~settle], periods[~settle], [traces[r] for r in rows], trials[rows]
             )
             newton_steps[rows] += steps
-            # a finish that ends within tolerance with every group served
-            # has converged; one that leaves a group empty is confirmed by
-            # the next round's profit
-            converged[rows] = (residual[rows] <= KKT_TOL) & np.all(group_counts(market, b[rows]) > 0, axis=1)
+            stopped[rows] = residual[rows] <= KKT_TOL
         rounds[active] = round_no
-        active = active[~converged[active]]
+        active = active[~stopped[active]]
         if not active.size:
             break
 
@@ -549,7 +544,7 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
                 counts=N * mass,
                 total_profit=N * direct,
                 iterations=int(rounds[r]),
-                converged=bool(converged[r]),
+                converged=bool(kkt <= KKT_TOL),
                 profit_trace=[N * p for p in traces[r]],
                 pooled_period_blocks=period_blocks[r],
                 pooled_boundary_blocks=boundary_blocks[r],
@@ -565,8 +560,9 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
 
 
 def solve_alternating(profile, cost_model, market, n_groups) -> GroupedSolution:
-    """The one-start solve: _solve_starts from the quantile start alone."""
-    return _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, 0, 0, None))[0]
+    """The one-start solve: solve_with_restarts from the quantile start
+    alone, with its re-solve of a short stop."""
+    return solve_with_restarts(profile, cost_model, market, n_groups)
 
 
 def _extend_traces(traces, rows, profits):
@@ -633,13 +629,28 @@ def solve_with_restarts(profile, cost_model, market, n_groups, restarts=0, seed=
     seed is always an integer (0 by default): a later start replaces the
     best so far only if it gains more than REL_PROFIT_TOL of the best's
     profit, so neither rounding noise nor the market size picks the
-    winner.  The returned solution records every start's final profit
-    and residual (start_profits, start_kkt_residuals)."""
+    winner.  A best menu that serves fewer than n_groups groups has
+    stopped short, and is solved once more from its own boundaries, its
+    heaviest group split until there are n_groups (the warm start
+    _start_inits makes of it).  The re-solve replaces it on the same
+    rule, and one that wins but still stops short is re-solved in turn,
+    at most once per group the best start left unserved: a menu that
+    serves no one splits into a start with every boundary on sigma_min,
+    whose solve may serve one group where the next re-solve serves them
+    all.  The returned solution records every start's final profit and
+    residual (start_profits, start_kkt_residuals), the re-solves' last,
+    in order."""
+
+    def pick(best, sol):
+        return sol if sol.total_profit - best.total_profit > REL_PROFIT_TOL * abs(best.total_profit) else best
+
     solutions = _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, restarts, seed, warm))
-    best = solutions[0]
-    for sol in solutions[1:]:
-        if sol.total_profit - best.total_profit > REL_PROFIT_TOL * abs(best.total_profit):
-            best = sol
+    best = reduce(pick, solutions)
+    for _ in range(n_groups - np.count_nonzero(best.counts)):
+        solutions += _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, 0, 0, best.boundaries)[1:])
+        best, last = pick(best, solutions[-1]), best
+        if best is last or np.count_nonzero(best.counts) == n_groups:
+            break
     best.start_profits = [sol.total_profit for sol in solutions]
     best.start_kkt_residuals = [sol.kkt_residual for sol in solutions]
     return best
