@@ -37,7 +37,15 @@ gradient points into the window, a step is projected on the window and
 halved until it keeps the menu ascending and profit from falling.
 Every step solves with the Hessian of the menu it starts from, and the
 last one is the step taken once the projected first-order (KKT)
-residual, _menu_residual, is at most KKT_TOL.
+residual is at most KKT_TOL.  The finish holds each menu as one array
+x = (b, t) of 2K coordinates, with one definition of each fact about
+it: _window gives every coordinate's window (the market window for a
+boundary, DEFAULT_T_DOMAIN for a period), _on_edges says which
+coordinates sit on an edge (within EDGE_RTOL of the window's width,
+for the Newton step's free coordinates, the residual and the reported
+boundary edge hits), and _menu_residual is the residual, one scan over
+both chains as the two rows of a (..., 2, K) view, so no run of equal
+values joins b_K and t_1.
 Each round either settles, as it ends on a menu not strictly ascending
 (every round that pools does), and stops its start once it gains at
 most REL_PROFIT_TOL in relative profit; or takes the Newton finish, and
@@ -212,8 +220,8 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
 
 
 def _menu_terms(profile, cost_model, market, boundaries, periods):
-    """(Q_k(b_k), dP/db, dP/dt) of a menu: its boundary terms, which sum to
-    total profit, and the closed-form gradient
+    """(Q_k(b_k), dP/dx) of a menu x = (b, t): its boundary terms, which sum
+    to total profit, and the closed-form gradient, dP/db then dP/dt,
 
       dP/dt_k = own_k (V_t(b_k, t_k) - C'(t_k)) + below_k (V_t(b_k, t_k) - V_t(b_{k-1}, t_k))
       dP/db_k = Q_k'(b_k)    (see _boundary_slopes)
@@ -232,18 +240,40 @@ def _menu_terms(profile, cost_model, market, boundaries, periods):
     vt_own = vt[..., 0, :]
     vt_rent = np.concatenate([vt_own[..., :1], vt[..., 1, :-1]], axis=-1)
     d_t = (G - G_below) * (vt_own - _cost_slopes(cost_model, t)[0]) + G_below * (vt_own - vt_rent)
-    return q, d_b, d_t
+    return q, np.concatenate([d_b, d_t], axis=-1)
 
 
-def _chain_residual(x, grad, lo, hi):
-    """Largest feasible ascent rate of a maximization over x_1 <= ... <= x_n
-    in [lo, hi], one per row of x (shape (..., n)).
+def _window(market, K):
+    """(lo, hi) of a K-group menu x = (b, t), one bound per coordinate: the
+    market window for each boundary and DEFAULT_T_DOMAIN for each period."""
+    return np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K), np.repeat([market.sigma_max, DEFAULT_T_DOMAIN[1]], K)
 
-    A run of equal values moves as a whole or splits (a leading part
-    down, a trailing part up); a run on a window edge cannot leave it.
-    For distinct interior values this is max |grad|.
-    """
+
+def _on_edges(x, lo, hi):
+    """(low, high): whether each coordinate of x sits on the lower or the
+    upper edge of its window [lo, hi], within EDGE_RTOL of its width."""
     edge = EDGE_RTOL * (hi - lo)
+    return x <= lo + edge, x >= hi - edge
+
+
+def _chains(x):
+    """Menus x = (b, t) of shape (..., 2K) as their two chains, b and t, on
+    axis -2: a (..., 2, K) view."""
+    return x.reshape(x.shape[:-1] + (2, -1))
+
+
+def _menu_residual(x, grad, lo, hi):
+    """Projected first-order (KKT) residual of menus x = (b, t) (shape
+    (..., 2K)) in the window (lo, hi) of _window, given the profit gradient:
+    the largest rate at which a feasible move raises profit, 0 at an exact
+    optimum, one per row.
+
+    Both chains are scanned at once, and neither reaches into the other.
+    In each, a run of equal values moves as a whole or splits (a leading
+    part down, a trailing part up), and a run on a window edge cannot leave
+    it.  For distinct interior values this is max |grad|.
+    """
+    low, high, x, grad = map(_chains, (*_on_edges(x, lo, hi), x, grad))
     joined = x[..., 1:] <= x[..., :-1]  # item i + 1 continues the run of item i
     # each item's sum of grad from its run's first item (down) and to its
     # run's last item (up), accumulated in the order of a cumsum
@@ -254,18 +284,10 @@ def _chain_residual(x, grad, lo, hi):
             down[..., i] = np.where(joined[..., i - 1], down[..., i - 1] + grad[..., i], grad[..., i])
         for i in range(x.shape[-1] - 2, -1, -1):
             up[..., i] = np.where(joined[..., i], up[..., i + 1] + grad[..., i], grad[..., i])
-    rates = np.concatenate([np.where(x < hi - edge, up, -np.inf), np.where(x > lo + edge, -down, -np.inf)], axis=-1)
-    return np.fmax.reduce(rates, axis=-1, initial=0.0)
-
-
-def _menu_residual(market, b, t, d_b, d_t):
-    """Projected first-order (KKT) residual of a menu: the largest rate at
-    which a feasible move of the boundaries and periods raises profit.
-    0 at an exact optimum.  Rows of menus give one residual per row."""
-    return np.maximum(
-        _chain_residual(b, d_b, market.sigma_min, market.sigma_max),
-        _chain_residual(t, d_t, *DEFAULT_T_DOMAIN),
-    )
+    rates = np.concatenate([np.where(high, -np.inf, up), np.where(low, -np.inf, -down)], axis=-1)
+    # reduced chain by chain, then across the two chains: one fmax pass over
+    # both can give a zero residual the other sign
+    return np.fmax.reduce(rates, axis=-1, initial=0.0).max(axis=-1)
 
 
 def _probe(profile, cost_model, market, x, lo, hi):
@@ -283,8 +305,7 @@ def _probe(profile, cost_model, market, x, lo, hi):
     of the window stays at x, so no extra point is evaluated).
     """
     K, D = x.shape[1] // 2, x.shape[1]
-    edge = EDGE_RTOL * (hi - lo)
-    low, high = x <= lo + edge, x >= hi - edge
+    low, high = _on_edges(x, lo, hi)
     step = 1e-6 * np.maximum(1.0, np.abs(x))
     h = np.minimum(step, 0.5 * np.minimum(x - lo, hi - x))
     # shift of each coordinate's up- and down-shifted copy
@@ -292,24 +313,22 @@ def _probe(profile, cost_model, market, x, lo, hi):
     eye = np.eye(D)
     # the menu, then D up- and D down-shifted copies
     points = np.concatenate([x[:, None, :], x[:, None, :] + eye * up[:, None, :], x[:, None, :] - eye * down[:, None, :]], axis=1)
-    q, d_b, d_t = _menu_terms(profile, cost_model, market, points[..., :K], points[..., K:])
-    F = np.concatenate([d_b, d_t], axis=-1)
+    q, F = _menu_terms(profile, cost_model, market, points[..., :K], points[..., K:])
     quotients = (F[:, 1 : D + 1] - F[:, D + 1 :]) / (up + down)[:, :, None]  # [r, j]: dF / dx_j
     grad = F[:, 0]
     free = ~(low | high) | (low & (grad > 0)) | (high & (grad < 0))
-    residual = _menu_residual(market, x[:, :K], x[:, K:], grad[:, :K], grad[:, K:])
-    return q[:, 0].sum(axis=-1), grad, free, residual, -0.5 * (quotients + quotients.transpose(0, 2, 1))
+    return q[:, 0].sum(axis=-1), grad, free, _menu_residual(x, grad, lo, hi), -0.5 * (quotients + quotients.transpose(0, 2, 1))
 
 
-def _ascending(boundaries, periods):
-    """Whether each menu, one per row of boundaries and periods, is
-    strictly ascending in b and in t."""
-    return np.all(boundaries[..., 1:] > boundaries[..., :-1], axis=-1) & np.all(periods[..., 1:] > periods[..., :-1], axis=-1)
+def _ascending(x):
+    """Whether each menu x = (b, t), one per row, is strictly ascending in b
+    and in t."""
+    return np.all(np.diff(_chains(x)) > 0, axis=(-2, -1))
 
 
-def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spent):
-    """Safeguarded projected-Newton steps from ascending, unpooled menus,
-    one menu per row of boundaries and periods, all rows in lockstep.
+def _newton_finish(profile, cost_model, market, menus, traces, spent):
+    """Safeguarded projected-Newton steps from ascending, unpooled menus
+    x = (b, t), one per row of menus (shape (R, 2K)), all rows in lockstep.
 
     Every step moves the free coordinates (see _probe) of the current
     menu by the Newton step (-H)^-1 g of their block of the current -H
@@ -329,14 +348,11 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
     stepping are evaluated in one _probe call, which also gives each
     one's residual and its next step's Hessian.  Each row's trace gets
     the profit of the menu it starts from, checked nondecreasing, then
-    each accepted one.  Returns (boundaries, periods, profit, residual,
-    steps, trials spent) per row, the residual measured at the returned
-    menu.
+    each accepted one.  Returns (menus, profit, residual, steps, trials
+    spent) per row, the residual measured at the returned menu.
     """
-    K = boundaries.shape[1]
-    lo = np.repeat([market.sigma_min, DEFAULT_T_DOMAIN[0]], K)
-    hi = np.repeat([market.sigma_max, DEFAULT_T_DOMAIN[1]], K)
-    x = np.concatenate([boundaries, periods], axis=1)
+    x = np.array(menus, dtype=float)
+    lo, hi = _window(market, x.shape[1] // 2)
     profit, grad, free, residual, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
     rows = len(x)
     _extend_traces(traces, range(rows), profit)
@@ -363,7 +379,7 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
             if spent[r] >= MAX_NEWTON_STEPS:
                 continue
             trial = np.clip(x[r] + share * step, lo, hi)
-            while not _ascending(trial[:K], trial[K:]):
+            while not _ascending(trial):
                 share *= 0.5
                 trial = np.clip(x[r] + share * step, lo, hi)
             # a step that halves or projects to nothing ends the row
@@ -384,7 +400,7 @@ def _newton_finish(profile, cost_model, market, boundaries, periods, traces, spe
             traces[r].append(float(p[i]))
             steps[r] += 1
             stepping.append(r)
-    return x[:, :K], x[:, K:], profit, residual, steps, spent
+    return x, profit, residual, steps, spent
 
 
 def _by_row(values, blocks):
@@ -452,18 +468,10 @@ class GroupedSolution:
         return int(p.size > 0) + int(np.sum(np.diff(p) > REL_PROFIT_TOL * np.abs(p[1:])))
 
 
-def _collapse_empty_groups(market, boundaries, periods):
-    """(boundaries, periods, band probabilities) without the groups whose
-    band has no mass; a menu that serves no one keeps its top group."""
-    mass = group_counts(market, boundaries)
-    keep = mass > 0
-    keep[-1] |= not keep.any()
-    return boundaries[keep], periods[keep], mass[keep]
-
-
 def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     """Alternate period and boundary optimization from every row of starts
-    (shape (starts, K), made by _start_inits) at once, finishing with
+    (shape (starts, K), made by _start_inits, or by _split_to for the
+    short-stop re-solve) at once, finishing with
     Newton steps; one GroupedSolution per row.
 
     Every round runs Step I and Step II on all rows still active in one
@@ -475,9 +483,9 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     its slowest start.  The search runs per unit mass; each solution's
     counts, profits and residuals are then scaled by the market size.
     """
-    b = np.array(starts, dtype=float)
-    n, n_groups = b.shape
-    t = np.empty_like(b)
+    starts = np.array(starts, dtype=float)
+    n, n_groups = starts.shape
+    x = np.concatenate([starts, np.empty_like(starts)], axis=1)  # each row's menu (b, t)
     traces = [[] for _ in range(n)]
     period_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
     boundary_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
@@ -489,8 +497,8 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     rounds = np.zeros(n, dtype=int)
     active = np.arange(n)
     for round_no in range(1, MAX_ROUNDS + 1):
-        start_b = b[active]
-        periods, p_blocks = step1_periods(profile, cost_model, market, start_b, guess=t[active] if round_no > 1 else None)
+        start_b = x[active, :n_groups]
+        periods, p_blocks = step1_periods(profile, cost_model, market, start_b, guess=x[active, n_groups:] if round_no > 1 else None)
         _extend_traces(traces, active, menu_profit(profile, cost_model, market, start_b, periods))
 
         boundaries, b_blocks = step2_boundaries(profile, cost_model, market, periods, guess=start_b)
@@ -500,17 +508,18 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
         # settles, and stops its row once profit stalls; every other round
         # takes the Newton finish, and stops its row once the finish ends
         # within KKT_TOL
-        settle = ~_ascending(boundaries, periods)
+        menus = np.concatenate([boundaries, periods], axis=1)
+        settle = ~_ascending(menus)
         if settle.any():
             rows = active[settle]
             p2 = menu_profit(profile, cost_model, market, boundaries[settle], periods[settle])
             stopped[rows] = p2 - profit[rows] <= REL_PROFIT_TOL * np.maximum(1.0, np.abs(p2))
-            b[rows], t[rows], profit[rows], residual[rows] = boundaries[settle], periods[settle], p2, np.inf
+            x[rows], profit[rows], residual[rows] = menus[settle], p2, np.inf
             _extend_traces(traces, rows, p2)
         if not settle.all():
             rows = active[~settle]
-            b[rows], t[rows], profit[rows], residual[rows], steps, trials[rows] = _newton_finish(
-                profile, cost_model, market, boundaries[~settle], periods[~settle], [traces[r] for r in rows], trials[rows]
+            x[rows], profit[rows], residual[rows], steps, trials[rows] = _newton_finish(
+                profile, cost_model, market, menus[~settle], [traces[r] for r in rows], trials[rows]
             )
             newton_steps[rows] += steps
             stopped[rows] = residual[rows] <= KKT_TOL
@@ -519,12 +528,16 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
         if not active.size:
             break
 
-    edge_tol = EDGE_RTOL * (market.sigma_max - market.sigma_min)
+    on_edge = np.logical_or(*_on_edges(x, *_window(market, n_groups)))[:, :n_groups]
     N = market.size
     solutions = []
     for r in range(n):
-        edge_hits = [int(k) for k, s in enumerate(b[r]) if s >= market.sigma_max - edge_tol or s <= market.sigma_min + edge_tol]
-        boundaries, periods, mass = _collapse_empty_groups(market, b[r], t[r])
+        # the groups whose band has mass; a menu that serves no one keeps its top group
+        mass = group_counts(market, x[r, :n_groups])
+        keep = mass > 0
+        keep[-1] |= not keep.any()
+        menu, mass = _chains(x[r])[:, keep], mass[keep]
+        boundaries, periods = menu
         # accounting identity: group masses times chain-price margins equal the boundary terms
         prices = optimal_prices(profile, boundaries, periods)
         direct = float(np.dot(mass, prices - cost(cost_model, periods)))
@@ -532,8 +545,8 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
             # the Newton finish's last probe evaluated this very menu
             terms, kkt = profit[r], residual[r]
         else:
-            q, d_b, d_t = _menu_terms(profile, cost_model, market, boundaries, periods)
-            terms, kkt = q.sum(), _menu_residual(market, boundaries, periods, d_b, d_t)
+            q, grad = _menu_terms(profile, cost_model, market, boundaries, periods)
+            terms, kkt = q.sum(), _menu_residual(menu.ravel(), grad, *_window(market, mass.size))
         if abs(direct - float(terms)) > 1e-8 * max(1.0, abs(direct)):
             raise RuntimeError("profit accounting mismatch between price chain and boundary terms")
         solutions.append(
@@ -548,7 +561,7 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
                 profit_trace=[N * p for p in traces[r]],
                 pooled_period_blocks=period_blocks[r],
                 pooled_boundary_blocks=boundary_blocks[r],
-                boundary_edge_hits=edge_hits,
+                boundary_edge_hits=np.flatnonzero(on_edge[r]).tolist(),
                 requested_groups=n_groups,
                 kkt_residual=N * float(kkt),
                 newton_steps=int(newton_steps[r]),
@@ -573,6 +586,12 @@ def _extend_traces(traces, rows, profits):
         trace.append(new)
 
 
+def _split_to(market, boundaries, K):
+    """The boundaries sorted, their heaviest group split
+    (split_heaviest_group) until there are K, so every given one stays."""
+    return reduce(lambda b, _: split_heaviest_group(market, b), range(K - len(boundaries)), np.sort(boundaries))
+
+
 def _check_solve_size(K, restarts, warm):
     """A ValueError naming K and restarts if the Newton probe of a K-group
     solve from the quantile start, a warm start if warm (a bool) is true
@@ -589,9 +608,8 @@ def _start_inits(market, n_groups, restarts, seed, warm):
 
       the quantile start, boundaries at the quantiles k / K;
       the warm start, the boundaries of one menu such as a sweep's
-        previous one, if warm is not None, sorted; with fewer than K
-        boundaries its heaviest group is split (split_heaviest_group)
-        until it has K, so it keeps every boundary it was given, and one
+        previous one, if warm is not None, sorted and split up to K
+        groups (_split_to), so it keeps every boundary it was given; one
         with none or more than K is a ValueError naming it;
       the seeded restarts, quantile-transformed uniforms, so restarts
         respect the type distribution.  Each takes its K sorted uniforms
@@ -610,10 +628,7 @@ def _start_inits(market, n_groups, restarts, seed, warm):
         b = np.asarray(warm, dtype=float)
         if b.ndim != 1 or not 0 < b.size <= K:
             raise ValueError(f"warm start {b.tolist()} must hold 1 to n_groups = {K} boundaries")
-        b = np.sort(b)
-        while b.size < K:
-            b = split_heaviest_group(market, b)
-        rows.append(b)
+        rows.append(_split_to(market, b, K))
     rng = random.Random(seed)
     for _ in range(restarts):
         rows.append(market.quantile(np.sort([rng.random() for _ in range(K)])))
@@ -630,9 +645,10 @@ def solve_with_restarts(profile, cost_model, market, n_groups, restarts=0, seed=
     best so far only if it gains more than REL_PROFIT_TOL of the best's
     profit, so neither rounding noise nor the market size picks the
     winner.  A best menu that serves fewer than n_groups groups has
-    stopped short, and is solved once more from its own boundaries, its
-    heaviest group split until there are n_groups (the warm start
-    _start_inits makes of it).  The re-solve replaces it on the same
+    stopped short, and is solved once more, alone, from its own
+    boundaries split up to n_groups groups (_split_to, as a warm start
+    is); the first solve already passed the work budget for one start
+    of n_groups.  The re-solve replaces it on the same
     rule, and one that wins but still stops short is re-solved in turn,
     at most once per group the best start left unserved: a menu that
     serves no one splits into a start with every boundary on sigma_min,
@@ -647,7 +663,7 @@ def solve_with_restarts(profile, cost_model, market, n_groups, restarts=0, seed=
     solutions = _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, restarts, seed, warm))
     best = reduce(pick, solutions)
     for _ in range(n_groups - np.count_nonzero(best.counts)):
-        solutions += _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, 0, 0, best.boundaries)[1:])
+        solutions += _solve_starts(profile, cost_model, market, [_split_to(market, best.boundaries, n_groups)])
         best, last = pick(best, solutions[-1]), best
         if best is last or np.count_nonzero(best.counts) == n_groups:
             break

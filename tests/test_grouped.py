@@ -679,6 +679,20 @@ def test_short_stops_are_solved_to_k_groups(name, k):
         assert brute_force_ic_ir(profile, market, sol.periods, sol.prices, sol.boundaries).passed
 
 
+def test_short_stop_re_solve_needs_no_budget_of_its_own(monkeypatch):
+    # a K = 2 Newton probe of one start holds 36 values, of two 72: under a
+    # budget of 50 the one-start solve runs, and so does the one-start
+    # re-solve of its short stop, since the solve already checked its K
+    market, profile, cost_model, best = SHORT_STOP_MARKETS["narrow_uniform"]
+    monkeypatch.setattr(grouped, "TUPLE_BUDGET", 50)
+    sol = solve_with_restarts(profile, cost_model, market, 2)
+    assert len(sol.start_profits) == 2  # the quantile start stopped short and was re-solved
+    assert sol.counts.size == 2 and np.all(sol.counts > 0)
+    assert sol.total_profit >= best[2]
+    with pytest.raises(ValueError, match="exceeds the work budget"):
+        solve_with_restarts(profile, cost_model, market, 2, restarts=1)
+
+
 # --- first-order finish: gradient, residual, Newton steps -------------------
 
 def fd_gradient(profile, cost_model, market, boundaries, periods, rel_step=1e-4):
@@ -1077,9 +1091,9 @@ def test_profit_gradient_matches_finite_differences(profile, rng, cost_model):
         for k in (1, 2, 4):
             b = np.sort(rng.uniform(0.3, 5.7, size=k))
             t = np.sort(rng.uniform(0.3, 8.0, size=k))
-            d_b, d_t = _menu_terms(profile, cost_model, mkt, b, t)[1:]
+            grad = _menu_terms(profile, cost_model, mkt, b, t)[1]
             fd = fd_gradient(profile, cost_model, mkt, b, t)
-            assert np.allclose(np.concatenate([d_b, d_t]), fd, rtol=1e-7, atol=1e-9)
+            assert np.allclose(grad, fd, rtol=1e-7, atol=1e-9)
 
 
 def test_menu_terms_evaluate_each_point_once(profile, cost_model, rng, monkeypatch):
@@ -1156,8 +1170,7 @@ def test_probe_residual_is_menu_residual_bit_for_bit(rng, monkeypatch):
     # them, also with coordinates on each window edge, within EDGE_RTOL of
     # it or just at that distance, and gradients into and out of the window
     mkt, K, R = uniform06(), 3, 400
-    lo = np.repeat([mkt.sigma_min, DEFAULT_T_DOMAIN[0]], K)
-    hi = np.repeat([mkt.sigma_max, DEFAULT_T_DOMAIN[1]], K)
+    lo, hi = grouped._window(mkt, K)
     edge = grouped.EDGE_RTOL * (hi - lo)
     near = 0.5 * edge
     x = np.concatenate(
@@ -1173,15 +1186,14 @@ def test_probe_residual_is_menu_residual_bit_for_bit(rng, monkeypatch):
 
     def menu_terms(profile, cost_model, market, b, t):
         # every point of a row's probe gets the row's gradient
-        F = np.broadcast_to(grad[:, None, :], b.shape[:-1] + (2 * K,))
-        return np.zeros_like(b), F[..., :K], F[..., K:]
+        return np.zeros_like(b), np.broadcast_to(grad[:, None, :], b.shape[:-1] + (2 * K,))
 
     monkeypatch.setattr(grouped, "_menu_terms", menu_terms)
     _, g, free, residual, _ = grouped._probe(None, None, mkt, x, lo, hi)
     low, high = x <= lo + edge, x >= hi - edge
     for hits in (low & (g > 0), low & (g < 0), high & (g > 0), high & (g < 0)):
         assert hits.sum() >= 10
-    expected = grouped._menu_residual(mkt, x[:, :K], x[:, K:], g[:, :K], g[:, K:])
+    expected = grouped._menu_residual(x, g, lo, hi)
     assert residual.tobytes() == expected.tobytes()
     assert residual.tobytes() == np.max(np.abs(g), axis=1, where=free, initial=0.0).tobytes()
 
@@ -1198,19 +1210,27 @@ def pooled_chains(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(pooled_chains())
-@example((np.array([[1.0, 1.0, 1.0, 2.5], [0.0, 0.0, 5.0, 5.0]]), np.array([[-1.0, 2.0, -0.5, 0.25], [0.5, -1.0, 1.0, -0.75]])))
-def test_chain_residual_matches_independent_run_by_run_residual(kkt, chain):
+@given(pooled_chains(), st.sampled_from([(0.0, 5.0), DEFAULT_T_DOMAIN]))
+@example((np.array([[1.0, 1.0, 1.0, 2.5], [0.0, 0.0, 5.0, 5.0]]), np.array([[-1.0, 2.0, -0.5, 0.25], [0.5, -1.0, 1.0, -0.75]])), (0.0, 5.0))
+@example((np.array([[0.0, 2.5, 5.0], [1.0, 1.0, 1.0]]), np.array([[0.5, -1.0, 0.25], [-0.75, 1.0, -0.5]])), DEFAULT_T_DOMAIN)
+def test_chain_residual_matches_independent_run_by_run_residual(kkt, chain, window):
     # a run of equal values moves as a whole or splits, and a run on an edge
-    # cannot leave it: each row's residual is the one perfbench/kkt.py finds
-    # walking the chain run by run
+    # cannot leave it: each chain's residual is the one perfbench/kkt.py finds
+    # walking the chain run by run.  A menu's residual is its larger chain's:
+    # each row of chains is the menu (row, row), whose b_K >= t_1, and the
+    # menu (row, next row), both chains in one window, so a run that joined
+    # them across the b/t seam would show
     x, grad = chain
-    lo, hi = 0.0, 5.0
-    got = grouped._chain_residual(x, grad, lo, hi)
-    assert got.shape == (len(x),)
-    for r in range(len(x)):
-        expected = kkt.chain_residual(x[r], grad[r], lo, hi, grouped.EDGE_RTOL * (hi - lo))
-        assert abs(got[r] - expected) <= 1e-12 * np.abs(grad[r]).sum()
+    lo, hi = window
+    x = lo + (hi - lo) * (x / 5.0)  # the levels on [0, 5] carried onto the window
+    n, rows = x.shape[1], range(len(x))
+    pairs = [(r, r) for r in rows] + [(r, (r + 1) % len(x)) for r in rows]
+    menus = np.array([np.concatenate([x[r], x[s]]) for r, s in pairs])
+    got = grouped._menu_residual(menus, np.array([np.concatenate([grad[r], grad[s]]) for r, s in pairs]), np.full(2 * n, lo), np.full(2 * n, hi))
+    assert got.shape == (len(pairs),)
+    for i, (r, s) in enumerate(pairs):
+        expected = max(kkt.chain_residual(x[j], grad[j], lo, hi, grouped.EDGE_RTOL * (hi - lo)) for j in (r, s))
+        assert abs(got[i] - expected) <= 1e-12 * max(np.abs(grad[j]).sum() for j in (r, s))
 
 
 @pytest.mark.parametrize("c0, c1, b, t", [(20.0, 0.0, 1.5, 10.0), (100.0, 1000.0, 3.0, 0.001), (20.0, 0.0, 1.0, 0.1)])
@@ -1219,10 +1239,10 @@ def test_newton_finish_stops_with_every_coordinate_on_an_edge(profile, c0, c1, b
     # the boundary on sigma_min and the period on its floor, both
     # gradients pointing out of the window, so no coordinate is free
     mkt = make_market("uniform", 0.5, 6.0)
-    boundaries, periods, profit, residual, steps, spent = grouped._newton_finish(
-        profile, CostModel(c0=c0, c1=c1), mkt, np.array([[b]]), np.array([[t]]), [[]], np.zeros(1, dtype=int)
+    menus, profit, residual, steps, spent = grouped._newton_finish(
+        profile, CostModel(c0=c0, c1=c1), mkt, np.array([[b, t]]), [[]], np.zeros(1, dtype=int)
     )
-    assert (boundaries[0, 0], periods[0, 0]) == (mkt.sigma_min, DEFAULT_T_DOMAIN[0])
+    assert (menus[0, 0], menus[0, 1]) == (mkt.sigma_min, DEFAULT_T_DOMAIN[0])
     assert profit[0] == 0.0 and residual[0] == 0.0 and steps[0] == 1 and spent[0] == 1
 
 
@@ -1261,7 +1281,7 @@ def test_top_boundary_on_window_edge_solves(profile, cost_model, k):
     assert 2.0 - sol.boundaries[-1] <= 1e-9 * 2.0
     assert sol.converged and sol.iterations <= 20
     assert sol.kkt_residual <= 1e-9
-    d_b, _ = _menu_terms(profile, cost_model, mkt, sol.boundaries, sol.periods)[1:]
+    d_b = _menu_terms(profile, cost_model, mkt, sol.boundaries, sol.periods)[1][:k]
     assert d_b[-1] > 0  # profit would still rise past the edge
 
 

@@ -21,6 +21,15 @@ across the window, a type above the top boundary opting out) values
 every item and opting out at 40 digits, and neither her best
 alternative's gain over her own choice nor her shortfall below zero
 utility may exceed the feasibility tolerance.
+
+So is a grouped menu's first-order optimality: the replayed profit's
+gradient in x = (b, t), taken at 40 digits by mpmath.diff, is projected
+on each chain (the boundaries in the market window, the periods in
+DEFAULT_T_DOMAIN) by perfbench/kkt.py's run-by-run chain_residual, which
+calls no planmenu kernel: a run of equal values moves as a whole or
+splits, a leading part down and a trailing part up, and a run within
+EDGE_RTOL of a window edge cannot leave it.  The largest rate left is at
+most KKT_TOL N.
 """
 
 import json
@@ -33,13 +42,15 @@ import pytest
 
 import planmenu
 from planmenu import runner
-from planmenu.discrete import FEASIBILITY_TOL
+from planmenu.discrete import DEFAULT_T_DOMAIN, FEASIBILITY_TOL
+from planmenu.grouped import EDGE_RTOL, KKT_TOL
 from planmenu.scenarios import load_scenario
 
 DIGITS = 40
 RTOL = 1e-12
 DATA = Path(planmenu.__file__).parent / "data"
 BUNDLED = sorted(p.stem for p in DATA.glob("*.json"))
+GROUPED = [name for name in BUNDLED if json.loads((DATA / f"{name}.json").read_text())["market"]["kind"] != "discrete"]
 
 
 def replay_valuation(cfg, s, t):
@@ -109,6 +120,19 @@ def replay_incentives(cfg, periods, prices, boundaries=None):
     return temptation, shortfall
 
 
+def replay_gradient(cfg, periods, boundaries):
+    """Gradient of a grouped menu's replayed profit in x = (b, t) at
+    DIGITS digits, by mpmath.diff in each coordinate."""
+    x = [mpmath.mpf(v) for v in boundaries] + [mpmath.mpf(v) for v in periods]
+    K = len(periods)
+
+    def profit(i, v):
+        y = x[:i] + [v] + x[i + 1 :]
+        return replay(cfg, y[K:], y[:K])[2]
+
+    return [mpmath.diff(lambda v: profit(i, v), x[i]) for i in range(2 * K)]
+
+
 @lru_cache(maxsize=None)
 def bundled_solution(name):
     with tempfile.TemporaryDirectory() as out:
@@ -139,3 +163,15 @@ def test_bundled_menu_is_incentive_compatible_in_arbitrary_precision(name):
         temptation, shortfall = replay_incentives(cfg, sol.periods, sol.prices, sol.boundaries if grouped else None)
     assert temptation <= FEASIBILITY_TOL, float(temptation)
     assert shortfall <= FEASIBILITY_TOL, float(shortfall)
+
+
+@pytest.mark.parametrize("name", GROUPED)
+def test_bundled_grouped_menu_is_first_order_optimal_in_arbitrary_precision(name, kkt):
+    cfg = json.loads((DATA / f"{name}.json").read_text())
+    market, sol = cfg["market"], bundled_solution(name)
+    with mpmath.workdps(DIGITS):
+        grad = [float(g) for g in replay_gradient(cfg, sol.periods, sol.boundaries)]
+    K = len(sol.periods)
+    chains = [(sol.boundaries, grad[:K], market["sigma_min"], market["sigma_max"]), (sol.periods, grad[K:], *DEFAULT_T_DOMAIN)]
+    residual = max(kkt.chain_residual(x, g, lo, hi, EDGE_RTOL * (hi - lo)) for x, g, lo, hi in chains)
+    assert residual <= KKT_TOL * market.get("N", 1.0), residual
