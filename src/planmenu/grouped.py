@@ -52,9 +52,10 @@ most REL_PROFIT_TOL in relative profit; or takes the Newton finish, and
 stops its start once the finish ends within KKT_TOL.  MAX_ROUNDS rounds
 stop a start in any case.  Whatever stopped it, a solution is converged
 exactly when the residual of the menu it returns is at most KKT_TOL per
-unit mass, the residual certificate.json reports.  A best menu that
-serves fewer than K groups is re-solved from its own boundaries (see
-solve_with_restarts).
+unit mass, the residual certificate.json reports.  A group serves no
+one unless its mass per unit exceeds machine epsilon, one rounding of
+G, and a best menu that serves fewer than K groups is re-solved from
+its own boundaries (see solve_with_restarts).
 
 The profit is not jointly concave, so a solve may run several starts:
 the quantile start, one warm start such as a sweep's previous menu, and
@@ -532,9 +533,10 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     N = market.size
     solutions = []
     for r in range(n):
-        # the groups whose band has mass; a menu that serves no one keeps its top group
+        # the groups whose band has more mass per unit than one rounding of
+        # G; a menu that serves no one keeps its top group
         mass = group_counts(market, x[r, :n_groups])
-        keep = mass > 0
+        keep = mass > np.finfo(float).eps
         keep[-1] |= not keep.any()
         menu, mass = _chains(x[r])[:, keep], mass[keep]
         boundaries, periods = menu

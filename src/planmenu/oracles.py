@@ -1,6 +1,6 @@
 """Checks and baselines for the solvers.  The IC/IR certificate, the
 grid oracles and the Monte Carlo check reuse no solver logic; the
-fixed-period baseline's cutoff and the social first-best do, as their
+optimized-cutoff baseline and the social first-best do, as their
 bullets below say.  Each function that takes a market switches on its
 type (DiscreteMarket or not), never on a solution's class, so the
 module imports no solver's solution type.
@@ -24,11 +24,12 @@ module imports no solver's solution type.
   objective, no pooling.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (standard-normal draws from a seeded 64-bit generator).
-- fixed_period_baseline prices a single fixed-period plan, either
-  covering the whole market (price at the top type's valuation) or
-  with a profit-maximizing marginal type (or no one, where no cutoff
-  earns a positive profit), found by the grouped solver's boundary
-  search at K = 1; an array of periods is evaluated in one call.
+- full_coverage_profit and optimized_cutoff_profit are the profits of
+  a single fixed-period plan, covering the whole market (price at the
+  top type's valuation) or with a profit-maximizing marginal type (or
+  no one, profit 0, where no cutoff earns a positive profit), found by
+  the grouped solver's boundary search at K = 1; either takes a float
+  period or an array of periods, evaluated in one call.
 - social_metrics compares realized social surplus against the
   first-best that ignores incentive constraints.  It is accounting, not
   a check: the first-best periods come from the solvers' period search.
@@ -276,68 +277,41 @@ def monte_carlo_valuation(profile, sigma, t, n_samples=1_000_000, seed=0):
 # --- baselines and welfare ----------------------------------------------
 
 
-@dataclass
-class BaselineResult:
-    period: float
-    coverage: str  # "full" or "optimized"
-    price: float
-    marginal_sigma: float
-    served: float
-    profit: float
+def full_coverage_profit(profile, cost_model, market, t_fixed):
+    """Profit of the single plan at period t_fixed priced at the top
+    type's valuation, so the whole market participates (the incumbent's
+    one-size-fits-all plan): a float for a float period, an array for an
+    array of periods.  Only the top type is valued."""
+    t = np.asarray(t_fixed, dtype=float)
+    if isinstance(market, DiscreteMarket):
+        served, top = np.cumsum(market.counts)[-1], market.sigmas[-1]
+    else:
+        served, top = market.size * market.cdf(market.sigma_max), market.sigma_max
+    profit = served * (valuation(profile, top, t) - cost(cost_model, t))
+    return float(profit) if t.ndim == 0 else profit
 
 
-def fixed_period_baseline(profile, cost_model, market, t_fixed, coverage="full") -> BaselineResult:
-    """Best single-item menu at a frozen period, or at each of an array of
-    periods at once (every field but coverage then an array).
-
-    coverage="full": price at the top type's valuation so the whole
-    market participates (the incumbent's one-size-fits-all plan).
-    coverage="optimized": choose the marginal served type to maximize
-    profit (a stronger baseline; uplifts against it are conservative):
-    the best prefix of a discrete market's types, all from one valuation
-    call, or the grouped boundary search at K = 1, one lockstep search
-    over every period.  Where no cutoff earns a positive profit the
-    provider serves no one: served and profit are 0, and marginal_sigma
-    and price are NaN.
-    """
-    if coverage not in ("full", "optimized"):
-        raise ValueError(f"coverage must be 'full' or 'optimized', got {coverage!r}")
+def optimized_cutoff_profit(profile, cost_model, market, t_fixed):
+    """Profit of the single plan at period t_fixed with a
+    profit-maximizing marginal served type (a stronger baseline; uplifts
+    against it are conservative), 0 where no cutoff earns a positive
+    profit and the provider serves no one: a float for a float period,
+    an array for an array of periods.  A discrete market's best prefix
+    of types comes from one valuation matrix, a continuous market's
+    cutoff from the grouped boundary search at K = 1, one lockstep
+    search over every period."""
     t = np.asarray(t_fixed, dtype=float)
     periods = t.ravel()
     c = cost(cost_model, periods)
-    if isinstance(market, DiscreteMarket):  # every prefix's price is in one valuation matrix
-        counts = np.cumsum(market.counts)
+    if isinstance(market, DiscreteMarket):
         v = valuation(profile, market.sigmas[:, None], periods)
-        if coverage == "full":
-            j = np.full(periods.size, market.n_types - 1)
-        else:
-            j = np.argmax(counts[:, None] * (v - c), axis=0)
-        sig, served, price = market.sigmas[j], counts[j], v[j, np.arange(periods.size)]
+        profit = np.max(np.cumsum(market.counts)[:, None] * (v - c), axis=0)
     else:
-        sig = np.full(periods.size, market.sigma_max)
-        if coverage == "optimized":
-            items = np.arange(periods.size)
-            sig = block_boundaries(profile, cost_model, market, periods[:, None], items, items)
-        served = market.size * market.cdf(sig)
-        price = valuation(profile, sig, periods)
-    profit = served * (price - c)
-    if coverage == "optimized":
-        nobody = ~(profit > 0)
-        sig, price = np.where(nobody, np.nan, sig), np.where(nobody, np.nan, price)
-        served, profit = np.where(nobody, 0.0, served), np.where(nobody, 0.0, profit)
-
-    def shaped(x):  # a Python float for a single period
-        x = np.reshape(x, t.shape)
-        return float(x) if x.ndim == 0 else x
-
-    return BaselineResult(
-        period=shaped(periods),
-        coverage=coverage,
-        price=shaped(price),
-        marginal_sigma=shaped(sig),
-        served=shaped(served),
-        profit=shaped(profit),
-    )
+        items = np.arange(periods.size)
+        sig = block_boundaries(profile, cost_model, market, periods[:, None], items, items)
+        profit = market.size * market.cdf(sig) * (valuation(profile, sig, periods) - c)
+    profit = np.where(profit > 0, profit, 0.0).reshape(t.shape)
+    return float(profit) if t.ndim == 0 else profit
 
 
 @dataclass
@@ -421,11 +395,11 @@ def uplift_percent(profit, baseline_profit):
 def build_comparison(profile, cost_model, market, solution, baseline_periods) -> ComparisonReport:
     """The solution's profit against both fixed-period baselines at each
     of baseline_periods, a nonempty sequence of periods > 0 (one batched
-    fixed_period_baseline call per coverage), and its social surplus."""
+    call of each baseline), and its social surplus."""
     profit = solution.total_profit
     periods = np.asarray(baseline_periods, dtype=float)
-    full = fixed_period_baseline(profile, cost_model, market, periods, coverage="full").profit.tolist()
-    opt = fixed_period_baseline(profile, cost_model, market, periods, coverage="optimized").profit.tolist()
+    full = full_coverage_profit(profile, cost_model, market, periods).tolist()
+    opt = optimized_cutoff_profit(profile, cost_model, market, periods).tolist()
     return ComparisonReport(
         optimal_profit=float(profit),
         baselines=[

@@ -8,9 +8,18 @@ Artifacts per run (all deterministic for a fixed seed):
                    (grouped: rounds, Newton steps, first-order residual,
                    and each start's final profit and residual)
   fig8_sweep.csv   (sweep only) groups, profit, uplift_percent
+
+Each artifact replaces the previous run's file whole: a run serializes
+all of its artifacts in memory, then writes each to <name>.part beside
+its path and renames it into place once the old file is unlinked.  A
+failure while serializing leaves every previous artifact as it was,
+and one while writing leaves that artifact's previous bytes and no
+.part file, so no artifact ever mixes rows of two runs; a symlink at
+an artifact's path is replaced, not written through.
 """
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,7 +35,7 @@ from .oracles import (
     ComparisonReport,
     brute_force_ic_ir,
     build_comparison,
-    fixed_period_baseline,
+    full_coverage_profit,
     uplift_percent,
 )
 from .scenarios import Scenario
@@ -38,12 +47,29 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def _replace_files(out, items):
+    """Make directory out if missing, then write each (path, text) of
+    items, its path in out, through <name>.part, removing the part file
+    if the write fails.  The old file is unlinked before the rename, so
+    the rename never replaces an existing name, which ext4 would flush
+    to disk first."""
+    out.mkdir(parents=True, exist_ok=True)
+    for path, text in items:
+        part = path.with_name(path.name + ".part")
+        try:
+            with open(part, "w", newline="\n") as fh:
+                fh.write(text)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
+        path.unlink(missing_ok=True)
+        part.rename(path)
 
 
 def _json_safe(obj):
@@ -67,19 +93,20 @@ class RunArtifacts:
 
 
 def _solution_rows(scenario, solution):
-    # one row per item: its marginal type (the discrete type, or the
-    # group's upper boundary) and its head-count or group mass
+    # the header, then one row per item: its marginal type (the discrete
+    # type, or the group's upper boundary) and its head-count or group mass
     if isinstance(scenario.market, DiscreteMarket):
         sigmas, counts = scenario.market.sigmas, scenario.market.counts
     else:
         sigmas, counts = solution.boundaries, solution.counts
     margins = solution.prices - cost(scenario.cost_model, solution.periods)
     columns = (sigmas, solution.periods, solution.prices, counts, margins)
-    return [(k + 1, *(float(x) for x in row)) for k, row in enumerate(zip(*columns))]
+    header = ("group_index", "sigma_boundary", "period", "price", "count", "item_profit")
+    return [header] + [(k + 1, *(float(x) for x in row)) for k, row in enumerate(zip(*columns))]
 
 
 def _comparison_rows(report):
-    rows = [("optimal", report.optimal_profit, "")]
+    rows = [("label", "profit", "uplift_percent"), ("optimal", report.optimal_profit, "")]
     for row in report.baselines:
         label = f"fixed_t={row.period:g}"
         rows.append((label + "_full_coverage", row.profit_full, row.uplift_full_percent))
@@ -152,21 +179,17 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     }
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "solution": out / "solution.csv",
         "comparison": out / "comparison.csv",
         "certificate": out / "certificate.json",
     }
-    _write_csv(
-        paths["solution"],
-        ("group_index", "sigma_boundary", "period", "price", "count", "item_profit"),
-        _solution_rows(scenario, solution),
+    texts = (
+        _csv_text(_solution_rows(scenario, solution)),
+        _csv_text(_comparison_rows(report)),
+        json.dumps(_json_safe(certificate), indent=2, sort_keys=True) + "\n",
     )
-    _write_csv(paths["comparison"], ("label", "profit", "uplift_percent"), _comparison_rows(report))
-    with open(paths["certificate"], "w", newline="\n") as fh:
-        json.dump(_json_safe(certificate), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _replace_files(out, zip(paths.values(), texts))
 
     return RunArtifacts(
         scenario=scenario,
@@ -201,7 +224,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     use_seed = _restart_seed(scenario, seed)
     # the largest K has the largest solve, with the previous menu as a warm start unless it is the only K
     _check_solve_size(ks[-1], scenario.solver.restarts, len(ks) > 1)
-    base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, scenario.baselines[0], coverage="full")
+    base = full_coverage_profit(scenario.profile, scenario.cost_model, scenario.market, scenario.baselines[0])
 
     rows = []
     prev = None
@@ -220,17 +243,13 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
             {
                 "groups": k,
                 "profit": sol.total_profit,
-                "uplift_percent": uplift_percent(sol.total_profit, base.profit),
+                "uplift_percent": uplift_percent(sol.total_profit, base),
                 "converged": sol.converged,
             }
         )
+    text = _csv_text([("groups", "profit", "uplift_percent")] + [(r["groups"], r["profit"], r["uplift_percent"]) for r in rows])
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "fig8_sweep.csv",
-        ("groups", "profit", "uplift_percent"),
-        [(r["groups"], r["profit"], r["uplift_percent"]) for r in rows],
-    )
+    _replace_files(out, [(out / "fig8_sweep.csv", text)])
     return rows
 
 

@@ -22,7 +22,7 @@ from planmenu.market import (
 )
 from planmenu.oracles import (
     brute_force_ic_ir,
-    fixed_period_baseline,
+    full_coverage_profit,
     grid_oracle_discrete,
     grid_oracle_grouped,
     monte_carlo_valuation,
@@ -81,8 +81,8 @@ def uniform_sweep(tmp_path_factory):
 
 def test_criterion_01_discrete_case1_uplift_and_runtime(case1):
     sc, sol, runtime = case1
-    base = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, 1.0, coverage="full")
-    up = uplift(sol.total_profit, base.profit)
+    base = full_coverage_profit(sc.profile, sc.cost_model, sc.market, 1.0)
+    up = uplift(sol.total_profit, base)
     ok = abs(up - 41.0) <= 4.0 and runtime < 5.0
     report(1, ok, f"case1 uplift vs monthly baseline {up:.2f}% (target 41±4), solve {runtime * 1e3:.0f} ms (< 5 s)")
 
@@ -99,8 +99,8 @@ def test_criterion_03_uniform_k6_uplifts(grouped):
     sc, sol = grouped["uniform_k6"]
     ups = {}
     for t in (1.0, 2.0):
-        base = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, t, coverage="full")
-        ups[t] = uplift(sol.total_profit, base.profit)
+        base = full_coverage_profit(sc.profile, sc.cost_model, sc.market, t)
+        ups[t] = uplift(sol.total_profit, base)
     ok = abs(ups[1.0] - 37.0) <= 5.0 and abs(ups[2.0] - 21.0) <= 5.0
     report(3, ok, f"uniform K=6 uplift {ups[1.0]:.2f}% vs t=1 (37±5), {ups[2.0]:.2f}% vs t=2 (21±5)")
 
@@ -117,8 +117,8 @@ def test_criterion_05_uplift_ordering_across_families(grouped):
     ups = {}
     for name in GROUPED_SCENARIOS:
         sc, sol = grouped[name]
-        base = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, 1.0, coverage="full")
-        ups[name] = uplift(sol.total_profit, base.profit)
+        base = full_coverage_profit(sc.profile, sc.cost_model, sc.market, 1.0)
+        ups[name] = uplift(sol.total_profit, base)
     u, e, n = (ups[k] for k in GROUPED_SCENARIOS)
     ok = e > n > u > 0.0
     report(5, ok, f"K=6 uplifts: exponential {e:.2f}% > truncated normal {n:.2f}% > uniform {u:.2f}% > 0")

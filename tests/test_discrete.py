@@ -22,7 +22,7 @@ from planmenu.discrete import (
 )
 from planmenu.distributions import DiscreteMarket
 from planmenu.market import CostModel, cost, valuation, valuation_dt
-from planmenu.oracles import fixed_period_baseline
+from planmenu.oracles import full_coverage_profit, optimized_cutoff_profit
 from planmenu.scenarios import load_scenario
 
 # quadrature-oracle values (alpha=1, mu=13, q=15)
@@ -673,8 +673,9 @@ def feasibility_per_call(profile, market, periods, prices):
 
 
 def discrete_baseline_per_call(profile, cost_model, market, periods, coverage):
-    """(price, marginal_sigma, served, profit) of the discrete
-    fixed_period_baseline, its price from a second valuation call."""
+    """The profit of a discrete market's full-coverage ("full") or
+    optimized-cutoff ("optimized") baseline, its price from a second
+    valuation call."""
     c = cost(cost_model, periods)
     counts = np.cumsum(market.counts)
     profits = counts[:, None] * (valuation(profile, market.sigmas[:, None], periods) - c)
@@ -683,10 +684,8 @@ def discrete_baseline_per_call(profile, cost_model, market, periods, coverage):
     price = valuation(profile, sig, periods)
     profit = served * (price - c)
     if coverage == "optimized":
-        nobody = ~(profit > 0)
-        sig, price = np.where(nobody, np.nan, sig), np.where(nobody, np.nan, price)
-        served, profit = np.where(nobody, 0.0, served), np.where(nobody, 0.0, profit)
-    return price, sig, served, profit
+        profit = np.where(~(profit > 0), 0.0, profit)
+    return profit
 
 
 def period_objective_per_call(profile, cost_model, own, below, sigma, sigma_prev, t):
@@ -729,11 +728,9 @@ def assert_merged_calls_match_per_call(profile, cost_model, market, scale=1e-3):
         assert feasibility_check(profile, market, t, p) == ref
         conditions.add(ref.condition)
     t = np.geomspace(0.05, 50.0, 9)
-    for coverage in ("full", "optimized"):
-        got = fixed_period_baseline(profile, cost_model, market, t, coverage)
-        ref = discrete_baseline_per_call(profile, cost_model, market, t, coverage)
-        for x, y in zip((got.price, got.marginal_sigma, got.served, got.profit), ref):
-            assert np.array_equal(x, y, equal_nan=True)
+    for coverage, baseline in (("full", full_coverage_profit), ("optimized", optimized_cutoff_profit)):
+        got = baseline(profile, cost_model, market, t)
+        assert np.array_equal(got, discrete_baseline_per_call(profile, cost_model, market, t, coverage), equal_nan=True)
     return conditions
 
 

@@ -32,7 +32,7 @@ from planmenu.grouped import (
     step2_boundaries,
 )
 from planmenu.market import CostModel, DemandProfile, _dt_dtt, _types, cost, valuation, valuation_dsigma
-from planmenu.oracles import brute_force_ic_ir, fixed_period_baseline, grid_oracle_grouped
+from planmenu.oracles import brute_force_ic_ir, grid_oracle_grouped, optimized_cutoff_profit
 from planmenu.runner import sweep_groups
 from planmenu.scenarios import Scenario, SolverSpec, load_scenario
 
@@ -153,7 +153,7 @@ def test_shape_condition_failure_is_refused(profile, cost_model, valley_market):
     with pytest.raises(ValueError, match=refusal):
         solve_alternating(profile, cost_model, valley_market, 1)
     with pytest.raises(ValueError, match=refusal):
-        fixed_period_baseline(profile, cost_model, valley_market, [1.0, 2.0], coverage="optimized")
+        optimized_cutoff_profit(profile, cost_model, valley_market, [1.0, 2.0])
 
 
 def test_boundary_search_climbs_out_of_a_massless_floor(profile, cost_model):
@@ -182,7 +182,7 @@ def test_market_without_mass_at_its_floor_solves(profile, cost_model):
         profile, cost_model, NO_MASS_AT_FLOOR, 1, np.linspace(0.0, 6.0, 601), np.arange(1, 1501) * 0.02
     )
     assert solved[0] - 1e-4 < grid <= solved[0]
-    base = fixed_period_baseline(profile, cost_model, NO_MASS_AT_FLOOR, [1.0, 2.0], coverage="optimized").profit
+    base = optimized_cutoff_profit(profile, cost_model, NO_MASS_AT_FLOOR, [1.0, 2.0])
     assert np.allclose(base, [1.2493, 1.3010], rtol=0, atol=1e-4)
 
 
@@ -463,11 +463,8 @@ def test_optimized_fixed_period_baseline_matches_grid_scan(profile, cost_model):
         for t_fixed in (1.0, 2.0):
             scan = mkt.size * mkt.cdf(sig) * (valuation(profile, sig, t_fixed) - cost(cost_model, t_fixed))
             j = int(np.argmax(scan))
-            base = fixed_period_baseline(profile, cost_model, mkt, t_fixed, coverage="optimized")
-            assert scan[j] - 1e-10 <= base.profit <= scan[j] + 1e-8
-            assert abs(base.marginal_sigma - sig[j]) < 1e-4
-            assert abs(base.price - valuation(profile, base.marginal_sigma, t_fixed)) < 1e-15
-            assert abs(base.served - mkt.size * mkt.cdf(base.marginal_sigma)) < 1e-15
+            base = optimized_cutoff_profit(profile, cost_model, mkt, t_fixed)
+            assert scan[j] - 1e-10 <= base <= scan[j] + 1e-8
 
 
 def test_solver_input_validation(profile, cost_model):
@@ -507,9 +504,8 @@ def test_solve_size_is_bounded_before_anything_is_allocated(profile, cost_model)
         (lambda sc, out: solve_with_restarts(sc.profile, sc.cost_model, sc.market, 2, restarts=1.7), "restarts"),
         (lambda sc, out: solve_with_restarts(sc.profile, sc.cost_model, sc.market, 2.5), "n_groups"),
         (lambda sc, out: sweep_groups(sc, [1.5, 2], out), "group_counts"),
-        (lambda sc, out: fixed_period_baseline(sc.profile, sc.cost_model, sc.market, 1.0, coverage="bogus"), "coverage"),
     ],
-    ids=["negative_restarts", "fractional_restarts", "fractional_groups", "fractional_sweep_groups", "unknown_coverage"],
+    ids=["negative_restarts", "fractional_restarts", "fractional_groups", "fractional_sweep_groups"],
 )
 def test_library_refuses_inputs_the_loader_refuses(call, name, tmp_path):
     # the scenario loader refuses these values by key; the library
@@ -641,7 +637,9 @@ def test_confirming_round_keeps_the_served_menu():
 #: reported convergence at a residual 10^4 x KKT_TOL N with 3 of 6 groups
 #: served; on the truncated normal the quantile start and four restarts
 #: all served one group at K = 2, 8.4% below the best known menu; the
-#: narrow uniform market served 1, 1 and 2 groups at K = 2, 3 and 4.
+#: narrow uniform market served 1, 1 and 2 groups at K = 2, 3 and 4; the
+#: tiny-group market's quantile start counted a group of 1.57e-25
+#: consumers as served at K = 2 and stopped at 9.30783.
 SHORT_STOP_MARKETS = {
     "found_uniform": (
         make_market("uniform", 0.711685533819926, 7.145079072928397, size=48.25587193941592),
@@ -661,6 +659,12 @@ SHORT_STOP_MARKETS = {
         CostModel(c0=4.375, c1=1.0),
         {2: 0.0381795, 3: 0.0383760, 4: 0.0384459},
     ),
+    "tiny_group": (
+        make_market("truncated_normal", 0.0, 7.7799, size=50.0, loc=2.4887, scale=0.2210),
+        DemandProfile(alpha=1.0, mu=7.3006, q=8.1691),
+        CostModel(c0=5.5159, c1=0.9536),
+        {2: 9.36995},
+    ),
 }
 
 
@@ -669,11 +673,12 @@ SHORT_STOP_MARKETS = {
 )
 def test_short_stops_are_solved_to_k_groups(name, k):
     # with no restarts and with two (seed 57), the solve serves all K
-    # groups, reaches the best known profit and converges by its residual
+    # groups, each more than one rounding of G, reaches the best known
+    # profit and converges by its residual
     market, profile, cost_model, best = SHORT_STOP_MARKETS[name]
     for restarts, seed in ((0, 0), (2, 57)):
         sol = solve_with_restarts(profile, cost_model, market, k, restarts=restarts, seed=seed)
-        assert sol.counts.size == k and np.all(sol.counts > 0)
+        assert sol.counts.size == k and np.all(sol.counts > np.finfo(float).eps * market.size)
         assert sol.total_profit >= best[k]
         assert sol.converged and sol.kkt_residual <= KKT_TOL * market.size
         assert brute_force_ic_ir(profile, market, sol.periods, sol.prices, sol.boundaries).passed
@@ -1365,8 +1370,7 @@ def test_random_markets_pass_certificate_and_sweep_rises(scenario):
     assert cert.passed
     # a one-item menu at a fixed period is a restricted K = 1 menu
     baseline = max(
-        fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, t, coverage="optimized").profit
-        for t in scenario.baselines
+        optimized_cutoff_profit(scenario.profile, scenario.cost_model, scenario.market, t) for t in scenario.baselines
     )
     assert sol.total_profit >= baseline - 1e-12 * max(1.0, abs(baseline))
     with tempfile.TemporaryDirectory() as out:

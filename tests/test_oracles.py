@@ -36,10 +36,11 @@ from planmenu.oracles import (
     _first_best_surplus_rates,
     brute_force_ic_ir,
     build_comparison,
-    fixed_period_baseline,
+    full_coverage_profit,
     grid_oracle_discrete,
     grid_oracle_grouped,
     monte_carlo_valuation,
+    optimized_cutoff_profit,
     social_metrics,
 )
 from planmenu.scenarios import load_scenario
@@ -616,67 +617,55 @@ def test_monte_carlo_validation(profile):
 
 def test_full_coverage_baseline_continuous(profile, cost_model):
     market = make_market("uniform", 0.0, 6.0)
-    base = fixed_period_baseline(profile, cost_model, market, 1.0, coverage="full")
-    assert abs(base.price - V_6_1) < 1e-12
-    assert base.marginal_sigma == 6.0
-    assert abs(base.served - 1.0) < 1e-12
-    assert abs(base.profit - (V_6_1 - 10.5)) < 1e-12
-    base2 = fixed_period_baseline(profile, cost_model, market, 2.0, coverage="full")
-    assert abs(base2.profit - (V_6_2 - 11.0)) < 1e-12
+    base = full_coverage_profit(profile, cost_model, market, 1.0)
+    assert abs(base - (V_6_1 - 10.5)) < 1e-12
+    base2 = full_coverage_profit(profile, cost_model, market, 2.0)
+    assert abs(base2 - (V_6_2 - 11.0)) < 1e-12
 
 
 def test_optimized_baseline_matches_scan(profile, cost_model):
     market = make_market("uniform", 0.0, 6.0)
-    base = fixed_period_baseline(profile, cost_model, market, 1.0, coverage="optimized")
+    base = optimized_cutoff_profit(profile, cost_model, market, 1.0)
     sig = np.arange(1e-3, 6.0, 1e-3)
     scan = market.cdf(sig) * (valuation(profile, sig, 1.0) - cost(cost_model, 1.0))
-    assert base.profit >= float(scan.max()) - 1e-9
-    assert base.profit - float(scan.max()) < 1e-6
-    assert abs(base.marginal_sigma - sig[np.argmax(scan)]) < 2e-3
-    assert abs(base.profit - base.served * (base.price - 10.5)) < 1e-12
+    assert base >= float(scan.max()) - 1e-9
+    assert base - float(scan.max()) < 1e-6
 
 
 def test_discrete_baselines(profile, cost_model, case1):
     market, _ = case1
-    full = fixed_period_baseline(profile, cost_model, market, 1.0, coverage="full")
-    assert abs(full.price - V_61_1) < 1e-12
-    assert full.served == 11.0
-    assert abs(full.profit - 11.0 * (V_61_1 - 10.5)) < 1e-12
+    full = full_coverage_profit(profile, cost_model, market, 1.0)
+    assert abs(full - 11.0 * (V_61_1 - 10.5)) < 1e-12
 
-    opt = fixed_period_baseline(profile, cost_model, market, 1.0, coverage="optimized")
+    opt = optimized_cutoff_profit(profile, cost_model, market, 1.0)
     margins = valuation(profile, market.sigmas, 1.0) - 10.5
     profits = np.cumsum(market.counts) * margins
-    assert opt.profit == float(profits.max())
-    assert opt.marginal_sigma == market.sigmas[np.argmax(profits)]
-    assert opt.profit >= full.profit
+    assert opt == float(profits.max())
+    assert opt >= full
 
 
 def test_baseline_rejects_bad_period(profile, cost_model):
-    for market, coverage in itertools.product((make_market("uniform", 0.0, 6.0), case1_market()), ("full", "optimized")):
+    baselines = (full_coverage_profit, optimized_cutoff_profit)
+    for market, baseline in itertools.product((make_market("uniform", 0.0, 6.0), case1_market()), baselines):
         for bad in (0.0, -1.0, np.array([1.0, 0.0]), np.array([-1.0, 2.0])):
             with pytest.raises(ValueError):
-                fixed_period_baseline(profile, cost_model, market, bad, coverage)
+                baseline(profile, cost_model, market, bad)
 
 
-BASELINE_FIELDS = ("period", "price", "marginal_sigma", "served", "profit")
-
-
-@pytest.mark.parametrize("coverage", ["full", "optimized"])
+@pytest.mark.parametrize("baseline", [full_coverage_profit, optimized_cutoff_profit], ids=["full", "optimized"])
 @pytest.mark.parametrize(
     "name", ["case1_discrete", "case2_mountain", "uniform_k6", "exponential_k6", "truncated_normal_k6"]
 )
-def test_baseline_over_array_of_periods_is_each_period_bit_for_bit(name, coverage):
+def test_baseline_over_array_of_periods_is_each_period_bit_for_bit(name, baseline):
     # one call over every period does each period's arithmetic alone; a
-    # scalar call returns Python floats
+    # scalar call returns a Python float
     sc = load_scenario(name)
     periods = (0.5, 1.0, 2.0, 3.0)
-    batch = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, np.array(periods), coverage)
+    batch = baseline(sc.profile, sc.cost_model, sc.market, np.array(periods))
     for i, t in enumerate(periods):
-        one = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, t, coverage)
-        assert one.coverage == batch.coverage == coverage
-        for f in BASELINE_FIELDS:
-            assert type(getattr(one, f)) is float
-            assert getattr(batch, f)[i] == getattr(one, f)
+        one = baseline(sc.profile, sc.cost_model, sc.market, t)
+        assert type(one) is float
+        assert batch[i] == one
 
 
 @pytest.mark.parametrize("name", ["case1_discrete", "uniform_k6"])
@@ -690,9 +679,8 @@ def test_optimized_baseline_serves_no_one_when_every_cutoff_loses(name, tmp_path
         solver=sc.solver and dataclasses.replace(sc.solver, n_groups=1, restarts=0),  # None for a discrete market
     )
     for t in sc.baselines:
-        base = fixed_period_baseline(sc.profile, sc.cost_model, sc.market, t, "optimized")
-        assert base.served == 0.0 and base.profit == 0.0 and math.copysign(1.0, base.profit) == 1.0
-        assert math.isnan(base.marginal_sigma) and math.isnan(base.price)
+        base = optimized_cutoff_profit(sc.profile, sc.cost_model, sc.market, t)
+        assert base == 0.0 and math.copysign(1.0, base) == 1.0
     with open(runner.run(sc, tmp_path).paths["comparison"], newline="") as fh:
         rows = {r["label"]: r for r in csv.DictReader(fh)}
     for t in sc.baselines:
@@ -861,11 +849,11 @@ def test_build_comparison_arithmetic(profile, cost_model, case1):
     assert report.optimal_profit == sol.total_profit
     assert [row.period for row in report.baselines] == [1.0, 2.0]
     for row in report.baselines:
-        full = fixed_period_baseline(profile, cost_model, market, row.period, "full")
-        opt = fixed_period_baseline(profile, cost_model, market, row.period, "optimized")
-        assert row.profit_full == full.profit
-        assert row.profit_optimized == opt.profit
-        assert abs(row.uplift_full_percent - 100.0 * (sol.total_profit / full.profit - 1.0)) < 1e-9
-        assert abs(row.uplift_optimized_percent - 100.0 * (sol.total_profit / opt.profit - 1.0)) < 1e-9
+        full = full_coverage_profit(profile, cost_model, market, row.period)
+        opt = optimized_cutoff_profit(profile, cost_model, market, row.period)
+        assert row.profit_full == full
+        assert row.profit_optimized == opt
+        assert abs(row.uplift_full_percent - 100.0 * (sol.total_profit / full - 1.0)) < 1e-9
+        assert abs(row.uplift_optimized_percent - 100.0 * (sol.total_profit / opt - 1.0)) < 1e-9
         assert row.uplift_optimized_percent <= row.uplift_full_percent
     assert report.social is not None and report.social.ratio <= 1.0 + 1e-9

@@ -15,7 +15,7 @@ import planmenu
 from planmenu import cli, discrete, grouped, market, oracles, runner
 from planmenu.distributions import ContinuousMarket, DiscreteMarket
 from planmenu.market import CostModel, DemandProfile
-from planmenu.oracles import fixed_period_baseline
+from planmenu.oracles import full_coverage_profit, optimized_cutoff_profit
 from planmenu.scenarios import (
     Scenario,
     SolverSpec,
@@ -180,11 +180,11 @@ def test_comparison_csv_recomputable(case1_run):
     opt = float(rows["optimal"]["profit"])
     assert abs(opt - artifacts.solution.total_profit) < 1e-9
     for t in scenario.baselines:
-        for cov, key in (("full", "full_coverage"), ("optimized", "optimized_cutoff")):
+        for baseline, key in ((full_coverage_profit, "full_coverage"), (optimized_cutoff_profit, "optimized_cutoff")):
             row = rows[f"fixed_t={t:g}_{key}"]
-            base = fixed_period_baseline(scenario.profile, scenario.cost_model, scenario.market, t, coverage=cov)
-            assert abs(float(row["profit"]) - base.profit) < 1e-9
-            assert abs(float(row["uplift_percent"]) - 100.0 * (opt / base.profit - 1.0)) < 1e-6
+            base = baseline(scenario.profile, scenario.cost_model, scenario.market, t)
+            assert abs(float(row["profit"]) - base) < 1e-9
+            assert abs(float(row["uplift_percent"]) - 100.0 * (opt / base - 1.0)) < 1e-6
     ratio = float(rows["social_surplus_ratio_percent"]["profit"])
     contract = float(rows["social_surplus_contract"]["profit"])
     first_best = float(rows["social_surplus_first_best"]["profit"])
@@ -273,6 +273,34 @@ def test_artifacts_byte_deterministic(tmp_path):
     assert (a / "fig8_sweep.csv").read_bytes() == (b / "fig8_sweep.csv").read_bytes()
 
 
+def test_interrupted_rewrite_keeps_the_previous_artifacts(tmp_path, monkeypatch):
+    # a rerun into the same out_dir that fails while serializing, or
+    # while writing a file, leaves the first run's bytes and no .part file
+    scenario = load_scenario("case1_discrete")
+    names = ["certificate.json", "comparison.csv", "solution.csv"]
+    runner.run(scenario, tmp_path)
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("serializer failed")
+
+    def full_disk(path, *args, **kwargs):
+        with open(path, *args, **kwargs) as fh:
+            fh.write("half a row")
+        raise OSError(28, "No space left on device")
+
+    for target, name, fault, error in (
+        (json.JSONEncoder, "iterencode", refuse, RuntimeError),
+        (runner, "open", full_disk, OSError),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fault, raising=False)
+            with pytest.raises(error):
+                runner.run(scenario, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert {name: (tmp_path / name).read_bytes() for name in names} == first
+
+
 def test_solve_without_seed_is_reproducible(tmp_path, capsys):
     # a grouped scenario with no seed draws its restarts from seed 0, so
     # two runs write the same bytes as a run with "seed": 0
@@ -359,11 +387,9 @@ def test_sweep_groups(tmp_path):
     assert [r["groups"] for r in rows] == [1, 2, 3]
     profits = [r["profit"] for r in rows]
     assert profits == sorted(profits)
-    base = fixed_period_baseline(
-        scenario.profile, scenario.cost_model, scenario.market, 1.0, coverage="full"
-    )
+    base = full_coverage_profit(scenario.profile, scenario.cost_model, scenario.market, 1.0)
     for r in rows:
-        assert abs(r["uplift_percent"] - 100.0 * (r["profit"] / base.profit - 1.0)) < 1e-9
+        assert abs(r["uplift_percent"] - 100.0 * (r["profit"] / base - 1.0)) < 1e-9
     with open(tmp_path / "fig8_sweep.csv", newline="") as fh:
         disk = list(csv.DictReader(fh))
     assert [int(r["groups"]) for r in disk] == [1, 2, 3]
