@@ -90,6 +90,13 @@ class ContinuousMarket:
     A parameter the family does not read (a rate on a uniform market, a
     loc or scale on an exponential one) is a ValueError naming it and the
     kind, and so is a missing or non-finite one it reads.
+
+    A truncated normal window whose floor lies above loc, z_lo =
+    (sigma_min - loc) / scale > 0, takes its mass, G and quantile from
+    the upper tail Phi(-z) (the survival function, as in
+    normals.std_normal_sf), where Phi(z) - Phi(z_lo) would cancel; every
+    other window keeps Phi(z).  A window deep in the lower tail still
+    loses digits where Phi goes subnormal.
     """
 
     kind: str
@@ -119,8 +126,13 @@ class ContinuousMarket:
         elif self.kind == "truncated_normal":
             if self.loc is None or self.scale is None or not (np.isfinite(self.loc) and 0 < self.scale < np.inf):
                 raise ValueError("truncated_normal market needs a finite loc and a finite scale > 0")
-            self._cdf_lo = float(std_normal_cdf((self.sigma_min - self.loc) / self.scale))
-            self._norm = float(std_normal_cdf((self.sigma_max - self.loc) / self.scale)) - self._cdf_lo
+            z_lo, z_hi = (self.sigma_min - self.loc) / self.scale, (self.sigma_max - self.loc) / self.scale
+            # G is taken from tail * Phi(tail * z), which is Phi(z) - 1 = -Phi(-z)
+            # above loc (tail = -1): the upper tail keeps the digits that
+            # Phi(z) - Phi(z_lo) would cancel
+            self._tail = -1.0 if z_lo > 0 else 1.0
+            self._cdf_lo = self._tail * float(std_normal_cdf(self._tail * z_lo))
+            self._norm = self._tail * float(std_normal_cdf(self._tail * z_hi)) - self._cdf_lo
         if not self._norm >= np.finfo(float).tiny:
             raise ValueError(f"window carries no representable probability mass ({self._norm:.3g})")
         self._slack = 1e-12 * max(1.0, abs(float(self.sigma_max)))
@@ -154,7 +166,8 @@ class ContinuousMarket:
         z = (sv - self.loc) / self.scale
         phi = std_normal_pdf(z)
         scaled = self.scale * self._norm
-        return (std_normal_cdf(z) - self._cdf_lo) / self._norm, phi / scaled, -(z / self.scale) * phi / scaled
+        G = (self._tail * std_normal_cdf(self._tail * z) - self._cdf_lo) / self._norm
+        return G, phi / scaled, -(z / self.scale) * phi / scaled
 
     def pdf(self, sigma):
         """g(sigma)."""
@@ -175,9 +188,9 @@ class ContinuousMarket:
             with np.errstate(divide="ignore"):  # log(0) where exp(-rate*sigma_max) underflows; clipped below
                 out = -np.log(self._exp_lo - pv * self._norm) / self.rate
         else:
-            base = self._cdf_lo + pv * self._norm
+            base = self._tail * (self._cdf_lo + pv * self._norm)
             base = np.clip(base, 1e-300, 1.0 - 1e-16)
-            out = self.loc + self.scale * std_normal_quantile(base)
+            out = self.loc + self.scale * (self._tail * std_normal_quantile(base))
         out = np.clip(out, self.sigma_min, self.sigma_max)
         return out[()]
 

@@ -79,7 +79,6 @@ from typing import List
 import numpy as np
 
 from .discrete import (
-    DEFAULT_T_DOMAIN,
     PooledBlock,
     _cost_slopes,
     _lockstep_root,
@@ -87,7 +86,7 @@ from .discrete import (
     repair_monotone,
     search_periods,
 )
-from .market import cost, valuation_dsigma2
+from .market import DEFAULT_T_DOMAIN, cost, valuation_dsigma2
 
 #: A settled round stops its start once it improves relative profit by no
 #: more than REL_PROFIT_TOL, which is also the gain a later start needs to

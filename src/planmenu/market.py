@@ -52,6 +52,17 @@ class DemandProfile:
         return self.q - self.mu
 
 
+#: Search window for service periods (days, say): strictly positive,
+#: generous upper end.  Objectives flatten far below the cap; the
+#: solver warns if an argmax presses against it.
+DEFAULT_T_DOMAIN = (1e-4, 600.0)
+#: Points of the geometric grid on DEFAULT_T_DOMAIN where a custom W is
+#: checked for convexity, and the rounding allowance of that check,
+#: relative to the largest |W| on the grid.
+CONVEXITY_POINTS = 257
+CONVEXITY_RTOL = 16 * np.finfo(float).eps
+
+
 @dataclass
 class CostModel:
     """Provider cost per unit time: C(t) = W(t) + c0 for a period-t plan.
@@ -60,6 +71,15 @@ class CostModel:
     carrying the plan for a period of length t, convex nondecreasing
     with W(0) = 0.  Default is linear, W(t) = c1 * t; a custom `w`
     callable, which must broadcast over numpy arrays, replaces it (c1 stays 0).
+
+    Convexity is what makes every period objective strictly concave
+    (see discrete.block_periods), so a custom w is checked once, here:
+    on CONVEXITY_POINTS geometric points of DEFAULT_T_DOMAIN no value of
+    W may lie above the chord of its two neighbours by more than
+    rounding (CONVEXITY_RTOL of the largest |W| there).  One that does,
+    a non-finite value, or a w that does not return one value per
+    period, is a ValueError naming w.  The searches themselves probe
+    nothing.
     """
 
     c0: float
@@ -73,6 +93,14 @@ class CostModel:
             raise ValueError("c1 applies to the linear cost only; a custom w carries its own linear term")
         if not (0 <= self.c1 < np.inf):
             raise ValueError("c1 must be finite and nonnegative")
+        if self.w is not None:
+            t = np.geomspace(*DEFAULT_T_DOMAIN, CONVEXITY_POINTS)
+            w = np.asarray(self.w(t), dtype=float)
+            allowance = CONVEXITY_RTOL * np.abs(w).max()  # NaN or inf where any W is not finite
+            share = (t[2:] - t[1:-1]) / (t[2:] - t[:-2])  # the left neighbour's weight in the chord
+            if not (w.shape == t.shape and allowance < np.inf
+                    and np.all(w[1:-1] - share * w[:-2] - (1.0 - share) * w[2:] <= allowance)):
+                raise ValueError(f"cost w must give one finite value per period, convex in t, on the plan window {DEFAULT_T_DOMAIN}")
 
 
 # The threshold in two halves, so that a period search checks and prepares

@@ -43,9 +43,8 @@ from importlib import resources
 from pathlib import Path
 from typing import List, Optional
 
-from .discrete import DEFAULT_T_DOMAIN
 from .distributions import ContinuousMarket, DiscreteMarket
-from .market import CostModel, DemandProfile
+from .market import DEFAULT_T_DOMAIN, CostModel, DemandProfile
 
 
 @dataclass

@@ -21,7 +21,8 @@ from planmenu.discrete import (
     solve_discrete,
 )
 from planmenu.distributions import DiscreteMarket
-from planmenu.market import CostModel, cost, valuation, valuation_dt
+from planmenu import market as market_module
+from planmenu.market import CostModel, DemandProfile, _dt_dtt, _types, cost, valuation, valuation_dt
 from planmenu.oracles import full_coverage_profit, optimized_cutoff_profit
 from planmenu.scenarios import load_scenario
 
@@ -111,11 +112,10 @@ def test_lockstep_root_cubic_rules_cross_a_flat_floor(start):
 
 
 def test_period_search_rejects_convex_objective(profile):
-    # a falling quadratic W makes every P_i convex in t: the three-point
-    # probe refuses the search instead of returning an endpoint
-    convex = CostModel(c0=1.0, w=lambda t: -0.01 * t * t)
-    with pytest.raises(ValueError, match="concavity probe"):
-        solve_discrete(profile, convex, DiscreteMarket(sigmas=[1.0, 2.0], counts=[1.0, 1.0]))
+    # a falling quadratic W would make every P_i convex in t: CostModel
+    # refuses it where it is built, so no search ever sees it
+    with pytest.raises(ValueError, match=r"^cost w must give one finite value per period, convex in t, on the plan window \(0.0001, 600.0\)$"):
+        CostModel(c0=1.0, w=lambda t: -0.01 * t * t)
     # a slope that never turns positive pins the period to the window's
     # low edge exactly: sigma = 0 has V_t = 0, so P' = -c1
     one = np.ones(1)
@@ -620,19 +620,79 @@ def test_first_best_row_of_near_duplicate_markets(profile, cost_model, market):
     assert_first_best_row_is_the_lone_search(profile, cost_model, market)
 
 
-def test_first_best_row_that_pools_raises(monkeypatch):
-    # a pooled block in row 1 would silently change first_best_periods and
-    # report flat indices >= n in pooled_blocks: the solve refuses it
-    sc = load_scenario("case1_discrete")
-    n, search = sc.market.n_types, discrete.search_periods
+def test_first_best_row_that_pools_keeps_the_menu_blocks(profile, cost_model):
+    # four adjacent floats: two first-best searches descend by a rounding,
+    # so the first-best row pools; the solve returns, pooled_blocks keeps
+    # only the menu row's blocks, and the shared first-best period is the
+    # lone searches' to within one rounding
+    sig = [5.113845414205562]
+    for _ in range(3):
+        sig.append(float(np.nextafter(sig[-1], np.inf)))
+    market = DiscreteMarket(sigmas=sig, counts=np.ones(4))
+    searched = []
+    search = discrete.search_periods
 
-    def pooling_first_best(*args):
-        rows, pooled = search(*args)
-        return rows, pooled + [discrete.PooledBlock(n, n + 1, float(rows[1, 0]))]
+    def tap(*args):
+        searched.append(search(*args))
+        return searched[-1]
 
-    monkeypatch.setattr(discrete, "search_periods", pooling_first_best)
-    with pytest.raises(RuntimeError, match="first-best periods descended"):
-        solve_discrete(sc.profile, sc.cost_model, sc.market)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrete, "search_periods", tap)
+        sol = solve_discrete(profile, cost_model, market)
+    [(_, pooled)] = searched
+    assert any(block.start >= 4 for block in pooled)
+    assert all(block.stop < 4 for block in sol.pooled_blocks)
+    assert [(b.start, b.stop) for b in sol.pooled_blocks] == [(b.start, b.stop) for b in pooled if b.start < 4]
+    items = np.arange(4)
+    alone = block_periods(profile, cost_model, market.sigmas, np.ones(4), np.zeros(4), items, items)
+    assert np.all(np.abs(sol.first_best_periods - alone) <= 1e-15 * alone)
+    assert feasibility_check(profile, market, sol.periods, sol.prices).passed
+
+
+def test_period_search_values_nothing(profile, monkeypatch):
+    # a period search reads slopes alone: it calls neither valuation nor
+    # cost, for the linear cost and for a custom w, pooled blocks included
+    calls = []
+    for module in (discrete, market_module):
+        for name in ("valuation", "cost"):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    sig, n = np.array([0.5, 1.0, 2.0, 3.0]), 4
+    own, below = np.ones(n), np.arange(n, dtype=float)
+    for model in (CostModel(c0=10.0, c1=0.5), CostModel(c0=10.0, w=lambda t: 0.05 * t * t)):
+        block_periods(profile, model, sig, own, below, np.arange(n), np.arange(n))
+        block_periods(profile, model, sig, own, below, np.array([0, 1]), np.array([0, 3]))
+        discrete.search_periods(profile, model, np.stack([sig, sig]), np.stack([own, own]), np.stack([below, 0 * below]))
+    assert calls == []
+
+
+@st.composite
+def period_blocks(draw):
+    """n ascending positive types, each with its rent type (the one
+    below) and counts, a demand profile (q = mu included) and the
+    curvature c2 of W = c2 t^2 + c1 t (0: a linear cost)."""
+    n = draw(st.integers(1, 4))
+    sig = np.cumsum(draw(st.lists(st.floats(0.05, 2.0), min_size=n + 1, max_size=n + 1)))
+    own = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
+    below = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n)))
+    mu = draw(st.floats(5.0, 20.0))
+    profile = DemandProfile(alpha=draw(st.floats(0.5, 2.0)), mu=mu, q=mu + draw(st.sampled_from([0.0, 0.5, 2.0, 5.0])))
+    return sig, own, below, profile, draw(st.sampled_from([0.0, 1e-3, 0.05]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(period_blocks())
+def test_period_objective_is_strictly_concave(block):
+    # the closed-form P'' = own (V_tt(sigma_i) - C'') + below (V_tt(sigma_i) - V_tt(sigma_{i-1}))
+    # of a block is negative across the plan window, and each member's rent
+    # term is <= 0: |V_tt| grows with sigma (block_periods' docstring)
+    sig, own, below, profile, c2 = block
+    t = np.geomspace(*DEFAULT_T_DOMAIN, 400)[:, None]
+    _, vtt = _dt_dtt(profile, _types(sig), t)
+    vtt_own, rent = vtt[:, 1:], vtt[:, 1:] - vtt[:, :-1]
+    assert np.all(rent <= 0)
+    p2 = np.sum(own * (vtt_own - 2.0 * c2) + below * rent, axis=1)
+    # P'' is 0 only where every V_tt underflows and the cost is linear
+    assert np.all((p2 < 0) | ((vtt_own == 0).all(axis=1) & (c2 == 0)))
 
 
 # --- one valuation call per check, against the per-call formulations --------

@@ -335,6 +335,41 @@ def test_cost_model_refuses_c1_beside_a_custom_w():
     assert cost(CostModel(c0=10.0, c1=0.0, w=lambda t: t ** 2), 3.0) == 19.0
 
 
+@pytest.mark.parametrize(
+    "w",
+    [
+        lambda t: -0.01 * t * t,  # concave everywhere
+        np.sqrt,  # concave, steepest near the window's low end
+        lambda t: 0.5 * t - 0.2 * np.maximum(t - 1.0, 0.0),  # a concave kink at t = 1
+        lambda t: np.where(t > 300.0, np.nan, t),  # not finite on part of the window
+        lambda t: np.where(t < 600.0, t, np.inf),  # not finite at the window's top
+        lambda t: 2.0,  # one value for every period: the period searches could not use it
+    ],
+    ids=["falling_quadratic", "sqrt", "kink", "nan", "inf", "constant"],
+)
+def test_cost_model_refuses_a_nonconvex_w(w):
+    # a custom w is checked once, where it is built: every period search
+    # relies on a convex cost for its strictly concave objective
+    with pytest.raises(ValueError, match=r"^cost w must give one finite value per period, convex in t, on the plan window \(0.0001, 600.0\)$"):
+        CostModel(c0=10.0, w=w)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        lambda t: -0.05 * t,  # linear and falling: convex to rounding
+        lambda t: 0 * t,
+        lambda t: 0.1 * t * t,
+        lambda t: 0.02 * t * t + 0.9 * t,
+        lambda t: 1e-3 * t**3 + 1e6 * t,  # a large linear term beside a small curvature
+        lambda t: 0.5 * t + 0.2 * np.maximum(t - 1.0, 0.0),  # a convex kink
+    ],
+    ids=["falling_linear", "zero", "quadratic", "quadratic_linear", "cubic", "kink"],
+)
+def test_cost_model_accepts_a_convex_w(w):
+    assert CostModel(c0=10.0, w=w).w is w
+
+
 def mp_valuation(profile, sigma, t):
     """(V, V_t) at 50 digits from the defining closed form."""
     with mpmath.workdps(50):

@@ -5,11 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planmenu
 from planmenu import cli, discrete, grouped, market, oracles, runner
@@ -538,6 +542,88 @@ def test_cli_solves_markets_with_tails_beyond_the_floats(tmp_path, capsys, name,
         rows = {r["label"]: float(r["profit"]) for r in csv.DictReader(fh)}
     for t in (1, 2):
         assert 0 < rows[f"fixed_t={t}_optimized_cutoff"] < rows["optimal"]
+
+
+def mp_truncated_normal_cdf(market, sigma):
+    """G(sigma) of a truncated normal market at 50 digits, from the upper
+    tail erfc(z / sqrt(2)) / 2."""
+    with mpmath.workdps(50):
+        tail = [mpmath.erfc((mpmath.mpf(x) - mpmath.mpf(market.loc)) / mpmath.mpf(market.scale) / mpmath.sqrt(2)) / 2
+                for x in (market.sigma_min, sigma, market.sigma_max)]
+        return float((tail[0] - tail[1]) / (tail[0] - tail[2]))
+
+
+def once_raising_scenario(tmp_path, kind):
+    """The two valid markets whose solves once ended in a traceback: four
+    adjacent-float types with the bundled discrete economics (the
+    first-best row pooled on a rounding tie), and a truncated normal
+    window above loc (Phi(z) - Phi(z_lo) cancelled, and the grouped
+    solve saw its profit fall)."""
+    if kind == "adjacent_floats":
+        cfg = json.loads((Path(planmenu.__file__).parent / "data" / "case1_discrete.json").read_text())
+        sigmas = [5.113845414205562, 5.113845414205563, 5.113845414205564, 5.1138454142055645]
+        assert sigmas[1:] == [float(np.nextafter(s, np.inf)) for s in sigmas[:-1]]
+        cfg["market"].update(sigmas=sigmas, counts=[1] * 4)
+    else:
+        cfg = json.loads((Path(planmenu.__file__).parent / "data" / "truncated_normal_k6.json").read_text())
+        cfg.update(alpha=1.2077035919279555, mu=8.900430456089964, q=8.900430456089964)
+        cfg["cost"].update(c0=0.7872551634314793, c1=1.351588179821651)
+        cfg["market"].update(
+            sigma_min=1.8116449468809894, sigma_max=3.271355401538763,
+            M=0.7834729382496802, W=0.19666471407174763, N=99.63545826698237,
+        )
+        cfg["solver"].update(K=3, restarts=1, seed=45)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["adjacent_floats", "upper_tail"])
+def test_cli_solves_markets_that_raised(tmp_path, capsys, kind):
+    path = once_raising_scenario(tmp_path, kind)
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out.endswith("(PASS)\n")
+    assert json.loads((tmp_path / "run" / "certificate.json").read_text())["passed"] is True
+    m = load_scenario(str(path)).market
+    if kind == "upper_tail":
+        # G(2.1766) was 4.6e-10 off and G(2.5415) read exactly 1.0
+        for sigma in np.append(np.linspace(m.sigma_min, m.sigma_max, 9), [2.1766, 2.5415]):
+            assert abs(m.cdf(sigma) - mp_truncated_normal_cdf(m, sigma)) <= 1e-12
+        assert m.cdf(2.5415) < 1.0
+
+
+@st.composite
+def once_raising_markets(draw):
+    """Random scenarios of the two shapes once_raising_scenario records:
+    2 to 6 discrete types, each the next float above the one before, or a
+    truncated normal window whose floor lies above loc (z_lo > 0)."""
+    mu = draw(st.floats(5.0, 20.0))
+    profile = DemandProfile(alpha=draw(st.floats(0.5, 2.0)), mu=mu, q=mu + draw(st.sampled_from([0.0, 0.5, 2.0, 5.0])))
+    cost_model = CostModel(c0=draw(st.floats(0.05, 0.95)) * mu, c1=draw(st.floats(0.05, 1.5)))
+    if draw(st.booleans()):
+        sigmas = [draw(st.floats(0.1, 8.0))]
+        for _ in range(draw(st.integers(1, 5))):
+            sigmas.append(float(np.nextafter(sigmas[-1], np.inf)))
+        counts = draw(st.lists(st.floats(0.5, 5.0), min_size=len(sigmas), max_size=len(sigmas)))
+        return Scenario("fuzzed", profile, cost_model, DiscreteMarket(sigmas, counts), None, [1.0])
+    loc, scale = draw(st.floats(0.0, 3.0)), draw(st.floats(0.05, 1.0))
+    lo = loc + scale * draw(st.floats(0.01, 8.0))
+    window = ContinuousMarket(
+        "truncated_normal", lo, lo + scale * draw(st.floats(0.5, 10.0)), size=draw(st.floats(1.0, 100.0)), loc=loc, scale=scale
+    )
+    solver = SolverSpec(n_groups=draw(st.integers(1, 3)), restarts=draw(st.integers(0, 1)), seed=draw(st.integers(0, 99)))
+    return Scenario("fuzzed", profile, cost_model, window, solver, [1.0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(once_raising_markets())
+def test_fuzzed_markets_of_the_raising_shapes_solve_and_certify(scenario):
+    with tempfile.TemporaryDirectory() as out:
+        assert runner.run(scenario, out).ok
+    m = scenario.market
+    if isinstance(m, ContinuousMarket):
+        for sigma in np.linspace(m.sigma_min, m.sigma_max, 5):
+            assert abs(m.cdf(sigma) - mp_truncated_normal_cdf(m, sigma)) <= 1e-12
 
 
 def test_cli_writes_failing_discrete_menu_as_fail(tmp_path, capsys, monkeypatch):
