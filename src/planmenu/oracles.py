@@ -12,16 +12,16 @@ module imports no solver's solution type.
   period (and, for groups, boundary) tuples on grids by one exact
   dynamic program: profit splits into per-stage terms linked only
   through adjacent stages, so two running maxima per stage return the
-  same optimum literal enumeration would.  The per-stage terms are
-  valued in chunks of type rows, with E(a) from the vectorized table
-  kernel (normals._excess_table), and the running-maximum tables are one
-  preallocated array, each stage computed in place into its slice (the
-  running maximum over types taken row by row); only those tables are
-  kept, and the backtrack recomputes the argmax along the optimal
-  path.  The discrete oracle is the grouped one with stage i pinned to
-  type i at mass S_i, the count of types up to i; both price by the
-  telescoping chain from raw valuations and costs — no per-type
-  objective, no pooling.
+  same optimum literal enumeration would.  The DP sweeps the type rows
+  in blocks: each block values its per-stage terms once, with E(a) from
+  the vectorized table kernel (normals._excess_table), runs every stage
+  on two block-sized work tables and hands the next block each stage's
+  running maximum over types so far.  No float table outlives its
+  block; two packed bits per cell and stage mark where each running
+  maximum is attained, and the backtrack follows them.  The discrete
+  oracle is the grouped one with stage i pinned to type i at mass S_i,
+  the count of types up to i; both price by the telescoping chain from
+  raw valuations and costs — no per-type objective, no pooling.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (standard-normal draws from a seeded 64-bit generator).
 - full_coverage_profit and optimized_cutoff_profit are the profits of
@@ -41,6 +41,7 @@ module imports no solver's solution type.
   in the arithmetic of scipy.integrate.fixed_quad.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -52,11 +53,13 @@ from .grouped import TUPLE_BUDGET, _whole, block_boundaries
 from .market import _valuation, cost, valuation
 from .normals import _excess_table
 
-# The grid DP holds psi and one table per stage after the first, so
-# TUPLE_BUDGET (shared with the grouped solver) bounds it to 0.8 GB for a
-# grouped oracle, and twice that for a discrete one, whose stages each
-# carry their own psi.
-# cells of psi valued at once: the six chunk-sized arrays the valuation and its table kernel hold then fit in cache
+# The grid DP keeps two bits per cell and stage after the first, which
+# TUPLE_BUDGET (shared with the grouped solver) bounds to 25 MB.  Its floats
+# are a few blocks of _PSI_CHUNK_CELLS cells (of one type row, where a row
+# holds more) and, where blocks split a shared row, one running-max row per
+# stage: at most the bits' size again while a block holds 32 rows or more,
+# as it does on grids of up to 512 periods.
+# cells of psi valued at once, and of a DP block: the six chunk-sized arrays the valuation and its table kernel hold then fit in cache
 _PSI_CHUNK_CELLS = 2**14
 #: Equispaced types the IC/IR scan checks across a continuous market's window.
 IC_SCAN_POINTS = 500
@@ -174,14 +177,20 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     its own psi, with psi_k(s, t) = mass_k(s) * (V(sigmas_k[s], t) - C(t)).
 
     sigmas and mass hold one type row per stage, or one row all stages
-    share; psi is valued _PSI_CHUNK_CELLS cells at a time over their
-    flattened rows, its E(a) by the table kernel normals._excess_table.  Two running maxima per stage,
+    share.  Two running maxima per stage,
     D_k = psi_k + cummax_s[cummax_t D_{k-1} - psi_{k-1}], yield the
-    maximum literal enumeration would; ties go to the latest index.  The
-    tables D_1..D_{K-1} are one preallocated array, each computed in
-    place into its slice, with the running maximum over s taken row by
-    row; max is exact and each sum sees the same operands, so every
-    table is bit for bit the expression's.
+    maximum literal enumeration would.  A shared row is swept in blocks
+    of _PSI_CHUNK_CELLS cells: each block values its psi once (E(a) by
+    the table kernel normals._excess_table), runs every stage on two
+    block-sized work tables and hands the next block one row per stage,
+    the running max over s so far.  Rows of their own are valued in
+    chunks of that many cells too, and swept as one block.  max is exact
+    and each sum sees the same operands, so every table is bit for bit
+    the expression's.  No table outlives its block: per stage and cell,
+    two packed bits mark where D_{k-1} reaches its running max over t
+    and where stage k's running max over s is the row's own term, and
+    the backtrack follows them to the latest index on ties, as an argmax
+    over the reversed tables would.
     Returns (profit, the types and the periods of a maximizing tuple).
     """
     t = np.asarray(t_grid, dtype=float)
@@ -192,32 +201,59 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     if n_stages * sigmas.shape[1] * t.size > TUPLE_BUDGET:
         raise ValueError("grid DP exceeds the work budget")
 
-    rows = np.broadcast_to(sigmas, (n_stages, sigmas.shape[1]))
-    psi = np.empty(sigmas.shape + t.shape)
-    flat_s, flat_m, flat_psi = sigmas.reshape(-1, 1), mass.reshape(-1, 1), psi.reshape(-1, t.size)
-    c, step = cost(cost_model, t), max(1, _PSI_CHUNK_CELLS // t.size)
-    for i in range(0, flat_s.shape[0], step):
-        chunk = slice(i, i + step)
-        np.multiply(flat_m[chunk], _valuation(profile, flat_s[chunk], t, _excess_table) - c, out=flat_psi[chunk])
-    psi = np.broadcast_to(psi, (n_stages,) + psi.shape[1:])
+    K, S, T = n_stages, sigmas.shape[1], t.size
+    c, step = cost(cost_model, t), max(1, _PSI_CHUNK_CELLS // T)
 
-    D = [psi[0], *np.empty((n_stages - 1,) + psi.shape[1:])]
-    for k in range(1, n_stages):  # D_k in place, its running max over s row by row
-        T = D[k]
-        np.maximum.accumulate(D[k - 1], axis=1, out=T)
-        T -= psi[k - 1]
-        for i in range(1, T.shape[0]):
-            np.maximum(T[i - 1], T[i], out=T[i])
-        T += psi[k]
+    def psi(s, m):  # psi of a run of types and their masses, one row each: V - C, times the mass, in place
+        v = _valuation(profile, s[:, None], t, _excess_table)
+        v -= c
+        v *= m[:, None]
+        return v
 
-    s, j = map(int, np.unravel_index(int(np.argmax(D[-1])), D[-1].shape))
-    profit, s_idx, j_idx = float(D[-1][s, j]), [s], [j]
-    for k in range(n_stages - 1, 0, -1):  # the latest type, then period, attaining stage k-1's running maxima
-        s -= int(np.argmax((D[k - 1][: s + 1, : j + 1].max(axis=1) - psi[k - 1][: s + 1, j])[::-1]))
-        j -= int(np.argmax(D[k - 1][s, : j + 1][::-1]))
+    shared = sigmas.shape[0] == 1
+    if shared:  # blocks of the shared row, each valued once for every stage
+        blocks = ((i, itertools.repeat(psi(sigmas[0, i : i + step], mass[0, i : i + step]), K)) for i in range(0, S, step))
+    else:  # one block of all S types, the stages' rows valued a chunk at a time
+        chunk = max(1, step // S)
+        stage_rows = (row for k in range(0, K, chunk) for row in psi(sigmas[k : k + chunk].ravel(), mass[k : k + chunk].ravel()).reshape(-1, S, T))
+        blocks = [(0, stage_rows)]
+
+    # [0] D_{k-1} reaches its running max over t, [1] stage k's running max over s is the row's own term
+    bits = np.empty((2, K - 1, S, -(-T // 8)), dtype=np.uint8)
+    # each stage's running max over the rows of earlier blocks, written only where another block follows
+    carry = np.full((K - 1, T), -np.inf) if shared and S > step else np.broadcast_to(-np.inf, (K - 1, T))
+    work = np.empty((2, min(step, S) if shared else S, T))
+    flags = np.empty(work.shape, dtype=bool)
+    best = None
+    for r0, stage_psi in blocks:
+        D = prev = next(stage_psi)
+        n = len(D)
+        X, Y, E, rows = work[0, :n], work[1, :n], flags[:, :n], slice(r0, r0 + n)
+        for k in range(1, K):
+            cur = next(stage_psi)
+            np.fmax.accumulate(D, axis=1, out=Y)
+            np.equal(D, Y, out=E[0])
+            Y -= prev
+            np.maximum(carry[k - 1], Y[0], out=X[0])
+            for i in range(1, n):
+                np.maximum(X[i - 1], Y[i], out=X[i])
+            np.equal(X, Y, out=E[1])
+            bits[:, k - 1, rows] = np.packbits(E, axis=-1)
+            if r0 + n < S:
+                carry[k - 1] = X[-1]
+            X += cur
+            D, prev = X, cur
+        i = int(np.argmax(D))
+        if best is None or D.flat[i] > best:  # the first maximum, as one argmax over the whole table
+            best, s, j = float(D.flat[i]), r0 + i // T, i % T
+
+    s_idx, j_idx = [s], [j]
+    for k in range(K - 2, -1, -1):  # the latest type, then period, attaining stage k's running maxima
+        s -= int(np.argmax((bits[1, k, : s + 1, j >> 3] & (0x80 >> (j & 7)))[::-1]))
+        j -= int(np.argmax(np.unpackbits(bits[0, k, s], count=j + 1)[::-1]))
         s_idx.insert(0, s)
         j_idx.insert(0, j)
-    return profit, rows[np.arange(n_stages), s_idx], t[j_idx]
+    return best, np.broadcast_to(sigmas, (K, S))[np.arange(K), s_idx], t[j_idx]
 
 
 def grid_oracle_discrete(profile, cost_model, market: DiscreteMarket, t_grid):

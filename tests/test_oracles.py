@@ -26,11 +26,12 @@ from planmenu.discrete import (
 )
 from planmenu.distributions import DiscreteMarket, make_market
 from planmenu.grouped import solve_alternating
-from planmenu.market import _valuation, cost, valuation, valuation_dt
+from planmenu.market import CostModel, _valuation, cost, valuation, valuation_dt
 from planmenu.normals import _excess_table
 from planmenu.oracles import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _PSI_CHUNK_CELLS,
     IC_SCAN_POINTS,
     TUPLE_BUDGET,
     _first_best_surplus_rates,
@@ -508,20 +509,23 @@ def bundled_sigma_grid(market):
 def assert_discrete_oracle_is_reference(profile, cost_model, market, t_grid):
     best, periods = grid_oracle_discrete(profile, cost_model, market, t_grid)
     ref = reference_grid_dp(profile, cost_model, market.sigmas[:, None], np.cumsum(market.counts)[:, None], market.n_types, t_grid)
-    assert best == ref[0]
+    assert best.hex() == ref[0].hex()  # == cannot tell -0.0 from 0.0
     assert periods.tolist() == ref[2].tolist()
+
+
+def assert_grouped_oracle_is_reference(profile, cost_model, market, n_groups, sigma_grid, t_grid):
+    got = grid_oracle_grouped(profile, cost_model, market, n_groups, sigma_grid, t_grid)
+    mass = market.cdf(sigma_grid[None, :]) * market.size
+    ref = reference_grid_dp(profile, cost_model, sigma_grid[None, :], mass, n_groups, t_grid)
+    assert got[0].hex() == ref[0].hex()
+    assert [x.tolist() for x in got[1:]] == [x.tolist() for x in ref[1:]]
 
 
 @pytest.mark.parametrize("n_groups", [1, 2, 6])
 @pytest.mark.parametrize("name", ["uniform_k6", "exponential_k6", "truncated_normal_k6"])
 def test_grouped_grid_oracle_is_reference_dp_bit_for_bit(name, n_groups):
     sc = load_scenario(name)
-    sg = bundled_sigma_grid(sc.market)
-    got = grid_oracle_grouped(sc.profile, sc.cost_model, sc.market, n_groups, sg, ORACLE_T_GRID)
-    mass = sc.market.cdf(sg[None, :]) * sc.market.size
-    ref = reference_grid_dp(sc.profile, sc.cost_model, sg[None, :], mass, n_groups, ORACLE_T_GRID)
-    assert got[0] == ref[0]
-    assert [x.tolist() for x in got[1:]] == [x.tolist() for x in ref[1:]]
+    assert_grouped_oracle_is_reference(sc.profile, sc.cost_model, sc.market, n_groups, bundled_sigma_grid(sc.market), ORACLE_T_GRID)
 
 
 @pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
@@ -540,6 +544,38 @@ def test_grid_oracle_property_is_reference_dp_bit_for_bit(profile, cost_model, m
     assert_discrete_oracle_is_reference(profile, cost_model, market, np.arange(1, 121) * 0.25)
 
 
+@pytest.mark.parametrize("c1", [0.5, 0.0])
+def test_tie_heavy_grids_are_reference_dp_bit_for_bit(profile, c1):
+    # sigma = 0 values V at alpha*mu for every period, and a zero-mass row
+    # values psi at 0 for every period, so running maxima tie across whole
+    # rows (with no cost slope, the flat row's every cell ties); the
+    # backtrack must still take the reference's latest index, over a
+    # sigma grid that spans three blocks of rows
+    cost_model = CostModel(c0=10.0, c1=c1)
+    flat_lowest = DiscreteMarket(sigmas=[0.0, 0.0001, 1.5, 1.5001, 4.0], counts=[2.0, 1.0, 1.0, 0.5, 1.0])
+    assert_discrete_oracle_is_reference(profile, cost_model, flat_lowest, ORACLE_T_GRID)
+    market = make_market("exponential", 0.0, 6.0, rate=0.5)
+    sigma_grid = np.linspace(0.0, 6.0, 61)
+    assert market.cdf(sigma_grid[0]) == 0.0
+    for n_groups in (1, 2, 3, 8):
+        assert_grouped_oracle_is_reference(profile, cost_model, market, n_groups, sigma_grid, ORACLE_T_GRID)
+
+
+def test_unprofitable_grid_ties_its_zero_across_blocks(profile):
+    # c0 above alpha*mu: no cell earns, and the 34 rows below sigma = 1.65,
+    # where G underflows to 0, value psi at -0.0; the optimum ties across
+    # the first two blocks of rows and is the first of them, with its sign
+    market = make_market("truncated_normal", 0.0, 6.0, loc=5.5, scale=0.1)
+    sigma_grid = bundled_sigma_grid(market)
+    assert np.count_nonzero(market.cdf(sigma_grid) == 0.0) > _PSI_CHUNK_CELLS // ORACLE_T_GRID.size
+    no_profit = CostModel(c0=20.0, c1=0.5)
+    for n_groups in (1, 2, 3):
+        assert_grouped_oracle_is_reference(profile, no_profit, market, n_groups, sigma_grid, ORACLE_T_GRID)
+    best, bnd, per = grid_oracle_grouped(profile, no_profit, market, 1, sigma_grid, ORACLE_T_GRID)
+    assert best.hex() == "-0x0.0p+0"
+    assert (bnd.tolist(), per.tolist()) == ([0.0], [ORACLE_T_GRID[0]])
+
+
 def traced_peak_bytes(oracle, *args):
     oracle(*args)  # a first call, so lazily built state is not counted
     tracemalloc.start()
@@ -550,20 +586,31 @@ def traced_peak_bytes(oracle, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n_groups, tables", [(1, 2.5), (2, 2.5), (6, 7)])
-def test_grouped_grid_oracle_memory_is_its_tables(n_groups, tables):
-    # the DP holds psi and n_groups - 1 stage tables; psi's valuation
-    # temporaries come one chunk at a time, not as grid-sized arrays
+def dp_footprint_bytes(n_stages, n_types, n_periods, blocks_share_a_row=True):
+    """What the grid DP may hold at once: ten chunk-sized arrays for the
+    valuation's temporaries, two blocks' psi and the two work tables with
+    their flags, then per stage after the first two packed bits per cell
+    and, where the blocks split one shared row, one running-max row."""
+    bits = 2 * n_types * -(-n_periods // 8)
+    return 10 * _PSI_CHUNK_CELLS * 8 + (n_stages - 1) * (bits + 8 * n_periods * blocks_share_a_row)
+
+
+@pytest.mark.parametrize("n_groups", [1, 2, 6, 24])
+def test_grouped_grid_oracle_memory_is_its_tables(n_groups):
+    # no stage keeps a float table: one float table per stage would take
+    # 8 bytes per cell and stage, 32 times the bits, and at K = 24 more than
+    # seven times this bound
     sc = load_scenario("uniform_k6")
     sg = bundled_sigma_grid(sc.market)
     peak = traced_peak_bytes(grid_oracle_grouped, sc.profile, sc.cost_model, sc.market, n_groups, sg, ORACLE_T_GRID)
-    assert peak <= tables * sg.size * ORACLE_T_GRID.size * 8
+    assert peak <= dp_footprint_bytes(n_groups, sg.size, ORACLE_T_GRID.size)
 
 
 def test_discrete_grid_oracle_memory_is_its_tables(profile, cost_model):
-    # the DP holds one psi row and one stage table row per type
+    # the types' psi rows are valued a chunk at a time, and one stage's row
+    # is one block: no psi row or stage table per type is kept
     peak = traced_peak_bytes(grid_oracle_discrete, profile, cost_model, MANY_TYPES, ORACLE_T_GRID)
-    assert peak <= 2.5 * MANY_TYPES.n_types * ORACLE_T_GRID.size * 8
+    assert peak <= dp_footprint_bytes(MANY_TYPES.n_types, 1, ORACLE_T_GRID.size, blocks_share_a_row=False)
 
 
 # --- Monte Carlo cross-check ------------------------------------------------
