@@ -191,10 +191,7 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi, cubic=False):
     evaluated in one call: an item whose slope is <= 0 at lo sits at
     lo, one whose slope is >= 0 at hi at hi.  Each item stops once its
     step or its bracket is STEP_RTOL of x, or |slope| is within
-    SLOPE_RTOL of the sum of its absolute terms.  The search after that
-    first call runs under one np.errstate(all="ignore"): a degenerate
-    proposal is NaN or out of bracket and bisects, and a NaN slope stops
-    its item where it stands.
+    SLOPE_RTOL of the sum of its absolute terms.
 
     With cubic=True, state[0] is the slope's derivative, and two rules
     save evaluations on a search that starts far from its root.  A step
@@ -220,41 +217,42 @@ def _lockstep_root(slopes, newton, midpoint, x, lo, hi, cubic=False):
         moved = (np.inf, np.inf)  # sizes of the step before last and of the last step
     slope, scale, state = slope[2], scale[2], tuple(z[2] for z in state)
     active = ~(at_lo | at_hi)
-    with np.errstate(all="ignore"):
-        while True:
-            active &= np.abs(slope) > SLOPE_RTOL * scale
-            rising = active & (slope > 0)
-            falling = active & ~rising
-            np.copyto(a, x, where=rising)
-            np.copyto(b, x, where=falling)
-            active &= b - a > STEP_RTOL * x
-            if not active.any():
-                return x
+    while True:
+        active &= np.abs(slope) > SLOPE_RTOL * scale
+        rising = active & (slope > 0)
+        falling = active & ~rising
+        np.copyto(a, x, where=rising)
+        np.copyto(b, x, where=falling)
+        active &= b - a > STEP_RTOL * x
+        if not active.any():
+            return x
+        with np.errstate(all="ignore"):  # a degenerate proposal is NaN or out of bracket: bisect
             proposal = newton(x, slope, state)
-            inside = (proposal > a) & (proposal < b)
-            new = np.where(inside, proposal, midpoint(a, b))
-            if cubic:
-                for f, d, where in ((fa, da, rising), (fb, db, falling)):
-                    np.copyto(f, slope, where=where)
-                    np.copyto(d, state[0], where=where)
-                overshot = ((slope > 0) != (last_slope > 0)) & (np.abs(slope) > np.abs(last_slope))
-                cubic_step = active & (~inside | overshot)
-                if cubic_step.any():
+        inside = (proposal > a) & (proposal < b)
+        new = np.where(inside, proposal, midpoint(a, b))
+        if cubic:
+            for f, d, where in ((fa, da, rising), (fb, db, falling)):
+                np.copyto(f, slope, where=where)
+                np.copyto(d, state[0], where=where)
+            overshot = ((slope > 0) != (last_slope > 0)) & (np.abs(slope) > np.abs(last_slope))
+            cubic_step = active & (~inside | overshot)
+            if cubic_step.any():
+                with np.errstate(all="ignore"):
                     root = _hermite_root(a, b, fa, fb, da, db)
-                    cubic_step &= (root > a) & (root < b)
-                    slow = cubic_step & (np.abs(root - x) >= 0.5 * moved[0])
-                    new = np.where(cubic_step, np.where(slow, midpoint(a, b), root), new)
-                newton_step = inside & ~cubic_step
-            step, x = new - x, np.where(active, new, x)
-            active &= np.abs(step) > STEP_RTOL * x
-            if cubic:
-                size = np.abs(step)
-                active &= ~(newton_step & (size < last_step) & (size**3 <= STEP_RTOL * x * last_step**2))
-                last_slope, last_step = slope, np.where(newton_step, size, np.nan)
-                moved = (moved[1], size)
-            if not active.any():
-                return x
-            slope, scale, state = slopes(x)
+                cubic_step &= (root > a) & (root < b)
+                slow = cubic_step & (np.abs(root - x) >= 0.5 * moved[0])
+                new = np.where(cubic_step, np.where(slow, midpoint(a, b), root), new)
+            newton_step = inside & ~cubic_step
+        step, x = new - x, np.where(active, new, x)
+        active &= np.abs(step) > STEP_RTOL * x
+        if cubic:
+            size = np.abs(step)
+            active &= ~(newton_step & (size < last_step) & (size**3 <= STEP_RTOL * x * last_step**2))
+            last_slope, last_step = slope, np.where(newton_step, size, np.nan)
+            moved = (moved[1], size)
+        if not active.any():
+            return x
+        slope, scale, state = slopes(x)
 
 
 def block_periods(profile, cost_model, sigmas, own, below, first, last, guess=None):

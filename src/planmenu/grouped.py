@@ -159,28 +159,24 @@ def menu_profit(profile, cost_model, market, boundaries, periods):
     return _menu_terms(profile, cost_model, market, boundaries, periods)[0].sum(axis=-1)
 
 
-def _wedge(x, above):
-    """A block's own-point value minus its next-point value (x stacked on
-    axis -2 as _blocks stacks the periods), the next point counting only
-    below the top item."""
-    return x[..., 0, :] - above * x[..., 1, :]
-
-
 def _boundary_slopes(profile, market, sigma, blocks):
     """Each block's boundary term Q = G w at sigma, its slope
     Q' = g w + G w', the sum of the slope's absolute terms (its
-    rounding scale) and its curvature Q'' = g' w + 2 g w' + G w'';
-    w = V(s, t_first) - V(s, t_next) + C(t_next) - C(t_first) is the
+    rounding scale), its curvature Q'' = g' w + 2 g w' + G w'',
+    G(sigma), and V_t at the block's own and next points (stacked on axis
+    -2); w = V(s, t_first) - V(s, t_next) + C(t_next) - C(t_first) is the
     block's wedge (see _blocks).  sigma of shape (..., n) broadcasts
     against n blocks."""
     periods, above, dcost = blocks
     s = np.asarray(sigma, dtype=float)
-    v, vs, vss, _ = valuation_dsigma2(profile, s[..., None, :], periods)
+    v, vs, vss, vt = valuation_dsigma2(profile, s[..., None, :], periods)
     G, g, dg = market.density(s)
-    w, dw, ddw = _wedge(v, above) + dcost, _wedge(vs, above), _wedge(vss, above)
+    w = v[..., 0, :] - above * v[..., 1, :] + dcost
+    dw = vs[..., 0, :] - above * vs[..., 1, :]
+    ddw = vss[..., 0, :] - above * vss[..., 1, :]
     scale = g * (np.abs(v[..., 0, :]) + above * np.abs(v[..., 1, :]) + np.abs(dcost))
     scale += G * (np.abs(vs[..., 0, :]) + above * np.abs(vs[..., 1, :]))
-    return G * w, g * w + G * dw, scale, dg * w + 2.0 * g * dw + G * ddw
+    return G * w, g * w + G * dw, scale, dg * w + 2.0 * g * dw + G * ddw, G, vt
 
 
 def block_boundaries(profile, cost_model, market, periods, first, last, guess=None):
@@ -215,7 +211,7 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
     x = np.full(first.size, 0.5 * (lo + hi)) if guess is None else np.clip(guess, lo, hi)
 
     def slopes(s):
-        _, slope, scale, curvature = _boundary_slopes(profile, market, s, blocks)
+        _, slope, scale, curvature, _, _ = _boundary_slopes(profile, market, s, blocks)
         return np.where(scale > 0, slope, 1.0), scale, (curvature,)
 
     return _lockstep_root(
@@ -228,7 +224,7 @@ def _menu_terms(profile, cost_model, market, boundaries, periods):
     to total profit, and the closed-form gradient, dP/db then dP/dt,
 
       dP/dt_k = own_k (V_t(b_k, t_k) - C'(t_k)) + below_k (V_t(b_k, t_k) - V_t(b_{k-1}, t_k))
-      dP/db_k = Q_k'(b_k) = g w + G w'    (see _boundary_slopes)
+      dP/db_k = Q_k'(b_k)    (see _boundary_slopes)
 
     with own_k = G(b_k) - G(b_{k-1}) and below_k = G(b_{k-1}), all per
     unit mass.
@@ -237,13 +233,9 @@ def _menu_terms(profile, cost_model, market, boundaries, periods):
     V_t(b_{k-1}, t_k) boundary k-1's next-item point; item 0, whose rent
     mass is 0, takes its own.
     """
-    t, b = np.asarray(periods, dtype=float), np.asarray(boundaries, dtype=float)
+    t = np.asarray(periods, dtype=float)
     items = np.arange(t.shape[-1])
-    stacked, above, dcost = _blocks(cost_model, t, items, items)
-    v, vs, _, vt = valuation_dsigma2(profile, b[..., None, :], stacked)
-    G, g, _ = market.density(b)
-    w = _wedge(v, above) + dcost
-    q, d_b = G * w, g * w + G * _wedge(vs, above)
+    q, d_b, _, _, G, vt = _boundary_slopes(profile, market, boundaries, _blocks(cost_model, t, items, items))
     G_below = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
     vt_own = vt[..., 0, :]
     vt_rent = np.concatenate([vt_own[..., :1], vt[..., 1, :-1]], axis=-1)
@@ -374,17 +366,13 @@ def _newton_finish(profile, cost_model, market, menus, traces, spent):
             was_met, met[r] = met[r], residual[r] <= KKT_TOL
             if (was_met and met[r]) or not f.any():
                 continue
-            whole = f.all()  # every coordinate free: -H and the gradient as they are
-            block = neg_hessian[r] if whole else neg_hessian[r][np.ix_(f, f)]
+            block = neg_hessian[r][np.ix_(f, f)]
             try:
                 np.linalg.cholesky(block)
             except np.linalg.LinAlgError:  # -H is not positive definite
                 continue
-            if whole:
-                step = np.linalg.solve(block, grad[r])
-            else:
-                step = np.zeros_like(x[r])
-                step[f] = np.linalg.solve(block, grad[r, f])
+            step = np.zeros_like(x[r])
+            step[f] = np.linalg.solve(block, grad[r, f])
             pending.append((r, step, 1.0))
         moving, trials = [], []
         for r, step, share in pending:
