@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .market import DEFAULT_T_DOMAIN, _dt_dtt, _types, cost, valuation
+from .market import DEFAULT_T_DOMAIN, _cost_slopes, _dt_dtt, _types, cost, valuation
 
 INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -144,17 +144,6 @@ def period_objective(profile, cost_model, own, below, sigma, sigma_prev, t):
     sigma, sigma_prev, t = np.broadcast_arrays(sigma, sigma_prev, t)
     v, v_prev = valuation(profile, np.stack([sigma, sigma_prev]), t)
     return own * (v - cost(cost_model, t)) + below * (v - v_prev)
-
-
-def _cost_slopes(cost_model, t):
-    """(C'(t), C''(t)): (c1, 0) for the linear cost, central differences
-    of a custom W (of W, not of C = W + c0, whose larger values would
-    round the differences more coarsely)."""
-    if cost_model.w is None:
-        return cost_model.c1, 0.0
-    h = np.minimum(1e-4 * np.maximum(1.0, t), t)
-    down, mid, up = np.asarray(cost_model.w(np.stack([t - h, t, t + h])), dtype=float)
-    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
 
 
 def _hermite_root(a, b, fa, fb, da, db):

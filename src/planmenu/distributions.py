@@ -25,7 +25,10 @@ the subtracted term is then negative for y > c, at most
 c e^c g < (1 + c) g for 0 <= y <= c, and at most
 (1 - e^-u)(1 + c / u) g <= (1 + c) g for y = -u < 0.
 `verify_theorem3` checks a grid and reports the minimum slack over the
-points where it is defined (not where g underflows to 0).
+points where it is defined (not where g underflows to 0).  The proof
+covers every market the constructor builds, so the boundary searches
+rely on it and check nothing; `verify_theorem3` is the one check, which
+`planmenu check-dist` reports.
 """
 
 import math
@@ -215,28 +218,25 @@ class ContinuousMarket:
         points where it is defined; it holds when none is below THEOREM3_TOL.
 
         grid_points must be an integer from 2 to THEOREM3_MAX_POINTS;
-        anything else is a ValueError.  Reports are cached per grid_points
-        on the market object, which solver restarts and group sweeps hit
-        repeatedly; market parameters never change after construction.
+        anything else is a ValueError.  This is the one check of the
+        condition: `planmenu check-dist` reports it, and no solver search
+        re-checks it, since every family satisfies it on every window (see
+        the module docstring).
         """
         # refused before np.linspace allocates the grid; int() would floor a float (a bool is below 2)
         if not (isinstance(grid_points, numbers.Integral) and 2 <= grid_points <= THEOREM3_MAX_POINTS):
             raise ValueError(
                 f"the shape-condition grid needs an integer, at least 2 points and at most {THEOREM3_MAX_POINTS}, got {grid_points!r}"
             )
-        key = int(grid_points)
-        cache = self.__dict__.setdefault("_theorem3_cache", {})
-        if key not in cache:
-            grid = np.linspace(self.sigma_min, self.sigma_max, key)
-            slack = self.theorem3_condition(grid)
-            i = int(np.argmin(np.where(np.isnan(slack), np.inf, slack)))
-            cache[key] = Theorem3Report(
-                holds=not slack[i] < THEOREM3_TOL,
-                min_slack=float(slack[i]),
-                argmin_sigma=float(grid[i]),
-                grid_points=key,
-            )
-        return cache[key]
+        grid = np.linspace(self.sigma_min, self.sigma_max, int(grid_points))
+        slack = self.theorem3_condition(grid)
+        i = int(np.argmin(np.where(np.isnan(slack), np.inf, slack)))
+        return Theorem3Report(
+            holds=not slack[i] < THEOREM3_TOL,
+            min_slack=float(slack[i]),
+            argmin_sigma=float(grid[i]),
+            grid_points=grid.size,
+        )
 
 
 @dataclass

@@ -26,8 +26,10 @@ alternates two half-steps:
 Each half-step maximizes the exact same total profit in its own block
 of coordinates, so the profit trace is nondecreasing.  Unimodality of
 Q_k is guaranteed by the market shape condition (see
-distributions.theorem3_condition), so Q_k' changes sign once; every
-density family satisfies it, and Step II refuses a market that fails it.
+distributions.theorem3_condition), so Q_k' changes sign once.  Every
+density family satisfies it on every window, as the distributions
+module proves, so Step II checks nothing; `planmenu check-dist`
+reports the condition for a scenario.
 
 Alternation alone converges only linearly.  After a round that ends on
 a strictly ascending menu (so pools nothing), safeguarded
@@ -80,13 +82,12 @@ import numpy as np
 
 from .discrete import (
     PooledBlock,
-    _cost_slopes,
     _lockstep_root,
     optimal_prices,
     repair_monotone,
     search_periods,
 )
-from .market import DEFAULT_T_DOMAIN, cost, valuation_dsigma2
+from .market import DEFAULT_T_DOMAIN, _cost_slopes, cost, valuation_dsigma2
 
 #: A settled round stops its start once it improves relative profit by no
 #: more than REL_PROFIT_TOL, which is also the gain a later start needs to
@@ -194,16 +195,14 @@ def block_boundaries(profile, cost_model, market, periods, first, last, guess=No
     to every order in sigma (its sigma-derivatives carry phi(a) with
     a ~ 1/sigma): Q'' there says little about where Q' turns, so a
     Newton step from a start near the floor can land far past the root.
-    Under the shape condition (Theorem 3) each term is single-peaked, so
-    it searches the whole window from guess (one boundary per block) or
-    the window's midpoint.  A market that fails the condition is refused
-    with a ValueError naming its minimum slack.  A point with no
-    representable mass below it, where G and g underflow and the slope
-    and its scale are both exactly 0, counts as below the peak.
+    Each term is single-peaked under the shape condition (Theorem 3),
+    which every density family satisfies on every window (proved in
+    distributions; `planmenu check-dist` reports it), so the search
+    checks nothing and searches the whole window from guess (one boundary
+    per block) or the window's midpoint.  A point with no representable
+    mass below it, where G and g underflow and the slope and its scale
+    are both exactly 0, counts as below the peak.
     """
-    report = market.verify_theorem3()
-    if not report.holds:
-        raise ValueError(f"market fails the boundary-unimodality condition: min slack {report.min_slack:.6g}")
     lo, hi = market.sigma_min, market.sigma_max
     t = np.asarray(periods, dtype=float)
     K = t.shape[-1]

@@ -201,3 +201,14 @@ def cost(model, t):
         raise ValueError("period t must be finite and nonnegative")
     variable = model.w(tv) if model.w is not None else model.c1 * tv
     return (np.asarray(variable, dtype=float) + model.c0)[()]
+
+
+def _cost_slopes(cost_model, t):
+    """(C'(t), C''(t)): (c1, 0) for the linear cost, central differences
+    of a custom W (of W, not of C = W + c0, whose larger values would
+    round the differences more coarsely)."""
+    if cost_model.w is None:
+        return cost_model.c1, 0.0
+    h = np.minimum(1e-4 * np.maximum(1.0, t), t)
+    down, mid, up = np.asarray(cost_model.w(np.stack([t - h, t, t + h])), dtype=float)
+    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)

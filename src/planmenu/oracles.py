@@ -38,7 +38,9 @@ module imports no solver's solution type.
   valuation call; a grouped menu's surpluses are integrals, band by
   band, by a 96-point Gauss-Legendre rule built once at import by
   Newton's method on the Legendre recurrence (_legendre_rule), summed
-  in the arithmetic of scipy.integrate.fixed_quad.
+  in the arithmetic of scipy.integrate.fixed_quad.  The first-best's
+  unserved band above the menu ends where its rate reaches 0, which the
+  solvers' Newton-bisection finds only where the rate is 0 at sigma_max.
 """
 
 import itertools
@@ -47,10 +49,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .discrete import FEASIBILITY_TOL, block_periods
+from .discrete import FEASIBILITY_TOL, _lockstep_root, block_periods
 from .distributions import ContinuousMarket, DiscreteMarket
 from .grouped import TUPLE_BUDGET, _whole, block_boundaries
-from .market import _valuation, cost, valuation
+from .market import _valuation, cost, valuation, valuation_dsigma2
 from .normals import _excess_table
 
 # The grid DP keeps two bits per cell and stage after the first, which
@@ -357,16 +359,40 @@ class SocialReport:
     ratio: float
 
 
-def _first_best_surplus_rates(profile, cost_model, sigmas):
-    """Each type's first-best surplus rate max_t V(sigma, t) - C(t), floored
-    at 0 (the planner would not serve a type that loses money).  The
-    period comes from the solvers' lockstep search with one buyer per
+def _first_best_periods(profile, cost_model, s):
+    """Each type's first-best period argmax_t V(sigma, t) - C(t), for a 1-D
+    array of types s, from the solvers' lockstep search with one buyer per
     type and no rent: the row solve_discrete searches beside its menu,
     searched here on its own for the grouped integrand's nodes."""
-    s = np.atleast_1d(np.asarray(sigmas, dtype=float))
     items = np.arange(s.size)
-    t = block_periods(profile, cost_model, s, np.ones_like(s), np.zeros_like(s), items, items)
+    return block_periods(profile, cost_model, s, np.ones_like(s), np.zeros_like(s), items, items)
+
+
+def _first_best_surplus_rates(profile, cost_model, sigmas):
+    """Each type's first-best surplus rate max_t V(sigma, t) - C(t), floored
+    at 0 (the planner would not serve a type that loses money)."""
+    s = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    t = _first_best_periods(profile, cost_model, s)
     return np.maximum(valuation(profile, s, t) - cost(cost_model, t), 0.0)
+
+
+def _first_best_cutoff(profile, cost_model, lo, hi):
+    """The type sigma_0 in [lo, hi] where the unfloored first-best rate
+    r(sigma) = max_t V(sigma, t) - C(t) crosses 0; lo where r(lo) <= 0.
+    r falls in sigma: its slope is V_sigma(sigma, t*) < 0 at the
+    first-best period t* (the envelope theorem), so the solvers'
+    Newton-bisection finds its one root, each evaluation one period
+    search.  It starts from lo: a Newton step from far above the root
+    leaves the bracket, so a start near hi on a wide window would bisect
+    about log2(hi / sigma_0) times."""
+
+    def rates(s):  # r, the sum of its absolute terms and (r',), at points s of shape (..., 1)
+        t = _first_best_periods(profile, cost_model, s.ravel()).reshape(s.shape)
+        v, vs, _, _ = valuation_dsigma2(profile, s, t)
+        c = cost(cost_model, t)
+        return v - c, np.abs(v) + c, (vs,)
+
+    return float(_lockstep_root(rates, lambda s, r, state: s - r / state[0], lambda a, b: 0.5 * (a + b), np.array([float(lo)]), lo, hi)[0])
 
 
 def social_metrics(profile, cost_model, market, solution) -> SocialReport:
@@ -378,7 +404,11 @@ def social_metrics(profile, cost_model, market, solution) -> SocialReport:
     share one Gauss-Legendre rule, band k mapped onto u in [0, 1] by
     sigma = b_{k-1} + (b_k - b_{k-1}) u, and the first-best also takes
     the unserved band [b_K, sigma_max]: on the same nodes the
-    contract's integrand never exceeds the first-best's."""
+    contract's integrand never exceeds the first-best's.  The
+    first-best rate falls in sigma, so where it is 0 at sigma_max the
+    unserved band ends at its root sigma_0 (_first_best_cutoff) instead,
+    and the rule never spans the kink of max(0, rate); where it is
+    positive at sigma_max no search runs."""
     if isinstance(market, DiscreteMarket):
         t = np.stack([solution.periods, solution.first_best_periods])
         rates = valuation(profile, market.sigmas, t) - cost(cost_model, t)
@@ -388,10 +418,16 @@ def social_metrics(profile, cost_model, market, solution) -> SocialReport:
         b, t = solution.boundaries, solution.periods
         lo = np.concatenate(([market.sigma_min], b))[:, None]
         width = np.append(b, market.sigma_max)[:, None] - lo  # the K bands, then the unserved one
-        s = lo + width * ((_GL_NODES + 1) / 2.0)
+        u = (_GL_NODES + 1) / 2.0
+        s = lo + width * u
+        best = _first_best_surplus_rates(profile, cost_model, np.append(s, market.sigma_max))  # sigma_max last
+        if best[-1] == 0.0:  # the first-best serves no one at sigma_max: cut the unserved band at sigma_0
+            width[-1] = _first_best_cutoff(profile, cost_model, lo[-1, 0], market.sigma_max) - lo[-1]
+            s[-1] = lo[-1] + width[-1] * u
+            best[-1 - u.size : -1] = _first_best_surplus_rates(profile, cost_model, s[-1])
         rates = np.vstack([
             valuation(profile, s[:-1], t[:, None]) - cost(cost_model, t)[:, None],  # the contract's K bands
-            _first_best_surplus_rates(profile, cost_model, s.ravel()).reshape(s.shape),  # the first-best's K + 1
+            best[:-1].reshape(s.shape),  # the first-best's K + 1
         ])
         g = market.pdf(s)
         integrand = rates * np.vstack([g[:-1], g]) * np.vstack([width[:-1], width])

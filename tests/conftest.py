@@ -38,9 +38,11 @@ class ValleyMarket(ContinuousMarket):
     """Two-bump normal mixture on [0, 6].
 
     The built-in families all satisfy the boundary-unimodality shape
-    condition, so tests of its refusal need a density with a valley:
-    mass piles up under the first bump, then the density collapses and
-    rises again, which drives the condition negative on the rising flank.
+    condition, so a test that its check reports a failure needs a
+    density with a valley: mass piles up under the first bump, then the
+    density collapses and rises again, which drives the condition
+    negative on the rising flank.  The solvers never see such a market:
+    ContinuousMarket builds only the three families.
     """
 
     W1, M1, M2, S = 0.7, 0.5, 5.5, 0.3

@@ -143,19 +143,6 @@ def test_boundary_curvature_symbolic(profile):
                 assert abs(value[k, 0] - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
 
-def test_shape_condition_failure_is_refused(profile, cost_model, valley_market):
-    # the valley density fails the shape condition: Step II and the
-    # optimized-cutoff baseline, both the boundary search, refuse it and
-    # name the minimum slack
-    refusal = "boundary-unimodality condition: min slack -"
-    with pytest.raises(ValueError, match=refusal):
-        solve_with_restarts(profile, cost_model, valley_market, 2, restarts=2, seed=1)
-    with pytest.raises(ValueError, match=refusal):
-        solve_alternating(profile, cost_model, valley_market, 1)
-    with pytest.raises(ValueError, match=refusal):
-        optimized_cutoff_profit(profile, cost_model, valley_market, [1.0, 2.0])
-
-
 def test_boundary_search_climbs_out_of_a_massless_floor(profile, cost_model):
     # a point with no representable mass below it counts as below the
     # peak: from every guess, sigma_min included, the search ends on the

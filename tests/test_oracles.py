@@ -815,6 +815,23 @@ def test_social_first_best_matches_adaptive_quad(name):
     assert rep.surplus_contract < rep.surplus_first_best
 
 
+def test_first_best_surplus_holds_on_wide_windows():
+    # the first-best rate falls in sigma and reaches 0 near sigma_0 = 10.424
+    # on this market, so widening the window past it adds no surplus: one
+    # menu, solved at sigma_max = 20, gives the adaptive-quad first-best
+    # surplus on every wider window
+    sc = load_scenario("truncated_normal_k6")
+    profile, model = sc.profile, sc.cost_model
+    market = dataclasses.replace(sc.market, sigma_max=20.0)
+    sol = solve_alternating(profile, model, market, 6)
+    rate = lambda s: float(_first_best_surplus_rates(profile, model, s)[0] * market.pdf(s))
+    ref = market.size * quad(rate, market.sigma_min, market.sigma_max, points=sol.boundaries, limit=500, epsabs=0.0, epsrel=1e-12)[0]
+    assert abs(ref - 2.034947580285) <= 1e-12
+    for sigma_max in (20.0, 1e3, 1e4, 1e5, 1e10):
+        rep = social_metrics(profile, model, dataclasses.replace(market, sigma_max=sigma_max), sol)
+        assert abs(rep.surplus_first_best / ref - 1.0) <= 1e-9, (sigma_max, rep.surplus_first_best)
+
+
 def test_gauss_legendre_rule_matches_roots_legendre_and_is_exact():
     # the 96-point rule from Newton on the Legendre recurrence: scipy's
     # nodes to an ulp and its weights to its own error (up to ~1e-12 at
