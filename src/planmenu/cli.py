@@ -9,7 +9,8 @@
 PATH is a scenario file or a bundled scenario's name.  --seed replaces
 a grouped scenario's restart seed, an integer >= 0; a
 discrete scenario has no restarts and refuses it.  Exit status is 0
-only when every verification passes (for sweep: when every K's solve
+only when every verification passes (for solve, that includes a profit
+below none of the scenario's baselines; for sweep: when every K's solve
 converged); artifacts are still written on failure.  A missing or
 malformed input file prints one `planmenu: error: ...` line and exits 2.
 """
@@ -41,6 +42,9 @@ def _cmd_solve(scenario, args):
         )
     ratio = 100 * artifacts.report.social.ratio  # NaN where the first-best has no surplus
     print(f"  social surplus ratio {'n/a' if np.isnan(ratio) else f'{ratio:.1f}%'}")
+    below = artifacts.certificate["below_baseline"]
+    if below is not None:
+        print(f"  below baseline {below['label']} ({below['profit']:.6f})")
     print(f"  artifacts in {args.out} ({'PASS' if artifacts.ok else 'FAIL'})")
     return 0 if artifacts.ok else 2
 

@@ -27,7 +27,7 @@ oracles.social_metrics reads off the solution.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
 
@@ -409,7 +409,6 @@ class DiscreteSolution:
     total_profit: float
     objective_values: np.ndarray  # P_i at the chosen periods
     first_best_periods: np.ndarray  # each type's period in the social first-best
-    pooled_blocks: List[PooledBlock] = field(default_factory=list)
 
 
 def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
@@ -424,13 +423,14 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
     each is the lone search block_periods makes for its type; the row can
     pool only where adjacent types' searches tie to rounding (types a few
     ulps apart), and then the shared period is within rounding of each
-    lone search.  pooled_blocks lists the menu row's blocks alone.
+    lone search.  A pooled block of the menu shows in its periods, as a
+    run of equal values.
     """
     lo, hi = DEFAULT_T_DOMAIN
     sig = market.sigmas
     own = market.counts
     below = np.concatenate(([0.0], np.cumsum(own)[:-1]))
-    (periods, first_best), pooled = search_periods(
+    (periods, first_best), _ = search_periods(
         profile,
         cost_model,
         np.stack([sig, sig]),
@@ -450,5 +450,4 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
         total_profit=total,
         objective_values=values,
         first_best_periods=first_best,
-        pooled_blocks=[block for block in pooled if block.start < sig.size],
     )

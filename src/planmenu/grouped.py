@@ -80,13 +80,7 @@ from typing import List
 
 import numpy as np
 
-from .discrete import (
-    PooledBlock,
-    _lockstep_root,
-    optimal_prices,
-    repair_monotone,
-    search_periods,
-)
+from .discrete import _lockstep_root, optimal_prices, repair_monotone, search_periods
 from .market import DEFAULT_T_DOMAIN, _cost_slopes, cost, valuation_dsigma2
 
 #: A settled round stops its start once it improves relative profit by no
@@ -402,40 +396,30 @@ def _newton_finish(profile, cost_model, market, menus, traces, spent):
     return x, profit, residual, steps, spent
 
 
-def _by_row(values, blocks):
-    """(values, pooled blocks) of a search over rows of K items, the
-    flat-indexed blocks regrouped into one list per row with in-row
-    indices (the one row's list for 1-D values)."""
-    K = values.shape[-1]
-    rows = [[] for _ in range(values.size // K)]
-    for block in blocks:
-        r = block.start // K
-        rows[r].append(PooledBlock(start=block.start - r * K, stop=block.stop - r * K, value=block.value))
-    return values, rows if values.ndim > 1 else rows[0]
-
-
 def step1_periods(profile, cost_model, market, boundaries, guess=None):
-    """Optimal ascending periods for fixed boundaries: (periods, pooled blocks).
+    """Optimal ascending periods for fixed boundaries.
 
     This is the discrete problem per unit mass, with the boundary types
     as marginal types and the band probabilities as counts; the rent
     mass of group k is G(sigma_{k-1}).  The search starts from guess
-    (one period per group) if given.  Rows of boundaries (shape (R, K)) are searched
-    together, and give one list of pooled blocks per row.
+    (one period per group) if given.  Rows of boundaries (shape (R, K))
+    are searched together and give one row of periods each; a pooled
+    block shows as a run of equal periods.
     """
     b = np.atleast_1d(np.asarray(boundaries, dtype=float))
     G = np.asarray(market.cdf(b), dtype=float)
     G_lo = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
-    return _by_row(*search_periods(profile, cost_model, b, G - G_lo, G_lo, guess))
+    return search_periods(profile, cost_model, b, G - G_lo, G_lo, guess)[0]
 
 
 def step2_boundaries(profile, cost_model, market, periods, guess=None):
-    """Optimal ascending boundaries for fixed periods: (boundaries, pooled
-    blocks), every block searched in lockstep from guess (one boundary
-    per group) if given.  Rows of periods (shape (R, K)) are searched
-    together, and give one list of pooled blocks per row."""
+    """Optimal ascending boundaries for fixed periods, every block searched
+    in lockstep from guess (one boundary per group) if given.  Rows of
+    periods (shape (R, K)) are searched together and give one row of
+    boundaries each; a pooled block shows as a run of equal boundaries,
+    whose groups above the first are empty, and the solve drops them."""
     t = np.asarray(periods, dtype=float)
-    return _by_row(*repair_monotone(partial(block_boundaries, profile, cost_model, market, t), t.shape, guess))
+    return repair_monotone(partial(block_boundaries, profile, cost_model, market, t), t.shape, guess)[0]
 
 
 @dataclass
@@ -448,8 +432,6 @@ class GroupedSolution:
     iterations: int
     converged: bool
     profit_trace: List[float] = field(default_factory=list)
-    pooled_period_blocks: List[PooledBlock] = field(default_factory=list)
-    pooled_boundary_blocks: List[PooledBlock] = field(default_factory=list)
     boundary_edge_hits: List[int] = field(default_factory=list)
     requested_groups: int = 0
     kkt_residual: float = float("nan")
@@ -486,8 +468,6 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     n, n_groups = starts.shape
     x = np.concatenate([starts, np.empty_like(starts)], axis=1)  # each row's menu (b, t)
     traces = [[] for _ in range(n)]
-    period_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
-    boundary_blocks: List[List[PooledBlock]] = [[] for _ in range(n)]
     profit = np.full(n, -np.inf)
     residual = np.full(n, np.inf)  # first-order residual of each row's Newton-finished menu; inf once a round settles
     newton_steps = np.zeros(n, dtype=int)
@@ -497,12 +477,10 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     active = np.arange(n)
     for round_no in range(1, MAX_ROUNDS + 1):
         start_b = x[active, :n_groups]
-        periods, p_blocks = step1_periods(profile, cost_model, market, start_b, guess=x[active, n_groups:] if round_no > 1 else None)
+        periods = step1_periods(profile, cost_model, market, start_b, guess=x[active, n_groups:] if round_no > 1 else None)
         _extend_traces(traces, active, menu_profit(profile, cost_model, market, start_b, periods))
 
-        boundaries, b_blocks = step2_boundaries(profile, cost_model, market, periods, guess=start_b)
-        for i, r in enumerate(active):
-            period_blocks[r], boundary_blocks[r] = p_blocks[i], b_blocks[i]
+        boundaries = step2_boundaries(profile, cost_model, market, periods, guess=start_b)
         # a round that breaks strict ascent (every pooled block does)
         # settles, and stops its row once profit stalls; every other round
         # takes the Newton finish, and stops its row once the finish ends
@@ -559,8 +537,6 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
                 iterations=int(rounds[r]),
                 converged=bool(kkt <= KKT_TOL),
                 profit_trace=[N * p for p in traces[r]],
-                pooled_period_blocks=period_blocks[r],
-                pooled_boundary_blocks=boundary_blocks[r],
                 boundary_edge_hits=np.flatnonzero(on_edge[r]).tolist(),
                 requested_groups=n_groups,
                 kkt_residual=N * float(kkt),

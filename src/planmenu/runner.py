@@ -6,7 +6,8 @@ Artifacts per run (all deterministic for a fixed seed):
                    nan against a baseline with no positive profit)
   certificate.json feasibility + incentive checks + convergence record
                    (grouped: rounds, Newton steps, first-order residual,
-                   and each start's final profit and residual)
+                   and each start's final profit and residual), and the
+                   baseline row the menu falls below, if any
   fig8_sweep.csv   (sweep only) groups, profit, uplift_percent
 
 Each artifact replaces the previous run's file whole: a run serializes
@@ -29,7 +30,7 @@ import numpy as np
 
 from .discrete import feasibility_check, solve_discrete
 from .distributions import DiscreteMarket
-from .grouped import _check_solve_size, _whole, solve_with_restarts
+from .grouped import REL_PROFIT_TOL, _check_solve_size, _whole, solve_with_restarts
 from .market import cost
 from .oracles import (
     ComparisonReport,
@@ -105,16 +106,40 @@ def _solution_rows(scenario, solution):
     return [header] + [(k + 1, *(float(x) for x in row)) for k, row in enumerate(zip(*columns))]
 
 
-def _comparison_rows(report):
-    rows = [("label", "profit", "uplift_percent"), ("optimal", report.optimal_profit, "")]
+def _baseline_rows(report):
+    """comparison.csv's (label, profit, uplift_percent) row of each
+    fixed-period baseline, full coverage then optimized cutoff per period."""
     for row in report.baselines:
         label = f"fixed_t={row.period:g}"
-        rows.append((label + "_full_coverage", row.profit_full, row.uplift_full_percent))
-        rows.append((label + "_optimized_cutoff", row.profit_optimized, row.uplift_optimized_percent))
+        yield label + "_full_coverage", row.profit_full, row.uplift_full_percent
+        yield label + "_optimized_cutoff", row.profit_optimized, row.uplift_optimized_percent
+
+
+def _comparison_rows(report):
+    rows = [("label", "profit", "uplift_percent"), ("optimal", report.optimal_profit, ""), *_baseline_rows(report)]
     rows.append(("social_surplus_contract", report.social.surplus_contract, ""))
     rows.append(("social_surplus_first_best", report.social.surplus_first_best, ""))
     rows.append(("social_surplus_ratio_percent", 100.0 * report.social.ratio, ""))
     return rows
+
+
+def _below_baseline(report, discrete):
+    """The baseline row of comparison.csv that the menu's profit falls
+    furthest below, as {"label", "profit"}, or None where it falls below
+    none by more than REL_PROFIT_TOL * max(1, |baseline|).  A grouped
+    menu is held to every baseline row.  A discrete menu is held to the
+    full-coverage rows alone: the discrete solver serves every type, and
+    an optimized cutoff may leave types unserved."""
+    profit = report.optimal_profit
+    short = [
+        (base - profit, label, base)
+        for label, base, _ in _baseline_rows(report)
+        if not (discrete and label.endswith("_optimized_cutoff")) and base - profit > REL_PROFIT_TOL * max(1.0, abs(base))
+    ]
+    if not short:
+        return None
+    _, label, base = max(short)
+    return {"label": label, "profit": base}
 
 
 def _restart_seed(scenario, seed):
@@ -134,11 +159,13 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     grouped scenario's restart seed; a discrete scenario refuses one
     before it solves.  Artifacts are always written once the solve
     returns, and out_dir is made only then, so a refused input leaves
-    nothing behind; `ok` is `certify`'s verdict and the solve's
-    convergence (the CLI turns that into the exit code).
+    nothing behind; `ok` is `certify`'s verdict, the solve's convergence
+    and a profit below none of the comparison's baselines (see
+    _below_baseline; the CLI turns that into the exit code).
     """
     use_seed = _restart_seed(scenario, seed)
-    if isinstance(scenario.market, DiscreteMarket):
+    discrete = isinstance(scenario.market, DiscreteMarket)
+    if discrete:
         solution = solve_discrete(scenario.profile, scenario.cost_model, scenario.market)
         boundaries = None
         convergence = {"iterations": 1, "converged": True, "profit_trace": [solution.total_profit]}
@@ -166,15 +193,17 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     passed, ic_ir, chain_feasibility = certify(scenario, solution.periods, solution.prices, boundaries)
     report = build_comparison(scenario.profile, scenario.cost_model, scenario.market, solution, scenario.baselines)
 
-    ok = passed and convergence["converged"]
+    below = _below_baseline(report, discrete)
+    ok = passed and convergence["converged"] and below is None
     certificate = {
         "scenario": scenario.name,
-        "solver": "discrete" if isinstance(scenario.market, DiscreteMarket) else "grouped",
+        "solver": "discrete" if discrete else "grouped",
         "seed": use_seed,
         "profit": solution.total_profit,
         "ic_ir": ic_ir,
         "chain_feasibility": chain_feasibility,
         "convergence": convergence,
+        "below_baseline": below,
         "passed": ok,
     }
 

@@ -12,6 +12,16 @@ from planmenu.market import CostModel, DemandProfile
 from planmenu.normals import std_normal_cdf, std_normal_pdf
 
 
+def equal_runs(values):
+    """(start, stop, value) of each maximal run of two or more equal values
+    in a menu's chain of periods or boundaries, stop inclusive: how a
+    pooled block shows in the menu."""
+    v = np.asarray(values, dtype=float)
+    cuts = np.flatnonzero(v[1:] != v[:-1]) + 1
+    starts, stops = np.append(0, cuts), np.append(cuts, v.size) - 1
+    return [(int(a), int(b), float(v[a])) for a, b in zip(starts, stops) if b > a]
+
+
 @pytest.fixture(scope="session")
 def profile():
     return DemandProfile(alpha=1.0, mu=13.0, q=15.0)

@@ -26,6 +26,8 @@ from planmenu.market import CostModel, DemandProfile, _dt_dtt, _types, cost, val
 from planmenu.oracles import full_coverage_profit, optimized_cutoff_profit
 from planmenu.scenarios import load_scenario
 
+from conftest import equal_runs
+
 # quadrature-oracle values (alpha=1, mu=13, q=15)
 V_2_1 = 12.833369058824628
 V_2_4 = 12.991509297383171  # equals V(1, 1) by the scaling identity
@@ -533,7 +535,7 @@ def test_scaling_volatility_scales_periods(name, k):
     sc = load_scenario(name)
     base, scaled = scaled_solves(sc.profile, sc.cost_model, sc.market, k)
     assert np.max(np.abs(scaled.periods / (k**2 * base.periods) - 1.0)) <= 1e-11
-    assert [(b.start, b.stop) for b in scaled.pooled_blocks] == [(b.start, b.stop) for b in base.pooled_blocks]
+    assert [run[:2] for run in equal_runs(scaled.periods)] == [run[:2] for run in equal_runs(base.periods)]
 
 
 @pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
@@ -543,7 +545,7 @@ def test_scaling_volatility_keeps_pooled_blocks(profile, cost_model, k):
     market = DiscreteMarket(sigmas=np.linspace(0.5, 6.0, 5), counts=np.array([5.0, 1.0, 5.0, 1.0, 5.0]))
     base, scaled = scaled_solves(profile, cost_model, market, k)
     for sol in (base, scaled):
-        assert [(b.start, b.stop) for b in sol.pooled_blocks] == [(1, 2), (3, 4)]
+        assert [run[:2] for run in equal_runs(sol.periods)] == [(1, 2), (3, 4)]
     assert np.max(np.abs(scaled.periods / (k**2 * base.periods) - 1.0)) <= 4 * np.finfo(float).eps
 
 
@@ -579,8 +581,9 @@ def seeded_ladders():
 def assert_first_best_row_is_the_lone_search(profile, cost_model, market):
     """solve_discrete's menu passes the chain check, its first-best
     periods are, bit for bit, the lone search with one buyer per type and
-    no rent, and no pooled block of the two-row search lands in the
-    first-best row."""
+    no rent, no pooled block of the two-row search lands in the
+    first-best row, and the menu's runs of equal periods are the search's
+    blocks."""
     searched = []
 
     def tap(*args, **kwargs):
@@ -598,7 +601,7 @@ def assert_first_best_row_is_the_lone_search(profile, cost_model, market):
     [(rows, pooled)] = searched
     assert rows.shape == (2, n) and (rows[0] == sol.periods).all() and (rows[1] == alone).all()
     assert all(block.stop < n for block in pooled)
-    assert [(b.start, b.stop, b.value) for b in sol.pooled_blocks] == [(b.start, b.stop, b.value) for b in pooled]
+    assert equal_runs(sol.periods) == [(b.start, b.stop, b.value) for b in pooled]
 
 
 @pytest.mark.parametrize("name", ["case1_discrete", "case2_mountain"])
@@ -622,9 +625,9 @@ def test_first_best_row_of_near_duplicate_markets(profile, cost_model, market):
 
 def test_first_best_row_that_pools_keeps_the_menu_blocks(profile, cost_model):
     # four adjacent floats: two first-best searches descend by a rounding,
-    # so the first-best row pools; the solve returns, pooled_blocks keeps
-    # only the menu row's blocks, and the shared first-best period is the
-    # lone searches' to within one rounding
+    # so the first-best row pools; the solve returns, the menu's runs of
+    # equal periods are the menu row's blocks alone, and the shared
+    # first-best period is the lone searches' to within one rounding
     sig = [5.113845414205562]
     for _ in range(3):
         sig.append(float(np.nextafter(sig[-1], np.inf)))
@@ -641,12 +644,54 @@ def test_first_best_row_that_pools_keeps_the_menu_blocks(profile, cost_model):
         sol = solve_discrete(profile, cost_model, market)
     [(_, pooled)] = searched
     assert any(block.start >= 4 for block in pooled)
-    assert all(block.stop < 4 for block in sol.pooled_blocks)
-    assert [(b.start, b.stop) for b in sol.pooled_blocks] == [(b.start, b.stop) for b in pooled if b.start < 4]
+    assert [run[:2] for run in equal_runs(sol.periods)] == [(b.start, b.stop) for b in pooled if b.start < 4]
     items = np.arange(4)
     alone = block_periods(profile, cost_model, market.sigmas, np.ones(4), np.zeros(4), items, items)
     assert np.all(np.abs(sol.first_best_periods - alone) <= 1e-15 * alone)
     assert feasibility_check(profile, market, sol.periods, sol.prices).passed
+
+
+def seeded_pooling_markets(shape, count=30):
+    """Seeded discrete markets of 2 to 12 types on uniform volatilities,
+    with counts of one shape: "flat" (one count for every type),
+    "mountain" (rising to a drawn peak type, then falling) or
+    "near_duplicate" (uneven counts, and each type may bring a twin 1e-12
+    to 1e-6 relative above it)."""
+    rng = np.random.default_rng(["flat", "mountain", "near_duplicate"].index(shape))
+    for _ in range(count):
+        n = int(rng.integers(2, 13))
+        sig = np.sort(rng.uniform(0.1, 6.0, n))
+        if shape == "flat":
+            counts = np.full(n, rng.uniform(0.5, 5.0))
+        elif shape == "mountain":
+            counts = 1.0 + rng.uniform(0.2, 3.0) * (n - np.abs(np.arange(n) - rng.integers(0, n)))
+        else:
+            gaps = rng.choice([0.0, 1e-12, 1e-9, 1e-6], n)
+            sig = np.unique(np.concatenate([sig, sig[gaps > 0] * (1.0 + gaps[gaps > 0])]))
+            counts = rng.uniform(0.1, 5.0, sig.size)
+        yield DiscreteMarket(sigmas=sig, counts=counts)
+
+
+@pytest.mark.parametrize("shape", ["flat", "mountain", "near_duplicate"])
+def test_menu_runs_of_equal_periods_are_the_pooled_blocks(profile, cost_model, shape):
+    # a pooled block is a run of equal periods in the menu and nothing
+    # else is: the menu's maximal runs are the menu row's blocks of its
+    # search, start, stop and value; most of these markets pool
+    searched, search = [], discrete.search_periods
+
+    def tap(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
+    pooling = 0
+    for market in seeded_pooling_markets(shape):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discrete, "search_periods", tap)
+            sol = solve_discrete(profile, cost_model, market)
+        blocks = [(b.start, b.stop, b.value) for b in searched.pop()[1] if b.start < market.n_types]
+        assert equal_runs(sol.periods) == blocks
+        pooling += bool(blocks)
+    assert pooling >= 15
 
 
 def test_period_search_values_nothing(profile, monkeypatch):

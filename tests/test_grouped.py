@@ -36,6 +36,8 @@ from planmenu.oracles import brute_force_ic_ir, grid_oracle_grouped, optimized_c
 from planmenu.runner import sweep_groups
 from planmenu.scenarios import Scenario, SolverSpec, load_scenario
 
+from conftest import equal_runs
+
 # quadrature-oracle values (alpha=1, mu=13, q=15)
 V_6_4 = 12.546641058526790  # equals V(3, 1) by scaling
 V_3_4 = 12.936407327437745
@@ -268,7 +270,7 @@ def test_group_objective_matches_discrete_analog(profile, cost_model):
         (truncnorm06(), [2.5, 4.0]),
     ]
     for mkt, boundaries in cases:
-        periods, _ = step1_periods(profile, cost_model, mkt, boundaries)
+        periods = step1_periods(profile, cost_model, mkt, boundaries)
         dm = DiscreteMarket(sigmas=boundaries, counts=group_counts(mkt, boundaries))
         assert np.array_equal(periods, solve_discrete(profile, cost_model, dm).periods)
 
@@ -372,7 +374,7 @@ def test_step1_improves_and_ascends(profile, cost_model):
     mkt = uniform06()
     b = np.array([2.0, 4.0, 6.0])
     t_start = np.array([2.0, 2.0, 2.0])
-    t_new, blocks = step1_periods(profile, cost_model, mkt, b)
+    t_new = step1_periods(profile, cost_model, mkt, b)
     assert np.all(np.diff(t_new) >= -1e-12)
     before = menu_profit(profile, cost_model, mkt, b, t_start)
     after = menu_profit(profile, cost_model, mkt, b, t_new)
@@ -383,7 +385,7 @@ def test_step2_improves_and_ascends(profile, cost_model):
     mkt = uniform06()
     t = np.array([0.8, 1.5, 3.0])
     b_start = np.array([2.0, 4.0, 6.0])
-    b_new, blocks = step2_boundaries(profile, cost_model, mkt, t)
+    b_new = step2_boundaries(profile, cost_model, mkt, t)
     assert np.all(np.diff(b_new) >= -1e-12)
     assert np.all((b_new >= 0.0) & (b_new <= 6.0))
     before = menu_profit(profile, cost_model, mkt, b_start, t)
@@ -753,7 +755,8 @@ def test_newton_finish_reaches_first_order_optimum(name, k, start):
     sc, sol = bundled_solve(name, k, start)
     assert sol.converged
     assert sol.iterations <= 20
-    assert sol.boundary_edge_hits == [] and not sol.pooled_period_blocks and not sol.pooled_boundary_blocks
+    # nothing pooled: no run of equal periods, and no group dropped
+    assert sol.boundary_edge_hits == [] and not equal_runs(sol.periods) and sol.boundaries.size == k
     # every coordinate is interior, so the residual is max |dP/dx|
     fd = fd_gradient(sc.profile, sc.cost_model, sc.market, sol.boundaries, sol.periods)
     assert np.max(np.abs(fd)) <= 1e-9
@@ -916,8 +919,9 @@ def test_market_size_only_scales_the_solve(name, k, size):
     _, sol = bundled_solve(name, k, "quantile", size)
     for field in ("boundaries", "periods", "prices"):
         assert np.array_equal(getattr(sol, field), getattr(one, field)), field
-    same = ("iterations", "converged", "newton_steps", "pooled_period_blocks", "pooled_boundary_blocks", "boundary_edge_hits")
+    same = ("iterations", "converged", "newton_steps", "boundary_edge_hits")
     assert [getattr(sol, f) for f in same] == [getattr(one, f) for f in same]
+    assert equal_runs(sol.periods) == equal_runs(one.periods)
     assert np.array_equal(sol.counts, size * one.counts)
     assert sol.total_profit == size * one.total_profit and sol.kkt_residual == size * one.kkt_residual
     assert sol.profit_trace == [size * p for p in one.profit_trace]

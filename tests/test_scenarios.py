@@ -27,6 +27,8 @@ from planmenu.scenarios import (
     load_scenario,
 )
 
+from conftest import equal_runs
+
 BUNDLED = [
     "case1_discrete",
     "case2_mountain",
@@ -252,10 +254,10 @@ def test_certificate_holds_plain_values(tmp_path, name):
         assert type(artifacts.certificate["seed"]) is int and '\n  "seed": 7,\n' in text
 
 
-def test_artifacts_byte_deterministic(tmp_path):
-    # a small grouped solve, the bundled mountain market, a discrete
-    # market that pools (every other type is rare), and a group sweep
-    pooling = Scenario(
+def pooling_scenario():
+    """A discrete market that pools: every other type is rare, and each
+    rare type shares one period with the heavy type above it."""
+    return Scenario(
         name="alternating_counts",
         profile=DemandProfile(alpha=1.0, mu=13.0, q=15.0),
         cost_model=CostModel(c0=10.0, c1=0.5),
@@ -263,18 +265,33 @@ def test_artifacts_byte_deterministic(tmp_path):
         solver=None,
         baselines=[1.0],
     )
-    for scenario in (small_grouped_scenario(), load_scenario("case2_mountain"), pooling):
+
+
+def test_artifacts_byte_deterministic(tmp_path):
+    # a small grouped solve, the bundled mountain market, a discrete
+    # market that pools (every other type is rare), and a group sweep
+    for scenario in (small_grouped_scenario(), load_scenario("case2_mountain"), pooling_scenario()):
         a, b = tmp_path / scenario.name / "a", tmp_path / scenario.name / "b"
         artifacts = runner.run(scenario, a)
         runner.run(scenario, b)
         for name in ("solution.csv", "comparison.csv", "certificate.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-    assert len(artifacts.solution.pooled_blocks) == 2
+    assert len(equal_runs(artifacts.solution.periods)) == 2
     sweep = load_scenario("uniform_k6")
     a, b = tmp_path / "sweep" / "a", tmp_path / "sweep" / "b"
     runner.sweep_groups(sweep, [1, 2, 3], a)
     runner.sweep_groups(sweep, [1, 2, 3], b)
     assert (a / "fig8_sweep.csv").read_bytes() == (b / "fig8_sweep.csv").read_bytes()
+
+
+def test_solution_csv_shows_pooled_blocks_as_runs_of_equal_periods(tmp_path):
+    # a pooled block is a run of equal periods in the written menu: two
+    # runs on the market that pools, none on the bundled mountain market
+    for scenario, runs in ((pooling_scenario(), [(1, 2), (3, 4)]), (load_scenario("case2_mountain"), [])):
+        runner.run(scenario, tmp_path / scenario.name)
+        with open(tmp_path / scenario.name / "solution.csv", newline="") as fh:
+            periods = [float(row["period"]) for row in csv.DictReader(fh)]
+        assert [run[:2] for run in equal_runs(periods)] == runs
 
 
 def test_interrupted_rewrite_keeps_the_previous_artifacts(tmp_path, monkeypatch):
@@ -642,6 +659,53 @@ def test_cli_writes_failing_discrete_menu_as_fail(tmp_path, capsys, monkeypatch)
     ok, details = runner.verify_solution_csv(load_scenario("case1_discrete"), out / "solution.csv")
     assert not ok and list(details) == ["chain_feasibility", "ic_ir"]
     assert details["chain_feasibility"]["condition"] == "top_participation"
+
+
+def test_cli_solve_fails_a_menu_below_its_own_baseline(tmp_path, capsys):
+    # from the quantile start alone this K = 1 solve ends on the empty
+    # menu (profit -0.0), a converged menu that passes IC/IR, 100% below
+    # its own t = 1 optimized-cutoff baseline of 1.6575: it is written and
+    # reported as FAIL, naming that comparison.csv row
+    cfg = json.loads((Path(planmenu.__file__).parent / "data" / "truncated_normal_k6.json").read_text())
+    cfg.update(mu=15.1761, q=18.2418, cost={"c0": 14.0924, "c1": 0.6079})
+    cfg["market"].update(sigma_min=0.5, sigma_max=8.4287, N=50.0, M=5.3517, W=2.1650)
+    cfg["solver"].update(K=1, restarts=0, seed=0)
+    path = tmp_path / "empty_menu.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert "profit -0.000000\n" in printed and "  below baseline fixed_t=1_optimized_cutoff (1.657522)\n" in printed
+    assert printed.endswith("(FAIL)\n")
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["passed"] is False and cert["ic_ir"]["passed"] is True and cert["convergence"]["converged"] is True
+    assert cert["below_baseline"]["label"] == "fixed_t=1_optimized_cutoff"
+    with open(out / "comparison.csv", newline="") as fh:
+        rows = {r["label"]: float(r["profit"]) for r in csv.DictReader(fh)}
+    assert abs(cert["below_baseline"]["profit"] - rows["fixed_t=1_optimized_cutoff"]) <= 1e-11
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_menus_are_below_no_baseline(tmp_path, name):
+    # every bundled solve beats each baseline row it is held to
+    artifacts = runner.run(load_scenario(name), tmp_path)
+    assert artifacts.certificate["below_baseline"] is None and artifacts.ok
+
+
+def test_discrete_menu_is_held_to_full_coverage_rows_alone():
+    # a discrete menu below an optimized-cutoff row still passes (that
+    # baseline may leave types unserved), but not below a full-coverage
+    # row; a grouped menu is held to both, and a shortfall within
+    # REL_PROFIT_TOL of the row is rounding
+    report = oracles.ComparisonReport(
+        optimal_profit=2.0,
+        baselines=[oracles.BaselineRow(1.0, 1.5, 2.5, 0.0, 0.0), oracles.BaselineRow(2.0, 2.0 + 1e-11, 3.0, 0.0, 0.0)],
+        social=None,
+    )
+    assert runner._below_baseline(report, discrete=True) is None
+    assert runner._below_baseline(report, discrete=False) == {"label": "fixed_t=2_optimized_cutoff", "profit": 3.0}
+    report.baselines[1] = oracles.BaselineRow(2.0, 2.5, 3.0, 0.0, 0.0)
+    assert runner._below_baseline(report, discrete=True) == {"label": "fixed_t=2_full_coverage", "profit": 2.5}
 
 
 def test_cli_oracle_discrete(tmp_path, capsys):
