@@ -9,10 +9,11 @@
 PATH is a scenario file or a bundled scenario's name.  --seed replaces
 a grouped scenario's restart seed, an integer >= 0; a
 discrete scenario has no restarts and refuses it.  Exit status is 0
-only when every verification passes (for solve, that includes a profit
-below none of the scenario's baselines; for sweep: when every K's solve
-converged); artifacts are still written on failure.  A missing or
-malformed input file prints one `planmenu: error: ...` line and exits 2.
+only when every verification passes (for solve and verify, that
+includes a profit below none of the scenario's baselines; for sweep:
+when every K's solve converged); artifacts are still written on
+failure.  A missing or malformed input file prints one
+`planmenu: error: ...` line and exits 2.
 """
 
 import argparse
@@ -32,6 +33,12 @@ def _percent(uplift):
     return "n/a" if np.isnan(uplift) else f"{uplift:+.1f}%"
 
 
+def _print_below(below):
+    """The baseline row a menu falls below, if any (runner._below_baseline)."""
+    if below is not None:
+        print(f"  below baseline {below['label']} ({below['profit']:.6f})")
+
+
 def _cmd_solve(scenario, args):
     artifacts = runner.run(scenario, args.out, seed=args.seed)
     print(f"scenario {scenario.name}: profit {artifacts.solution.total_profit:.6f}")
@@ -42,9 +49,7 @@ def _cmd_solve(scenario, args):
         )
     ratio = 100 * artifacts.report.social.ratio  # NaN where the first-best has no surplus
     print(f"  social surplus ratio {'n/a' if np.isnan(ratio) else f'{ratio:.1f}%'}")
-    below = artifacts.certificate["below_baseline"]
-    if below is not None:
-        print(f"  below baseline {below['label']} ({below['profit']:.6f})")
+    _print_below(artifacts.certificate["below_baseline"])
     print(f"  artifacts in {args.out} ({'PASS' if artifacts.ok else 'FAIL'})")
     return 0 if artifacts.ok else 2
 
@@ -63,6 +68,7 @@ def _cmd_sweep(scenario, args):
 def _cmd_verify(scenario, args):
     ok, details = runner.verify_solution_csv(scenario, args.solution)
     print(json.dumps(details, indent=2, default=str))
+    _print_below(details.get("below_baseline"))
     print("verification PASS" if ok else "verification FAIL")
     return 0 if ok else 2
 

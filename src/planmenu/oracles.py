@@ -21,7 +21,17 @@ module imports no solver's solution type.
   maximum is attained, and the backtrack follows them.  The discrete
   oracle is the grouped one with stage i pinned to type i at mass S_i,
   the count of types up to i; both price by the telescoping chain from
-  raw valuations and costs — no per-type objective, no pooling.
+  raw valuations and costs — no per-type objective, no pooling.  Where
+  the sigma grid's first point carries no mass (every grid from
+  sigma_min does), the grouped oracle searches only the periods up to
+  the last with C(t) < alpha*mu: a chain price never exceeds
+  alpha*mu, so groups at a later period earn no margin, and emptying
+  them onto the group below loses nothing (the proof is in
+  grid_oracle_grouped's docstring; Myerson's exclusion of unprofitable
+  types, on the grid).  The discrete oracle serves every type, so it
+  keeps its whole period grid.  _grid_dp's work budget counts the cells
+  it searches, after that cut; the CLI's float pre-check still counts
+  the requested grid.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (standard-normal draws from a seeded 64-bit generator).
 - full_coverage_profit and optimized_cutoff_profit are the profits of
@@ -29,7 +39,9 @@ module imports no solver's solution type.
   top type's valuation) or with a profit-maximizing marginal type (or
   no one, profit 0, where no cutoff earns a positive profit), found by
   the grouped solver's boundary search at K = 1; either takes a float
-  period or an array of periods, evaluated in one call.
+  period or an array of periods, evaluated in one call.  baseline_rows
+  tabulates both against a profit, for the solve's comparison and for
+  the runner's check of a written menu.
 - social_metrics compares realized social surplus against the
   first-best that ignores incentive constraints.  It is accounting, not
   a check: the first-best periods come from the solvers' period search.
@@ -281,10 +293,35 @@ def grid_oracle_grouped(profile, cost_model, market: ContinuousMarket, n_groups,
     psi(s, t_k) - psi(s, t_{k+1}) with psi = N*G*(V - C), the last
     group keeping its own psi.  n_groups must be an integer >= 1.
     Returns (profit, boundaries, periods).
+
+    Where the sigma grid's first point carries no mass, only the periods
+    up to the last one with C(t) < alpha*mu are searched (at least the
+    first), and the optimum is the full grid's.  Proof: the chain prices
+    p_K = V(s_K, t_K) and p_k = V(s_k, t_k) - V(s_k, t_{k+1}) + p_{k+1}
+    satisfy p_k <= V(s_k, t_k) <= alpha*mu, by induction from the top,
+    since V_sigma < 0 gives p_{k+1} <= V(s_{k+1}, t_{k+1}) <= V(s_k, t_{k+1}).
+    Let group k be the first whose period lies past the cut; the periods
+    ascend, so every group from k up has a margin p_j - C(t_j) <= 0.
+    Moving those groups onto s_{k-1} with period t_{k-1} empties them and
+    raises p_{k-1}, and every lower price with it, by
+    V(s_{k-1}, t_k) - p_k >= 0: profit does not fall, and every period
+    now lies before the cut.  For k = 1 every group loses money, and the
+    empty menu (every boundary on the zero-mass first point) earns 0 at
+    the first period.  Without the zero-mass point that menu is not on
+    the grid, and where every menu loses money the least loss may lie
+    past the cut, so the full grid is searched.  Columns before the cut
+    are valued and swept as on the full grid, so the result is the same,
+    bit for bit, wherever the full grid's optimum is positive and lies
+    before the cut.
     """
     n_groups = _whole("n_groups", n_groups, 1)
     sg = np.asarray(sigma_grid, dtype=float)[None, :]
-    return _grid_dp(profile, cost_model, sg, market.cdf(sg) * market.size, n_groups, t_grid)
+    mass = market.cdf(sg) * market.size
+    t = np.asarray(t_grid, dtype=float)
+    if mass.size and mass[0, 0] == 0 and np.all(np.diff(t) > 0):  # a grid _grid_dp refuses is passed whole
+        paying = np.flatnonzero(cost(cost_model, t) < profile.alpha * profile.mu)
+        t = t[: paying[-1] + 1 if paying.size else 1]
+    return _grid_dp(profile, cost_model, sg, mass, n_groups, t)
 
 
 # --- Monte Carlo check of the valuation formula -------------------------
@@ -464,19 +501,25 @@ def uplift_percent(profit, baseline_profit):
     return 100.0 * (profit / baseline_profit - 1.0) if baseline_profit > 0 else float("nan")
 
 
-def build_comparison(profile, cost_model, market, solution, baseline_periods) -> ComparisonReport:
-    """The solution's profit against both fixed-period baselines at each
-    of baseline_periods, a nonempty sequence of periods > 0 (one batched
-    call of each baseline), and its social surplus."""
-    profit = solution.total_profit
+def baseline_rows(profile, cost_model, market, profit, baseline_periods) -> List[BaselineRow]:
+    """profit against both fixed-period baselines at each of
+    baseline_periods, a nonempty sequence of periods > 0 (one batched
+    call of each baseline)."""
     periods = np.asarray(baseline_periods, dtype=float)
     full = full_coverage_profit(profile, cost_model, market, periods).tolist()
     opt = optimized_cutoff_profit(profile, cost_model, market, periods).tolist()
+    return [
+        BaselineRow(t_fixed, f, o, uplift_percent(profit, f), uplift_percent(profit, o))
+        for t_fixed, f, o in zip(periods.tolist(), full, opt)
+    ]
+
+
+def build_comparison(profile, cost_model, market, solution, baseline_periods) -> ComparisonReport:
+    """The solution's profit against its baseline_rows, and its social
+    surplus."""
+    profit = solution.total_profit
     return ComparisonReport(
         optimal_profit=float(profit),
-        baselines=[
-            BaselineRow(t_fixed, f, o, uplift_percent(profit, f), uplift_percent(profit, o))
-            for t_fixed, f, o in zip(periods.tolist(), full, opt)
-        ],
+        baselines=baseline_rows(profile, cost_model, market, profit, baseline_periods),
         social=social_metrics(profile, cost_model, market, solution),
     )

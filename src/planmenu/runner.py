@@ -30,10 +30,11 @@ import numpy as np
 
 from .discrete import feasibility_check, solve_discrete
 from .distributions import DiscreteMarket
-from .grouped import REL_PROFIT_TOL, _check_solve_size, _whole, solve_with_restarts
+from .grouped import REL_PROFIT_TOL, _check_solve_size, _whole, group_counts, solve_with_restarts
 from .market import cost
 from .oracles import (
     ComparisonReport,
+    baseline_rows,
     brute_force_ic_ir,
     build_comparison,
     full_coverage_profit,
@@ -326,10 +327,26 @@ def verify_solution_csv(scenario: Scenario, csv_path):
 
     Returns (ok, details); raises ValueError on a malformed file.  The
     periods and prices are judged by `certify`, and details holds its
-    chain_feasibility and ic_ir reports.
+    chain_feasibility and ic_ir reports.  A menu that passes is then
+    held to the scenario's baseline rows by _below_baseline, as `run`
+    holds a solve, at its profit: its margins times the scenario's masses
+    (a discrete market's counts, or N times each group's CDF difference
+    up to its sigma_boundary).  Where it falls below one, details also
+    holds that row as below_baseline, and ok is False.
     """
     boundaries, periods, prices = _read_solution_csv(csv_path)
-    if isinstance(scenario.market, DiscreteMarket) and periods.size != scenario.market.n_types:
+    m = scenario.market
+    discrete = isinstance(m, DiscreteMarket)
+    if discrete and periods.size != m.n_types:
         return False, {"error": "row count does not match the market's types"}
     ok, ic_ir, chain_feasibility = certify(scenario, periods, prices, boundaries)
-    return ok, {"chain_feasibility": chain_feasibility, "ic_ir": ic_ir}
+    details = {"chain_feasibility": chain_feasibility, "ic_ir": ic_ir}
+    if ok:
+        mass = m.counts if discrete else m.size * group_counts(m, boundaries)
+        profit = float(np.dot(mass, prices - cost(scenario.cost_model, periods)))
+        rows = baseline_rows(scenario.profile, scenario.cost_model, m, profit, scenario.baselines)
+        below = _below_baseline(ComparisonReport(profit, rows, social=None), discrete)
+        if below is not None:
+            details["below_baseline"] = below
+            ok = False
+    return ok, details

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import _quadrature, fixed_quad, quad
 from scipy.optimize.elementwise import find_root
@@ -574,6 +574,46 @@ def test_unprofitable_grid_ties_its_zero_across_blocks(profile):
     best, bnd, per = grid_oracle_grouped(profile, no_profit, market, 1, sigma_grid, ORACLE_T_GRID)
     assert best.hex() == "-0x0.0p+0"
     assert (bnd.tolist(), per.tolist()) == ([0.0], [ORACLE_T_GRID[0]])
+
+
+@st.composite
+def period_cut_cases(draw):
+    """A grouped oracle on small grids: a market of each family, a sigma
+    grid from sigma_min (zero mass, so the oracle cuts its periods) or from
+    above it (no cut), and a linear cost whose C(t) crosses alpha*mu = 13
+    inside the period grid [0.25, 12], stays below it (c1 = 0, no cut) or
+    lies above it at every period (c0 > 13, every menu loses money)."""
+    kind = draw(st.sampled_from(["uniform", "exponential", "truncated_normal"]))
+    params = {"exponential": {"rate": 0.5}, "truncated_normal": {"loc": 3.0, "scale": 1.5}}.get(kind, {})
+    market = make_market(kind, 0.0, 6.0, size=draw(st.floats(0.5, 3.0)), **params)
+    sigma_grid = np.linspace(draw(st.sampled_from([0.0, 0.3, 1.0])), 6.0, draw(st.integers(3, 9)))
+    t_grid = np.linspace(0.25, 12.0, draw(st.integers(3, 12)))
+    shape = draw(st.sampled_from(["crossing", "below", "losing"]))
+    if shape == "crossing":
+        c0 = draw(st.floats(5.0, 12.5))
+        c1 = draw(st.floats((13.0 - c0) / 11.0, 2.0))  # C(12) > 13
+    else:
+        c0, c1 = draw(st.floats(5.0, 12.9) if shape == "below" else st.floats(13.5, 15.0)), 0.0
+    return market, CostModel(c0=c0, c1=c1), draw(st.integers(1, 3)), sigma_grid, t_grid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=period_cut_cases())
+# every period costs more than alpha*mu and the sigma grid starts above
+# sigma_min, so every menu loses money: the least loss has the longest period
+@example(case=(GRID_UNIFORM, CostModel(c0=14.0, c1=0.0), 2, np.linspace(1.0, 6.0, 6), np.linspace(0.25, 12.0, 8)))
+# C(t) lies between 0.9 * alpha*mu and alpha*mu at every period: no period is cut
+@example(case=(GRID_EXPONENTIAL, CostModel(c0=12.0, c1=0.05), 2, np.linspace(0.0, 6.0, 7), np.linspace(0.25, 12.0, 8)))
+def test_grouped_oracle_period_cut_keeps_the_full_grid_optimum(profile, case):
+    market, cost_model, n_groups, sigma_grid, t_grid = case
+    best, bnd, per = grid_oracle_grouped(profile, cost_model, market, n_groups, sigma_grid, t_grid)
+    mass = market.cdf(sigma_grid[None, :]) * market.size
+    ref = reference_grid_dp(profile, cost_model, sigma_grid[None, :], mass, n_groups, t_grid)
+    assert abs(best - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
+    assert abs(grouped_chain_profit(profile, cost_model, market, bnd, per) - best) <= 1e-9
+    if ref[0] > 0 and np.all(cost(cost_model, ref[2]) < profile.alpha * profile.mu):
+        assert best.hex() == ref[0].hex()
+        assert (bnd.tolist(), per.tolist()) == (ref[1].tolist(), ref[2].tolist())
 
 
 def traced_peak_bytes(oracle, *args):

@@ -661,17 +661,24 @@ def test_cli_writes_failing_discrete_menu_as_fail(tmp_path, capsys, monkeypatch)
     assert details["chain_feasibility"]["condition"] == "top_participation"
 
 
-def test_cli_solve_fails_a_menu_below_its_own_baseline(tmp_path, capsys):
-    # from the quantile start alone this K = 1 solve ends on the empty
-    # menu (profit -0.0), a converged menu that passes IC/IR, 100% below
-    # its own t = 1 optimized-cutoff baseline of 1.6575: it is written and
-    # reported as FAIL, naming that comparison.csv row
+def empty_menu_scenario(tmp_path):
+    """A K = 1 scenario file whose solve from the quantile start alone ends
+    on the empty menu, below its own t = 1 optimized-cutoff baseline."""
     cfg = json.loads((Path(planmenu.__file__).parent / "data" / "truncated_normal_k6.json").read_text())
     cfg.update(mu=15.1761, q=18.2418, cost={"c0": 14.0924, "c1": 0.6079})
     cfg["market"].update(sigma_min=0.5, sigma_max=8.4287, N=50.0, M=5.3517, W=2.1650)
     cfg["solver"].update(K=1, restarts=0, seed=0)
     path = tmp_path / "empty_menu.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_cli_solve_fails_a_menu_below_its_own_baseline(tmp_path, capsys):
+    # from the quantile start alone this K = 1 solve ends on the empty
+    # menu (profit -0.0), a converged menu that passes IC/IR, 100% below
+    # its own t = 1 optimized-cutoff baseline of 1.6575: it is written and
+    # reported as FAIL, naming that comparison.csv row
+    path = empty_menu_scenario(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["solve", "--scenario", str(path), "--out", str(out)]) == 2
     printed = capsys.readouterr().out
@@ -683,6 +690,51 @@ def test_cli_solve_fails_a_menu_below_its_own_baseline(tmp_path, capsys):
     with open(out / "comparison.csv", newline="") as fh:
         rows = {r["label"]: float(r["profit"]) for r in csv.DictReader(fh)}
     assert abs(cert["below_baseline"]["profit"] - rows["fixed_t=1_optimized_cutoff"]) <= 1e-11
+
+
+def test_cli_verify_fails_a_menu_below_its_own_baseline(tmp_path, capsys):
+    # the empty menu that K = 1 solve writes passes IC/IR, and verify
+    # holds it to the scenario's baselines as solve does: exit 2, naming
+    # the same row
+    path = empty_menu_scenario(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert cli.main(["verify", "--scenario", str(path), "--solution", str(out / "solution.csv")]) == 2
+    printed = capsys.readouterr().out
+    assert printed.endswith("  below baseline fixed_t=1_optimized_cutoff (1.657522)\nverification FAIL\n")
+    details = json.loads(printed[: printed.rindex("}") + 1])
+    assert details["ic_ir"]["passed"] is True
+    assert details["below_baseline"]["label"] == "fixed_t=1_optimized_cutoff"
+    assert abs(details["below_baseline"]["profit"] - 1.6575218) <= 1e-7
+
+
+def lowered_menu(scenario, artifacts, tmp_path, share):
+    """case1's written menu with every price lowered by one constant: share
+    of the gap between the menu's profit and its best full-coverage row,
+    per head.  Price gaps and periods stay, so IC/IR and the chain hold."""
+    best_full = max(row.profit_full for row in artifacts.report.baselines)
+    drop = share * (artifacts.solution.total_profit - best_full) / float(scenario.market.counts.sum())
+    with open(artifacts.paths["solution"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[3] = repr(float(row[3]) - drop)
+    path = tmp_path / f"lowered_{share}.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def test_verify_fails_a_discrete_menu_below_its_full_coverage_row(case1_run, tmp_path):
+    scenario, artifacts = case1_run
+    ok, details = runner.verify_solution_csv(scenario, lowered_menu(scenario, artifacts, tmp_path, 0.9))
+    assert ok and "below_baseline" not in details
+    ok, details = runner.verify_solution_csv(scenario, lowered_menu(scenario, artifacts, tmp_path, 1.1))
+    assert details["ic_ir"]["passed"] is True and details["chain_feasibility"]["passed"] is True
+    assert not ok
+    assert details["below_baseline"]["label"] == "fixed_t=2_full_coverage"
+    row = max(artifacts.report.baselines, key=lambda r: r.profit_full)
+    assert details["below_baseline"]["profit"] == row.profit_full
 
 
 @pytest.mark.parametrize("name", BUNDLED)
