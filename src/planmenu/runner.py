@@ -107,35 +107,35 @@ def _solution_rows(scenario, solution):
     return [header] + [(k + 1, *(float(x) for x in row)) for k, row in enumerate(zip(*columns))]
 
 
-def _baseline_rows(report):
+def _baseline_rows(baselines):
     """comparison.csv's (label, profit, uplift_percent) row of each
     fixed-period baseline, full coverage then optimized cutoff per period."""
-    for row in report.baselines:
+    for row in baselines:
         label = f"fixed_t={row.period:g}"
         yield label + "_full_coverage", row.profit_full, row.uplift_full_percent
         yield label + "_optimized_cutoff", row.profit_optimized, row.uplift_optimized_percent
 
 
 def _comparison_rows(report):
-    rows = [("label", "profit", "uplift_percent"), ("optimal", report.optimal_profit, ""), *_baseline_rows(report)]
+    rows = [("label", "profit", "uplift_percent"), ("optimal", report.optimal_profit, ""), *_baseline_rows(report.baselines)]
     rows.append(("social_surplus_contract", report.social.surplus_contract, ""))
     rows.append(("social_surplus_first_best", report.social.surplus_first_best, ""))
     rows.append(("social_surplus_ratio_percent", 100.0 * report.social.ratio, ""))
     return rows
 
 
-def _below_baseline(report, discrete):
-    """The baseline row of comparison.csv that the menu's profit falls
-    furthest below, as {"label", "profit"}, or None where it falls below
-    none by more than REL_PROFIT_TOL * max(1, |baseline|).  A grouped
-    menu is held to every baseline row.  A discrete menu is held to the
-    full-coverage rows alone: the discrete solver serves every type, and
-    an optimized cutoff may leave types unserved."""
-    profit = report.optimal_profit
+def _below_baseline(profit, baselines, discrete, slack=0.0):
+    """The comparison.csv row, of the BaselineRow list baselines, that a
+    menu's profit falls furthest below, as {"label", "profit"}, or None
+    where it falls below none by more than
+    REL_PROFIT_TOL * max(1, |baseline|) + slack.  A grouped menu is held
+    to every baseline row.  A discrete menu is held to the full-coverage
+    rows alone: the discrete solver serves every type, and an optimized
+    cutoff may leave types unserved."""
     short = [
         (base - profit, label, base)
-        for label, base, _ in _baseline_rows(report)
-        if not (discrete and label.endswith("_optimized_cutoff")) and base - profit > REL_PROFIT_TOL * max(1.0, abs(base))
+        for label, base, _ in _baseline_rows(baselines)
+        if not (discrete and label.endswith("_optimized_cutoff")) and base - profit > REL_PROFIT_TOL * max(1.0, abs(base)) + slack
     ]
     if not short:
         return None
@@ -194,7 +194,7 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     passed, ic_ir, chain_feasibility = certify(scenario, solution.periods, solution.prices, boundaries)
     report = build_comparison(scenario.profile, scenario.cost_model, scenario.market, solution, scenario.baselines)
 
-    below = _below_baseline(report, discrete)
+    below = _below_baseline(report.optimal_profit, report.baselines, discrete)
     ok = passed and convergence["converged"] and below is None
     certificate = {
         "scenario": scenario.name,
@@ -322,6 +322,29 @@ def certify(scenario: Scenario, periods, prices, boundaries=None):
     return ic_ir.passed and chain.passed, asdict(ic_ir), asdict(chain)
 
 
+#: Twice the largest relative error of a value written at 12 significant
+#: digits (_fmt) and read back: half a unit in the 12th digit is at most
+#: 5e-12 of the value.
+WRITTEN_RTOL = 1e-11
+
+
+def _written_slack(scenario, boundaries, periods, prices, mass, margins):
+    """How far the profit of a menu read back from solution.csv may lie
+    below the profit of the menu that was written, to first order, when
+    each price, period and boundary read moved by WRITTEN_RTOL of itself:
+    mass times |price| for the prices, mass times the cost's change for
+    the periods, and for each boundary of a continuous market (None for
+    a discrete one) N times the mass it moves times the change of margin
+    across it (the last group's margin against no sale)."""
+    c = cost(scenario.cost_model, periods)
+    slack = np.dot(mass, WRITTEN_RTOL * np.abs(prices) + np.abs(cost(scenario.cost_model, periods * (1 + WRITTEN_RTOL)) - c))
+    if boundaries is not None:
+        m = scenario.market
+        moved = m.cdf(np.minimum(boundaries * (1 + WRITTEN_RTOL), m.sigma_max)) - m.cdf(boundaries)
+        slack += m.size * np.dot(np.abs(moved), np.abs(margins - np.append(margins[1:], 0.0)))
+    return float(slack)
+
+
 def verify_solution_csv(scenario: Scenario, csv_path):
     """Re-check a written solution.csv against its scenario.
 
@@ -331,8 +354,11 @@ def verify_solution_csv(scenario: Scenario, csv_path):
     held to the scenario's baseline rows by _below_baseline, as `run`
     holds a solve, at its profit: its margins times the scenario's masses
     (a discrete market's counts, or N times each group's CDF difference
-    up to its sigma_boundary).  Where it falls below one, details also
-    holds that row as below_baseline, and ok is False.
+    up to its sigma_boundary).  The file's values carry 12 significant
+    digits, so the allowed shortfall widens by _written_slack: a menu
+    equal to a baseline row passes however thin its margins.  Where it
+    falls below a row, details also holds that row as below_baseline,
+    and ok is False.
     """
     boundaries, periods, prices = _read_solution_csv(csv_path)
     m = scenario.market
@@ -343,9 +369,11 @@ def verify_solution_csv(scenario: Scenario, csv_path):
     details = {"chain_feasibility": chain_feasibility, "ic_ir": ic_ir}
     if ok:
         mass = m.counts if discrete else m.size * group_counts(m, boundaries)
-        profit = float(np.dot(mass, prices - cost(scenario.cost_model, periods)))
+        margins = prices - cost(scenario.cost_model, periods)
+        profit = float(np.dot(mass, margins))
         rows = baseline_rows(scenario.profile, scenario.cost_model, m, profit, scenario.baselines)
-        below = _below_baseline(ComparisonReport(profit, rows, social=None), discrete)
+        slack = _written_slack(scenario, None if discrete else boundaries, periods, prices, mass, margins)
+        below = _below_baseline(profit, rows, discrete, slack)
         if below is not None:
             details["below_baseline"] = below
             ok = False

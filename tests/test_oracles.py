@@ -35,6 +35,7 @@ from planmenu.oracles import (
     IC_SCAN_POINTS,
     TUPLE_BUDGET,
     _first_best_surplus_rates,
+    _grid_dp,
     brute_force_ic_ir,
     build_comparison,
     full_coverage_profit,
@@ -513,12 +514,23 @@ def assert_discrete_oracle_is_reference(profile, cost_model, market, t_grid):
     assert periods.tolist() == ref[2].tolist()
 
 
+def dp_row_blocks(n_rows, n_periods):
+    """How many blocks of rows _grid_dp sweeps a shared row of n_rows
+    types in, over n_periods periods."""
+    return -(-n_rows // max(1, _PSI_CHUNK_CELLS // n_periods))
+
+
 def assert_grouped_oracle_is_reference(profile, cost_model, market, n_groups, sigma_grid, t_grid):
-    got = grid_oracle_grouped(profile, cost_model, market, n_groups, sigma_grid, t_grid)
+    # the oracle may cut its periods; _grid_dp, handed the full grid, sweeps
+    # it in the blocks of rows the full grid takes
     mass = market.cdf(sigma_grid[None, :]) * market.size
     ref = reference_grid_dp(profile, cost_model, sigma_grid[None, :], mass, n_groups, t_grid)
-    assert got[0].hex() == ref[0].hex()
-    assert [x.tolist() for x in got[1:]] == [x.tolist() for x in ref[1:]]
+    for got in (
+        grid_oracle_grouped(profile, cost_model, market, n_groups, sigma_grid, t_grid),
+        _grid_dp(profile, cost_model, sigma_grid[None, :], mass, n_groups, t_grid),
+    ):
+        assert got[0].hex() == ref[0].hex()
+        assert [x.tolist() for x in got[1:]] == [x.tolist() for x in ref[1:]]
 
 
 @pytest.mark.parametrize("n_groups", [1, 2, 6])
@@ -550,30 +562,37 @@ def test_tie_heavy_grids_are_reference_dp_bit_for_bit(profile, c1):
     # values psi at 0 for every period, so running maxima tie across whole
     # rows (with no cost slope, the flat row's every cell ties); the
     # backtrack must still take the reference's latest index, over a
-    # sigma grid that spans three blocks of rows
+    # sigma grid that spans three blocks of rows on the full period grid
+    # (the oracle cuts it at c1 = 0.5, to one block)
     cost_model = CostModel(c0=10.0, c1=c1)
     flat_lowest = DiscreteMarket(sigmas=[0.0, 0.0001, 1.5, 1.5001, 4.0], counts=[2.0, 1.0, 1.0, 0.5, 1.0])
     assert_discrete_oracle_is_reference(profile, cost_model, flat_lowest, ORACLE_T_GRID)
     market = make_market("exponential", 0.0, 6.0, rate=0.5)
     sigma_grid = np.linspace(0.0, 6.0, 61)
-    assert market.cdf(sigma_grid[0]) == 0.0
+    assert market.cdf(sigma_grid[0]) == 0.0 and dp_row_blocks(sigma_grid.size, ORACLE_T_GRID.size) == 3
     for n_groups in (1, 2, 3, 8):
         assert_grouped_oracle_is_reference(profile, cost_model, market, n_groups, sigma_grid, ORACLE_T_GRID)
 
 
 def test_unprofitable_grid_ties_its_zero_across_blocks(profile):
     # c0 above alpha*mu: no cell earns, and the 34 rows below sigma = 1.65,
-    # where G underflows to 0, value psi at -0.0; the optimum ties across
-    # the first two blocks of rows and is the first of them, with its sign
+    # where G underflows to 0, value psi at -0.0; on the full period grid
+    # the optimum ties across _grid_dp's first two blocks of rows and is
+    # the first of them, with its sign.  The oracle cuts the grid to its
+    # first period, one block, and finds the same menu
     market = make_market("truncated_normal", 0.0, 6.0, loc=5.5, scale=0.1)
     sigma_grid = bundled_sigma_grid(market)
-    assert np.count_nonzero(market.cdf(sigma_grid) == 0.0) > _PSI_CHUNK_CELLS // ORACLE_T_GRID.size
+    mass = market.cdf(sigma_grid[None, :]) * market.size
+    assert np.count_nonzero(mass == 0.0) > _PSI_CHUNK_CELLS // ORACLE_T_GRID.size
     no_profit = CostModel(c0=20.0, c1=0.5)
     for n_groups in (1, 2, 3):
         assert_grouped_oracle_is_reference(profile, no_profit, market, n_groups, sigma_grid, ORACLE_T_GRID)
-    best, bnd, per = grid_oracle_grouped(profile, no_profit, market, 1, sigma_grid, ORACLE_T_GRID)
-    assert best.hex() == "-0x0.0p+0"
-    assert (bnd.tolist(), per.tolist()) == ([0.0], [ORACLE_T_GRID[0]])
+    for best, bnd, per in (
+        grid_oracle_grouped(profile, no_profit, market, 1, sigma_grid, ORACLE_T_GRID),
+        _grid_dp(profile, no_profit, sigma_grid[None, :], mass, 1, ORACLE_T_GRID),
+    ):
+        assert best.hex() == "-0x0.0p+0"
+        assert (bnd.tolist(), per.tolist()) == ([0.0], [ORACLE_T_GRID[0]])
 
 
 @st.composite
@@ -639,11 +658,19 @@ def dp_footprint_bytes(n_stages, n_types, n_periods, blocks_share_a_row=True):
 def test_grouped_grid_oracle_memory_is_its_tables(n_groups):
     # no stage keeps a float table: one float table per stage would take
     # 8 bytes per cell and stage, 32 times the bits, and at K = 24 more than
-    # seven times this bound
+    # seven times the bound for _grid_dp on the full 121 x 600 grid.  The
+    # oracle searches the 119 periods before its cost cut and is held to
+    # the bound for that grid, which such tables would exceed more than
+    # 1.8 times
     sc = load_scenario("uniform_k6")
     sg = bundled_sigma_grid(sc.market)
-    peak = traced_peak_bytes(grid_oracle_grouped, sc.profile, sc.cost_model, sc.market, n_groups, sg, ORACLE_T_GRID)
+    mass = sc.market.cdf(sg[None, :]) * sc.market.size
+    peak = traced_peak_bytes(_grid_dp, sc.profile, sc.cost_model, sg[None, :], mass, n_groups, ORACLE_T_GRID)
     assert peak <= dp_footprint_bytes(n_groups, sg.size, ORACLE_T_GRID.size)
+    searched = np.count_nonzero(cost(sc.cost_model, ORACLE_T_GRID) < sc.profile.alpha * sc.profile.mu)
+    assert searched == 119
+    peak = traced_peak_bytes(grid_oracle_grouped, sc.profile, sc.cost_model, sc.market, n_groups, sg, ORACLE_T_GRID)
+    assert peak <= dp_footprint_bytes(n_groups, sg.size, searched)
 
 
 def test_discrete_grid_oracle_memory_is_its_tables(profile, cost_model):

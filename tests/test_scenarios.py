@@ -1,6 +1,8 @@
 """Scenario files, the end-to-end runner, artifact determinism, and the CLI."""
 
 import csv
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -737,6 +739,72 @@ def test_verify_fails_a_discrete_menu_below_its_full_coverage_row(case1_run, tmp
     assert details["below_baseline"]["profit"] == row.profit_full
 
 
+def one_price_menu(tmp_path, boundaries, period, price, drop=0.0):
+    """A solution.csv, written at solve's 12 significant digits, of one
+    period and one price less drop for every row."""
+    rows = [("group_index", "sigma_boundary", "period", "price", "count", "item_profit")]
+    rows += [(k + 1, float(b), period, price - drop, 0.0, 0.0) for k, b in enumerate(boundaries)]
+    path = tmp_path / f"menu_{drop}.csv"
+    path.write_text(runner._csv_text(rows))
+    return path
+
+
+@pytest.mark.parametrize("margin", [None, 1e-3])
+def test_verify_passes_a_discrete_menu_equal_to_its_full_coverage_row(tmp_path, margin):
+    # every type on the t = 2 plan at the top type's valuation is the t = 2
+    # full-coverage row itself; its price reads back 4.1e-11 low, which on
+    # a per-head margin of 1e-3 is more than REL_PROFIT_TOL of the row
+    # (this file failed verify before the written digits were allowed
+    # for), while a price 1e-9 lower is a true shortfall
+    scenario = load_scenario("case1_discrete")
+    price = market.valuation(scenario.profile, scenario.market.sigmas[-1], 2.0)
+    if margin is not None:
+        scenario = dataclasses.replace(scenario, cost_model=CostModel(c0=price - 1.0 - margin, c1=0.5))
+    ok, details = runner.verify_solution_csv(scenario, one_price_menu(tmp_path, scenario.market.sigmas, 2.0, price))
+    assert ok and "below_baseline" not in details
+    ok, details = runner.verify_solution_csv(scenario, one_price_menu(tmp_path, scenario.market.sigmas, 2.0, price, 1e-9))
+    assert details["ic_ir"]["passed"] is True and details["chain_feasibility"]["passed"] is True
+    assert not ok and details["below_baseline"]["label"] == "fixed_t=2_full_coverage"
+
+
+def test_written_slack_sums_the_shift_of_each_written_value():
+    # the slack is, to first order, the sum over every price, period and
+    # boundary of how far the profit moves when that value alone moves
+    # by WRITTEN_RTOL of itself
+    scenario = load_scenario("truncated_normal_k6")
+    m, eps = scenario.market, runner.WRITTEN_RTOL
+    menu = [np.array([1.5, 4.0]), np.array([1.0, 3.0]), np.array([12.0, 11.5])]
+
+    def profit(boundaries, periods, prices):
+        return m.size * np.dot(grouped.group_counts(m, boundaries), prices - market.cost(scenario.cost_model, periods))
+
+    shifts = 0.0
+    for i, j in itertools.product(range(3), range(2)):
+        moved = [x.copy() for x in menu]
+        moved[i][j] *= 1 + eps
+        shifts += abs(profit(*moved) - profit(*menu))
+    mass = m.size * grouped.group_counts(m, menu[0])
+    margins = menu[2] - market.cost(scenario.cost_model, menu[1])
+    assert runner._written_slack(scenario, *menu, mass, margins) == pytest.approx(shifts, rel=1e-3)
+
+
+def test_verify_passes_a_grouped_menu_equal_to_its_optimized_cutoff_row(tmp_path):
+    # the t = 1 plan sold up to the optimized cutoff at its valuation is
+    # that baseline row; on N = 1e5 with thin margins the read-back
+    # boundary and price move the profit by more than REL_PROFIT_TOL of
+    # the row, while a price 1e-7 lower is a true shortfall
+    scenario = load_scenario("exponential_k6")
+    scenario = dataclasses.replace(scenario, market=dataclasses.replace(scenario.market, size=1e5), cost_model=CostModel(c0=12.49, c1=0.5))
+    items = np.arange(1)
+    cutoff = grouped.block_boundaries(scenario.profile, scenario.cost_model, scenario.market, np.ones((1, 1)), items, items)
+    price = market.valuation(scenario.profile, float(cutoff[0]), 1.0)
+    ok, details = runner.verify_solution_csv(scenario, one_price_menu(tmp_path, cutoff, 1.0, price))
+    assert ok and "below_baseline" not in details
+    ok, details = runner.verify_solution_csv(scenario, one_price_menu(tmp_path, cutoff, 1.0, price, 1e-7))
+    assert details["ic_ir"]["passed"] is True
+    assert not ok and details["below_baseline"]["label"] == "fixed_t=1_optimized_cutoff"
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_menus_are_below_no_baseline(tmp_path, name):
     # every bundled solve beats each baseline row it is held to
@@ -749,15 +817,11 @@ def test_discrete_menu_is_held_to_full_coverage_rows_alone():
     # baseline may leave types unserved), but not below a full-coverage
     # row; a grouped menu is held to both, and a shortfall within
     # REL_PROFIT_TOL of the row is rounding
-    report = oracles.ComparisonReport(
-        optimal_profit=2.0,
-        baselines=[oracles.BaselineRow(1.0, 1.5, 2.5, 0.0, 0.0), oracles.BaselineRow(2.0, 2.0 + 1e-11, 3.0, 0.0, 0.0)],
-        social=None,
-    )
-    assert runner._below_baseline(report, discrete=True) is None
-    assert runner._below_baseline(report, discrete=False) == {"label": "fixed_t=2_optimized_cutoff", "profit": 3.0}
-    report.baselines[1] = oracles.BaselineRow(2.0, 2.5, 3.0, 0.0, 0.0)
-    assert runner._below_baseline(report, discrete=True) == {"label": "fixed_t=2_full_coverage", "profit": 2.5}
+    baselines = [oracles.BaselineRow(1.0, 1.5, 2.5, 0.0, 0.0), oracles.BaselineRow(2.0, 2.0 + 1e-11, 3.0, 0.0, 0.0)]
+    assert runner._below_baseline(2.0, baselines, discrete=True) is None
+    assert runner._below_baseline(2.0, baselines, discrete=False) == {"label": "fixed_t=2_optimized_cutoff", "profit": 3.0}
+    baselines[1] = oracles.BaselineRow(2.0, 2.5, 3.0, 0.0, 0.0)
+    assert runner._below_baseline(2.0, baselines, discrete=True) == {"label": "fixed_t=2_full_coverage", "profit": 2.5}
 
 
 def test_cli_oracle_discrete(tmp_path, capsys):
