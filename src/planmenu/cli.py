@@ -9,10 +9,11 @@
 PATH is a scenario file or a bundled scenario's name.  --seed replaces
 a grouped scenario's restart seed, an integer >= 0; a
 discrete scenario has no restarts and refuses it.  Exit status is 0
-only when every verification passes (for solve and verify, that
-includes a profit below none of the scenario's baselines; for sweep:
-when every K's solve converged); artifacts are still written on
-failure.  A missing or malformed input file prints one
+only when every verification passes: for solve, sweep and verify, that
+is runner.certify's verdict on each menu (IC/IR, the price chain of a
+discrete market and a profit below none of the scenario's baselines),
+and for solve and sweep every solve's convergence; artifacts are still
+written on failure.  A missing or malformed input file prints one
 `planmenu: error: ...` line and exits 2.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import runner
 from .distributions import ContinuousMarket, DiscreteMarket
-from .oracles import TUPLE_BUDGET, grid_oracle_discrete, grid_oracle_grouped
+from .oracles import TUPLE_BUDGET, grid_oracle_discrete, grid_oracle_grouped, uplift_percent
 from .scenarios import bundled_scenario_names, load_scenario
 
 
@@ -34,19 +35,18 @@ def _percent(uplift):
 
 
 def _print_below(below):
-    """The baseline row a menu falls below, if any (runner._below_baseline)."""
+    """The baseline row a menu falls below, if any (runner.certify)."""
     if below is not None:
         print(f"  below baseline {below['label']} ({below['profit']:.6f})")
 
 
 def _cmd_solve(scenario, args):
     artifacts = runner.run(scenario, args.out, seed=args.seed)
-    print(f"scenario {scenario.name}: profit {artifacts.solution.total_profit:.6f}")
+    profit = artifacts.report.optimal_profit
+    print(f"scenario {scenario.name}: profit {profit:.6f}")
     for row in artifacts.report.baselines:
-        print(
-            f"  vs fixed t={row.period:g}: {_percent(row.uplift_full_percent)} "
-            f"(full coverage), {_percent(row.uplift_optimized_percent)} (optimized cutoff)"
-        )
+        full, opt = (_percent(uplift_percent(profit, base)) for base in (row.profit_full, row.profit_optimized))
+        print(f"  vs fixed t={row.period:g}: {full} (full coverage), {opt} (optimized cutoff)")
     ratio = 100 * artifacts.report.social.ratio  # NaN where the first-best has no surplus
     print(f"  social surplus ratio {'n/a' if np.isnan(ratio) else f'{ratio:.1f}%'}")
     _print_below(artifacts.certificate["below_baseline"])
@@ -60,9 +60,10 @@ def _cmd_sweep(scenario, args):
         raise ValueError(f"--groups takes comma-separated integers >= 1, got {args.groups!r}")
     rows = runner.sweep_groups(scenario, [int(k) for k in entries], args.out, seed=args.seed)
     for r in rows:
-        unconverged = "" if r["converged"] else " NOT CONVERGED"
-        print(f"K={r['groups']}: profit {r['profit']:.6f} ({_percent(r['uplift_percent'])} vs fixed){unconverged}")
-    return 0 if all(r["converged"] for r in rows) else 2
+        flag = "" if r["passed"] else " FAIL" if r["converged"] else " NOT CONVERGED"
+        print(f"K={r['groups']}: profit {r['profit']:.6f} ({_percent(r['uplift_percent'])} vs fixed){flag}")
+        _print_below(r["below_baseline"])
+    return 0 if all(r["passed"] for r in rows) else 2
 
 
 def _cmd_verify(scenario, args):

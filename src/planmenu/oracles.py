@@ -40,8 +40,9 @@ module imports no solver's solution type.
   no one, profit 0, where no cutoff earns a positive profit), found by
   the grouped solver's boundary search at K = 1; either takes a float
   period or an array of periods, evaluated in one call.  baseline_rows
-  tabulates both against a profit, for the solve's comparison and for
-  the runner's check of a written menu.
+  tabulates both at a scenario's baseline periods, a property of the
+  scenario alone: the runner holds every menu it certifies to that
+  table, and applies uplift_percent where it writes uplifts.
 - social_metrics compares realized social surplus against the
   first-best that ignores incentive constraints.  It is accounting, not
   a check: the first-best periods come from the solvers' period search.
@@ -483,8 +484,6 @@ class BaselineRow:
     period: float
     profit_full: float
     profit_optimized: float
-    uplift_full_percent: float
-    uplift_optimized_percent: float
 
 
 @dataclass
@@ -501,25 +500,21 @@ def uplift_percent(profit, baseline_profit):
     return 100.0 * (profit / baseline_profit - 1.0) if baseline_profit > 0 else float("nan")
 
 
-def baseline_rows(profile, cost_model, market, profit, baseline_periods) -> List[BaselineRow]:
-    """profit against both fixed-period baselines at each of
-    baseline_periods, a nonempty sequence of periods > 0 (one batched
-    call of each baseline)."""
+def baseline_rows(profile, cost_model, market, baseline_periods) -> List[BaselineRow]:
+    """Both fixed-period baselines' profits at each of baseline_periods,
+    a nonempty sequence of periods > 0 (one batched call of each
+    baseline)."""
     periods = np.asarray(baseline_periods, dtype=float)
     full = full_coverage_profit(profile, cost_model, market, periods).tolist()
     opt = optimized_cutoff_profit(profile, cost_model, market, periods).tolist()
-    return [
-        BaselineRow(t_fixed, f, o, uplift_percent(profit, f), uplift_percent(profit, o))
-        for t_fixed, f, o in zip(periods.tolist(), full, opt)
-    ]
+    return [BaselineRow(*row) for row in zip(periods.tolist(), full, opt)]
 
 
 def build_comparison(profile, cost_model, market, solution, baseline_periods) -> ComparisonReport:
-    """The solution's profit against its baseline_rows, and its social
+    """The solution's profit, its scenario's baseline_rows and its social
     surplus."""
-    profit = solution.total_profit
     return ComparisonReport(
-        optimal_profit=float(profit),
-        baselines=baseline_rows(profile, cost_model, market, profit, baseline_periods),
+        optimal_profit=float(solution.total_profit),
+        baselines=baseline_rows(profile, cost_model, market, baseline_periods),
         social=social_metrics(profile, cost_model, market, solution),
     )

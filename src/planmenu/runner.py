@@ -2,8 +2,9 @@
 
 Artifacts per run (all deterministic for a fixed seed):
   solution.csv     group_index, sigma_boundary, period, price, count, item_profit
-  comparison.csv   label, profit, uplift_percent  (both baseline readings;
-                   nan against a baseline with no positive profit)
+  comparison.csv   label, profit, uplift_percent  (both baseline readings,
+                   the uplift computed here from the scenario's baseline
+                   table; nan against a baseline with no positive profit)
   certificate.json feasibility + incentive checks + convergence record
                    (grouped: rounds, Newton steps, first-order residual,
                    and each start's final profit and residual), and the
@@ -17,6 +18,11 @@ failure while serializing leaves every previous artifact as it was,
 and one while writing leaves that artifact's previous bytes and no
 .part file, so no artifact ever mixes rows of two runs; a symlink at
 an artifact's path is replaced, not written through.
+
+One function, certify, decides whether a menu passes, for run,
+sweep_groups and verify_solution_csv alike: IC/IR, the price chain of a
+discrete market, and a profit below none of the scenario's baseline
+rows.
 """
 
 import csv
@@ -37,7 +43,6 @@ from .oracles import (
     baseline_rows,
     brute_force_ic_ir,
     build_comparison,
-    full_coverage_profit,
     uplift_percent,
 )
 from .scenarios import Scenario
@@ -108,16 +113,17 @@ def _solution_rows(scenario, solution):
 
 
 def _baseline_rows(baselines):
-    """comparison.csv's (label, profit, uplift_percent) row of each
-    fixed-period baseline, full coverage then optimized cutoff per period."""
+    """comparison.csv's (label, profit) of each fixed-period baseline,
+    full coverage then optimized cutoff per period."""
     for row in baselines:
         label = f"fixed_t={row.period:g}"
-        yield label + "_full_coverage", row.profit_full, row.uplift_full_percent
-        yield label + "_optimized_cutoff", row.profit_optimized, row.uplift_optimized_percent
+        yield label + "_full_coverage", row.profit_full
+        yield label + "_optimized_cutoff", row.profit_optimized
 
 
 def _comparison_rows(report):
-    rows = [("label", "profit", "uplift_percent"), ("optimal", report.optimal_profit, ""), *_baseline_rows(report.baselines)]
+    rows = [("label", "profit", "uplift_percent"), ("optimal", report.optimal_profit, "")]
+    rows += [(label, base, uplift_percent(report.optimal_profit, base)) for label, base in _baseline_rows(report.baselines)]
     rows.append(("social_surplus_contract", report.social.surplus_contract, ""))
     rows.append(("social_surplus_first_best", report.social.surplus_first_best, ""))
     rows.append(("social_surplus_ratio_percent", 100.0 * report.social.ratio, ""))
@@ -134,7 +140,7 @@ def _below_baseline(profit, baselines, discrete, slack=0.0):
     cutoff may leave types unserved."""
     short = [
         (base - profit, label, base)
-        for label, base, _ in _baseline_rows(baselines)
+        for label, base in _baseline_rows(baselines)
         if not (discrete and label.endswith("_optimized_cutoff")) and base - profit > REL_PROFIT_TOL * max(1.0, abs(base)) + slack
     ]
     if not short:
@@ -160,9 +166,9 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     grouped scenario's restart seed; a discrete scenario refuses one
     before it solves.  Artifacts are always written once the solve
     returns, and out_dir is made only then, so a refused input leaves
-    nothing behind; `ok` is `certify`'s verdict, the solve's convergence
-    and a profit below none of the comparison's baselines (see
-    _below_baseline; the CLI turns that into the exit code).
+    nothing behind; `ok` is `certify`'s verdict on the menu against the
+    comparison's baselines and the solve's convergence (the CLI turns
+    that into the exit code).
     """
     use_seed = _restart_seed(scenario, seed)
     discrete = isinstance(scenario.market, DiscreteMarket)
@@ -191,11 +197,9 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
             "distinct_optima": solution.distinct_optima,
         }
 
-    passed, ic_ir, chain_feasibility = certify(scenario, solution.periods, solution.prices, boundaries)
     report = build_comparison(scenario.profile, scenario.cost_model, scenario.market, solution, scenario.baselines)
-
-    below = _below_baseline(report.optimal_profit, report.baselines, discrete)
-    ok = passed and convergence["converged"] and below is None
+    passed, ic_ir, chain_feasibility, below = certify(scenario, solution.periods, solution.prices, boundaries, report.baselines)
+    ok = passed and convergence["converged"]
     certificate = {
         "scenario": scenario.name,
         "solver": "discrete" if discrete else "grouped",
@@ -241,10 +245,12 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     the previous menu and profit is nondecreasing in K by construction.
     seed, when not None, replaces the scenario's restart seed.  Each row's
     uplift is against the full-coverage plan at the scenario's first
-    baseline period, and the row also records whether its K's solve
-    converged.  Every K's solve size is checked before the first solve
-    (see grouped._check_solve_size), and out_dir is made only once every K is
-    solved.
+    baseline period.  Each K's menu is judged by `certify` against the
+    scenario's baseline table, built once; the row records converged,
+    below_baseline (the row that menu falls below, or None) and passed
+    (that verdict and convergence).  Every K's solve size is checked
+    before the first solve (see grouped._check_solve_size), and out_dir
+    is made only once every K is solved.
     """
     if isinstance(scenario.market, DiscreteMarket):
         raise ValueError("group sweeps need a grouped scenario")
@@ -254,7 +260,7 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     use_seed = _restart_seed(scenario, seed)
     # the largest K has the largest solve, with the previous menu as a warm start unless it is the only K
     _check_solve_size(ks[-1], scenario.solver.restarts, len(ks) > 1)
-    base = full_coverage_profit(scenario.profile, scenario.cost_model, scenario.market, scenario.baselines[0])
+    table = baseline_rows(scenario.profile, scenario.cost_model, scenario.market, scenario.baselines)
 
     rows = []
     prev = None
@@ -269,12 +275,15 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
             warm=None if prev is None else prev.boundaries,
         )
         prev = sol
+        passed, _, _, below = certify(scenario, sol.periods, sol.prices, sol.boundaries, table)
         rows.append(
             {
                 "groups": k,
                 "profit": sol.total_profit,
-                "uplift_percent": uplift_percent(sol.total_profit, base),
+                "uplift_percent": uplift_percent(sol.total_profit, table[0].profit_full),
                 "converged": sol.converged,
+                "below_baseline": below,
+                "passed": passed and sol.converged,
             }
         )
     text = _csv_text([("groups", "profit", "uplift_percent")] + [(r["groups"], r["profit"], r["uplift_percent"]) for r in rows])
@@ -308,73 +317,83 @@ def _read_solution_csv(csv_path):
     return columns
 
 
-def certify(scenario: Scenario, periods, prices, boundaries=None):
-    """The one pass-or-fail verdict on a menu, for `run` and
-    `verify_solution_csv`: the brute-force IC/IR scan for every market
-    (with its group boundaries for a continuous one) and the
-    four-condition chain check for a discrete one.  Returns (passed,
-    ic_ir, chain_feasibility), the reports as the dicts certificate.json
-    carries, chain_feasibility None for a continuous market."""
-    ic_ir = brute_force_ic_ir(scenario.profile, scenario.market, periods, prices, boundaries=boundaries)
-    if not isinstance(scenario.market, DiscreteMarket):
-        return ic_ir.passed, asdict(ic_ir), None
-    chain = feasibility_check(scenario.profile, scenario.market, periods, prices)
-    return ic_ir.passed and chain.passed, asdict(ic_ir), asdict(chain)
-
-
 #: Twice the largest relative error of a value written at 12 significant
 #: digits (_fmt) and read back: half a unit in the 12th digit is at most
 #: 5e-12 of the value.
 WRITTEN_RTOL = 1e-11
 
 
-def _written_slack(scenario, boundaries, periods, prices, mass, margins):
+def _written_slack(scenario, boundaries, periods, prices, mass, margins, rtol=WRITTEN_RTOL):
     """How far the profit of a menu read back from solution.csv may lie
     below the profit of the menu that was written, to first order, when
-    each price, period and boundary read moved by WRITTEN_RTOL of itself:
-    mass times |price| for the prices, mass times the cost's change for
-    the periods, and for each boundary of a continuous market (None for
-    a discrete one) N times the mass it moves times the change of margin
-    across it (the last group's margin against no sale)."""
+    each price, period and boundary read moved by rtol of itself: mass
+    times |price| for the prices, mass times the cost's change for the
+    periods, and for each boundary of a continuous market (None for a
+    discrete one) N times the mass it moves times the change of margin
+    across it (the last group's margin against no sale).  Exactly 0 at
+    rtol = 0."""
     c = cost(scenario.cost_model, periods)
-    slack = np.dot(mass, WRITTEN_RTOL * np.abs(prices) + np.abs(cost(scenario.cost_model, periods * (1 + WRITTEN_RTOL)) - c))
+    slack = np.dot(mass, rtol * np.abs(prices) + np.abs(cost(scenario.cost_model, periods * (1 + rtol)) - c))
     if boundaries is not None:
         m = scenario.market
-        moved = m.cdf(np.minimum(boundaries * (1 + WRITTEN_RTOL), m.sigma_max)) - m.cdf(boundaries)
+        moved = m.cdf(np.minimum(boundaries * (1 + rtol), m.sigma_max)) - m.cdf(boundaries)
         slack += m.size * np.dot(np.abs(moved), np.abs(margins - np.append(margins[1:], 0.0)))
     return float(slack)
+
+
+def certify(scenario: Scenario, periods, prices, boundaries, baselines, rtol=0.0):
+    """The one pass-or-fail verdict on a menu, for `run`, `sweep_groups`
+    and `verify_solution_csv`: the brute-force IC/IR scan for every
+    market (with its group boundaries for a continuous one), the
+    four-condition chain check for a discrete one, and, for a menu that
+    passes both, its profit held to baselines, the scenario's BaselineRow
+    list, by _below_baseline.  That profit is the menu's margins times
+    the scenario's masses (a discrete market's counts, or N times each
+    group's CDF difference up to its boundary, clipped to the window: a
+    boundary on the window's edge may read back from solution.csv just
+    outside it, and no type lies beyond the edge), and the shortfall it
+    may show widens by _written_slack at precision rtol: 0 for a solved
+    menu, WRITTEN_RTOL for one read back from solution.csv, so a written
+    menu equal to a baseline row passes however thin its margins.
+    Returns (passed, ic_ir, chain_feasibility, below_baseline): the
+    reports as the dicts certificate.json carries, chain_feasibility
+    None for a continuous market, and below_baseline the row the menu
+    falls below as {"label", "profit"}, or None."""
+    m = scenario.market
+    discrete = isinstance(m, DiscreteMarket)
+    ic_ir = brute_force_ic_ir(scenario.profile, m, periods, prices, boundaries=boundaries)
+    chain = feasibility_check(scenario.profile, m, periods, prices) if discrete else None
+    passed = ic_ir.passed and (chain is None or chain.passed)
+    below = None
+    if passed:
+        b = None if discrete else np.clip(boundaries, m.sigma_min, m.sigma_max)
+        mass = m.counts if discrete else m.size * group_counts(m, b)
+        margins = prices - cost(scenario.cost_model, periods)
+        slack = _written_slack(scenario, b, periods, prices, mass, margins, rtol)
+        below = _below_baseline(float(np.dot(mass, margins)), baselines, discrete, slack)
+    return passed and below is None, asdict(ic_ir), None if chain is None else asdict(chain), below
 
 
 def verify_solution_csv(scenario: Scenario, csv_path):
     """Re-check a written solution.csv against its scenario.
 
-    Returns (ok, details); raises ValueError on a malformed file.  The
-    periods and prices are judged by `certify`, and details holds its
-    chain_feasibility and ic_ir reports.  A menu that passes is then
-    held to the scenario's baseline rows by _below_baseline, as `run`
-    holds a solve, at its profit: its margins times the scenario's masses
-    (a discrete market's counts, or N times each group's CDF difference
-    up to its sigma_boundary).  The file's values carry 12 significant
-    digits, so the allowed shortfall widens by _written_slack: a menu
-    equal to a baseline row passes however thin its margins.  Where it
-    falls below a row, details also holds that row as below_baseline,
-    and ok is False.
+    Returns (ok, details); raises ValueError on a malformed file.  Only
+    the sigma_boundary, period and price columns are read: count and
+    item_profit are informational, recomputed from the scenario, and an
+    edited count or item profit does not change the verdict.  The menu
+    is judged by `certify` against the scenario's baseline rows, as
+    `run` judges a solve, at precision WRITTEN_RTOL since the file's
+    values carry 12 significant digits.  details holds its
+    chain_feasibility and ic_ir reports and, where the menu falls below
+    a baseline row, that row as below_baseline.
     """
     boundaries, periods, prices = _read_solution_csv(csv_path)
     m = scenario.market
-    discrete = isinstance(m, DiscreteMarket)
-    if discrete and periods.size != m.n_types:
+    if isinstance(m, DiscreteMarket) and periods.size != m.n_types:
         return False, {"error": "row count does not match the market's types"}
-    ok, ic_ir, chain_feasibility = certify(scenario, periods, prices, boundaries)
+    rows = baseline_rows(scenario.profile, scenario.cost_model, m, scenario.baselines)
+    ok, ic_ir, chain_feasibility, below = certify(scenario, periods, prices, boundaries, rows, WRITTEN_RTOL)
     details = {"chain_feasibility": chain_feasibility, "ic_ir": ic_ir}
-    if ok:
-        mass = m.counts if discrete else m.size * group_counts(m, boundaries)
-        margins = prices - cost(scenario.cost_model, periods)
-        profit = float(np.dot(mass, margins))
-        rows = baseline_rows(scenario.profile, scenario.cost_model, m, profit, scenario.baselines)
-        slack = _written_slack(scenario, None if discrete else boundaries, periods, prices, mass, margins)
-        below = _below_baseline(profit, rows, discrete, slack)
-        if below is not None:
-            details["below_baseline"] = below
-            ok = False
+    if below is not None:
+        details["below_baseline"] = below
     return ok, details

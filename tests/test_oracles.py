@@ -44,6 +44,7 @@ from planmenu.oracles import (
     monte_carlo_valuation,
     optimized_cutoff_profit,
     social_metrics,
+    uplift_percent,
 )
 from planmenu.scenarios import load_scenario
 
@@ -984,7 +985,9 @@ def test_build_comparison_arithmetic(profile, cost_model, case1):
         opt = optimized_cutoff_profit(profile, cost_model, market, row.period)
         assert row.profit_full == full
         assert row.profit_optimized == opt
-        assert abs(row.uplift_full_percent - 100.0 * (sol.total_profit / full - 1.0)) < 1e-9
-        assert abs(row.uplift_optimized_percent - 100.0 * (sol.total_profit / opt - 1.0)) < 1e-9
-        assert row.uplift_optimized_percent <= row.uplift_full_percent
+        up_full = uplift_percent(report.optimal_profit, row.profit_full)
+        up_opt = uplift_percent(report.optimal_profit, row.profit_optimized)
+        assert abs(up_full - 100.0 * (sol.total_profit / full - 1.0)) < 1e-9
+        assert abs(up_opt - 100.0 * (sol.total_profit / opt - 1.0)) < 1e-9
+        assert up_opt <= up_full
     assert report.social is not None and report.social.ratio <= 1.0 + 1e-9

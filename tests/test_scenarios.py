@@ -14,12 +14,12 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planmenu
 from planmenu import cli, discrete, grouped, market, oracles, runner
-from planmenu.distributions import ContinuousMarket, DiscreteMarket
+from planmenu.distributions import ContinuousMarket, DiscreteMarket, make_market
 from planmenu.market import CostModel, DemandProfile
 from planmenu.oracles import full_coverage_profit, optimized_cutoff_profit
 from planmenu.scenarios import (
@@ -645,6 +645,60 @@ def test_fuzzed_markets_of_the_raising_shapes_solve_and_certify(scenario):
             assert abs(m.cdf(sigma) - mp_truncated_normal_cdf(m, sigma)) <= 1e-12
 
 
+@st.composite
+def run_then_verify_markets(draw):
+    """Random scenarios for the run-then-verify property: 1 to 6 discrete
+    types, or a grouped market at K = 1..3 in test_grouped.py's
+    random-market ranges, each held to baselines at t = 1 and 2.  A
+    discrete market's period cost has a positive slope: at c1 = 0 its
+    periods press against the search cap, which warns."""
+    discrete = draw(st.booleans())
+    mu = draw(st.floats(5.0, 20.0))
+    profile = DemandProfile(alpha=1.0, mu=mu, q=mu + draw(st.floats(0.5, 5.0)))
+    cost_model = CostModel(c0=draw(st.floats(0.5, 0.95)) * mu, c1=draw(st.floats(0.05 if discrete else 0.0, 1.0)))
+    if discrete:
+        n = draw(st.integers(1, 6))
+        sigmas = sorted(draw(st.lists(st.floats(0.1, 8.0), min_size=n, max_size=n, unique=True)))
+        counts = draw(st.lists(st.floats(0.5, 5.0), min_size=n, max_size=n))
+        return Scenario("random", profile, cost_model, DiscreteMarket(sigmas, counts), None, [1.0, 2.0])
+    kind = draw(st.sampled_from(["uniform", "exponential", "truncated_normal"]))
+    lo = draw(st.sampled_from([0.0, 0.5]))
+    hi = lo + draw(st.floats(1.0, 8.0))
+    params = {}
+    if kind == "exponential":
+        params["rate"] = draw(st.floats(0.1, 30.0))
+    elif kind == "truncated_normal":
+        params.update(loc=draw(st.floats(lo, hi)), scale=draw(st.floats(0.1, 3.0)))
+    market = make_market(kind, lo, hi, size=draw(st.sampled_from([1.0, 50.0])), **params)
+    solver = SolverSpec(n_groups=draw(st.integers(1, 3)), restarts=0, seed=0)
+    return Scenario("random", profile, cost_model, market, solver, [1.0, 2.0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(run_then_verify_markets())
+@example(
+    Scenario(
+        "edge", DemandProfile(alpha=1.0, mu=5.0, q=6.0), CostModel(c0=2.5, c1=0.0),
+        make_market("uniform", 0.0, 1.1301796333952883), SolverSpec(n_groups=1, restarts=0, seed=0), [1.0, 2.0],
+    )
+)
+def test_verify_passes_every_menu_that_run_passes(scenario):
+    # run and verify reach their verdicts through the one certify: a
+    # solve that passes writes a solution.csv that verify passes, with
+    # the same IC/IR and chain verdicts.  The example serves the whole
+    # window, and its top boundary is written as 1.1301796334, above
+    # sigma_max: verify once raised "sigma outside the market window"
+    with tempfile.TemporaryDirectory() as out:
+        artifacts = runner.run(scenario, out)
+        ok, details = runner.verify_solution_csv(scenario, artifacts.paths["solution"])
+    if artifacts.ok:
+        cert = artifacts.certificate
+        assert ok and "below_baseline" not in details
+        assert details["ic_ir"]["passed"] is cert["ic_ir"]["passed"] is True
+        if cert["chain_feasibility"] is not None:
+            assert details["chain_feasibility"]["passed"] is cert["chain_feasibility"]["passed"] is True
+
+
 def test_cli_writes_failing_discrete_menu_as_fail(tmp_path, capsys, monkeypatch):
     # a menu that breaks the chain check (the top price above the top
     # type's valuation) is certified, written and reported as FAIL, not
@@ -709,6 +763,21 @@ def test_cli_verify_fails_a_menu_below_its_own_baseline(tmp_path, capsys):
     assert details["ic_ir"]["passed"] is True
     assert details["below_baseline"]["label"] == "fixed_t=1_optimized_cutoff"
     assert abs(details["below_baseline"]["profit"] - 1.6575218) <= 1e-7
+
+
+def test_cli_sweep_fails_a_menu_below_its_own_baseline(tmp_path, capsys):
+    # the K = 1 row of a sweep solves the same empty menu as solve does:
+    # sweep holds it to the same baselines, prints the row it falls below
+    # and exits 2; fig8_sweep.csv is still written
+    path = empty_menu_scenario(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--scenario", str(path), "--groups", "1", "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert printed == "K=1: profit -0.000000 (n/a vs fixed) FAIL\n  below baseline fixed_t=1_optimized_cutoff (1.657522)\n"
+    rows = runner.sweep_groups(load_scenario(str(path)), [1], out)
+    assert rows[0]["converged"] is True and rows[0]["passed"] is False
+    assert rows[0]["below_baseline"]["label"] == "fixed_t=1_optimized_cutoff"
+    assert (out / "fig8_sweep.csv").read_text().splitlines()[0] == "groups,profit,uplift_percent"
 
 
 def lowered_menu(scenario, artifacts, tmp_path, share):
@@ -817,10 +886,10 @@ def test_discrete_menu_is_held_to_full_coverage_rows_alone():
     # baseline may leave types unserved), but not below a full-coverage
     # row; a grouped menu is held to both, and a shortfall within
     # REL_PROFIT_TOL of the row is rounding
-    baselines = [oracles.BaselineRow(1.0, 1.5, 2.5, 0.0, 0.0), oracles.BaselineRow(2.0, 2.0 + 1e-11, 3.0, 0.0, 0.0)]
+    baselines = [oracles.BaselineRow(1.0, 1.5, 2.5), oracles.BaselineRow(2.0, 2.0 + 1e-11, 3.0)]
     assert runner._below_baseline(2.0, baselines, discrete=True) is None
     assert runner._below_baseline(2.0, baselines, discrete=False) == {"label": "fixed_t=2_optimized_cutoff", "profit": 3.0}
-    baselines[1] = oracles.BaselineRow(2.0, 2.5, 3.0, 0.0, 0.0)
+    baselines[1] = oracles.BaselineRow(2.0, 2.5, 3.0)
     assert runner._below_baseline(2.0, baselines, discrete=True) == {"label": "fixed_t=2_full_coverage", "profit": 2.5}
 
 
