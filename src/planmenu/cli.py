@@ -25,7 +25,7 @@ import numpy as np
 
 from . import runner
 from .distributions import ContinuousMarket, DiscreteMarket
-from .oracles import TUPLE_BUDGET, grid_oracle_discrete, grid_oracle_grouped, uplift_percent
+from .oracles import TUPLE_BUDGET, grid_oracle_discrete, grid_oracle_grouped, searched_periods, uplift_percent
 from .scenarios import bundled_scenario_names, load_scenario
 
 
@@ -74,25 +74,35 @@ def _cmd_verify(scenario, args):
     return 0 if ok else 2
 
 
+def _check_cells(cells):
+    """A ValueError if a grid DP of cells cells exceeds TUPLE_BUDGET."""
+    if cells > TUPLE_BUDGET:
+        raise ValueError(f"grid DP of {cells:.3g} cells exceeds the work budget ({TUPLE_BUDGET:.0e})")
+
+
 def _cmd_oracle(scenario, args):
     m = scenario.market
     h, t_max = args.grid_step, args.t_max
     if not (0 < h <= t_max < np.inf):
         raise ValueError("need a finite grid step and t-max with 0 < grid step <= t-max")
-    n_t = np.ceil(t_max / h - 0.5)  # counted in floats, so a tiny step is refused before np.arange allocates
+    # counted in floats first, so a tiny step is refused before np.arange
+    # allocates: a discrete market's whole grid, which its oracle searches;
+    # a grouped market's period grid, and the cells of one period, the
+    # least its oracle searches after the cost cut
+    n_t = np.ceil(t_max / h - 0.5)
     if isinstance(m, DiscreteMarket):
-        cells = m.n_types * n_t
+        _check_cells(m.n_types * n_t)
     else:
         n_sigma = np.rint((m.sigma_max - m.sigma_min) / h) + 1
-        cells = scenario.solver.n_groups * n_sigma * n_t
-    if cells > TUPLE_BUDGET:
-        raise ValueError(f"grid DP of {cells:.3g} cells exceeds the work budget ({TUPLE_BUDGET:.0e})")
+        _check_cells(max(scenario.solver.n_groups * n_sigma, n_t))
     t_grid = np.arange(h, t_max + 0.5 * h, h)
     if isinstance(m, DiscreteMarket):
         profit, periods = grid_oracle_discrete(scenario.profile, scenario.cost_model, m, t_grid)
         print(f"grid optimum {profit:.8f} at periods {np.round(periods, 6).tolist()}")
     else:
         sigma_grid = np.linspace(m.sigma_min, m.sigma_max, int(n_sigma))
+        searched = searched_periods(scenario.profile, scenario.cost_model, m, sigma_grid, t_grid)
+        _check_cells(scenario.solver.n_groups * n_sigma * searched.size)
         profit, bounds, periods = grid_oracle_grouped(
             scenario.profile, scenario.cost_model, m, scenario.solver.n_groups, sigma_grid, t_grid
         )

@@ -60,10 +60,11 @@ G, and a best menu that serves fewer than K groups is re-solved from
 its own boundaries (see solve_with_restarts).
 
 The profit is not jointly concave, so a solve may run several starts:
-the quantile start, one warm start such as a sweep's previous menu, and
-seeded restarts, whose uniforms come from the standard library's
-Mersenne Twister (random.Random(seed)), so drawing them loads neither
-numpy.random nor the hashing modules it imports.  _start_inits makes
+the quantile start, or a warm start in its place (a sweep starts each K
+after the first from the previous menu alone), then seeded restarts,
+whose uniforms come from the standard library's Mersenne Twister
+(random.Random(seed)), so drawing them loads neither numpy.random nor
+the hashing modules it imports.  _start_inits makes
 and checks every start, as one row of a (starts, K) menu array.  The
 starts run as one batch: Step I, Step II and every Newton step of a
 round are one lockstep call over the rows still active, and a row
@@ -568,13 +569,12 @@ def _split_to(market, boundaries, K):
     return reduce(lambda b, _: split_heaviest_group(market, b), range(K - len(boundaries)), np.sort(boundaries))
 
 
-def _check_solve_size(K, restarts, warm):
+def _check_solve_size(K, restarts):
     """A ValueError naming K and restarts if the Newton probe of a K-group
-    solve from the quantile start, a warm start if warm (a bool) is true
-    and the restarts, (starts) x (4K + 1) x 2K values, would exceed
-    TUPLE_BUDGET."""
+    solve from one start and the restarts, (1 + restarts) x (4K + 1) x 2K
+    values, would exceed TUPLE_BUDGET."""
     # a Newton probe values each start's menu and its 4K shifted copies at 2K coordinates
-    if (1 + warm + restarts) * (4 * K + 1) * 2 * K > TUPLE_BUDGET:
+    if (1 + restarts) * (4 * K + 1) * 2 * K > TUPLE_BUDGET:
         raise ValueError(f"n_groups = {K} with restarts = {restarts} exceeds the work budget ({TUPLE_BUDGET:.0e} values per Newton probe)")
 
 
@@ -582,11 +582,11 @@ def _start_inits(market, n_groups, restarts, seed, warm):
     """Every start of a grouped solve, as one (starts, K) array whose rows
     are, in order:
 
-      the quantile start, boundaries at the quantiles k / K;
-      the warm start, the boundaries of one menu such as a sweep's
-        previous one, if warm is not None, sorted and split up to K
-        groups (_split_to), so it keeps every boundary it was given; one
-        with none or more than K is a ValueError naming it;
+      the first start: the warm start if warm is not None, the
+        boundaries of one menu such as a sweep's previous one, sorted and
+        split up to K groups (_split_to), so it keeps every boundary it
+        was given (one with none or more than K is a ValueError naming
+        it); else the quantile start, boundaries at the quantiles k / K;
       the seeded restarts, quantile-transformed uniforms, so restarts
         respect the type distribution.  Each takes its K sorted uniforms
         in turn from one random.Random(seed), so a seed gives the same
@@ -598,13 +598,14 @@ def _start_inits(market, n_groups, restarts, seed, warm):
     So is a solve too large for the work budget (see _check_solve_size):
     it is refused before any row is made."""
     K, restarts, seed = _whole("n_groups", n_groups, 1), _whole("restarts", restarts, 0), _whole("seed", seed, 0)
-    _check_solve_size(K, restarts, warm is not None)
-    rows = [market.quantile((np.arange(K) + 1.0) / K)]
-    if warm is not None:
+    _check_solve_size(K, restarts)
+    if warm is None:
+        rows = [market.quantile((np.arange(K) + 1.0) / K)]
+    else:
         b = np.asarray(warm, dtype=float)
         if b.ndim != 1 or not 0 < b.size <= K:
             raise ValueError(f"warm start {b.tolist()} must hold 1 to n_groups = {K} boundaries")
-        rows.append(_split_to(market, b, K))
+        rows = [_split_to(market, b, K)]
     rng = random.Random(seed)
     for _ in range(restarts):
         rows.append(market.quantile(np.sort([rng.random() for _ in range(K)])))
@@ -612,9 +613,9 @@ def _start_inits(market, n_groups, restarts, seed, warm):
 
 
 def solve_with_restarts(profile, cost_model, market, n_groups, restarts=0, seed=0, warm=None) -> GroupedSolution:
-    """Best of the starts _start_inits makes: the quantile start, the warm
-    start (the boundaries of one menu) if given, then the seeded
-    restarts.  All starts are solved together as one batch (see
+    """Best of the starts _start_inits makes: the warm start (the
+    boundaries of one menu) if given, else the quantile start, then the
+    seeded restarts.  All starts are solved together as one batch (see
     _solve_starts), each exactly as it would be alone, so the solve costs
     about its slowest start rather than the sum.  Deterministic, as the
     seed is always an integer (0 by default): a later start replaces the

@@ -7,7 +7,9 @@ module imports no solver's solution type.
 
 - brute_force_ic_ir re-derives every consumer's best choice from raw
   utilities and confirms the menu's assignment wins (or that opting
-  out is right for unserved types).
+  out is right for unserved types): type by type in a discrete market,
+  and at both ends of every band in a continuous one, which single
+  crossing makes exact.
 - grid_oracle_discrete and grid_oracle_grouped maximize over ascending
   period (and, for groups, boundary) tuples on grids by one exact
   dynamic program: profit splits into per-stage terms linked only
@@ -29,9 +31,9 @@ module imports no solver's solution type.
   them onto the group below loses nothing (the proof is in
   grid_oracle_grouped's docstring; Myerson's exclusion of unprofitable
   types, on the grid).  The discrete oracle serves every type, so it
-  keeps its whole period grid.  _grid_dp's work budget counts the cells
-  it searches, after that cut; the CLI's float pre-check still counts
-  the requested grid.
+  keeps its whole period grid.  searched_periods makes that cut, for the
+  oracle and for the CLI's work-budget check alike, so both count the
+  cells the DP searches.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (standard-normal draws from a seeded 64-bit generator).
 - full_coverage_profit and optimized_cutoff_profit are the profits of
@@ -76,8 +78,6 @@ from .normals import _excess_table
 # as it does on grids of up to 512 periods.
 # cells of psi valued at once, and of a DP block: the six chunk-sized arrays the valuation and its table kernel hold then fit in cache
 _PSI_CHUNK_CELLS = 2**14
-#: Equispaced types the IC/IR scan checks across a continuous market's window.
-IC_SCAN_POINTS = 500
 
 
 def _legendre(n, x):
@@ -130,13 +130,23 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
     nonnegative utility from it (IR), both within FEASIBILITY_TOL.
 
     Discrete markets are checked type by type against their own menu
-    position.  Continuous markets need the group boundaries;
-    IC_SCAN_POINTS types are scanned across the whole window (plus the
-    boundaries themselves), and types above the top boundary must
-    prefer opting out — no item may tempt them beyond the tolerance.
-    A non-finite price fails both checks with an infinite violation.
-    Where the worst temptation exceeds the tolerance, the reported pair
-    is the first worst consumer, with her first best other item.
+    position.  Continuous markets need the group boundaries b_1..b_K:
+    item k serves the band (b_{k-1}, b_k] (b_0 = sigma_min) and the types
+    above b_K opt out, each band clipped to the window.  Both ends of
+    every band of positive width are checked under that band's choice,
+    2(K + 1) types at most, and that check is exact.  Proof: V_sigma < 0
+    and V_sigma_t > 0 (single crossing, Mussa and Rosen 1978), so an
+    item's utility V(sigma, t_j) - p_j falls in sigma, and the difference
+    u_j - u_k = V(sigma, t_j) - V(sigma, t_k) - (p_j - p_k) between two
+    items is monotone in sigma (constant where t_j = t_k).  Every
+    temptation, and every IR shortfall, is then monotone across a band,
+    so its supremum over the band lies at one of the band's two ends.
+    An interior boundary is checked from both sides, so a passing menu
+    is priced on its chain, within the tolerance, given its boundaries
+    and periods.  A non-finite price fails both checks with an infinite
+    violation.  Where the worst temptation exceeds the tolerance, the
+    reported pair is the first worst consumer, in ascending order of
+    bands, with her first best other item.
     """
     t = np.asarray(periods, dtype=float)
     p = np.asarray(prices, dtype=float)
@@ -146,12 +156,10 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
     else:
         if boundaries is None:
             raise ValueError("continuous markets need boundaries for the assignment")
-        b = np.asarray(boundaries, dtype=float)
-        # np.unique's sort and mask, without the numpy.ma import (12-15 ms
-        # of a cold start) that np.unique makes on its first call
-        sigmas = np.sort(np.concatenate([np.linspace(market.sigma_min, market.sigma_max, IC_SCAN_POINTS), b]))
-        sigmas = sigmas[np.concatenate(([True], sigmas[1:] != sigmas[:-1]))]
-        assigned = np.searchsorted(b, sigmas, side="left")  # == len(b) above the top boundary
+        edges = np.clip(np.concatenate(([market.sigma_min], boundaries, [market.sigma_max])), market.sigma_min, market.sigma_max)
+        wide = edges[1:] > edges[:-1]  # band k lies between edges k and k + 1; the last opts out
+        sigmas = np.stack([edges[:-1], edges[1:]], axis=1)[wide].ravel()
+        assigned = np.repeat(np.flatnonzero(wide), 2)  # == len(boundaries) above the top boundary
 
     if not np.all(np.isfinite(p)):  # NaN would fail every comparison below silently
         return FeasibilityCertificate(False, np.inf, np.inf, None, FEASIBILITY_TOL, int(sigmas.size))
@@ -317,12 +325,22 @@ def grid_oracle_grouped(profile, cost_model, market: ContinuousMarket, n_groups,
     """
     n_groups = _whole("n_groups", n_groups, 1)
     sg = np.asarray(sigma_grid, dtype=float)[None, :]
-    mass = market.cdf(sg) * market.size
+    t = searched_periods(profile, cost_model, market, sg[0], t_grid)
+    return _grid_dp(profile, cost_model, sg, market.cdf(sg) * market.size, n_groups, t)
+
+
+def searched_periods(profile, cost_model, market, sigma_grid, t_grid):
+    """The periods of t_grid that grid_oracle_grouped searches on
+    sigma_grid: those up to the last with C(t) < alpha*mu (at least the
+    first) where the sigma grid's first point carries no mass, else
+    t_grid whole, as is a grid that does not ascend, which _grid_dp
+    refuses."""
     t = np.asarray(t_grid, dtype=float)
-    if mass.size and mass[0, 0] == 0 and np.all(np.diff(t) > 0):  # a grid _grid_dp refuses is passed whole
+    sg = np.asarray(sigma_grid, dtype=float)
+    if sg.size and market.cdf(sg[:1])[0] == 0 and np.all(np.diff(t) > 0):
         paying = np.flatnonzero(cost(cost_model, t) < profile.alpha * profile.mu)
         t = t[: paying[-1] + 1 if paying.size else 1]
-    return _grid_dp(profile, cost_model, sg, mass, n_groups, t)
+    return t
 
 
 # --- Monte Carlo check of the valuation formula -------------------------

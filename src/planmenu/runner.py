@@ -238,18 +238,20 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
 def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[dict]:
     """Solve the scenario for each menu size K and tabulate profits.
 
-    Each K after the first also starts from the previous K's menu, as
-    the warm start that _start_inits splits up to K groups (see
-    split_heaviest_group), alongside the quantile start and random
-    restarts.  That start keeps every previous boundary, so it contains
-    the previous menu and profit is nondecreasing in K by construction.
-    seed, when not None, replaces the scenario's restart seed.  Each row's
+    The first K is solved from the scenario's starts: the quantile start
+    and its seeded restarts, seed, when not None, replacing the
+    scenario's restart seed.  Each later K is a continuation: it starts
+    from the previous K's menu alone, the warm start that _start_inits
+    splits up to K groups (see split_heaviest_group).  That start keeps
+    every previous boundary, so it contains the previous menu and profit
+    is nondecreasing in K by construction.  Each row's
     uplift is against the full-coverage plan at the scenario's first
     baseline period.  Each K's menu is judged by `certify` against the
     scenario's baseline table, built once; the row records converged,
     below_baseline (the row that menu falls below, or None) and passed
     (that verdict and convergence).  Every K's solve size is checked
-    before the first solve (see grouped._check_solve_size), and out_dir
+    before the first solve (see grouped._check_solve_size): the first K
+    with the scenario's restarts, each later K as one start.  out_dir
     is made only once every K is solved.
     """
     if isinstance(scenario.market, DiscreteMarket):
@@ -258,22 +260,15 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
     if not ks or len(set(ks)) < len(ks):
         raise ValueError("group counts must be a nonempty list of distinct K")
     use_seed = _restart_seed(scenario, seed)
-    # the largest K has the largest solve, with the previous menu as a warm start unless it is the only K
-    _check_solve_size(ks[-1], scenario.solver.restarts, len(ks) > 1)
+    _check_solve_size(ks[0], scenario.solver.restarts)
+    _check_solve_size(ks[-1], 0)  # the largest K, from the previous menu alone unless it is the first
     table = baseline_rows(scenario.profile, scenario.cost_model, scenario.market, scenario.baselines)
 
     rows = []
     prev = None
     for k in ks:
-        sol = solve_with_restarts(
-            scenario.profile,
-            scenario.cost_model,
-            scenario.market,
-            k,
-            restarts=scenario.solver.restarts,
-            seed=use_seed,
-            warm=None if prev is None else prev.boundaries,
-        )
+        starts = {"restarts": scenario.solver.restarts, "seed": use_seed} if prev is None else {"warm": prev.boundaries}
+        sol = solve_with_restarts(scenario.profile, scenario.cost_model, scenario.market, k, **starts)
         prev = sol
         passed, _, _, below = certify(scenario, sol.periods, sol.prices, sol.boundaries, table)
         rows.append(
@@ -343,7 +338,7 @@ def _written_slack(scenario, boundaries, periods, prices, mass, margins, rtol=WR
 
 def certify(scenario: Scenario, periods, prices, boundaries, baselines, rtol=0.0):
     """The one pass-or-fail verdict on a menu, for `run`, `sweep_groups`
-    and `verify_solution_csv`: the brute-force IC/IR scan for every
+    and `verify_solution_csv`: the brute-force IC/IR check for every
     market (with its group boundaries for a continuous one), the
     four-condition chain check for a discrete one, and, for a menu that
     passes both, its profit held to baselines, the scenario's BaselineRow

@@ -474,13 +474,14 @@ def test_solve_size_is_bounded_before_anything_is_allocated(profile, cost_model)
         solve_with_restarts(profile, cost_model, mkt, 1, restarts=10**9)
     with pytest.raises(ValueError, match="n_groups = 1000000000 with restarts = 0 " + budget):
         solve_with_restarts(profile, cost_model, mkt, 10**9)
-    # the bound is the probe's: 3535 groups alone fit, 3536 do not, nor 3535 with a warm start
+    # the bound is the probe's: 3535 groups alone fit, 3536 do not, nor
+    # 3536 from a warm start, which takes the quantile start's row
     assert 8 * 3535**2 + 2 * 3535 <= grouped.TUPLE_BUDGET < 8 * 3536**2 + 2 * 3536
     assert grouped._start_inits(mkt, 3535, 0, 0, None).shape == (1, 3535)
     with pytest.raises(ValueError, match="n_groups = 3536 with restarts = 0"):
         grouped._start_inits(mkt, 3536, 0, 0, None)
-    with pytest.raises(ValueError, match="n_groups = 3535 with restarts = 0"):
-        grouped._start_inits(mkt, 3535, 0, 0, [1.0])
+    with pytest.raises(ValueError, match="n_groups = 3536 with restarts = 0"):
+        grouped._start_inits(mkt, 3536, 0, 0, [1.0])
     # bundled sizes run as before: K = 6 with 4 restarts, and K = 24
     assert grouped._start_inits(mkt, 6, 4, 0, None).shape == (5, 6)
     assert solve_alternating(profile, cost_model, mkt, 24).boundaries.size == 24
@@ -536,19 +537,20 @@ def test_same_seed_draws_the_same_restart_starts():
 
 
 def test_start_inits_makes_every_start_row():
-    # one (starts, K) array: the quantile start, the warm start sorted
-    # and split up to K, then the seeded restarts
+    # one (starts, K) array: the warm start sorted and split up to K in
+    # place of the quantile start, then the seeded restarts
     mkt = exponential06()
     rows = grouped._start_inits(mkt, 3, 2, 7, [2.0])
-    assert isinstance(rows, np.ndarray) and rows.dtype == float and rows.shape == (4, 3)
-    assert np.array_equal(rows[0], mkt.quantile(np.arange(1, 4) / 3))
+    cold = grouped._start_inits(mkt, 3, 2, 7, None)
+    assert isinstance(rows, np.ndarray) and rows.dtype == float and rows.shape == cold.shape == (3, 3)
+    assert np.array_equal(cold[0], mkt.quantile(np.arange(1, 4) / 3))
     # a one-boundary start comes back split twice, its boundary kept
-    assert np.array_equal(rows[1], split_heaviest_group(mkt, split_heaviest_group(mkt, [2.0])))
-    assert 2.0 in rows[1] and np.all(np.diff(rows[1]) > 0)
-    assert np.array_equal(grouped._start_inits(mkt, 3, 0, 0, [5.0, 1.0, 3.0])[1], [1.0, 3.0, 5.0])
-    for restart in rows[2:]:
+    assert np.array_equal(rows[0], split_heaviest_group(mkt, split_heaviest_group(mkt, [2.0])))
+    assert 2.0 in rows[0] and np.all(np.diff(rows[0]) > 0)
+    assert np.array_equal(grouped._start_inits(mkt, 3, 0, 0, [5.0, 1.0, 3.0]), [[1.0, 3.0, 5.0]])
+    for restart in rows[1:]:
         assert np.all(np.diff(restart) >= 0) and mkt.sigma_min <= restart[0] and restart[-1] <= mkt.sigma_max
-    assert np.array_equal(rows[2:], grouped._start_inits(mkt, 3, 2, 7, None)[1:])
+    assert np.array_equal(rows[1:], cold[1:])
     # a start with more boundaries than groups, none, or more than one menu is refused by name
     with pytest.raises(ValueError, match=r"warm start \[1\.0, 2\.0, 3\.0, 4\.0\] must hold 1 to n_groups = 3"):
         grouped._start_inits(mkt, 3, 0, 0, [1.0, 2.0, 3.0, 4.0])
@@ -986,10 +988,10 @@ def test_split_heaviest_group_halves_its_mass():
     ids=lambda v: "K" + ",".join(map(str, v)) if isinstance(v, tuple) else v,
 )
 def test_sweep_warm_start_does_useful_work(name, ks, monkeypatch, tmp_path):
-    # each K's warm start (row 1 of the start array, after the quantile
-    # start) is the previous menu with its heaviest group split once per
-    # added group: it keeps the previous boundaries and reaches the best
-    # start's profit in as few rounds and Newton steps as the other starts
+    # each K after the first starts from one row alone: the previous menu
+    # with its heaviest group split once per added group, which keeps the
+    # previous boundaries and reaches the best menu's profit in few rounds
+    # and Newton steps
     sc = load_scenario(name)
     calls = []  # [start rows, each start's solution, the returned solution] of each solve
     solve_starts, solve = grouped._solve_starts, runner.solve_with_restarts
@@ -1008,8 +1010,8 @@ def test_sweep_warm_start_does_useful_work(name, ks, monkeypatch, tmp_path):
     sweep_groups(sc, ks, tmp_path)
     assert len(calls) == len(ks)
     for k, (_, _, prev), (rows, starts, best) in zip(ks[1:], calls, calls[1:]):
-        assert rows.shape == (2 + sc.solver.restarts, k)
-        warm, start = rows[1], starts[1]
+        assert rows.shape == (1, k)
+        warm, start = rows[0], starts[0]
         expected = prev.boundaries
         for _ in range(k - prev.boundaries.size):
             expected = split_heaviest_group(sc.market, expected)
@@ -1367,3 +1369,5 @@ def test_random_markets_pass_certificate_and_sweep_rises(scenario):
     with tempfile.TemporaryDirectory() as out:
         profits = [row["profit"] for row in sweep_groups(scenario, [1, 2, 3], out)]
     assert all(b >= a - 1e-10 * max(1.0, abs(a)) for a, b in zip(profits, profits[1:]))
+    # the continuation from K = 2 loses nothing to the quantile start at K = 3
+    assert profits[2] >= sol.total_profit - 1e-9 * max(1.0, abs(sol.total_profit))

@@ -32,7 +32,6 @@ from planmenu.oracles import (
     _GL_NODES,
     _GL_WEIGHTS,
     _PSI_CHUNK_CELLS,
-    IC_SCAN_POINTS,
     TUPLE_BUDGET,
     _first_best_surplus_rates,
     _grid_dp,
@@ -89,7 +88,8 @@ def test_certificate_passes_on_grouped_solution(profile, uniform_k2):
     assert cert.passed
     assert cert.worst_ic_violation <= 1e-9
     assert cert.worst_ir_violation <= 1e-9
-    assert cert.n_consumers_checked >= 500
+    # both ends of each of the K + 1 bands, the one above b_K included
+    assert cert.n_consumers_checked == 2 * (sol.boundaries.size + 1)
 
 
 def test_certificate_flags_ic_violation(profile, case1):
@@ -142,11 +142,11 @@ def test_certificate_flags_tempted_outsider(profile, cost_model):
     sig, chosen, assigned = cert.violating_pair
     assert assigned == -1  # an opt-out consumer is the worst offender
     assert chosen == 0
-    assert 3.0 < sig < 4.5
-    # the reported magnitude is that consumer's forgone utility, and it
-    # approaches the supremum at the boundary up to the sample spacing
+    # the temptation falls in sigma, so its supremum over the unserved
+    # band (3, 6] is at the band's lower end, which the check reports
+    assert sig == 3.0
+    # the reported magnitude is that consumer's forgone utility, the supremum itself
     assert abs(cert.worst_ic_violation - (valuation(profile, sig, 1.0) - price)) < 1e-12
-    assert abs(cert.worst_ic_violation - (valuation(profile, 3.0, 1.0) - price)) < 0.01
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
@@ -178,9 +178,15 @@ def ic_ir_by_loop(profile, market, periods, prices, boundaries=None):
         sigmas = market.sigmas
         assigned = np.arange(market.n_types)
     else:
-        b = np.asarray(boundaries, dtype=float)
-        sigmas = np.unique(np.concatenate([np.linspace(market.sigma_min, market.sigma_max, IC_SCAN_POINTS), b]))
-        assigned = np.searchsorted(b, sigmas, side="left")
+        # both ends of each band of positive width, under the band's item
+        # (the band above the top boundary opts out)
+        ends, items = [], []
+        for k, (lo, hi) in enumerate(zip([market.sigma_min, *boundaries], [*boundaries, market.sigma_max])):
+            lo, hi = max(lo, market.sigma_min), min(hi, market.sigma_max)
+            if hi > lo:
+                ends += [lo, hi]
+                items += [k, k]
+        sigmas, assigned = np.array(ends), np.array(items)
     utilities = np.empty((sigmas.size, t.size))
     for j in range(t.size):
         utilities[:, j] = valuation(profile, sigmas, t[j]) - p[j]
@@ -223,6 +229,57 @@ def test_certificate_matches_per_consumer_loop(profile, data):
     cert = brute_force_ic_ir(profile, market, periods, prices, boundaries=boundaries)
     ref = ic_ir_by_loop(profile, market, periods, prices, boundaries)
     assert (cert.worst_ic_violation, cert.worst_ir_violation, cert.violating_pair, cert.n_consumers_checked) == ref
+
+
+def dense_scan_temptation(profile, market, periods, prices, boundaries, points=20001):
+    """The worst temptation, over a dense scan of a continuous market's
+    window, of any choice (another item, or opting out) over the one the
+    boundaries assign: 20001 equispaced types, every boundary and the
+    floats just either side of it.  At most FEASIBILITY_TOL exactly when
+    the menu is IC and IR on the scan."""
+    b, t = np.asarray(boundaries, dtype=float), np.asarray(periods, dtype=float)
+    lo, hi = market.sigma_min, market.sigma_max
+    s = np.concatenate([np.linspace(lo, hi, points), b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
+    # a type in (0, 1e-300) overflows a = sqrt(t) (q - mu) / sigma with a
+    # warning, and V there is alpha*mu, as at sigma = 0
+    s = np.unique(s[(s >= lo) & (s <= hi) & ((s == 0) | (s >= 1e-300))])
+    assigned = np.searchsorted(b, s, side="left")  # == len(b): opts out
+    u = np.concatenate([valuation(profile, s[:, None], t) - prices, np.zeros((s.size, 1))], axis=1)
+    own = u[np.arange(s.size), assigned]
+    u[np.arange(s.size), assigned] = -np.inf
+    return float(np.max(u.max(axis=1) - own))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_certificate_agrees_with_dense_scan(profile, data):
+    # ascending (b, t) at chain prices, then prices, boundaries or periods
+    # moved by 1e-9 to 1e-2: the band-end check gives the verdict, and
+    # the worst violation, of a dense scan that sees both sides of every
+    # boundary
+    kind = data.draw(st.sampled_from(["uniform", "exponential", "truncated_normal"]))
+    lo = data.draw(st.sampled_from([0.0, 0.5]))
+    hi = lo + data.draw(st.floats(1.0, 8.0))
+    params = {"exponential": {"rate": 0.3}, "truncated_normal": {"loc": 0.5 * (lo + hi), "scale": 1.0}}.get(kind, {})
+    market = make_market(kind, lo, hi, **params)
+    n = data.draw(st.integers(1, 5))
+    # a type in (0, 1e-300) is valued as sigma = 0 (see dense_scan_temptation)
+    boundaries = np.sort(data.draw(st.lists(st.floats(lo, hi).map(lambda x: x if x >= 1e-300 else 0.0), min_size=n, max_size=n)))
+    periods = np.sort(data.draw(st.lists(st.floats(0.1, 20.0), min_size=n, max_size=n)))
+    prices = optimal_prices(profile, boundaries, periods)
+    moves = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=n, max_size=n)))
+    moves *= 10.0 ** data.draw(st.floats(-9.0, -2.0))
+    moved = data.draw(st.sampled_from(["none", "prices", "boundaries", "periods"]))
+    if moved == "prices":
+        prices = prices + moves
+    elif moved == "boundaries":
+        boundaries = np.sort(np.clip(boundaries * (1.0 + moves), lo, hi))
+    elif moved == "periods":
+        periods = np.sort(periods * (1.0 + moves))
+    cert = brute_force_ic_ir(profile, market, periods, prices, boundaries=boundaries)
+    dense = dense_scan_temptation(profile, market, periods, prices, boundaries)
+    assert cert.passed == (dense <= FEASIBILITY_TOL)
+    assert abs(max(cert.worst_ic_violation, cert.worst_ir_violation) - max(0.0, dense)) <= 1e-12
 
 
 def realized_profit(profile, cost_model, market, periods, prices):

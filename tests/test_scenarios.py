@@ -861,7 +861,8 @@ def test_verify_passes_a_grouped_menu_equal_to_its_optimized_cutoff_row(tmp_path
     # the t = 1 plan sold up to the optimized cutoff at its valuation is
     # that baseline row; on N = 1e5 with thin margins the read-back
     # boundary and price move the profit by more than REL_PROFIT_TOL of
-    # the row, while a price 1e-7 lower is a true shortfall
+    # the row, while a price 1e-7 lower tempts the types just above the
+    # cutoff to buy by 1e-7, an IC/IR failure
     scenario = load_scenario("exponential_k6")
     scenario = dataclasses.replace(scenario, market=dataclasses.replace(scenario.market, size=1e5), cost_model=CostModel(c0=12.49, c1=0.5))
     items = np.arange(1)
@@ -870,8 +871,30 @@ def test_verify_passes_a_grouped_menu_equal_to_its_optimized_cutoff_row(tmp_path
     ok, details = runner.verify_solution_csv(scenario, one_price_menu(tmp_path, cutoff, 1.0, price))
     assert ok and "below_baseline" not in details
     ok, details = runner.verify_solution_csv(scenario, one_price_menu(tmp_path, cutoff, 1.0, price, 1e-7))
-    assert details["ic_ir"]["passed"] is True
-    assert not ok and details["below_baseline"]["label"] == "fixed_t=1_optimized_cutoff"
+    assert not ok and details["ic_ir"]["passed"] is False
+    assert details["ic_ir"]["violating_pair"][1:] == (0, -1)
+    assert abs(details["ic_ir"]["worst_ic_violation"] - 1e-7) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["exponential_k6", "truncated_normal_k6", "uniform_k6"])
+def test_verify_fails_a_bundled_grouped_menu_with_every_price_lowered(tmp_path, name):
+    # every price 1e-6 below the solved menu's tempts the types just above
+    # the top boundary to buy the top item by 1e-6, in a band far narrower
+    # than any equispaced scan; the band-end check finds it at b_K
+    scenario = load_scenario(name)
+    artifacts = runner.run(scenario, tmp_path / "run")
+    with open(artifacts.paths["solution"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[3] = repr(float(row[3]) - 1e-6)
+    path = tmp_path / "lowered.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    ok, details = runner.verify_solution_csv(scenario, path)
+    assert not ok and details["ic_ir"]["passed"] is False
+    assert abs(details["ic_ir"]["worst_ic_violation"] - 1e-6) <= 1e-9
+    sigma, chosen, assigned = details["ic_ir"]["violating_pair"]
+    assert (chosen, assigned) == (len(rows) - 2, -1) and sigma == float(rows[-1][1])
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -921,6 +944,26 @@ def test_cli_oracle_grouped(tmp_path, capsys):
     code = cli.main(["oracle", "--scenario", str(p), "--grid-step", "0.1", "--t-max", "20"])
     assert code == 0
     assert capsys.readouterr().out == "grid optimum 1.29061962 at boundaries [1.7, 5.3] periods [0.6, 1.9]\n"
+
+
+def test_cli_oracle_budget_counts_the_periods_searched(capsys, monkeypatch):
+    # at step 0.05 on uniform_k6 the grid requests 6 x 121 x 600 = 435,600
+    # cells, but the oracle searches only the 119 periods before its cost
+    # cut, 86,394 cells: a budget between the two lets it run, and it
+    # prints what it prints under the real budget
+    argv = ["oracle", "--scenario", "uniform_k6", "--grid-step", "0.05"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    sc = load_scenario("uniform_k6")
+    t_grid = np.arange(0.05, 30.025, 0.05)
+    assert oracles.searched_periods(sc.profile, sc.cost_model, sc.market, np.linspace(0.0, 6.0, 121), t_grid).size == 119
+    monkeypatch.setattr(cli, "TUPLE_BUDGET", 1e5)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == printed
+    # a step whose searched cells exceed the budget is still refused, by
+    # its searched count (6 x 151 x 149, of 679,500 requested)
+    assert cli.main(["oracle", "--scenario", "uniform_k6", "--grid-step", "0.04"]) == 2
+    assert "grid DP of 1.35e+05 cells exceeds the work budget (1e+05)" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -1200,13 +1243,15 @@ def test_cli_help_names_every_bundled_scenario(capsys, command):
         (["sweep", "--scenario", "uniform_k6", "--groups", "0,2"], "--groups takes comma-separated integers >= 1, got '0,2'"),
         (
             ["sweep", "--scenario", "uniform_k6", "--groups", "1,1000000000"],
-            "n_groups = 1000000000 with restarts = 4 exceeds the work budget (1e+08 values per Newton probe)",
+            "n_groups = 1000000000 with restarts = 0 exceeds the work budget (1e+08 values per Newton probe)",
         ),
+        # the first K runs the scenario's restarts; 2001 groups alone would fit
+        (["sweep", "--scenario", "uniform_k6", "--groups", "2000,2001"], "n_groups = 2000 with restarts = 4 exceeds the work budget"),
     ],
     ids=[
         "step_zero", "step_zero_discrete", "step_negative", "t_max_zero", "step_nan", "grid_over_budget",
         "grid_points_zero", "grid_points_one", "grid_points_huge", "groups_empty", "groups_repeated",
-        "groups_not_integer", "groups_zero", "groups_over_budget",
+        "groups_not_integer", "groups_zero", "groups_over_budget", "first_groups_over_budget",
     ],
 )
 def test_cli_rejects_malformed_option(tmp_path, capsys, monkeypatch, argv, problem):
