@@ -25,7 +25,7 @@ import numpy as np
 
 from . import runner
 from .distributions import ContinuousMarket, DiscreteMarket
-from .oracles import TUPLE_BUDGET, grid_oracle_discrete, grid_oracle_grouped, searched_periods, uplift_percent
+from .oracles import _check_cells, grid_oracle_discrete, grid_oracle_grouped, uplift_percent
 from .scenarios import bundled_scenario_names, load_scenario
 
 
@@ -42,7 +42,7 @@ def _print_below(below):
 
 def _cmd_solve(scenario, args):
     artifacts = runner.run(scenario, args.out, seed=args.seed)
-    profit = artifacts.report.optimal_profit
+    profit = artifacts.solution.total_profit
     print(f"scenario {scenario.name}: profit {profit:.6f}")
     for row in artifacts.report.baselines:
         full, opt = (_percent(uplift_percent(profit, base)) for base in (row.profit_full, row.profit_optimized))
@@ -74,21 +74,16 @@ def _cmd_verify(scenario, args):
     return 0 if ok else 2
 
 
-def _check_cells(cells):
-    """A ValueError if a grid DP of cells cells exceeds TUPLE_BUDGET."""
-    if cells > TUPLE_BUDGET:
-        raise ValueError(f"grid DP of {cells:.3g} cells exceeds the work budget ({TUPLE_BUDGET:.0e})")
-
-
 def _cmd_oracle(scenario, args):
     m = scenario.market
     h, t_max = args.grid_step, args.t_max
     if not (0 < h <= t_max < np.inf):
         raise ValueError("need a finite grid step and t-max with 0 < grid step <= t-max")
-    # counted in floats first, so a tiny step is refused before np.arange
+    # bounded in floats first, so a tiny step is refused before np.arange
     # allocates: a discrete market's whole grid, which its oracle searches;
     # a grouped market's period grid, and the cells of one period, the
-    # least its oracle searches after the cost cut
+    # least its oracle searches after the cost cut.  The grid DP itself
+    # counts, and refuses, the cells it would search (oracles._check_cells).
     n_t = np.ceil(t_max / h - 0.5)
     if isinstance(m, DiscreteMarket):
         _check_cells(m.n_types * n_t)
@@ -101,8 +96,6 @@ def _cmd_oracle(scenario, args):
         print(f"grid optimum {profit:.8f} at periods {np.round(periods, 6).tolist()}")
     else:
         sigma_grid = np.linspace(m.sigma_min, m.sigma_max, int(n_sigma))
-        searched = searched_periods(scenario.profile, scenario.cost_model, m, sigma_grid, t_grid)
-        _check_cells(scenario.solver.n_groups * n_sigma * searched.size)
         profit, bounds, periods = grid_oracle_grouped(
             scenario.profile, scenario.cost_model, m, scenario.solver.n_groups, sigma_grid, t_grid
         )

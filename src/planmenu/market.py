@@ -111,13 +111,20 @@ class CostModel:
 # each: NaN fails every comparison, and an in-range `initial` lets empty
 # arrays pass.  a = sqrt(t) * (q - mu) / sigma is capped to a finite 1e6
 # (sigma = 0 included, where tail quantities then evaluate to 0), so the
-# normals' unchecked kernels take it.
+# normals' unchecked kernels take it.  The safe divisor is sigma floored
+# at SIGMA_FLOOR, so a tiny positive sigma cannot overflow the division
+# (2 / 2.2e-309 would).  Below the floor a is still the capped quotient:
+# 1e6 wherever sqrt(t) * (q - mu) >= 1e6 * SIGMA_FLOOR, and 0 where it is
+# 0.  No quotient overflows while sqrt(t) * (q - mu) stays below
+# SIGMA_FLOOR times the largest float (1.8e158).
+SIGMA_FLOOR = 1e-150
+
+
 def _types(sigma):
     sv = np.asarray(sigma, dtype=float)
     if not (sv.min(initial=0.0) >= 0 and sv.max(initial=0.0) < np.inf):
         raise ValueError("sigma must be finite and nonnegative")
-    pos = sv > 0
-    return sv, pos, np.where(pos, sv, 1.0)
+    return sv, sv > 0, np.maximum(sv, SIGMA_FLOOR)
 
 
 def _threshold(profile, types, t):

@@ -31,9 +31,10 @@ module imports no solver's solution type.
   them onto the group below loses nothing (the proof is in
   grid_oracle_grouped's docstring; Myerson's exclusion of unprofitable
   types, on the grid).  The discrete oracle serves every type, so it
-  keeps its whole period grid.  searched_periods makes that cut, for the
-  oracle and for the CLI's work-budget check alike, so both count the
-  cells the DP searches.
+  keeps its whole period grid.  searched_periods makes that cut, and
+  the DP alone counts the cells it is handed against the work budget
+  (_check_cells), before it values any of them, so a refusal names the
+  cells the DP would search.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (standard-normal draws from a seeded 64-bit generator).
 - full_coverage_profit and optimized_cutoff_profit are the profits of
@@ -194,6 +195,12 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
 # --- grid oracles -------------------------------------------------------
 
 
+def _check_cells(cells):
+    """A ValueError if a grid DP of cells cells exceeds TUPLE_BUDGET."""
+    if cells > TUPLE_BUDGET:
+        raise ValueError(f"grid DP of {cells:.3g} cells exceeds the work budget ({TUPLE_BUDGET:.0e})")
+
+
 def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     """Exact maximum over ascending stage tuples (s_k, t_k) of
     sum_k [psi_k(s_k, t_k) - psi_k(s_k, t_{k+1})], the last stage keeping
@@ -206,7 +213,9 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
     of _PSI_CHUNK_CELLS cells: each block values its psi once (E(a) by
     the table kernel normals._excess_table), runs every stage on two
     block-sized work tables and hands the next block one row per stage,
-    the running max over s so far.  Rows of their own are valued in
+    the running max over s so far.  A grid of more than TUPLE_BUDGET cells
+    (stages x types x periods) is refused (_check_cells) before any cell
+    is valued.  Rows of their own are valued in
     chunks of that many cells too, and swept as one block.  max is exact
     and each sum sees the same operands, so every table is bit for bit
     the expression's.  No table outlives its block: per stage and cell,
@@ -221,8 +230,7 @@ def _grid_dp(profile, cost_model, sigmas, mass, n_stages, t_grid):
         raise ValueError("grid DP needs at least one stage and nonempty grids")
     if np.any(np.diff(sigmas, axis=1) <= 0) or np.any(np.diff(t) <= 0):
         raise ValueError("grids must be strictly ascending")
-    if n_stages * sigmas.shape[1] * t.size > TUPLE_BUDGET:
-        raise ValueError("grid DP exceeds the work budget")
+    _check_cells(n_stages * sigmas.shape[1] * t.size)
 
     K, S, T = n_stages, sigmas.shape[1], t.size
     c, step = cost(cost_model, t), max(1, _PSI_CHUNK_CELLS // T)
@@ -506,7 +514,6 @@ class BaselineRow:
 
 @dataclass
 class ComparisonReport:
-    optimal_profit: float
     baselines: List[BaselineRow]
     social: SocialReport
 
@@ -529,10 +536,9 @@ def baseline_rows(profile, cost_model, market, baseline_periods) -> List[Baselin
 
 
 def build_comparison(profile, cost_model, market, solution, baseline_periods) -> ComparisonReport:
-    """The solution's profit, its scenario's baseline_rows and its social
-    surplus."""
+    """The scenario's baseline_rows and the solution's social surplus;
+    the solution's profit is its own total_profit."""
     return ComparisonReport(
-        optimal_profit=float(solution.total_profit),
         baselines=baseline_rows(profile, cost_model, market, baseline_periods),
         social=social_metrics(profile, cost_model, market, solution),
     )

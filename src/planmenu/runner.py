@@ -22,7 +22,10 @@ an artifact's path is replaced, not written through.
 One function, certify, decides whether a menu passes, for run,
 sweep_groups and verify_solution_csv alike: IC/IR, the price chain of a
 discrete market, and a profit below none of the scenario's baseline
-rows.
+rows.  Beside that verdict it returns the one record of it,
+chain_feasibility, ic_ir and below_baseline, that run merges into
+certificate.json, sweep_groups reads each row's below_baseline from and
+verify_solution_csv returns as its details.
 """
 
 import csv
@@ -121,9 +124,9 @@ def _baseline_rows(baselines):
         yield label + "_optimized_cutoff", row.profit_optimized
 
 
-def _comparison_rows(report):
-    rows = [("label", "profit", "uplift_percent"), ("optimal", report.optimal_profit, "")]
-    rows += [(label, base, uplift_percent(report.optimal_profit, base)) for label, base in _baseline_rows(report.baselines)]
+def _comparison_rows(profit, report):
+    rows = [("label", "profit", "uplift_percent"), ("optimal", profit, "")]
+    rows += [(label, base, uplift_percent(profit, base)) for label, base in _baseline_rows(report.baselines)]
     rows.append(("social_surplus_contract", report.social.surplus_contract, ""))
     rows.append(("social_surplus_first_best", report.social.surplus_first_best, ""))
     rows.append(("social_surplus_ratio_percent", 100.0 * report.social.ratio, ""))
@@ -198,17 +201,15 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
         }
 
     report = build_comparison(scenario.profile, scenario.cost_model, scenario.market, solution, scenario.baselines)
-    passed, ic_ir, chain_feasibility, below = certify(scenario, solution.periods, solution.prices, boundaries, report.baselines)
+    passed, verdict = certify(scenario, solution.periods, solution.prices, boundaries, report.baselines)
     ok = passed and convergence["converged"]
     certificate = {
         "scenario": scenario.name,
         "solver": "discrete" if discrete else "grouped",
         "seed": use_seed,
         "profit": solution.total_profit,
-        "ic_ir": ic_ir,
-        "chain_feasibility": chain_feasibility,
+        **verdict,
         "convergence": convergence,
-        "below_baseline": below,
         "passed": ok,
     }
 
@@ -220,7 +221,7 @@ def run(scenario: Scenario, out_dir, seed=None) -> RunArtifacts:
     }
     texts = (
         _csv_text(_solution_rows(scenario, solution)),
-        _csv_text(_comparison_rows(report)),
+        _csv_text(_comparison_rows(solution.total_profit, report)),
         json.dumps(_json_safe(certificate), indent=2, sort_keys=True) + "\n",
     )
     _replace_files(out, zip(paths.values(), texts))
@@ -270,14 +271,14 @@ def sweep_groups(scenario: Scenario, group_counts, out_dir, seed=None) -> List[d
         starts = {"restarts": scenario.solver.restarts, "seed": use_seed} if prev is None else {"warm": prev.boundaries}
         sol = solve_with_restarts(scenario.profile, scenario.cost_model, scenario.market, k, **starts)
         prev = sol
-        passed, _, _, below = certify(scenario, sol.periods, sol.prices, sol.boundaries, table)
+        passed, verdict = certify(scenario, sol.periods, sol.prices, sol.boundaries, table)
         rows.append(
             {
                 "groups": k,
                 "profit": sol.total_profit,
                 "uplift_percent": uplift_percent(sol.total_profit, table[0].profit_full),
                 "converged": sol.converged,
-                "below_baseline": below,
+                "below_baseline": verdict["below_baseline"],
                 "passed": passed and sol.converged,
             }
         )
@@ -350,10 +351,12 @@ def certify(scenario: Scenario, periods, prices, boundaries, baselines, rtol=0.0
     may show widens by _written_slack at precision rtol: 0 for a solved
     menu, WRITTEN_RTOL for one read back from solution.csv, so a written
     menu equal to a baseline row passes however thin its margins.
-    Returns (passed, ic_ir, chain_feasibility, below_baseline): the
-    reports as the dicts certificate.json carries, chain_feasibility
-    None for a continuous market, and below_baseline the row the menu
-    falls below as {"label", "profit"}, or None."""
+    Returns (passed, verdict): verdict is the record certificate.json
+    carries, {"chain_feasibility", "ic_ir", "below_baseline"} in that
+    order, with the two reports as dicts, chain_feasibility None for a
+    continuous market, and below_baseline the row the menu falls below
+    as {"label", "profit"}, or None (also where the menu fails IC/IR or
+    the chain, which leaves the baselines unchecked)."""
     m = scenario.market
     discrete = isinstance(m, DiscreteMarket)
     ic_ir = brute_force_ic_ir(scenario.profile, m, periods, prices, boundaries=boundaries)
@@ -366,29 +369,31 @@ def certify(scenario: Scenario, periods, prices, boundaries, baselines, rtol=0.0
         margins = prices - cost(scenario.cost_model, periods)
         slack = _written_slack(scenario, b, periods, prices, mass, margins, rtol)
         below = _below_baseline(float(np.dot(mass, margins)), baselines, discrete, slack)
-    return passed and below is None, asdict(ic_ir), None if chain is None else asdict(chain), below
+    verdict = {"chain_feasibility": None if chain is None else asdict(chain), "ic_ir": asdict(ic_ir), "below_baseline": below}
+    return passed and below is None, verdict
 
 
 def verify_solution_csv(scenario: Scenario, csv_path):
     """Re-check a written solution.csv against its scenario.
 
-    Returns (ok, details); raises ValueError on a malformed file.  Only
-    the sigma_boundary, period and price columns are read: count and
+    Returns (ok, details); raises ValueError naming the file on a
+    malformed one (see _read_solution_csv), and on a discrete market's
+    file whose row count is not its number of types.  Only the
+    sigma_boundary, period and price columns are read: count and
     item_profit are informational, recomputed from the scenario, and an
     edited count or item profit does not change the verdict.  The menu
     is judged by `certify` against the scenario's baseline rows, as
     `run` judges a solve, at precision WRITTEN_RTOL since the file's
-    values carry 12 significant digits.  details holds its
-    chain_feasibility and ic_ir reports and, where the menu falls below
-    a baseline row, that row as below_baseline.
+    values carry 12 significant digits.  details is certify's verdict
+    record, as certificate.json carries it, without below_baseline
+    where the menu falls below no baseline row.
     """
     boundaries, periods, prices = _read_solution_csv(csv_path)
     m = scenario.market
     if isinstance(m, DiscreteMarket) and periods.size != m.n_types:
-        return False, {"error": "row count does not match the market's types"}
+        raise ValueError(f"{csv_path}: {periods.size} solution rows for the market's {m.n_types} types")
     rows = baseline_rows(scenario.profile, scenario.cost_model, m, scenario.baselines)
-    ok, ic_ir, chain_feasibility, below = certify(scenario, periods, prices, boundaries, rows, WRITTEN_RTOL)
-    details = {"chain_feasibility": chain_feasibility, "ic_ir": ic_ir}
-    if below is not None:
-        details["below_baseline"] = below
+    ok, details = certify(scenario, periods, prices, boundaries, rows, WRITTEN_RTOL)
+    if details["below_baseline"] is None:
+        del details["below_baseline"]
     return ok, details

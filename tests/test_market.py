@@ -65,6 +65,24 @@ def test_valuation_sigma_zero_is_alpha_mu(profile):
     assert valuation(prof2, 0.0, 2.0) == 10.0
 
 
+def test_valuation_at_a_tiny_sigma_is_the_volatility_free_limit(profile):
+    # sqrt(t) (q - mu) / sigma exceeds the largest float at a subnormal
+    # sigma: the threshold is 1e6 there with no overflow warning (an error
+    # in this suite), so V = alpha*mu and every derivative is 0, as at 0
+    sigma = 2.225073858507203e-309
+    assert valuation(profile, sigma, 1.0) == 13.0
+    assert valuation_dsigma2(profile, sigma, 1.0) == (13.0, 0.0, 0.0, 0.0)
+    assert valuation_dt(profile, sigma, 1.0) == 0.0
+    tiny = np.array([5e-324, sigma, 1e-307, 1e-300, 1e-150])
+    t = np.array([[1e-4], [1.0], [600.0]])
+    assert np.all(valuation(profile, tiny, t) == 13.0)
+    assert all(np.all(d == 0.0) for d in valuation_dsigma2(profile, tiny, t)[1:])
+    # at q = mu the threshold is 0 for every sigma > 0, however small, and
+    # the sigma-slope is -alpha*phi(0)/sqrt(t), as at sigma = 1
+    at_mean = DemandProfile(alpha=1.0, mu=13.0, q=13.0)
+    assert valuation_dsigma2(at_mean, sigma, 4.0)[1] == valuation_dsigma2(at_mean, 1.0, 4.0)[1] == -0.5 * std_normal_pdf(0.0)
+
+
 def test_valuation_frozen_point(profile):
     assert abs(valuation(profile, 2.0, 1.0) - V_2_1) < 1e-12
 

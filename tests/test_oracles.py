@@ -15,6 +15,8 @@ from scipy.integrate import _quadrature, fixed_quad, quad
 from scipy.optimize.elementwise import find_root
 from scipy.special import roots_legendre
 
+from planmenu import market as market_module
+from planmenu import oracles as oracles_module
 from planmenu import runner
 from planmenu.discrete import (
     DEFAULT_T_DOMAIN,
@@ -42,6 +44,7 @@ from planmenu.oracles import (
     grid_oracle_grouped,
     monte_carlo_valuation,
     optimized_cutoff_profit,
+    searched_periods,
     social_metrics,
     uplift_percent,
 )
@@ -231,6 +234,17 @@ def test_certificate_matches_per_consumer_loop(profile, data):
     assert (cert.worst_ic_violation, cert.worst_ir_violation, cert.violating_pair, cert.n_consumers_checked) == ref
 
 
+def test_certificate_checks_a_menu_with_a_subnormal_boundary(profile):
+    # a band end at a subnormal type is valued as the volatility-free
+    # limit, with no overflow warning (an error in this suite)
+    market = make_market("uniform", 0.0, 6.0)
+    boundaries, periods = np.array([2.225073858507203e-309, 3.0]), np.array([0.5, 1.5])
+    prices = optimal_prices(profile, boundaries, periods)
+    cert = brute_force_ic_ir(profile, market, periods, prices, boundaries=boundaries)
+    assert cert.passed and cert.n_consumers_checked == 6
+    assert not brute_force_ic_ir(profile, market, periods, prices - [0.0, 1e-6], boundaries=boundaries).passed
+
+
 def dense_scan_temptation(profile, market, periods, prices, boundaries, points=20001):
     """The worst temptation, over a dense scan of a continuous market's
     window, of any choice (another item, or opting out) over the one the
@@ -240,9 +254,7 @@ def dense_scan_temptation(profile, market, periods, prices, boundaries, points=2
     b, t = np.asarray(boundaries, dtype=float), np.asarray(periods, dtype=float)
     lo, hi = market.sigma_min, market.sigma_max
     s = np.concatenate([np.linspace(lo, hi, points), b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
-    # a type in (0, 1e-300) overflows a = sqrt(t) (q - mu) / sigma with a
-    # warning, and V there is alpha*mu, as at sigma = 0
-    s = np.unique(s[(s >= lo) & (s <= hi) & ((s == 0) | (s >= 1e-300))])
+    s = np.unique(s[(s >= lo) & (s <= hi)])
     assigned = np.searchsorted(b, s, side="left")  # == len(b): opts out
     u = np.concatenate([valuation(profile, s[:, None], t) - prices, np.zeros((s.size, 1))], axis=1)
     own = u[np.arange(s.size), assigned]
@@ -263,8 +275,7 @@ def test_certificate_agrees_with_dense_scan(profile, data):
     params = {"exponential": {"rate": 0.3}, "truncated_normal": {"loc": 0.5 * (lo + hi), "scale": 1.0}}.get(kind, {})
     market = make_market(kind, lo, hi, **params)
     n = data.draw(st.integers(1, 5))
-    # a type in (0, 1e-300) is valued as sigma = 0 (see dense_scan_temptation)
-    boundaries = np.sort(data.draw(st.lists(st.floats(lo, hi).map(lambda x: x if x >= 1e-300 else 0.0), min_size=n, max_size=n)))
+    boundaries = np.sort(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
     periods = np.sort(data.draw(st.lists(st.floats(0.1, 20.0), min_size=n, max_size=n)))
     prices = optimal_prices(profile, boundaries, periods)
     moves = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=n, max_size=n)))
@@ -511,6 +522,31 @@ def test_grouped_grid_oracle_ties_take_latest_index(profile, cost_model, n_group
     assert best == two
     assert bnd.tolist() == [2.0] + [4.0] * (n_groups - 1)
     assert per.tolist() == [1.0] + [2.0] * (n_groups - 1)
+
+
+def test_grid_oracles_count_and_refuse_their_work_before_valuing_a_cell(profile, cost_model, monkeypatch):
+    # the grid DP alone counts the cells it is handed, stages x types x
+    # periods (a grouped oracle's periods after its cost cut), and refuses
+    # more than TUPLE_BUDGET, naming the count, before it values any cell
+    def valued(*args, **kwargs):
+        raise AssertionError("a cell was valued")
+
+    monkeypatch.setattr(oracles_module, "TUPLE_BUDGET", 1e3)
+    monkeypatch.setattr(oracles_module, "_valuation", valued)
+    monkeypatch.setattr(market_module, "_valuation", valued)
+    t_grid = np.arange(0.05, 30.025, 0.05)
+    with pytest.raises(ValueError, match=r"^grid DP of 6\.6e\+03 cells exceeds the work budget \(1e\+03\)$"):
+        grid_oracle_discrete(profile, cost_model, case1_market(), t_grid)  # 11 types x 600 periods
+    market = make_market("uniform", 0.0, 6.0)
+    sigma_grid = np.linspace(0.0, 6.0, 121)
+    searched = searched_periods(profile, cost_model, market, sigma_grid, t_grid).size
+    assert searched == 119
+    with pytest.raises(ValueError, match=r"^grid DP of 2\.88e\+04 cells exceeds the work budget \(1e\+03\)$"):
+        grid_oracle_grouped(profile, cost_model, market, 2, sigma_grid, t_grid)  # 2 x 121 x 119
+    # a grid within the budget is valued and searched
+    monkeypatch.setattr(oracles_module, "TUPLE_BUDGET", 2 * 121 * 119)
+    monkeypatch.setattr(oracles_module, "_valuation", _valuation)
+    assert grid_oracle_grouped(profile, cost_model, market, 2, sigma_grid, t_grid)[0] > 0
 
 
 def test_grouped_grid_oracle_validation(profile, cost_model):
@@ -1035,15 +1071,14 @@ def test_build_comparison_arithmetic(profile, cost_model, case1):
     report = build_comparison(
         profile, cost_model, market, sol, baseline_periods=(1.0, 2.0)
     )
-    assert report.optimal_profit == sol.total_profit
     assert [row.period for row in report.baselines] == [1.0, 2.0]
     for row in report.baselines:
         full = full_coverage_profit(profile, cost_model, market, row.period)
         opt = optimized_cutoff_profit(profile, cost_model, market, row.period)
         assert row.profit_full == full
         assert row.profit_optimized == opt
-        up_full = uplift_percent(report.optimal_profit, row.profit_full)
-        up_opt = uplift_percent(report.optimal_profit, row.profit_optimized)
+        up_full = uplift_percent(sol.total_profit, row.profit_full)
+        up_opt = uplift_percent(sol.total_profit, row.profit_optimized)
         assert abs(up_full - 100.0 * (sol.total_profit / full - 1.0)) < 1e-9
         assert abs(up_opt - 100.0 * (sol.total_profit / opt - 1.0)) < 1e-9
         assert up_opt <= up_full

@@ -384,16 +384,17 @@ def test_verify_solution_csv_roundtrip(case1_run, tmp_path):
 
 
 def test_cli_verify_fails_a_discrete_solution_with_the_wrong_row_count(case1_run, tmp_path, capsys):
-    # one row short of the market's 11 types: no certificate is computed
+    # one row short of the market's 11 types: a malformed file, refused
+    # with one error line that names it and both counts, and no verdict
     scenario, artifacts = case1_run
     lines = artifacts.paths["solution"].read_text().splitlines()
     short = tmp_path / "short.csv"
     short.write_text("\n".join(lines[:-1]) + "\n")
     code = cli.main(["verify", "--solution", str(short), "--scenario", "case1_discrete"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 2
-    assert json.loads(out[: out.rindex("}") + 1]) == {"error": "row count does not match the market's types"}
-    assert out.endswith("verification FAIL\n")
+    assert captured.out == ""
+    assert captured.err == f"planmenu: error: {short}: 10 solution rows for the market's 11 types\n"
 
 
 def test_json_safe_writes_non_finite_floats_as_text():
@@ -957,7 +958,7 @@ def test_cli_oracle_budget_counts_the_periods_searched(capsys, monkeypatch):
     sc = load_scenario("uniform_k6")
     t_grid = np.arange(0.05, 30.025, 0.05)
     assert oracles.searched_periods(sc.profile, sc.cost_model, sc.market, np.linspace(0.0, 6.0, 121), t_grid).size == 119
-    monkeypatch.setattr(cli, "TUPLE_BUDGET", 1e5)
+    monkeypatch.setattr(oracles, "TUPLE_BUDGET", 1e5)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == printed
     # a step whose searched cells exceed the budget is still refused, by
