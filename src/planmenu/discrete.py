@@ -20,9 +20,11 @@ sum), which is exactly the constrained optimum.  Every type and every
 pooled block is searched at once, by a safeguarded Newton-bisection on
 the closed-form slope P_i'(t).
 
-solve_discrete searches two rows in that one lockstep: the menu, and
-the social first-best (one buyer per type and no rent, so each type's
-period maximizes V(sigma_i, t) - C(t)), which the welfare accounting in
+search_periods returns the ascending periods alone; a pooled block
+shows in them as a run of equal values.  solve_discrete searches two
+rows in that one lockstep: the menu, and the social first-best (one
+buyer per type and no rent, so each type's period maximizes
+V(sigma_i, t) - C(t)), which the welfare accounting in
 oracles.social_metrics reads off the solution.
 """
 
@@ -49,6 +51,8 @@ SLOPE_RTOL = 16 * np.finfo(float).eps
 #: Newton steps on the interpolating cubic per _hermite_root call.
 HERMITE_STEPS = 6
 #: Roundoff allowance of the menu checks: feasibility here, IC/IR in oracles.
+#: Their amounts of money take a tol that runner.certify widens where prices
+#: are large; periods ascending keeps this one.
 FEASIBILITY_TOL = 1e-9
 
 
@@ -137,9 +141,9 @@ def period_objective(profile, cost_model, own, below, sigma, sigma_prev, t):
 
     The profit terms containing one menu item's period t: `own` consumers
     buy it, `below` lower consumers draw the information rent, and sigma
-    is the item's marginal type.  solve_discrete values its menu's
-    objective_values with it; broadcasts.
-    Both valuations come from one call.
+    is the item's marginal type; summed over a menu's items at its
+    periods, these terms are its total profit.  Broadcasts; both
+    valuations come from one call.
     """
     sigma, sigma_prev, t = np.broadcast_arrays(sigma, sigma_prev, t)
     v, v_prev = valuation(profile, np.stack([sigma, sigma_prev]), t)
@@ -317,10 +321,10 @@ def search_periods(profile, cost_model, sigmas, own, below, guess=None):
     below = 0, so the rent type block_periods pairs it with is
     multiplied by an exact zero.  All items are searched in lockstep
     (from guess, one period per item, if given) and descents are pooled
-    within each row.  Returns (periods, pooled blocks in flat indices).
+    within each row, so a pooled block shows as a run of equal periods.
     """
     search = partial(block_periods, profile, cost_model, np.ravel(sigmas), np.ravel(own), np.ravel(below))
-    return repair_monotone(search, own.shape, guess)
+    return repair_monotone(search, own.shape, guess)[0]
 
 
 def optimal_prices(profile, sigmas, periods):
@@ -355,28 +359,28 @@ class FeasibilityReport:
     tol: float = FEASIBILITY_TOL
 
 
-def feasibility_check(profile, market, periods, prices) -> FeasibilityReport:
-    """Check the four menu-feasibility conditions at tolerance FEASIBILITY_TOL:
+def feasibility_check(profile, market, periods, prices, tol=FEASIBILITY_TOL) -> FeasibilityReport:
+    """Check the four menu-feasibility conditions:
 
-    (a) periods ascend;
+    (a) periods ascend, within FEASIBILITY_TOL (a time);
     (b) the top type participates: pi_I <= V(sigma_I, t_I);
     (c/d) each adjacent price gap pi_i - pi_{i+1} lies between the
-          valuation drop of the higher type and that of the lower type.
+          valuation drop of the higher type and that of the lower type;
+    (b)-(d) compare amounts of money, within tol.
 
     A non-finite price fails before all four, as "finite_prices".  Every
     valuation (b)-(d) read comes from one call.
     """
     periods = np.asarray(periods, dtype=float)
     prices = np.asarray(prices, dtype=float)
-    tol = FEASIBILITY_TOL
     n = market.n_types
     if not np.all(np.isfinite(prices)):
         i = int(np.argmin(np.isfinite(prices)))
         return FeasibilityReport(False, "finite_prices", i, float("inf"), tol)
     descent = -np.diff(periods)
-    if n > 1 and descent.max() > tol:
+    if n > 1 and descent.max() > FEASIBILITY_TOL:
         i = int(np.argmax(descent))
-        return FeasibilityReport(False, "periods_ascending", i, float(descent[i]), tol)
+        return FeasibilityReport(False, "periods_ascending", i, float(descent[i]), FEASIBILITY_TOL)
     # the top type at its own period, then the higher and the lower type of
     # each adjacent pair at the pair's lower and upper period
     sig, t = market.sigmas, periods
@@ -407,7 +411,6 @@ class DiscreteSolution:
     periods: np.ndarray
     prices: np.ndarray
     total_profit: float
-    objective_values: np.ndarray  # P_i at the chosen periods
     first_best_periods: np.ndarray  # each type's period in the social first-best
 
 
@@ -430,7 +433,7 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
     sig = market.sigmas
     own = market.counts
     below = np.concatenate(([0.0], np.cumsum(own)[:-1]))
-    (periods, first_best), _ = search_periods(
+    periods, first_best = search_periods(
         profile,
         cost_model,
         np.stack([sig, sig]),
@@ -442,12 +445,4 @@ def solve_discrete(profile, cost_model, market) -> DiscreteSolution:
     prices = optimal_prices(profile, sig, periods)
     margins = prices - cost(cost_model, periods)
     total = float(np.dot(market.counts, margins))
-    rent_types = sig[np.maximum(np.arange(sig.size) - 1, 0)]
-    values = period_objective(profile, cost_model, own, below, sig, rent_types, periods)
-    return DiscreteSolution(
-        periods=periods,
-        prices=prices,
-        total_profit=total,
-        objective_values=values,
-        first_best_periods=first_best,
-    )
+    return DiscreteSolution(periods=periods, prices=prices, total_profit=total, first_best_periods=first_best)

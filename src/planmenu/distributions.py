@@ -48,6 +48,15 @@ SHAPE_CONSTANT = 3.0 - 2.0 * np.sqrt(2.0)
 THEOREM3_TOL = -1e-10
 #: Most grid points the shape-condition check accepts.
 THEOREM3_MAX_POINTS = 10**6
+#: Largest sigma_max a continuous market takes.  The first kernel to
+#: overflow as the window widens is the boundary search's stopping rule
+#: in discrete._lockstep_root: it cubes a step, which is at most the
+#: window's width, and that cube overflows once a step exceeds 5.6e102,
+#: the cube root of the largest float.
+SIGMA_MAX_CAP = 1e102
+#: Largest |sigma - loc| / scale a truncated normal window reaches: its
+#: density squares that z (normals._pdf), which overflows past 1.3e154.
+Z_CAP = 1e154
 
 
 @dataclass
@@ -100,6 +109,10 @@ class ContinuousMarket:
     normals.std_normal_sf), where Phi(z) - Phi(z_lo) would cancel; every
     other window keeps Phi(z).  A window deep in the lower tail still
     loses digits where Phi goes subnormal.
+
+    A window the kernels cannot evaluate is a ValueError naming what it
+    exceeds: a sigma_max above SIGMA_MAX_CAP, or a truncated normal
+    window whose (sigma - loc) / scale reaches past Z_CAP.
     """
 
     kind: str
@@ -116,6 +129,8 @@ class ContinuousMarket:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if not (0 <= self.sigma_min < self.sigma_max < np.inf):
             raise ValueError("need 0 <= sigma_min < sigma_max, both finite")
+        if self.sigma_max > SIGMA_MAX_CAP:
+            raise ValueError(f"sigma_max must be at most {SIGMA_MAX_CAP:g}, got {self.sigma_max!r}")
         if not (0 < self.size < np.inf):
             raise ValueError("market size must be finite and positive")
         for param, family in (("rate", "exponential"), ("loc", "truncated_normal"), ("scale", "truncated_normal")):
@@ -142,6 +157,8 @@ class ContinuousMarket:
         with np.errstate(all="ignore"):  # overflow and 0 * inf are what this check refuses
             if not np.isfinite(self.density(np.array([self.sigma_min, self.sigma_max]))[1:]).all():
                 raise ValueError("density is not finite at the window ends")
+        if self.kind == "truncated_normal" and max(-z_lo, z_hi) > Z_CAP:
+            raise ValueError(f"(sigma - loc) / scale must stay within {Z_CAP:g} on the window, got {max(-z_lo, z_hi):.3g}")
 
     # --- density / CDF -------------------------------------------------
 

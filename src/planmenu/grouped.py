@@ -39,7 +39,7 @@ gradient points into the window, a step is projected on the window and
 halved until it keeps the menu ascending and profit from falling.
 Every step solves with the Hessian of the menu it starts from, and the
 last one is the step taken once the projected first-order (KKT)
-residual is at most KKT_TOL.  The finish holds each menu as one array
+residual is within tolerance.  The finish holds each menu as one array
 x = (b, t) of 2K coordinates, with one definition of each fact about
 it: _window gives every coordinate's window (the market window for a
 boundary, DEFAULT_T_DOMAIN for a period), _on_edges says which
@@ -51,13 +51,16 @@ values joins b_K and t_1.
 Each round either settles, as it ends on a menu not strictly ascending
 (every round that pools does), and stops its start once it gains at
 most REL_PROFIT_TOL in relative profit; or takes the Newton finish, and
-stops its start once the finish ends within KKT_TOL.  MAX_ROUNDS rounds
-stop a start in any case.  Whatever stopped it, a solution is converged
-exactly when the residual of the menu it returns is at most KKT_TOL per
-unit mass, the residual certificate.json reports.  A group serves no
-one unless its mass per unit exceeds machine epsilon, one rounding of
-G, and a best menu that serves fewer than K groups is re-solved from
-its own boundaries (see solve_with_restarts).
+stops its start once the finish ends within tolerance.  MAX_ROUNDS
+rounds stop a start in any case.  Whatever stopped it, a solution is
+converged exactly when the residual of the menu it returns, the one
+certificate.json reports, is within tolerance per unit mass.  That
+tolerance (_kkt_tol) is KKT_TOL, floored at 64 roundings of alpha q so
+that a scenario priced in a small money unit, whose residuals carry
+rounding noise in proportion to its prices, still converges.  A group
+serves no one unless its mass per unit exceeds machine epsilon, one
+rounding of G, and a best menu that serves fewer than K groups is
+re-solved from its own boundaries (see solve_with_restarts).
 
 The profit is not jointly concave, so a solve may run several starts:
 the quantile start, or a warm start in its place (a sweep starts each K
@@ -87,7 +90,7 @@ from .market import DEFAULT_T_DOMAIN, _cost_slopes, cost, valuation_dsigma2
 #: A settled round stops its start once it improves relative profit by no
 #: more than REL_PROFIT_TOL, which is also the gain a later start needs to
 #: replace the best one; a solution is converged once the projected
-#: first-order residual per unit mass of its menu is at most KKT_TOL.
+#: first-order residual per unit mass of its menu is at most _kkt_tol.
 REL_PROFIT_TOL = 1e-10
 KKT_TOL = 1e-10
 MAX_ROUNDS = 200
@@ -100,6 +103,15 @@ EDGE_RTOL = 1e-9
 #: (cells, 8 bytes each), or the coordinates of the menus one Newton
 #: probe of a grouped solve's starts values (see _start_inits).
 TUPLE_BUDGET = 1e8
+
+
+def _kkt_tol(profile):
+    """The residual per unit mass a converged menu may keep: KKT_TOL, or 64
+    roundings of alpha q where the money unit makes that larger.  Every
+    valuation is at most alpha q, so a residual's rounding noise scales
+    with it, and scaling alpha and the cost by lambda scales the residual
+    by lambda and leaves the menu as it was."""
+    return max(KKT_TOL, 64 * np.finfo(float).eps * profile.alpha * profile.q)
 
 
 def _whole(name, value, least):
@@ -333,7 +345,7 @@ def _newton_finish(profile, cost_model, market, menus, traces, spent):
     again at the row's next trial.  A full step that stays inside and
     keeps profit is taken as it is.  Profits and residuals are per unit
     mass.  A row stops on its own at a menu whose residual is at most
-    KKT_TOL, unless a step from outside that tolerance led there: then
+    _kkt_tol, unless a step from outside that tolerance led there: then
     one more step follows, so where the finish stops inside the
     tolerance does not hang on the bits it started from.  It also stops when no coordinate is free, -H fails
     Cholesky, its trial would not change the menu, or it has spent
@@ -347,6 +359,7 @@ def _newton_finish(profile, cost_model, market, menus, traces, spent):
     """
     x = np.array(menus, dtype=float)
     lo, hi = _window(market, x.shape[1] // 2)
+    tol = _kkt_tol(profile)
     profit, grad, free, residual, neg_hessian = _probe(profile, cost_model, market, x, lo, hi)
     rows = len(x)
     _extend_traces(traces, range(rows), profit)
@@ -357,7 +370,7 @@ def _newton_finish(profile, cost_model, market, menus, traces, spent):
     while True:
         for r in stepping:
             f = free[r]
-            was_met, met[r] = met[r], residual[r] <= KKT_TOL
+            was_met, met[r] = met[r], residual[r] <= tol
             if (was_met and met[r]) or not f.any():
                 continue
             block = neg_hessian[r][np.ix_(f, f)]
@@ -410,7 +423,7 @@ def step1_periods(profile, cost_model, market, boundaries, guess=None):
     b = np.atleast_1d(np.asarray(boundaries, dtype=float))
     G = np.asarray(market.cdf(b), dtype=float)
     G_lo = np.concatenate([np.zeros_like(G[..., :1]), G[..., :-1]], axis=-1)
-    return search_periods(profile, cost_model, b, G - G_lo, G_lo, guess)[0]
+    return search_periods(profile, cost_model, b, G - G_lo, G_lo, guess)
 
 
 def step2_boundaries(profile, cost_model, market, periods, guess=None):
@@ -438,7 +451,8 @@ class GroupedSolution:
     kkt_residual: float = float("nan")
     newton_steps: int = 0
     #: Final profit and KKT residual of every start of the solve, in start
-    #: order, then of each re-solve of a short stop (see solve_with_restarts).
+    #: order, then of each re-solve of a short stop; solve_with_restarts
+    #: writes both on the solution it returns.
     start_profits: List[float] = field(default_factory=list)
     start_kkt_residuals: List[float] = field(default_factory=list)
 
@@ -452,14 +466,13 @@ class GroupedSolution:
 
 def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     """Alternate period and boundary optimization from every row of starts
-    (shape (starts, K), made by _start_inits, or by _split_to for the
-    short-stop re-solve) at once, finishing with
+    (shape (starts, K), made by _start_inits) at once, finishing with
     Newton steps; one GroupedSolution per row.
 
     Every round runs Step I and Step II on all rows still active in one
     lockstep search each, and the Newton finish on the rows that do not
     settle; a row leaves once it stops (see the module docstring).  Each
-    solution's converged is its returned menu's residual within KKT_TOL,
+    solution's converged is its returned menu's residual within _kkt_tol,
     however the row stopped.  Rows never mix: each start does
     exactly the arithmetic it would do alone, so the batch costs about
     its slowest start.  The search runs per unit mass; each solution's
@@ -467,6 +480,7 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
     """
     starts = np.array(starts, dtype=float)
     n, n_groups = starts.shape
+    tol = _kkt_tol(profile)
     x = np.concatenate([starts, np.empty_like(starts)], axis=1)  # each row's menu (b, t)
     traces = [[] for _ in range(n)]
     profit = np.full(n, -np.inf)
@@ -485,7 +499,7 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
         # a round that breaks strict ascent (every pooled block does)
         # settles, and stops its row once profit stalls; every other round
         # takes the Newton finish, and stops its row once the finish ends
-        # within KKT_TOL
+        # within tol
         menus = np.concatenate([boundaries, periods], axis=1)
         settle = ~_ascending(menus)
         if settle.any():
@@ -500,7 +514,7 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
                 profile, cost_model, market, menus[~settle], [traces[r] for r in rows], trials[rows]
             )
             newton_steps[rows] += steps
-            stopped[rows] = residual[rows] <= KKT_TOL
+            stopped[rows] = residual[rows] <= tol
         rounds[active] = round_no
         active = active[~stopped[active]]
         if not active.size:
@@ -536,14 +550,12 @@ def _solve_starts(profile, cost_model, market, starts) -> List[GroupedSolution]:
                 counts=N * mass,
                 total_profit=N * direct,
                 iterations=int(rounds[r]),
-                converged=bool(kkt <= KKT_TOL),
+                converged=bool(kkt <= tol),
                 profit_trace=[N * p for p in traces[r]],
                 boundary_edge_hits=np.flatnonzero(on_edge[r]).tolist(),
                 requested_groups=n_groups,
                 kkt_residual=N * float(kkt),
                 newton_steps=int(newton_steps[r]),
-                start_profits=[N * direct],
-                start_kkt_residuals=[N * float(kkt)],
             )
         )
     return solutions
@@ -563,12 +575,6 @@ def _extend_traces(traces, rows, profits):
         trace.append(new)
 
 
-def _split_to(market, boundaries, K):
-    """The boundaries sorted, their heaviest group split
-    (split_heaviest_group) until there are K, so every given one stays."""
-    return reduce(lambda b, _: split_heaviest_group(market, b), range(K - len(boundaries)), np.sort(boundaries))
-
-
 def _check_solve_size(K, restarts):
     """A ValueError naming K and restarts if the Newton probe of a K-group
     solve from one start and the restarts, (1 + restarts) x (4K + 1) x 2K
@@ -583,10 +589,12 @@ def _start_inits(market, n_groups, restarts, seed, warm):
     are, in order:
 
       the first start: the warm start if warm is not None, the
-        boundaries of one menu such as a sweep's previous one, sorted and
-        split up to K groups (_split_to), so it keeps every boundary it
-        was given (one with none or more than K is a ValueError naming
-        it); else the quantile start, boundaries at the quantiles k / K;
+        boundaries of one menu such as a sweep's previous one or a short
+        stop's, sorted and their heaviest group split
+        (split_heaviest_group) until there are K, so it keeps every
+        boundary it was given (one with none or more than K is a
+        ValueError naming it); else the quantile start, boundaries at the
+        quantiles k / K;
       the seeded restarts, quantile-transformed uniforms, so restarts
         respect the type distribution.  Each takes its K sorted uniforms
         in turn from one random.Random(seed), so a seed gives the same
@@ -605,7 +613,7 @@ def _start_inits(market, n_groups, restarts, seed, warm):
         b = np.asarray(warm, dtype=float)
         if b.ndim != 1 or not 0 < b.size <= K:
             raise ValueError(f"warm start {b.tolist()} must hold 1 to n_groups = {K} boundaries")
-        rows = [_split_to(market, b, K)]
+        rows = [reduce(lambda b, _: split_heaviest_group(market, b), range(K - b.size), np.sort(b))]
     rng = random.Random(seed)
     for _ in range(restarts):
         rows.append(market.quantile(np.sort([rng.random() for _ in range(K)])))
@@ -622,17 +630,15 @@ def solve_with_restarts(profile, cost_model, market, n_groups, restarts=0, seed=
     best so far only if it gains more than REL_PROFIT_TOL of the best's
     profit, so neither rounding noise nor the market size picks the
     winner.  A best menu that serves fewer than n_groups groups has
-    stopped short, and is solved once more, alone, from its own
-    boundaries split up to n_groups groups (_split_to, as a warm start
-    is); the first solve already passed the work budget for one start
-    of n_groups.  The re-solve replaces it on the same
-    rule, and one that wins but still stops short is re-solved in turn,
-    at most once per group the best start left unserved: a menu that
-    serves no one splits into a start with every boundary on sigma_min,
-    whose solve may serve one group where the next re-solve serves them
-    all.  The returned solution records every start's final profit and
-    residual (start_profits, start_kkt_residuals), the re-solves' last,
-    in order."""
+    stopped short, and is solved once more, alone, from the warm start
+    _start_inits makes of its own boundaries.  The re-solve replaces it
+    on the same rule, and one that wins but still stops short is
+    re-solved in turn, at most once per group the best start left
+    unserved: a menu that serves no one splits into a start with every
+    boundary on sigma_min, whose solve may serve one group where the next
+    re-solve serves them all.  The solution returned is the one that
+    records every start's final profit and residual (start_profits,
+    start_kkt_residuals), the re-solves' last, in order."""
 
     def pick(best, sol):
         return sol if sol.total_profit - best.total_profit > REL_PROFIT_TOL * abs(best.total_profit) else best
@@ -640,7 +646,7 @@ def solve_with_restarts(profile, cost_model, market, n_groups, restarts=0, seed=
     solutions = _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, restarts, seed, warm))
     best = reduce(pick, solutions)
     for _ in range(n_groups - np.count_nonzero(best.counts)):
-        solutions += _solve_starts(profile, cost_model, market, [_split_to(market, best.boundaries, n_groups)])
+        solutions += _solve_starts(profile, cost_model, market, _start_inits(market, n_groups, 0, 0, best.boundaries))
         best, last = pick(best, solutions[-1]), best
         if best is last or np.count_nonzero(best.counts) == n_groups:
             break

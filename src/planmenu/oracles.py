@@ -7,9 +7,10 @@ module imports no solver's solution type.
 
 - brute_force_ic_ir re-derives every consumer's best choice from raw
   utilities and confirms the menu's assignment wins (or that opting
-  out is right for unserved types): type by type in a discrete market,
-  and at both ends of every band in a continuous one, which single
-  crossing makes exact.
+  out is right for unserved types), within a tolerance in money that
+  its caller may widen (runner.certify scales it with the prices): type
+  by type in a discrete market, and at both ends of every band in a
+  continuous one, which single crossing makes exact.
 - grid_oracle_discrete and grid_oracle_grouped maximize over ascending
   period (and, for groups, boundary) tuples on grids by one exact
   dynamic program: profit splits into per-stage terms linked only
@@ -31,10 +32,10 @@ module imports no solver's solution type.
   them onto the group below loses nothing (the proof is in
   grid_oracle_grouped's docstring; Myerson's exclusion of unprofitable
   types, on the grid).  The discrete oracle serves every type, so it
-  keeps its whole period grid.  searched_periods makes that cut, and
-  the DP alone counts the cells it is handed against the work budget
-  (_check_cells), before it values any of them, so a refusal names the
-  cells the DP would search.
+  keeps its whole period grid.  The DP alone counts the cells it is
+  handed, after that cut, against the work budget (_check_cells),
+  before it values any of them, so a refusal names the cells the DP
+  would search.
 - monte_carlo_valuation estimates the valuation integral by simulating
   period demand (standard-normal draws from a seeded 64-bit generator).
 - full_coverage_profit and optimized_cutoff_profit are the profits of
@@ -126,9 +127,9 @@ class FeasibilityCertificate:
     n_consumers_checked: int
 
 
-def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> FeasibilityCertificate:
+def brute_force_ic_ir(profile, market, periods, prices, boundaries=None, tol=FEASIBILITY_TOL) -> FeasibilityCertificate:
     """Check every consumer prefers her assigned item (IC) and gets
-    nonnegative utility from it (IR), both within FEASIBILITY_TOL.
+    nonnegative utility from it (IR), both within tol, an amount of money.
 
     Discrete markets are checked type by type against their own menu
     position.  Continuous markets need the group boundaries b_1..b_K:
@@ -163,7 +164,7 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
         assigned = np.repeat(np.flatnonzero(wide), 2)  # == len(boundaries) above the top boundary
 
     if not np.all(np.isfinite(p)):  # NaN would fail every comparison below silently
-        return FeasibilityCertificate(False, np.inf, np.inf, None, FEASIBILITY_TOL, int(sigmas.size))
+        return FeasibilityCertificate(False, np.inf, np.inf, None, tol, int(sigmas.size))
     utilities = valuation(profile, sigmas[:, None], t) - p
     rows = np.arange(sigmas.size)
     served = assigned < t.size
@@ -179,15 +180,15 @@ def brute_force_ic_ir(profile, market, periods, prices, boundaries=None) -> Feas
     worst_ic = max(0.0, float(temptation[worst]))
     worst_ir = max(0.0, float(np.max(-own[served], initial=-np.inf)))
     pair = None
-    if temptation[worst] > FEASIBILITY_TOL:
+    if temptation[worst] > tol:
         pair = (float(sigmas[worst]), int(choice[worst]), int(assigned[worst]) if served[worst] else -1)
-    passed = worst_ic <= FEASIBILITY_TOL and worst_ir <= FEASIBILITY_TOL
+    passed = worst_ic <= tol and worst_ir <= tol
     return FeasibilityCertificate(
         passed=passed,
         worst_ic_violation=float(worst_ic),
         worst_ir_violation=float(worst_ir),
         violating_pair=pair,
-        tol=FEASIBILITY_TOL,
+        tol=tol,
         n_consumers_checked=int(sigmas.size),
     )
 
@@ -333,22 +334,11 @@ def grid_oracle_grouped(profile, cost_model, market: ContinuousMarket, n_groups,
     """
     n_groups = _whole("n_groups", n_groups, 1)
     sg = np.asarray(sigma_grid, dtype=float)[None, :]
-    t = searched_periods(profile, cost_model, market, sg[0], t_grid)
-    return _grid_dp(profile, cost_model, sg, market.cdf(sg) * market.size, n_groups, t)
-
-
-def searched_periods(profile, cost_model, market, sigma_grid, t_grid):
-    """The periods of t_grid that grid_oracle_grouped searches on
-    sigma_grid: those up to the last with C(t) < alpha*mu (at least the
-    first) where the sigma grid's first point carries no mass, else
-    t_grid whole, as is a grid that does not ascend, which _grid_dp
-    refuses."""
     t = np.asarray(t_grid, dtype=float)
-    sg = np.asarray(sigma_grid, dtype=float)
-    if sg.size and market.cdf(sg[:1])[0] == 0 and np.all(np.diff(t) > 0):
+    if sg.size and market.cdf(sg[0, :1])[0] == 0 and np.all(np.diff(t) > 0):  # a grid that does not ascend stays whole, for _grid_dp to refuse
         paying = np.flatnonzero(cost(cost_model, t) < profile.alpha * profile.mu)
         t = t[: paying[-1] + 1 if paying.size else 1]
-    return t
+    return _grid_dp(profile, cost_model, sg, market.cdf(sg) * market.size, n_groups, t)
 
 
 # --- Monte Carlo check of the valuation formula -------------------------

@@ -25,7 +25,9 @@ discrete market, and a profit below none of the scenario's baseline
 rows.  Beside that verdict it returns the one record of it,
 chain_feasibility, ic_ir and below_baseline, that run merges into
 certificate.json, sweep_groups reads each row's below_baseline from and
-verify_solution_csv returns as its details.
+verify_solution_csv returns as its details.  Its IC/IR and chain checks
+allow a tolerance that scales with the scenario's money unit (alpha q),
+so a scenario and its copy priced in another unit get the same verdicts.
 """
 
 import csv
@@ -37,7 +39,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .discrete import feasibility_check, solve_discrete
+from .discrete import FEASIBILITY_TOL, feasibility_check, solve_discrete
 from .distributions import DiscreteMarket
 from .grouped import REL_PROFIT_TOL, _check_solve_size, _whole, group_counts, solve_with_restarts
 from .market import cost
@@ -351,6 +353,17 @@ def certify(scenario: Scenario, periods, prices, boundaries, baselines, rtol=0.0
     may show widens by _written_slack at precision rtol: 0 for a solved
     menu, WRITTEN_RTOL for one read back from solution.csv, so a written
     menu equal to a baseline row passes however thin its margins.
+
+    The IC/IR and chain checks compare amounts of money, so they allow
+    tol = max(FEASIBILITY_TOL, (16 eps + 4 rtol) alpha q), which scales
+    with the scenario's money unit.  Every valuation and chain price is
+    at most alpha q, so a solved menu carries a few roundings of alpha q.
+    A value read back from solution.csv is within rtol / 2 (5e-12) of
+    itself, and with V_t t <= alpha q / 2 and |V_sigma| sigma <= alpha q
+    one utility V(sigma, t) - p moves, to first order, by at most
+    (alpha q / 2 + alpha q + alpha q) rtol / 2, and a difference of two,
+    which every IC and chain condition is, by 2.5 rtol alpha q.  At
+    alpha q = 15 tol is FEASIBILITY_TOL for both precisions.
     Returns (passed, verdict): verdict is the record certificate.json
     carries, {"chain_feasibility", "ic_ir", "below_baseline"} in that
     order, with the two reports as dicts, chain_feasibility None for a
@@ -359,8 +372,10 @@ def certify(scenario: Scenario, periods, prices, boundaries, baselines, rtol=0.0
     the chain, which leaves the baselines unchecked)."""
     m = scenario.market
     discrete = isinstance(m, DiscreteMarket)
-    ic_ir = brute_force_ic_ir(scenario.profile, m, periods, prices, boundaries=boundaries)
-    chain = feasibility_check(scenario.profile, m, periods, prices) if discrete else None
+    p = scenario.profile
+    tol = float(max(FEASIBILITY_TOL, (16 * np.finfo(float).eps + 4 * rtol) * p.alpha * p.q))
+    ic_ir = brute_force_ic_ir(p, m, periods, prices, boundaries=boundaries, tol=tol)
+    chain = feasibility_check(p, m, periods, prices, tol=tol) if discrete else None
     passed = ic_ir.passed and (chain is None or chain.passed)
     below = None
     if passed:

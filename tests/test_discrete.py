@@ -355,7 +355,8 @@ def test_solve_case1_menu_structure(profile, cost_model):
     # profit identities: margins sum to the per-type objective total
     margins = sol.prices - cost(cost_model, sol.periods)
     assert abs(sol.total_profit - float(market.counts @ margins)) < 1e-12
-    assert abs(sol.total_profit - float(sol.objective_values.sum())) < 1e-9
+    objectives = [type_objective(profile, cost_model, market, i, sol.periods[i]) for i in range(n)]
+    assert abs(sol.total_profit - float(np.sum(objectives))) < 1e-9
 
 
 def test_solve_case1_periods_distorted_upward(profile, cost_model):
@@ -633,14 +634,14 @@ def test_first_best_row_that_pools_keeps_the_menu_blocks(profile, cost_model):
         sig.append(float(np.nextafter(sig[-1], np.inf)))
     market = DiscreteMarket(sigmas=sig, counts=np.ones(4))
     searched = []
-    search = discrete.search_periods
+    repair = discrete.repair_monotone
 
     def tap(*args):
-        searched.append(search(*args))
+        searched.append(repair(*args))
         return searched[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(discrete, "search_periods", tap)
+        mp.setattr(discrete, "repair_monotone", tap)
         sol = solve_discrete(profile, cost_model, market)
     [(_, pooled)] = searched
     assert any(block.start >= 4 for block in pooled)
@@ -677,16 +678,16 @@ def test_menu_runs_of_equal_periods_are_the_pooled_blocks(profile, cost_model, s
     # a pooled block is a run of equal periods in the menu and nothing
     # else is: the menu's maximal runs are the menu row's blocks of its
     # search, start, stop and value; most of these markets pool
-    searched, search = [], discrete.search_periods
+    searched, repair = [], discrete.repair_monotone
 
     def tap(*args):
-        searched.append(search(*args))
+        searched.append(repair(*args))
         return searched[-1]
 
     pooling = 0
     for market in seeded_pooling_markets(shape):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(discrete, "search_periods", tap)
+            mp.setattr(discrete, "repair_monotone", tap)
             sol = solve_discrete(profile, cost_model, market)
         blocks = [(b.start, b.stop, b.value) for b in searched.pop()[1] if b.start < market.n_types]
         assert equal_runs(sol.periods) == blocks

@@ -44,7 +44,6 @@ from planmenu.oracles import (
     grid_oracle_grouped,
     monte_carlo_valuation,
     optimized_cutoff_profit,
-    searched_periods,
     social_metrics,
     uplift_percent,
 )
@@ -539,8 +538,7 @@ def test_grid_oracles_count_and_refuse_their_work_before_valuing_a_cell(profile,
         grid_oracle_discrete(profile, cost_model, case1_market(), t_grid)  # 11 types x 600 periods
     market = make_market("uniform", 0.0, 6.0)
     sigma_grid = np.linspace(0.0, 6.0, 121)
-    searched = searched_periods(profile, cost_model, market, sigma_grid, t_grid).size
-    assert searched == 119
+    assert np.count_nonzero(cost(cost_model, t_grid) < profile.alpha * profile.mu) == 119  # the periods before the cost cut
     with pytest.raises(ValueError, match=r"^grid DP of 2\.88e\+04 cells exceeds the work budget \(1e\+03\)$"):
         grid_oracle_grouped(profile, cost_model, market, 2, sigma_grid, t_grid)  # 2 x 121 x 119
     # a grid within the budget is valued and searched
@@ -1039,7 +1037,6 @@ def test_first_best_surplus_never_negative(profile, cost_model):
         periods=np.array([1.0]),
         prices=np.array([11.0]),
         total_profit=0.0,
-        objective_values=np.array([0.0]),
         first_best_periods=block_periods(profile, expensive, market.sigmas, one, 0 * one, items, items),
     )
     rep = social_metrics(profile, expensive, market, sol)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import planmenu
 from planmenu import cli, discrete, grouped, market, oracles, runner
-from planmenu.distributions import ContinuousMarket, DiscreteMarket, make_market
+from planmenu.distributions import SIGMA_MAX_CAP, ContinuousMarket, DiscreteMarket, make_market
 from planmenu.market import CostModel, DemandProfile
 from planmenu.oracles import full_coverage_profit, optimized_cutoff_profit
 from planmenu.scenarios import (
@@ -527,6 +527,36 @@ def test_cli_refuses_window_without_representable_mass(tmp_path, capsys):
     assert captured.err.startswith("planmenu: error: window carries no representable probability mass")
 
 
+@pytest.mark.parametrize(
+    "name, market, key",
+    [
+        ("uniform_k6", {"sigma_max": 1e120}, "sigma_max"),  # a boundary step cubed overflows
+        ("exponential_k6", {"sigma_max": 1e150}, "sigma_max"),
+        ("truncated_normal_k6", {"sigma_max": 1e155, "W": 1.0}, "sigma_max"),  # z * z overflows in the density
+        ("truncated_normal_k6", {"sigma_max": 1.7e308}, "sigma_max"),
+        ("truncated_normal_k6", {"sigma_max": 1e102, "W": 1e-100}, "(sigma - loc) / scale"),
+    ],
+)
+def test_cli_refuses_a_window_the_kernels_cannot_evaluate(tmp_path, capsys, name, market, key):
+    # a kernel overflows on each of these windows, which under -W error
+    # would end solve, sweep or check-dist in a traceback; the loader
+    # refuses the window by name, before any --out is made
+    path = str(market_scenario(tmp_path, name, **market))
+    for argv in (["solve", "--out", str(tmp_path / "run")], ["sweep", "--groups", "1,2", "--out", str(tmp_path / "sweep")], ["check-dist"]):
+        assert cli.main([argv[0], "--scenario", path, *argv[1:]]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"planmenu: error: {key} must ")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("name", ["exponential_k6", "truncated_normal_k6", "uniform_k6"])
+def test_cli_solves_at_the_widest_window(tmp_path, capsys, name):
+    # the widest window the loader takes evaluates without a warning
+    path = market_scenario(tmp_path, name, {"K": 2, "restarts": 0}, sigma_max=SIGMA_MAX_CAP)
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_market_whose_density_underflows(tmp_path, capsys):
     # g underflows to 0 on most of the window: the shape condition holds
     # where it is defined, the solve takes the lockstep boundary search,
@@ -650,13 +680,16 @@ def test_fuzzed_markets_of_the_raising_shapes_solve_and_certify(scenario):
 def run_then_verify_markets(draw):
     """Random scenarios for the run-then-verify property: 1 to 6 discrete
     types, or a grouped market at K = 1..3 in test_grouped.py's
-    random-market ranges, each held to baselines at t = 1 and 2.  A
+    random-market ranges, each held to baselines at t = 1 and 2, and
+    priced in a money unit lam in {1, 100, 1e6}: alpha, c0 and c1 times
+    lam scale every price and profit by lam and leave the menu as it is.  A
     discrete market's period cost has a positive slope: at c1 = 0 its
     periods press against the search cap, which warns."""
     discrete = draw(st.booleans())
+    lam = draw(st.sampled_from([1.0, 100.0, 1e6]))
     mu = draw(st.floats(5.0, 20.0))
-    profile = DemandProfile(alpha=1.0, mu=mu, q=mu + draw(st.floats(0.5, 5.0)))
-    cost_model = CostModel(c0=draw(st.floats(0.5, 0.95)) * mu, c1=draw(st.floats(0.05 if discrete else 0.0, 1.0)))
+    profile = DemandProfile(alpha=lam, mu=mu, q=mu + draw(st.floats(0.5, 5.0)))
+    cost_model = CostModel(c0=lam * draw(st.floats(0.5, 0.95)) * mu, c1=lam * draw(st.floats(0.05 if discrete else 0.0, 1.0)))
     if discrete:
         n = draw(st.integers(1, 6))
         sigmas = sorted(draw(st.lists(st.floats(0.1, 8.0), min_size=n, max_size=n, unique=True)))
@@ -698,6 +731,24 @@ def test_verify_passes_every_menu_that_run_passes(scenario):
         assert details["ic_ir"]["passed"] is cert["ic_ir"]["passed"] is True
         if cert["chain_feasibility"] is not None:
             assert details["chain_feasibility"]["passed"] is cert["chain_feasibility"]["passed"] is True
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_money_unit_scales_profit_and_leaves_the_verdicts(name, tmp_path):
+    # alpha, c0 and c1 times lam price the same menu in another money unit:
+    # every price and profit scales by lam, and the solve still passes and
+    # converges, and verify passes the solution.csv it writes
+    sc = load_scenario(name)
+    base = runner.run(sc, tmp_path / "1")
+    for lam in (10.0, 100.0, 1e3, 1e6, 1e9):
+        p, c = sc.profile, sc.cost_model
+        scaled = dataclasses.replace(
+            sc, profile=DemandProfile(lam * p.alpha, p.mu, p.q), cost_model=CostModel(lam * c.c0, lam * c.c1)
+        )
+        artifacts = runner.run(scaled, tmp_path / f"{lam:g}")
+        assert artifacts.ok and artifacts.certificate["convergence"]["converged"], lam
+        assert runner.verify_solution_csv(scaled, artifacts.paths["solution"])[0], lam
+        assert abs(artifacts.solution.total_profit / lam - base.solution.total_profit) <= 1e-9 * abs(base.solution.total_profit)
 
 
 def test_cli_writes_failing_discrete_menu_as_fail(tmp_path, capsys, monkeypatch):
@@ -957,7 +1008,7 @@ def test_cli_oracle_budget_counts_the_periods_searched(capsys, monkeypatch):
     printed = capsys.readouterr().out
     sc = load_scenario("uniform_k6")
     t_grid = np.arange(0.05, 30.025, 0.05)
-    assert oracles.searched_periods(sc.profile, sc.cost_model, sc.market, np.linspace(0.0, 6.0, 121), t_grid).size == 119
+    assert np.count_nonzero(market.cost(sc.cost_model, t_grid) < sc.profile.alpha * sc.profile.mu) == 119  # the periods before the cost cut
     monkeypatch.setattr(oracles, "TUPLE_BUDGET", 1e5)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == printed
@@ -992,7 +1043,7 @@ def test_cli_sweep_fails_on_an_unconverged_k(tmp_path, capsys, monkeypatch):
     # still lands on a residual of exactly 0, K = 6 stops unconverged;
     # like solve, the sweep still writes its table and exits 2
     monkeypatch.setattr(grouped, "MAX_ROUNDS", 1)
-    monkeypatch.setattr(grouped, "KKT_TOL", 0.0)
+    monkeypatch.setattr(grouped, "_kkt_tol", lambda profile: 0.0)
     out = tmp_path / "sweep_out"
     assert cli.main(["sweep", "--scenario", "uniform_k6", "--groups", "1,6", "--out", str(out)]) == 2
     k1, k6 = capsys.readouterr().out.splitlines()
